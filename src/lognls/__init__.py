@@ -37,7 +37,6 @@ from .minimax import (
     sign_condition,
     sweep_eps,
     theta_r_estimate,
-    translate,
 )
 from .nehari import (
     NehariSolution,

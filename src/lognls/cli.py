@@ -7,14 +7,16 @@ Subcommands (one per experiment):
     check-potential  saddle hypothesis checkers (V1, V2, V4 + advisory V3)
     saddle-cert      level certificate at one eps
     sweep-eps        certificates over an eps list, CSV + JSON output
-    barycenter-zero  degree evidence for the barycenter zero
+    barycenter-zero  degree evidence for the barycenter zero (on the
+                     certificate grid; the path moves the frame)
 
 Configuration is a JSON file with blocks grid / potential / split / solver /
 sweep / certificate / output; command-line flags override file values.  All
 floats are written with 17 significant digits and files are written
 atomically (write then rename), so reruns with a fixed seed are byte
 identical.  Exit codes: 0 success, 2 config error, 3 numerical
-non-convergence, 4 certificate inconclusive.
+non-convergence, 4 certificate inconclusive (or a numerical ValueError),
+5 internal defect (a failed internal consistency assertion).
 
 The environment variable LOGNLS_NUM_THREADS caps the worker threads used to
 evaluate independent sweep points; output order is fixed by the input order,
@@ -37,7 +39,6 @@ from .energy import SplitParams, energy
 from .grid import Grid, dump_field
 from .minimax import (
     CertificateConfig,
-    _odd_points,
     barycenter_zero_finder,
     certificate,
     sweep_eps,
@@ -58,6 +59,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_INCONCLUSIVE = 4
+EXIT_INTERNAL = 5
 
 
 # ---------------------------------------------------------------------------
@@ -456,16 +458,9 @@ def cmd_barycenter_zero(args) -> int:
     cfg = load_config(args.config, {})
     cert_cfg = build_certificate_config(cfg)
     pot = cert_cfg.potential
-    eps = args.eps
-    path_half = min(
-        cert_cfg.max_path_half_extent,
-        max(cert_cfg.solver_half_extent, args.R / eps + cert_cfg.path_margin),
-    )
-    grid = Grid(pot.dim, path_half, _odd_points(path_half, cert_cfg.h_target))
+    grid = cert_cfg.grid()
     u0 = gausson(grid, pot.c0)
-    res = barycenter_zero_finder(
-        grid, pot, eps, cert_cfg.params, u0, R=args.R, interpolate=cert_cfg.interpolate
-    )
+    res = barycenter_zero_finder(grid, pot, args.eps, cert_cfg.params, u0, R=args.R)
     outdir = ensure_outdir(cfg)
     atomic_write(os.path.join(outdir, "barycenter_zero.json"), to_json_text(res.to_dict()) + "\n")
     print(to_json_text(res.to_dict()))
@@ -536,9 +531,12 @@ def main(argv=None) -> int:
     except OSError as err:
         print(to_json_text({"error": "output", "message": str(err)}))
         return EXIT_CONFIG
-    except (ValueError, AssertionError) as err:
+    except ValueError as err:
         print(to_json_text({"error": "runtime", "message": str(err)}))
         return EXIT_INCONCLUSIVE
+    except AssertionError as err:
+        print(to_json_text({"error": "internal", "message": str(err)}))
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

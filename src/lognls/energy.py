@@ -181,15 +181,6 @@ def _check_weight(vsamp: NDArray) -> None:
 # energy and gradient
 # ---------------------------------------------------------------------------
 
-def energy_value(grid: Grid, values: NDArray, vsamp: NDArray) -> float:
-    """Fast J evaluation used inside solver loops."""
-    kin = kinetic_array(grid, values, values)
-    sq = values * values
-    quad = integrate_array(grid, (vsamp + 1.0) * sq)
-    ent = integrate_array(grid, np.where(sq > 0, sq * _safe_log_sq(np.abs(values)), 0.0))
-    return 0.5 * (kin + quad) - 0.5 * ent
-
-
 def energy(u: GridField, potential, eps: float, params: SplitParams) -> EnergyBreakdown:
     """Full energy breakdown of a field.
 

@@ -1,10 +1,13 @@
 """Uniform tensor grids on a truncated box with Dirichlet convention.
 
 Fields live on [-L, L]^N (N = 1 or 2) sampled at n points per axis and are
-treated as zero outside the box (homogeneous Dirichlet ghost values).  The
-module provides the second-order Laplacian stencil, rectangle-rule
-quadrature, centered-difference H1 pairings, and a text dump format that
-round-trips bit exactly.
+treated as zero outside the box (homogeneous Dirichlet ghost values).  A grid
+may carry a frame center c: its nodes then sit at c + [-L, L]^N.  Only the
+node coordinates see the center; the stencil and the quadrature do not, so a
+field moved to another frame keeps its values and every translation-invariant
+quantity.  The module provides the second-order Laplacian stencil,
+rectangle-rule quadrature, centered-difference H1 pairings, and a text dump
+format that round-trips bit exactly.
 """
 
 from __future__ import annotations
@@ -19,11 +22,15 @@ from numpy.typing import NDArray
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on [-L, L]^dim with spacing h = 2L/(n-1)."""
+    """Uniform grid on center + [-L, L]^dim with spacing h = 2L/(n-1).
+
+    ``center`` defaults to the origin and is stored as a tuple of floats.
+    """
 
     dim: int
     half_extent: float
     points_per_axis: int
+    center: tuple = ()
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
@@ -32,6 +39,10 @@ class Grid:
             raise ValueError(f"half_extent must be finite and positive, got {self.half_extent}")
         if self.points_per_axis < 16:
             raise ValueError(f"points_per_axis must be >= 16, got {self.points_per_axis}")
+        center = tuple(float(c) for c in np.ravel(self.center)) or (0.0,) * self.dim
+        if len(center) != self.dim or not all(math.isfinite(c) for c in center):
+            raise ValueError(f"center must have {self.dim} finite components, got {self.center}")
+        object.__setattr__(self, "center", center)
 
     @property
     def spacing(self) -> float:
@@ -49,11 +60,12 @@ class Grid:
     def cell_volume(self) -> float:
         return self.spacing**self.dim
 
-    def axis(self) -> NDArray:
+    def axis(self, k: int = 0) -> NDArray:
+        """Node coordinates along axis k, frame center included."""
         ax = np.linspace(-self.half_extent, self.half_extent, self.points_per_axis)
         # antisymmetrize so mirror nodes are exact negatives and an odd count
         # puts the center node at exactly 0 (linspace alone leaves ~1e-15)
-        return 0.5 * (ax - ax[::-1])
+        return 0.5 * (ax - ax[::-1]) + self.center[k]
 
 
 def build_grid(dim: int, half_extent: float, points_per_axis: int) -> Grid:
@@ -64,10 +76,9 @@ def build_grid(dim: int, half_extent: float, points_per_axis: int) -> Grid:
 @lru_cache(maxsize=16)
 def node_coordinates(grid: Grid) -> NDArray:
     """All node coordinates as a (num_nodes, dim) array in row-major order."""
-    ax = grid.axis()
     if grid.dim == 1:
-        return ax[:, None].copy()
-    xx, yy = np.meshgrid(ax, ax, indexing="ij")
+        return grid.axis()[:, None].copy()
+    xx, yy = np.meshgrid(grid.axis(0), grid.axis(1), indexing="ij")
     return np.column_stack([xx.ravel(), yy.ravel()])
 
 
@@ -201,7 +212,12 @@ def h1_inner(u: GridField, v: GridField, weight: GridField) -> float:
 # ---------------------------------------------------------------------------
 
 def dump_field(u: GridField, path: str) -> None:
-    """Write a field as text: dim, half_extent, n header then row-major values."""
+    """Write a field as text: dim, half_extent, n header then row-major values.
+
+    The header has no frame center, so a field on a moved frame is refused.
+    """
+    if any(u.grid.center):
+        raise ValueError("dump_field needs a grid centered at the origin")
     lines = [
         f"{u.grid.dim:d}",
         f"{u.grid.half_extent:.17g}",

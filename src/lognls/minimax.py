@@ -3,7 +3,9 @@
 The barycenter beta(u) is the u^2-weighted average of x/|x|.  Translating a
 constant-potential ground state u0 to z/eps and rescaling onto the Nehari
 set gives the path field Phi_eps(z); its barycenter approaches z/|z| as
-eps -> 0.  Four numbers are estimated around this path:
+eps -> 0.  The translation is carried out by moving the grid's frame center
+to z/eps, not by moving node values, so every path field lives on the grid
+of u0 and all four numbers below come from one grid:
 
 * D_eps  -- inf of J over Nehari fields with barycenter in Y (estimated by
   penalized minimization; an UPPER bound of the true infimum),
@@ -46,9 +48,10 @@ from .potential import PotentialSpec
 def direction_weights(grid: Grid) -> NDArray:
     """x/|x| at every node, with 0 at the origin node (measure-zero point).
 
-    The origin is detected with a spacing-relative tolerance: linspace
-    rounding can leave the center node at ~1e-15 rather than exactly 0, and
-    x/|x| there would be a full-size junk direction.
+    x includes the grid's frame center, so on a moved frame these are the
+    translated directions.  The origin is detected with a spacing-relative
+    tolerance: linspace rounding can leave the center node at ~1e-15 rather
+    than exactly 0, and x/|x| there would be a full-size junk direction.
     """
     pts = node_coordinates(grid)
     norm = np.linalg.norm(pts, axis=1)
@@ -57,25 +60,22 @@ def direction_weights(grid: Grid) -> NDArray:
     return np.where(off_origin[:, None], pts / safe[:, None], 0.0)
 
 
-def barycenter(u: GridField) -> NDArray:
-    """Mass-direction average  integral((x/|x|) u^2) / integral(u^2)."""
-    sq = u.values * u.values
-    mass = integrate_array(u.grid, sq)
-    if mass <= 0:
-        raise ValueError("barycenter is undefined for the zero field")
-    w = direction_weights(u.grid)
-    return np.array(
-        [integrate_array(u.grid, w[:, k] * sq) for k in range(u.grid.dim)]
-    ) / mass
-
-
 def _barycenter_values(grid: Grid, values: NDArray) -> NDArray:
+    """Barycenter of raw node values as one product with the direction
+    weights (the cell volume cancels); NaN for the zero field."""
     sq = values * values
-    mass = integrate_array(grid, sq)
+    mass = float(np.sum(sq))
     if mass <= 0:
         return np.full(grid.dim, np.nan)
-    w = direction_weights(grid)
-    return np.array([integrate_array(grid, w[:, k] * sq) for k in range(grid.dim)]) / mass
+    return (sq @ direction_weights(grid)) / mass
+
+
+def barycenter(u: GridField) -> NDArray:
+    """Mass-direction average  integral((x/|x|) u^2) / integral(u^2)."""
+    beta = _barycenter_values(u.grid, u.values)
+    if np.isnan(beta[0]):
+        raise ValueError("barycenter is undefined for the zero field")
+    return beta
 
 
 def eps_norm_sq(grid: Grid, values: NDArray, vsamp: NDArray) -> float:
@@ -86,98 +86,40 @@ def eps_norm_sq(grid: Grid, values: NDArray, vsamp: NDArray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# translation
+# the path in a moving frame
 # ---------------------------------------------------------------------------
 
-def _shift_integer(grid: Grid, values: NDArray, shift: tuple[int, ...]) -> NDArray:
-    """Translate by whole nodes; mass moved past the boundary is dropped."""
-    a = values.reshape(grid.shape)
-    out = np.zeros_like(a)
-    src = []
-    dst = []
-    n = grid.points_per_axis
-    for k in shift:
-        if abs(k) >= n:
-            return out.ravel()
-        if k >= 0:
-            dst.append(slice(k, None))
-            src.append(slice(None, n - k))
-        else:
-            dst.append(slice(None, n + k))
-            src.append(slice(-k, None))
-    out[tuple(dst)] = a[tuple(src)]
-    return out.ravel()
+def phi_path(u0: GridField, z, eps: float, potential, params: SplitParams) -> GridField:
+    """Path field Phi_eps(z): u0 translated by z/eps, rescaled onto Nehari.
 
-
-def _shift_fractional(grid: Grid, values: NDArray, offset: NDArray) -> NDArray:
-    """Translate by a real node offset using multilinear interpolation."""
-    base = np.floor(offset).astype(int)
-    frac = offset - base
-    out = np.zeros(grid.num_nodes)
-    for corner in range(2**grid.dim):
-        bits = [(corner >> k) & 1 for k in range(grid.dim)]
-        weight = 1.0
-        for k, b in enumerate(bits):
-            weight *= frac[k] if b else (1.0 - frac[k])
-        if weight == 0.0:
-            continue
-        shift = tuple(int(base[k] + bits[k]) for k in range(grid.dim))
-        out += weight * _shift_integer(grid, values, shift)
-    return out
-
-
-def translate(u: GridField, z: NDArray, eps: float, interpolate: bool = False) -> GridField:
-    """Translate a field by z/eps on the grid.
-
-    The default snaps z/eps to the nearest lattice vector (exact translation
-    preserves node values bit for bit); ``interpolate`` enables multilinear
-    interpolation for sweeps that need smooth dependence on z.
+    The translation moves the frame, not the values: the result is t*u0 on
+    u0's grid with its center shifted by z/eps.  Kinetic, mass and log terms
+    do not change under translation, while V(eps x) and the barycenter
+    directions are sampled at the translated nodes, so the field never
+    leaves the box however far z/eps reaches.  The potential must be
+    evaluable at any point; a sampled GridField potential is tied to its own
+    frame and serves z = 0 only.
     """
     z = np.asarray(z, dtype=float).ravel()
-    if z.size != u.grid.dim:
-        raise ValueError(f"z must have {u.grid.dim} components")
-    offset = z / (eps * u.grid.spacing)
-    if interpolate:
-        shifted = _shift_fractional(u.grid, u.values, offset)
-    else:
-        shifted = _shift_integer(u.grid, u.values, tuple(int(k) for k in np.rint(offset)))
-    return GridField(u.grid, shifted)
-
-
-def _boundary_amplitude(grid: Grid, values: NDArray) -> float:
-    a = np.abs(values.reshape(grid.shape))
-    if grid.dim == 1:
-        return float(max(a[0], a[-1]))
-    return float(max(a[0, :].max(), a[-1, :].max(), a[:, 0].max(), a[:, -1].max()))
-
-
-def phi_path(
-    u0: GridField,
-    z,
-    eps: float,
-    potential,
-    params: SplitParams,
-    interpolate: bool = False,
-    max_boundary_fraction: float = 1e-6,
-) -> GridField:
-    """Path field: translate a ground state u0 by z/eps, reproject onto Nehari.
-
-    Translations that push the profile into the box boundary (relative
-    amplitude above ``max_boundary_fraction`` on the outermost node layer)
-    are refused rather than silently truncated.
-    """
-    shifted = translate(u0, z, eps, interpolate=interpolate)
-    peak = float(np.max(np.abs(shifted.values)))
-    if peak <= 0:
-        raise ValueError("zero overlap after translation")
-    if _boundary_amplitude(u0.grid, shifted.values) > max_boundary_fraction * peak:
-        raise ValueError("translation by z/eps leaves the box")
-    vsamp = potential_samples(potential, u0.grid, eps)
+    if z.size != u0.grid.dim:
+        raise ValueError(f"z must have {u0.grid.dim} components")
+    frame = replace(u0.grid, center=np.add(u0.grid.center, z / eps))
+    vsamp = potential_samples(potential, frame, eps)
     _check_weight(vsamp)
-    projected, t = _project_values(u0.grid, shifted.values, vsamp)
+    projected, t = _project_values(frame, u0.values, vsamp)
     if math.isnan(t):
-        raise ValueError("zero overlap after translation")
-    return GridField(u0.grid, projected)
+        raise ValueError("the path is undefined for the zero field")
+    return GridField(frame, projected)
+
+
+def _path_energy(f: GridField, potential, eps: float) -> float:
+    """J of a path field, with V sampled in the field's own frame."""
+    return _energy_fast(f.grid, f.values, potential_samples(potential, f.grid, eps))
+
+
+def _require_u0_on(grid: Grid, u0: GridField) -> None:
+    if u0.grid != grid:
+        raise ValueError("u0 must live on the given grid")
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +147,6 @@ def sign_condition(
     eps_values,
     potential,
     params: SplitParams,
-    interpolate: bool = False,
 ) -> SignConditionReport:
     """Inner products (beta(Phi_eps(z)), z) over samples and eps values.
 
@@ -219,8 +160,7 @@ def sign_condition(
     for eps in eps_values:
         inner = []
         for z in z_samples:
-            f = phi_path(u0, z, eps, potential, params, interpolate=interpolate)
-            b = barycenter(f)
+            b = barycenter(phi_path(u0, z, eps, potential, params))
             inner.append(float(np.dot(b, z)))
         mins.append(min(inner))
         per_eps[float(eps)] = inner
@@ -409,15 +349,14 @@ def level_sup_x(
     u0: GridField,
     R: float,
     n_samples: int = 17,
-    interpolate: bool = False,
 ) -> SupXReport:
     """Max of J(Phi_eps(x)) over sampled Q, with the analytic cap
     m(c0) + (3/10) c2 integral(u0^2) for comparison."""
-    vsamp = potential.sample_on_grid(grid, eps).values
-    vals = []
-    for z in _q_samples(potential, R, n_samples):
-        f = phi_path(u0, z, eps, potential, params, interpolate=interpolate)
-        vals.append(_energy_fast(grid, f.values, vsamp))
+    _require_u0_on(grid, u0)
+    vals = [
+        _path_energy(phi_path(u0, z, eps, potential, params), potential, eps)
+        for z in _q_samples(potential, R, n_samples)
+    ]
     m_c0 = m_closed_form(potential.c0, grid.dim)
     mass_u0 = integrate_array(grid, u0.values**2)
     cap = m_c0 + 0.3 * potential.c2 * mass_u0
@@ -456,25 +395,16 @@ def choose_r(
     threshold: float,
     schedule=(0.25, 0.5, 1.0, 2.0),
     boundary_samples: int = 8,
-    interpolate: bool = False,
 ) -> ChooseRResult:
     """Smallest radius in the schedule whose boundary path values sit below
     the threshold; exhaustion is reported with the achieved maxima."""
-    vsamp = potential.sample_on_grid(grid, eps).values
+    _require_u0_on(grid, u0)
     achieved = {}
     for R in schedule:
-        try:
-            vals = [
-                _energy_fast(
-                    grid,
-                    phi_path(u0, z, eps, potential, params, interpolate=interpolate).values,
-                    vsamp,
-                )
-                for z in _boundary_samples(potential, R, boundary_samples)
-            ]
-        except ValueError:
-            break  # translation left the box; larger radii only get worse
-        achieved[float(R)] = float(max(vals))
+        achieved[float(R)] = max(
+            _path_energy(phi_path(u0, z, eps, potential, params), potential, eps)
+            for z in _boundary_samples(potential, R, boundary_samples)
+        )
         if achieved[float(R)] <= threshold:
             return ChooseRResult(float(R), threshold, achieved, True)
     return ChooseRResult(None, threshold, achieved, False)
@@ -522,72 +452,71 @@ def theta_r_estimate(
     seed: int = 0,
     beta_tol: float = 1e-3,
     extra_candidate: Optional[GridField] = None,
-    interpolate: bool = False,
 ) -> ThetaReport:
     """Sampled upper-bound estimate of Theta_r.
 
     Candidates are path fields Phi_eps(x) over Q plus perturbations of norm
-    up to r (in the eps-norm; that choice of norm matters and is fixed
-    here), filtered to barycenter in Y.  ``perturb_magnitudes`` is an
-    absolute ladder filtered by <= r, so candidate sets nest across r and
-    the estimate is non-increasing in r by construction.  If
-    ``extra_candidate`` (e.g. the level_d minimizer) lies within r of the
-    sampled path image, it joins the candidate set; that is what links the
+    up to r (in the eps-norm of the frame they perturb; that choice of norm
+    matters and is fixed here), filtered to barycenter in Y.  The bumps are
+    drawn once in frame-relative coordinates and X-symmetrized about the
+    frame center.  ``perturb_magnitudes`` is an absolute ladder filtered by
+    <= r, so candidate sets nest across r and the estimate is non-increasing
+    in r by construction.  The scan streams: each candidate is built,
+    tested and dropped.  If ``extra_candidate`` (e.g. the level_d minimizer,
+    on ``grid``) lies within r of the z = 0 path field, the only one in
+    absolute coordinates, it joins the candidate set; that is what links the
     estimate to D_eps from above.
     """
-    vsamp = potential.sample_on_grid(grid, eps).values
+    _require_u0_on(grid, u0)
     rng = np.random.default_rng(seed)
-
-    path_fields = []
-    for z in _q_samples(potential, R, n_centers):
-        try:
-            f = phi_path(u0, z, eps, potential, params, interpolate=interpolate)
-        except ValueError:
-            continue
-        path_fields.append(f.values)
-    if not path_fields:
-        return ThetaReport(math.nan, r, 0, False, True, False)
-
-    pts = node_coordinates(grid)
-    directions = []
+    rel = node_coordinates(grid) - np.asarray(grid.center)
+    bumps = []
     for _ in range(n_perturb):
         c = rng.uniform(-2.0, 2.0, size=grid.dim)
         widths = rng.uniform(0.7, 2.0)
         amp = rng.standard_normal()
-        bump = amp * np.exp(-np.sum((pts - c) ** 2, axis=1) / (2 * widths**2))
-        bump = _symmetrize_x(grid, bump, potential.x_axes)
-        norm = math.sqrt(eps_norm_sq(grid, bump, vsamp))
-        if norm > 0:
-            directions.append(bump / norm)
-
+        bump = amp * np.exp(-np.sum((rel - c) ** 2, axis=1) / (2 * widths**2))
+        bumps.append(_symmetrize_x(grid, bump, potential.x_axes))
     magnitudes = [m for m in perturb_magnitudes if m <= r]
-    candidates = list(path_fields)
-    for base in path_fields:
-        for d in directions:
-            for mag in magnitudes:
-                candidates.append(base + mag * d)
-
-    included = False
-    if extra_candidate is not None:
-        dist = min(
-            math.sqrt(eps_norm_sq(grid, extra_candidate.values - f, vsamp))
-            for f in path_fields
-        )
-        if dist <= r:
-            candidates.append(extra_candidate.values)
-            included = True
 
     best = math.inf
     n_feasible = 0
-    for cand in candidates:
-        beta = _barycenter_values(grid, cand)
-        if np.any(np.isnan(beta)):
-            continue
+
+    def consider(frame: Grid, cand: NDArray, vsamp: NDArray) -> None:
+        nonlocal best, n_feasible
+        beta = _barycenter_values(frame, cand)
         beta_x = math.sqrt(sum(float(beta[ax]) ** 2 for ax in potential.x_axes))
-        if beta_x > beta_tol:
-            continue
+        if not beta_x <= beta_tol:  # NaN (zero field) is infeasible too
+            return
         n_feasible += 1
-        best = min(best, _energy_fast(grid, cand, vsamp))
+        best = min(best, _energy_fast(frame, cand, vsamp))
+
+    origin = None
+    for z in _q_samples(potential, R, n_centers):
+        base = phi_path(u0, z, eps, potential, params)
+        frame = base.grid
+        vsamp = potential_samples(potential, frame, eps)
+        if not np.any(z):
+            origin = (base, vsamp)
+        consider(frame, base.values, vsamp)
+        for bump in bumps:
+            norm = math.sqrt(eps_norm_sq(frame, bump, vsamp))
+            if norm > 0:
+                d = bump / norm
+                for mag in magnitudes:
+                    consider(frame, base.values + mag * d, vsamp)
+
+    included = False
+    if extra_candidate is not None:
+        if origin is None:
+            base = phi_path(u0, np.zeros(grid.dim), eps, potential, params)
+            origin = (base, potential_samples(potential, base.grid, eps))
+        base, vsamp = origin
+        if extra_candidate.grid != base.grid:
+            raise ValueError("extra_candidate must live on the grid of u0")
+        if math.sqrt(eps_norm_sq(base.grid, extra_candidate.values - base.values, vsamp)) <= r:
+            consider(base.grid, extra_candidate.values, vsamp)
+            included = True
 
     feasible = math.isfinite(best)
     return ThetaReport(
@@ -631,7 +560,6 @@ def barycenter_zero_finder(
     tol: float = 1e-3,
     max_bisect: int = 48,
     boundary_samples: int = 16,
-    interpolate: bool = False,
 ) -> ZeroFinderResult:
     """Locate x* in Q with P_X beta(Phi_eps(x*)) ~ 0.
 
@@ -641,6 +569,7 @@ def barycenter_zero_finder(
     or zero winding is reported as inconclusive (no degree evidence), not as
     failure.
     """
+    _require_u0_on(grid, u0)
     axes = potential.x_axes
     dim = potential.dim
 
@@ -648,8 +577,7 @@ def barycenter_zero_finder(
         z = np.zeros(dim)
         for k, ax in enumerate(axes):
             z[ax] = x[k]
-        fld = phi_path(u0, z, eps, potential, params, interpolate=interpolate)
-        beta = barycenter(fld)
+        beta = barycenter(phi_path(u0, z, eps, potential, params))
         return np.array([beta[ax] for ax in axes])
 
     if len(axes) == 1:
@@ -743,8 +671,6 @@ class CertificateConfig:
     params: SplitParams = SplitParams()
     h_target: float = 0.15
     solver_half_extent: float = 10.0
-    path_margin: float = 6.0
-    max_path_half_extent: float = 60.0
     r_schedule: tuple = (0.25, 0.5, 1.0, 2.0)
     theta_radius: float = 0.5
     q_samples: int = 9
@@ -756,9 +682,14 @@ class CertificateConfig:
     solver: SolverConfig = SolverConfig(tol=1e-6, max_iters=4000)
     seed: int = 1234
     sigma_floor: float = 1e-6
-    interpolate: bool = True
     compute_numerical_m: bool = True
     m_c0_numerical: Optional[float] = None
+
+    def grid(self) -> Grid:
+        """The one grid of every certificate quantity: [-L, L]^N at spacing
+        close to ``h_target`` with an odd node count (a node at the origin)."""
+        L = self.solver_half_extent
+        return Grid(self.potential.dim, L, _odd_points(L, self.h_target))
 
 
 @dataclass
@@ -803,28 +734,25 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
     than exceptions.
     """
     pot = cfg.potential
-    dim = pot.dim
-    m_c0 = m_closed_form(pot.c0, dim)
+    m_c0 = m_closed_form(pot.c0, pot.dim)
 
-    solver_grid = Grid(dim, cfg.solver_half_extent, _odd_points(cfg.solver_half_extent, cfg.h_target))
-    path_half = min(
-        cfg.max_path_half_extent,
-        max(cfg.solver_half_extent, max(cfg.r_schedule) / eps + cfg.path_margin),
-    )
-    path_grid = Grid(dim, path_half, _odd_points(path_half, cfg.h_target))
-    u0 = gausson(path_grid, pot.c0)
+    # one grid for m(c0), D_eps, Theta_r, R and sup_X J: the path moves the
+    # frame, not the field, so no eps-dependent path grid is needed and the
+    # orderings between these numbers are not blurred by mixed grids
+    grid = cfg.grid()
+    u0 = gausson(grid, pot.c0)
 
     inconclusive = {}
 
     m_num = cfg.m_c0_numerical
     if m_num is None and cfg.compute_numerical_m:
-        sol = ground_state(solver_grid, pot.c0, eps, cfg.params, cfg.solver)
+        sol = ground_state(grid, pot.c0, eps, cfg.params, cfg.solver)
         m_num = sol.energy
         if not (sol.converged or sol.diagnostics.get("stalled")):
             inconclusive["m_c0_numerical"] = True
 
     d_res = level_d(
-        solver_grid,
+        grid,
         pot,
         eps,
         cfg.params,
@@ -835,7 +763,7 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
     if not d_res.feasible:
         inconclusive["level_d"] = True
     d_est = d_res.value
-    disc_tol = 1e-6 + m_c0 * solver_grid.spacing**2
+    disc_tol = 1e-6 + m_c0 * grid.spacing**2
     if d_est < m_c0 - disc_tol:
         raise AssertionError(
             f"D estimate {d_est} fell below m(c0) = {m_c0} beyond the discretization allowance"
@@ -844,7 +772,7 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
 
     theta_q_radius = max(cfg.r_schedule)
     theta = theta_r_estimate(
-        path_grid,
+        grid,
         pot,
         eps,
         cfg.params,
@@ -856,7 +784,6 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
         perturb_magnitudes=cfg.perturb_magnitudes,
         seed=cfg.seed,
         beta_tol=cfg.beta_tol,
-        interpolate=cfg.interpolate,
     )
     if not theta.feasible:
         inconclusive["theta_r"] = True
@@ -864,7 +791,7 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
     threshold = 0.5 * (m_c0 + theta.value) if theta.feasible else math.nan
     r_choice = (
         choose_r(
-            path_grid,
+            grid,
             pot,
             eps,
             cfg.params,
@@ -872,7 +799,6 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
             threshold,
             schedule=cfg.r_schedule,
             boundary_samples=cfg.boundary_samples,
-            interpolate=cfg.interpolate,
         )
         if theta.feasible
         else ChooseRResult(None, math.nan, {}, False)
@@ -881,16 +807,7 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
         inconclusive["choose_r"] = True
     r_used = r_choice.R if r_choice.succeeded else max(cfg.r_schedule)
 
-    sup_x = level_sup_x(
-        path_grid,
-        pot,
-        eps,
-        cfg.params,
-        u0,
-        R=r_used,
-        n_samples=cfg.q_samples,
-        interpolate=cfg.interpolate,
-    )
+    sup_x = level_sup_x(grid, pot, eps, cfg.params, u0, R=r_used, n_samples=cfg.q_samples)
 
     theta_val = theta.value if theta.feasible else math.nan
     flags = {
@@ -928,8 +845,8 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
             "theta": theta.to_dict(),
             "choose_r": r_choice.to_dict(),
             "sup_x": sup_x.to_dict(),
-            "solver_grid": (solver_grid.dim, solver_grid.half_extent, solver_grid.points_per_axis),
-            "path_grid": (path_grid.dim, path_grid.half_extent, path_grid.points_per_axis),
+            # the single grid; the key name predates the moving frame
+            "path_grid": (grid.dim, grid.half_extent, grid.points_per_axis),
         },
     )
 

@@ -55,6 +55,8 @@ class NehariSolution:
             "nehari_residual": self.nehari_residual,
             "iterations": self.iterations,
             "converged": self.converged,
+            "stalled": bool(self.diagnostics.get("stalled", False)),
+            "rel_grad": self.diagnostics.get("rel_grad", math.nan),
         }
 
 
@@ -119,7 +121,8 @@ def gausson(grid: Grid, A: float, center=None, eps: Optional[float] = None) -> G
 
     In rescaled coordinates the profile is exp((N+A)/2) exp(-|x-c|^2/2).
     Passing ``eps`` produces the original-coordinates form with width eps.
-    The 4-standard-deviation ball around the center must stay inside the box.
+    The 4-standard-deviation ball around the center must stay inside the box
+    (the box around the grid's frame center).
     """
     if A <= -1.0:
         raise ValueError(f"amplitude level must exceed -1, got {A}")
@@ -129,7 +132,7 @@ def gausson(grid: Grid, A: float, center=None, eps: Optional[float] = None) -> G
     width = 1.0 if eps is None else float(eps)
     if eps is not None and eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if np.any(np.abs(c) + 4.0 * width > grid.half_extent):
+    if np.any(np.abs(c - grid.center) + 4.0 * width > grid.half_extent):
         raise ValueError("center too close to the boundary: 4-sigma ball exits the box")
     pts = node_coordinates(grid)
     r2 = np.sum((pts - c) ** 2, axis=1)
@@ -276,7 +279,8 @@ def _potential_at_point(potential, grid: Grid, eps: float, point: NDArray, vsamp
     """V(eps * point), falling back to the nearest node for sampled fields."""
     if isinstance(potential, GridField):
         h = grid.spacing
-        idx = np.clip(np.rint((point + grid.half_extent) / h).astype(int), 0, grid.points_per_axis - 1)
+        offset = point - np.asarray(grid.center) + grid.half_extent
+        idx = np.clip(np.rint(offset / h).astype(int), 0, grid.points_per_axis - 1)
         flat = 0
         for k in range(grid.dim):
             flat = flat * grid.points_per_axis + idx[k]

@@ -3,8 +3,11 @@ import math
 
 import pytest
 
+import lognls.cli as cli
 from lognls.cli import (
     EXIT_CONFIG,
+    EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_OK,
     ConfigError,
     format_float,
@@ -248,3 +251,18 @@ def test_unwritable_output_directory(tmp_path, capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert code == EXIT_CONFIG
     assert out["error"] == "output"
+
+
+def test_internal_defect_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_tiny_config(tmp_path, tmp_path / "out")
+
+    def broken(eps, cfg):
+        raise AssertionError("energy identity violated")
+
+    monkeypatch.setattr(cli, "certificate", broken)
+    code = main(["saddle-cert", "--eps", "0.3", "--config", cfg])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_INTERNAL
+    assert EXIT_INTERNAL not in (EXIT_OK, EXIT_CONFIG, EXIT_INCONCLUSIVE)
+    assert out == {"error": "internal", "message": "energy identity violated"}

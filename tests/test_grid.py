@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from lognls.grid import (
     GridField,
     build_grid,
@@ -182,3 +184,24 @@ def test_node_coordinates_row_major(grid_2d):
     # row-major: the second coordinate varies fastest
     assert pts[0, 0] == ax[0] and pts[0, 1] == ax[0]
     assert pts[1, 0] == ax[0] and pts[1, 1] == ax[1]
+
+
+def test_frame_center_moves_coordinates_only(rng, grid_2d):
+    moved = replace(grid_2d, center=(1.5, -0.25))
+    assert grid_2d.center == (0.0, 0.0)
+    assert moved != grid_2d and moved.spacing == grid_2d.spacing
+    assert np.array_equal(moved.axis(0), grid_2d.axis(0) + 1.5)
+    assert np.array_equal(moved.axis(1), grid_2d.axis(1) - 0.25)
+    assert np.array_equal(node_coordinates(moved), node_coordinates(grid_2d) + [1.5, -0.25])
+    u = smooth_field(grid_2d, rng)
+    v = GridField(moved, u.values)
+    assert np.array_equal(laplacian_apply(v).values, laplacian_apply(u).values)
+    assert integrate(v) == integrate(u)
+    with pytest.raises(ValueError):
+        replace(grid_2d, center=(1.0,))
+
+
+def test_dump_field_refuses_moved_frame(tmp_path, grid_2d):
+    moved = replace(grid_2d, center=(0.5, 0.0))
+    with pytest.raises(ValueError):
+        dump_field(GridField(moved, np.zeros(moved.num_nodes)), str(tmp_path / "f.txt"))

@@ -18,10 +18,10 @@ from lognls.minimax import (
     sign_condition,
     sweep_eps,
     theta_r_estimate,
-    translate,
     _odd_points,
 )
-from lognls.nehari import SolverConfig, gausson, m_closed_form, nehari_scale
+from lognls.energy import energy
+from lognls.nehari import SolverConfig, gausson, m_closed_form, nehari_scale, project_nehari
 from lognls.potential import constant_potential, model_saddle
 
 from conftest import smooth_field
@@ -66,24 +66,21 @@ def test_barycenter_rejects_zero(grid_2d):
         barycenter(GridField(grid_2d, np.zeros(grid_2d.num_nodes)))
 
 
-def test_translate_snapped_preserves_values():
-    g = build_grid(1, 10.0, 257)
-    u = gausson(g, 0.0)
-    eps = 0.5
-    z = np.array([eps * g.spacing * 7])  # exactly 7 nodes
-    shifted = translate(u, z, eps)
-    assert np.array_equal(shifted.values[7:], u.values[:-7])
-    assert np.all(shifted.values[:7] == 0.0)
-
-
-def test_translate_interpolated_midpoint():
-    g = build_grid(1, 10.0, 257)
-    u = GridField(g, np.arange(g.num_nodes, dtype=float))
-    eps = 1.0
-    z = np.array([0.5 * g.spacing])  # half a node
-    shifted = translate(u, z, eps, interpolate=True)
-    # interior values are midpoint averages of the two source nodes
-    assert shifted.values[10] == pytest.approx(0.5 * (u.values[9] + u.values[10]))
+def test_phi_path_moving_frame_matches_translated_reference():
+    # a lattice shift z = eps k h: the reference moves the profile over the
+    # centered grid, the path moves the frame; both see the same nodes
+    eps = 0.3
+    g = Grid(2, 10.0, _odd_points(10.0, 0.15))
+    z = np.array([eps * 7 * g.spacing, 0.0])
+    u0 = gausson(g, SADDLE.c0)
+    moving = phi_path(u0, z, eps, SADDLE, PARAMS)
+    assert moving.grid.center == tuple(z / eps)
+    reference = project_nehari(gausson(g, SADDLE.c0, center=z / eps), SADDLE, eps, PARAMS)
+    j_moving = energy(moving, SADDLE, eps, PARAMS).J
+    j_reference = energy(reference, SADDLE, eps, PARAMS).J
+    assert abs(j_moving - j_reference) <= 1e-12 * abs(j_reference)
+    b_moving, b_reference = barycenter(moving), barycenter(reference)
+    assert np.linalg.norm(b_moving - b_reference) <= 1e-12 * np.linalg.norm(b_reference)
 
 
 def test_phi_path_origin_is_nehari_with_unit_scale():
@@ -111,15 +108,6 @@ def test_phi_path_continuity_along_lattice():
         f_k = phi_path(u0, z + np.array([quantum * k, 0.0]), eps, SADDLE, PARAMS)
         diffs.append(math.sqrt(eps_norm_sq(g, f_k.values - f_z.values, vsamp)))
     assert all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:]))
-    f_same = phi_path(u0, z + np.array([0.4 * quantum, 0.0]), eps, SADDLE, PARAMS)
-    assert np.array_equal(f_same.values, f_z.values)  # snaps to the same lattice point
-
-
-def test_phi_path_refuses_translation_out_of_box():
-    g = path_grid(0.3)
-    u0 = gausson(g, SADDLE.c0)
-    with pytest.raises(ValueError):
-        phi_path(u0, np.array([0.3 * g.half_extent * 1.2, 0.0]), 0.3, SADDLE, PARAMS)
 
 
 def test_sign_condition_report():
@@ -127,11 +115,11 @@ def test_sign_condition_report():
     g = path_grid(min(eps_values))
     u0 = gausson(g, SADDLE.c0)
     zs = 2.0 * np.array([[math.cos(2 * math.pi * k / 8), math.sin(2 * math.pi * k / 8)] for k in range(8)])
-    report = sign_condition(u0, zs, eps_values, SADDLE, PARAMS, interpolate=True)
+    report = sign_condition(u0, zs, eps_values, SADDLE, PARAMS)
     assert report.threshold_eps == 0.4
     assert report.min_inner[-1] >= 2.0 / 2 - 0.05
     # axis-aligned direction of a radial translate: inner product close to |z|
-    aligned = sign_condition(u0, np.array([[2.0, 0.0]]), (0.1,), SADDLE, PARAMS, interpolate=True)
+    aligned = sign_condition(u0, np.array([[2.0, 0.0]]), (0.1,), SADDLE, PARAMS)
     assert aligned.min_inner[0] == pytest.approx(2.0, abs=2e-3)
 
 
@@ -175,7 +163,7 @@ def test_level_sup_x_model_cap():
     eps = 0.1
     g = path_grid(eps, R=1.0)
     u0 = gausson(g, SADDLE.c0)
-    report = level_sup_x(g, SADDLE, eps, PARAMS, u0, R=1.0, interpolate=True)
+    report = level_sup_x(g, SADDLE, eps, PARAMS, u0, R=1.0)
     assert report.value <= report.cap + 1e-3
     assert report.value < 2 * m_closed_form(SADDLE.c0, 2)
     assert report.cap == pytest.approx(report.cap_closed_form, rel=1e-3)
@@ -196,7 +184,7 @@ def test_choose_r_model_finite_radius():
     u0 = gausson(g, SADDLE.c0)
     m = m_closed_form(SADDLE.c0, 2)
     theta_proxy = m_closed_form(SADDLE.c1, 2)  # path value at the origin
-    res = choose_r(g, SADDLE, eps, PARAMS, u0, threshold=0.5 * (m + theta_proxy), interpolate=True)
+    res = choose_r(g, SADDLE, eps, PARAMS, u0, threshold=0.5 * (m + theta_proxy))
     assert res.succeeded and res.R is not None
     # boundary values decrease toward m(c0) as R grows
     vals = list(res.boundary_max.values())
@@ -249,7 +237,7 @@ def test_zero_finder_1d_x_symmetric():
     eps = 0.1
     g = path_grid(eps, R=1.0)
     u0 = gausson(g, SADDLE.c0)
-    res = barycenter_zero_finder(g, SADDLE, eps, PARAMS, u0, R=1.0, interpolate=True)
+    res = barycenter_zero_finder(g, SADDLE, eps, PARAMS, u0, R=1.0)
     assert not res.inconclusive
     assert abs(res.x_star[0]) <= 2 * g.spacing
     assert res.degree_evidence["degree_one"]
@@ -263,7 +251,7 @@ def test_zero_finder_2d_x_winding():
     eps = 0.2
     g = path_grid(eps, R=1.0)
     u0 = gausson(g, both_x.c0)
-    res = barycenter_zero_finder(g, both_x, eps, PARAMS, u0, R=1.0, interpolate=True)
+    res = barycenter_zero_finder(g, both_x, eps, PARAMS, u0, R=1.0)
     assert not res.inconclusive
     assert res.degree_evidence["winding"] == 1
     assert np.linalg.norm(res.x_star) <= 2 * g.spacing
@@ -291,6 +279,16 @@ def test_certificate_model_flags_and_determinism():
     assert cert_a.sigma_margin > 0
     assert cert_a.m_c0 > 0
     assert cert_a.D_eps_estimate >= cert_a.m_c0 - 1e-6
+
+
+def test_certificate_d_eps_below_sup_x_on_one_grid():
+    # the CertificateConfig defaults are the command line's default config;
+    # Phi_eps(0) is D-feasible, so D_eps <= J(Phi_eps(0)) <= sup_X J holds
+    # exactly once both come from the same grid
+    cfg = CertificateConfig(potential=SADDLE, compute_numerical_m=False)
+    cert = certificate(0.05, cfg)
+    assert cert.details["path_grid"] == (2, 10.0, 135)
+    assert cert.D_eps_estimate <= cert.sup_X_J
 
 
 def test_certificate_constant_potential_fails():

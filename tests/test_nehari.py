@@ -228,4 +228,7 @@ def test_ground_state_reports_nonconvergence():
 def test_solution_serialization(grid_1d):
     sol = ground_state(grid_1d, 0.0, 1.0, PARAMS, SolverConfig(tol=1e-5, max_iters=2000))
     d = sol.to_dict()
-    assert set(d) == {"energy", "nehari_residual", "iterations", "converged"}
+    assert set(d) == {"energy", "nehari_residual", "iterations", "converged", "stalled", "rel_grad"}
+    assert d["stalled"] is sol.diagnostics["stalled"]
+    assert d["rel_grad"] == sol.diagnostics["rel_grad"]
+    assert d["converged"] and d["rel_grad"] <= 1e-5
