@@ -15,8 +15,9 @@ sweep / certificate / output; command-line flags override file values.  All
 floats are written with 17 significant digits and files are written
 atomically (write then rename), so reruns with a fixed seed are byte
 identical.  Exit codes: 0 success, 2 config error, 3 numerical
-non-convergence, 4 certificate inconclusive (or a numerical ValueError),
-5 internal defect (a failed internal consistency assertion).
+non-convergence, 4 certificate inconclusive (for sweep-eps: any row, after
+all rows are written; or a numerical ValueError), 5 internal defect (a
+failed internal consistency assertion).
 
 The environment variable LOGNLS_NUM_THREADS caps the worker threads used to
 evaluate independent sweep points; output order is fixed by the input order,
@@ -451,7 +452,8 @@ def cmd_sweep_eps(args) -> int:
             to_json_text([c.to_dict() for c in certs]) + "\n",
         )
     print(f"wrote {len(rows)} sweep rows to {outdir}")
-    return EXIT_OK
+    # every row is written first; an inconclusive one still decides the code
+    return EXIT_INCONCLUSIVE if any(c.inconclusive for c in certs) else EXIT_OK
 
 
 def cmd_barycenter_zero(args) -> int:

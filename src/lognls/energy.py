@@ -24,7 +24,7 @@ from typing import Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import Grid, GridField, integrate_array, kinetic_array, laplacian_array, node_coordinates
+from .grid import Grid, GridField, integrate_array, laplacian_array, node_coordinates
 
 # F1''(s) = -(log s^2 + 3) on the inner branch, so convexity needs
 # delta <= e^{-3/2}.
@@ -74,7 +74,8 @@ class EnergyBreakdown:
 
 
 def _safe_log_sq(a: NDArray) -> NDArray:
-    """log(a^2) with the value at a = 0 irrelevant (callers mask it)."""
+    """log(a^2) for a >= 0, and exactly 0 at a = 0, so that a log a^2 and
+    a^2 log a^2 take their continuous value 0 there without a mask."""
     return 2.0 * np.log(np.where(a > 0, a, 1.0))
 
 
@@ -181,6 +182,26 @@ def _check_weight(vsamp: NDArray) -> None:
 # energy and gradient
 # ---------------------------------------------------------------------------
 
+def energy_terms(grid: Grid, values: NDArray, vsamp) -> tuple[NDArray, float, float, float, float]:
+    """The one energy kernel: (Lap u, kin, pot, mass, ent) from one Laplacian
+    and one log.
+
+    kin = -h^N sum(Lap u * u) as in ``kinetic_array``, pot = integral(V u^2),
+    mass = integral(u^2) and ent = integral(u^2 log u^2).  Every energy
+    quantity of the package is assembled from these: J = (kin + pot + mass
+    - ent)/2, the fiber derivative J'(u)u = kin + pot - ent and the Nehari
+    scale.  ``vsamp`` may be a scalar (0.0 when no potential term is needed).
+    """
+    lap = laplacian_array(grid, values)
+    sq = values * values
+    kin = -integrate_array(grid, lap * values)
+    pot = integrate_array(grid, vsamp * sq)
+    mass = integrate_array(grid, sq)
+    # log(1) = 0 at the zero nodes, which gives the convention 0 log 0 = 0
+    ent = integrate_array(grid, sq * _safe_log_sq(np.abs(values)))
+    return lap, kin, pot, mass, ent
+
+
 def energy(u: GridField, potential, eps: float, params: SplitParams) -> EnergyBreakdown:
     """Full energy breakdown of a field.
 
@@ -192,11 +213,7 @@ def energy(u: GridField, potential, eps: float, params: SplitParams) -> EnergyBr
     vsamp = potential_samples(potential, grid, eps)
     _check_weight(vsamp)
     vals = u.values
-    sq = vals * vals
-    kin = kinetic_array(grid, vals, vals)
-    mass = integrate_array(grid, sq)
-    pot = integrate_array(grid, vsamp * sq)
-    ent = integrate_array(grid, np.where(sq > 0, sq * _safe_log_sq(np.abs(vals)), 0.0))
+    _, kin, pot, mass, ent = energy_terms(grid, vals, vsamp)
 
     eps_norm_sq = kin + pot + mass
     j_direct = 0.5 * eps_norm_sq - 0.5 * ent
@@ -305,10 +322,7 @@ def log_sobolev_slack(u: GridField, a: float) -> float:
     if a <= 0:
         raise ValueError(f"a must be positive, got {a}")
     grid = u.grid
-    sq = u.values * u.values
-    mass = integrate_array(grid, sq)
+    _, kin, _, mass, ent = energy_terms(grid, u.values, 0.0)
     if mass <= 0:
         raise ValueError("log-Sobolev slack is undefined for the zero field")
-    kin = kinetic_array(grid, u.values, u.values)
-    ent = integrate_array(grid, np.where(sq > 0, sq * _safe_log_sq(np.abs(u.values)), 0.0))
     return (a * a / math.pi) * kin + (math.log(mass) - grid.dim * (1.0 + math.log(a))) * mass - ent

@@ -30,12 +30,12 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .energy import SplitParams, potential_samples, _check_weight
+from .energy import SplitParams, energy_terms, potential_samples, _check_weight
 from .grid import Grid, GridField, integrate_array, kinetic_array, node_coordinates
 from .nehari import (
     SolverConfig,
-    _project_values,
-    _energy_fast,
+    _log_scale,
+    field_energy,
     gausson,
     ground_state,
     m_closed_form,
@@ -106,15 +106,15 @@ def phi_path(u0: GridField, z, eps: float, potential, params: SplitParams) -> Gr
     frame = replace(u0.grid, center=np.add(u0.grid.center, z / eps))
     vsamp = potential_samples(potential, frame, eps)
     _check_weight(vsamp)
-    projected, t = _project_values(frame, u0.values, vsamp)
-    if math.isnan(t):
+    _, kin, pot, mass, ent = energy_terms(frame, u0.values, vsamp)
+    if mass <= 0:
         raise ValueError("the path is undefined for the zero field")
-    return GridField(frame, projected)
+    return GridField(frame, math.exp(_log_scale(kin + pot - ent, mass)) * u0.values)
 
 
 def _path_energy(f: GridField, potential, eps: float) -> float:
     """J of a path field, with V sampled in the field's own frame."""
-    return _energy_fast(f.grid, f.values, potential_samples(potential, f.grid, eps))
+    return field_energy(f.grid, f.values, potential_samples(potential, f.grid, eps))[0]
 
 
 def _require_u0_on(grid: Grid, u0: GridField) -> None:
@@ -181,6 +181,37 @@ def sign_condition(
 # level D: penalized barycenter-constrained minimization
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _BarycenterPenalty:
+    """mu |P_X beta(u)|^2 with its L2 gradient; unchanged under u -> t u.
+
+    ``wx`` holds the direction weights of the X axes, one column per axis,
+    so P_X beta is one product.  The solver asks for the value at every
+    trial and for the gradient at accepted points only.
+    """
+
+    mu: float
+    wx: NDArray
+    cell_volume: float
+
+    def _beta_x(self, values: NDArray):
+        sq = values * values
+        total = float(np.sum(sq))
+        return (sq @ self.wx) / total if total > 0 else None, total
+
+    def value(self, values: NDArray) -> float:
+        beta, _ = self._beta_x(values)
+        return 0.0 if beta is None else self.mu * float(beta @ beta)
+
+    def gradient(self, values: NDArray) -> NDArray:
+        beta, total = self._beta_x(values)
+        if beta is None:
+            return np.zeros_like(values)
+        # d beta_k / du = 2 u (w_k - beta_k) / integral(u^2)
+        scale = 4.0 * self.mu / (self.cell_volume * total)
+        return scale * values * (self.wx @ beta - float(beta @ beta))
+
+
 @dataclass
 class LevelDResult:
     value: float
@@ -220,25 +251,7 @@ def level_d(
         raise ValueError("level_d needs a nontrivial Y subspace")
     solver = solver or SolverConfig(tol=1e-6, max_iters=4000)
     vsamp = potential.sample_on_grid(grid, eps).values
-    w = direction_weights(grid)
-    wx = [w[:, ax] for ax in potential.x_axes]
-    h_n = grid.cell_volume
-
-    def penalty(mu: float):
-        def term(values: NDArray):
-            sq = values * values
-            mass = h_n * float(np.sum(sq))
-            if mass <= 0:
-                return 0.0, np.zeros_like(values)
-            betas = [h_n * float(np.sum(wk * sq)) / mass for wk in wx]
-            val = mu * sum(b * b for b in betas)
-            g = np.zeros_like(values)
-            for b, wk in zip(betas, wx):
-                g += b * (wk - b)
-            g *= 4.0 * mu * values / mass
-            return val, g
-
-        return term
+    wx = direction_weights(grid)[:, list(potential.x_axes)]
 
     center = np.zeros(grid.dim) if seed_center is None else np.asarray(seed_center, float)
     v0 = float(np.asarray(potential.evaluate(eps * center[None, :])).ravel()[0])
@@ -249,10 +262,11 @@ def level_d(
     best_u = u
     best_beta = math.inf
     for mu in penalty_schedule:
-        u, info = minimize_on_nehari(grid, vsamp, params, u, solver, extra_term=penalty(mu))
+        penalty = _BarycenterPenalty(mu, wx, grid.cell_volume)
+        u, info = minimize_on_nehari(grid, vsamp, params, u, solver, extra_term=penalty)
         beta = _barycenter_values(grid, u)
         beta_x = math.sqrt(sum(float(beta[ax]) ** 2 for ax in potential.x_axes))
-        j_val = _energy_fast(grid, u, vsamp)
+        j_val = field_energy(grid, u, vsamp)[0]
         stages.append(
             {
                 "mu": mu,
@@ -271,7 +285,7 @@ def level_d(
     if not feasible:
         # keep the last iterate for diagnostics even when infeasible
         best_u = u
-        best_value = _energy_fast(grid, u, vsamp)
+        best_value = stages[-1]["J"]
         best_beta = stages[-1]["beta_x_norm"]
     return LevelDResult(
         value=best_value,
@@ -489,7 +503,7 @@ def theta_r_estimate(
         if not beta_x <= beta_tol:  # NaN (zero field) is infeasible too
             return
         n_feasible += 1
-        best = min(best, _energy_fast(frame, cand, vsamp))
+        best = min(best, field_energy(frame, cand, vsamp)[0])
 
     origin = None
     for z in _q_samples(potential, R, n_centers):
@@ -748,7 +762,7 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
     if m_num is None and cfg.compute_numerical_m:
         sol = ground_state(grid, pot.c0, eps, cfg.params, cfg.solver)
         m_num = sol.energy
-        if not (sol.converged or sol.diagnostics.get("stalled")):
+        if not sol.converged:  # a stalled solve is not a converged one
             inconclusive["m_c0_numerical"] = True
 
     d_res = level_d(

@@ -28,12 +28,13 @@ from numpy.typing import NDArray
 from .energy import (
     SplitParams,
     _safe_log_sq,
+    energy_terms,
     f2_prime,
     potential_samples,
     prox_f1,
     _check_weight,
 )
-from .grid import Grid, GridField, integrate_array, kinetic_array, laplacian_array, node_coordinates
+from .grid import Grid, GridField, integrate_array, node_coordinates
 
 _EXP_CLIP = 700.0  # exp argument beyond this overflows float64
 
@@ -85,12 +86,33 @@ class SolverConfig:
 # scale and projection
 # ---------------------------------------------------------------------------
 
-def _pairing_and_mass(grid: Grid, values: NDArray, vsamp: NDArray) -> tuple[float, float]:
-    sq = values * values
-    kin = kinetic_array(grid, values, values)
-    pot = integrate_array(grid, vsamp * sq)
-    ent = integrate_array(grid, np.where(sq > 0, sq * _safe_log_sq(np.abs(values)), 0.0))
-    return kin + pot - ent, integrate_array(grid, sq)
+def _log_scale(pairing: float, mass: float) -> float:
+    """log t for the Nehari scale t = exp(J'(u)u / (2 integral u^2)), clipped
+    so that t and t^2 stay finite."""
+    return min(max(pairing / (2.0 * mass), -_EXP_CLIP), _EXP_CLIP)
+
+
+def _reduced_objective(pairing: float, mass: float) -> tuple[float, float]:
+    """(t, J(t c)) from p = J'(c)c and m = integral(c^2) alone.
+
+    With log t = p / 2m (clipped), J(t c) = t^2/2 (p + m - 2 m log t), which
+    is t^2 m / 2 whenever log t was not clipped.
+    """
+    log_t = _log_scale(pairing, mass)
+    t = math.exp(log_t)
+    return t, 0.5 * t * t * (pairing + mass - 2.0 * mass * log_t)
+
+
+def field_energy(grid: Grid, values: NDArray, vsamp: NDArray) -> tuple[float, float]:
+    """(J(u), J'(u)u) of raw node values from one energy kernel call.
+
+    J sums integral((V+1) u^2) as one reduction rather than pot + mass; that
+    is the order path, Theta and level energies have always been summed in,
+    so they keep their last bits.
+    """
+    _, kin, pot, _, ent = energy_terms(grid, values, vsamp)
+    quad = integrate_array(grid, (vsamp + 1.0) * (values * values))
+    return 0.5 * (kin + quad) - 0.5 * ent, kin + pot - ent
 
 
 def nehari_scale(u: GridField, potential, eps: float, params: SplitParams) -> float:
@@ -100,10 +122,10 @@ def nehari_scale(u: GridField, potential, eps: float, params: SplitParams) -> fl
     """
     vsamp = potential_samples(potential, u.grid, eps)
     _check_weight(vsamp)
-    pairing, mass = _pairing_and_mass(u.grid, u.values, vsamp)
+    _, kin, pot, mass, ent = energy_terms(u.grid, u.values, vsamp)
     if mass <= 0:
         raise ValueError("Nehari scale is undefined for fields with zero mass")
-    return math.exp(float(np.clip(pairing / (2.0 * mass), -_EXP_CLIP, _EXP_CLIP)))
+    return math.exp(_log_scale(kin + pot - ent, mass))
 
 
 def project_nehari(u: GridField, potential, eps: float, params: SplitParams) -> GridField:
@@ -152,22 +174,6 @@ def m_closed_form(A: float, N: int) -> float:
 # ground-state iteration
 # ---------------------------------------------------------------------------
 
-def _energy_fast(grid: Grid, values: NDArray, vsamp: NDArray) -> float:
-    sq = values * values
-    kin = kinetic_array(grid, values, values)
-    quad = integrate_array(grid, (vsamp + 1.0) * sq)
-    ent = integrate_array(grid, np.where(sq > 0, sq * _safe_log_sq(np.abs(values)), 0.0))
-    return 0.5 * (kin + quad) - 0.5 * ent
-
-
-def _project_values(grid: Grid, values: NDArray, vsamp: NDArray) -> tuple[NDArray, float]:
-    pairing, mass = _pairing_and_mass(grid, values, vsamp)
-    if mass <= 0:
-        return values, math.nan
-    t = math.exp(float(np.clip(pairing / (2.0 * mass), -_EXP_CLIP, _EXP_CLIP)))
-    return t * values, t
-
-
 def minimize_on_nehari(
     grid: Grid,
     vsamp: NDArray,
@@ -179,23 +185,43 @@ def minimize_on_nehari(
     """Monotone descent of J (+ optional smooth extra term) on the Nehari set.
 
     Each step: descend, clamp to the nonnegative cone, rescale back onto the
-    Nehari set (the rescale leaves any scale-invariant extra term unchanged).
-    Backtracking keeps the recorded objective non-increasing.  ``extra_term``
-    maps values -> (value, gradient) and is used by the penalized
+    Nehari set.  Backtracking keeps the recorded objective non-increasing.
+    ``extra_term`` has ``value(values)`` and ``gradient(values)``, must not
+    change under positive rescaling, and is used by the penalized
     barycenter-constrained minimization.
 
-    Returns (values, info dict).
+    A trial c costs one energy kernel call and no more: with p = J'(c)c,
+    m = integral(c^2) and log t = p / 2m its projection t c has the reduced
+    objective J(t c) = t^2/2 (p + m - 2 m log t), which is t^2 m / 2 unless
+    log t was clipped.  The accepted trial's Laplacian, scaled by t, is the
+    Laplacian of the new iterate (Lap(t c) = t Lap c), so the iteration
+    itself applies none; only the u log u^2 term of the gradient is
+    recomputed.  Only u and Lap u are held between iterations.
+
+    Returns (values, info dict); ``info["trials"]`` counts the backtracking
+    trials of all iterations.
     """
     h_n = grid.cell_volume
-    u, _ = _project_values(grid, np.clip(start, 0.0, None), vsamp)
+    forward_backward = config.backend == "forward_backward"
 
-    def objective(values: NDArray) -> float:
-        j = _energy_fast(grid, values, vsamp)
+    def projected(cand: NDArray):
+        """(Lap c, t, ||c||_eps^2, objective at t c), or None for c = 0."""
+        lap_c, kin, pot, mass, ent = energy_terms(grid, cand, vsamp)
+        if not mass > 0:
+            return None
+        t, j = _reduced_objective(kin + pot - ent, mass)
         if extra_term is not None:
-            j += extra_term(values)[0]
-        return j
+            j += extra_term.value(cand)
+        return lap_c, t, kin + pot + mass, j
 
-    j_cur = objective(u)
+    u = np.clip(start, 0.0, None)
+    point = projected(u)
+    if point is None:
+        # the zero field: its gradient vanishes, so the loop stops at once
+        lap, eps_norm_sq, j_cur = np.zeros_like(u), 0.0, 0.0
+    else:
+        lap, t, norm_c, j_cur = point
+        u, lap, eps_norm_sq = t * u, t * lap, t * t * norm_c
     j_history = [j_cur]
     t_history: list[float] = []
     alpha = config.armijo_init
@@ -203,25 +229,23 @@ def minimize_on_nehari(
     stall = False
     rel_grad = math.inf
     iterations = 0
+    trials = 0
 
     for iterations in range(1, config.max_iters + 1):
-        lap = laplacian_array(grid, u)
-        a = np.abs(u)
-        g = -lap + vsamp * u - np.where(a > 0, u * _safe_log_sq(a), 0.0)
-        if config.backend == "forward_backward":
+        # u >= 0, and log(1) = 0 at its zero nodes keeps 0 log 0 = 0
+        g = -lap + vsamp * u - u * _safe_log_sq(u)
+        if forward_backward:
             g_step = -lap + (vsamp + 1.0) * u - f2_prime(u, params)
         else:
             g_step = g
         if extra_term is not None:
-            g_extra = extra_term(u)[1]
+            g_extra = extra_term.gradient(u)
             g = g + g_extra
             g_step = g_step + g_extra
 
         # stationarity measure: full gradient with the cone constraint active
         g_proj = np.where((u > 0) | (g < 0), g, 0.0)
         gnorm = math.sqrt(h_n * float(np.dot(g_proj, g_proj)))
-        sq = u * u
-        eps_norm_sq = h_n * float(-np.dot(lap, u) + np.dot(vsamp + 1.0, sq))
         rel_grad = gnorm / max(math.sqrt(max(eps_norm_sq, 0.0)), 1e-300)
         if rel_grad <= config.tol:
             converged = True
@@ -236,20 +260,22 @@ def minimize_on_nehari(
         # ratchet into instability
         noise_guard = 32.0 * np.finfo(float).eps * max(1.0, eps_norm_sq)
         for _ in range(config.max_backtracks):
-            if config.backend == "forward_backward":
+            trials += 1
+            if forward_backward:
                 cand = prox_f1(u - trial * g_step, trial, params)
             else:
                 cand = u - trial * g_step
             cand = np.clip(cand, 0.0, None)
-            step_sq = h_n * float(np.dot(cand - u, cand - u))
-            cand_proj, t = _project_values(grid, cand, vsamp)
-            if not math.isnan(t):
-                j_new = objective(cand_proj)
+            diff = cand - u
+            step_sq = h_n * float(np.dot(diff, diff))
+            point = projected(cand)
+            if point is not None:
+                lap_c, t, norm_c, j_new = point
                 decrease = config.armijo_decrease / max(trial, 1e-300) * step_sq
                 certified = j_new <= j_cur - decrease
                 noise_step = trial <= alpha and j_new <= j_cur + noise_guard
                 if certified or noise_step:
-                    u = cand_proj
+                    u, lap, eps_norm_sq = t * cand, t * lap_c, t * t * norm_c
                     j_cur = j_new
                     alpha = trial
                     accepted = True
@@ -268,9 +294,9 @@ def minimize_on_nehari(
         "converged": converged,
         "stalled": stall,
         "iterations": iterations,
+        "trials": trials,
         "j_history": j_history,
         "t_history": t_history,
-        "final_energy": _energy_fast(grid, u, vsamp),
     }
     return u, info
 
@@ -315,8 +341,7 @@ def ground_state(
     seed = gausson(grid, max(v_at_center, -0.999), center=center).values
 
     values, info = minimize_on_nehari(grid, vsamp, params, seed, config)
-    pairing, mass = _pairing_and_mass(grid, values, vsamp)
-    energy = _energy_fast(grid, values, vsamp)
+    energy, pairing = field_energy(grid, values, vsamp)
 
     diagnostics = dict(info)
     diagnostics["backend"] = config.backend

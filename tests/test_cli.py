@@ -36,8 +36,12 @@ TINY_CONFIG = {
 }
 
 
-def write_tiny_config(tmp_path, outdir):
+# The tiny r_schedule stops at 0.5, below the radius the boundary threshold
+# needs, so choose_r fails and every tiny sweep row is inconclusive: sweep-eps
+# exits with EXIT_INCONCLUSIVE on it after writing all rows.
+def write_tiny_config(tmp_path, outdir, **certificate):
     cfg = dict(TINY_CONFIG)
+    cfg["certificate"] = {**TINY_CONFIG["certificate"], **certificate}
     cfg["output"] = {"directory": str(outdir)}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -139,10 +143,10 @@ def test_sweep_eps_deterministic(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     outdir = tmp_path / "out"
     cfg = write_tiny_config(tmp_path, outdir)
-    assert main(["sweep-eps", "--config", cfg]) == EXIT_OK
+    assert main(["sweep-eps", "--config", cfg]) == EXIT_INCONCLUSIVE  # choose_r, see above
     capsys.readouterr()
     first = (outdir / "sweep_eps.csv").read_bytes()
-    assert main(["sweep-eps", "--config", cfg]) == EXIT_OK
+    assert main(["sweep-eps", "--config", cfg]) == EXIT_INCONCLUSIVE
     capsys.readouterr()
     second = (outdir / "sweep_eps.csv").read_bytes()
     assert first == second
@@ -151,6 +155,35 @@ def test_sweep_eps_deterministic(tmp_path, capsys, monkeypatch):
     assert len(first.decode().splitlines()) == 3  # header + one row per eps
     # config echo makes the run reproducible from artifacts alone
     assert (outdir / "config_resolved.json").exists()
+
+
+def test_sweep_inconclusive_row_sets_exit_code(tmp_path, capsys, monkeypatch):
+    import lognls.minimax as minimax_mod
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("LOGNLS_NUM_THREADS", "1")
+    real = minimax_mod.certificate
+
+    def first_row_inconclusive(eps, cfg):
+        cert = real(eps, cfg)
+        if eps == 0.4:
+            cert.inconclusive["theta_r"] = True
+        return cert
+
+    outdir = tmp_path / "out"
+    # with radii up to 2 choose_r succeeds and both rows are conclusive
+    cfg = write_tiny_config(tmp_path, outdir, r_schedule=[0.5, 1.0, 2.0])
+    assert main(["sweep-eps", "--config", cfg]) == EXIT_OK
+    rows = json.loads((outdir / "sweep_eps.json").read_text())
+    assert [r["inconclusive"] for r in rows] == [{}, {}]
+
+    monkeypatch.setattr(minimax_mod, "certificate", first_row_inconclusive)
+    assert main(["sweep-eps", "--config", cfg]) == EXIT_INCONCLUSIVE
+    capsys.readouterr()
+    # every row is still written, the inconclusive one included
+    assert len((outdir / "sweep_eps.csv").read_text().splitlines()) == 3
+    rows = json.loads((outdir / "sweep_eps.json").read_text())
+    assert [r["inconclusive"] for r in rows] == [{"theta_r": True}, {}]
 
 
 def test_sweep_empty_eps_writes_header_only(tmp_path, capsys, monkeypatch):
@@ -218,10 +251,10 @@ def test_sweep_thread_count_does_not_change_bytes(tmp_path, capsys, monkeypatch)
     outdir = tmp_path / "out"
     cfg = write_tiny_config(tmp_path, outdir)
     monkeypatch.setenv("LOGNLS_NUM_THREADS", "1")
-    assert main(["sweep-eps", "--config", cfg]) == EXIT_OK
+    assert main(["sweep-eps", "--config", cfg]) == EXIT_INCONCLUSIVE  # choose_r, see above
     serial = (outdir / "sweep_eps.csv").read_bytes()
     monkeypatch.setenv("LOGNLS_NUM_THREADS", "2")
-    assert main(["sweep-eps", "--config", cfg]) == EXIT_OK
+    assert main(["sweep-eps", "--config", cfg]) == EXIT_INCONCLUSIVE
     threaded = (outdir / "sweep_eps.csv").read_bytes()
     capsys.readouterr()
     assert serial == threaded
@@ -234,7 +267,7 @@ def test_output_formats_respected(tmp_path, capsys, monkeypatch):
     cfg_dict["output"] = {"directory": str(tmp_path / "out"), "formats": ["csv"]}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg_dict))
-    assert main(["sweep-eps", "--config", str(path)]) == EXIT_OK
+    assert main(["sweep-eps", "--config", str(path)]) == EXIT_INCONCLUSIVE  # choose_r, see above
     capsys.readouterr()
     assert (tmp_path / "out" / "sweep_eps.csv").exists()
     assert not (tmp_path / "out" / "sweep_eps.json").exists()

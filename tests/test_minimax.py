@@ -5,12 +5,15 @@ import pytest
 
 from lognls.energy import SplitParams
 from lognls.grid import Grid, GridField, build_grid
+import lognls.minimax as minimax_mod
 from lognls.minimax import (
     CertificateConfig,
+    _BarycenterPenalty,
     barycenter,
     barycenter_zero_finder,
     certificate,
     choose_r,
+    direction_weights,
     eps_norm_sq,
     level_d,
     level_sup_x,
@@ -21,7 +24,7 @@ from lognls.minimax import (
     _odd_points,
 )
 from lognls.energy import energy
-from lognls.nehari import SolverConfig, gausson, m_closed_form, nehari_scale, project_nehari
+from lognls.nehari import NehariSolution, SolverConfig, gausson, m_closed_form, nehari_scale, project_nehari
 from lognls.potential import constant_potential, model_saddle
 
 from conftest import smooth_field
@@ -140,6 +143,23 @@ def test_level_d_model_gap():
     assert res.feasible
     assert res.value > m + 1.0  # clear positive gap on the saddle
     assert res.value >= m - 1e-6
+
+
+def test_barycenter_penalty_value_and_gradient(rng):
+    g = build_grid(2, 7.0, 65)
+    u = smooth_field(g, rng, positive=True).values
+    pen = _BarycenterPenalty(10.0, direction_weights(g)[:, [0]], g.cell_volume)
+    beta = barycenter(GridField(g, u))
+    assert abs(beta[0]) > 1e-2  # the random field is off-center along X
+    assert pen.value(u) == pytest.approx(10.0 * beta[0] ** 2, rel=1e-12)
+    assert pen.value(3.0 * u) == pytest.approx(pen.value(u), rel=1e-12)
+    # L2 gradient: h^N <grad, d> is the directional derivative
+    d = smooth_field(g, rng).values
+    s = 1e-5
+    fd = (pen.value(u + s * d) - pen.value(u - s * d)) / (2 * s)
+    assert g.cell_volume * float(np.dot(pen.gradient(u), d)) == pytest.approx(fd, rel=1e-6)
+    zero = np.zeros(g.num_nodes)
+    assert pen.value(zero) == 0.0 and not np.any(pen.gradient(zero))
 
 
 def test_level_d_requires_nontrivial_y():
@@ -306,3 +326,26 @@ def test_sweep_sigma_trend():
     certs = sweep_eps((0.4, 0.2), cfg)
     assert certs[0].sigma_margin <= certs[1].sigma_margin + 1e-9
     assert all(c.D_eps_estimate >= c.m_c0 - 1e-6 for c in certs)
+
+
+TINY_CERT = dict(h_target=0.5, solver_half_extent=6.0, q_samples=5, r_schedule=(0.25, 0.5))
+
+
+@pytest.mark.parametrize("converged", [True, False])
+def test_certificate_stalled_m_c0_is_inconclusive(monkeypatch, converged):
+    def fake_ground_state(grid, potential, eps, params, config=None):
+        u = gausson(grid, SADDLE.c0)
+        return NehariSolution(
+            field=u,
+            energy=m_closed_form(SADDLE.c0, 2),
+            nehari_residual=0.0,
+            iterations=7,
+            converged=converged,
+            diagnostics={"stalled": not converged, "rel_grad": 1e-6 if converged else 1e-2},
+        )
+
+    monkeypatch.setattr(minimax_mod, "ground_state", fake_ground_state)
+    cfg = CertificateConfig(potential=SADDLE, solver=SolverConfig(tol=1e-3, max_iters=60), **TINY_CERT)
+    cert = certificate(0.4, cfg)
+    assert cert.m_c0_numerical == m_closed_form(SADDLE.c0, 2)
+    assert cert.inconclusive.get("m_c0_numerical", False) is (not converged)

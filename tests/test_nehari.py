@@ -1,16 +1,20 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from lognls.energy import SplitParams, energy
-from lognls.grid import GridField, build_grid, integrate, node_coordinates
+import lognls
+from lognls.energy import SplitParams, energy, energy_terms, f1, f2, sq_log_sq
+from lognls.grid import GridField, build_grid, integrate, integrate_array, kinetic_array, node_coordinates
 from lognls.nehari import (
     SolverConfig,
+    _reduced_objective,
     gausson,
     ground_state,
     m_closed_form,
+    minimize_on_nehari,
     nehari_scale,
     project_nehari,
 )
@@ -232,3 +236,97 @@ def test_solution_serialization(grid_1d):
     assert d["stalled"] is sol.diagnostics["stalled"]
     assert d["rel_grad"] == sol.diagnostics["rel_grad"]
     assert d["converged"] and d["rel_grad"] <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# one Laplacian per trial: fused kernel and reduced objective
+# ---------------------------------------------------------------------------
+
+def test_minimize_one_laplacian_per_trial(monkeypatch):
+    import lognls.grid as grid_mod
+
+    original = grid_mod.laplacian_array
+    calls = []
+
+    def counted(grid, values):
+        calls.append(grid.points_per_axis)
+        return original(grid, values)
+
+    # patch every namespace that bound the stencil at import time
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lognls") and getattr(module, "laplacian_array", None) is original:
+            monkeypatch.setattr(module, "laplacian_array", counted)
+    g = build_grid(2, 10.0, 65)
+    vsamp = np.full(g.num_nodes, 1.0)
+    start = gausson(g, 1.0).values
+    config = SolverConfig(tol=1e-6, max_iters=4000)
+    values, info = minimize_on_nehari(g, vsamp, PARAMS, start, config)
+    assert info["converged"]
+    assert info["trials"] >= info["iterations"] - 1  # every non-final iteration tries once at least
+    assert 0 < len(calls) <= info["trials"] + 1  # one per trial, one for the start
+    assert len(calls) <= 2.2 * info["iterations"]
+
+
+def _direct_j(u, potential):
+    return energy(u, potential, 1.0, PARAMS).J
+
+
+@pytest.mark.parametrize("factor", [1.0, 50.0, 0.02])
+def test_reduced_objective_matches_direct_energy(rng, grid_2d, factor):
+    # near the Nehari set (factor 1) and with t far from 1 both ways
+    u = project_nehari(smooth_field(grid_2d, rng, positive=True), 0.3, 1.0, PARAMS)
+    c = factor * u.values * (1.0 + 0.01 * np.cos(node_coordinates(grid_2d)[:, 0]))
+    _, kin, pot, mass, ent = energy_terms(grid_2d, c, np.full(grid_2d.num_nodes, 0.3))
+    t, j_reduced = _reduced_objective(kin + pot - ent, mass)
+    assert t == pytest.approx(nehari_scale(GridField(grid_2d, c), 0.3, 1.0, PARAMS), rel=1e-14)
+    if factor != 1.0:
+        assert abs(math.log(t)) > 3.0
+    j_direct = _direct_j(GridField(grid_2d, t * c), 0.3)
+    assert j_reduced == pytest.approx(j_direct, rel=1e-12)
+    # on the Nehari set J = mass / 2
+    assert j_reduced == pytest.approx(0.5 * t * t * mass, rel=1e-12)
+
+
+def test_energy_terms_kernel(rng, grid_2d):
+    u = smooth_field(grid_2d, rng)
+    vsamp = 0.2 + 0.1 * np.sin(node_coordinates(grid_2d)[:, 1])
+    lap, kin, pot, mass, ent = energy_terms(grid_2d, u.values, vsamp)
+    assert np.array_equal(lap, lognls.grid.laplacian_array(grid_2d, u.values))
+    assert kin == kinetic_array(grid_2d, u.values, u.values)
+    assert pot == integrate_array(grid_2d, vsamp * u.values**2)
+    assert mass == integrate_array(grid_2d, u.values**2)
+    assert ent == pytest.approx(integrate_array(grid_2d, sq_log_sq(u.values)), rel=1e-14)
+
+
+def _reference_pairing_and_mass(grid, values, vsamp):
+    """The evaluator the solver used before the fused kernel, kept as a
+    reference: kinetic form, potential, entropy and mass summed separately."""
+    sq = values * values
+    a = np.abs(values)
+    log_sq = 2.0 * np.log(np.where(a > 0, a, 1.0))
+    kin = kinetic_array(grid, values, values)
+    pot = integrate_array(grid, vsamp * sq)
+    ent = integrate_array(grid, np.where(sq > 0, sq * log_sq, 0.0))
+    return kin, pot, integrate_array(grid, sq), ent
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_scale_projection_energy_unchanged_by_kernel(rng, grid_1d, grid_2d, dim):
+    grid = grid_1d if dim == 1 else grid_2d
+    for potential in (0.0, 0.3):
+        vsamp = np.full(grid.num_nodes, potential)
+        for positive in (True, False):
+            u = smooth_field(grid, rng, positive=positive)
+            kin, pot, mass, ent = _reference_pairing_and_mass(grid, u.values, vsamp)
+            pairing = kin + pot - ent
+            t = math.exp(float(np.clip(pairing / (2.0 * mass), -700.0, 700.0)))
+            assert nehari_scale(u, potential, 1.0, PARAMS) == t
+            assert np.array_equal(project_nehari(u, potential, 1.0, PARAMS).values, t * u.values)
+            eb = energy(u, potential, 1.0, PARAMS)
+            eps_norm_sq = kin + pot + mass
+            assert eb.J == 0.5 * eps_norm_sq - 0.5 * ent
+            assert eb.Phi == 0.5 * eps_norm_sq - integrate_array(grid, f2(u.values, PARAMS))
+            assert eb.Psi == integrate_array(grid, f1(u.values, PARAMS))
+            assert eb.pairing_JprimeU == pairing
+            assert eb.half_mass == 0.5 * mass
+            assert eb.eps_norm_sq == eps_norm_sq
