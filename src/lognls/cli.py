@@ -17,11 +17,11 @@ atomically (write then rename), so reruns with a fixed seed are byte
 identical.  Exit codes: 0 success, 2 config error, 3 numerical
 non-convergence, 4 certificate inconclusive (for sweep-eps: any row, after
 all rows are written; or a numerical ValueError), 5 internal defect (a
-failed internal consistency assertion).
+failed internal consistency assertion).  A key that the split or solver
+block does not read is a config error, not silently ignored.
 
-The environment variable LOGNLS_NUM_THREADS caps the worker threads used to
-evaluate independent sweep points; output order is fixed by the input order,
-so the thread count never changes the bytes written.
+Sweep points run one after another in input order; the numerical m(c0),
+which does not depend on eps, is solved once and reused.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +50,7 @@ from .potential import (
     check_V2,
     check_V4,
     constant_potential,
+    compile_expression,
     expression_potential,
     model_saddle,
     v3_diagnostic,
@@ -129,8 +129,8 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
 DEFAULT_CONFIG = {
     "grid": {"dim": 2, "half_extent": 7.0, "points_per_axis": 129},
     "potential": {"kind": "model_saddle", "c0": 1.0, "c1": 1.25, "x_axes": [0], "lambda": 0.5},
-    "split": {"delta": 0.1, "growth_exponent": 4.0},
-    "solver": {"tol": 1e-6, "max_iters": 4000, "backend": "projected_gradient"},
+    "split": {"delta": 0.1},
+    "solver": {"tol": 1e-6, "max_iters": 4000},
     "sweep": {"eps": [0.4, 0.2, 0.1, 0.05], "seed": 1234},
     "certificate": {
         "h_target": 0.15,
@@ -183,8 +183,14 @@ def validate_config(cfg: dict) -> list[str]:
             problems.append(f"potential.c1 must exceed c0, got c0={c0}, c1={c1}")
     if kind == "constant" and not isinstance(p.get("value", p.get("c0")), (int, float)):
         problems.append("potential.value must be a number for kind=constant")
-    if kind == "expression" and not isinstance(p.get("expr"), str):
-        problems.append("potential.expr must be a string for kind=expression")
+    if kind == "expression":
+        if not isinstance(p.get("expr"), str):
+            problems.append("potential.expr must be a string for kind=expression")
+        elif g.get("dim") in (1, 2):
+            try:
+                compile_expression(p["expr"], g["dim"])
+            except ValueError as err:
+                problems.append(f"potential.expr: {err}")
     lam = p.get("lambda", 0.5)
     if not (isinstance(lam, (int, float)) and 0 < lam < 1):
         problems.append(f"potential.lambda must lie in (0,1), got {lam}")
@@ -196,17 +202,15 @@ def validate_config(cfg: dict) -> list[str]:
     delta = s.get("delta", 0.1)
     if not (isinstance(delta, (int, float)) and 0 < delta <= math.exp(-1.5)):
         problems.append(f"split.delta must lie in (0, e^-1.5], got {delta}")
-    pexp = s.get("growth_exponent", 4.0)
-    if not (isinstance(pexp, (int, float)) and pexp > 2):
-        problems.append(f"split.growth_exponent must exceed 2, got {pexp}")
 
     so = cfg.get("solver", {})
     if not (isinstance(so.get("tol", 1e-8), (int, float)) and so.get("tol", 1e-8) > 0):
         problems.append(f"solver.tol must be positive, got {so.get('tol')}")
     if not (isinstance(so.get("max_iters", 1000), int) and so.get("max_iters", 1000) >= 1):
         problems.append(f"solver.max_iters must be a positive integer, got {so.get('max_iters')}")
-    if so.get("backend", "projected_gradient") not in ("projected_gradient", "forward_backward"):
-        problems.append(f"solver.backend unknown: {so.get('backend')}")
+    for block, known in (("split", SPLIT_KEYS), ("solver", SOLVER_KEYS)):
+        for key in sorted(set(cfg.get(block, {})) - set(known)):
+            problems.append(f"{block}.{key} is not a setting; {block} takes {', '.join(known)}")
 
     sw = cfg.get("sweep", {})
     eps_list = sw.get("eps", [])
@@ -228,18 +232,19 @@ def build_potential(cfg: dict) -> PotentialSpec:
     return expression_potential(p["expr"], dim, x_axes, lam)
 
 
+# the keys build_split and build_solver read; validate_config rejects others
+SPLIT_KEYS = ("delta",)
+SOLVER_KEYS = ("tol", "max_iters")
+
+
 def build_split(cfg: dict) -> SplitParams:
     s = cfg.get("split", {})
-    return SplitParams(float(s.get("delta", 0.1)), float(s.get("growth_exponent", 4.0)))
+    return SplitParams(float(s.get("delta", 0.1)))
 
 
 def build_solver(cfg: dict) -> SolverConfig:
     s = cfg.get("solver", {})
-    return SolverConfig(
-        tol=float(s.get("tol", 1e-8)),
-        max_iters=int(s.get("max_iters", 50000)),
-        backend=s.get("backend", "projected_gradient"),
-    )
+    return SolverConfig(tol=float(s.get("tol", 1e-8)), max_iters=int(s.get("max_iters", 50000)))
 
 
 def build_grid_from_config(cfg: dict) -> Grid:
@@ -338,8 +343,6 @@ def cmd_ground_state(args) -> int:
         solver_over["tol"] = args.tol
     if args.max_iters is not None:
         solver_over["max_iters"] = args.max_iters
-    if args.backend is not None:
-        solver_over["backend"] = args.backend
     if solver_over:
         overrides["solver"] = solver_over
     cfg = load_config(args.config, overrides)
@@ -411,19 +414,8 @@ def cmd_sweep_eps(args) -> int:
         overrides["sweep"] = {"eps": [float(e) for e in args.eps]}
     cfg = load_config(args.config, overrides)
     cert_cfg = build_certificate_config(cfg)
-    eps_list = cfg["sweep"]["eps"]
     outdir = ensure_outdir(cfg)
-
-    workers = max(1, int(os.environ.get("LOGNLS_NUM_THREADS", "1")))
-    if eps_list and workers > 1:
-        # numerical m(c0) is eps independent: compute once, then fan out
-        first = certificate(float(eps_list[0]), cert_cfg)
-        warm = replace(cert_cfg, m_c0_numerical=first.m_c0_numerical)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rest = list(pool.map(lambda e: certificate(float(e), warm), eps_list[1:]))
-        certs = [first] + rest
-    else:
-        certs = sweep_eps(eps_list, cert_cfg)
+    certs = sweep_eps(cfg["sweep"]["eps"], cert_cfg)
 
     rows = []
     for cert in certs:
@@ -496,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=None, dest="max_iters")
-    p.add_argument("--backend", default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_ground_state)
 

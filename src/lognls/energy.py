@@ -33,18 +33,15 @@ CONVEXITY_THRESHOLD = math.exp(-1.5)
 
 @dataclass(frozen=True)
 class SplitParams:
-    """Cutoff delta for the F1/F2 splitting and the diagnostic growth exponent."""
+    """Cutoff delta for the F1/F2 splitting."""
 
     delta: float = 0.1
-    growth_exponent: float = 4.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.delta <= CONVEXITY_THRESHOLD):
             raise ValueError(
                 f"delta must lie in (0, {CONVEXITY_THRESHOLD:.5f}] to keep F1 convex, got {self.delta}"
             )
-        if not self.growth_exponent > 2.0:
-            raise ValueError(f"growth_exponent must exceed 2, got {self.growth_exponent}")
 
 
 @dataclass

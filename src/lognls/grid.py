@@ -101,9 +101,6 @@ class GridField:
     def reshaped(self) -> NDArray:
         return self.values.reshape(self.grid.shape)
 
-    def with_values(self, values: NDArray) -> "GridField":
-        return GridField(self.grid, values)
-
     def copy(self) -> "GridField":
         return GridField(self.grid, self.values.copy())
 

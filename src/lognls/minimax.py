@@ -34,6 +34,7 @@ from .energy import SplitParams, energy_terms, potential_samples, _check_weight
 from .grid import Grid, GridField, integrate_array, kinetic_array, node_coordinates
 from .nehari import (
     SolverConfig,
+    _gausson_seed,
     _log_scale,
     field_energy,
     gausson,
@@ -41,7 +42,7 @@ from .nehari import (
     m_closed_form,
     minimize_on_nehari,
 )
-from .potential import PotentialSpec
+from .potential import PotentialSpec, _subspace_sphere
 
 
 @lru_cache(maxsize=8)
@@ -80,9 +81,12 @@ def barycenter(u: GridField) -> NDArray:
 
 def eps_norm_sq(grid: Grid, values: NDArray, vsamp: NDArray) -> float:
     """Squared norm  integral(|grad u|^2 + (V(eps x)+1) u^2)  (stencil form)."""
-    return kinetic_array(grid, values, values) + integrate_array(
-        grid, (vsamp + 1.0) * values * values
-    )
+    return kinetic_array(grid, values, values) + _weighted_mass(grid, values, vsamp)
+
+
+def _weighted_mass(grid: Grid, values: NDArray, vsamp: NDArray) -> float:
+    """integral((V(eps x)+1) u^2), the frame-dependent part of the eps-norm."""
+    return integrate_array(grid, (vsamp + 1.0) * values * values)
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +225,18 @@ class LevelDResult:
     upper_bound: bool
     stages: list
 
+    @property
+    def converged(self) -> bool:
+        """True only if every penalty stage converged."""
+        return all(stage["converged"] for stage in self.stages)
+
     def to_dict(self) -> dict:
         return {
             "value": self.value,
             "feasible": self.feasible,
             "beta_x_norm": self.beta_x_norm,
             "upper_bound": self.upper_bound,
+            "converged": self.converged,
         }
 
 
@@ -238,24 +248,23 @@ def level_d(
     solver: Optional[SolverConfig] = None,
     penalty_schedule=(1.0, 10.0, 100.0, 1000.0),
     beta_tol: float = 1e-3,
-    seed_center=None,
 ) -> LevelDResult:
     """Estimate inf J over Nehari fields whose barycenter lies in Y.
 
     Minimizes J + mu |P_X beta(u)|^2 over the nonnegative cone with Nehari
     reprojection (the rescale leaves beta unchanged), driving mu through the
     schedule.  The returned value is an UPPER bound of the true infimum;
-    infeasibility against ``beta_tol`` is reported explicitly.
+    infeasibility against ``beta_tol`` is reported explicitly, and so is a
+    stage that did not converge (``converged``).  The seed is the Gausson at
+    the origin with level V(0), as in ``ground_state``.
     """
     if len(potential.y_axes) == 0:
         raise ValueError("level_d needs a nontrivial Y subspace")
     solver = solver or SolverConfig(tol=1e-6, max_iters=4000)
-    vsamp = potential.sample_on_grid(grid, eps).values
+    vsamp = potential_samples(potential, grid, eps)
+    _check_weight(vsamp)
     wx = direction_weights(grid)[:, list(potential.x_axes)]
-
-    center = np.zeros(grid.dim) if seed_center is None else np.asarray(seed_center, float)
-    v0 = float(np.asarray(potential.evaluate(eps * center[None, :])).ravel()[0])
-    u = gausson(grid, max(v0, -0.999), center=center).values
+    u = _gausson_seed(grid, potential, eps, vsamp)
 
     stages = []
     best_value = math.inf
@@ -263,7 +272,7 @@ def level_d(
     best_beta = math.inf
     for mu in penalty_schedule:
         penalty = _BarycenterPenalty(mu, wx, grid.cell_volume)
-        u, info = minimize_on_nehari(grid, vsamp, params, u, solver, extra_term=penalty)
+        u, info = minimize_on_nehari(grid, vsamp, u, solver, extra_term=penalty)
         beta = _barycenter_values(grid, u)
         beta_x = math.sqrt(sum(float(beta[ax]) ** 2 for ax in potential.x_axes))
         j_val = field_energy(grid, u, vsamp)[0]
@@ -320,21 +329,6 @@ def _q_samples(potential: PotentialSpec, R: float, n: int) -> NDArray:
             p[axes[1]] = r * math.sin(a)
             pts.append(p)
     return np.array(pts)
-
-
-def _boundary_samples(potential: PotentialSpec, R: float, n: int) -> NDArray:
-    axes = potential.x_axes
-    dim = potential.dim
-    if len(axes) == 1:
-        pts = np.zeros((2, dim))
-        pts[0, axes[0]] = R
-        pts[1, axes[0]] = -R
-        return pts
-    angles = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-    pts = np.zeros((len(angles), dim))
-    pts[:, axes[0]] = R * np.cos(angles)
-    pts[:, axes[1]] = R * np.sin(angles)
-    return pts
 
 
 @dataclass
@@ -417,7 +411,7 @@ def choose_r(
     for R in schedule:
         achieved[float(R)] = max(
             _path_energy(phi_path(u0, z, eps, potential, params), potential, eps)
-            for z in _boundary_samples(potential, R, boundary_samples)
+            for z in _subspace_sphere(potential.dim, potential.x_axes, R, boundary_samples)
         )
         if achieved[float(R)] <= threshold:
             return ChooseRResult(float(R), threshold, achieved, True)
@@ -484,13 +478,16 @@ def theta_r_estimate(
     _require_u0_on(grid, u0)
     rng = np.random.default_rng(seed)
     rel = node_coordinates(grid) - np.asarray(grid.center)
+    # each bump with its kinetic term: the stencil sees only spacing and
+    # shape, which every frame shares, so one Laplacian serves all centers
     bumps = []
     for _ in range(n_perturb):
         c = rng.uniform(-2.0, 2.0, size=grid.dim)
         widths = rng.uniform(0.7, 2.0)
         amp = rng.standard_normal()
         bump = amp * np.exp(-np.sum((rel - c) ** 2, axis=1) / (2 * widths**2))
-        bumps.append(_symmetrize_x(grid, bump, potential.x_axes))
+        bump = _symmetrize_x(grid, bump, potential.x_axes)
+        bumps.append((bump, kinetic_array(grid, bump, bump)))
     magnitudes = [m for m in perturb_magnitudes if m <= r]
 
     best = math.inf
@@ -513,8 +510,8 @@ def theta_r_estimate(
         if not np.any(z):
             origin = (base, vsamp)
         consider(frame, base.values, vsamp)
-        for bump in bumps:
-            norm = math.sqrt(eps_norm_sq(frame, bump, vsamp))
+        for bump, bump_kin in bumps:
+            norm = math.sqrt(bump_kin + _weighted_mass(frame, bump, vsamp))
             if norm > 0:
                 d = bump / norm
                 for mag in magnitudes:
@@ -774,7 +771,7 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
         penalty_schedule=cfg.penalty_schedule,
         beta_tol=cfg.beta_tol,
     )
-    if not d_res.feasible:
+    if not (d_res.feasible and d_res.converged):
         inconclusive["level_d"] = True
     d_est = d_res.value
     disc_tol = 1e-6 + m_c0 * grid.spacing**2

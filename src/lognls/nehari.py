@@ -25,15 +25,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .energy import (
-    SplitParams,
-    _safe_log_sq,
-    energy_terms,
-    f2_prime,
-    potential_samples,
-    prox_f1,
-    _check_weight,
-)
+from .energy import SplitParams, _check_weight, _safe_log_sq, energy_terms, potential_samples
 from .grid import Grid, GridField, integrate_array, node_coordinates
 
 _EXP_CLIP = 700.0  # exp argument beyond this overflows float64
@@ -67,17 +59,12 @@ class SolverConfig:
 
     tol: float = 1e-8
     max_iters: int = 50_000
-    backend: str = "projected_gradient"  # or "forward_backward"
     armijo_init: float = 1.0
     armijo_shrink: float = 0.5
     armijo_decrease: float = 1e-4
     max_backtracks: int = 40
-    seed_center: Optional[tuple] = None
-    record_history: bool = True
 
     def __post_init__(self) -> None:
-        if self.backend not in ("projected_gradient", "forward_backward"):
-            raise ValueError(f"unknown backend {self.backend!r}")
         if self.tol <= 0 or self.max_iters < 1:
             raise ValueError("tol must be positive and max_iters at least 1")
 
@@ -177,7 +164,6 @@ def m_closed_form(A: float, N: int) -> float:
 def minimize_on_nehari(
     grid: Grid,
     vsamp: NDArray,
-    params: SplitParams,
     start: NDArray,
     config: SolverConfig,
     extra_term=None,
@@ -202,7 +188,6 @@ def minimize_on_nehari(
     trials of all iterations.
     """
     h_n = grid.cell_volume
-    forward_backward = config.backend == "forward_backward"
 
     def projected(cand: NDArray):
         """(Lap c, t, ||c||_eps^2, objective at t c), or None for c = 0."""
@@ -223,7 +208,6 @@ def minimize_on_nehari(
         lap, t, norm_c, j_cur = point
         u, lap, eps_norm_sq = t * u, t * lap, t * t * norm_c
     j_history = [j_cur]
-    t_history: list[float] = []
     alpha = config.armijo_init
     converged = False
     stall = False
@@ -234,14 +218,8 @@ def minimize_on_nehari(
     for iterations in range(1, config.max_iters + 1):
         # u >= 0, and log(1) = 0 at its zero nodes keeps 0 log 0 = 0
         g = -lap + vsamp * u - u * _safe_log_sq(u)
-        if forward_backward:
-            g_step = -lap + (vsamp + 1.0) * u - f2_prime(u, params)
-        else:
-            g_step = g
         if extra_term is not None:
-            g_extra = extra_term.gradient(u)
-            g = g + g_extra
-            g_step = g_step + g_extra
+            g = g + extra_term.gradient(u)
 
         # stationarity measure: full gradient with the cone constraint active
         g_proj = np.where((u > 0) | (g < 0), g, 0.0)
@@ -261,11 +239,7 @@ def minimize_on_nehari(
         noise_guard = 32.0 * np.finfo(float).eps * max(1.0, eps_norm_sq)
         for _ in range(config.max_backtracks):
             trials += 1
-            if forward_backward:
-                cand = prox_f1(u - trial * g_step, trial, params)
-            else:
-                cand = u - trial * g_step
-            cand = np.clip(cand, 0.0, None)
+            cand = np.clip(u - trial * g, 0.0, None)
             diff = cand - u
             step_sq = h_n * float(np.dot(diff, diff))
             point = projected(cand)
@@ -279,15 +253,12 @@ def minimize_on_nehari(
                     j_cur = j_new
                     alpha = trial
                     accepted = True
-                    if config.record_history:
-                        t_history.append(t)
                     break
             trial *= config.armijo_shrink
         if not accepted:
             stall = True
             break
-        if config.record_history:
-            j_history.append(j_cur)
+        j_history.append(j_cur)
 
     info = {
         "rel_grad": rel_grad,
@@ -296,7 +267,6 @@ def minimize_on_nehari(
         "iterations": iterations,
         "trials": trials,
         "j_history": j_history,
-        "t_history": t_history,
     }
     return u, info
 
@@ -318,6 +288,14 @@ def _potential_at_point(potential, grid: Grid, eps: float, point: NDArray, vsamp
     return float(potential)
 
 
+def _gausson_seed(grid: Grid, potential, eps: float, vsamp: NDArray) -> NDArray:
+    """The solvers' start: the Gausson at the origin whose level is V(0), the
+    exact solution of the frozen-coefficient problem there."""
+    origin = np.zeros(grid.dim)
+    level = _potential_at_point(potential, grid, eps, origin, vsamp)
+    return gausson(grid, max(level, -0.999)).values
+
+
 def ground_state(
     grid: Grid,
     potential,
@@ -327,24 +305,19 @@ def ground_state(
 ) -> NehariSolution:
     """Minimize J over the Nehari set within the nonnegative cone.
 
-    The seed is a Gausson whose level is the potential sampled at the seed
-    center (the exact solution of the frozen-coefficient problem).
+    The seed is the Gausson at the origin with level V(0) (``_gausson_seed``).
     Non-convergence is reported through ``converged``/diagnostics, never
     silently.
     """
     config = config or SolverConfig()
     vsamp = potential_samples(potential, grid, eps)
     _check_weight(vsamp)
+    seed = _gausson_seed(grid, potential, eps, vsamp)
 
-    center = np.zeros(grid.dim) if config.seed_center is None else np.asarray(config.seed_center, float)
-    v_at_center = _potential_at_point(potential, grid, eps, center, vsamp)
-    seed = gausson(grid, max(v_at_center, -0.999), center=center).values
-
-    values, info = minimize_on_nehari(grid, vsamp, params, seed, config)
+    values, info = minimize_on_nehari(grid, vsamp, seed, config)
     energy, pairing = field_energy(grid, values, vsamp)
 
     diagnostics = dict(info)
-    diagnostics["backend"] = config.backend
     vmin, vmax = float(np.min(vsamp)), float(np.max(vsamp))
     if vmax - vmin <= 1e-12 * max(1.0, abs(vmax)):
         # constant potential: guard the closed-form level assumption

@@ -18,14 +18,15 @@ flat directions, never a pass/fail verdict.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import Grid, GridField, node_coordinates
 from .nehari import m_closed_form
 
 
@@ -61,12 +62,6 @@ class PotentialSpec:
             raise ValueError(f"c1 = {self.c1} may not be below c0 = {self.c0}")
         object.__setattr__(self, "c2", min(1.0, self.c0))
 
-    def project_x(self, pts: NDArray) -> NDArray:
-        out = np.zeros_like(pts)
-        for ax in self.x_axes:
-            out[:, ax] = pts[:, ax]
-        return out
-
     def project_y(self, pts: NDArray) -> NDArray:
         out = np.zeros_like(pts)
         for ax in self.y_axes:
@@ -78,10 +73,6 @@ class PotentialSpec:
         norm = np.linalg.norm(pts, axis=1)
         y_norm = np.linalg.norm(self.project_y(pts), axis=1)
         return y_norm > self.lam * norm
-
-    def sample_on_grid(self, grid: Grid, eps: float) -> GridField:
-        """V(eps x) at the grid nodes."""
-        return GridField(grid, np.asarray(self.evaluate(eps * node_coordinates(grid)), float))
 
     def describe(self) -> dict:
         return {
@@ -132,6 +123,56 @@ def constant_potential(value: float, dim: int, x_axes=(0,), lam: float = 0.5) ->
     return PotentialSpec(dim, x_axes, y_axes, lam, _eval, kind="constant", c0=value, c1=value)
 
 
+# the whole grammar of a potential expression besides numbers and z0, z1
+_BINARY_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+_FUNCTIONS = {"abs": np.abs} | {
+    f"np.{name}": getattr(np, name) for name in ("sqrt", "exp", "log", "sin", "cos", "tanh", "arctan", "abs")
+}
+
+
+def compile_expression(expr: str, dim: int) -> Callable[[tuple], NDArray]:
+    """Parse a potential expression against a whitelist into an evaluator.
+
+    Allowed are numeric literals, the coordinates z0 .. z{dim-1}, + - * / **,
+    unary minus and one-argument calls of the functions in ``_FUNCTIONS``;
+    anything else raises ValueError, and nothing is passed to eval.  The
+    evaluator maps the coordinate columns through the operator functions
+    Python arithmetic uses, so it returns the values of the expression
+    written as Python code, bit for bit.
+    """
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as err:
+        raise ValueError(f"expression {expr!r} is not valid syntax: {err.msg}") from None
+    coordinates = {f"z{k}": k for k in range(dim)}
+
+    def build(node: ast.expr):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return lambda z, c=node.value: c
+        if isinstance(node, ast.Name) and node.id in coordinates:
+            return lambda z, k=coordinates[node.id]: z[k]
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+            op, left, right = _BINARY_OPS[type(node.op)], build(node.left), build(node.right)
+            return lambda z: op(left(z), right(z))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            operand = build(node.operand)
+            return lambda z: -operand(z)
+        # the callee is looked up by its source text, never evaluated
+        fn = _FUNCTIONS.get(ast.unparse(node.func)) if isinstance(node, ast.Call) else None
+        if fn is not None and len(node.args) == 1 and not node.keywords:
+            arg = build(node.args[0])
+            return lambda z: fn(arg(z))
+        raise ValueError(f"expression {expr!r}: {ast.unparse(node)!r} is not allowed")
+
+    return build(tree.body)
+
+
 def expression_potential(
     expr: str,
     dim: int,
@@ -140,20 +181,20 @@ def expression_potential(
     sample_radius: float = 20.0,
     n_samples: int = 20001,
 ) -> PotentialSpec:
-    """Potential from a numpy expression in z0, z1 (e.g. "1 + z0**2/(1+abs(z0))").
+    """Potential from an expression in z0, z1 (e.g. "1 + z0**2/(1+abs(z0))").
 
-    c0 and c1 are estimated by dense sampling over a box of the given radius;
-    the estimates carry the sampling resolution as their tolerance.
+    The expression is parsed by :func:`compile_expression`, which raises
+    ValueError on anything outside its whitelist.  c0 and c1 are estimated
+    by dense sampling over a box of the given radius; the estimates carry
+    the sampling resolution as their tolerance.
     """
     x_axes = tuple(int(a) for a in x_axes)
     y_axes = tuple(a for a in range(dim) if a not in x_axes)
+    formula = compile_expression(expr, dim)
 
     def _eval(pts: NDArray) -> NDArray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        names = {f"z{k}": pts[:, k] for k in range(pts.shape[1])}
-        names["np"] = np
-        names["abs"] = np.abs
-        out = eval(expr, {"__builtins__": {}}, names)  # restricted namespace
+        out = formula(tuple(pts[:, k] for k in range(dim)))
         return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],)).copy()
 
     if dim == 1:

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -161,7 +163,6 @@ def test_sweep_inconclusive_row_sets_exit_code(tmp_path, capsys, monkeypatch):
     import lognls.minimax as minimax_mod
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("LOGNLS_NUM_THREADS", "1")
     real = minimax_mod.certificate
 
     def first_row_inconclusive(eps, cfg):
@@ -246,20 +247,6 @@ def test_ground_state_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     assert result["converged"] is False
 
 
-def test_sweep_thread_count_does_not_change_bytes(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    outdir = tmp_path / "out"
-    cfg = write_tiny_config(tmp_path, outdir)
-    monkeypatch.setenv("LOGNLS_NUM_THREADS", "1")
-    assert main(["sweep-eps", "--config", cfg]) == EXIT_INCONCLUSIVE  # choose_r, see above
-    serial = (outdir / "sweep_eps.csv").read_bytes()
-    monkeypatch.setenv("LOGNLS_NUM_THREADS", "2")
-    assert main(["sweep-eps", "--config", cfg]) == EXIT_INCONCLUSIVE
-    threaded = (outdir / "sweep_eps.csv").read_bytes()
-    capsys.readouterr()
-    assert serial == threaded
-
-
 def test_output_formats_respected(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg_dict = dict(TINY_CONFIG)
@@ -299,3 +286,43 @@ def test_internal_defect_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     assert code == EXIT_INTERNAL
     assert EXIT_INTERNAL not in (EXIT_OK, EXIT_CONFIG, EXIT_INCONCLUSIVE)
     assert out == {"error": "internal", "message": "energy identity violated"}
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [("solver", "backend", "forward_backward"), ("split", "growth_exponent", 4.0), ("solver", "tolerance", 1e-6)],
+)
+def test_unread_setting_is_config_error(tmp_path, capsys, monkeypatch, block, key, value):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({block: {key: value}}))
+    code = main(["ground-state", "--config", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CONFIG
+    assert len(out["violations"]) == 1
+    assert out["violations"][0].startswith(f"{block}.{key} ")
+
+
+def test_disallowed_expression_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"potential": {"kind": "expression", "expr": "__import__('os').getcwd()"}}))
+    code = main(["check-potential", "--config", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CONFIG
+    assert len(out["violations"]) == 1
+    assert out["violations"][0].startswith("potential.expr: ")
+
+
+def test_readme_config_block_matches_defaults():
+    # docs that name a removed or renamed setting fail here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    documented = json.loads(blocks[0])
+    for name, block in documented.items():
+        assert name in cli.DEFAULT_CONFIG, f"README names the config block {name!r}"
+        for key, value in block.items():
+            assert key in cli.DEFAULT_CONFIG[name], f"README names the setting {name}.{key}"
+            assert cli.DEFAULT_CONFIG[name][key] == value, f"README default of {name}.{key}"
+    assert validate_config(cli.DEFAULT_CONFIG) == []

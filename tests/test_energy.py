@@ -31,8 +31,6 @@ def test_split_params_validation():
         SplitParams(delta=0.3)
     with pytest.raises(ValueError):
         SplitParams(delta=0.0)
-    with pytest.raises(ValueError):
-        SplitParams(growth_exponent=2.0)
 
 
 def test_f1_values():
@@ -96,7 +94,7 @@ def test_f1_midpoint_convexity():
 
 def test_f2_prime_growth_bound():
     # |f2'(s)| <= C |s|^{p-1} with C fitted on a coarse grid, checked densely
-    p = PARAMS.growth_exponent
+    p = 4.0
     coarse = np.geomspace(PARAMS.delta, 100.0, 200)
     c_hat = np.max(np.abs(f2_prime(coarse, PARAMS)) / coarse ** (p - 1))
     dense = np.geomspace(PARAMS.delta, 100.0, 5000)

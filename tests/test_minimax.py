@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lognls.energy import SplitParams
+from lognls.energy import SplitParams, potential_samples
 from lognls.grid import Grid, GridField, build_grid
 import lognls.minimax as minimax_mod
 from lognls.minimax import (
@@ -106,7 +106,7 @@ def test_phi_path_continuity_along_lattice():
     z = np.array([quantum * 10, 0.0])
     f_z = phi_path(u0, z, eps, SADDLE, PARAMS)
     diffs = []
-    vsamp = SADDLE.sample_on_grid(g, eps).values
+    vsamp = potential_samples(SADDLE, g, eps)
     for k in (8, 4, 2, 1):
         f_k = phi_path(u0, z + np.array([quantum * k, 0.0]), eps, SADDLE, PARAMS)
         diffs.append(math.sqrt(eps_norm_sq(g, f_k.values - f_z.values, vsamp)))
@@ -242,7 +242,7 @@ def test_theta_links_to_level_d_via_minimizer():
     g = Grid(2, 10.0, _odd_points(10.0, 0.2))
     u0 = gausson(g, SADDLE.c0)
     d_res = level_d(g, SADDLE, eps, PARAMS, solver=SolverConfig(tol=1e-6, max_iters=3000))
-    vsamp = SADDLE.sample_on_grid(g, eps).values
+    vsamp = potential_samples(SADDLE, g, eps)
     f0 = phi_path(u0, np.zeros(2), eps, SADDLE, PARAMS)
     dist = math.sqrt(eps_norm_sq(g, d_res.field.values - f0.values, vsamp))
     rep = theta_r_estimate(
@@ -349,3 +349,49 @@ def test_certificate_stalled_m_c0_is_inconclusive(monkeypatch, converged):
     cert = certificate(0.4, cfg)
     assert cert.m_c0_numerical == m_closed_form(SADDLE.c0, 2)
     assert cert.inconclusive.get("m_c0_numerical", False) is (not converged)
+
+
+@pytest.mark.parametrize("unconverged_stage", [None, 1])
+def test_level_d_unconverged_stage_is_inconclusive(monkeypatch, unconverged_stage):
+    real = minimax_mod.minimize_on_nehari
+    stages = []
+
+    def one_stage_unconverged(*args, **kwargs):
+        values, info = real(*args, **kwargs)
+        if len(stages) == unconverged_stage:
+            info = {**info, "converged": False}
+        stages.append(info["converged"])
+        return values, info
+
+    monkeypatch.setattr(minimax_mod, "minimize_on_nehari", one_stage_unconverged)
+    cfg = CertificateConfig(potential=SADDLE, solver=SolverConfig(tol=1e-3, max_iters=60),
+                            compute_numerical_m=False, **TINY_CERT)
+    cert = certificate(0.4, cfg)
+    converged = unconverged_stage is None
+    assert len(stages) == len(cfg.penalty_schedule)
+    assert cert.details["level_d"]["converged"] is converged
+    assert cert.inconclusive.get("level_d", False) is (not converged)
+
+
+def test_theta_bump_kinetic_term_once_per_bump(monkeypatch):
+    # the kinetic part of a bump's eps-norm sees only spacing and shape, so
+    # one Laplacian per bump serves every path center
+    g = Grid(2, 10.0, _odd_points(10.0, 0.5))
+    bump = gausson(g, 0.0, center=[1.0, -0.5]).values
+    frame = Grid(2, 10.0, g.points_per_axis, center=(3.7, 0.0))
+    vsamp = potential_samples(SADDLE, frame, 0.25)
+    kin = minimax_mod.kinetic_array(g, bump, bump)
+    assert kin + minimax_mod._weighted_mass(frame, bump, vsamp) == eps_norm_sq(frame, bump, vsamp)
+
+    real = minimax_mod.kinetic_array
+    calls = []
+
+    def counted(grid, u, v):
+        calls.append(grid.center)
+        return real(grid, u, v)
+
+    monkeypatch.setattr(minimax_mod, "kinetic_array", counted)
+    u0 = gausson(g, SADDLE.c0)
+    rep = theta_r_estimate(g, SADDLE, 0.25, PARAMS, u0, r=0.5, R=1.5, n_centers=9, n_perturb=6, seed=11)
+    assert rep.feasible
+    assert calls == [g.center] * 6

@@ -170,13 +170,14 @@ def test_expression_potential_estimates_constants():
 
 
 def test_sample_on_grid():
+    from lognls.energy import potential_samples
     from lognls.grid import build_grid
 
     g = build_grid(2, 7.0, 33)
-    f = SADDLE.sample_on_grid(g, 0.5)
-    assert f.values.shape == (33 * 33,)
+    values = potential_samples(SADDLE, g, 0.5)
+    assert values.shape == (33 * 33,)
     center = (g.num_nodes - 1) // 2
-    assert f.values[center] == pytest.approx(1.25)
+    assert values[center] == pytest.approx(1.25)
 
 
 def test_c2_recomputed_on_replace():
@@ -186,3 +187,64 @@ def test_c2_recomputed_on_replace():
     assert spec.c2 == 1.0
     lowered = dataclasses.replace(spec, c0=0.25)
     assert lowered.c2 == 0.25
+
+
+# the expressions used in this module, each also written as Python code
+PYTHON_FORMS = [
+    ("1 + abs(z0)", lambda z0, z1: 1 + np.abs(z0)),
+    (
+        "1 + (z0*z0 + z1*z1)/(1+np.sqrt(z0*z0+z1*z1))",
+        lambda z0, z1: 1 + (z0 * z0 + z1 * z1) / (1 + np.sqrt(z0 * z0 + z1 * z1)),
+    ),
+    ("2 + 1/(1+z0*z0+z1*z1)", lambda z0, z1: 2 + 1 / (1 + z0 * z0 + z1 * z1)),
+]
+
+
+@pytest.mark.parametrize("expr, python_form", PYTHON_FORMS)
+def test_expression_potential_bit_identical_to_python_arithmetic(rng, expr, python_form):
+    spec = expression_potential(expr, 2, (0,), 0.5)
+    pts = np.vstack([rng.uniform(-20.0, 20.0, (400, 2)), np.zeros((1, 2)), [[0.0, 3.5], [-7.25, 0.0]]])
+    got = spec.evaluate(pts)
+    assert got.tobytes() == python_form(pts[:, 0], pts[:, 1]).tobytes()
+
+
+def test_expression_potential_ufuncs_and_unary_minus():
+    expr = (
+        "2 + np.sin(z0)*np.cos(z0) - np.exp(-abs(z0))*np.tanh(np.arctan(z0))**2"
+        " + -np.log(1 + 1/(1 + z0*z0)) + np.sqrt(np.abs(z0))"
+    )
+    spec = expression_potential(expr, 1, (0,))
+    z0 = np.linspace(-3.0, 3.0, 13)
+    want = (
+        2 + np.sin(z0) * np.cos(z0) - np.exp(-np.abs(z0)) * np.tanh(np.arctan(z0)) ** 2
+        + -np.log(1 + 1 / (1 + z0 * z0)) + np.sqrt(np.abs(z0))
+    )
+    assert spec.evaluate(z0[:, None]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "__import__('os')",
+        "().__class__",
+        "z0.__class__",
+        "np.load",
+        "np.load('v.npy')",
+        "z2",
+        "abs(z0, z1)",
+        "np.sqrt(x=z0)",
+        "z0 if z0 else z1",
+        "[z0][0]",
+        "True + z0",
+        "z0 // 2",
+        "1 +",
+    ],
+)
+def test_expression_potential_rejects_everything_else(expr):
+    with pytest.raises(ValueError):
+        expression_potential(expr, 2, (0,), 0.5)
+
+
+def test_expression_potential_coordinates_follow_dimension():
+    with pytest.raises(ValueError):
+        expression_potential("1 + z1*z1", 1, (0,))
