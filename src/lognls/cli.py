@@ -17,8 +17,14 @@ atomically (write then rename), so reruns with a fixed seed are byte
 identical.  Exit codes: 0 success, 2 config error, 3 numerical
 non-convergence, 4 certificate inconclusive (for sweep-eps: any row, after
 all rows are written; or a numerical ValueError), 5 internal defect (a
-failed internal consistency assertion).  A key that the split or solver
-block does not read is a config error, not silently ignored.
+failed internal consistency assertion).  A config or block that is not a
+JSON object, a setting of the wrong type or range, and a key that the
+split, solver or certificate block does not read are config errors, not
+silently ignored or left to fail later.
+
+The split block (the cutoff delta) enters only the Phi/Psi energy breakdown
+that ground-state reports.  Every certificate number is a value of J itself,
+which does not depend on delta.
 
 Sweep points run one after another in input order; the numerical m(c0),
 which does not depend on eps, is solved once and reused.
@@ -160,8 +166,30 @@ def merge_config(base: dict, override: dict) -> dict:
     return out
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_positive(x) -> bool:
+    return _is_number(x) and x > 0
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def validate_config(cfg: dict) -> list[str]:
-    """Collect every violated precondition; never stop at the first."""
+    """Collect every violated precondition; never stop at the first.
+
+    The shape comes first: every other check reads inside the blocks, so a
+    config or block that is not a JSON object is reported on its own.
+    """
+    if not isinstance(cfg, dict):
+        return [f"the config must be a JSON object, got {json.dumps(cfg)}"]
+    malformed = [name for name in DEFAULT_CONFIG if not isinstance(cfg.get(name, {}), dict)]
+    if malformed:
+        return [f"{name} must be a JSON object, got {json.dumps(cfg[name])}" for name in malformed]
+
     problems = []
     g = cfg.get("grid", {})
     if g.get("dim") not in (1, 2):
@@ -198,24 +226,38 @@ def validate_config(cfg: dict) -> list[str]:
     if g.get("dim") in (1, 2) and not all(isinstance(a, int) and 0 <= a < g["dim"] for a in axes):
         problems.append(f"potential.x_axes must index axes of dimension {g.get('dim')}, got {axes}")
 
-    s = cfg.get("split", {})
-    delta = s.get("delta", 0.1)
-    if not (isinstance(delta, (int, float)) and 0 < delta <= math.exp(-1.5)):
+    delta = cfg.get("split", {}).get("delta")
+    if not (_is_number(delta) and 0 < delta <= math.exp(-1.5)):
         problems.append(f"split.delta must lie in (0, e^-1.5], got {delta}")
 
     so = cfg.get("solver", {})
-    if not (isinstance(so.get("tol", 1e-8), (int, float)) and so.get("tol", 1e-8) > 0):
+    if not _is_positive(so.get("tol")):
         problems.append(f"solver.tol must be positive, got {so.get('tol')}")
-    if not (isinstance(so.get("max_iters", 1000), int) and so.get("max_iters", 1000) >= 1):
+    if not (isinstance(so.get("max_iters"), int) and so.get("max_iters") >= 1):
         problems.append(f"solver.max_iters must be a positive integer, got {so.get('max_iters')}")
-    for block, known in (("split", SPLIT_KEYS), ("solver", SOLVER_KEYS)):
+
+    c = cfg.get("certificate", {})
+    for key in ("h_target", "solver_half_extent", "theta_radius", "beta_tol"):
+        if not _is_positive(c.get(key)):
+            problems.append(f"certificate.{key} must be a positive number, got {c.get(key)}")
+    if not (_is_int(c.get("q_samples")) and c["q_samples"] >= 1):
+        problems.append(f"certificate.q_samples must be an integer >= 1, got {c.get('q_samples')}")
+    radii = c.get("r_schedule")
+    if not (isinstance(radii, list) and radii and all(_is_positive(r) for r in radii)):
+        problems.append(f"certificate.r_schedule must be a non-empty list of positive numbers, got {radii}")
+    if not isinstance(c.get("compute_numerical_m"), bool):
+        problems.append(f"certificate.compute_numerical_m must be true or false, got {c.get('compute_numerical_m')}")
+
+    for block, known in (("split", SPLIT_KEYS), ("solver", SOLVER_KEYS), ("certificate", CERTIFICATE_KEYS)):
         for key in sorted(set(cfg.get(block, {})) - set(known)):
             problems.append(f"{block}.{key} is not a setting; {block} takes {', '.join(known)}")
 
     sw = cfg.get("sweep", {})
     eps_list = sw.get("eps", [])
-    if not all(isinstance(e, (int, float)) and e > 0 for e in eps_list):
-        problems.append(f"sweep.eps must be positive numbers, got {eps_list}")
+    if not (isinstance(eps_list, list) and all(_is_positive(e) for e in eps_list)):
+        problems.append(f"sweep.eps must be a list of positive numbers, got {eps_list}")
+    if not _is_int(sw.get("seed")):
+        problems.append(f"sweep.seed must be an integer, got {sw.get('seed')}")
     return problems
 
 
@@ -232,19 +274,23 @@ def build_potential(cfg: dict) -> PotentialSpec:
     return expression_potential(p["expr"], dim, x_axes, lam)
 
 
-# the keys build_split and build_solver read; validate_config rejects others
+# the keys the builders below read; validate_config rejects others
 SPLIT_KEYS = ("delta",)
 SOLVER_KEYS = ("tol", "max_iters")
+CERTIFICATE_KEYS = (
+    "h_target", "solver_half_extent", "r_schedule", "theta_radius", "q_samples", "beta_tol", "compute_numerical_m"
+)
 
 
+# the builders read a config that load_config resolved against
+# DEFAULT_CONFIG and validated, so every key they read is present
 def build_split(cfg: dict) -> SplitParams:
-    s = cfg.get("split", {})
-    return SplitParams(float(s.get("delta", 0.1)))
+    return SplitParams(float(cfg["split"]["delta"]))
 
 
 def build_solver(cfg: dict) -> SolverConfig:
-    s = cfg.get("solver", {})
-    return SolverConfig(tol=float(s.get("tol", 1e-8)), max_iters=int(s.get("max_iters", 50000)))
+    s = cfg["solver"]
+    return SolverConfig(tol=float(s["tol"]), max_iters=int(s["max_iters"]))
 
 
 def build_grid_from_config(cfg: dict) -> Grid:
@@ -253,19 +299,18 @@ def build_grid_from_config(cfg: dict) -> Grid:
 
 
 def build_certificate_config(cfg: dict) -> CertificateConfig:
-    c = cfg.get("certificate", {})
+    c = cfg["certificate"]
     return CertificateConfig(
         potential=build_potential(cfg),
-        params=build_split(cfg),
-        h_target=float(c.get("h_target", 0.15)),
-        solver_half_extent=float(c.get("solver_half_extent", 10.0)),
-        r_schedule=tuple(c.get("r_schedule", (0.25, 0.5, 1.0, 2.0))),
-        theta_radius=float(c.get("theta_radius", 0.5)),
-        q_samples=int(c.get("q_samples", 9)),
-        beta_tol=float(c.get("beta_tol", 1e-3)),
+        h_target=float(c["h_target"]),
+        solver_half_extent=float(c["solver_half_extent"]),
+        r_schedule=tuple(c["r_schedule"]),
+        theta_radius=float(c["theta_radius"]),
+        q_samples=int(c["q_samples"]),
+        beta_tol=float(c["beta_tol"]),
         solver=build_solver(cfg),
-        seed=int(cfg.get("sweep", {}).get("seed", 1234)),
-        compute_numerical_m=bool(c.get("compute_numerical_m", True)),
+        seed=int(cfg["sweep"]["seed"]),
+        compute_numerical_m=c["compute_numerical_m"],
     )
 
 
@@ -273,7 +318,10 @@ def load_config(path: str | None, overrides: dict) -> dict:
     cfg = {k: dict(v) if isinstance(v, dict) else v for k, v in DEFAULT_CONFIG.items()}
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = merge_config(cfg, json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ConfigError(validate_config(loaded))
+        cfg = merge_config(cfg, loaded)
     cfg = merge_config(cfg, overrides)
     problems = validate_config(cfg)
     if problems:
@@ -349,10 +397,9 @@ def cmd_ground_state(args) -> int:
 
     grid = build_grid_from_config(cfg)
     pot = build_potential(cfg)
-    params = build_split(cfg)
-    solver = build_solver(cfg)
-    sol = ground_state(grid, pot, args.eps, params, solver)
-    breakdown = energy(sol.field, pot, args.eps, params)
+    sol = ground_state(grid, pot, args.eps, config=build_solver(cfg))
+    # the cutoff delta enters the Phi/Psi split of the breakdown only
+    breakdown = energy(sol.field, pot, args.eps, build_split(cfg))
 
     outdir = ensure_outdir(cfg)
     dump_field(sol.field, os.path.join(outdir, "ground_state_field.txt"))
@@ -452,9 +499,8 @@ def cmd_barycenter_zero(args) -> int:
     cfg = load_config(args.config, {})
     cert_cfg = build_certificate_config(cfg)
     pot = cert_cfg.potential
-    grid = cert_cfg.grid()
-    u0 = gausson(grid, pot.c0)
-    res = barycenter_zero_finder(grid, pot, args.eps, cert_cfg.params, u0, R=args.R)
+    u0 = gausson(cert_cfg.grid(), pot.c0)
+    res = barycenter_zero_finder(u0, pot, args.eps, R=args.R)
     outdir = ensure_outdir(cfg)
     atomic_write(os.path.join(outdir, "barycenter_zero.json"), to_json_text(res.to_dict()) + "\n")
     print(to_json_text(res.to_dict()))

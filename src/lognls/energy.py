@@ -149,30 +149,23 @@ def _f1_second(a: NDArray, d: float) -> NDArray:
 
 
 # ---------------------------------------------------------------------------
-# potential sampling (duck-typed: PotentialSpec, GridField, callable, number)
+# potential sampling
 # ---------------------------------------------------------------------------
 
 def potential_samples(potential, grid: Grid, eps: float) -> NDArray:
     """Sample V(eps x) at the grid nodes as a flat array.
 
-    Accepts a PotentialSpec (anything with ``evaluate``), a GridField of
-    precomputed samples, a vectorized callable on (m, dim) points, or a
-    plain number for a constant potential.
+    ``potential`` is a PotentialSpec or a number (a constant potential).
+    Every sample must exceed -1, so that the weight V + 1 of the eps-norm is
+    positive.
     """
-    if isinstance(potential, GridField):
-        if potential.grid != grid:
-            raise ValueError("sampled potential lives on a different grid")
-        return potential.values
     if hasattr(potential, "evaluate"):
-        return np.asarray(potential.evaluate(eps * node_coordinates(grid)), dtype=float).ravel()
-    if callable(potential):
-        return np.asarray(potential(eps * node_coordinates(grid)), dtype=float).ravel()
-    return np.full(grid.num_nodes, float(potential))
-
-
-def _check_weight(vsamp: NDArray) -> None:
+        vsamp = np.asarray(potential.evaluate(eps * node_coordinates(grid)), dtype=float).ravel()
+    else:
+        vsamp = np.full(grid.num_nodes, float(potential))
     if not np.all(vsamp > -1.0):
         raise ValueError("potential samples must stay above -1 (V + 1 must be positive)")
+    return vsamp
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +201,6 @@ def energy(u: GridField, potential, eps: float, params: SplitParams) -> EnergyBr
     """
     grid = u.grid
     vsamp = potential_samples(potential, grid, eps)
-    _check_weight(vsamp)
     vals = u.values
     _, kin, pot, mass, ent = energy_terms(grid, vals, vsamp)
 
@@ -252,7 +244,6 @@ def grad_L2(u: GridField, potential, eps: float, params: SplitParams, check_spli
     """
     grid = u.grid
     vsamp = potential_samples(potential, grid, eps)
-    _check_weight(vsamp)
     direct = grad_array(grid, u.values, vsamp)
     if check_split:
         split = (

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .energy import SplitParams, energy_terms, potential_samples, _check_weight
+from .energy import energy_terms, potential_samples
 from .grid import Grid, GridField, integrate_array, kinetic_array, node_coordinates
 from .nehari import (
     SolverConfig,
@@ -93,23 +93,20 @@ def _weighted_mass(grid: Grid, values: NDArray, vsamp: NDArray) -> float:
 # the path in a moving frame
 # ---------------------------------------------------------------------------
 
-def phi_path(u0: GridField, z, eps: float, potential, params: SplitParams) -> GridField:
+def phi_path(u0: GridField, z, eps: float, potential) -> GridField:
     """Path field Phi_eps(z): u0 translated by z/eps, rescaled onto Nehari.
 
     The translation moves the frame, not the values: the result is t*u0 on
     u0's grid with its center shifted by z/eps.  Kinetic, mass and log terms
     do not change under translation, while V(eps x) and the barycenter
     directions are sampled at the translated nodes, so the field never
-    leaves the box however far z/eps reaches.  The potential must be
-    evaluable at any point; a sampled GridField potential is tied to its own
-    frame and serves z = 0 only.
+    leaves the box however far z/eps reaches.
     """
     z = np.asarray(z, dtype=float).ravel()
     if z.size != u0.grid.dim:
         raise ValueError(f"z must have {u0.grid.dim} components")
     frame = replace(u0.grid, center=np.add(u0.grid.center, z / eps))
     vsamp = potential_samples(potential, frame, eps)
-    _check_weight(vsamp)
     _, kin, pot, mass, ent = energy_terms(frame, u0.values, vsamp)
     if mass <= 0:
         raise ValueError("the path is undefined for the zero field")
@@ -119,11 +116,6 @@ def phi_path(u0: GridField, z, eps: float, potential, params: SplitParams) -> Gr
 def _path_energy(f: GridField, potential, eps: float) -> float:
     """J of a path field, with V sampled in the field's own frame."""
     return field_energy(f.grid, f.values, potential_samples(potential, f.grid, eps))[0]
-
-
-def _require_u0_on(grid: Grid, u0: GridField) -> None:
-    if u0.grid != grid:
-        raise ValueError("u0 must live on the given grid")
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +142,6 @@ def sign_condition(
     z_samples: NDArray,
     eps_values,
     potential,
-    params: SplitParams,
 ) -> SignConditionReport:
     """Inner products (beta(Phi_eps(z)), z) over samples and eps values.
 
@@ -164,7 +155,7 @@ def sign_condition(
     for eps in eps_values:
         inner = []
         for z in z_samples:
-            b = barycenter(phi_path(u0, z, eps, potential, params))
+            b = barycenter(phi_path(u0, z, eps, potential))
             inner.append(float(np.dot(b, z)))
         mins.append(min(inner))
         per_eps[float(eps)] = inner
@@ -244,7 +235,6 @@ def level_d(
     grid: Grid,
     potential: PotentialSpec,
     eps: float,
-    params: SplitParams,
     solver: Optional[SolverConfig] = None,
     penalty_schedule=(1.0, 10.0, 100.0, 1000.0),
     beta_tol: float = 1e-3,
@@ -262,9 +252,8 @@ def level_d(
         raise ValueError("level_d needs a nontrivial Y subspace")
     solver = solver or SolverConfig(tol=1e-6, max_iters=4000)
     vsamp = potential_samples(potential, grid, eps)
-    _check_weight(vsamp)
     wx = direction_weights(grid)[:, list(potential.x_axes)]
-    u = _gausson_seed(grid, potential, eps, vsamp)
+    u = _gausson_seed(grid, potential)
 
     stages = []
     best_value = math.inf
@@ -350,23 +339,20 @@ class SupXReport:
 
 
 def level_sup_x(
-    grid: Grid,
+    u0: GridField,
     potential: PotentialSpec,
     eps: float,
-    params: SplitParams,
-    u0: GridField,
     R: float,
     n_samples: int = 17,
 ) -> SupXReport:
     """Max of J(Phi_eps(x)) over sampled Q, with the analytic cap
     m(c0) + (3/10) c2 integral(u0^2) for comparison."""
-    _require_u0_on(grid, u0)
     vals = [
-        _path_energy(phi_path(u0, z, eps, potential, params), potential, eps)
+        _path_energy(phi_path(u0, z, eps, potential), potential, eps)
         for z in _q_samples(potential, R, n_samples)
     ]
-    m_c0 = m_closed_form(potential.c0, grid.dim)
-    mass_u0 = integrate_array(grid, u0.values**2)
+    m_c0 = m_closed_form(potential.c0, u0.grid.dim)
+    mass_u0 = integrate_array(u0.grid, u0.values**2)
     cap = m_c0 + 0.3 * potential.c2 * mass_u0
     cap_closed = m_c0 * (1.0 + 0.6 * potential.c2)  # integral(u0^2) = 2 m(c0) for the exact profile
     return SupXReport(
@@ -395,22 +381,19 @@ class ChooseRResult:
 
 
 def choose_r(
-    grid: Grid,
+    u0: GridField,
     potential: PotentialSpec,
     eps: float,
-    params: SplitParams,
-    u0: GridField,
     threshold: float,
     schedule=(0.25, 0.5, 1.0, 2.0),
     boundary_samples: int = 8,
 ) -> ChooseRResult:
     """Smallest radius in the schedule whose boundary path values sit below
     the threshold; exhaustion is reported with the achieved maxima."""
-    _require_u0_on(grid, u0)
     achieved = {}
     for R in schedule:
         achieved[float(R)] = max(
-            _path_energy(phi_path(u0, z, eps, potential, params), potential, eps)
+            _path_energy(phi_path(u0, z, eps, potential), potential, eps)
             for z in _subspace_sphere(potential.dim, potential.x_axes, R, boundary_samples)
         )
         if achieved[float(R)] <= threshold:
@@ -447,11 +430,9 @@ def _symmetrize_x(grid: Grid, values: NDArray, x_axes) -> NDArray:
 
 
 def theta_r_estimate(
-    grid: Grid,
+    u0: GridField,
     potential: PotentialSpec,
     eps: float,
-    params: SplitParams,
-    u0: GridField,
     r: float,
     R: float,
     n_centers: int = 9,
@@ -471,11 +452,11 @@ def theta_r_estimate(
     <= r, so candidate sets nest across r and the estimate is non-increasing
     in r by construction.  The scan streams: each candidate is built,
     tested and dropped.  If ``extra_candidate`` (e.g. the level_d minimizer,
-    on ``grid``) lies within r of the z = 0 path field, the only one in
+    on the grid of u0) lies within r of the z = 0 path field, the only one in
     absolute coordinates, it joins the candidate set; that is what links the
     estimate to D_eps from above.
     """
-    _require_u0_on(grid, u0)
+    grid = u0.grid
     rng = np.random.default_rng(seed)
     rel = node_coordinates(grid) - np.asarray(grid.center)
     # each bump with its kinetic term: the stencil sees only spacing and
@@ -504,7 +485,7 @@ def theta_r_estimate(
 
     origin = None
     for z in _q_samples(potential, R, n_centers):
-        base = phi_path(u0, z, eps, potential, params)
+        base = phi_path(u0, z, eps, potential)
         frame = base.grid
         vsamp = potential_samples(potential, frame, eps)
         if not np.any(z):
@@ -520,7 +501,7 @@ def theta_r_estimate(
     included = False
     if extra_candidate is not None:
         if origin is None:
-            base = phi_path(u0, np.zeros(grid.dim), eps, potential, params)
+            base = phi_path(u0, np.zeros(grid.dim), eps, potential)
             origin = (base, potential_samples(potential, base.grid, eps))
         base, vsamp = origin
         if extra_candidate.grid != base.grid:
@@ -561,11 +542,9 @@ class ZeroFinderResult:
 
 
 def barycenter_zero_finder(
-    grid: Grid,
+    u0: GridField,
     potential: PotentialSpec,
     eps: float,
-    params: SplitParams,
-    u0: GridField,
     R: float,
     n_coarse: int = 17,
     tol: float = 1e-3,
@@ -580,7 +559,6 @@ def barycenter_zero_finder(
     or zero winding is reported as inconclusive (no degree evidence), not as
     failure.
     """
-    _require_u0_on(grid, u0)
     axes = potential.x_axes
     dim = potential.dim
 
@@ -588,7 +566,7 @@ def barycenter_zero_finder(
         z = np.zeros(dim)
         for k, ax in enumerate(axes):
             z[ax] = x[k]
-        beta = barycenter(phi_path(u0, z, eps, potential, params))
+        beta = barycenter(phi_path(u0, z, eps, potential))
         return np.array([beta[ax] for ax in axes])
 
     if len(axes) == 1:
@@ -611,7 +589,7 @@ def barycenter_zero_finder(
                 f_mid = f_vec(np.array([mid]))[0]
                 if abs(f_mid) < abs(best_f):
                     best_x, best_f = mid, f_mid
-                if abs(f_mid) <= tol or (hi - lo) < 0.25 * eps * grid.spacing:
+                if abs(f_mid) <= tol or (hi - lo) < 0.25 * eps * u0.grid.spacing:
                     break
                 if f_lo * f_mid <= 0:
                     hi = mid
@@ -652,7 +630,7 @@ def barycenter_zero_finder(
         return ZeroFinderResult(None, res, True, evidence)
     for _ in range(max_bisect):
         f_c = f_vec(center)
-        if float(np.linalg.norm(f_c)) <= tol or half < 0.25 * eps * grid.spacing:
+        if float(np.linalg.norm(f_c)) <= tol or half < 0.25 * eps * u0.grid.spacing:
             break
         descended = False
         for sx in (-0.5, 0.5):
@@ -674,25 +652,23 @@ def barycenter_zero_finder(
 # certificate
 # ---------------------------------------------------------------------------
 
+# sigma at or below this counts as no gap (constrained_gap and sandwich fail)
+SIGMA_FLOOR = 1e-6
+
+
 @dataclass(frozen=True)
 class CertificateConfig:
     """Everything a certificate run needs besides eps."""
 
     potential: PotentialSpec
-    params: SplitParams = SplitParams()
     h_target: float = 0.15
     solver_half_extent: float = 10.0
     r_schedule: tuple = (0.25, 0.5, 1.0, 2.0)
     theta_radius: float = 0.5
     q_samples: int = 9
-    boundary_samples: int = 8
-    n_perturb: int = 6
-    perturb_magnitudes: tuple = (0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0)
     beta_tol: float = 1e-3
-    penalty_schedule: tuple = (1.0, 10.0, 100.0, 1000.0)
     solver: SolverConfig = SolverConfig(tol=1e-6, max_iters=4000)
     seed: int = 1234
-    sigma_floor: float = 1e-6
     compute_numerical_m: bool = True
     m_c0_numerical: Optional[float] = None
 
@@ -757,20 +733,12 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
 
     m_num = cfg.m_c0_numerical
     if m_num is None and cfg.compute_numerical_m:
-        sol = ground_state(grid, pot.c0, eps, cfg.params, cfg.solver)
+        sol = ground_state(grid, pot.c0, eps, config=cfg.solver)
         m_num = sol.energy
         if not sol.converged:  # a stalled solve is not a converged one
             inconclusive["m_c0_numerical"] = True
 
-    d_res = level_d(
-        grid,
-        pot,
-        eps,
-        cfg.params,
-        solver=cfg.solver,
-        penalty_schedule=cfg.penalty_schedule,
-        beta_tol=cfg.beta_tol,
-    )
+    d_res = level_d(grid, pot, eps, solver=cfg.solver, beta_tol=cfg.beta_tol)
     if not (d_res.feasible and d_res.converged):
         inconclusive["level_d"] = True
     d_est = d_res.value
@@ -783,16 +751,12 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
 
     theta_q_radius = max(cfg.r_schedule)
     theta = theta_r_estimate(
-        grid,
+        u0,
         pot,
         eps,
-        cfg.params,
-        u0,
         r=cfg.theta_radius,
         R=theta_q_radius,
         n_centers=cfg.q_samples,
-        n_perturb=cfg.n_perturb,
-        perturb_magnitudes=cfg.perturb_magnitudes,
         seed=cfg.seed,
         beta_tol=cfg.beta_tol,
     )
@@ -801,16 +765,7 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
 
     threshold = 0.5 * (m_c0 + theta.value) if theta.feasible else math.nan
     r_choice = (
-        choose_r(
-            grid,
-            pot,
-            eps,
-            cfg.params,
-            u0,
-            threshold,
-            schedule=cfg.r_schedule,
-            boundary_samples=cfg.boundary_samples,
-        )
+        choose_r(u0, pot, eps, threshold, schedule=cfg.r_schedule)
         if theta.feasible
         else ChooseRResult(None, math.nan, {}, False)
     )
@@ -818,12 +773,12 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
         inconclusive["choose_r"] = True
     r_used = r_choice.R if r_choice.succeeded else max(cfg.r_schedule)
 
-    sup_x = level_sup_x(grid, pot, eps, cfg.params, u0, R=r_used, n_samples=cfg.q_samples)
+    sup_x = level_sup_x(u0, pot, eps, R=r_used, n_samples=cfg.q_samples)
 
     theta_val = theta.value if theta.feasible else math.nan
     flags = {
         # positive gap of the constrained level over the free ground level
-        "constrained_gap": bool(sigma > cfg.sigma_floor),
+        "constrained_gap": bool(sigma > SIGMA_FLOOR),
         # path energies over X stay below the doubled ground level
         "sup_below_two_m": bool(sup_x.value < 2.0 * m_c0 - sigma),
         # some disc radius keeps its boundary under the threshold
@@ -833,7 +788,7 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
         # the minimax bracket (m + sigma/2, 2m - sigma) is nonempty and holds
         "sandwich": bool(
             theta.feasible
-            and sigma > cfg.sigma_floor
+            and sigma > SIGMA_FLOOR
             and theta_val > m_c0 + 0.5 * sigma
             and sup_x.value < 2.0 * m_c0 - sigma
             and m_c0 + 0.5 * sigma < 2.0 * m_c0 - sigma

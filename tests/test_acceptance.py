@@ -50,7 +50,7 @@ def test_criterion_01_splitting_identity():
 
 def test_criterion_02_gausson_oracle_1d():
     g = build_grid(1, 10.0, 512)
-    sol = ground_state(g, 0.0, 1.0, PARAMS, SolverConfig(tol=1e-8, max_iters=20000))
+    sol = ground_state(g, 0.0, 1.0, config=SolverConfig(tol=1e-8, max_iters=20000))
     m = 0.5 * math.e * math.sqrt(math.pi)
     rel = abs(sol.energy - m) / m
     report("2 (1D)", rel < 0.01, f"energy {sol.energy:.6f} vs {m:.6f}, rel {rel:.2e}")
@@ -58,7 +58,7 @@ def test_criterion_02_gausson_oracle_1d():
 
 def test_criterion_02_gausson_oracle_2d():
     g = build_grid(2, 7.0, 128)
-    sol = ground_state(g, 0.0, 1.0, PARAMS, SolverConfig(tol=1e-8, max_iters=20000))
+    sol = ground_state(g, 0.0, 1.0, config=SolverConfig(tol=1e-8, max_iters=20000))
     m = 0.5 * math.e**2 * math.pi
     rel = abs(sol.energy - m) / m
     report("2 (2D)", rel < 0.02, f"energy {sol.energy:.6f} vs {m:.6f}, rel {rel:.2e}")
@@ -81,7 +81,7 @@ def test_criterion_04_nehari_identities(rng):
     worst = {"scale": 0.0, "identity": 0.0, "compensation": 0.0, "fiber": 0.0}
     for _ in range(100):
         u = smooth_field(g, rng, positive=True)
-        t = nehari_scale(u, 0.3, 1.0, PARAMS)
+        t = nehari_scale(u, 0.3, 1.0)
 
         def fiber(tt, u=u):
             eb = energy(GridField(g, tt * u.values), 0.3, 1.0, PARAMS)
@@ -95,7 +95,7 @@ def test_criterion_04_nehari_identities(rng):
         worst["identity"] = max(worst["identity"], abs(eb.J - eb.half_mass) / max(abs(eb.J), 1e-30))
 
         for c in (0.1, 2.0, 10.0):
-            tc = nehari_scale(GridField(g, c * u.values), 0.3, 1.0, PARAMS)
+            tc = nehari_scale(GridField(g, c * u.values), 0.3, 1.0)
             worst["compensation"] = max(worst["compensation"], abs(tc * c - t) / t)
 
         eb_u = energy(u, 0.3, 1.0, PARAMS)
@@ -138,7 +138,7 @@ def barycenter_sweep_data():
         u0 = gausson(g, SADDLE.c0)
         ds, ins = [], []
         for z in directions:
-            f = phi_path(u0, z, eps, SADDLE, PARAMS)
+            f = phi_path(u0, z, eps, SADDLE)
             b = barycenter(f)
             ds.append(float(np.linalg.norm(b - z / np.linalg.norm(z))))
             ins.append(float(np.dot(b, z)))
@@ -173,7 +173,7 @@ def test_criterion_08_level_separation():
     sigmas = []
     d_values = []
     for eps in EPS_SWEEP:
-        res = level_d(g, SADDLE, eps, PARAMS, solver=solver)
+        res = level_d(g, SADDLE, eps, solver=solver)
         d_values.append(res.value)
         sigmas.append(res.value - m)
     nondecreasing = all(s2 >= s1 - 1e-9 for s1, s2 in zip(sigmas, sigmas[1:]))
@@ -190,7 +190,7 @@ def test_criterion_09_upper_level():
     half = min(60.0, 1.0 / eps + 6.0)
     g = Grid(2, half, _odd_points(half, 0.15))
     u0 = gausson(g, SADDLE.c0)
-    rep = level_sup_x(g, SADDLE, eps, PARAMS, u0, R=1.0, n_samples=17)
+    rep = level_sup_x(u0, SADDLE, eps, R=1.0, n_samples=17)
     two_m = 2 * m_closed_form(SADDLE.c0, 2)
     ok = rep.value <= rep.cap + 1e-3 and rep.value < two_m
     report("9", ok, f"sup_X J = {rep.value:.4f}, cap = {rep.cap:.4f}, 2m = {two_m:.4f}")
@@ -201,7 +201,7 @@ def test_criterion_10_degree_evidence():
     half = min(60.0, 1.0 / eps + 6.0)
     g = Grid(2, half, _odd_points(half, 0.15))
     u0 = gausson(g, SADDLE.c0)
-    res = barycenter_zero_finder(g, SADDLE, eps, PARAMS, u0, R=1.0)
+    res = barycenter_zero_finder(u0, SADDLE, eps, R=1.0)
     ok = (
         not res.inconclusive
         and abs(res.x_star[0]) <= 2 * g.spacing

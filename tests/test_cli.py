@@ -326,3 +326,68 @@ def test_readme_config_block_matches_defaults():
             assert key in cli.DEFAULT_CONFIG[name], f"README names the setting {name}.{key}"
             assert cli.DEFAULT_CONFIG[name][key] == value, f"README default of {name}.{key}"
     assert validate_config(cli.DEFAULT_CONFIG) == []
+
+
+@pytest.mark.parametrize(
+    "config, name",
+    [
+        ([1], "the config"),
+        ({"solver": None}, "solver"),
+        ({"grid": 3}, "grid"),
+        ({"certificate": []}, "certificate"),
+        ({"sweep": {"eps": 0.1}}, "sweep.eps"),
+        ({"sweep": {"seed": "abc"}}, "sweep.seed"),
+    ],
+)
+def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch, config, name):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = main(["check-potential", "--config", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CONFIG
+    assert len(out["violations"]) == 1
+    assert out["violations"][0].startswith(f"{name} ")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("h_target", "abc"),
+        ("h_target", -1),
+        ("solver_half_extent", 0),
+        ("theta_radius", True),
+        ("beta_tol", None),
+        ("q_samples", 0),
+        ("q_samples", 2.5),
+        ("r_schedule", []),
+        ("r_schedule", [0.5, -1.0]),
+        ("compute_numerical_m", "yes"),
+        ("n_perturb", 6),
+    ],
+)
+def test_certificate_block_is_validated(tmp_path, capsys, monkeypatch, key, value):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"certificate": {key: value}}))
+    code = main(["saddle-cert", "--eps", "0.3", "--config", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CONFIG
+    assert len(out["violations"]) == 1
+    assert out["violations"][0].startswith(f"certificate.{key} ")
+
+
+def test_split_cutoff_does_not_change_certificates(tmp_path, capsys, monkeypatch):
+    # every certificate number is a value of J, which does not depend on delta
+    monkeypatch.chdir(tmp_path)
+    written = []
+    for delta in (0.1, 0.2):
+        outdir = tmp_path / f"out-{delta}"
+        path = tmp_path / f"cfg-{delta}.json"
+        path.write_text(json.dumps({**TINY_CONFIG, "split": {"delta": delta}, "output": {"directory": str(outdir)}}))
+        assert main(["sweep-eps", "--config", str(path)]) == EXIT_INCONCLUSIVE  # choose_r, see above
+        capsys.readouterr()
+        assert json.loads((outdir / "config_resolved.json").read_text())["split"]["delta"] == delta
+        written.append((outdir / "sweep_eps.csv").read_bytes())
+    assert written[0] == written[1]
+

@@ -14,11 +14,13 @@ from lognls.energy import (
     f2_prime,
     grad_L2,
     log_sobolev_slack,
+    potential_samples,
     prox_f1,
     sq_log_sq,
 )
 from lognls.grid import GridField, build_grid, integrate
 from lognls.nehari import gausson, m_closed_form
+from lognls.potential import PotentialSpec
 
 from conftest import smooth_field
 
@@ -131,6 +133,21 @@ def test_energy_rejects_low_potential(grid_1d, rng):
     u = smooth_field(grid_1d, rng)
     with pytest.raises(ValueError):
         energy(u, -1.5, 1.0, PARAMS)
+
+
+def test_potential_samples_takes_a_spec_or_a_number(grid_1d):
+    assert np.array_equal(potential_samples(0.25, grid_1d, 1.0), np.full(grid_1d.num_nodes, 0.25))
+    with pytest.raises(ValueError):
+        potential_samples(-1.0, grid_1d, 1.0)
+    # a spec whose samples dip to -1 or below is rejected by the sampler itself
+    dip = PotentialSpec(1, (0,), (), 0.5, lambda p: p[:, 0] ** 2 - 2.0)
+    with pytest.raises(ValueError):
+        potential_samples(dip, grid_1d, 1.0)
+    # neither a callable nor a field of precomputed samples is a potential
+    with pytest.raises(TypeError):
+        potential_samples(lambda p: np.zeros(len(p)), grid_1d, 1.0)
+    with pytest.raises(TypeError):
+        potential_samples(GridField(grid_1d, np.zeros(grid_1d.num_nodes)), grid_1d, 1.0)
 
 
 def test_grad_zero_field(grid_1d):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -76,9 +77,9 @@ def test_phi_path_moving_frame_matches_translated_reference():
     g = Grid(2, 10.0, _odd_points(10.0, 0.15))
     z = np.array([eps * 7 * g.spacing, 0.0])
     u0 = gausson(g, SADDLE.c0)
-    moving = phi_path(u0, z, eps, SADDLE, PARAMS)
+    moving = phi_path(u0, z, eps, SADDLE)
     assert moving.grid.center == tuple(z / eps)
-    reference = project_nehari(gausson(g, SADDLE.c0, center=z / eps), SADDLE, eps, PARAMS)
+    reference = project_nehari(gausson(g, SADDLE.c0, center=z / eps), SADDLE, eps)
     j_moving = energy(moving, SADDLE, eps, PARAMS).J
     j_reference = energy(reference, SADDLE, eps, PARAMS).J
     assert abs(j_moving - j_reference) <= 1e-12 * abs(j_reference)
@@ -89,11 +90,11 @@ def test_phi_path_moving_frame_matches_translated_reference():
 def test_phi_path_origin_is_nehari_with_unit_scale():
     g = path_grid(0.3)
     u0 = gausson(g, CONST.c0)
-    f = phi_path(u0, np.zeros(2), 0.3, CONST, PARAMS)
-    t = nehari_scale(f, CONST, 0.3, PARAMS)
+    f = phi_path(u0, np.zeros(2), 0.3, CONST)
+    t = nehari_scale(f, CONST, 0.3)
     assert t == pytest.approx(1.0, abs=1e-10)
     # for the constant potential the exact profile is already critical
-    t0 = nehari_scale(u0, CONST, 0.3, PARAMS)
+    t0 = nehari_scale(u0, CONST, 0.3)
     assert t0 == pytest.approx(1.0, abs=10 * g.spacing**2)
     assert np.max(np.abs(barycenter(f))) < 1e-12
 
@@ -104,11 +105,11 @@ def test_phi_path_continuity_along_lattice():
     eps = 0.3
     quantum = eps * g.spacing
     z = np.array([quantum * 10, 0.0])
-    f_z = phi_path(u0, z, eps, SADDLE, PARAMS)
+    f_z = phi_path(u0, z, eps, SADDLE)
     diffs = []
     vsamp = potential_samples(SADDLE, g, eps)
     for k in (8, 4, 2, 1):
-        f_k = phi_path(u0, z + np.array([quantum * k, 0.0]), eps, SADDLE, PARAMS)
+        f_k = phi_path(u0, z + np.array([quantum * k, 0.0]), eps, SADDLE)
         diffs.append(math.sqrt(eps_norm_sq(g, f_k.values - f_z.values, vsamp)))
     assert all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:]))
 
@@ -118,17 +119,17 @@ def test_sign_condition_report():
     g = path_grid(min(eps_values))
     u0 = gausson(g, SADDLE.c0)
     zs = 2.0 * np.array([[math.cos(2 * math.pi * k / 8), math.sin(2 * math.pi * k / 8)] for k in range(8)])
-    report = sign_condition(u0, zs, eps_values, SADDLE, PARAMS)
+    report = sign_condition(u0, zs, eps_values, SADDLE)
     assert report.threshold_eps == 0.4
     assert report.min_inner[-1] >= 2.0 / 2 - 0.05
     # axis-aligned direction of a radial translate: inner product close to |z|
-    aligned = sign_condition(u0, np.array([[2.0, 0.0]]), (0.1,), SADDLE, PARAMS)
+    aligned = sign_condition(u0, np.array([[2.0, 0.0]]), (0.1,), SADDLE)
     assert aligned.min_inner[0] == pytest.approx(2.0, abs=2e-3)
 
 
 def test_level_d_constant_potential_reaches_m():
     g = Grid(2, 8.0, _odd_points(8.0, 0.2))
-    res = level_d(g, CONST, 1.0, PARAMS, solver=SolverConfig(tol=1e-6, max_iters=3000))
+    res = level_d(g, CONST, 1.0, solver=SolverConfig(tol=1e-6, max_iters=3000))
     m = m_closed_form(CONST.c0, 2)
     assert res.feasible
     assert res.value == pytest.approx(m, rel=0.02)
@@ -138,7 +139,7 @@ def test_level_d_constant_potential_reaches_m():
 
 def test_level_d_model_gap():
     g = Grid(2, 8.0, _odd_points(8.0, 0.2))
-    res = level_d(g, SADDLE, 0.1, PARAMS, solver=SolverConfig(tol=1e-6, max_iters=3000))
+    res = level_d(g, SADDLE, 0.1, solver=SolverConfig(tol=1e-6, max_iters=3000))
     m = m_closed_form(SADDLE.c0, 2)
     assert res.feasible
     assert res.value > m + 1.0  # clear positive gap on the saddle
@@ -166,14 +167,14 @@ def test_level_d_requires_nontrivial_y():
     g = build_grid(2, 7.0, 33)
     both_x = model_saddle(1.0, 1.25, 2, (0, 1), 0.5)
     with pytest.raises(ValueError):
-        level_d(g, both_x, 0.1, PARAMS)
+        level_d(g, both_x, 0.1)
 
 
 def test_level_sup_x_constant_potential():
     eps = 0.3
     g = path_grid(eps, R=1.0)
     u0 = gausson(g, CONST.c0)
-    report = level_sup_x(g, CONST, eps, PARAMS, u0, R=1.0)
+    report = level_sup_x(u0, CONST, eps, R=1.0)
     m = m_closed_form(CONST.c0, 2)
     assert report.value == pytest.approx(m, rel=0.01)
     assert report.value < 2 * m
@@ -183,7 +184,7 @@ def test_level_sup_x_model_cap():
     eps = 0.1
     g = path_grid(eps, R=1.0)
     u0 = gausson(g, SADDLE.c0)
-    report = level_sup_x(g, SADDLE, eps, PARAMS, u0, R=1.0)
+    report = level_sup_x(u0, SADDLE, eps, R=1.0)
     assert report.value <= report.cap + 1e-3
     assert report.value < 2 * m_closed_form(SADDLE.c0, 2)
     assert report.cap == pytest.approx(report.cap_closed_form, rel=1e-3)
@@ -194,7 +195,7 @@ def test_choose_r_constant_returns_first_entry():
     g = path_grid(eps)
     u0 = gausson(g, CONST.c0)
     m = m_closed_form(CONST.c0, 2)
-    res = choose_r(g, CONST, eps, PARAMS, u0, threshold=m + 0.5)
+    res = choose_r(u0, CONST, eps, threshold=m + 0.5)
     assert res.succeeded and res.R == 0.25
 
 
@@ -204,7 +205,7 @@ def test_choose_r_model_finite_radius():
     u0 = gausson(g, SADDLE.c0)
     m = m_closed_form(SADDLE.c0, 2)
     theta_proxy = m_closed_form(SADDLE.c1, 2)  # path value at the origin
-    res = choose_r(g, SADDLE, eps, PARAMS, u0, threshold=0.5 * (m + theta_proxy))
+    res = choose_r(u0, SADDLE, eps, threshold=0.5 * (m + theta_proxy))
     assert res.succeeded and res.R is not None
     # boundary values decrease toward m(c0) as R grows
     vals = list(res.boundary_max.values())
@@ -215,7 +216,7 @@ def test_choose_r_reports_exhaustion():
     eps = 0.3
     g = path_grid(eps)
     u0 = gausson(g, SADDLE.c0)
-    res = choose_r(g, SADDLE, eps, PARAMS, u0, threshold=0.0)
+    res = choose_r(u0, SADDLE, eps, threshold=0.0)
     assert not res.succeeded and res.R is None
     assert len(res.boundary_max) == 4
 
@@ -227,7 +228,7 @@ def test_theta_monotone_in_r_and_bounds():
     m = m_closed_form(SADDLE.c0, 2)
     values = []
     for r in (0.05, 0.5, 2.0):
-        rep = theta_r_estimate(g, SADDLE, eps, PARAMS, u0, r=r, R=1.5, seed=11)
+        rep = theta_r_estimate(u0, SADDLE, eps, r=r, R=1.5, seed=11)
         assert rep.feasible and rep.upper_bound
         values.append(rep.value)
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
@@ -241,12 +242,12 @@ def test_theta_links_to_level_d_via_minimizer():
     eps = 0.25
     g = Grid(2, 10.0, _odd_points(10.0, 0.2))
     u0 = gausson(g, SADDLE.c0)
-    d_res = level_d(g, SADDLE, eps, PARAMS, solver=SolverConfig(tol=1e-6, max_iters=3000))
+    d_res = level_d(g, SADDLE, eps, solver=SolverConfig(tol=1e-6, max_iters=3000))
     vsamp = potential_samples(SADDLE, g, eps)
-    f0 = phi_path(u0, np.zeros(2), eps, SADDLE, PARAMS)
+    f0 = phi_path(u0, np.zeros(2), eps, SADDLE)
     dist = math.sqrt(eps_norm_sq(g, d_res.field.values - f0.values, vsamp))
     rep = theta_r_estimate(
-        g, SADDLE, eps, PARAMS, u0, r=1.25 * dist + 1e-9, R=1.5, seed=11,
+        u0, SADDLE, eps, r=1.25 * dist + 1e-9, R=1.5, seed=11,
         extra_candidate=d_res.field,
     )
     assert rep.included_minimizer
@@ -257,7 +258,7 @@ def test_zero_finder_1d_x_symmetric():
     eps = 0.1
     g = path_grid(eps, R=1.0)
     u0 = gausson(g, SADDLE.c0)
-    res = barycenter_zero_finder(g, SADDLE, eps, PARAMS, u0, R=1.0)
+    res = barycenter_zero_finder(u0, SADDLE, eps, R=1.0)
     assert not res.inconclusive
     assert abs(res.x_star[0]) <= 2 * g.spacing
     assert res.degree_evidence["degree_one"]
@@ -271,7 +272,7 @@ def test_zero_finder_2d_x_winding():
     eps = 0.2
     g = path_grid(eps, R=1.0)
     u0 = gausson(g, both_x.c0)
-    res = barycenter_zero_finder(g, both_x, eps, PARAMS, u0, R=1.0)
+    res = barycenter_zero_finder(u0, both_x, eps, R=1.0)
     assert not res.inconclusive
     assert res.degree_evidence["winding"] == 1
     assert np.linalg.norm(res.x_star) <= 2 * g.spacing
@@ -283,7 +284,7 @@ def test_zero_finder_inconclusive_without_sign_change():
     eps = 0.3
     g = path_grid(eps, R=1.0)
     u0 = gausson(g, CONST.c0, center=[3.0, 0.0])
-    res = barycenter_zero_finder(g, CONST, eps, PARAMS, u0, R=0.25, n_coarse=5)
+    res = barycenter_zero_finder(u0, CONST, eps, R=0.25, n_coarse=5)
     assert res.inconclusive
 
 
@@ -333,7 +334,7 @@ TINY_CERT = dict(h_target=0.5, solver_half_extent=6.0, q_samples=5, r_schedule=(
 
 @pytest.mark.parametrize("converged", [True, False])
 def test_certificate_stalled_m_c0_is_inconclusive(monkeypatch, converged):
-    def fake_ground_state(grid, potential, eps, params, config=None):
+    def fake_ground_state(grid, potential, eps, params=None, config=None):
         u = gausson(grid, SADDLE.c0)
         return NehariSolution(
             field=u,
@@ -368,7 +369,8 @@ def test_level_d_unconverged_stage_is_inconclusive(monkeypatch, unconverged_stag
                             compute_numerical_m=False, **TINY_CERT)
     cert = certificate(0.4, cfg)
     converged = unconverged_stage is None
-    assert len(stages) == len(cfg.penalty_schedule)
+    # certificate runs level_d with its default penalty schedule
+    assert len(stages) == len(inspect.signature(level_d).parameters["penalty_schedule"].default)
     assert cert.details["level_d"]["converged"] is converged
     assert cert.inconclusive.get("level_d", False) is (not converged)
 
@@ -392,6 +394,6 @@ def test_theta_bump_kinetic_term_once_per_bump(monkeypatch):
 
     monkeypatch.setattr(minimax_mod, "kinetic_array", counted)
     u0 = gausson(g, SADDLE.c0)
-    rep = theta_r_estimate(g, SADDLE, 0.25, PARAMS, u0, r=0.5, R=1.5, n_centers=9, n_perturb=6, seed=11)
+    rep = theta_r_estimate(u0, SADDLE, 0.25, r=0.5, R=1.5, n_centers=9, n_perturb=6, seed=11)
     assert rep.feasible
     assert calls == [g.center] * 6

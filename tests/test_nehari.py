@@ -32,19 +32,19 @@ def bracketed_scale(u, potential, eps, params):
         eb = energy(GridField(u.grid, t * u.values), potential, eps, params)
         return eb.pairing_JprimeU / t**2
 
-    t0 = nehari_scale(u, potential, eps, params)
+    t0 = nehari_scale(u, potential, eps)
     return brentq(fiber, t0 * math.exp(-2), t0 * math.exp(2), xtol=1e-14, rtol=1e-13)
 
 
 def test_scale_of_projected_field_is_one(rng, grid_1d):
-    u = project_nehari(smooth_field(grid_1d, rng, positive=True), 0.0, 1.0, PARAMS)
-    assert nehari_scale(u, 0.0, 1.0, PARAMS) == pytest.approx(1.0, abs=1e-12)
+    u = project_nehari(smooth_field(grid_1d, rng, positive=True), 0.0, 1.0)
+    assert nehari_scale(u, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_scale_closed_form_vs_bracketing(rng, grid_1d):
     for _ in range(100):
         u = smooth_field(grid_1d, rng, positive=True)
-        t_closed = nehari_scale(u, 0.3, 1.0, PARAMS)
+        t_closed = nehari_scale(u, 0.3, 1.0)
         t_root = bracketed_scale(u, 0.3, 1.0, PARAMS)
         assert abs(t_closed - t_root) <= 1e-10 * t_closed
 
@@ -52,34 +52,34 @@ def test_scale_closed_form_vs_bracketing(rng, grid_1d):
 def test_scale_compensation_law(rng, grid_1d):
     for _ in range(20):
         u = smooth_field(grid_1d, rng, positive=True)
-        t = nehari_scale(u, 0.0, 1.0, PARAMS)
+        t = nehari_scale(u, 0.0, 1.0)
         for c in (0.1, 0.5, 2.0, 10.0):
-            tc = nehari_scale(GridField(grid_1d, c * u.values), 0.0, 1.0, PARAMS)
+            tc = nehari_scale(GridField(grid_1d, c * u.values), 0.0, 1.0)
             assert tc * c == pytest.approx(t, rel=1e-12)
 
 
 def test_scale_gausson_is_one():
     g = build_grid(1, 10.0, 513)
     u = gausson(g, 0.5)
-    t = nehari_scale(u, 0.5, 1.0, PARAMS)
+    t = nehari_scale(u, 0.5, 1.0)
     assert t == pytest.approx(1.0, abs=10 * g.spacing**2)
 
 
 def test_scale_rejects_zero_field(grid_1d):
     with pytest.raises(ValueError):
-        nehari_scale(GridField(grid_1d, np.zeros(grid_1d.num_nodes)), 0.0, 1.0, PARAMS)
+        nehari_scale(GridField(grid_1d, np.zeros(grid_1d.num_nodes)), 0.0, 1.0)
 
 
 def test_projection_idempotent(rng, grid_1d):
     u = smooth_field(grid_1d, rng, positive=True)
-    p1 = project_nehari(u, 0.1, 1.0, PARAMS)
-    p2 = project_nehari(p1, 0.1, 1.0, PARAMS)
+    p1 = project_nehari(u, 0.1, 1.0)
+    p2 = project_nehari(p1, 0.1, 1.0)
     assert np.max(np.abs(p1.values - p2.values)) <= 1e-10 * np.max(np.abs(p1.values))
 
 
 def test_projection_energy_identity(rng, grid_1d):
     for _ in range(20):
-        u = project_nehari(smooth_field(grid_1d, rng, positive=True), 0.0, 1.0, PARAMS)
+        u = project_nehari(smooth_field(grid_1d, rng, positive=True), 0.0, 1.0)
         eb = energy(u, 0.0, 1.0, PARAMS)
         assert eb.J == pytest.approx(eb.half_mass, rel=1e-8)
 
@@ -88,7 +88,7 @@ def test_fiber_identity(rng, grid_1d):
     # J(u) = ((2 log t + 1)/2) * mass(u) whenever t u is the projection
     for _ in range(20):
         u = smooth_field(grid_1d, rng, positive=True)
-        t = nehari_scale(u, 0.0, 1.0, PARAMS)
+        t = nehari_scale(u, 0.0, 1.0)
         eb = energy(u, 0.0, 1.0, PARAMS)
         mass = 2 * eb.half_mass
         assert eb.J == pytest.approx((2 * math.log(t) + 1) / 2 * mass, rel=1e-10)
@@ -163,7 +163,7 @@ def test_m_monotone_in_A():
 
 def test_ground_state_constant_1d():
     g = build_grid(1, 10.0, 512)
-    sol = ground_state(g, 0.0, 1.0, PARAMS, SolverConfig(tol=1e-8, max_iters=20000))
+    sol = ground_state(g, 0.0, 1.0, config=SolverConfig(tol=1e-8, max_iters=20000))
     m = m_closed_form(0.0, 1)
     assert abs(sol.energy - m) / m < 0.01
     assert sol.converged
@@ -177,7 +177,7 @@ def test_ground_state_constant_1d():
 def test_ground_state_matches_gausson_after_alignment():
     A = 0.5
     g = build_grid(1, 10.0, 257)
-    sol = ground_state(g, A, 1.0, PARAMS, SolverConfig(tol=1e-7, max_iters=20000))
+    sol = ground_state(g, A, 1.0, config=SolverConfig(tol=1e-7, max_iters=20000))
     u = sol.field
     pts = node_coordinates(g)[:, 0]
     mass = integrate(GridField(g, u.values**2))
@@ -189,7 +189,7 @@ def test_ground_state_matches_gausson_after_alignment():
 
 def test_ground_state_monotone_energy():
     g = build_grid(1, 10.0, 128)
-    sol = ground_state(g, 0.3, 1.0, PARAMS, SolverConfig(tol=1e-7, max_iters=5000))
+    sol = ground_state(g, 0.3, 1.0, config=SolverConfig(tol=1e-7, max_iters=5000))
     jh = np.array(sol.diagnostics["j_history"])
     guard = 1e-12 * np.maximum(1.0, np.abs(jh[:-1]))
     assert np.all(jh[1:] <= jh[:-1] + guard)
@@ -197,7 +197,7 @@ def test_ground_state_monotone_energy():
 
 def test_ground_state_positive():
     g = build_grid(1, 10.0, 256)
-    sol = ground_state(g, 0.0, 1.0, PARAMS, SolverConfig(tol=1e-7, max_iters=10000))
+    sol = ground_state(g, 0.0, 1.0, config=SolverConfig(tol=1e-7, max_iters=10000))
     assert np.all(sol.field.values >= 0)
     interior = np.abs(node_coordinates(g)[:, 0]) < 5.0
     assert np.all(sol.field.values[interior] > 1e-12)
@@ -207,7 +207,7 @@ def test_ground_state_numerical_ordering_in_A():
     g = build_grid(1, 10.0, 256)
     energies = []
     for A in (-0.5, 0.0, 0.5, 1.0):
-        sol = ground_state(g, A, 1.0, PARAMS, SolverConfig(tol=1e-6, max_iters=4000))
+        sol = ground_state(g, A, 1.0, config=SolverConfig(tol=1e-6, max_iters=4000))
         energies.append(sol.energy)
         assert not sol.diagnostics["below_closed_form"]
     assert all(e1 < e2 for e1, e2 in zip(energies, energies[1:]))
@@ -215,13 +215,13 @@ def test_ground_state_numerical_ordering_in_A():
 
 def test_ground_state_reports_nonconvergence():
     g = build_grid(1, 10.0, 128)
-    sol = ground_state(g, 0.0, 1.0, PARAMS, SolverConfig(tol=1e-14, max_iters=5))
+    sol = ground_state(g, 0.0, 1.0, config=SolverConfig(tol=1e-14, max_iters=5))
     assert not sol.converged
     assert sol.iterations == 5
 
 
 def test_solution_serialization(grid_1d):
-    sol = ground_state(grid_1d, 0.0, 1.0, PARAMS, SolverConfig(tol=1e-5, max_iters=2000))
+    sol = ground_state(grid_1d, 0.0, 1.0, config=SolverConfig(tol=1e-5, max_iters=2000))
     d = sol.to_dict()
     assert set(d) == {"energy", "nehari_residual", "iterations", "converged", "stalled", "rel_grad"}
     assert d["stalled"] is sol.diagnostics["stalled"]
@@ -265,11 +265,11 @@ def _direct_j(u, potential):
 @pytest.mark.parametrize("factor", [1.0, 50.0, 0.02])
 def test_reduced_objective_matches_direct_energy(rng, grid_2d, factor):
     # near the Nehari set (factor 1) and with t far from 1 both ways
-    u = project_nehari(smooth_field(grid_2d, rng, positive=True), 0.3, 1.0, PARAMS)
+    u = project_nehari(smooth_field(grid_2d, rng, positive=True), 0.3, 1.0)
     c = factor * u.values * (1.0 + 0.01 * np.cos(node_coordinates(grid_2d)[:, 0]))
     _, kin, pot, mass, ent = energy_terms(grid_2d, c, np.full(grid_2d.num_nodes, 0.3))
     t, j_reduced = _reduced_objective(kin + pot - ent, mass)
-    assert t == pytest.approx(nehari_scale(GridField(grid_2d, c), 0.3, 1.0, PARAMS), rel=1e-14)
+    assert t == pytest.approx(nehari_scale(GridField(grid_2d, c), 0.3, 1.0), rel=1e-14)
     if factor != 1.0:
         assert abs(math.log(t)) > 3.0
     j_direct = _direct_j(GridField(grid_2d, t * c), 0.3)
@@ -311,8 +311,8 @@ def test_scale_projection_energy_unchanged_by_kernel(rng, grid_1d, grid_2d, dim)
             kin, pot, mass, ent = _reference_pairing_and_mass(grid, u.values, vsamp)
             pairing = kin + pot - ent
             t = math.exp(float(np.clip(pairing / (2.0 * mass), -700.0, 700.0)))
-            assert nehari_scale(u, potential, 1.0, PARAMS) == t
-            assert np.array_equal(project_nehari(u, potential, 1.0, PARAMS).values, t * u.values)
+            assert nehari_scale(u, potential, 1.0) == t
+            assert np.array_equal(project_nehari(u, potential, 1.0).values, t * u.values)
             eb = energy(u, potential, 1.0, PARAMS)
             eps_norm_sq = kin + pot + mass
             assert eb.J == 0.5 * eps_norm_sq - 0.5 * ent
