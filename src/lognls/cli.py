@@ -17,10 +17,11 @@ atomically (write then rename), so reruns with a fixed seed are byte
 identical.  Exit codes: 0 success, 2 config error, 3 numerical
 non-convergence, 4 certificate inconclusive (for sweep-eps: any row, after
 all rows are written; or a numerical ValueError), 5 internal defect (a
-failed internal consistency assertion).  A config or block that is not a
-JSON object, a setting of the wrong type or range, and a key that the
-split, solver or certificate block does not read are config errors, not
-silently ignored or left to fail later.
+failed internal consistency assertion).  A config file that is not valid
+JSON, a config or block that is not a JSON object, a setting of the wrong
+type or range, and a block or key that nothing reads are config errors, not
+silently ignored or left to fail later.  Every default lives in
+DEFAULT_CONFIG; the builders read the merged, validated config only.
 
 The split block (the cutoff delta) enters only the Phi/Psi energy breakdown
 that ground-state reports.  Every certificate number is a value of J itself,
@@ -194,9 +195,9 @@ def validate_config(cfg: dict) -> list[str]:
     g = cfg.get("grid", {})
     if g.get("dim") not in (1, 2):
         problems.append(f"grid.dim must be 1 or 2, got {g.get('dim')}")
-    if not (isinstance(g.get("half_extent"), (int, float)) and g.get("half_extent", 0) > 0):
+    if not _is_positive(g.get("half_extent")):
         problems.append(f"grid.half_extent must be positive, got {g.get('half_extent')}")
-    if not (isinstance(g.get("points_per_axis"), int) and g.get("points_per_axis", 0) >= 16):
+    if not (_is_int(g.get("points_per_axis")) and g["points_per_axis"] >= 16):
         problems.append(f"grid.points_per_axis must be an integer >= 16, got {g.get('points_per_axis')}")
 
     p = cfg.get("potential", {})
@@ -209,8 +210,8 @@ def validate_config(cfg: dict) -> list[str]:
             problems.append(f"potential.c0 must exceed -1, got {c0}")
         if not (isinstance(c1, (int, float)) and isinstance(c0, (int, float)) and c1 > c0):
             problems.append(f"potential.c1 must exceed c0, got c0={c0}, c1={c1}")
-    if kind == "constant" and not isinstance(p.get("value", p.get("c0")), (int, float)):
-        problems.append("potential.value must be a number for kind=constant")
+    if kind == "constant" and not _is_number(p.get("value")):
+        problems.append(f"potential.value must be a number for kind=constant, got {p.get('value')}")
     if kind == "expression":
         if not isinstance(p.get("expr"), str):
             problems.append("potential.expr must be a string for kind=expression")
@@ -219,12 +220,18 @@ def validate_config(cfg: dict) -> list[str]:
                 compile_expression(p["expr"], g["dim"])
             except ValueError as err:
                 problems.append(f"potential.expr: {err}")
-    lam = p.get("lambda", 0.5)
-    if not (isinstance(lam, (int, float)) and 0 < lam < 1):
+    lam = p.get("lambda")
+    if not (_is_number(lam) and 0 < lam < 1):
         problems.append(f"potential.lambda must lie in (0,1), got {lam}")
-    axes = p.get("x_axes", [0])
-    if g.get("dim") in (1, 2) and not all(isinstance(a, int) and 0 <= a < g["dim"] for a in axes):
-        problems.append(f"potential.x_axes must index axes of dimension {g.get('dim')}, got {axes}")
+    axes = p.get("x_axes")
+    if g.get("dim") in (1, 2) and not (
+        isinstance(axes, list)
+        and all(_is_int(a) and 0 <= a < g["dim"] for a in axes)
+        and len(set(axes)) == len(axes)
+    ):
+        problems.append(
+            f"potential.x_axes must be a list of distinct axes of dimension {g.get('dim')}, got {axes}"
+        )
 
     delta = cfg.get("split", {}).get("delta")
     if not (_is_number(delta) and 0 < delta <= math.exp(-1.5)):
@@ -248,16 +255,26 @@ def validate_config(cfg: dict) -> list[str]:
     if not isinstance(c.get("compute_numerical_m"), bool):
         problems.append(f"certificate.compute_numerical_m must be true or false, got {c.get('compute_numerical_m')}")
 
-    for block, known in (("split", SPLIT_KEYS), ("solver", SOLVER_KEYS), ("certificate", CERTIFICATE_KEYS)):
-        for key in sorted(set(cfg.get(block, {})) - set(known)):
-            problems.append(f"{block}.{key} is not a setting; {block} takes {', '.join(known)}")
-
     sw = cfg.get("sweep", {})
-    eps_list = sw.get("eps", [])
+    eps_list = sw.get("eps")
     if not (isinstance(eps_list, list) and all(_is_positive(e) for e in eps_list)):
         problems.append(f"sweep.eps must be a list of positive numbers, got {eps_list}")
     if not _is_int(sw.get("seed")):
         problems.append(f"sweep.seed must be an integer, got {sw.get('seed')}")
+
+    out = cfg.get("output", {})
+    directory = out.get("directory")
+    if not (isinstance(directory, str) and directory):
+        problems.append(f"output.directory must be a non-empty string, got {json.dumps(directory)}")
+    formats = out.get("formats")
+    if not (isinstance(formats, list) and all(f in ("json", "csv") for f in formats)):
+        problems.append(f"output.formats must be a list drawn from json and csv, got {json.dumps(formats)}")
+
+    for name in sorted(set(cfg) - set(BLOCK_KEYS)):
+        problems.append(f"{name} is not a config block; the blocks are {', '.join(BLOCK_KEYS)}")
+    for block, known in BLOCK_KEYS.items():
+        for key in sorted(set(cfg.get(block, {})) - set(known)):
+            problems.append(f"{block}.{key} is not a setting; {block} takes {', '.join(known)}")
     return problems
 
 
@@ -265,21 +282,29 @@ def build_potential(cfg: dict) -> PotentialSpec:
     p = cfg["potential"]
     dim = cfg["grid"]["dim"]
     kind = p["kind"]
-    lam = float(p.get("lambda", 0.5))
-    x_axes = tuple(p.get("x_axes", [0]))
+    lam = float(p["lambda"])
+    x_axes = tuple(p["x_axes"])
     if kind == "model_saddle":
         return model_saddle(float(p["c0"]), float(p["c1"]), dim, x_axes, lam)
     if kind == "constant":
-        return constant_potential(float(p.get("value", p.get("c0", 0.0))), dim, x_axes, lam)
+        return constant_potential(float(p["value"]), dim, x_axes, lam)
     return expression_potential(p["expr"], dim, x_axes, lam)
 
 
-# the keys the builders below read; validate_config rejects others
-SPLIT_KEYS = ("delta",)
-SOLVER_KEYS = ("tol", "max_iters")
-CERTIFICATE_KEYS = (
-    "h_target", "solver_half_extent", "r_schedule", "theta_radius", "q_samples", "beta_tol", "compute_numerical_m"
-)
+# the keys the builders read, block by block; validate_config rejects others.
+# A potential block is merged over the default model saddle, so it takes the
+# union of what the three kinds read.
+BLOCK_KEYS = {
+    "grid": ("dim", "half_extent", "points_per_axis"),
+    "potential": ("kind", "c0", "c1", "value", "expr", "x_axes", "lambda"),
+    "split": ("delta",),
+    "solver": ("tol", "max_iters"),
+    "sweep": ("eps", "seed"),
+    "certificate": (
+        "h_target", "solver_half_extent", "r_schedule", "theta_radius", "q_samples", "beta_tol", "compute_numerical_m"
+    ),
+    "output": ("directory", "formats"),
+}
 
 
 # the builders read a config that load_config resolved against
@@ -318,7 +343,12 @@ def load_config(path: str | None, overrides: dict) -> dict:
     cfg = {k: dict(v) if isinstance(v, dict) else v for k, v in DEFAULT_CONFIG.items()}
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as err:
+                raise ConfigError(
+                    [f"the config {path} is not valid JSON: {err.msg} at line {err.lineno} column {err.colno}"]
+                ) from None
         if not isinstance(loaded, dict):
             raise ConfigError(validate_config(loaded))
         cfg = merge_config(cfg, loaded)
@@ -330,7 +360,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
 
 
 def ensure_outdir(cfg: dict) -> str:
-    outdir = cfg.get("output", {}).get("directory", "lognls-out")
+    outdir = cfg["output"]["directory"]
     os.makedirs(outdir, exist_ok=True)
     atomic_write(os.path.join(outdir, "config_resolved.json"), to_json_text(cfg) + "\n")
     return outdir
@@ -482,7 +512,7 @@ def cmd_sweep_eps(args) -> int:
                 cert.flags["sandwich"],
             ]
         )
-    formats = set(cfg.get("output", {}).get("formats", ["json", "csv"]))
+    formats = cfg["output"]["formats"]
     if "csv" in formats:
         write_csv(os.path.join(outdir, "sweep_eps.csv"), CSV_COLUMNS, rows)
     if "json" in formats:

@@ -172,15 +172,17 @@ def potential_samples(potential, grid: Grid, eps: float) -> NDArray:
 # energy and gradient
 # ---------------------------------------------------------------------------
 
-def energy_terms(grid: Grid, values: NDArray, vsamp) -> tuple[NDArray, float, float, float, float]:
-    """The one energy kernel: (Lap u, kin, pot, mass, ent) from one Laplacian
-    and one log.
+def energy_terms(grid: Grid, values: NDArray, vsamp) -> tuple[NDArray, NDArray, float, float, float, float]:
+    """The one energy kernel: (Lap u, u^2, kin, pot, mass, ent) from one
+    Laplacian and one log.
 
     kin = -h^N sum(Lap u * u) as in ``kinetic_array``, pot = integral(V u^2),
     mass = integral(u^2) and ent = integral(u^2 log u^2).  Every energy
     quantity of the package is assembled from these: J = (kin + pot + mass
     - ent)/2, the fiber derivative J'(u)u = kin + pot - ent and the Nehari
-    scale.  ``vsamp`` may be a scalar (0.0 when no potential term is needed).
+    scale.  u^2 is returned for callers that weight it otherwise (the
+    barycenter penalty, the path table).  ``vsamp`` may be a scalar (0.0 when
+    no potential term is needed).
     """
     lap = laplacian_array(grid, values)
     sq = values * values
@@ -189,7 +191,7 @@ def energy_terms(grid: Grid, values: NDArray, vsamp) -> tuple[NDArray, float, fl
     mass = integrate_array(grid, sq)
     # log(1) = 0 at the zero nodes, which gives the convention 0 log 0 = 0
     ent = integrate_array(grid, sq * _safe_log_sq(np.abs(values)))
-    return lap, kin, pot, mass, ent
+    return lap, sq, kin, pot, mass, ent
 
 
 def energy(u: GridField, potential, eps: float, params: SplitParams) -> EnergyBreakdown:
@@ -202,7 +204,7 @@ def energy(u: GridField, potential, eps: float, params: SplitParams) -> EnergyBr
     grid = u.grid
     vsamp = potential_samples(potential, grid, eps)
     vals = u.values
-    _, kin, pot, mass, ent = energy_terms(grid, vals, vsamp)
+    _, _, kin, pot, mass, ent = energy_terms(grid, vals, vsamp)
 
     eps_norm_sq = kin + pot + mass
     j_direct = 0.5 * eps_norm_sq - 0.5 * ent
@@ -310,7 +312,7 @@ def log_sobolev_slack(u: GridField, a: float) -> float:
     if a <= 0:
         raise ValueError(f"a must be positive, got {a}")
     grid = u.grid
-    _, kin, _, mass, ent = energy_terms(grid, u.values, 0.0)
+    _, _, kin, _, mass, ent = energy_terms(grid, u.values, 0.0)
     if mass <= 0:
         raise ValueError("log-Sobolev slack is undefined for the zero field")
     return (a * a / math.pi) * kin + (math.log(mass) - grid.dim * (1.0 + math.log(a))) * mass - ent

@@ -35,7 +35,7 @@ from .grid import Grid, GridField, integrate_array, kinetic_array, node_coordina
 from .nehari import (
     SolverConfig,
     _gausson_seed,
-    _log_scale,
+    _reduced_objective,
     field_energy,
     gausson,
     ground_state,
@@ -71,6 +71,11 @@ def _barycenter_values(grid: Grid, values: NDArray) -> NDArray:
     return (sq @ direction_weights(grid)) / mass
 
 
+def _x_norm(beta_x: NDArray) -> float:
+    """|P_X beta| from the X components of a barycenter; NaN stays NaN."""
+    return math.sqrt(float(beta_x @ beta_x))
+
+
 def barycenter(u: GridField) -> NDArray:
     """Mass-direction average  integral((x/|x|) u^2) / integral(u^2)."""
     beta = _barycenter_values(u.grid, u.values)
@@ -93,29 +98,41 @@ def _weighted_mass(grid: Grid, values: NDArray, vsamp: NDArray) -> float:
 # the path in a moving frame
 # ---------------------------------------------------------------------------
 
-def phi_path(u0: GridField, z, eps: float, potential) -> GridField:
-    """Path field Phi_eps(z): u0 translated by z/eps, rescaled onto Nehari.
+def path_table(u0: GridField, zs, eps: float, potential) -> tuple[NDArray, NDArray, NDArray]:
+    """(t, J, beta) of the path fields Phi_eps(z), one entry per row z of ``zs``.
 
-    The translation moves the frame, not the values: the result is t*u0 on
-    u0's grid with its center shifted by z/eps.  Kinetic, mass and log terms
-    do not change under translation, while V(eps x) and the barycenter
-    directions are sampled at the translated nodes, so the field never
-    leaves the box however far z/eps reaches.
+    Phi_eps(z) is t*u0 with the frame center moved to z/eps.  Kinetic, mass
+    and log terms do not see the frame, so one energy kernel call on u0
+    serves every row; a row samples V once for pot(z) = integral(V u0^2) in
+    its frame, takes (t, J) from the reduced objective, and reads beta off
+    t*u0 with the frame's directions, as ``barycenter(phi_path(...))`` does.
     """
-    z = np.asarray(z, dtype=float).ravel()
-    if z.size != u0.grid.dim:
-        raise ValueError(f"z must have {u0.grid.dim} components")
-    frame = replace(u0.grid, center=np.add(u0.grid.center, z / eps))
-    vsamp = potential_samples(potential, frame, eps)
-    _, kin, pot, mass, ent = energy_terms(frame, u0.values, vsamp)
+    dim = u0.grid.dim
+    zs = np.atleast_2d(np.asarray(zs, dtype=float))
+    if zs.ndim != 2 or zs.shape[1] != dim:
+        raise ValueError(f"z must have {dim} components")
+    _, sq, kin, _, mass, ent = energy_terms(u0.grid, u0.values, 0.0)
     if mass <= 0:
         raise ValueError("the path is undefined for the zero field")
-    return GridField(frame, math.exp(_log_scale(kin + pot - ent, mass)) * u0.values)
+    t, j, beta = np.empty(len(zs)), np.empty(len(zs)), np.empty((len(zs), dim))
+    for k, z in enumerate(zs):
+        frame = _path_frame(u0.grid, z, eps)
+        pot = integrate_array(frame, potential_samples(potential, frame, eps) * sq)
+        t[k], j[k] = _reduced_objective(kin + pot - ent, mass)
+        beta[k] = _barycenter_values(frame, t[k] * u0.values)
+    return t, j, beta
 
 
-def _path_energy(f: GridField, potential, eps: float) -> float:
-    """J of a path field, with V sampled in the field's own frame."""
-    return field_energy(f.grid, f.values, potential_samples(potential, f.grid, eps))[0]
+def _path_frame(grid: Grid, z: NDArray, eps: float) -> Grid:
+    return replace(grid, center=np.add(grid.center, z / eps))
+
+
+def phi_path(u0: GridField, z, eps: float, potential) -> GridField:
+    """Path field Phi_eps(z), one row of ``path_table`` as a field: t*u0 on
+    u0's grid with the center shifted by z/eps, so it never leaves the box."""
+    z = np.asarray(z, dtype=float).ravel()
+    t = path_table(u0, z, eps, potential)[0][0]
+    return GridField(_path_frame(u0.grid, z, eps), t * u0.values)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +144,6 @@ class SignConditionReport:
     eps_values: list
     min_inner: list
     threshold_eps: Optional[float]
-    details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -151,14 +167,9 @@ def sign_condition(
     """
     z_samples = np.atleast_2d(np.asarray(z_samples, dtype=float))
     mins = []
-    per_eps = {}
     for eps in eps_values:
-        inner = []
-        for z in z_samples:
-            b = barycenter(phi_path(u0, z, eps, potential))
-            inner.append(float(np.dot(b, z)))
-        mins.append(min(inner))
-        per_eps[float(eps)] = inner
+        _, _, beta = path_table(u0, z_samples, eps, potential)
+        mins.append(min(float(np.dot(b, z)) for b, z in zip(beta, z_samples)))
     threshold = None
     for k in range(len(eps_values)):
         if all(m > 0 for m in mins[k:]):
@@ -168,7 +179,6 @@ def sign_condition(
         eps_values=[float(e) for e in eps_values],
         min_inner=mins,
         threshold_eps=threshold,
-        details={"inner_products": per_eps},
     )
 
 
@@ -189,19 +199,19 @@ class _BarycenterPenalty:
     wx: NDArray
     cell_volume: float
 
-    def _beta_x(self, values: NDArray):
-        sq = values * values
-        total = float(np.sum(sq))
-        return (sq @ self.wx) / total if total > 0 else None, total
-
-    def value(self, values: NDArray) -> float:
-        beta, _ = self._beta_x(values)
-        return 0.0 if beta is None else self.mu * float(beta @ beta)
+    def value(self, sq: NDArray, mass: float) -> float:
+        """The penalty of a trial from the energy kernel's u^2 and
+        integral(u^2), so neither is recomputed."""
+        if not mass > 0:
+            return 0.0
+        return self.mu * _x_norm((sq @ self.wx) * (self.cell_volume / mass)) ** 2
 
     def gradient(self, values: NDArray) -> NDArray:
-        beta, total = self._beta_x(values)
-        if beta is None:
+        sq = values * values
+        total = float(np.sum(sq))
+        if not total > 0:
             return np.zeros_like(values)
+        beta = (sq @ self.wx) / total
         # d beta_k / du = 2 u (w_k - beta_k) / integral(u^2)
         scale = 4.0 * self.mu / (self.cell_volume * total)
         return scale * values * (self.wx @ beta - float(beta @ beta))
@@ -252,7 +262,8 @@ def level_d(
         raise ValueError("level_d needs a nontrivial Y subspace")
     solver = solver or SolverConfig(tol=1e-6, max_iters=4000)
     vsamp = potential_samples(potential, grid, eps)
-    wx = direction_weights(grid)[:, list(potential.x_axes)]
+    x_axes = list(potential.x_axes)
+    wx = direction_weights(grid)[:, x_axes]
     u = _gausson_seed(grid, potential)
 
     stages = []
@@ -262,8 +273,7 @@ def level_d(
     for mu in penalty_schedule:
         penalty = _BarycenterPenalty(mu, wx, grid.cell_volume)
         u, info = minimize_on_nehari(grid, vsamp, u, solver, extra_term=penalty)
-        beta = _barycenter_values(grid, u)
-        beta_x = math.sqrt(sum(float(beta[ax]) ** 2 for ax in potential.x_axes))
+        beta_x = _x_norm(_barycenter_values(grid, u)[x_axes])
         j_val = field_energy(grid, u, vsamp)[0]
         stages.append(
             {
@@ -347,16 +357,13 @@ def level_sup_x(
 ) -> SupXReport:
     """Max of J(Phi_eps(x)) over sampled Q, with the analytic cap
     m(c0) + (3/10) c2 integral(u0^2) for comparison."""
-    vals = [
-        _path_energy(phi_path(u0, z, eps, potential), potential, eps)
-        for z in _q_samples(potential, R, n_samples)
-    ]
+    _, vals, _ = path_table(u0, _q_samples(potential, R, n_samples), eps, potential)
     m_c0 = m_closed_form(potential.c0, u0.grid.dim)
     mass_u0 = integrate_array(u0.grid, u0.values**2)
     cap = m_c0 + 0.3 * potential.c2 * mass_u0
     cap_closed = m_c0 * (1.0 + 0.6 * potential.c2)  # integral(u0^2) = 2 m(c0) for the exact profile
     return SupXReport(
-        value=float(max(vals)),
+        value=float(np.max(vals)),
         cap=cap,
         cap_closed_form=cap_closed,
         R=R,
@@ -392,10 +399,8 @@ def choose_r(
     the threshold; exhaustion is reported with the achieved maxima."""
     achieved = {}
     for R in schedule:
-        achieved[float(R)] = max(
-            _path_energy(phi_path(u0, z, eps, potential), potential, eps)
-            for z in _subspace_sphere(potential.dim, potential.x_axes, R, boundary_samples)
-        )
+        zs = _subspace_sphere(potential.dim, potential.x_axes, R, boundary_samples)
+        achieved[float(R)] = float(np.max(path_table(u0, zs, eps, potential)[1]))
         if achieved[float(R)] <= threshold:
             return ChooseRResult(float(R), threshold, achieved, True)
     return ChooseRResult(None, threshold, achieved, False)
@@ -470,14 +475,14 @@ def theta_r_estimate(
         bump = _symmetrize_x(grid, bump, potential.x_axes)
         bumps.append((bump, kinetic_array(grid, bump, bump)))
     magnitudes = [m for m in perturb_magnitudes if m <= r]
+    x_axes = list(potential.x_axes)
 
     best = math.inf
     n_feasible = 0
 
     def consider(frame: Grid, cand: NDArray, vsamp: NDArray) -> None:
         nonlocal best, n_feasible
-        beta = _barycenter_values(frame, cand)
-        beta_x = math.sqrt(sum(float(beta[ax]) ** 2 for ax in potential.x_axes))
+        beta_x = _x_norm(_barycenter_values(frame, cand)[x_axes])
         if not beta_x <= beta_tol:  # NaN (zero field) is infeasible too
             return
         n_feasible += 1
@@ -559,19 +564,18 @@ def barycenter_zero_finder(
     or zero winding is reported as inconclusive (no degree evidence), not as
     failure.
     """
-    axes = potential.x_axes
+    axes = list(potential.x_axes)
     dim = potential.dim
 
-    def f_vec(x: NDArray) -> NDArray:
-        z = np.zeros(dim)
-        for k, ax in enumerate(axes):
-            z[ax] = x[k]
-        beta = barycenter(phi_path(u0, z, eps, potential))
-        return np.array([beta[ax] for ax in axes])
+    def f_rows(xs) -> NDArray:
+        """P_X beta(Phi_eps(z)) for each row of X coordinates, one table."""
+        zs = np.zeros((len(xs), dim))
+        zs[:, axes] = xs
+        return path_table(u0, zs, eps, potential)[2][:, axes]
 
     if len(axes) == 1:
         xs = np.linspace(-R, R, n_coarse)
-        vals = np.array([f_vec(np.array([x]))[0] for x in xs])
+        vals = f_rows(xs[:, None])[:, 0]
         evidence = {
             "boundary_values": [float(vals[0]), float(vals[-1])],
             "degree_one": bool(vals[0] < 0 < vals[-1]),
@@ -586,7 +590,7 @@ def barycenter_zero_finder(
             f_lo = vals[brackets[0]]
             for _ in range(max_bisect):
                 mid = 0.5 * (lo + hi)
-                f_mid = f_vec(np.array([mid]))[0]
+                f_mid = f_rows([[mid]])[0, 0]
                 if abs(f_mid) < abs(best_f):
                     best_x, best_f = mid, f_mid
                 if abs(f_mid) <= tol or (hi - lo) < 0.25 * eps * u0.grid.spacing:
@@ -597,23 +601,16 @@ def barycenter_zero_finder(
                     lo, f_lo = mid, f_mid
         return ZeroFinderResult([best_x], abs(best_f), False, evidence)
 
-    # two-dimensional X: winding number on the boundary, then quadrant descent
+    # two-dimensional X: winding number on the boundary, then quadrant descent;
+    # the boundary of center + half [-1, 1]^2 is walked side by side
+    corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    steps = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+
     def winding(center: NDArray, half: float, n: int) -> int:
-        ts = np.linspace(0.0, 1.0, n, endpoint=False)
-        pts = []
-        for t in ts:
-            s = 8.0 * t
-            if s < 2:
-                p = (-1 + s, -1.0)
-            elif s < 4:
-                p = (1.0, -1 + (s - 2))
-            elif s < 6:
-                p = (1 - (s - 4), 1.0)
-            else:
-                p = (-1.0, 1 - (s - 6))
-            pts.append(center + half * np.array(p))
-        values = [f_vec(p) for p in pts]
-        angles = np.array([math.atan2(fv[1], fv[0]) for fv in values])
+        s = 8.0 * np.linspace(0.0, 1.0, n, endpoint=False)
+        side = (s // 2).astype(int)
+        pts = center + half * (corners[side] + (s - 2.0 * side)[:, None] * steps[side])
+        angles = np.array([math.atan2(fv[1], fv[0]) for fv in f_rows(pts)])
         d = np.diff(np.concatenate([angles, angles[:1]]))
         d = (d + math.pi) % (2 * math.pi) - math.pi
         return int(round(float(np.sum(d)) / (2 * math.pi)))
@@ -623,28 +620,22 @@ def barycenter_zero_finder(
     w0 = winding(center, half, boundary_samples)
     evidence = {"winding": w0, "degree_one": bool(abs(w0) >= 1)}
     if w0 == 0:
-        f_c = f_vec(center)
+        f_c = f_rows([center])[0]
         res = float(np.linalg.norm(f_c))
         if res <= tol:
             return ZeroFinderResult([float(c) for c in center], res, False, evidence)
         return ZeroFinderResult(None, res, True, evidence)
     for _ in range(max_bisect):
-        f_c = f_vec(center)
+        f_c = f_rows([center])[0]
         if float(np.linalg.norm(f_c)) <= tol or half < 0.25 * eps * u0.grid.spacing:
             break
-        descended = False
-        for sx in (-0.5, 0.5):
-            for sy in (-0.5, 0.5):
-                child = center + half * np.array([sx, sy])
-                if winding(child, 0.5 * half, boundary_samples) != 0:
-                    center, half = child, 0.5 * half
-                    descended = True
-                    break
-            if descended:
-                break
-        if not descended:
+        # the first quadrant, in a fixed order, whose boundary still winds
+        quadrants = (center + half * np.array([sx, sy]) for sx in (-0.5, 0.5) for sy in (-0.5, 0.5))
+        child = next((q for q in quadrants if winding(q, 0.5 * half, boundary_samples) != 0), None)
+        if child is None:
             break
-    res = float(np.linalg.norm(f_vec(center)))
+        center, half = child, 0.5 * half
+    res = float(np.linalg.norm(f_rows([center])[0]))
     return ZeroFinderResult([float(c) for c in center], res, False, evidence)
 
 

@@ -100,7 +100,7 @@ def field_energy(grid: Grid, values: NDArray, vsamp: NDArray) -> tuple[float, fl
     is the order path, Theta and level energies have always been summed in,
     so they keep their last bits.
     """
-    _, kin, pot, _, ent = energy_terms(grid, values, vsamp)
+    _, _, kin, pot, _, ent = energy_terms(grid, values, vsamp)
     quad = integrate_array(grid, (vsamp + 1.0) * (values * values))
     return 0.5 * (kin + quad) - 0.5 * ent, kin + pot - ent
 
@@ -111,7 +111,7 @@ def nehari_scale(u: GridField, potential, eps: float) -> float:
     t = exp(J'(u)u / (2 integral u^2)); rescaling u by c > 0 divides t by c.
     """
     vsamp = potential_samples(potential, u.grid, eps)
-    _, kin, pot, mass, ent = energy_terms(u.grid, u.values, vsamp)
+    _, _, kin, pot, mass, ent = energy_terms(u.grid, u.values, vsamp)
     if mass <= 0:
         raise ValueError("Nehari scale is undefined for fields with zero mass")
     return math.exp(_log_scale(kin + pot - ent, mass))
@@ -174,9 +174,10 @@ def minimize_on_nehari(
 
     Each step: descend, clamp to the nonnegative cone, rescale back onto the
     Nehari set.  Backtracking keeps the recorded objective non-increasing.
-    ``extra_term`` has ``value(values)`` and ``gradient(values)``, must not
-    change under positive rescaling, and is used by the penalized
-    barycenter-constrained minimization.
+    ``extra_term`` has ``value(sq, mass)``, priced from the trial's c^2 and
+    integral(c^2) as the energy kernel returns them, and
+    ``gradient(values)``; it must not change under positive rescaling, and
+    is used by the penalized barycenter-constrained minimization.
 
     A trial c costs one energy kernel call and no more: with p = J'(c)c,
     m = integral(c^2) and log t = p / 2m its projection t c has the reduced
@@ -193,12 +194,12 @@ def minimize_on_nehari(
 
     def projected(cand: NDArray):
         """(Lap c, t, ||c||_eps^2, objective at t c), or None for c = 0."""
-        lap_c, kin, pot, mass, ent = energy_terms(grid, cand, vsamp)
+        lap_c, sq, kin, pot, mass, ent = energy_terms(grid, cand, vsamp)
         if not mass > 0:
             return None
         t, j = _reduced_objective(kin + pot - ent, mass)
         if extra_term is not None:
-            j += extra_term.value(cand)
+            j += extra_term.value(sq, mass)
         return lap_c, t, kin + pot + mass, j
 
     u = np.clip(start, 0.0, None)

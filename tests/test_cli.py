@@ -90,6 +90,11 @@ def test_load_config_raises_config_error(tmp_path):
     path.write_text(json.dumps({"grid": {"dim": 5}}))
     with pytest.raises(ConfigError):
         load_config(str(path), {})
+    # a file that is not JSON at all names itself and the position
+    path.write_text('{"grid": ')
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path), {})
+    assert err.value.violations == [f"the config {path} is not valid JSON: Expecting value at line 1 column 10"]
 
 
 def test_gausson_command(tmp_path, capsys, monkeypatch):
@@ -290,7 +295,15 @@ def test_internal_defect_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "block, key, value",
-    [("solver", "backend", "forward_backward"), ("split", "growth_exponent", 4.0), ("solver", "tolerance", 1e-6)],
+    [
+        ("solver", "backend", "forward_backward"),
+        ("split", "growth_exponent", 4.0),
+        ("solver", "tolerance", 1e-6),
+        ("grid", "spacing", 0.1),
+        ("potential", "c2", 1.0),
+        ("sweep", "eps_list", [0.1]),
+        ("output", "format", "csv"),
+    ],
 )
 def test_unread_setting_is_config_error(tmp_path, capsys, monkeypatch, block, key, value):
     monkeypatch.chdir(tmp_path)
@@ -337,12 +350,19 @@ def test_readme_config_block_matches_defaults():
         ({"certificate": []}, "certificate"),
         ({"sweep": {"eps": 0.1}}, "sweep.eps"),
         ({"sweep": {"seed": "abc"}}, "sweep.seed"),
+        ('{"grid": ', "the config"),  # not JSON at all: raw text
+        ({"output": {"formats": "csv"}}, "output.formats"),
+        ({"output": {"formats": ["csv", "xml"]}}, "output.formats"),
+        ({"potential": {"kind": "constant"}}, "potential.value"),
+        ({"potential": {"x_axes": 0}}, "potential.x_axes"),
+        ({"potential": {"x_axes": [0, 0]}}, "potential.x_axes"),
+        ({"solvr": {"tol": 1e-6}}, "solvr"),
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch, config, name):
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
     code = main(["check-potential", "--config", str(path)])
     out = json.loads(capsys.readouterr().out)
     assert code == EXIT_CONFIG

@@ -1,10 +1,11 @@
+import importlib
 import inspect
 import math
 
 import numpy as np
 import pytest
 
-from lognls.energy import SplitParams, potential_samples
+from lognls.energy import SplitParams, energy_terms, potential_samples
 from lognls.grid import Grid, GridField, build_grid
 import lognls.minimax as minimax_mod
 from lognls.minimax import (
@@ -18,6 +19,7 @@ from lognls.minimax import (
     eps_norm_sq,
     level_d,
     level_sup_x,
+    path_table,
     phi_path,
     sign_condition,
     sweep_eps,
@@ -25,8 +27,16 @@ from lognls.minimax import (
     _odd_points,
 )
 from lognls.energy import energy
-from lognls.nehari import NehariSolution, SolverConfig, gausson, m_closed_form, nehari_scale, project_nehari
-from lognls.potential import constant_potential, model_saddle
+from lognls.nehari import (
+    NehariSolution,
+    SolverConfig,
+    field_energy,
+    gausson,
+    m_closed_form,
+    nehari_scale,
+    project_nehari,
+)
+from lognls.potential import constant_potential, expression_potential, model_saddle
 
 from conftest import smooth_field
 
@@ -114,6 +124,47 @@ def test_phi_path_continuity_along_lattice():
     assert all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:]))
 
 
+@pytest.mark.parametrize(
+    "potential, eps",
+    [(SADDLE, 0.4), (SADDLE, 0.05), (model_saddle(1.0, 1.25, 1, (0,), 0.5), 0.2), (CONST, 0.3)],
+    ids=["saddle-0.4", "saddle-0.05", "saddle-1d", "constant"],
+)
+def test_path_table_matches_the_path_fields(potential, eps):
+    # the table's J is the reduced objective, J of the field up to rounding;
+    # t and beta are computed from the same bits as the field's
+    g = Grid(potential.dim, 10.0, _odd_points(10.0, 0.15))
+    u0 = gausson(g, potential.c0)
+    zs = minimax_mod._q_samples(potential, 2.0, 9)
+    t, j, beta = path_table(u0, zs, eps, potential)
+    assert t.shape == j.shape == (len(zs),) and beta.shape == zs.shape
+    for k, z in enumerate(zs):
+        f = phi_path(u0, z, eps, potential)
+        assert np.array_equal(f.values, t[k] * u0.values)
+        j_field = field_energy(f.grid, f.values, potential_samples(potential, f.grid, eps))[0]
+        assert abs(j[k] - j_field) <= 1e-13 * abs(j_field)
+        assert np.array_equal(beta[k], barycenter(f))
+
+
+def test_path_table_applies_one_laplacian(monkeypatch):
+    # import_module: the package attribute lognls.energy is the function energy
+    energy_mod = importlib.import_module("lognls.energy")
+    real = energy_mod.laplacian_array
+    calls = []
+
+    def counted(grid, values):
+        calls.append(grid)
+        return real(grid, values)
+
+    monkeypatch.setattr(energy_mod, "laplacian_array", counted)
+    g = Grid(2, 10.0, _odd_points(10.0, 0.3))
+    u0 = gausson(g, SADDLE.c0)
+    for n in (1, 9, 40):
+        calls.clear()
+        zs = minimax_mod._q_samples(SADDLE, 2.0, n)
+        path_table(u0, zs, 0.1, SADDLE)
+        assert len(calls) == 1, f"{len(zs)} rows"
+
+
 def test_sign_condition_report():
     eps_values = (0.4, 0.1)
     g = path_grid(min(eps_values))
@@ -146,21 +197,40 @@ def test_level_d_model_gap():
     assert res.value >= m - 1e-6
 
 
+def test_level_d_penalty_pulls_an_asymmetric_minimizer_into_y():
+    # the odd term in z0 moves the free minimizer off Y, so the penalty has
+    # to do the work: beta_X falls with mu and only the last stage is feasible
+    pot = expression_potential("1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0.1*z0/(1+z0**2)", 2, [0])
+    res = level_d(Grid(2, 6.0, 31), pot, 0.4, solver=SolverConfig(tol=1e-6, max_iters=500))
+    first, last = res.stages[0], res.stages[-1]
+    assert first["beta_x_norm"] > 0.1
+    assert last["beta_x_norm"] <= 1e-3
+    assert res.feasible
+    feasible = [s for s in res.stages if s["beta_x_norm"] <= 1e-3]
+    assert res.value == feasible[-1]["J"]
+
+
 def test_barycenter_penalty_value_and_gradient(rng):
     g = build_grid(2, 7.0, 65)
     u = smooth_field(g, rng, positive=True).values
     pen = _BarycenterPenalty(10.0, direction_weights(g)[:, [0]], g.cell_volume)
+
+    def value(v):
+        # priced from the energy kernel's u^2 and mass, as the solver does
+        _, sq, _, _, mass, _ = energy_terms(g, v, 0.0)
+        return pen.value(sq, mass)
+
     beta = barycenter(GridField(g, u))
     assert abs(beta[0]) > 1e-2  # the random field is off-center along X
-    assert pen.value(u) == pytest.approx(10.0 * beta[0] ** 2, rel=1e-12)
-    assert pen.value(3.0 * u) == pytest.approx(pen.value(u), rel=1e-12)
+    assert value(u) == pytest.approx(10.0 * beta[0] ** 2, rel=1e-12)
+    assert value(3.0 * u) == pytest.approx(value(u), rel=1e-12)
     # L2 gradient: h^N <grad, d> is the directional derivative
     d = smooth_field(g, rng).values
     s = 1e-5
-    fd = (pen.value(u + s * d) - pen.value(u - s * d)) / (2 * s)
+    fd = (value(u + s * d) - value(u - s * d)) / (2 * s)
     assert g.cell_volume * float(np.dot(pen.gradient(u), d)) == pytest.approx(fd, rel=1e-6)
     zero = np.zeros(g.num_nodes)
-    assert pen.value(zero) == 0.0 and not np.any(pen.gradient(zero))
+    assert value(zero) == 0.0 and not np.any(pen.gradient(zero))
 
 
 def test_level_d_requires_nontrivial_y():

@@ -267,7 +267,7 @@ def test_reduced_objective_matches_direct_energy(rng, grid_2d, factor):
     # near the Nehari set (factor 1) and with t far from 1 both ways
     u = project_nehari(smooth_field(grid_2d, rng, positive=True), 0.3, 1.0)
     c = factor * u.values * (1.0 + 0.01 * np.cos(node_coordinates(grid_2d)[:, 0]))
-    _, kin, pot, mass, ent = energy_terms(grid_2d, c, np.full(grid_2d.num_nodes, 0.3))
+    _, _, kin, pot, mass, ent = energy_terms(grid_2d, c, np.full(grid_2d.num_nodes, 0.3))
     t, j_reduced = _reduced_objective(kin + pot - ent, mass)
     assert t == pytest.approx(nehari_scale(GridField(grid_2d, c), 0.3, 1.0), rel=1e-14)
     if factor != 1.0:
@@ -281,8 +281,9 @@ def test_reduced_objective_matches_direct_energy(rng, grid_2d, factor):
 def test_energy_terms_kernel(rng, grid_2d):
     u = smooth_field(grid_2d, rng)
     vsamp = 0.2 + 0.1 * np.sin(node_coordinates(grid_2d)[:, 1])
-    lap, kin, pot, mass, ent = energy_terms(grid_2d, u.values, vsamp)
+    lap, sq, kin, pot, mass, ent = energy_terms(grid_2d, u.values, vsamp)
     assert np.array_equal(lap, lognls.grid.laplacian_array(grid_2d, u.values))
+    assert np.array_equal(sq, u.values * u.values)
     assert kin == kinetic_array(grid_2d, u.values, u.values)
     assert pot == integrate_array(grid_2d, vsamp * u.values**2)
     assert mass == integrate_array(grid_2d, u.values**2)
