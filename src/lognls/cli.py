@@ -339,6 +339,16 @@ def build_certificate_config(cfg: dict) -> CertificateConfig:
     )
 
 
+def require_y_axis(cfg: dict) -> None:
+    """A certificate's D_eps constrains the barycenter to Y, so
+    ``potential.x_axes`` must leave Y an axis; other commands take any X."""
+    x_axes, dim = cfg["potential"]["x_axes"], cfg["grid"]["dim"]
+    if len(x_axes) == dim:
+        raise ConfigError(
+            [f"potential.x_axes must leave an axis to Y for a certificate, got {x_axes} in dimension {dim}"]
+        )
+
+
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = {k: dict(v) if isinstance(v, dict) else v for k, v in DEFAULT_CONFIG.items()}
     if path:
@@ -461,6 +471,7 @@ def cmd_check_potential(args) -> int:
 
 def cmd_saddle_cert(args) -> int:
     cfg = load_config(args.config, {})
+    require_y_axis(cfg)
     cert_cfg = build_certificate_config(cfg)
     cert = certificate(args.eps, cert_cfg)
     outdir = ensure_outdir(cfg)
@@ -490,6 +501,7 @@ def cmd_sweep_eps(args) -> int:
     if args.eps:
         overrides["sweep"] = {"eps": [float(e) for e in args.eps]}
     cfg = load_config(args.config, overrides)
+    require_y_axis(cfg)
     cert_cfg = build_certificate_config(cfg)
     outdir = ensure_outdir(cfg)
     certs = sweep_eps(cfg["sweep"]["eps"], cert_cfg)

@@ -129,6 +129,63 @@ def laplacian_array(grid: Grid, values: NDArray) -> NDArray:
     return (out / h2).ravel()
 
 
+# rows per rfft call of the DST-I: bounds the odd-extension buffer and the
+# transform's complex output at a block, not the whole array
+_DST_BLOCK_ROWS = 32
+
+
+def _dst1(a: NDArray) -> NDArray:
+    """Unnormalized DST-I along the last axis of a 2-D array, as
+    ``scipy.fft.dst(a, type=1, axis=-1)``: y_k = 2 sum_j a_j sin(pi (j+1)(k+1)/(n+1)).
+
+    The odd extension [0, -a, 0, reversed a] of length 2n+2 has the DFT
+    i y at the frequencies 1..n, so y is the imaginary part of its rfft.
+    Rows go through a block at a time.
+    """
+    rows, n = a.shape
+    out = np.empty((rows, n))
+    ext = np.zeros((min(rows, _DST_BLOCK_ROWS), 2 * n + 2))
+    for start in range(0, rows, _DST_BLOCK_ROWS):
+        block = a[start : start + _DST_BLOCK_ROWS]
+        b = len(block)
+        np.negative(block, out=ext[:b, 1 : n + 1])
+        ext[:b, n + 2 :] = block[:, ::-1]
+        out[start : start + b] = np.fft.rfft(ext[:b], axis=1).imag[:, 1 : n + 1]
+    return out
+
+
+@lru_cache(maxsize=16)
+def _dirichlet_eigenvalues(grid: Grid) -> NDArray:
+    """Eigenvalues 4/h^2 sin^2(pi k / 2(n+1)), k = 1..n, of the 1-D stencil
+    -Lap_h with zero ghosts; sin(pi j k/(n+1)) are its eigenvectors."""
+    n = grid.points_per_axis
+    k = np.arange(1, n + 1)
+    return (2.0 / grid.spacing * np.sin(0.5 * math.pi * k / (n + 1))) ** 2
+
+
+def shifted_laplacian_solve(grid: Grid, values: NDArray, sigma: float) -> NDArray:
+    """The w with (-Lap_h + sigma) w = values, for sigma > 0 and the stencil
+    of ``laplacian_array`` (zero ghosts).
+
+    That operator is diagonal in the DST-I basis of every axis, so the solve
+    is one transform per axis, a division by the eigenvalue sums, and the
+    same transforms again (DST-I is its own inverse up to 2(n+1)).
+    """
+    n = grid.points_per_axis
+    lam = _dirichlet_eigenvalues(grid)
+    a = values.reshape(-1, n)
+    if grid.dim == 1:
+        w = _dst1(a)
+        w /= lam + sigma
+        out = _dst1(w)
+    else:
+        w = _dst1(_dst1(a).T)  # transformed along both axes, stored transposed
+        w /= lam[:, None] + (lam + sigma)
+        out = _dst1(_dst1(w).T)
+    out /= (2.0 * (n + 1)) ** grid.dim
+    return out.ravel()
+
+
 def integrate_array(grid: Grid, values: NDArray) -> float:
     # np.sum uses pairwise summation on a contiguous row-major array, which is
     # a fixed reduction order: results are reproducible bit for bit.

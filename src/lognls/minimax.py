@@ -111,28 +111,49 @@ def path_table(u0: GridField, zs, eps: float, potential) -> tuple[NDArray, NDArr
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     if zs.ndim != 2 or zs.shape[1] != dim:
         raise ValueError(f"z must have {dim} components")
-    _, sq, kin, _, mass, ent = energy_terms(u0.grid, u0.values, 0.0)
-    if mass <= 0:
-        raise ValueError("the path is undefined for the zero field")
+    terms = _path_terms(u0)
     t, j, beta = np.empty(len(zs)), np.empty(len(zs)), np.empty((len(zs), dim))
     for k, z in enumerate(zs):
         frame = _path_frame(u0.grid, z, eps)
-        pot = integrate_array(frame, potential_samples(potential, frame, eps) * sq)
-        t[k], j[k] = _reduced_objective(kin + pot - ent, mass)
+        t[k], j[k] = _path_level(terms, frame, potential_samples(potential, frame, eps))
         beta[k] = _barycenter_values(frame, t[k] * u0.values)
     return t, j, beta
+
+
+def _path_terms(u0: GridField) -> tuple[NDArray, float, float, float]:
+    """(u0^2, kin, mass, ent) of u0, the frame-independent part of the path."""
+    _, sq, kin, _, mass, ent = energy_terms(u0.grid, u0.values, 0.0)
+    if mass <= 0:
+        raise ValueError("the path is undefined for the zero field")
+    return sq, kin, mass, ent
+
+
+def _path_level(terms: tuple, frame: Grid, vsamp: NDArray) -> tuple[float, float]:
+    """(t, J(t u0)) in a frame from its potential samples."""
+    sq, kin, mass, ent = terms
+    pot = integrate_array(frame, vsamp * sq)
+    return _reduced_objective(kin + pot - ent, mass)
 
 
 def _path_frame(grid: Grid, z: NDArray, eps: float) -> Grid:
     return replace(grid, center=np.add(grid.center, z / eps))
 
 
-def phi_path(u0: GridField, z, eps: float, potential) -> GridField:
+def phi_path(u0: GridField, z, eps: float, potential, vsamp: Optional[NDArray] = None) -> GridField:
     """Path field Phi_eps(z), one row of ``path_table`` as a field: t*u0 on
-    u0's grid with the center shifted by z/eps, so it never leaves the box."""
+    u0's grid with the center shifted by z/eps, so it never leaves the box.
+
+    ``vsamp`` is V(eps x) on that moved frame, for a caller that has sampled
+    it already; otherwise it is sampled here.
+    """
     z = np.asarray(z, dtype=float).ravel()
-    t = path_table(u0, z, eps, potential)[0][0]
-    return GridField(_path_frame(u0.grid, z, eps), t * u0.values)
+    if z.size != u0.grid.dim:
+        raise ValueError(f"z must have {u0.grid.dim} components")
+    frame = _path_frame(u0.grid, z, eps)
+    if vsamp is None:
+        vsamp = potential_samples(potential, frame, eps)
+    t = _path_level(_path_terms(u0), frame, vsamp)[0]
+    return GridField(frame, t * u0.values)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +277,9 @@ def level_d(
     schedule.  The returned value is an UPPER bound of the true infimum;
     infeasibility against ``beta_tol`` is reported explicitly, and so is a
     stage that did not converge (``converged``).  The seed is the Gausson at
-    the origin with level V(0), as in ``ground_state``.
+    the origin with level V(0), as in ``ground_state``; each later stage
+    starts from whichever of the seed and the previous iterate has the lower
+    objective at the stage's own mu.
     """
     if len(potential.y_axes) == 0:
         raise ValueError("level_d needs a nontrivial Y subspace")
@@ -264,7 +287,13 @@ def level_d(
     vsamp = potential_samples(potential, grid, eps)
     x_axes = list(potential.x_axes)
     wx = direction_weights(grid)[:, x_axes]
-    u = _gausson_seed(grid, potential)
+    seed = _gausson_seed(grid, potential)
+    u = seed
+
+    def penalized(values: NDArray, penalty: _BarycenterPenalty) -> float:
+        """The stage's objective at the Nehari point of the ray through values."""
+        _, sq, kin, pot, mass, ent = energy_terms(grid, values, vsamp)
+        return _reduced_objective(kin + pot - ent, mass)[1] + penalty.value(sq, mass)
 
     stages = []
     best_value = math.inf
@@ -272,6 +301,10 @@ def level_d(
     best_beta = math.inf
     for mu in penalty_schedule:
         penalty = _BarycenterPenalty(mu, wx, grid.cell_volume)
+        if u is not seed:
+            # an iterate that a weaker penalty let drift off Y can sit above
+            # the seed at this mu; restart from the seed then
+            u = min((u, seed), key=lambda c: penalized(c, penalty))
         u, info = minimize_on_nehari(grid, vsamp, u, solver, extra_term=penalty)
         beta_x = _x_norm(_barycenter_values(grid, u)[x_axes])
         j_val = field_energy(grid, u, vsamp)[0]
@@ -488,11 +521,15 @@ def theta_r_estimate(
         n_feasible += 1
         best = min(best, field_energy(frame, cand, vsamp)[0])
 
+    def path_point(z: NDArray) -> tuple[GridField, NDArray]:
+        """Phi_eps(z) and V(eps x) on its frame, from one sampling of V."""
+        vsamp = potential_samples(potential, _path_frame(grid, z, eps), eps)
+        return phi_path(u0, z, eps, potential, vsamp=vsamp), vsamp
+
     origin = None
     for z in _q_samples(potential, R, n_centers):
-        base = phi_path(u0, z, eps, potential)
+        base, vsamp = path_point(z)
         frame = base.grid
-        vsamp = potential_samples(potential, frame, eps)
         if not np.any(z):
             origin = (base, vsamp)
         consider(frame, base.values, vsamp)
@@ -506,8 +543,7 @@ def theta_r_estimate(
     included = False
     if extra_candidate is not None:
         if origin is None:
-            base = phi_path(u0, np.zeros(grid.dim), eps, potential)
-            origin = (base, potential_samples(potential, base.grid, eps))
+            origin = path_point(np.zeros(grid.dim))
         base, vsamp = origin
         if extra_candidate.grid != base.grid:
             raise ValueError("extra_candidate must live on the grid of u0")

@@ -14,6 +14,12 @@ used throughout as an analytic oracle; the associated ground-state level is
 m(A) = 1/2 e^{N+A} pi^{N/2} provided the Gausson attains it.  That premise is
 not assumed silently: the solver compares converged constant-potential
 energies against the closed form and raises a diagnostic flag on violation.
+
+Every minimization on the Nehari set (the ground state here, the
+barycenter-constrained level in ``minimax``) runs through one descent,
+``minimize_on_nehari``: a scaled Sobolev step, preconditioned by the exact
+inverse of -Lap_h + sigma (DST-I, ``grid.shifted_laplacian_solve``), so its
+iteration count does not grow as the mesh is refined.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .energy import SplitParams, _safe_log_sq, energy_terms, potential_samples
-from .grid import Grid, GridField, integrate_array, node_coordinates
+from .grid import Grid, GridField, integrate_array, node_coordinates, shifted_laplacian_solve
 
 _EXP_CLIP = 700.0  # exp argument beyond this overflows float64
 
@@ -36,6 +42,10 @@ _ARMIJO_INIT = 1.0
 _ARMIJO_SHRINK = 0.5
 _ARMIJO_DECREASE = 1e-4
 _MAX_BACKTRACKS = 40
+
+# a trial keeps at least this fraction of every node of the iterate, so the
+# step never clips a positive node to 0
+_STEP_FLOOR = 0.5
 
 
 @dataclass
@@ -172,12 +182,25 @@ def minimize_on_nehari(
 ):
     """Monotone descent of J (+ optional smooth extra term) on the Nehari set.
 
-    Each step: descend, clamp to the nonnegative cone, rescale back onto the
-    Nehari set.  Backtracking keeps the recorded objective non-increasing.
+    Each step: descend along the scaled Sobolev direction, floor the trial
+    at half the iterate, rescale back onto the Nehari set.  Backtracking
+    keeps the recorded objective non-increasing.
     ``extra_term`` has ``value(sq, mass)``, priced from the trial's c^2 and
     integral(c^2) as the energy kernel returns them, and
     ``gradient(values)``; it must not change under positive rescaling, and
     is used by the penalized barycenter-constrained minimization.
+
+    The direction is d = S (-Lap_h + sigma)^-1 S g for the L2 gradient g,
+    with sigma = 1 + mean V and S = diag sqrt(sigma / max(sigma, V - 1 -
+    log u^2)).  The Hessian of J is -Lap + V - 2 - log u^2 near u; the
+    Sobolev metric (solved exactly by DST-I, ``shifted_laplacian_solve``)
+    takes its stencil part, which is what makes the iteration count flat in
+    the mesh, and S damps the nodes whose local term exceeds sigma: the
+    Gaussian tail, where -log u^2 grows like |x|^2.  The trial
+    c = max(u - alpha d, u/2) can at most halve a node, so no positive node
+    reaches 0 and the nonlocal direction is never clipped at the cone; nodes
+    at 0 fill in where d < 0.  Armijo asks for a decrease proportional to
+    <g, u - c>_h.
 
     A trial c costs one energy kernel call and no more: with p = J'(c)c,
     m = integral(c^2) and log t = p / 2m its projection t c has the reduced
@@ -191,6 +214,7 @@ def minimize_on_nehari(
     trials of all iterations.
     """
     h_n = grid.cell_volume
+    sigma = 1.0 + float(np.mean(vsamp))
 
     def projected(cand: NDArray):
         """(Lap c, t, ||c||_eps^2, objective at t c), or None for c = 0."""
@@ -220,7 +244,8 @@ def minimize_on_nehari(
 
     for iterations in range(1, config.max_iters + 1):
         # u >= 0, and log(1) = 0 at its zero nodes keeps 0 log 0 = 0
-        g = -lap + vsamp * u - u * _safe_log_sq(u)
+        log_sq = _safe_log_sq(u)
+        g = -lap + vsamp * u - u * log_sq
         if extra_term is not None:
             g = g + extra_term.gradient(u)
 
@@ -232,6 +257,15 @@ def minimize_on_nehari(
             converged = True
             break
 
+        # the direction; every temporary but d is dropped before the line
+        # search, which keeps the peak memory at u, Lap u, g and d
+        del g_proj
+        scale = np.sqrt(sigma / np.maximum(sigma, vsamp - 1.0 - log_sq))
+        del log_sq
+        d = shifted_laplacian_solve(grid, scale * g, sigma)
+        d *= scale
+        del scale
+
         trial = min(_ARMIJO_INIT, 2.0 * alpha)
         accepted = False
         # near the rounding floor the certified decrease per step drops below
@@ -242,13 +276,11 @@ def minimize_on_nehari(
         noise_guard = 32.0 * np.finfo(float).eps * max(1.0, eps_norm_sq)
         for _ in range(_MAX_BACKTRACKS):
             trials += 1
-            cand = np.clip(u - trial * g, 0.0, None)
-            diff = cand - u
-            step_sq = h_n * float(np.dot(diff, diff))
+            cand = np.maximum(u - trial * d, _STEP_FLOOR * u)
             point = projected(cand)
             if point is not None:
                 lap_c, t, norm_c, j_new = point
-                decrease = _ARMIJO_DECREASE / max(trial, 1e-300) * step_sq
+                decrease = _ARMIJO_DECREASE * h_n * float(np.dot(g, u - cand))
                 certified = j_new <= j_cur - decrease
                 noise_step = trial <= alpha and j_new <= j_cur + noise_guard
                 if certified or noise_step:

@@ -411,3 +411,20 @@ def test_split_cutoff_does_not_change_certificates(tmp_path, capsys, monkeypatch
         written.append((outdir / "sweep_eps.csv").read_bytes())
     assert written[0] == written[1]
 
+
+
+@pytest.mark.parametrize("argv", [["saddle-cert", "--eps", "0.3"], ["sweep-eps"]])
+def test_empty_y_is_config_error_for_certificates(tmp_path, capsys, monkeypatch, argv):
+    # D_eps constrains the barycenter to Y; an X spanning every axis leaves none
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**TINY_CONFIG, "potential": {"x_axes": [0, 1]}, "output": {"directory": "out"}}))
+    code = main(argv + ["--config", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CONFIG
+    assert len(out["violations"]) == 1
+    assert out["violations"][0].startswith("potential.x_axes ")
+    assert not (tmp_path / "out").exists()  # refused before any output
+    # the potential checks have no Y constraint and still accept it
+    assert main(["check-potential", "--config", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["potential"]["y_axes"] == []

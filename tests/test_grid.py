@@ -5,8 +5,10 @@ import pytest
 
 from dataclasses import replace
 
+import lognls.grid as grid_mod
 from lognls.grid import (
     GridField,
+    _dst1,
     build_grid,
     dump_field,
     h1_inner,
@@ -15,6 +17,7 @@ from lognls.grid import (
     laplacian_apply,
     load_field,
     node_coordinates,
+    shifted_laplacian_solve,
 )
 
 from conftest import smooth_field
@@ -205,3 +208,31 @@ def test_dump_field_refuses_moved_frame(tmp_path, grid_2d):
     moved = replace(grid_2d, center=(0.5, 0.0))
     with pytest.raises(ValueError):
         dump_field(GridField(moved, np.zeros(moved.num_nodes)), str(tmp_path / "f.txt"))
+
+
+# ---------------------------------------------------------------------------
+# the Sobolev metric (-Lap_h + sigma) and its DST-I solve
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rows", [1, grid_mod._DST_BLOCK_ROWS, 2 * grid_mod._DST_BLOCK_ROWS + 5])
+@pytest.mark.parametrize("n", [16, 17])
+def test_dst1_matches_scipy(rng, rows, n):
+    from scipy.fft import dst
+
+    a = rng.standard_normal((rows, n))
+    assert np.allclose(_dst1(a), dst(a, type=1, axis=-1), rtol=0.0, atol=1e-12 * np.max(np.abs(a)) * n)
+    # a transposed view, as the solve passes for the second axis
+    b = rng.standard_normal((n, rows)).T
+    assert np.allclose(_dst1(b), dst(b, type=1, axis=-1), rtol=0.0, atol=1e-12 * np.max(np.abs(b)) * n)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (1, 65), (2, 64), (2, 65), (2, 2 * grid_mod._DST_BLOCK_ROWS + 5)])
+@pytest.mark.parametrize("sigma", [0.3, 2.0])
+def test_shifted_laplacian_solve_inverts_the_stencil(rng, dim, n, sigma):
+    g = build_grid(dim, 7.0, n)
+    f = rng.standard_normal(g.num_nodes)
+    f_before = f.copy()
+    w = shifted_laplacian_solve(g, f, sigma)
+    residual = -grid_mod.laplacian_array(g, w) + sigma * w - f
+    assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(f))
+    assert np.array_equal(f, f_before)  # the input is left as it was

@@ -43,6 +43,8 @@ from conftest import smooth_field
 PARAMS = SplitParams()
 SADDLE = model_saddle(1.0, 1.25, 2, (0,), 0.5)
 CONST = constant_potential(1.0, 2, (0,), 0.5)
+# an odd term in z0 moves the free minimizer off Y
+ASYMMETRIC = "1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0.1*z0/(1+z0**2)"
 
 
 def path_grid(eps, R=2.0, h=0.15):
@@ -140,7 +142,10 @@ def test_path_table_matches_the_path_fields(potential, eps):
     for k, z in enumerate(zs):
         f = phi_path(u0, z, eps, potential)
         assert np.array_equal(f.values, t[k] * u0.values)
-        j_field = field_energy(f.grid, f.values, potential_samples(potential, f.grid, eps))[0]
+        vsamp = potential_samples(potential, f.grid, eps)
+        # samples the caller passes in (the Theta scan's) give the same field
+        assert np.array_equal(phi_path(u0, z, eps, potential, vsamp=vsamp).values, f.values)
+        j_field = field_energy(f.grid, f.values, vsamp)[0]
         assert abs(j[k] - j_field) <= 1e-13 * abs(j_field)
         assert np.array_equal(beta[k], barycenter(f))
 
@@ -200,7 +205,7 @@ def test_level_d_model_gap():
 def test_level_d_penalty_pulls_an_asymmetric_minimizer_into_y():
     # the odd term in z0 moves the free minimizer off Y, so the penalty has
     # to do the work: beta_X falls with mu and only the last stage is feasible
-    pot = expression_potential("1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0.1*z0/(1+z0**2)", 2, [0])
+    pot = expression_potential(ASYMMETRIC, 2, [0])
     res = level_d(Grid(2, 6.0, 31), pot, 0.4, solver=SolverConfig(tol=1e-6, max_iters=500))
     first, last = res.stages[0], res.stages[-1]
     assert first["beta_x_norm"] > 0.1
@@ -208,6 +213,29 @@ def test_level_d_penalty_pulls_an_asymmetric_minimizer_into_y():
     assert res.feasible
     feasible = [s for s in res.stages if s["beta_x_norm"] <= 1e-3]
     assert res.value == feasible[-1]["J"]
+
+
+@pytest.mark.parametrize("eps", [0.4, 0.2, 0.1, 0.05])
+def test_level_d_first_stage_iterations_on_the_default_grid(eps):
+    # the L2 step took 432 / 122 / 116 / 114 iterations in stage mu = 1
+    cfg = CertificateConfig(potential=SADDLE)
+    res = level_d(cfg.grid(), SADDLE, eps, solver=cfg.solver)
+    assert res.stages[0]["mu"] == 1.0
+    assert res.stages[0]["converged"]
+    assert res.stages[0]["iterations"] <= 100
+    assert res.feasible and res.converged
+
+
+def test_level_d_restarts_a_stage_from_the_seed_when_it_is_lower():
+    # stage mu = 1 runs off to beta_X ~ 1 on this potential; carried into
+    # mu = 10 that iterate ended infeasible, so the stage restarts from the
+    # seed, whose penalized objective is lower there
+    pot = expression_potential(ASYMMETRIC, 2, [0])
+    res = level_d(Grid(2, 10.0, 135), pot, 0.4)
+    assert res.stages[0]["beta_x_norm"] > 0.9
+    assert res.feasible and res.converged
+    assert res.beta_x_norm <= 1e-3
+    assert res.value == pytest.approx(39.76935, abs=1e-6)
 
 
 def test_barycenter_penalty_value_and_gradient(rng):

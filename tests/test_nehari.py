@@ -322,3 +322,26 @@ def test_scale_projection_energy_unchanged_by_kernel(rng, grid_1d, grid_2d, dim)
             assert eb.pairing_JprimeU == pairing
             assert eb.half_mass == 0.5 * mass
             assert eb.eps_norm_sq == eps_norm_sq
+
+
+# ---------------------------------------------------------------------------
+# scaled Sobolev step: iteration counts flat in the mesh
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [65, 135, 269])
+def test_ground_state_iterations_do_not_grow_with_the_mesh(n):
+    # the L2 step took 112 / 119 / 547 iterations here
+    sol = ground_state(build_grid(2, 10.0, n), 1.0, 1.0, config=SolverConfig(tol=1e-6, max_iters=4000))
+    assert sol.converged
+    assert sol.iterations <= 60
+
+
+def test_ground_state_from_a_seed_with_zero_nodes():
+    # the Gausson seed underflows to exact zeros in the far tail; the step
+    # must fill them in from 0 and still reach the tight tolerance
+    g = build_grid(1, 40.0, 801)
+    assert np.count_nonzero(gausson(g, 0.0).values == 0.0) == 28
+    sol = ground_state(g, 0.0, 1.0, config=SolverConfig(tol=1e-8))
+    assert sol.converged and sol.diagnostics["rel_grad"] <= 1e-8
+    assert np.all(sol.field.values >= 0)
+    assert sol.energy == pytest.approx(m_closed_form(0.0, 1), rel=1e-3)
