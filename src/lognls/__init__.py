@@ -33,6 +33,7 @@ from .minimax import (
     choose_r,
     level_d,
     level_sup_x,
+    path_levels,
     path_table,
     phi_path,
     sign_condition,

@@ -19,9 +19,10 @@ non-convergence, 4 certificate inconclusive (for sweep-eps: any row, after
 all rows are written; or a numerical ValueError), 5 internal defect (a
 failed internal consistency assertion).  A config file that is not valid
 JSON, a config or block that is not a JSON object, a setting of the wrong
-type or range, and a block or key that nothing reads are config errors, not
-silently ignored or left to fail later.  Every default lives in
-DEFAULT_CONFIG; the builders read the merged, validated config only.
+type or range, a --eps or --R flag that is not finite and positive, and a
+block or key that nothing reads are config errors, not silently ignored or
+left to fail later.  Every default lives in DEFAULT_CONFIG; the builders
+read the merged, validated config only.
 
 The split block (the cutoff delta) enters only the Phi/Psi energy breakdown
 that ground-state reports.  Every certificate number is a value of J itself,
@@ -175,6 +176,10 @@ def _is_positive(x) -> bool:
     return _is_number(x) and x > 0
 
 
+def _is_positive_finite(x) -> bool:
+    return _is_positive(x) and math.isfinite(x)
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -257,8 +262,8 @@ def validate_config(cfg: dict) -> list[str]:
 
     sw = cfg.get("sweep", {})
     eps_list = sw.get("eps")
-    if not (isinstance(eps_list, list) and all(_is_positive(e) for e in eps_list)):
-        problems.append(f"sweep.eps must be a list of positive numbers, got {eps_list}")
+    if not (isinstance(eps_list, list) and all(_is_positive_finite(e) for e in eps_list)):
+        problems.append(f"sweep.eps must be a list of finite positive numbers, got {eps_list}")
     if not _is_int(sw.get("seed")):
         problems.append(f"sweep.seed must be an integer, got {sw.get('seed')}")
 
@@ -369,6 +374,18 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
+def check_flags(**flags) -> None:
+    """Numbers a command takes from its flags, not from the config, obey the
+    sweep.eps rule: finite and positive, checked before any output."""
+    problems = [
+        f"--{name} must be a finite positive number, got {value}"
+        for name, value in flags.items()
+        if not _is_positive_finite(value)
+    ]
+    if problems:
+        raise ConfigError(problems)
+
+
 def ensure_outdir(cfg: dict) -> str:
     outdir = cfg["output"]["directory"]
     os.makedirs(outdir, exist_ok=True)
@@ -414,6 +431,7 @@ def cmd_gausson(args) -> int:
 
 
 def cmd_ground_state(args) -> int:
+    check_flags(eps=args.eps)
     overrides: dict = {}
     if args.V is not None:
         overrides["potential"] = parse_potential_flag(args.V)
@@ -470,6 +488,7 @@ def cmd_check_potential(args) -> int:
 
 
 def cmd_saddle_cert(args) -> int:
+    check_flags(eps=args.eps)
     cfg = load_config(args.config, {})
     require_y_axis(cfg)
     cert_cfg = build_certificate_config(cfg)
@@ -538,6 +557,7 @@ def cmd_sweep_eps(args) -> int:
 
 
 def cmd_barycenter_zero(args) -> int:
+    check_flags(eps=args.eps, R=args.R)
     cfg = load_config(args.config, {})
     cert_cfg = build_certificate_config(cfg)
     pot = cert_cfg.potential

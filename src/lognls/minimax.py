@@ -11,7 +11,8 @@ of u0 and all four numbers below come from one grid:
   penalized minimization; an UPPER bound of the true infimum),
 * sup_X J(Phi_eps(x)) over the disc Q in X,
 * Theta_r -- inf of J over an r-neighborhood of the path image with
-  barycenter in Y (sampled; again an upper bound),
+  barycenter in Y (sampled around Phi_eps(0), the one path point whose
+  X-symmetric perturbations can lie in Y; again an upper bound),
 * R -- a disc radius whose boundary values sit below a threshold.
 
 The minimax value over continuous fillings of Q is never computed; the
@@ -98,26 +99,40 @@ def _weighted_mass(grid: Grid, values: NDArray, vsamp: NDArray) -> float:
 # the path in a moving frame
 # ---------------------------------------------------------------------------
 
-def path_table(u0: GridField, zs, eps: float, potential) -> tuple[NDArray, NDArray, NDArray]:
-    """(t, J, beta) of the path fields Phi_eps(z), one entry per row z of ``zs``.
+def path_levels(u0: GridField, zs, eps: float, potential) -> tuple[NDArray, NDArray]:
+    """(t, J) of the path fields Phi_eps(z), one entry per row z of ``zs``.
 
     Phi_eps(z) is t*u0 with the frame center moved to z/eps.  Kinetic, mass
     and log terms do not see the frame, so one energy kernel call on u0
     serves every row; a row samples V once for pot(z) = integral(V u0^2) in
-    its frame, takes (t, J) from the reduced objective, and reads beta off
-    t*u0 with the frame's directions, as ``barycenter(phi_path(...))`` does.
+    its frame and takes (t, J) from the reduced objective.
     """
-    dim = u0.grid.dim
-    zs = np.atleast_2d(np.asarray(zs, dtype=float))
-    if zs.ndim != 2 or zs.shape[1] != dim:
-        raise ValueError(f"z must have {dim} components")
+    zs = _z_rows(u0.grid, zs)
     terms = _path_terms(u0)
-    t, j, beta = np.empty(len(zs)), np.empty(len(zs)), np.empty((len(zs), dim))
+    t, j = np.empty(len(zs)), np.empty(len(zs))
     for k, z in enumerate(zs):
         frame = _path_frame(u0.grid, z, eps)
         t[k], j[k] = _path_level(terms, frame, potential_samples(potential, frame, eps))
-        beta[k] = _barycenter_values(frame, t[k] * u0.values)
+    return t, j
+
+
+def path_table(u0: GridField, zs, eps: float, potential) -> tuple[NDArray, NDArray, NDArray]:
+    """(t, J, beta) of the path fields: ``path_levels`` plus the barycenter,
+    read off t*u0 with each frame's directions, as
+    ``barycenter(phi_path(...))`` does."""
+    zs = _z_rows(u0.grid, zs)
+    t, j = path_levels(u0, zs, eps, potential)
+    beta = np.empty(zs.shape)
+    for k, z in enumerate(zs):
+        beta[k] = _barycenter_values(_path_frame(u0.grid, z, eps), t[k] * u0.values)
     return t, j, beta
+
+
+def _z_rows(grid: Grid, zs) -> NDArray:
+    zs = np.atleast_2d(np.asarray(zs, dtype=float))
+    if zs.ndim != 2 or zs.shape[1] != grid.dim:
+        raise ValueError(f"z must have {grid.dim} components")
+    return zs
 
 
 def _path_terms(u0: GridField) -> tuple[NDArray, float, float, float]:
@@ -140,7 +155,7 @@ def _path_frame(grid: Grid, z: NDArray, eps: float) -> Grid:
 
 
 def phi_path(u0: GridField, z, eps: float, potential, vsamp: Optional[NDArray] = None) -> GridField:
-    """Path field Phi_eps(z), one row of ``path_table`` as a field: t*u0 on
+    """Path field Phi_eps(z), one row of ``path_levels`` as a field: t*u0 on
     u0's grid with the center shifted by z/eps, so it never leaves the box.
 
     ``vsamp`` is V(eps x) on that moved frame, for a caller that has sampled
@@ -390,7 +405,7 @@ def level_sup_x(
 ) -> SupXReport:
     """Max of J(Phi_eps(x)) over sampled Q, with the analytic cap
     m(c0) + (3/10) c2 integral(u0^2) for comparison."""
-    _, vals, _ = path_table(u0, _q_samples(potential, R, n_samples), eps, potential)
+    _, vals = path_levels(u0, _q_samples(potential, R, n_samples), eps, potential)
     m_c0 = m_closed_form(potential.c0, u0.grid.dim)
     mass_u0 = integrate_array(u0.grid, u0.values**2)
     cap = m_c0 + 0.3 * potential.c2 * mass_u0
@@ -433,7 +448,7 @@ def choose_r(
     achieved = {}
     for R in schedule:
         zs = _subspace_sphere(potential.dim, potential.x_axes, R, boundary_samples)
-        achieved[float(R)] = float(np.max(path_table(u0, zs, eps, potential)[1]))
+        achieved[float(R)] = float(np.max(path_levels(u0, zs, eps, potential)[1]))
         if achieved[float(R)] <= threshold:
             return ChooseRResult(float(R), threshold, achieved, True)
     return ChooseRResult(None, threshold, achieved, False)
@@ -472,8 +487,6 @@ def theta_r_estimate(
     potential: PotentialSpec,
     eps: float,
     r: float,
-    R: float,
-    n_centers: int = 9,
     n_perturb: int = 6,
     perturb_magnitudes=(0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0),
     seed: int = 0,
@@ -482,23 +495,30 @@ def theta_r_estimate(
 ) -> ThetaReport:
     """Sampled upper-bound estimate of Theta_r.
 
-    Candidates are path fields Phi_eps(x) over Q plus perturbations of norm
-    up to r (in the eps-norm of the frame they perturb; that choice of norm
-    matters and is fixed here), filtered to barycenter in Y.  The bumps are
-    drawn once in frame-relative coordinates and X-symmetrized about the
-    frame center.  ``perturb_magnitudes`` is an absolute ladder filtered by
-    <= r, so candidate sets nest across r and the estimate is non-increasing
-    in r by construction.  The scan streams: each candidate is built,
-    tested and dropped.  If ``extra_candidate`` (e.g. the level_d minimizer,
-    on the grid of u0) lies within r of the z = 0 path field, the only one in
-    absolute coordinates, it joins the candidate set; that is what links the
-    estimate to D_eps from above.
+    Candidates are the path field Phi_eps(0) plus perturbations of norm up
+    to r (in the eps-norm of its frame; that choice of norm matters and is
+    fixed here), filtered to barycenter in Y.  The bumps are drawn once in
+    frame-relative coordinates and X-symmetrized about the frame center.
+    ``perturb_magnitudes`` is an absolute ladder filtered by <= r, so
+    candidate sets nest across r and the estimate is non-increasing in r by
+    construction.  The scan streams: each candidate is built, tested and
+    dropped.  If ``extra_candidate`` (e.g. the level_d minimizer, on the
+    grid of u0) lies within r of Phi_eps(0), it joins the candidate set;
+    that is what links the estimate to D_eps from above.
+
+    Only the frame at z = 0 can hold a candidate in Y.  Around Phi_eps(z) a
+    candidate t*u0 + m*d is X-symmetric about the frame center c = z/eps.
+    Pair the nodes (c+s, y) and (c-s, y) along an X axis: their weights
+    x_X/|x| sum to phi_y(c+s) - phi_y(s-c), with phi_y(a) = a/sqrt(a^2+y^2)
+    strictly increasing for y != 0 and nondecreasing for y = 0.  So beta_X
+    of such a field has the sign of c_X, and it is nonzero unless all of the
+    mass lies on {y = 0}: no z != 0 in Q gives a field in Y.  ``beta_tol``
+    allows only for the rounding of beta_X at z = 0.
     """
     grid = u0.grid
     rng = np.random.default_rng(seed)
     rel = node_coordinates(grid) - np.asarray(grid.center)
-    # each bump with its kinetic term: the stencil sees only spacing and
-    # shape, which every frame shares, so one Laplacian serves all centers
+    # each bump with its kinetic term, one Laplacian per bump
     bumps = []
     for _ in range(n_perturb):
         c = rng.uniform(-2.0, 2.0, size=grid.dim)
@@ -510,45 +530,35 @@ def theta_r_estimate(
     magnitudes = [m for m in perturb_magnitudes if m <= r]
     x_axes = list(potential.x_axes)
 
+    # Phi_eps(0) is t*u0 in u0's own frame
+    vsamp = potential_samples(potential, grid, eps)
+    base = phi_path(u0, np.zeros(grid.dim), eps, potential, vsamp=vsamp)
+
     best = math.inf
     n_feasible = 0
 
-    def consider(frame: Grid, cand: NDArray, vsamp: NDArray) -> None:
+    def consider(cand: NDArray) -> None:
         nonlocal best, n_feasible
-        beta_x = _x_norm(_barycenter_values(frame, cand)[x_axes])
+        beta_x = _x_norm(_barycenter_values(grid, cand)[x_axes])
         if not beta_x <= beta_tol:  # NaN (zero field) is infeasible too
             return
         n_feasible += 1
-        best = min(best, field_energy(frame, cand, vsamp)[0])
+        best = min(best, field_energy(grid, cand, vsamp)[0])
 
-    def path_point(z: NDArray) -> tuple[GridField, NDArray]:
-        """Phi_eps(z) and V(eps x) on its frame, from one sampling of V."""
-        vsamp = potential_samples(potential, _path_frame(grid, z, eps), eps)
-        return phi_path(u0, z, eps, potential, vsamp=vsamp), vsamp
-
-    origin = None
-    for z in _q_samples(potential, R, n_centers):
-        base, vsamp = path_point(z)
-        frame = base.grid
-        if not np.any(z):
-            origin = (base, vsamp)
-        consider(frame, base.values, vsamp)
-        for bump, bump_kin in bumps:
-            norm = math.sqrt(bump_kin + _weighted_mass(frame, bump, vsamp))
-            if norm > 0:
-                d = bump / norm
-                for mag in magnitudes:
-                    consider(frame, base.values + mag * d, vsamp)
+    consider(base.values)
+    for bump, bump_kin in bumps:
+        norm = math.sqrt(bump_kin + _weighted_mass(grid, bump, vsamp))
+        if norm > 0:
+            d = bump / norm
+            for mag in magnitudes:
+                consider(base.values + mag * d)
 
     included = False
     if extra_candidate is not None:
-        if origin is None:
-            origin = path_point(np.zeros(grid.dim))
-        base, vsamp = origin
-        if extra_candidate.grid != base.grid:
+        if extra_candidate.grid != grid:
             raise ValueError("extra_candidate must live on the grid of u0")
-        if math.sqrt(eps_norm_sq(base.grid, extra_candidate.values - base.values, vsamp)) <= r:
-            consider(base.grid, extra_candidate.values, vsamp)
+        if math.sqrt(eps_norm_sq(grid, extra_candidate.values - base.values, vsamp)) <= r:
+            consider(extra_candidate.values)
             included = True
 
     feasible = math.isfinite(best)
@@ -776,17 +786,7 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
         )
     sigma = max(0.0, d_est - m_c0)
 
-    theta_q_radius = max(cfg.r_schedule)
-    theta = theta_r_estimate(
-        u0,
-        pot,
-        eps,
-        r=cfg.theta_radius,
-        R=theta_q_radius,
-        n_centers=cfg.q_samples,
-        seed=cfg.seed,
-        beta_tol=cfg.beta_tol,
-    )
+    theta = theta_r_estimate(u0, pot, eps, r=cfg.theta_radius, seed=cfg.seed, beta_tol=cfg.beta_tol)
     if not theta.feasible:
         inconclusive["theta_r"] = True
 

@@ -357,6 +357,7 @@ def test_readme_config_block_matches_defaults():
         ({"potential": {"x_axes": 0}}, "potential.x_axes"),
         ({"potential": {"x_axes": [0, 0]}}, "potential.x_axes"),
         ({"solvr": {"tol": 1e-6}}, "solvr"),
+        ({"sweep": {"eps": [0.4, float("inf")]}}, "sweep.eps"),
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch, config, name):
@@ -428,3 +429,30 @@ def test_empty_y_is_config_error_for_certificates(tmp_path, capsys, monkeypatch,
     # the potential checks have no Y constraint and still accept it
     assert main(["check-potential", "--config", str(path)]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["potential"]["y_axes"] == []
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["saddle-cert", "--eps", "-0.1"], "--eps"),
+        (["saddle-cert", "--eps", "0"], "--eps"),
+        (["saddle-cert", "--eps", "nan"], "--eps"),
+        (["saddle-cert", "--eps", "inf"], "--eps"),
+        (["barycenter-zero", "--eps", "-0.1"], "--eps"),
+        (["barycenter-zero", "--eps", "0.2", "--R", "-1"], "--R"),
+        (["barycenter-zero", "--eps", "0.2", "--R", "0"], "--R"),
+        (["ground-state", "--eps", "-0.5"], "--eps"),
+        (["ground-state", "--eps", "nan"], "--eps"),
+    ],
+)
+def test_flag_eps_and_r_must_be_finite_and_positive(tmp_path, capsys, monkeypatch, argv, flag):
+    # the same rule as every sweep.eps entry, applied before any output
+    monkeypatch.chdir(tmp_path)
+    cfg = write_tiny_config(tmp_path, tmp_path / "out")
+    code = main(argv + ["--config", cfg])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CONFIG
+    assert len(out["violations"]) == 1
+    assert out["violations"][0].startswith(f"{flag} ")
+    assert not (tmp_path / "out").exists()
+

@@ -326,7 +326,7 @@ def test_theta_monotone_in_r_and_bounds():
     m = m_closed_form(SADDLE.c0, 2)
     values = []
     for r in (0.05, 0.5, 2.0):
-        rep = theta_r_estimate(u0, SADDLE, eps, r=r, R=1.5, seed=11)
+        rep = theta_r_estimate(u0, SADDLE, eps, r=r, seed=11)
         assert rep.feasible and rep.upper_bound
         values.append(rep.value)
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
@@ -345,7 +345,7 @@ def test_theta_links_to_level_d_via_minimizer():
     f0 = phi_path(u0, np.zeros(2), eps, SADDLE)
     dist = math.sqrt(eps_norm_sq(g, d_res.field.values - f0.values, vsamp))
     rep = theta_r_estimate(
-        u0, SADDLE, eps, r=1.25 * dist + 1e-9, R=1.5, seed=11,
+        u0, SADDLE, eps, r=1.25 * dist + 1e-9, seed=11,
         extra_candidate=d_res.field,
     )
     assert rep.included_minimizer
@@ -492,6 +492,114 @@ def test_theta_bump_kinetic_term_once_per_bump(monkeypatch):
 
     monkeypatch.setattr(minimax_mod, "kinetic_array", counted)
     u0 = gausson(g, SADDLE.c0)
-    rep = theta_r_estimate(u0, SADDLE, 0.25, r=0.5, R=1.5, n_centers=9, n_perturb=6, seed=11)
+    rep = theta_r_estimate(u0, SADDLE, 0.25, r=0.5, n_perturb=6, seed=11)
     assert rep.feasible
     assert calls == [g.center] * 6
+
+
+def _nine_center_theta(u0, potential, eps, r, R, n_centers, seed, beta_tol,
+                       n_perturb=6, perturb_magnitudes=(0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0)):
+    """(value, n_feasible) of the earlier scan: the same seeded bumps, in the
+    same rng order, around Phi_eps(z) at every sample z of Q, not z = 0 only."""
+    grid = u0.grid
+    rng = np.random.default_rng(seed)
+    rel = minimax_mod.node_coordinates(grid) - np.asarray(grid.center)
+    bumps = []
+    for _ in range(n_perturb):
+        c = rng.uniform(-2.0, 2.0, size=grid.dim)
+        widths = rng.uniform(0.7, 2.0)
+        amp = rng.standard_normal()
+        bump = amp * np.exp(-np.sum((rel - c) ** 2, axis=1) / (2 * widths**2))
+        bump = minimax_mod._symmetrize_x(grid, bump, potential.x_axes)
+        bumps.append((bump, minimax_mod.kinetic_array(grid, bump, bump)))
+    magnitudes = [m for m in perturb_magnitudes if m <= r]
+    x_axes = list(potential.x_axes)
+    best, n_feasible = math.inf, 0
+    for z in minimax_mod._q_samples(potential, R, n_centers):
+        vsamp = potential_samples(potential, minimax_mod._path_frame(grid, z, eps), eps)
+        base = phi_path(u0, z, eps, potential, vsamp=vsamp)
+        frame = base.grid
+        cands = [base.values]
+        for bump, bump_kin in bumps:
+            d = bump / math.sqrt(bump_kin + minimax_mod._weighted_mass(frame, bump, vsamp))
+            cands += [base.values + mag * d for mag in magnitudes]
+        for cand in cands:
+            beta_x = minimax_mod._x_norm(minimax_mod._barycenter_values(frame, cand)[x_axes])
+            if beta_x <= beta_tol:
+                n_feasible += 1
+                best = min(best, field_energy(frame, cand, vsamp)[0])
+    return best, n_feasible
+
+
+@pytest.mark.parametrize("eps", [0.4, 0.03])
+def test_theta_keeps_every_feasible_candidate_of_the_nine_center_scan(eps):
+    # the certificate's call at the default config: only z = 0 can be in Y,
+    # so scanning that frame alone finds the same candidates and the same inf
+    cfg = CertificateConfig(potential=SADDLE)
+    u0 = gausson(cfg.grid(), SADDLE.c0)
+    rep = theta_r_estimate(u0, SADDLE, eps, r=cfg.theta_radius, seed=cfg.seed, beta_tol=cfg.beta_tol)
+    value, n_feasible = _nine_center_theta(
+        u0, SADDLE, eps, r=cfg.theta_radius, R=max(cfg.r_schedule), n_centers=cfg.q_samples,
+        seed=cfg.seed, beta_tol=cfg.beta_tol,
+    )
+    assert rep.value == value
+    assert rep.n_feasible == n_feasible == 31
+
+
+@pytest.mark.parametrize("c_x", [-1.25, -0.3, 0.3, 1.25])
+def test_x_symmetric_field_off_the_origin_has_beta_x_of_the_center_sign(rng, c_x):
+    # pairing (c+s, y) with (c-s, y): the X-weights sum to
+    # phi_y(c+s) - phi_y(s-c), phi_y(a) = a/sqrt(a^2+y^2), which has the sign of c
+    g = Grid(2, 10.0, _odd_points(10.0, 0.3), center=(c_x, 0.0))
+    for _ in range(5):
+        values = minimax_mod._symmetrize_x(g, smooth_field(g, rng).values, (0,))
+        beta_x = minimax_mod._barycenter_values(g, values)[0]
+        assert np.sign(beta_x) == np.sign(c_x)
+        assert beta_x != 0.0
+
+
+def test_theta_builds_one_path_field_and_samples_v_once(monkeypatch):
+    counts = {"phi_path": 0, "potential_samples": 0}
+
+    def counted(name):
+        real = getattr(minimax_mod, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    g = Grid(2, 10.0, _odd_points(10.0, 0.3))
+    u0 = gausson(g, SADDLE.c0)
+    minimizer = GridField(g, 1.01 * phi_path(u0, np.zeros(2), 0.25, SADDLE).values)
+    for name in counts:
+        monkeypatch.setattr(minimax_mod, name, counted(name))
+    for extra in (None, minimizer):
+        for name in counts:
+            counts[name] = 0
+        rep = theta_r_estimate(u0, SADDLE, 0.25, r=0.5, seed=11, extra_candidate=extra)
+        assert rep.feasible and rep.included_minimizer is (extra is not None)
+        assert counts == {"phi_path": 1, "potential_samples": 1}
+
+
+def test_path_levels_never_read_direction_weights(monkeypatch):
+    # choose_r and level_sup_x read J only; the barycenter step is path_table's
+    calls = []
+    real = minimax_mod.direction_weights
+
+    def counted(grid):
+        calls.append(grid)
+        return real(grid)
+
+    monkeypatch.setattr(minimax_mod, "direction_weights", counted)
+    g = Grid(2, 10.0, _odd_points(10.0, 0.3))
+    u0 = gausson(g, SADDLE.c0)
+    zs = minimax_mod._q_samples(SADDLE, 2.0, 9)
+    t, j = minimax_mod.path_levels(u0, zs, 0.1, SADDLE)
+    choose_r(u0, SADDLE, 0.1, threshold=0.0)
+    level_sup_x(u0, SADDLE, 0.1, R=1.0)
+    assert calls == []
+    t_table, j_table, _ = path_table(u0, zs, 0.1, SADDLE)
+    assert len(calls) == len(zs)
+    assert np.array_equal(t_table, t) and np.array_equal(j_table, j)
