@@ -344,11 +344,15 @@ def build_certificate_config(cfg: dict) -> CertificateConfig:
     )
 
 
-def require_y_axis(cfg: dict) -> None:
-    """A certificate's D_eps constrains the barycenter to Y, so
-    ``potential.x_axes`` must leave Y an axis; other commands take any X."""
+def require_axes(cfg: dict, y_axis: bool) -> None:
+    """The path, Q and the boundary radius live in X, so a command that walks
+    the path needs ``potential.x_axes`` nonempty; a certificate's D_eps also
+    constrains the barycenter to Y (``y_axis``), so X must leave Y an axis.
+    ``check-potential`` takes any X."""
     x_axes, dim = cfg["potential"]["x_axes"], cfg["grid"]["dim"]
-    if len(x_axes) == dim:
+    if len(x_axes) == 0:
+        raise ConfigError(["potential.x_axes must name an axis: the path moves in X, got []"])
+    if y_axis and len(x_axes) == dim:
         raise ConfigError(
             [f"potential.x_axes must leave an axis to Y for a certificate, got {x_axes} in dimension {dim}"]
         )
@@ -490,7 +494,7 @@ def cmd_check_potential(args) -> int:
 def cmd_saddle_cert(args) -> int:
     check_flags(eps=args.eps)
     cfg = load_config(args.config, {})
-    require_y_axis(cfg)
+    require_axes(cfg, y_axis=True)
     cert_cfg = build_certificate_config(cfg)
     cert = certificate(args.eps, cert_cfg)
     outdir = ensure_outdir(cfg)
@@ -520,7 +524,7 @@ def cmd_sweep_eps(args) -> int:
     if args.eps:
         overrides["sweep"] = {"eps": [float(e) for e in args.eps]}
     cfg = load_config(args.config, overrides)
-    require_y_axis(cfg)
+    require_axes(cfg, y_axis=True)
     cert_cfg = build_certificate_config(cfg)
     outdir = ensure_outdir(cfg)
     certs = sweep_eps(cfg["sweep"]["eps"], cert_cfg)
@@ -559,6 +563,7 @@ def cmd_sweep_eps(args) -> int:
 def cmd_barycenter_zero(args) -> int:
     check_flags(eps=args.eps, R=args.R)
     cfg = load_config(args.config, {})
+    require_axes(cfg, y_axis=False)
     cert_cfg = build_certificate_config(cfg)
     pot = cert_cfg.potential
     u0 = gausson(cert_cfg.grid(), pot.c0)

@@ -264,7 +264,8 @@ class LevelDResult:
 
     @property
     def converged(self) -> bool:
-        """True only if every penalty stage converged."""
+        """True only if every penalty stage run converged; each one feeds
+        the next, so each feeds the result."""
         return all(stage["converged"] for stage in self.stages)
 
     def to_dict(self) -> dict:
@@ -277,24 +278,33 @@ class LevelDResult:
         }
 
 
+# penalty weights of the D_eps continuation; each stage starts from the last
+# one's iterate, and the first feasible stage ends it
+_PENALTY_SCHEDULE = (10.0, 100.0, 1000.0)
+
+
 def level_d(
     grid: Grid,
     potential: PotentialSpec,
     eps: float,
     solver: Optional[SolverConfig] = None,
-    penalty_schedule=(1.0, 10.0, 100.0, 1000.0),
     beta_tol: float = 1e-3,
 ) -> LevelDResult:
     """Estimate inf J over Nehari fields whose barycenter lies in Y.
 
     Minimizes J + mu |P_X beta(u)|^2 over the nonnegative cone with Nehari
-    reprojection (the rescale leaves beta unchanged), driving mu through the
-    schedule.  The returned value is an UPPER bound of the true infimum;
-    infeasibility against ``beta_tol`` is reported explicitly, and so is a
-    stage that did not converge (``converged``).  The seed is the Gausson at
-    the origin with level V(0), as in ``ground_state``; each later stage
-    starts from whichever of the seed and the previous iterate has the lower
-    objective at the stage's own mu.
+    reprojection (the rescale leaves beta unchanged), one continuation over
+    ``_PENALTY_SCHEDULE``: the first stage starts from the Gausson at the
+    origin with level V(0), as in ``ground_state``, and each later stage
+    from the previous stage's iterate.  The loop stops at the first stage
+    with |P_X beta| <= ``beta_tol``, whose J and field are the result.  That
+    stage is also the lowest feasible one: for minimizers u_mu of J + mu P,
+    J(u_mu) is nondecreasing in mu (add the two minimality inequalities of
+    mu < mu'), so a later stage could not lower the value.
+
+    The returned value is an UPPER bound of the true infimum.  If no stage
+    is feasible, the last one is reported with ``feasible`` False; a stage
+    that did not converge is reported too (``converged``).
     """
     if len(potential.y_axes) == 0:
         raise ValueError("level_d needs a nontrivial Y subspace")
@@ -302,52 +312,28 @@ def level_d(
     vsamp = potential_samples(potential, grid, eps)
     x_axes = list(potential.x_axes)
     wx = direction_weights(grid)[:, x_axes]
-    seed = _gausson_seed(grid, potential)
-    u = seed
-
-    def penalized(values: NDArray, penalty: _BarycenterPenalty) -> float:
-        """The stage's objective at the Nehari point of the ray through values."""
-        _, sq, kin, pot, mass, ent = energy_terms(grid, values, vsamp)
-        return _reduced_objective(kin + pot - ent, mass)[1] + penalty.value(sq, mass)
-
+    u = _gausson_seed(grid, potential)
     stages = []
-    best_value = math.inf
-    best_u = u
-    best_beta = math.inf
-    for mu in penalty_schedule:
+    for mu in _PENALTY_SCHEDULE:
         penalty = _BarycenterPenalty(mu, wx, grid.cell_volume)
-        if u is not seed:
-            # an iterate that a weaker penalty let drift off Y can sit above
-            # the seed at this mu; restart from the seed then
-            u = min((u, seed), key=lambda c: penalized(c, penalty))
         u, info = minimize_on_nehari(grid, vsamp, u, solver, extra_term=penalty)
         beta_x = _x_norm(_barycenter_values(grid, u)[x_axes])
-        j_val = field_energy(grid, u, vsamp)[0]
         stages.append(
             {
                 "mu": mu,
-                "J": j_val,
+                "J": field_energy(grid, u, vsamp)[0],
                 "beta_x_norm": beta_x,
                 "iterations": info["iterations"],
                 "converged": info["converged"],
             }
         )
-        if beta_x <= beta_tol and j_val < best_value:
-            best_value = j_val
-            best_u = u.copy()
-            best_beta = beta_x
-
-    feasible = math.isfinite(best_value)
-    if not feasible:
-        # keep the last iterate for diagnostics even when infeasible
-        best_u = u
-        best_value = stages[-1]["J"]
-        best_beta = stages[-1]["beta_x_norm"]
+        if beta_x <= beta_tol:  # NaN (zero field) is infeasible
+            break
     return LevelDResult(
-        value=best_value,
-        field=GridField(grid, best_u),
-        feasible=feasible,
-        beta_x_norm=best_beta,
+        value=stages[-1]["J"],
+        field=GridField(grid, u),
+        feasible=beta_x <= beta_tol,
+        beta_x_norm=beta_x,
         upper_bound=True,
         stages=stages,
     )
@@ -358,24 +344,21 @@ def level_d(
 # ---------------------------------------------------------------------------
 
 def _q_samples(potential: PotentialSpec, R: float, n: int) -> NDArray:
-    """Sample points of Q = closed ball of radius R in the X subspace."""
-    axes = potential.x_axes
-    dim = potential.dim
-    if len(axes) == 1:
-        xs = np.linspace(-R, R, n)
-        pts = np.zeros((n, dim))
-        pts[:, axes[0]] = xs
-        return pts
-    n_rad = max(2, int(math.sqrt(n)))
-    n_ang = max(4, int(math.ceil(n / n_rad)))
-    pts = [np.zeros(dim)]
-    for r in np.linspace(R / n_rad, R, n_rad):
-        for a in np.linspace(0.0, 2 * math.pi, n_ang, endpoint=False):
-            p = np.zeros(dim)
-            p[axes[0]] = r * math.cos(a)
-            p[axes[1]] = r * math.sin(a)
-            pts.append(p)
-    return np.array(pts)
+    """Sample points of Q = closed ball of radius R in the X subspace: the
+    origin, where a symmetric saddle puts the path maximum, plus spheres of
+    X at evenly spaced radii up to R (``_subspace_sphere``, the sampler of
+    ``choose_r`` and V1).  With one X axis a sphere is two points and there
+    are n // 2 radii; with two, n_rad radii of n_ang points each."""
+    if len(potential.x_axes) == 1:
+        n_rad, n_ang = max(1, n // 2), 2
+    else:
+        n_rad = max(2, int(math.sqrt(n)))
+        n_ang = max(4, int(math.ceil(n / n_rad)))
+    spheres = [
+        _subspace_sphere(potential.dim, potential.x_axes, r, n_ang)
+        for r in np.linspace(R / n_rad, R, n_rad)
+    ]
+    return np.vstack([np.zeros((1, potential.dim))] + spheres)
 
 
 @dataclass

@@ -414,19 +414,25 @@ def test_split_cutoff_does_not_change_certificates(tmp_path, capsys, monkeypatch
 
 
 
-@pytest.mark.parametrize("argv", [["saddle-cert", "--eps", "0.3"], ["sweep-eps"]])
+@pytest.mark.parametrize(
+    "argv", [["saddle-cert", "--eps", "0.3"], ["sweep-eps"], ["barycenter-zero", "--eps", "0.3"]]
+)
 def test_empty_y_is_config_error_for_certificates(tmp_path, capsys, monkeypatch, argv):
-    # D_eps constrains the barycenter to Y; an X spanning every axis leaves none
+    # D_eps constrains the barycenter to Y, and the path, Q and R live in X:
+    # a certificate needs both, the zero finder (path only) an X axis
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "cfg.json"
+    refused = [[]] if argv[0] == "barycenter-zero" else [[0, 1], []]
+    for x_axes in refused:
+        path.write_text(json.dumps({**TINY_CONFIG, "potential": {"x_axes": x_axes}, "output": {"directory": "out"}}))
+        code = main(argv + ["--config", str(path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == EXIT_CONFIG, x_axes
+        assert len(out["violations"]) == 1
+        assert out["violations"][0].startswith("potential.x_axes ")
+        assert not (tmp_path / "out").exists()  # refused before any output
+    # the potential checks have no Y constraint and still accept an X of every axis
     path.write_text(json.dumps({**TINY_CONFIG, "potential": {"x_axes": [0, 1]}, "output": {"directory": "out"}}))
-    code = main(argv + ["--config", str(path)])
-    out = json.loads(capsys.readouterr().out)
-    assert code == EXIT_CONFIG
-    assert len(out["violations"]) == 1
-    assert out["violations"][0].startswith("potential.x_axes ")
-    assert not (tmp_path / "out").exists()  # refused before any output
-    # the potential checks have no Y constraint and still accept it
     assert main(["check-potential", "--config", str(path)]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["potential"]["y_axes"] == []
 

@@ -1,5 +1,4 @@
 import importlib
-import inspect
 import math
 
 import numpy as np
@@ -204,35 +203,36 @@ def test_level_d_model_gap():
 
 def test_level_d_penalty_pulls_an_asymmetric_minimizer_into_y():
     # the odd term in z0 moves the free minimizer off Y, so the penalty has
-    # to do the work: beta_X falls with mu and only the last stage is feasible
+    # to do the work: beta_X falls with mu (measured 0.083 -> 0.0073 ->
+    # 0.00072) and only the last stage is feasible
     pot = expression_potential(ASYMMETRIC, 2, [0])
     res = level_d(Grid(2, 6.0, 31), pot, 0.4, solver=SolverConfig(tol=1e-6, max_iters=500))
-    first, last = res.stages[0], res.stages[-1]
-    assert first["beta_x_norm"] > 0.1
-    assert last["beta_x_norm"] <= 1e-3
-    assert res.feasible
-    feasible = [s for s in res.stages if s["beta_x_norm"] <= 1e-3]
-    assert res.value == feasible[-1]["J"]
+    betas = [s["beta_x_norm"] for s in res.stages]
+    assert all(b > 1e-3 for b in betas[:-1])
+    assert all(b2 <= b1 / 5 for b1, b2 in zip(betas, betas[1:]))
+    assert res.feasible and res.beta_x_norm == betas[-1] <= 1e-3
+    assert res.value == res.stages[-1]["J"]
+    assert res.converged
 
 
 @pytest.mark.parametrize("eps", [0.4, 0.2, 0.1, 0.05])
 def test_level_d_first_stage_iterations_on_the_default_grid(eps):
-    # the L2 step took 432 / 122 / 116 / 114 iterations in stage mu = 1
+    # the L2 step took 432 / 122 / 116 / 114 iterations in stage mu = 1; on
+    # the symmetric saddle the first stage is feasible and ends the run
     cfg = CertificateConfig(potential=SADDLE)
     res = level_d(cfg.grid(), SADDLE, eps, solver=cfg.solver)
-    assert res.stages[0]["mu"] == 1.0
+    assert res.stages[0]["mu"] == minimax_mod._PENALTY_SCHEDULE[0]
+    assert len(res.stages) == 1
     assert res.stages[0]["converged"]
     assert res.stages[0]["iterations"] <= 100
     assert res.feasible and res.converged
 
 
-def test_level_d_restarts_a_stage_from_the_seed_when_it_is_lower():
-    # stage mu = 1 runs off to beta_X ~ 1 on this potential; carried into
-    # mu = 10 that iterate ended infeasible, so the stage restarts from the
-    # seed, whose penalized objective is lower there
+def test_level_d_continuation_holds_an_asymmetric_minimizer_on_the_default_grid():
+    # the free minimizer leaves Y on this potential; carried from mu = 10,
+    # the continuation ends in Y with every stage converged
     pot = expression_potential(ASYMMETRIC, 2, [0])
     res = level_d(Grid(2, 10.0, 135), pot, 0.4)
-    assert res.stages[0]["beta_x_norm"] > 0.9
     assert res.feasible and res.converged
     assert res.beta_x_norm <= 1e-3
     assert res.value == pytest.approx(39.76935, abs=1e-6)
@@ -266,6 +266,28 @@ def test_level_d_requires_nontrivial_y():
     both_x = model_saddle(1.0, 1.25, 2, (0, 1), 0.5)
     with pytest.raises(ValueError):
         level_d(g, both_x, 0.1)
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17])
+def test_q_samples_are_the_origin_plus_x_spheres(n):
+    # with one X axis and an odd n these are the points of linspace(-R, R, n),
+    # so the default q_samples (9) and level_sup_x's default (17) keep their bytes
+    for R in (0.25, 0.5, 1.0, 2.0):
+        zs = minimax_mod._q_samples(SADDLE, R, n)
+        assert np.array_equal(zs[0], np.zeros(2)) and not np.any(zs[:, 1])
+        assert np.max(np.abs(zs[:, 0])) == R
+        if n % 2:
+            assert np.array_equal(np.sort(zs[:, 0]), np.linspace(-R, R, n))
+
+
+def test_level_sup_x_even_q_samples_keep_the_origin():
+    # the saddle's path maximum sits at z = 0, which Q holds for every n
+    eps = 0.4
+    g = CertificateConfig(potential=SADDLE, h_target=0.3).grid()
+    u0 = gausson(g, SADDLE.c0)
+    even, odd = (level_sup_x(u0, SADDLE, eps, R=2.0, n_samples=n) for n in (8, 9))
+    assert even.value == odd.value
+    assert even.value == path_table(u0, np.zeros((1, 2)), eps, SADDLE)[1][0]
 
 
 def test_level_sup_x_constant_potential():
@@ -450,7 +472,7 @@ def test_certificate_stalled_m_c0_is_inconclusive(monkeypatch, converged):
     assert cert.inconclusive.get("m_c0_numerical", False) is (not converged)
 
 
-@pytest.mark.parametrize("unconverged_stage", [None, 1])
+@pytest.mark.parametrize("unconverged_stage", [None, 0])
 def test_level_d_unconverged_stage_is_inconclusive(monkeypatch, unconverged_stage):
     real = minimax_mod.minimize_on_nehari
     stages = []
@@ -467,8 +489,9 @@ def test_level_d_unconverged_stage_is_inconclusive(monkeypatch, unconverged_stag
                             compute_numerical_m=False, **TINY_CERT)
     cert = certificate(0.4, cfg)
     converged = unconverged_stage is None
-    # certificate runs level_d with its default penalty schedule
-    assert len(stages) == len(inspect.signature(level_d).parameters["penalty_schedule"].default)
+    # the first stage is feasible on the saddle, so it is the one whose field
+    # and J the certificate reports
+    assert len(stages) == 1
     assert cert.details["level_d"]["converged"] is converged
     assert cert.inconclusive.get("level_d", False) is (not converged)
 
