@@ -169,15 +169,13 @@ def merge_config(base: dict, override: dict) -> dict:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite int or float; JSON's Infinity and NaN and the bools are not
+    numbers here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _is_positive(x) -> bool:
     return _is_number(x) and x > 0
-
-
-def _is_positive_finite(x) -> bool:
-    return _is_positive(x) and math.isfinite(x)
 
 
 def _is_int(x) -> bool:
@@ -198,10 +196,11 @@ def validate_config(cfg: dict) -> list[str]:
 
     problems = []
     g = cfg.get("grid", {})
-    if g.get("dim") not in (1, 2):
+    dim = g.get("dim") if _is_int(g.get("dim")) and g.get("dim") in (1, 2) else None
+    if dim is None:
         problems.append(f"grid.dim must be 1 or 2, got {g.get('dim')}")
     if not _is_positive(g.get("half_extent")):
-        problems.append(f"grid.half_extent must be positive, got {g.get('half_extent')}")
+        problems.append(f"grid.half_extent must be a finite positive number, got {g.get('half_extent')}")
     if not (_is_int(g.get("points_per_axis")) and g["points_per_axis"] >= 16):
         problems.append(f"grid.points_per_axis must be an integer >= 16, got {g.get('points_per_axis')}")
 
@@ -211,31 +210,32 @@ def validate_config(cfg: dict) -> list[str]:
         problems.append(f"potential.kind must be model_saddle, constant or expression, got {kind}")
     if kind == "model_saddle":
         c0, c1 = p.get("c0"), p.get("c1")
-        if not (isinstance(c0, (int, float)) and c0 > -1):
-            problems.append(f"potential.c0 must exceed -1, got {c0}")
-        if not (isinstance(c1, (int, float)) and isinstance(c0, (int, float)) and c1 > c0):
-            problems.append(f"potential.c1 must exceed c0, got c0={c0}, c1={c1}")
+        if not (_is_number(c0) and c0 > -1):
+            problems.append(f"potential.c0 must be a finite number above -1, got {c0}")
+        # a c0 that is not a number is reported once, above
+        if not (_is_number(c1) and (not _is_number(c0) or c1 > c0)):
+            problems.append(f"potential.c1 must be a finite number above c0, got c0={c0}, c1={c1}")
     if kind == "constant" and not _is_number(p.get("value")):
-        problems.append(f"potential.value must be a number for kind=constant, got {p.get('value')}")
+        problems.append(f"potential.value must be a finite number for kind=constant, got {p.get('value')}")
     if kind == "expression":
         if not isinstance(p.get("expr"), str):
             problems.append("potential.expr must be a string for kind=expression")
-        elif g.get("dim") in (1, 2):
+        elif dim is not None:
             try:
-                compile_expression(p["expr"], g["dim"])
+                compile_expression(p["expr"], dim)
             except ValueError as err:
                 problems.append(f"potential.expr: {err}")
     lam = p.get("lambda")
     if not (_is_number(lam) and 0 < lam < 1):
         problems.append(f"potential.lambda must lie in (0,1), got {lam}")
     axes = p.get("x_axes")
-    if g.get("dim") in (1, 2) and not (
+    if dim is not None and not (
         isinstance(axes, list)
-        and all(_is_int(a) and 0 <= a < g["dim"] for a in axes)
+        and all(_is_int(a) and 0 <= a < dim for a in axes)
         and len(set(axes)) == len(axes)
     ):
         problems.append(
-            f"potential.x_axes must be a list of distinct axes of dimension {g.get('dim')}, got {axes}"
+            f"potential.x_axes must be a list of distinct axes of dimension {dim}, got {axes}"
         )
 
     delta = cfg.get("split", {}).get("delta")
@@ -244,25 +244,25 @@ def validate_config(cfg: dict) -> list[str]:
 
     so = cfg.get("solver", {})
     if not _is_positive(so.get("tol")):
-        problems.append(f"solver.tol must be positive, got {so.get('tol')}")
-    if not (isinstance(so.get("max_iters"), int) and so.get("max_iters") >= 1):
+        problems.append(f"solver.tol must be a finite positive number, got {so.get('tol')}")
+    if not (_is_int(so.get("max_iters")) and so["max_iters"] >= 1):
         problems.append(f"solver.max_iters must be a positive integer, got {so.get('max_iters')}")
 
     c = cfg.get("certificate", {})
     for key in ("h_target", "solver_half_extent", "theta_radius", "beta_tol"):
         if not _is_positive(c.get(key)):
-            problems.append(f"certificate.{key} must be a positive number, got {c.get(key)}")
+            problems.append(f"certificate.{key} must be a finite positive number, got {c.get(key)}")
     if not (_is_int(c.get("q_samples")) and c["q_samples"] >= 1):
         problems.append(f"certificate.q_samples must be an integer >= 1, got {c.get('q_samples')}")
     radii = c.get("r_schedule")
     if not (isinstance(radii, list) and radii and all(_is_positive(r) for r in radii)):
-        problems.append(f"certificate.r_schedule must be a non-empty list of positive numbers, got {radii}")
+        problems.append(f"certificate.r_schedule must be a non-empty list of finite positive numbers, got {radii}")
     if not isinstance(c.get("compute_numerical_m"), bool):
         problems.append(f"certificate.compute_numerical_m must be true or false, got {c.get('compute_numerical_m')}")
 
     sw = cfg.get("sweep", {})
     eps_list = sw.get("eps")
-    if not (isinstance(eps_list, list) and all(_is_positive_finite(e) for e in eps_list)):
+    if not (isinstance(eps_list, list) and all(_is_positive(e) for e in eps_list)):
         problems.append(f"sweep.eps must be a list of finite positive numbers, got {eps_list}")
     if not _is_int(sw.get("seed")):
         problems.append(f"sweep.seed must be an integer, got {sw.get('seed')}")
@@ -384,7 +384,7 @@ def check_flags(**flags) -> None:
     problems = [
         f"--{name} must be a finite positive number, got {value}"
         for name, value in flags.items()
-        if not _is_positive_finite(value)
+        if not _is_positive(value)
     ]
     if problems:
         raise ConfigError(problems)

@@ -178,8 +178,9 @@ def energy_terms(grid: Grid, values: NDArray, vsamp) -> tuple[NDArray, NDArray, 
 
     kin = -h^N sum(Lap u * u) as in ``kinetic_array``, pot = integral(V u^2),
     mass = integral(u^2) and ent = integral(u^2 log u^2).  Every energy
-    quantity of the package is assembled from these: J = (kin + pot + mass
-    - ent)/2, the fiber derivative J'(u)u = kin + pot - ent and the Nehari
+    quantity of the package is assembled from these: ||u||_eps^2 = kin +
+    pot + mass, J = (kin + pot + mass)/2 - ent/2 and the fiber derivative
+    J'(u)u = kin + pot - ent (all three in ``_assemble``), and the Nehari
     scale.  u^2 is returned for callers that weight it otherwise (the
     barycenter penalty, the path table).  ``vsamp`` may be a scalar (0.0 when
     no potential term is needed).
@@ -194,6 +195,24 @@ def energy_terms(grid: Grid, values: NDArray, vsamp) -> tuple[NDArray, NDArray, 
     return lap, sq, kin, pot, mass, ent
 
 
+def _assemble(kin: float, pot: float, mass: float, ent: float) -> tuple[float, float, float]:
+    """(||u||_eps^2, J, J'(u)u) from the kernel's reductions: the one place
+    they are summed, so every reader of J gets the same bits."""
+    norm_sq = kin + pot + mass
+    return norm_sq, 0.5 * norm_sq - 0.5 * ent, kin + pot - ent
+
+
+def field_energy(grid: Grid, values: NDArray, vsamp) -> tuple[float, float]:
+    """(J(u), J'(u)u) of raw node values from one energy kernel call."""
+    return _assemble(*energy_terms(grid, values, vsamp)[2:])[1:]
+
+
+def eps_norm_sq(grid: Grid, values: NDArray, vsamp) -> float:
+    """||u||_eps^2 = integral(|grad u|^2 + (V(eps x)+1) u^2) in the stencil
+    form, kin + pot + mass of the energy kernel (one Laplacian)."""
+    return _assemble(*energy_terms(grid, values, vsamp)[2:])[0]
+
+
 def energy(u: GridField, potential, eps: float, params: SplitParams) -> EnergyBreakdown:
     """Full energy breakdown of a field.
 
@@ -206,11 +225,9 @@ def energy(u: GridField, potential, eps: float, params: SplitParams) -> EnergyBr
     vals = u.values
     _, _, kin, pot, mass, ent = energy_terms(grid, vals, vsamp)
 
-    eps_norm_sq = kin + pot + mass
-    j_direct = 0.5 * eps_norm_sq - 0.5 * ent
-    phi = 0.5 * eps_norm_sq - integrate_array(grid, f2(vals, params))
+    norm_sq, j_direct, pairing = _assemble(kin, pot, mass, ent)
+    phi = 0.5 * norm_sq - integrate_array(grid, f2(vals, params))
     psi = integrate_array(grid, f1(vals, params))
-    pairing = kin + pot - ent
     half_mass = 0.5 * mass
 
     scale = max(1.0, abs(phi) + abs(psi))
@@ -227,7 +244,7 @@ def energy(u: GridField, potential, eps: float, params: SplitParams) -> EnergyBr
         Psi=psi,
         pairing_JprimeU=pairing,
         half_mass=half_mass,
-        eps_norm_sq=eps_norm_sq,
+        eps_norm_sq=norm_sq,
     )
 
 

@@ -5,9 +5,9 @@ treated as zero outside the box (homogeneous Dirichlet ghost values).  A grid
 may carry a frame center c: its nodes then sit at c + [-L, L]^N.  Only the
 node coordinates see the center; the stencil and the quadrature do not, so a
 field moved to another frame keeps its values and every translation-invariant
-quantity.  The module provides the second-order Laplacian stencil,
-rectangle-rule quadrature, centered-difference H1 pairings, and a text dump
-format that round-trips bit exactly.
+quantity.  The module provides the second-order Laplacian stencil and its
+shifted inverse, rectangle-rule quadrature, the H1 pairing in the stencil's
+own quadratic form, and a text dump format that round-trips bit exactly.
 """
 
 from __future__ import annotations
@@ -192,34 +192,6 @@ def integrate_array(grid: Grid, values: NDArray) -> float:
     return float(grid.cell_volume * np.sum(values))
 
 
-def gradient_arrays(grid: Grid, values: NDArray) -> list[NDArray]:
-    """Centered-difference gradient components with zero ghost values."""
-    a = values.reshape(grid.shape)
-    two_h = 2.0 * grid.spacing
-    comps = []
-    for axis in range(grid.dim):
-        g = np.zeros_like(a)
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        mid = [slice(None)] * grid.dim
-        lo[axis] = slice(None, -2)
-        hi[axis] = slice(2, None)
-        mid[axis] = slice(1, -1)
-        g[tuple(mid)] = a[tuple(hi)] - a[tuple(lo)]
-        first = [slice(None)] * grid.dim
-        first[axis] = 0
-        second = [slice(None)] * grid.dim
-        second[axis] = 1
-        g[tuple(first)] = a[tuple(second)]  # ghost on the left is zero
-        last = [slice(None)] * grid.dim
-        last[axis] = -1
-        before = [slice(None)] * grid.dim
-        before[axis] = -2
-        g[tuple(last)] = -a[tuple(before)]  # ghost on the right is zero
-        comps.append((g / two_h).ravel())
-    return comps
-
-
 def kinetic_array(grid: Grid, u: NDArray, v: NDArray) -> float:
     """Dirichlet form <-Lap_h u, v> with the quadrature weight h^N.
 
@@ -247,18 +219,16 @@ def integrate(u: GridField) -> float:
 def h1_inner(u: GridField, v: GridField, weight: GridField) -> float:
     """Weighted H1 pairing  integral(grad u . grad v + weight * u * v).
 
-    Gradients are centered differences with zero ghosts.  The weight field is
-    the sampled V(eps x) + 1 and must be strictly positive everywhere (the
-    potential must stay above -1).
+    The gradient term is the stencil's own form ``kinetic_array``, so with
+    the weight V(eps x) + 1 this is the eps-norm pairing whose square the
+    energy and the solvers use.  The weight must be strictly positive
+    everywhere (the potential must stay above -1).
     """
     _require_same_grid(u, v)
     _require_same_grid(u, weight)
     if not np.all(weight.values > 0):
         raise ValueError("weight field must be strictly positive")
-    gu = gradient_arrays(u.grid, u.values)
-    gv = gradient_arrays(v.grid, v.values)
-    dot = sum(a * b for a, b in zip(gu, gv))
-    return integrate_array(u.grid, dot + weight.values * u.values * v.values)
+    return kinetic_array(u.grid, u.values, v.values) + integrate_array(u.grid, weight.values * u.values * v.values)
 
 
 # ---------------------------------------------------------------------------

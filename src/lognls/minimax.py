@@ -31,13 +31,12 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .energy import energy_terms, potential_samples
-from .grid import Grid, GridField, integrate_array, kinetic_array, node_coordinates
+from .energy import energy_terms, eps_norm_sq, field_energy, potential_samples
+from .grid import Grid, GridField, integrate_array, node_coordinates
 from .nehari import (
     SolverConfig,
     _gausson_seed,
     _reduced_objective,
-    field_energy,
     gausson,
     ground_state,
     m_closed_form,
@@ -83,16 +82,6 @@ def barycenter(u: GridField) -> NDArray:
     if np.isnan(beta[0]):
         raise ValueError("barycenter is undefined for the zero field")
     return beta
-
-
-def eps_norm_sq(grid: Grid, values: NDArray, vsamp: NDArray) -> float:
-    """Squared norm  integral(|grad u|^2 + (V(eps x)+1) u^2)  (stencil form)."""
-    return kinetic_array(grid, values, values) + _weighted_mass(grid, values, vsamp)
-
-
-def _weighted_mass(grid: Grid, values: NDArray, vsamp: NDArray) -> float:
-    """integral((V(eps x)+1) u^2), the frame-dependent part of the eps-norm."""
-    return integrate_array(grid, (vsamp + 1.0) * values * values)
 
 
 # ---------------------------------------------------------------------------
@@ -499,23 +488,25 @@ def theta_r_estimate(
     allows only for the rounding of beta_X at z = 0.
     """
     grid = u0.grid
+    # Phi_eps(0) is t*u0 in u0's own frame
+    vsamp = potential_samples(potential, grid, eps)
+    base = phi_path(u0, np.zeros(grid.dim), eps, potential, vsamp=vsamp)
+
     rng = np.random.default_rng(seed)
     rel = node_coordinates(grid) - np.asarray(grid.center)
-    # each bump with its kinetic term, one Laplacian per bump
-    bumps = []
+    # each bump scaled to unit eps-norm, one Laplacian per bump
+    directions = []
     for _ in range(n_perturb):
         c = rng.uniform(-2.0, 2.0, size=grid.dim)
         widths = rng.uniform(0.7, 2.0)
         amp = rng.standard_normal()
         bump = amp * np.exp(-np.sum((rel - c) ** 2, axis=1) / (2 * widths**2))
         bump = _symmetrize_x(grid, bump, potential.x_axes)
-        bumps.append((bump, kinetic_array(grid, bump, bump)))
+        norm = math.sqrt(eps_norm_sq(grid, bump, vsamp))
+        if norm > 0:
+            directions.append(bump / norm)
     magnitudes = [m for m in perturb_magnitudes if m <= r]
     x_axes = list(potential.x_axes)
-
-    # Phi_eps(0) is t*u0 in u0's own frame
-    vsamp = potential_samples(potential, grid, eps)
-    base = phi_path(u0, np.zeros(grid.dim), eps, potential, vsamp=vsamp)
 
     best = math.inf
     n_feasible = 0
@@ -529,12 +520,9 @@ def theta_r_estimate(
         best = min(best, field_energy(grid, cand, vsamp)[0])
 
     consider(base.values)
-    for bump, bump_kin in bumps:
-        norm = math.sqrt(bump_kin + _weighted_mass(grid, bump, vsamp))
-        if norm > 0:
-            d = bump / norm
-            for mag in magnitudes:
-                consider(base.values + mag * d)
+    for d in directions:
+        for mag in magnitudes:
+            consider(base.values + mag * d)
 
     included = False
     if extra_candidate is not None:

@@ -31,8 +31,8 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .energy import SplitParams, _safe_log_sq, energy_terms, potential_samples
-from .grid import Grid, GridField, integrate_array, node_coordinates, shifted_laplacian_solve
+from .energy import SplitParams, _safe_log_sq, energy_terms, field_energy, potential_samples
+from .grid import Grid, GridField, node_coordinates, shifted_laplacian_solve
 
 _EXP_CLIP = 700.0  # exp argument beyond this overflows float64
 
@@ -101,18 +101,6 @@ def _reduced_objective(pairing: float, mass: float) -> tuple[float, float]:
     log_t = _log_scale(pairing, mass)
     t = math.exp(log_t)
     return t, 0.5 * t * t * (pairing + mass - 2.0 * mass * log_t)
-
-
-def field_energy(grid: Grid, values: NDArray, vsamp: NDArray) -> tuple[float, float]:
-    """(J(u), J'(u)u) of raw node values from one energy kernel call.
-
-    J sums integral((V+1) u^2) as one reduction rather than pot + mass; that
-    is the order path, Theta and level energies have always been summed in,
-    so they keep their last bits.
-    """
-    _, _, kin, pot, _, ent = energy_terms(grid, values, vsamp)
-    quad = integrate_array(grid, (vsamp + 1.0) * (values * values))
-    return 0.5 * (kin + quad) - 0.5 * ent, kin + pot - ent
 
 
 def nehari_scale(u: GridField, potential, eps: float) -> float:

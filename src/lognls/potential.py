@@ -218,7 +218,8 @@ def expression_potential(
 # ---------------------------------------------------------------------------
 
 def _subspace_sphere(dim: int, axes: tuple[int, ...], radius: float, n: int) -> NDArray:
-    """Points on the sphere of the given radius inside the axis subspace."""
+    """Points on the sphere of the given radius inside the axis subspace
+    (the sphere of R^dim when ``axes`` names every axis)."""
     if len(axes) == 0:
         return np.zeros((0, dim))
     if len(axes) == 1:
@@ -231,13 +232,6 @@ def _subspace_sphere(dim: int, axes: tuple[int, ...], radius: float, n: int) -> 
     pts[:, axes[0]] = radius * np.cos(angles)
     pts[:, axes[1]] = radius * np.sin(angles)
     return pts
-
-
-def _all_directions(dim: int, n: int) -> NDArray:
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +281,7 @@ def check_V1(
             return V1Report(list(radii), [], None, margin, False, True)
         sups.append(float(np.max(spec.evaluate(pts))))
 
-    dirs = _all_directions(spec.dim, cone_directions)
+    dirs = _subspace_sphere(spec.dim, tuple(range(spec.dim)), 1.0, cone_directions)
     radii_grid = np.geomspace(1e-3, box_radius, cone_radii)
     pts = (dirs[None, :, :] * radii_grid[:, None, None]).reshape(-1, spec.dim)
     mask = spec.in_cone(pts)
@@ -450,7 +444,7 @@ def v3_diagnostic(
         radii = np.geomspace(0.5, 64.0, 32)
     radii = np.asarray(radii, dtype=float)
     n_tail = max(2, int(len(radii) * tail_fraction))
-    dirs = _all_directions(spec.dim, n_directions)
+    dirs = _subspace_sphere(spec.dim, tuple(range(spec.dim)), 1.0, n_directions)
     eye = np.eye(spec.dim)
     suspects = []
     for d in dirs:

@@ -124,6 +124,19 @@ def test_ground_state_command(tmp_path, capsys, monkeypatch):
     assert field.grid.points_per_axis == 256
 
 
+def test_ground_state_writes_one_j(tmp_path, capsys, monkeypatch):
+    # the solution's energy and the breakdown's J are the same sum of the
+    # same kernel reductions, so they agree bit for bit
+    monkeypatch.chdir(tmp_path)
+    code = main(
+        ["ground-state", "--V", "saddle:1,1.25", "--eps", "0.1", "--dim", "2", "--L", "10", "--n", "135"]
+    )
+    capsys.readouterr()
+    assert code == EXIT_OK
+    result = json.loads((tmp_path / "lognls-out" / "ground_state.json").read_text())
+    assert result["energy"] == result["energy_breakdown"]["J"]
+
+
 def test_config_error_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     bad = tmp_path / "bad.json"
@@ -358,6 +371,18 @@ def test_readme_config_block_matches_defaults():
         ({"potential": {"x_axes": [0, 0]}}, "potential.x_axes"),
         ({"solvr": {"tol": 1e-6}}, "solvr"),
         ({"sweep": {"eps": [0.4, float("inf")]}}, "sweep.eps"),
+        # json reads Infinity and NaN; every numeric setting must be finite
+        # and not a bool, the sweep.eps rule
+        ({"potential": {"c1": float("inf")}}, "potential.c1"),
+        ({"potential": {"c0": float("inf")}}, "potential.c0"),
+        ({"potential": {"c0": True}}, "potential.c0"),
+        ({"potential": {"kind": "constant", "value": float("inf")}}, "potential.value"),
+        ({"potential": {"kind": "constant", "value": float("nan")}}, "potential.value"),
+        ({"grid": {"half_extent": float("inf")}}, "grid.half_extent"),
+        ({"grid": {"dim": True}}, "grid.dim"),
+        ({"grid": {"dim": 2.0}}, "grid.dim"),
+        ({"solver": {"tol": float("inf")}}, "solver.tol"),
+        ({"solver": {"max_iters": True}}, "solver.max_iters"),
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch, config, name):
@@ -369,6 +394,7 @@ def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch, config,
     assert code == EXIT_CONFIG
     assert len(out["violations"]) == 1
     assert out["violations"][0].startswith(f"{name} ")
+    assert not (tmp_path / "lognls-out").exists()
 
 
 @pytest.mark.parametrize(
@@ -385,6 +411,10 @@ def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch, config,
         ("r_schedule", [0.5, -1.0]),
         ("compute_numerical_m", "yes"),
         ("n_perturb", 6),
+        ("r_schedule", [float("inf")]),
+        ("h_target", float("inf")),
+        ("solver_half_extent", float("inf")),
+        ("theta_radius", float("inf")),
     ],
 )
 def test_certificate_block_is_validated(tmp_path, capsys, monkeypatch, key, value):
@@ -396,6 +426,7 @@ def test_certificate_block_is_validated(tmp_path, capsys, monkeypatch, key, valu
     assert code == EXIT_CONFIG
     assert len(out["violations"]) == 1
     assert out["violations"][0].startswith(f"certificate.{key} ")
+    assert not (tmp_path / "lognls-out").exists()
 
 
 def test_split_cutoff_does_not_change_certificates(tmp_path, capsys, monkeypatch):

@@ -13,12 +13,17 @@ from lognls.grid import (
     dump_field,
     h1_inner,
     integrate,
+    integrate_array,
     kinetic_array,
     laplacian_apply,
     load_field,
     node_coordinates,
     shifted_laplacian_solve,
 )
+
+from lognls.energy import eps_norm_sq, potential_samples
+from lognls.nehari import gausson
+from lognls.potential import model_saddle
 
 from conftest import smooth_field
 
@@ -160,6 +165,29 @@ def test_h1_inner_gausson_closed_form():
     oracle = integrate(GridField(g, (x**2 + A + 1.0) * u.values**2))
     assert oracle == pytest.approx(expected, rel=1e-10)
     assert h1_inner(u, u, w) == pytest.approx(expected, rel=1e-3)
+
+
+def test_h1_inner_is_the_stencil_form_on_a_checkerboard():
+    # (-1)^i is the stencil's highest mode, which a centered difference of
+    # width 2h does not see; the pairing must take the stencil's own form
+    g = build_grid(1, 10.0, 65)
+    u = GridField(g, (-1.0) ** np.arange(g.num_nodes))
+    w = GridField(g, np.full(g.num_nodes, 1.5))
+    expected = kinetic_array(g, u.values, u.values) + integrate_array(g, w.values * u.values * u.values)
+    assert h1_inner(u, u, w) == expected
+    # 63 interior nodes at 4/h^2 and two end nodes at 3/h^2
+    assert kinetic_array(g, u.values, u.values) == pytest.approx(258.0 / g.spacing, rel=1e-12)
+
+
+def test_h1_inner_is_the_eps_norm_of_the_energy():
+    # with the weight V + 1, the pairing of a field with itself is the
+    # eps-norm the energy kernel assembles, on the certificate grid
+    potential, eps = model_saddle(1.0, 1.25, 2, (0,), 0.5), 0.4
+    g = build_grid(2, 10.0, 135)
+    u = gausson(g, potential.c0)
+    vsamp = potential_samples(potential, g, eps)
+    norm_sq = eps_norm_sq(g, u.values, vsamp)
+    assert h1_inner(u, u, GridField(g, vsamp + 1.0)) == pytest.approx(norm_sq, rel=1e-13)
 
 
 def test_h1_inner_rejects_bad_weight(grid_1d, grid_2d, rng):

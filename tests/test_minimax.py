@@ -1,10 +1,12 @@
 import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from lognls.energy import SplitParams, energy_terms, potential_samples
+from lognls.energy import SplitParams, energy_terms, eps_norm_sq, field_energy, potential_samples
+import lognls.grid as grid_mod
 from lognls.grid import Grid, GridField, build_grid
 import lognls.minimax as minimax_mod
 from lognls.minimax import (
@@ -15,7 +17,6 @@ from lognls.minimax import (
     certificate,
     choose_r,
     direction_weights,
-    eps_norm_sq,
     level_d,
     level_sup_x,
     path_table,
@@ -29,7 +30,6 @@ from lognls.energy import energy
 from lognls.nehari import (
     NehariSolution,
     SolverConfig,
-    field_energy,
     gausson,
     m_closed_form,
     nehari_scale,
@@ -497,27 +497,31 @@ def test_level_d_unconverged_stage_is_inconclusive(monkeypatch, unconverged_stag
 
 
 def test_theta_bump_kinetic_term_once_per_bump(monkeypatch):
-    # the kinetic part of a bump's eps-norm sees only spacing and shape, so
-    # one Laplacian per bump serves every path center
+    # the kinetic part of a bump's eps-norm sees only spacing and shape, not
+    # the frame; the scan applies one Laplacian for Phi_eps(0), one per bump
+    # (its eps-norm) and one per feasible candidate (its J), and no other
     g = Grid(2, 10.0, _odd_points(10.0, 0.5))
     bump = gausson(g, 0.0, center=[1.0, -0.5]).values
     frame = Grid(2, 10.0, g.points_per_axis, center=(3.7, 0.0))
     vsamp = potential_samples(SADDLE, frame, 0.25)
-    kin = minimax_mod.kinetic_array(g, bump, bump)
-    assert kin + minimax_mod._weighted_mass(frame, bump, vsamp) == eps_norm_sq(frame, bump, vsamp)
+    assert energy_terms(g, bump, 0.0)[2] == energy_terms(frame, bump, vsamp)[2]
 
-    real = minimax_mod.kinetic_array
+    original = grid_mod.laplacian_array
     calls = []
 
-    def counted(grid, u, v):
+    def counted(grid, values):
         calls.append(grid.center)
-        return real(grid, u, v)
+        return original(grid, values)
 
-    monkeypatch.setattr(minimax_mod, "kinetic_array", counted)
+    # patch every namespace that bound the stencil at import time
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lognls") and getattr(module, "laplacian_array", None) is original:
+            monkeypatch.setattr(module, "laplacian_array", counted)
     u0 = gausson(g, SADDLE.c0)
     rep = theta_r_estimate(u0, SADDLE, 0.25, r=0.5, n_perturb=6, seed=11)
     assert rep.feasible
-    assert calls == [g.center] * 6
+    assert len(calls) == 1 + 6 + rep.n_feasible == 38
+    assert set(calls) == {g.center}
 
 
 def _nine_center_theta(u0, potential, eps, r, R, n_centers, seed, beta_tol,
@@ -533,8 +537,7 @@ def _nine_center_theta(u0, potential, eps, r, R, n_centers, seed, beta_tol,
         widths = rng.uniform(0.7, 2.0)
         amp = rng.standard_normal()
         bump = amp * np.exp(-np.sum((rel - c) ** 2, axis=1) / (2 * widths**2))
-        bump = minimax_mod._symmetrize_x(grid, bump, potential.x_axes)
-        bumps.append((bump, minimax_mod.kinetic_array(grid, bump, bump)))
+        bumps.append(minimax_mod._symmetrize_x(grid, bump, potential.x_axes))
     magnitudes = [m for m in perturb_magnitudes if m <= r]
     x_axes = list(potential.x_axes)
     best, n_feasible = math.inf, 0
@@ -543,8 +546,8 @@ def _nine_center_theta(u0, potential, eps, r, R, n_centers, seed, beta_tol,
         base = phi_path(u0, z, eps, potential, vsamp=vsamp)
         frame = base.grid
         cands = [base.values]
-        for bump, bump_kin in bumps:
-            d = bump / math.sqrt(bump_kin + minimax_mod._weighted_mass(frame, bump, vsamp))
+        for bump in bumps:
+            d = bump / math.sqrt(eps_norm_sq(frame, bump, vsamp))
             cands += [base.values + mag * d for mag in magnitudes]
         for cand in cands:
             beta_x = minimax_mod._x_norm(minimax_mod._barycenter_values(frame, cand)[x_axes])
