@@ -19,10 +19,11 @@ non-convergence, 4 certificate inconclusive (for sweep-eps: any row, after
 all rows are written; or a numerical ValueError), 5 internal defect (a
 failed internal consistency assertion).  A config file that is not valid
 JSON, a config or block that is not a JSON object, a setting of the wrong
-type or range, a --eps or --R flag that is not finite and positive, and a
-block or key that nothing reads are config errors, not silently ignored or
-left to fail later.  Every default lives in DEFAULT_CONFIG; the builders
-read the merged, validated config only.
+type or range, a --eps or --R flag that is not finite and positive, a --V
+that does not parse, a --A not above -1, and a block or key that nothing
+reads are config errors, not silently ignored or left to fail later.  Every
+default lives in DEFAULT_CONFIG; the builders read the merged, validated
+config only.
 
 The split block (the cutoff delta) enters only the Phi/Psi energy breakdown
 that ground-state reports.  Every certificate number is a value of J itself,
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import SplitParams, energy
-from .grid import Grid, dump_field
+from .grid import Grid, dump_field, require_supported_dim
 from .minimax import (
     CertificateConfig,
     barycenter_zero_finder,
@@ -159,11 +160,12 @@ class ConfigError(Exception):
 
 
 def merge_config(base: dict, override: dict) -> dict:
+    """Merge blocks key by key; a base block that is not an object is kept for validation."""
     out = {k: dict(v) if isinstance(v, dict) else v for k, v in base.items()}
     for key, val in override.items():
         if isinstance(val, dict) and isinstance(out.get(key), dict):
             out[key].update(val)
-        else:
+        elif not (isinstance(val, dict) and key in out):
             out[key] = val
     return out
 
@@ -196,9 +198,12 @@ def validate_config(cfg: dict) -> list[str]:
 
     problems = []
     g = cfg.get("grid", {})
-    dim = g.get("dim") if _is_int(g.get("dim")) and g.get("dim") in (1, 2) else None
-    if dim is None:
-        problems.append(f"grid.dim must be 1 or 2, got {g.get('dim')}")
+    dim = g.get("dim")
+    try:
+        require_supported_dim(dim, "grid.dim")
+    except ValueError as err:
+        problems.append(str(err))
+        dim = None
     if not _is_positive(g.get("half_extent")):
         problems.append(f"grid.half_extent must be a finite positive number, got {g.get('half_extent')}")
     if not (_is_int(g.get("points_per_axis")) and g["points_per_axis"] >= 16):
@@ -215,8 +220,8 @@ def validate_config(cfg: dict) -> list[str]:
         # a c0 that is not a number is reported once, above
         if not (_is_number(c1) and (not _is_number(c0) or c1 > c0)):
             problems.append(f"potential.c1 must be a finite number above c0, got c0={c0}, c1={c1}")
-    if kind == "constant" and not _is_number(p.get("value")):
-        problems.append(f"potential.value must be a finite number for kind=constant, got {p.get('value')}")
+    if kind == "constant" and not (_is_number(p.get("value")) and p["value"] > -1):
+        problems.append(f"potential.value must be a finite number above -1 for kind=constant, got {p.get('value')}")
     if kind == "expression":
         if not isinstance(p.get("expr"), str):
             problems.append("potential.expr must be a string for kind=expression")
@@ -397,15 +402,23 @@ def ensure_outdir(cfg: dict) -> str:
     return outdir
 
 
+def given_flags(**settings) -> dict:
+    """The settings whose flag was given (not None), to override the config."""
+    return {key: value for key, value in settings.items() if value is not None}
+
+
 def parse_potential_flag(text: str) -> dict:
-    """--V const:0  or  --V saddle:1,1.25  shorthand."""
+    """--V const:0  or  --V saddle:1,1.25  shorthand (ranges: validate_config)."""
     kind, _, rest = text.partition(":")
-    if kind in ("const", "constant"):
-        return {"kind": "constant", "value": float(rest)}
-    if kind in ("saddle", "model_saddle"):
-        c0_s, c1_s = rest.split(",")
-        return {"kind": "model_saddle", "c0": float(c0_s), "c1": float(c1_s)}
-    raise ValueError(f"unrecognized potential shorthand {text!r}")
+    try:
+        if kind in ("const", "constant"):
+            return {"kind": "constant", "value": float(rest)}
+        if kind in ("saddle", "model_saddle"):
+            c0_s, c1_s = rest.split(",")
+            return {"kind": "model_saddle", "c0": float(c0_s), "c1": float(c1_s)}
+    except ValueError:
+        pass
+    raise ConfigError([f"--V must be const:<value> or saddle:<c0>,<c1>, got {text!r}"])
 
 
 # ---------------------------------------------------------------------------
@@ -413,17 +426,11 @@ def parse_potential_flag(text: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_gausson(args) -> int:
-    overrides = {"grid": {}}
-    if args.N is not None:
-        overrides["grid"]["dim"] = args.N
-        if args.N == 1:
-            overrides["grid"].setdefault("half_extent", 10.0)
-            overrides["grid"].setdefault("points_per_axis", 513)
-    if args.L is not None:
-        overrides["grid"]["half_extent"] = args.L
-    if args.n is not None:
-        overrides["grid"]["points_per_axis"] = args.n
-    cfg = load_config(args.config, overrides)
+    if not (_is_number(args.A) and args.A > -1):
+        raise ConfigError([f"--A must be a finite number above -1, got {args.A}"])
+    grid_over = {"half_extent": 10.0, "points_per_axis": 513} if args.N == 1 else {}
+    grid_over.update(given_flags(dim=args.N, half_extent=args.L, points_per_axis=args.n))
+    cfg = load_config(args.config, {"grid": grid_over})
     grid = build_grid_from_config(cfg)
     m = m_closed_form(args.A, grid.dim)
     u = gausson(grid, args.A)
@@ -436,26 +443,12 @@ def cmd_gausson(args) -> int:
 
 def cmd_ground_state(args) -> int:
     check_flags(eps=args.eps)
-    overrides: dict = {}
-    if args.V is not None:
-        overrides["potential"] = parse_potential_flag(args.V)
-    grid_over = {}
-    if args.dim is not None:
-        grid_over["dim"] = args.dim
-    if args.L is not None:
-        grid_over["half_extent"] = args.L
-    if args.n is not None:
-        grid_over["points_per_axis"] = args.n
-    if grid_over:
-        overrides["grid"] = grid_over
-    solver_over = {}
-    if args.tol is not None:
-        solver_over["tol"] = args.tol
-    if args.max_iters is not None:
-        solver_over["max_iters"] = args.max_iters
-    if solver_over:
-        overrides["solver"] = solver_over
-    cfg = load_config(args.config, overrides)
+    overrides = {
+        "potential": parse_potential_flag(args.V) if args.V is not None else {},
+        "grid": given_flags(dim=args.dim, half_extent=args.L, points_per_axis=args.n),
+        "solver": given_flags(tol=args.tol, max_iters=args.max_iters),
+    }
+    cfg = load_config(args.config, {block: over for block, over in overrides.items() if over})
 
     grid = build_grid_from_config(cfg)
     pot = build_potential(cfg)
@@ -482,7 +475,7 @@ def cmd_check_potential(args) -> int:
         "potential": pot.describe(),
         "V1": check_V1(pot).to_dict(),
         "V2": check_V2(pot).to_dict(),
-        "V4": check_V4(pot, cfg["grid"]["dim"]).to_dict(),
+        "V4": check_V4(pot).to_dict(),
         "V3_advisory": v3_diagnostic(pot).to_dict(),
     }
     outdir = ensure_outdir(cfg)

@@ -1,23 +1,37 @@
 """Uniform tensor grids on a truncated box with Dirichlet convention.
 
-Fields live on [-L, L]^N (N = 1 or 2) sampled at n points per axis and are
-treated as zero outside the box (homogeneous Dirichlet ghost values).  A grid
-may carry a frame center c: its nodes then sit at c + [-L, L]^N.  Only the
-node coordinates see the center; the stencil and the quadrature do not, so a
+Fields live on [-L, L]^N sampled at n points per axis and are treated as
+zero outside the box (homogeneous Dirichlet ghost values).  A grid may carry
+a frame center c: its nodes then sit at c + [-L, L]^N.  Only the node
+coordinates see the center; the stencil and the quadrature do not, so a
 field moved to another frame keeps its values and every translation-invariant
 quantity.  The module provides the second-order Laplacian stencil and its
 shifted inverse, rectangle-rule quadrature, the H1 pairing in the stencil's
 own quadratic form, and a text dump format that round-trips bit exactly.
+
+Every kernel is one code path for any N (one tensor mesh, one loop over the
+axes).  ``SUPPORTED_DIMS`` alone sets the accepted N; every dimension check
+reads it.  Lifting it also needs a sphere sampler of three or more axes for
+the potential checks and a discretization cheap enough for N = 3.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
+
+SUPPORTED_DIMS = (1, 2)  # the dimensions N accepted anywhere in the package
+
+
+def require_supported_dim(dim: int, name: str = "dim") -> None:
+    """Raise ValueError unless ``dim`` is an integer, not a bool, in SUPPORTED_DIMS."""
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim not in SUPPORTED_DIMS:
+        raise ValueError(f"{name} must be {' or '.join(map(str, SUPPORTED_DIMS))}, got {dim}")
 
 
 @dataclass(frozen=True)
@@ -33,8 +47,7 @@ class Grid:
     center: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
+        require_supported_dim(self.dim)
         if not math.isfinite(self.half_extent) or self.half_extent <= 0:
             raise ValueError(f"half_extent must be finite and positive, got {self.half_extent}")
         if self.points_per_axis < 16:
@@ -73,13 +86,16 @@ def build_grid(dim: int, half_extent: float, points_per_axis: int) -> Grid:
     return Grid(dim, float(half_extent), int(points_per_axis))
 
 
+def tensor_points(axes) -> NDArray:
+    """The tensor mesh of 1-D coordinate arrays, one per dimension, as a
+    (num_points, len(axes)) array in row-major order (last axis fastest)."""
+    return np.column_stack([c.ravel() for c in np.meshgrid(*axes, indexing="ij")])
+
+
 @lru_cache(maxsize=16)
 def node_coordinates(grid: Grid) -> NDArray:
     """All node coordinates as a (num_nodes, dim) array in row-major order."""
-    if grid.dim == 1:
-        return grid.axis()[:, None].copy()
-    xx, yy = np.meshgrid(grid.axis(0), grid.axis(1), indexing="ij")
-    return np.column_stack([xx.ravel(), yy.ravel()])
+    return tensor_points([grid.axis(k) for k in range(grid.dim)])
 
 
 @dataclass
@@ -169,21 +185,22 @@ def shifted_laplacian_solve(grid: Grid, values: NDArray, sigma: float) -> NDArra
 
     That operator is diagonal in the DST-I basis of every axis, so the solve
     is one transform per axis, a division by the eigenvalue sums, and the
-    same transforms again (DST-I is its own inverse up to 2(n+1)).
+    same transforms again (DST-I is its own inverse up to 2(n+1)).  A pass
+    transforms the last axis and moves it to the front, so dim passes
+    restore the axis order.
     """
     n = grid.points_per_axis
     lam = _dirichlet_eigenvalues(grid)
-    a = values.reshape(-1, n)
-    if grid.dim == 1:
-        w = _dst1(a)
-        w /= lam + sigma
-        out = _dst1(w)
-    else:
-        w = _dst1(_dst1(a).T)  # transformed along both axes, stored transposed
-        w /= lam[:, None] + (lam + sigma)
-        out = _dst1(_dst1(w).T)
-    out /= (2.0 * (n + 1)) ** grid.dim
-    return out.ravel()
+    w = values
+    divisor = sigma
+    for k in range(grid.dim):
+        w = _dst1(w.reshape(-1, n)).T
+        divisor = divisor + lam.reshape((n,) + (1,) * (grid.dim - 1 - k))
+    w /= divisor.reshape(n, -1)
+    for _ in range(grid.dim):
+        w = _dst1(w.reshape(n, -1).T)
+    w /= (2.0 * (n + 1)) ** grid.dim
+    return w.ravel()
 
 
 def integrate_array(grid: Grid, values: NDArray) -> float:

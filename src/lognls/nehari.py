@@ -32,7 +32,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .energy import SplitParams, _safe_log_sq, energy_terms, field_energy, potential_samples
-from .grid import Grid, GridField, node_coordinates, shifted_laplacian_solve
+from .grid import Grid, GridField, node_coordinates, require_supported_dim, shifted_laplacian_solve
 
 _EXP_CLIP = 700.0  # exp argument beyond this overflows float64
 
@@ -152,8 +152,7 @@ def m_closed_form(A: float, N: int) -> float:
     """Ground-state level 1/2 e^{N+A} pi^{N/2} for constant potential A."""
     if A <= -1.0:
         raise ValueError(f"A must exceed -1, got {A}")
-    if N not in (1, 2):
-        raise ValueError(f"N must be 1 or 2, got {N}")
+    require_supported_dim(N, "N")
     return 0.5 * math.exp(N + A) * math.pi ** (N / 2.0)
 
 

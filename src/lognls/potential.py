@@ -27,6 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import NDArray
 
+from .grid import require_supported_dim, tensor_points
 from .nehari import m_closed_form
 
 
@@ -49,8 +50,7 @@ class PotentialSpec:
     c2: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
+        require_supported_dim(self.dim)
         axes = tuple(sorted(self.x_axes)) + tuple(sorted(self.y_axes))
         if sorted(axes) != list(range(self.dim)) or set(self.x_axes) & set(self.y_axes):
             raise ValueError("x_axes and y_axes must be disjoint and cover all axes")
@@ -185,8 +185,8 @@ def expression_potential(
 
     The expression is parsed by :func:`compile_expression`, which raises
     ValueError on anything outside its whitelist.  c0 and c1 are estimated
-    by dense sampling over a box of the given radius; the estimates carry
-    the sampling resolution as their tolerance.
+    by dense sampling over a box of the given radius (the integer dim-th
+    root of n_samples points per axis), within the sampling resolution.
     """
     x_axes = tuple(int(a) for a in x_axes)
     y_axes = tuple(a for a in range(dim) if a not in x_axes)
@@ -197,13 +197,10 @@ def expression_potential(
         out = formula(tuple(pts[:, k] for k in range(dim)))
         return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],)).copy()
 
-    if dim == 1:
-        pts = np.linspace(-sample_radius, sample_radius, n_samples)[:, None]
-    else:
-        side = int(math.isqrt(n_samples))
-        ax = np.linspace(-sample_radius, sample_radius, side)
-        xx, yy = np.meshgrid(ax, ax, indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
+    side = round(n_samples ** (1.0 / dim))  # the integer dim-th root of n_samples
+    if side**dim > n_samples:
+        side -= 1
+    pts = tensor_points([np.linspace(-sample_radius, sample_radius, side)] * dim)
     vals = _eval(pts)
     c0 = float(np.min(vals))
     on_x = pts.copy()
@@ -328,12 +325,7 @@ def check_V2(
     compared against configurable caps.  A kink shows up as a second
     difference growing like 1/fd_step.
     """
-    ax = np.linspace(-sample_radius, sample_radius, n_per_axis)
-    if spec.dim == 1:
-        pts = ax[:, None]
-    else:
-        xx, yy = np.meshgrid(ax, ax, indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
+    pts = tensor_points([np.linspace(-sample_radius, sample_radius, n_per_axis)] * spec.dim)
     v0 = spec.evaluate(pts)
     max_val = float(np.max(np.abs(v0)))
     max_grad = 0.0
@@ -385,7 +377,7 @@ class V4Report:
         }
 
 
-def check_V4(spec: PotentialSpec, N: int, v_at_origin: Optional[float] = None) -> V4Report:
+def check_V4(spec: PotentialSpec, v_at_origin: Optional[float] = None) -> V4Report:
     """Evaluate the two level inequalities tying V(0) and c1 to the ground level.
 
     Inequality 1 asks m(V(0)) >= 2 m(c0); with the closed-form level this is
@@ -394,12 +386,10 @@ def check_V4(spec: PotentialSpec, N: int, v_at_origin: Optional[float] = None) -
     level and V(0) <= c1 the two are mutually exclusive (0.3 c2 < log 2);
     that structural conflict is surfaced instead of being resolved silently.
     """
-    if N not in (1, 2):
-        raise ValueError(f"N must be 1 or 2, got {N}")
     v0 = float(v_at_origin if v_at_origin is not None else np.asarray(
         spec.evaluate(np.zeros((1, spec.dim)))).ravel()[0])
-    m_v0 = m_closed_form(v0, N) if v0 > -1.0 else float("nan")
-    m_c0 = m_closed_form(spec.c0, N)
+    m_v0 = m_closed_form(v0, spec.dim) if v0 > -1.0 else float("nan")
+    m_c0 = m_closed_form(spec.c0, spec.dim)
     ineq1_m = bool(v0 > -1.0 and m_v0 >= 2.0 * m_c0)
     ineq1_log2 = bool(v0 >= spec.c0 + math.log(2.0))
     ineq2 = bool(spec.c1 <= spec.c0 + 0.3 * spec.c2)

@@ -211,14 +211,14 @@ def test_criterion_10_degree_evidence():
 
 
 def test_criterion_11_hypothesis_auditor(rng):
-    rep = check_V4(SADDLE, N=2)
+    rep = check_V4(SADDLE)
     model_ok = rep.ineq2 and not rep.ineq1_m_based and not rep.ineq1_log2_based
     agree = True
     for _ in range(100):
         c0 = rng.uniform(-0.9, 3.0)
         v0 = rng.uniform(-0.9, 4.0)
         spec = constant_potential(c0, 2, (0,), 0.5)
-        r = check_V4(spec, N=2, v_at_origin=v0)
+        r = check_V4(spec, v_at_origin=v0)
         agree = agree and (r.ineq1_m_based == r.ineq1_log2_based)
     report("11", model_ok and agree, f"model: ineq2={rep.ineq2}, ineq1={rep.ineq1_m_based}; paths agree on 100 pairs: {agree}")
 

@@ -81,8 +81,9 @@ def test_validate_config_collects_all_problems():
 def test_parse_potential_flag():
     assert parse_potential_flag("const:0") == {"kind": "constant", "value": 0.0}
     assert parse_potential_flag("saddle:1,1.25") == {"kind": "model_saddle", "c0": 1.0, "c1": 1.25}
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError) as err:
         parse_potential_flag("well:3")
+    assert err.value.violations == ["--V must be const:<value> or saddle:<c0>,<c1>, got 'well:3'"]
 
 
 def test_load_config_raises_config_error(tmp_path):
@@ -493,3 +494,50 @@ def test_flag_eps_and_r_must_be_finite_and_positive(tmp_path, capsys, monkeypatc
     assert out["violations"][0].startswith(f"{flag} ")
     assert not (tmp_path / "out").exists()
 
+
+def test_constant_value_must_exceed_minus_one(tmp_path, capsys, monkeypatch):
+    # the constant's value has the c0 rule, by the config and by --V alike
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"potential": {"kind": "constant", "value": -2}}))
+    routes = [(["saddle-cert", "--eps", "0.3", "--config", str(path)], "-2"), (["ground-state", "--V", "const:-2"], "-2.0")]
+    for argv, got in routes:
+        code = main(argv)
+        out = json.loads(capsys.readouterr().out)
+        assert code == EXIT_CONFIG, argv
+        assert out["violations"] == [f"potential.value must be a finite number above -1 for kind=constant, got {got}"]
+        assert not (tmp_path / "lognls-out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["ground-state", "--V", "const:abc"], "--V"),
+        (["ground-state", "--V", "saddle:1"], "--V"),
+        (["ground-state", "--V", "foo:1"], "--V"),
+        (["ground-state", "--V", "saddle:1,2,3"], "--V"),
+        (["gausson", "--A", "-1.5"], "--A"),
+        (["gausson", "--A", "nan"], "--A"),
+    ],
+)
+def test_bad_flag_value_is_config_error(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CONFIG
+    assert len(out["violations"]) == 1
+    assert out["violations"][0].startswith(f"{flag} ")
+    assert not (tmp_path / "lognls-out").exists()
+
+
+@pytest.mark.parametrize("argv", [["gausson"], ["ground-state", "--dim", "1"]])
+def test_flags_do_not_hide_a_malformed_block(tmp_path, capsys, monkeypatch, argv):
+    # a grid flag (or gausson's grid defaults) merges into the grid block;
+    # a grid block that is not an object is reported, not replaced
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": 3}))
+    code = main(argv + ["--config", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CONFIG
+    assert out["violations"] == ["grid must be a JSON object, got 3"]

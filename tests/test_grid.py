@@ -21,8 +21,9 @@ from lognls.grid import (
     shifted_laplacian_solve,
 )
 
+from lognls.cli import DEFAULT_CONFIG, validate_config
 from lognls.energy import eps_norm_sq, potential_samples
-from lognls.nehari import gausson
+from lognls.nehari import gausson, m_closed_form
 from lognls.potential import model_saddle
 
 from conftest import smooth_field
@@ -264,3 +265,64 @@ def test_shifted_laplacian_solve_inverts_the_stencil(rng, dim, n, sigma):
     residual = -grid_mod.laplacian_array(g, w) + sigma * w - f
     assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(f))
     assert np.array_equal(f, f_before)  # the input is left as it was
+
+
+def _two_sequence_solve(g, f, sigma):
+    """The solve as it was written before the axis loop, one transform
+    sequence per dimension: the reference the loop must match bit for bit."""
+    n = g.points_per_axis
+    lam = grid_mod._dirichlet_eigenvalues(g)
+    a = f.reshape(-1, n)
+    if g.dim == 1:
+        w = _dst1(a)
+        w /= lam + sigma
+        out = _dst1(w)
+    else:
+        w = _dst1(_dst1(a).T)
+        w /= lam[:, None] + (lam + sigma)
+        out = _dst1(_dst1(w).T)
+    out /= (2.0 * (n + 1)) ** g.dim
+    return out.ravel()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [64, 65, 2 * grid_mod._DST_BLOCK_ROWS + 5])
+@pytest.mark.parametrize("sigma", [0.3, 2.0])
+def test_shifted_laplacian_solve_axis_loop_is_bit_identical(rng, dim, n, sigma):
+    g = build_grid(dim, 7.0, n)
+    f = rng.standard_normal(g.num_nodes)
+    assert np.array_equal(shifted_laplacian_solve(g, f, sigma), _two_sequence_solve(g, f, sigma))
+
+
+def test_node_coordinates_one_dimension_is_the_axis():
+    g = build_grid(1, 10.0, 65)
+    assert np.array_equal(node_coordinates(g), g.axis()[:, None])
+
+
+def test_supported_dims_has_one_owner(monkeypatch):
+    # every dimension check reads grid.SUPPORTED_DIMS, so narrowing it
+    # narrows the grid, the potential, the closed-form level and the config
+    monkeypatch.setattr(grid_mod, "SUPPORTED_DIMS", (1,))
+    with pytest.raises(ValueError, match="^dim must be 1, got 2$"):
+        build_grid(2, 7.0, 17)
+    with pytest.raises(ValueError, match="^dim must be 1, got 2$"):
+        model_saddle(1.0, 1.25, 2, (0,), 0.5)
+    with pytest.raises(ValueError, match="^N must be 1, got 2$"):
+        m_closed_form(0.0, 2)
+    assert validate_config(DEFAULT_CONFIG) == ["grid.dim must be 1, got 2"]
+    build_grid(1, 7.0, 17)
+
+
+def test_kernels_run_in_three_dimensions_once_the_cap_allows(rng, monkeypatch):
+    # the cap is the only thing in the grid that stops N = 3
+    monkeypatch.setattr(grid_mod, "SUPPORTED_DIMS", (1, 2, 3))
+    g = build_grid(3, 4.0, 17)
+    pts = node_coordinates(g)
+    ax = g.axis()
+    assert pts.shape == (17**3, 3)
+    assert np.array_equal(pts[1], [ax[0], ax[0], ax[1]])  # row-major: the last coordinate fastest
+    assert np.array_equal(pts[17], [ax[0], ax[1], ax[0]])
+    f = rng.standard_normal(g.num_nodes)
+    w = shifted_laplacian_solve(g, f, 0.7)
+    residual = -grid_mod.laplacian_array(g, w) + 0.7 * w - f
+    assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(f))

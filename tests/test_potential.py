@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,7 +111,7 @@ def test_check_v2_kink_blows_up():
 
 
 def test_check_v4_model_configuration():
-    report = check_V4(SADDLE, N=2)
+    report = check_V4(SADDLE)
     assert report.ineq2  # 1.25 <= 1 + 0.3 * 1
     assert not report.ineq1_m_based  # 1.25 < 1 + log 2
     assert not report.ineq1_log2_based
@@ -120,17 +121,17 @@ def test_check_v4_model_configuration():
 
 def test_check_v4_second_inequality_boundary():
     passing = model_saddle(1.0, 1.3, 2, (0,), 0.5)
-    assert check_V4(passing, N=2).ineq2
+    assert check_V4(passing).ineq2
     failing = model_saddle(1.0, 1.31, 2, (0,), 0.5)
-    assert not check_V4(failing, N=2).ineq2
+    assert not check_V4(failing).ineq2
 
 
 def test_check_v4_first_inequality_at_v0():
     # V(0) = c0 forces m(V(0)) = m(c0) < 2 m(c0)
-    report = check_V4(SADDLE, N=2, v_at_origin=SADDLE.c0)
+    report = check_V4(SADDLE, v_at_origin=SADDLE.c0)
     assert not report.ineq1_m_based
     # and V(0) above c0 + log 2 passes
-    report = check_V4(SADDLE, N=2, v_at_origin=SADDLE.c0 + math.log(2.0) + 0.01)
+    report = check_V4(SADDLE, v_at_origin=SADDLE.c0 + math.log(2.0) + 0.01)
     assert report.ineq1_m_based and report.ineq1_log2_based
 
 
@@ -139,7 +140,7 @@ def test_check_v4_paths_agree_on_random_pairs(rng):
         c0 = rng.uniform(-0.9, 3.0)
         v0 = rng.uniform(-0.9, 4.0)
         spec = constant_potential(c0, 2, (0,), 0.5)
-        report = check_V4(spec, N=2, v_at_origin=v0)
+        report = check_V4(spec, v_at_origin=v0)
         assert report.ineq1_m_based == report.ineq1_log2_based
 
 
@@ -248,3 +249,39 @@ def test_expression_potential_rejects_everything_else(expr):
 def test_expression_potential_coordinates_follow_dimension():
     with pytest.raises(ValueError):
         expression_potential("1 + z1*z1", 1, (0,))
+
+
+def _linspace_box(dim, radius, side):
+    """A sample box as the checkers built it before the tensor-mesh helper."""
+    ax = np.linspace(-radius, radius, side)
+    if dim == 1:
+        return ax[:, None]
+    xx, yy = np.meshgrid(ax, ax, indexing="ij")
+    return np.column_stack([xx.ravel(), yy.ravel()])
+
+
+@pytest.mark.parametrize(
+    "dim, expr",
+    [
+        (1, "1 + 0.25*z0**2/(1+z0**2) + 0.1*np.sin(3*z0)"),
+        (2, "1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0.01*np.cos(z0*z1)"),
+    ],
+)
+def test_sample_boxes_are_the_linspace_boxes(dim, expr):
+    spec = expression_potential(expr, dim, (0,), 0.5)
+    # c0 and c1 from the box of the integer dim-th root of 20001 points per axis
+    pts = _linspace_box(dim, 20.0, 20001 if dim == 1 else 141)
+    on_x = pts.copy()
+    on_x[:, 1:] = 0.0
+    assert spec.c0 == float(np.min(spec.evaluate(pts)))
+    assert spec.c1 == max(float(np.max(spec.evaluate(on_x))), spec.c0)
+    # check_V2 evaluates its box first, then the shifted copies
+    seen = []
+    spy = replace(spec, evaluate=lambda p: seen.append(p.copy()) or spec.evaluate(p))
+    report = check_V2(spy)
+    pts = _linspace_box(dim, 10.0, 41)
+    assert np.array_equal(seen[0], pts)
+    assert report.max_value == float(np.max(np.abs(spec.evaluate(pts))))
+    step = 1e-4
+    grads = [np.max(np.abs(spec.evaluate(pts + step * e) - spec.evaluate(pts - step * e))) / (2 * step) for e in np.eye(dim)]
+    assert report.max_gradient == float(max(grads))
