@@ -47,6 +47,7 @@ import numpy as np
 from .energy import SplitParams, energy
 from .grid import Grid, dump_field, require_supported_dim
 from .minimax import (
+    MAX_H_TARGET,
     CertificateConfig,
     barycenter_zero_finder,
     certificate,
@@ -142,7 +143,7 @@ DEFAULT_CONFIG = {
     "solver": {"tol": 1e-6, "max_iters": 4000},
     "sweep": {"eps": [0.4, 0.2, 0.1, 0.05], "seed": 1234},
     "certificate": {
-        "h_target": 0.15,
+        "h_target": 0.4,
         "solver_half_extent": 10.0,
         "r_schedule": [0.25, 0.5, 1.0, 2.0],
         "theta_radius": 0.5,
@@ -257,6 +258,9 @@ def validate_config(cfg: dict) -> list[str]:
     for key in ("h_target", "solver_half_extent", "theta_radius", "beta_tol"):
         if not _is_positive(c.get(key)):
             problems.append(f"certificate.{key} must be a finite positive number, got {c.get(key)}")
+    if _is_positive(c.get("h_target")) and c["h_target"] > MAX_H_TARGET:
+        # a coarser grid does not resolve the Gausson
+        problems.append(f"certificate.h_target must be at most {MAX_H_TARGET}, got {c['h_target']}")
     if not (_is_int(c.get("q_samples")) and c["q_samples"] >= 1):
         problems.append(f"certificate.q_samples must be an integer >= 1, got {c.get('q_samples')}")
     radii = c.get("r_schedule")

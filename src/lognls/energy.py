@@ -208,8 +208,8 @@ def field_energy(grid: Grid, values: NDArray, vsamp) -> tuple[float, float]:
 
 
 def eps_norm_sq(grid: Grid, values: NDArray, vsamp) -> float:
-    """||u||_eps^2 = integral(|grad u|^2 + (V(eps x)+1) u^2) in the stencil
-    form, kin + pot + mass of the energy kernel (one Laplacian)."""
+    """||u||_eps^2 = integral(|grad u|^2 + (V(eps x)+1) u^2) in the
+    Laplacian's form, kin + pot + mass of the energy kernel (one Laplacian)."""
     return _assemble(*energy_terms(grid, values, vsamp)[2:])[0]
 
 

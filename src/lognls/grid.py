@@ -3,11 +3,20 @@
 Fields live on [-L, L]^N sampled at n points per axis and are treated as
 zero outside the box (homogeneous Dirichlet ghost values).  A grid may carry
 a frame center c: its nodes then sit at c + [-L, L]^N.  Only the node
-coordinates see the center; the stencil and the quadrature do not, so a
+coordinates see the center; the Laplacian and the quadrature do not, so a
 field moved to another frame keeps its values and every translation-invariant
-quantity.  The module provides the second-order Laplacian stencil and its
-shifted inverse, rectangle-rule quadrature, the H1 pairing in the stencil's
-own quadratic form, and a text dump format that round-trips bit exactly.
+quantity.  The module provides the sine-spectral Laplacian and its shifted
+inverse, rectangle-rule quadrature, the H1 pairing in the Laplacian's own
+quadratic form, and a text dump format that round-trips bit exactly.
+
+The Laplacian is diagonal in the DST-I basis of every axis (the sine modes
+that vanish at the ghost nodes) with the exact eigenvalues (pi k/((n+1) h))^2,
+the one table ``_dirichlet_eigenvalues`` that ``laplacian_array`` (so
+``kinetic_array``) and ``shifted_laplacian_solve`` read.  It resolves fields
+that decay like the Gausson to spectral accuracy, so a coarse grid suffices.
+An apply is two DST-I (rfft of length 2(n+1)) per axis, whose cost depends on
+how n + 1 factors: a large prime factor (n + 1 = 4098 = 2 * 3 * 683) makes
+them several times slower.
 
 Every kernel is one code path for any N (one tensor mesh, one loop over the
 axes).  ``SUPPORTED_DIMS`` alone sets the accepted N; every dimension check
@@ -130,21 +139,6 @@ def _require_same_grid(u: GridField, v: GridField) -> None:
 # array-level kernels (solvers call these directly to skip field validation)
 # ---------------------------------------------------------------------------
 
-def laplacian_array(grid: Grid, values: NDArray) -> NDArray:
-    """Second-order central-difference Laplacian with zero ghost values."""
-    h2 = grid.spacing**2
-    a = values.reshape(grid.shape)
-    out = -2.0 * grid.dim * a.copy()
-    for axis in range(grid.dim):
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[axis] = slice(None, -1)
-        hi[axis] = slice(1, None)
-        out[tuple(lo)] += a[tuple(hi)]
-        out[tuple(hi)] += a[tuple(lo)]
-    return (out / h2).ravel()
-
-
 # rows per rfft call of the DST-I: bounds the odd-extension buffer and the
 # transform's complex output at a block, not the whole array
 _DST_BLOCK_ROWS = 32
@@ -172,35 +166,52 @@ def _dst1(a: NDArray) -> NDArray:
 
 @lru_cache(maxsize=16)
 def _dirichlet_eigenvalues(grid: Grid) -> NDArray:
-    """Eigenvalues 4/h^2 sin^2(pi k / 2(n+1)), k = 1..n, of the 1-D stencil
-    -Lap_h with zero ghosts; sin(pi j k/(n+1)) are its eigenvectors."""
+    """Eigenvalues (pi k / ((n+1) h))^2, k = 1..n, of the 1-D -Lap with zero
+    ghosts, whose eigenvectors are the sine modes sin(pi j k/(n+1))."""
     n = grid.points_per_axis
     k = np.arange(1, n + 1)
-    return (2.0 / grid.spacing * np.sin(0.5 * math.pi * k / (n + 1))) ** 2
+    return (math.pi / ((n + 1) * grid.spacing) * k) ** 2
 
 
-def shifted_laplacian_solve(grid: Grid, values: NDArray, sigma: float) -> NDArray:
-    """The w with (-Lap_h + sigma) w = values, for sigma > 0 and the stencil
-    of ``laplacian_array`` (zero ghosts).
+def _dst_diagonal(grid: Grid, values: NDArray, shift: float, invert: bool) -> NDArray:
+    """Apply shift - Lap, or its inverse, on the sine basis of the grid.
 
-    That operator is diagonal in the DST-I basis of every axis, so the solve
-    is one transform per axis, a division by the eigenvalue sums, and the
-    same transforms again (DST-I is its own inverse up to 2(n+1)).  A pass
-    transforms the last axis and moves it to the front, so dim passes
-    restore the axis order.
+    The operator is diagonal in the DST-I basis of every axis, with the
+    eigenvalue shift + sum of ``_dirichlet_eigenvalues`` over the axes, so
+    the apply is one transform per axis, a multiplication (or division) by
+    the eigenvalue sums, and the same transforms again (DST-I is its own
+    inverse up to 2(n+1)).  A pass transforms the last axis and moves it to
+    the front, so dim passes restore the axis order.
     """
     n = grid.points_per_axis
     lam = _dirichlet_eigenvalues(grid)
     w = values
-    divisor = sigma
+    eigen = shift
     for k in range(grid.dim):
         w = _dst1(w.reshape(-1, n)).T
-        divisor = divisor + lam.reshape((n,) + (1,) * (grid.dim - 1 - k))
-    w /= divisor.reshape(n, -1)
+        eigen = eigen + lam.reshape((n,) + (1,) * (grid.dim - 1 - k))
+    if invert:
+        w /= eigen.reshape(n, -1)
+    else:
+        w *= eigen.reshape(n, -1)
     for _ in range(grid.dim):
         w = _dst1(w.reshape(n, -1).T)
     w /= (2.0 * (n + 1)) ** grid.dim
     return w.ravel()
+
+
+def laplacian_array(grid: Grid, values: NDArray) -> NDArray:
+    """Sine-spectral Laplacian with zero ghost values: DST-I, multiplication
+    by minus the eigenvalue sums, DST-I back."""
+    out = _dst_diagonal(grid, values, 0.0, invert=False)
+    return np.negative(out, out=out)
+
+
+def shifted_laplacian_solve(grid: Grid, values: NDArray, sigma: float) -> NDArray:
+    """The w with (-Lap + sigma) w = values, for sigma > 0 and the operator
+    of ``laplacian_array`` (zero ghosts): the same sine basis, divided by the
+    shifted eigenvalue sums."""
+    return _dst_diagonal(grid, values, sigma, invert=True)
 
 
 def integrate_array(grid: Grid, values: NDArray) -> float:
@@ -210,11 +221,12 @@ def integrate_array(grid: Grid, values: NDArray) -> float:
 
 
 def kinetic_array(grid: Grid, u: NDArray, v: NDArray) -> float:
-    """Dirichlet form <-Lap_h u, v> with the quadrature weight h^N.
+    """Dirichlet form <-Lap u, v> with the quadrature weight h^N.
 
-    This is the exact quadratic form of ``laplacian_array`` (summation by
-    parts holds exactly with zero ghosts), so energies built from it have the
-    stencil Laplacian as their exact discrete gradient.
+    This is the exact quadratic form of ``laplacian_array`` (the operator is
+    symmetric: it is diagonal in the orthogonal DST-I basis), so energies
+    built from it have the sine-spectral Laplacian as their exact discrete
+    gradient.
     """
     return -integrate_array(grid, laplacian_array(grid, u) * v)
 
@@ -224,7 +236,7 @@ def kinetic_array(grid: Grid, u: NDArray, v: NDArray) -> float:
 # ---------------------------------------------------------------------------
 
 def laplacian_apply(u: GridField) -> GridField:
-    """Apply the discrete Laplacian; second-order accurate in the interior."""
+    """Apply the sine-spectral Laplacian (zero ghosts)."""
     return GridField(u.grid, laplacian_array(u.grid, u.values))
 
 
@@ -236,7 +248,7 @@ def integrate(u: GridField) -> float:
 def h1_inner(u: GridField, v: GridField, weight: GridField) -> float:
     """Weighted H1 pairing  integral(grad u . grad v + weight * u * v).
 
-    The gradient term is the stencil's own form ``kinetic_array``, so with
+    The gradient term is the Laplacian's own form ``kinetic_array``, so with
     the weight V(eps x) + 1 this is the eps-norm pairing whose square the
     energy and the solvers use.  The weight must be strictly positive
     everywhere (the potential must stay above -1).

@@ -53,7 +53,7 @@ def test_criterion_02_gausson_oracle_1d():
     sol = ground_state(g, 0.0, 1.0, config=SolverConfig(tol=1e-8, max_iters=20000))
     m = 0.5 * math.e * math.sqrt(math.pi)
     rel = abs(sol.energy - m) / m
-    report("2 (1D)", rel < 0.01, f"energy {sol.energy:.6f} vs {m:.6f}, rel {rel:.2e}")
+    report("2 (1D)", rel <= 1e-12, f"energy {sol.energy:.6f} vs {m:.6f}, rel {rel:.2e}")
 
 
 def test_criterion_02_gausson_oracle_2d():
@@ -61,19 +61,19 @@ def test_criterion_02_gausson_oracle_2d():
     sol = ground_state(g, 0.0, 1.0, config=SolverConfig(tol=1e-8, max_iters=20000))
     m = 0.5 * math.e**2 * math.pi
     rel = abs(sol.energy - m) / m
-    report("2 (2D)", rel < 0.02, f"energy {sol.energy:.6f} vs {m:.6f}, rel {rel:.2e}")
+    report("2 (2D)", rel <= 1e-12, f"energy {sol.energy:.6f} vs {m:.6f}, rel {rel:.2e}")
 
 
 def test_criterion_03_residual_convergence():
+    # the sine-spectral operator resolves the Gausson, so its residual sits
+    # at the rounding floor on every grid, not at an O(h^2) error
     errs = []
     for n in (129, 257, 513):  # h, h/2, h/4
         g = build_grid(1, 10.0, n)
         res = grad_L2(gausson(g, 0.0), 0.0, 1.0, PARAMS).values
         errs.append(float(np.max(np.abs(res))))
-    p1 = math.log2(errs[0] / errs[1])
-    p2 = math.log2(errs[1] / errs[2])
-    ok = 1.7 <= p1 <= 2.3 and 1.7 <= p2 <= 2.3
-    report("3", ok, f"measured orders {p1:.3f}, {p2:.3f} (residuals {errs})")
+    ok = all(e <= 1e-10 for e in errs)
+    report("3", ok, f"residuals {errs} at n = 129, 257, 513, each at most 1e-10")
 
 
 def test_criterion_04_nehari_identities(rng):
@@ -112,7 +112,7 @@ def test_criterion_04_nehari_identities(rng):
 
 
 def test_criterion_05_log_sobolev(rng):
-    g = build_grid(1, 10.0, 4097)
+    g = build_grid(1, 10.0, 511)  # n + 1 = 512: a power-of-two transform
     a_values = np.geomspace(0.2, 5.0, 19).tolist() + [math.sqrt(math.pi) / 2]  # includes a^2/pi = 1/4
     worst = math.inf
     for _ in range(100):
@@ -134,7 +134,7 @@ def barycenter_sweep_data():
     inners = {}
     for eps in EPS_SWEEP:
         half = 2.0 / eps + 6.0
-        g = Grid(2, half, _odd_points(half, 0.15))
+        g = Grid(2, half, _odd_points(half, 0.4))
         u0 = gausson(g, SADDLE.c0)
         ds, ins = [], []
         for z in directions:
@@ -167,7 +167,7 @@ def test_criterion_07_sign_condition(barycenter_sweep_data):
 
 
 def test_criterion_08_level_separation():
-    g = Grid(2, 10.0, _odd_points(10.0, 0.15))
+    g = Grid(2, 10.0, _odd_points(10.0, 0.4))
     m = m_closed_form(SADDLE.c0, 2)
     solver = SolverConfig(tol=1e-6, max_iters=3000)
     sigmas = []
@@ -188,7 +188,7 @@ def test_criterion_08_level_separation():
 def test_criterion_09_upper_level():
     eps = 0.05
     half = min(60.0, 1.0 / eps + 6.0)
-    g = Grid(2, half, _odd_points(half, 0.15))
+    g = Grid(2, half, _odd_points(half, 0.4))
     u0 = gausson(g, SADDLE.c0)
     rep = level_sup_x(u0, SADDLE, eps, R=1.0, n_samples=17)
     two_m = 2 * m_closed_form(SADDLE.c0, 2)

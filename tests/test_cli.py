@@ -117,7 +117,7 @@ def test_ground_state_command(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     result = json.loads(out)
-    assert abs(result["energy"] - 2.409016) / 2.409016 < 0.01
+    assert result["energy"] == pytest.approx(0.5 * math.e * math.sqrt(math.pi), rel=1e-12)
     assert result["converged"] is True
     assert result["below_closed_form"] is False
     # field dump round-trips
@@ -257,8 +257,10 @@ def test_ground_state_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"solver": {"tol": 1e-14, "max_iters": 3}}))
+    # not a constant potential: the Gausson seed solves that one exactly, so
+    # the solve would converge at its first iteration
     code = main(
-        ["ground-state", "--V", "const:0", "--dim", "1", "--L", "10", "--n", "64",
+        ["ground-state", "--V", "saddle:1,1.25", "--dim", "2", "--L", "10", "--n", "65",
          "--eps", "1.0", "--config", str(cfg)]
     )
     result = json.loads(capsys.readouterr().out)
@@ -414,6 +416,7 @@ def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch, config,
         ("n_perturb", 6),
         ("r_schedule", [float("inf")]),
         ("h_target", float("inf")),
+        ("h_target", 0.8),  # too coarse to resolve the Gausson
         ("solver_half_extent", float("inf")),
         ("theta_radius", float("inf")),
     ],

@@ -156,15 +156,13 @@ def test_grad_zero_field(grid_1d):
 
 
 def test_grad_gausson_residual_order():
+    # the Gausson is the discrete solution: the gradient is rounding at every n
     A = 0.0
-    errs = []
     for n in (129, 257, 513):
         g = build_grid(1, 10.0, n)
         u = gausson(g, A)
         res = grad_L2(u, A, 1.0, PARAMS).values
-        errs.append(np.max(np.abs(res)))
-    assert 1.7 <= math.log2(errs[0] / errs[1]) <= 2.3
-    assert 1.7 <= math.log2(errs[1] / errs[2]) <= 2.3
+        assert np.max(np.abs(res)) <= 1e-10
 
 
 def test_grad_directional_derivative(rng):
@@ -226,7 +224,7 @@ def test_prox_rejects_bad_step():
 
 
 def test_log_sobolev_random_fields(rng):
-    g = build_grid(1, 10.0, 4097)
+    g = build_grid(1, 10.0, 511)  # n + 1 = 512: a power-of-two transform
     a_values = np.geomspace(0.2, 5.0, 19).tolist() + [math.sqrt(math.pi) / 2]
     worst = math.inf
     for _ in range(30):
@@ -239,12 +237,14 @@ def test_log_sobolev_random_fields(rng):
 
 
 def test_log_sobolev_gaussian_near_equality():
-    g = build_grid(1, 10.0, 131073)
+    # the spectral operator gives the same slack at every resolving n
+    # (1.9474485891e-05 at n = 511 and 4097), so no fine grid is needed
+    g = build_grid(1, 10.0, 511)
     u = GridField(g, np.exp(-g.axis() ** 2 / 2))
     mass = integrate(GridField(g, u.values**2))
     slacks = [log_sobolev_slack(u, a) for a in np.geomspace(1.0, 3.0, 41)]
     best = min(slacks) / mass
-    assert -1e-8 <= best <= 1e-4
+    assert -1e-12 <= best <= 1e-4
 
 
 def test_log_sobolev_rejects_zero_field(grid_1d):

@@ -59,41 +59,71 @@ def test_field_validation(grid_1d):
         GridField(grid_1d, bad)
 
 
+def _exact_eigenvalues(g):
+    """(pi k / ((n+1) h))^2, k = 1..n: -Lap of the sine modes that vanish at
+    the two ghost nodes, one box length (n+1) h apart."""
+    n = g.points_per_axis
+    return (np.arange(1, n + 1) * math.pi / ((n + 1) * g.spacing)) ** 2
+
+
+def _ones_sine_coefficients(n):
+    """c_k with 1 = sum_k c_k sin(pi j k/(n+1)) at j = 1..n: the DST-I of a
+    constant over n + 1, 2 cot(pi k / 2(n+1)) / (n+1) at odd k and 0 at even k."""
+    k = np.arange(1, n + 1)
+    return np.where(k % 2 == 1, 2.0 / np.tan(0.5 * math.pi * k / (n + 1)) / (n + 1), 0.0)
+
+
 def test_laplacian_constant_interior(grid_1d):
-    u = GridField(grid_1d, np.full(grid_1d.num_nodes, 3.0))
+    # a constant is an odd-mode sine series in the box between the ghost
+    # zeros; -Lap multiplies each mode by its exact eigenvalue
+    n = grid_1d.points_per_axis
+    u = GridField(grid_1d, np.full(n, 3.0))
     lap = laplacian_apply(u).values
-    # interior second difference of a constant vanishes; only the two nodes
-    # next to the ghost zeros feel the boundary
-    assert np.max(np.abs(lap[1:-1])) == 0.0
-    assert lap[0] != 0.0 and lap[-1] != 0.0
+    j = np.arange(1, n + 1)
+    modes = np.sin(math.pi * np.outer(j, j) / (n + 1))
+    expected = -3.0 * modes @ (_exact_eigenvalues(grid_1d) * _ones_sine_coefficients(n))
+    assert np.max(np.abs(lap - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # the edge nodes feel the ghost zeros most; mirror nodes alike
+    assert np.argmax(np.abs(lap)) in (0, n - 1)
+    assert np.max(np.abs(lap - lap[::-1])) <= 1e-12 * np.max(np.abs(lap))
 
 
 def test_laplacian_sine_eigenfunction():
-    g = build_grid(1, 10.0, 513)
-    x = g.axis()
-    k = 1
-    mode = np.sin(k * math.pi * (x + g.half_extent) / (2 * g.half_extent))
-    lam = (k * math.pi / (2 * g.half_extent)) ** 2
-    lap = laplacian_apply(GridField(g, mode)).values
-    # the sine vanishes at the box edge but not outside it, so the two edge
-    # nodes feel the ghost zeros; the eigen-relation holds in the interior
-    err = np.max(np.abs(-lap - lam * mode)[1:-1])
-    assert err < 10 * g.spacing**2 * lam
+    # the sine modes that vanish at the ghost nodes are exact eigenvectors,
+    # the highest mode included, at every node, to rounding at the scale of
+    # the largest eigenvalue
+    for n in (65, 513):
+        g = build_grid(1, 10.0, n)
+        x = g.axis()
+        lam = _exact_eigenvalues(g)
+        for k in (1, 7, n):
+            mode = np.sin(k * math.pi * (x + g.half_extent + g.spacing) / ((n + 1) * g.spacing))
+            lap = laplacian_apply(GridField(g, mode)).values
+            assert np.max(np.abs(-lap - lam[k - 1] * mode)) <= 1e-12 * lam[-1]
 
 
 def test_laplacian_gausson_residual_order():
-    # residual of -Lap u = (N - |x|^2) u shrinks at second order
-    errs = []
+    # the residual of -Lap u = (N - |x|^2) u is rounding at every n, not O(h^2)
     for n in (129, 257, 513):
         g = build_grid(1, 10.0, n)
         x = g.axis()
         u = np.exp(-(x**2) / 2)
         lap = laplacian_apply(GridField(g, u)).values
-        errs.append(np.max(np.abs(-lap - (1 - x**2) * u)))
-    order1 = math.log2(errs[0] / errs[1])
-    order2 = math.log2(errs[1] / errs[2])
-    assert 1.7 <= order1 <= 2.3
-    assert 1.7 <= order2 <= 2.3
+        assert np.max(np.abs(-lap - (1 - x**2) * u)) <= 1e-10
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (1, 65), (2, 64), (2, 2 * grid_mod._DST_BLOCK_ROWS + 5)])
+def test_laplacian_matches_scipy_dst(rng, dim, n):
+    # the operator is DST-I, minus the eigenvalue sums, inverse DST-I
+    from scipy.fft import dstn, idstn
+
+    g = build_grid(dim, 7.0, n)
+    u = rng.standard_normal(g.shape)
+    lam = _exact_eigenvalues(g)
+    lam_sum = lam if dim == 1 else lam[:, None] + lam[None, :]
+    expected = idstn(-lam_sum * dstn(u, type=1), type=1)
+    lap = grid_mod.laplacian_array(g, u.ravel())
+    assert np.max(np.abs(lap - expected.ravel())) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_integrate_constant(grid_1d):
@@ -165,19 +195,24 @@ def test_h1_inner_gausson_closed_form():
     # independent quadrature oracle on the analytic integrand
     oracle = integrate(GridField(g, (x**2 + A + 1.0) * u.values**2))
     assert oracle == pytest.approx(expected, rel=1e-10)
-    assert h1_inner(u, u, w) == pytest.approx(expected, rel=1e-3)
+    assert h1_inner(u, u, w) == pytest.approx(expected, rel=1e-12)
 
 
-def test_h1_inner_is_the_stencil_form_on_a_checkerboard():
-    # (-1)^i is the stencil's highest mode, which a centered difference of
-    # width 2h does not see; the pairing must take the stencil's own form
+def test_h1_inner_is_the_spectral_form_on_a_checkerboard():
+    # (-1)^i sits on the highest sine modes, which a centered difference of
+    # width 2h does not see; the pairing must take the operator's own form
     g = build_grid(1, 10.0, 65)
+    n = g.points_per_axis
     u = GridField(g, (-1.0) ** np.arange(g.num_nodes))
     w = GridField(g, np.full(g.num_nodes, 1.5))
     expected = kinetic_array(g, u.values, u.values) + integrate_array(g, w.values * u.values * u.values)
     assert h1_inner(u, u, w) == expected
-    # 63 interior nodes at 4/h^2 and two end nodes at 3/h^2
-    assert kinetic_array(g, u.values, u.values) == pytest.approx(258.0 / g.spacing, rel=1e-12)
+    # the checkerboard is the constant's sine series with mode k moved to
+    # n + 1 - k; each mode has sum_j sin^2 = (n + 1)/2
+    c = _ones_sine_coefficients(n)
+    lam = _exact_eigenvalues(g)[::-1]
+    closed = g.spacing * 0.5 * (n + 1) * float(np.sum(lam * c * c))
+    assert kinetic_array(g, u.values, u.values) == pytest.approx(closed, rel=1e-12)
 
 
 def test_h1_inner_is_the_eps_norm_of_the_energy():
@@ -255,6 +290,8 @@ def test_dst1_matches_scipy(rng, rows, n):
     assert np.allclose(_dst1(b), dst(b, type=1, axis=-1), rtol=0.0, atol=1e-12 * np.max(np.abs(b)) * n)
 
 
+# the name predates the sine-spectral operator: the solve inverts
+# -laplacian_array + sigma
 @pytest.mark.parametrize("dim, n", [(1, 64), (1, 65), (2, 64), (2, 65), (2, 2 * grid_mod._DST_BLOCK_ROWS + 5)])
 @pytest.mark.parametrize("sigma", [0.3, 2.0])
 def test_shifted_laplacian_solve_inverts_the_stencil(rng, dim, n, sigma):

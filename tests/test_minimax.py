@@ -106,7 +106,7 @@ def test_phi_path_origin_is_nehari_with_unit_scale():
     assert t == pytest.approx(1.0, abs=1e-10)
     # for the constant potential the exact profile is already critical
     t0 = nehari_scale(u0, CONST, 0.3)
-    assert t0 == pytest.approx(1.0, abs=10 * g.spacing**2)
+    assert t0 == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(barycenter(f))) < 1e-12
 
 
@@ -187,7 +187,7 @@ def test_level_d_constant_potential_reaches_m():
     res = level_d(g, CONST, 1.0, solver=SolverConfig(tol=1e-6, max_iters=3000))
     m = m_closed_form(CONST.c0, 2)
     assert res.feasible
-    assert res.value == pytest.approx(m, rel=0.02)
+    assert res.value == pytest.approx(m, rel=1e-12)
     assert res.beta_x_norm <= 1e-3
     assert res.upper_bound
 
@@ -232,10 +232,10 @@ def test_level_d_continuation_holds_an_asymmetric_minimizer_on_the_default_grid(
     # the free minimizer leaves Y on this potential; carried from mu = 10,
     # the continuation ends in Y with every stage converged
     pot = expression_potential(ASYMMETRIC, 2, [0])
-    res = level_d(Grid(2, 10.0, 135), pot, 0.4)
+    res = level_d(Grid(2, 10.0, 51), pot, 0.4)
     assert res.feasible and res.converged
     assert res.beta_x_norm <= 1e-3
-    assert res.value == pytest.approx(39.76935, abs=1e-6)
+    assert res.value == pytest.approx(39.8779064, abs=1e-6)
 
 
 def test_barycenter_penalty_value_and_gradient(rng):
@@ -428,8 +428,31 @@ def test_certificate_d_eps_below_sup_x_on_one_grid():
     # exactly once both come from the same grid
     cfg = CertificateConfig(potential=SADDLE, compute_numerical_m=False)
     cert = certificate(0.05, cfg)
-    assert cert.details["path_grid"] == (2, 10.0, 135)
+    assert cert.details["path_grid"] == (2, 10.0, 51)
     assert cert.D_eps_estimate <= cert.sup_X_J
+
+
+@pytest.mark.parametrize("below, trips", [(0.5e-6, False), (2e-6, True)])
+def test_certificate_d_eps_allowance_does_not_read_the_grid(monkeypatch, below, trips):
+    # D_eps >= m_h(c0) = m(c0) to rounding, so the allowance is 1e-6 +
+    # 1e-9 m(c0) (1.03e-6 here) at every h; the grid-read allowance
+    # 1e-6 + m(c0) h^2 was 5.05 on this 51^2 default grid
+    real = minimax_mod.level_d
+    m_c0 = m_closed_form(SADDLE.c0, SADDLE.dim)
+
+    def low(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.value = m_c0 - below
+        return res
+
+    monkeypatch.setattr(minimax_mod, "level_d", low)
+    cfg = CertificateConfig(potential=SADDLE, compute_numerical_m=False)
+    assert cfg.grid().points_per_axis == 51
+    if trips:
+        with pytest.raises(AssertionError, match="rounding allowance"):
+            certificate(0.4, cfg)
+    else:
+        assert certificate(0.4, cfg).D_eps_estimate == m_c0 - below
 
 
 def test_certificate_constant_potential_fails():
