@@ -305,20 +305,12 @@ def build_potential(cfg: dict) -> PotentialSpec:
     return expression_potential(p["expr"], dim, x_axes, lam)
 
 
-# the keys the builders read, block by block; validate_config rejects others.
-# A potential block is merged over the default model saddle, so it takes the
-# union of what the three kinds read.
-BLOCK_KEYS = {
-    "grid": ("dim", "half_extent", "points_per_axis"),
-    "potential": ("kind", "c0", "c1", "value", "expr", "x_axes", "lambda"),
-    "split": ("delta",),
-    "solver": ("tol", "max_iters"),
-    "sweep": ("eps", "seed"),
-    "certificate": (
-        "h_target", "solver_half_extent", "r_schedule", "theta_radius", "q_samples", "beta_tol", "compute_numerical_m"
-    ),
-    "output": ("directory", "formats"),
-}
+# the keys the builders read, block by block: the keys of DEFAULT_CONFIG;
+# validate_config rejects others.  A potential block is merged over the
+# default model saddle, so it takes the union of what the three kinds read:
+# the saddle's keys plus the constant's value and the expression's expr.
+BLOCK_KEYS = {block: tuple(keys) for block, keys in DEFAULT_CONFIG.items()}
+BLOCK_KEYS["potential"] += ("value", "expr")
 
 
 # the builders read a config that load_config resolved against

@@ -255,25 +255,24 @@ def grad_array(grid: Grid, values: NDArray, vsamp: NDArray) -> NDArray:
     return -laplacian_array(grid, values) + vsamp * values - nl
 
 
-def grad_L2(u: GridField, potential, eps: float, params: SplitParams, check_split: bool = True) -> GridField:
+def grad_L2(u: GridField, potential, eps: float, params: SplitParams) -> GridField:
     """L2 gradient field of J.
 
-    With ``check_split`` the gradient is also reassembled from the split
-    (-Lap u + (V+1)u - F2'(u)) + F1'(u) and both routes must agree to 1e-10.
+    The gradient is also reassembled from the split
+    (-Lap u + (V+1)u - F2'(u)) + F1'(u), and both routes must agree to 1e-10.
     """
     grid = u.grid
     vsamp = potential_samples(potential, grid, eps)
     direct = grad_array(grid, u.values, vsamp)
-    if check_split:
-        split = (
-            -laplacian_array(grid, u.values)
-            + (vsamp + 1.0) * u.values
-            - f2_prime(u.values, params)
-            + f1_prime(u.values, params)
-        )
-        scale = 1.0 + float(np.max(np.abs(direct)))
-        if float(np.max(np.abs(direct - split))) > 1e-10 * scale:
-            raise AssertionError("gradient assemblies (direct vs split) disagree")
+    split = (
+        -laplacian_array(grid, u.values)
+        + (vsamp + 1.0) * u.values
+        - f2_prime(u.values, params)
+        + f1_prime(u.values, params)
+    )
+    scale = 1.0 + float(np.max(np.abs(direct)))
+    if float(np.max(np.abs(direct - split))) > 1e-10 * scale:
+        raise AssertionError("gradient assemblies (direct vs split) disagree")
     return GridField(grid, direct)
 
 

@@ -368,13 +368,7 @@ class SupXReport:
         }
 
 
-def level_sup_x(
-    u0: GridField,
-    potential: PotentialSpec,
-    eps: float,
-    R: float,
-    n_samples: int = 17,
-) -> SupXReport:
+def level_sup_x(u0: GridField, potential: PotentialSpec, eps: float, R: float, n_samples: int) -> SupXReport:
     """Max of J(Phi_eps(x)) over sampled Q, with the analytic cap
     m(c0) + (3/10) c2 integral(u0^2) for comparison."""
     _, vals = path_levels(u0, _q_samples(potential, R, n_samples), eps, potential)
@@ -407,19 +401,16 @@ class ChooseRResult:
         }
 
 
-def choose_r(
-    u0: GridField,
-    potential: PotentialSpec,
-    eps: float,
-    threshold: float,
-    schedule=(0.25, 0.5, 1.0, 2.0),
-    boundary_samples: int = 8,
-) -> ChooseRResult:
+# points on each boundary sphere of choose_r (two X axes; one axis gives two)
+_BOUNDARY_SAMPLES = 8
+
+
+def choose_r(u0: GridField, potential: PotentialSpec, eps: float, threshold: float, schedule) -> ChooseRResult:
     """Smallest radius in the schedule whose boundary path values sit below
     the threshold; exhaustion is reported with the achieved maxima."""
     achieved = {}
     for R in schedule:
-        zs = _subspace_sphere(potential.dim, potential.x_axes, R, boundary_samples)
+        zs = _subspace_sphere(potential.dim, potential.x_axes, R, _BOUNDARY_SAMPLES)
         achieved[float(R)] = float(np.max(path_levels(u0, zs, eps, potential)[1]))
         if achieved[float(R)] <= threshold:
             return ChooseRResult(float(R), threshold, achieved, True)
@@ -563,16 +554,16 @@ class ZeroFinderResult:
         }
 
 
-def barycenter_zero_finder(
-    u0: GridField,
-    potential: PotentialSpec,
-    eps: float,
-    R: float,
-    n_coarse: int = 17,
-    tol: float = 1e-3,
-    max_bisect: int = 48,
-    boundary_samples: int = 16,
-) -> ZeroFinderResult:
+# the zero finder: coarse samples of a one-axis X, the residual |P_X beta|
+# that counts as a zero, the cap on bisection and quadrant steps, and the
+# points on each square boundary of a two-axis X
+_ZERO_COARSE = 17
+_ZERO_TOL = 1e-3
+_ZERO_MAX_STEPS = 48
+_ZERO_BOUNDARY_SAMPLES = 16
+
+
+def barycenter_zero_finder(u0: GridField, potential: PotentialSpec, eps: float, R: float) -> ZeroFinderResult:
     """Locate x* in Q with P_X beta(Phi_eps(x*)) ~ 0.
 
     With a one-dimensional X this is sign bracketing plus bisection; with a
@@ -591,7 +582,7 @@ def barycenter_zero_finder(
         return path_table(u0, zs, eps, potential)[2][:, axes]
 
     if len(axes) == 1:
-        xs = np.linspace(-R, R, n_coarse)
+        xs = np.linspace(-R, R, _ZERO_COARSE)
         vals = f_rows(xs[:, None])[:, 0]
         evidence = {
             "boundary_values": [float(vals[0]), float(vals[-1])],
@@ -599,18 +590,18 @@ def barycenter_zero_finder(
         }
         best_idx = int(np.argmin(np.abs(vals)))
         best_x, best_f = float(xs[best_idx]), float(vals[best_idx])
-        if abs(best_f) > tol:
+        if abs(best_f) > _ZERO_TOL:
             brackets = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
             if brackets.size == 0:
                 return ZeroFinderResult(None, abs(best_f), True, evidence)
             lo, hi = xs[brackets[0]], xs[brackets[0] + 1]
             f_lo = vals[brackets[0]]
-            for _ in range(max_bisect):
+            for _ in range(_ZERO_MAX_STEPS):
                 mid = 0.5 * (lo + hi)
                 f_mid = f_rows([[mid]])[0, 0]
                 if abs(f_mid) < abs(best_f):
                     best_x, best_f = mid, f_mid
-                if abs(f_mid) <= tol or (hi - lo) < 0.25 * eps * u0.grid.spacing:
+                if abs(f_mid) <= _ZERO_TOL or (hi - lo) < 0.25 * eps * u0.grid.spacing:
                     break
                 if f_lo * f_mid <= 0:
                     hi = mid
@@ -634,21 +625,21 @@ def barycenter_zero_finder(
 
     center = np.zeros(2)
     half = float(R)
-    w0 = winding(center, half, boundary_samples)
+    w0 = winding(center, half, _ZERO_BOUNDARY_SAMPLES)
     evidence = {"winding": w0, "degree_one": bool(abs(w0) >= 1)}
     if w0 == 0:
         f_c = f_rows([center])[0]
         res = float(np.linalg.norm(f_c))
-        if res <= tol:
+        if res <= _ZERO_TOL:
             return ZeroFinderResult([float(c) for c in center], res, False, evidence)
         return ZeroFinderResult(None, res, True, evidence)
-    for _ in range(max_bisect):
+    for _ in range(_ZERO_MAX_STEPS):
         f_c = f_rows([center])[0]
-        if float(np.linalg.norm(f_c)) <= tol or half < 0.25 * eps * u0.grid.spacing:
+        if float(np.linalg.norm(f_c)) <= _ZERO_TOL or half < 0.25 * eps * u0.grid.spacing:
             break
         # the first quadrant, in a fixed order, whose boundary still winds
         quadrants = (center + half * np.array([sx, sy]) for sx in (-0.5, 0.5) for sy in (-0.5, 0.5))
-        child = next((q for q in quadrants if winding(q, 0.5 * half, boundary_samples) != 0), None)
+        child = next((q for q in quadrants if winding(q, 0.5 * half, _ZERO_BOUNDARY_SAMPLES) != 0), None)
         if child is None:
             break
         center, half = child, 0.5 * half
@@ -792,15 +783,14 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
         "boundary_radius_found": bool(r_choice.succeeded),
         # neighborhood level clears the midpoint of the gap
         "theta_above_half_gap": bool(theta.feasible and theta_val > m_c0 + 0.5 * sigma),
-        # the minimax bracket (m + sigma/2, 2m - sigma) is nonempty and holds
-        "sandwich": bool(
-            theta.feasible
-            and sigma > SIGMA_FLOOR
-            and theta_val > m_c0 + 0.5 * sigma
-            and sup_x.value < 2.0 * m_c0 - sigma
-            and m_c0 + 0.5 * sigma < 2.0 * m_c0 - sigma
-        ),
     }
+    # the minimax bracket (m + sigma/2, 2m - sigma) is nonempty and holds
+    flags["sandwich"] = bool(
+        flags["constrained_gap"]
+        and flags["sup_below_two_m"]
+        and flags["theta_above_half_gap"]
+        and m_c0 + 0.5 * sigma < 2.0 * m_c0 - sigma
+    )
 
     return LevelCertificate(
         eps=float(eps),

@@ -125,11 +125,10 @@ def project_nehari(u: GridField, potential, eps: float) -> GridField:
 # Gausson oracle and closed-form level
 # ---------------------------------------------------------------------------
 
-def gausson(grid: Grid, A: float, center=None, eps: Optional[float] = None) -> GridField:
+def gausson(grid: Grid, A: float, center=None) -> GridField:
     """Exact constant-potential solution with amplitude level A > -1.
 
     In rescaled coordinates the profile is exp((N+A)/2) exp(-|x-c|^2/2).
-    Passing ``eps`` produces the original-coordinates form with width eps.
     The 4-standard-deviation ball around the center must stay inside the box
     (the box around the grid's frame center).
     """
@@ -138,14 +137,11 @@ def gausson(grid: Grid, A: float, center=None, eps: Optional[float] = None) -> G
     c = np.zeros(grid.dim) if center is None else np.asarray(center, dtype=float).ravel()
     if c.size != grid.dim:
         raise ValueError(f"center must have {grid.dim} components")
-    width = 1.0 if eps is None else float(eps)
-    if eps is not None and eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if np.any(np.abs(c - grid.center) + 4.0 * width > grid.half_extent):
+    if np.any(np.abs(c - grid.center) + 4.0 > grid.half_extent):
         raise ValueError("center too close to the boundary: 4-sigma ball exits the box")
     pts = node_coordinates(grid)
     r2 = np.sum((pts - c) ** 2, axis=1)
-    return GridField(grid, math.exp(0.5 * (grid.dim + A)) * np.exp(-r2 / (2.0 * width * width)))
+    return GridField(grid, math.exp(0.5 * (grid.dim + A)) * np.exp(-r2 / 2.0))
 
 
 def m_closed_form(A: float, N: int) -> float:

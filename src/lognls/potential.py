@@ -173,20 +173,20 @@ def compile_expression(expr: str, dim: int) -> Callable[[tuple], NDArray]:
     return build(tree.body)
 
 
-def expression_potential(
-    expr: str,
-    dim: int,
-    x_axes,
-    lam: float = 0.5,
-    sample_radius: float = 20.0,
-    n_samples: int = 20001,
-) -> PotentialSpec:
+# c0 and c1 of an expression potential: sampled over [-20, 20]^dim with at
+# most 20001 points in all
+_EXPR_BOX_RADIUS = 20.0
+_EXPR_SAMPLES = 20001
+
+
+def expression_potential(expr: str, dim: int, x_axes, lam: float = 0.5) -> PotentialSpec:
     """Potential from an expression in z0, z1 (e.g. "1 + z0**2/(1+abs(z0))").
 
     The expression is parsed by :func:`compile_expression`, which raises
     ValueError on anything outside its whitelist.  c0 and c1 are estimated
-    by dense sampling over a box of the given radius (the integer dim-th
-    root of n_samples points per axis), within the sampling resolution.
+    by dense sampling over the box of radius ``_EXPR_BOX_RADIUS`` (the
+    integer dim-th root of ``_EXPR_SAMPLES`` points per axis), within the
+    sampling resolution.
     """
     x_axes = tuple(int(a) for a in x_axes)
     y_axes = tuple(a for a in range(dim) if a not in x_axes)
@@ -197,10 +197,10 @@ def expression_potential(
         out = formula(tuple(pts[:, k] for k in range(dim)))
         return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],)).copy()
 
-    side = round(n_samples ** (1.0 / dim))  # the integer dim-th root of n_samples
-    if side**dim > n_samples:
+    side = round(_EXPR_SAMPLES ** (1.0 / dim))  # the integer dim-th root of _EXPR_SAMPLES
+    if side**dim > _EXPR_SAMPLES:
         side -= 1
-    pts = tensor_points([np.linspace(-sample_radius, sample_radius, side)] * dim)
+    pts = tensor_points([np.linspace(-_EXPR_BOX_RADIUS, _EXPR_BOX_RADIUS, side)] * dim)
     vals = _eval(pts)
     c0 = float(np.min(vals))
     on_x = pts.copy()
@@ -255,40 +255,44 @@ class V1Report:
         }
 
 
-def check_V1(
-    spec: PotentialSpec,
-    radii=(1.0, 2.0, 4.0, 8.0, 16.0),
-    samples_per_sphere: int = 64,
-    cone_directions: int = 256,
-    cone_radii: int = 48,
-    box_radius: float = 32.0,
-    margin: float = 1e-9,
-) -> V1Report:
+# V1 sampling: the X spheres' radii and points per sphere, the cone's
+# directions and geometric radii in (1e-3, box radius), and the margin by
+# which the X tail must undercut the cone infimum
+_V1_RADII = (1.0, 2.0, 4.0, 8.0, 16.0)
+_V1_SPHERE_SAMPLES = 64
+_V1_CONE_DIRECTIONS = 256
+_V1_CONE_RADII = 48
+_V1_BOX_RADIUS = 32.0
+_V1_MARGIN = 1e-9
+
+
+def check_V1(spec: PotentialSpec) -> V1Report:
     """Sampled check of the saddle geometry.
 
-    Computes sup V over spheres in X for the radius schedule, a sampled inf
-    of V over the cone Y_lambda inside the box, and passes when the tail of
-    the sup sequence undercuts the cone infimum by the margin.  Empty cones
-    (no Y axes, or no cone samples in the box) are reported inconclusive.
+    Computes sup V over spheres in X for the radii ``_V1_RADII``, a sampled
+    inf of V over the cone Y_lambda inside the box, and passes when the tail
+    of the sup sequence undercuts the cone infimum by ``_V1_MARGIN``.  Empty
+    cones (no Y axes, or no cone samples in the box) are reported
+    inconclusive.
     """
+    radii = list(_V1_RADII)
     sups = []
-    for r in radii:
-        pts = _subspace_sphere(spec.dim, spec.x_axes, float(r), samples_per_sphere)
+    for r in _V1_RADII:
+        pts = _subspace_sphere(spec.dim, spec.x_axes, r, _V1_SPHERE_SAMPLES)
         if pts.shape[0] == 0:
-            return V1Report(list(radii), [], None, margin, False, True)
+            return V1Report(radii, [], None, _V1_MARGIN, False, True)
         sups.append(float(np.max(spec.evaluate(pts))))
 
-    dirs = _subspace_sphere(spec.dim, tuple(range(spec.dim)), 1.0, cone_directions)
-    radii_grid = np.geomspace(1e-3, box_radius, cone_radii)
+    dirs = _subspace_sphere(spec.dim, tuple(range(spec.dim)), 1.0, _V1_CONE_DIRECTIONS)
+    radii_grid = np.geomspace(1e-3, _V1_BOX_RADIUS, _V1_CONE_RADII)
     pts = (dirs[None, :, :] * radii_grid[:, None, None]).reshape(-1, spec.dim)
     mask = spec.in_cone(pts)
     if not np.any(mask):
-        return V1Report(list(radii), sups, None, margin, False, True)
+        return V1Report(radii, sups, None, _V1_MARGIN, False, True)
     cone_inf = float(np.min(spec.evaluate(pts[mask])))
 
-    tail = min(sups[-2:]) if len(sups) >= 2 else sups[-1]
-    passed = tail < cone_inf - margin
-    return V1Report(list(radii), sups, cone_inf, margin, bool(passed), False)
+    passed = min(sups[-2:]) < cone_inf - _V1_MARGIN
+    return V1Report(radii, sups, cone_inf, _V1_MARGIN, bool(passed), False)
 
 
 @dataclass
@@ -311,45 +315,48 @@ class V2Report:
         }
 
 
-def check_V2(
-    spec: PotentialSpec,
-    sample_radius: float = 10.0,
-    n_per_axis: int = 41,
-    fd_step: float = 1e-4,
-    value_cap: float = 1e6,
-    derivative_cap: float = 1e6,
-) -> V2Report:
+# the step of every finite difference of V (V2 and the V3 diagnostic)
+_FD_STEP = 1e-4
+
+# V2 sampling: the box [-10, 10]^N at 41 points per axis, and the cap on
+# max |V|, on the largest first derivative and on the largest second
+_V2_BOX_RADIUS = 10.0
+_V2_POINTS_PER_AXIS = 41
+_V2_CAP = 1e6
+
+
+def check_V2(spec: PotentialSpec) -> V2Report:
     """Finite-difference boundedness probe for V and its first two derivatives.
 
-    Central differences with the given step over a sample box; maxima are
-    compared against configurable caps.  A kink shows up as a second
-    difference growing like 1/fd_step.
+    Central differences with step ``_FD_STEP`` over a sample box; maxima are
+    compared against ``_V2_CAP``.  A kink shows up as a second difference
+    of order 1/_FD_STEP.
     """
-    pts = tensor_points([np.linspace(-sample_radius, sample_radius, n_per_axis)] * spec.dim)
+    pts = tensor_points([np.linspace(-_V2_BOX_RADIUS, _V2_BOX_RADIUS, _V2_POINTS_PER_AXIS)] * spec.dim)
     v0 = spec.evaluate(pts)
     max_val = float(np.max(np.abs(v0)))
     max_grad = 0.0
     max_second = 0.0
     eye = np.eye(spec.dim)
     for i in range(spec.dim):
-        vp = spec.evaluate(pts + fd_step * eye[i])
-        vm = spec.evaluate(pts - fd_step * eye[i])
-        max_grad = max(max_grad, float(np.max(np.abs(vp - vm))) / (2 * fd_step))
-        max_second = max(max_second, float(np.max(np.abs(vp + vm - 2 * v0))) / fd_step**2)
+        vp = spec.evaluate(pts + _FD_STEP * eye[i])
+        vm = spec.evaluate(pts - _FD_STEP * eye[i])
+        max_grad = max(max_grad, float(np.max(np.abs(vp - vm))) / (2 * _FD_STEP))
+        max_second = max(max_second, float(np.max(np.abs(vp + vm - 2 * v0))) / _FD_STEP**2)
         for j in range(i + 1, spec.dim):
-            vpp = spec.evaluate(pts + fd_step * (eye[i] + eye[j]))
-            vpm = spec.evaluate(pts + fd_step * (eye[i] - eye[j]))
-            vmp = spec.evaluate(pts - fd_step * (eye[i] - eye[j]))
-            vmm = spec.evaluate(pts - fd_step * (eye[i] + eye[j]))
-            mixed = np.abs(vpp - vpm - vmp + vmm) / (4 * fd_step**2)
+            vpp = spec.evaluate(pts + _FD_STEP * (eye[i] + eye[j]))
+            vpm = spec.evaluate(pts + _FD_STEP * (eye[i] - eye[j]))
+            vmp = spec.evaluate(pts - _FD_STEP * (eye[i] - eye[j]))
+            vmm = spec.evaluate(pts - _FD_STEP * (eye[i] + eye[j]))
+            mixed = np.abs(vpp - vpm - vmp + vmm) / (4 * _FD_STEP**2)
             max_second = max(max_second, float(np.max(mixed)))
     return V2Report(
         max_value=max_val,
         max_gradient=max_grad,
         max_second=max_second,
-        value_bounded=max_val <= value_cap,
-        gradient_bounded=max_grad <= derivative_cap,
-        second_bounded=max_second <= derivative_cap,
+        value_bounded=max_val <= _V2_CAP,
+        gradient_bounded=max_grad <= _V2_CAP,
+        second_bounded=max_second <= _V2_CAP,
     )
 
 
@@ -414,15 +421,15 @@ class V3Report:
         return {"suspects": self.suspects}
 
 
-def v3_diagnostic(
-    spec: PotentialSpec,
-    n_directions: int = 16,
-    radii=None,
-    tail_fraction: float = 0.5,
-    grad_tol: float = 1e-2,
-    flat_tol: float = 1e-2,
-    fd_step: float = 1e-4,
-) -> V3Report:
+# V3 rays: the directions, the radii walked along each, and the bounds
+# under which a tail's gradient and variation count as flat
+_V3_DIRECTIONS = 16
+_V3_RADII = np.geomspace(0.5, 64.0, 32)
+_V3_GRAD_TOL = 1e-2
+_V3_FLAT_TOL = 1e-2
+
+
+def v3_diagnostic(spec: PotentialSpec) -> V3Report:
     """ADVISORY probe for Palais-Smale failure directions of V.
 
     Walks rays to the sampling boundary and lists directions where the
@@ -430,24 +437,21 @@ def v3_diagnostic(
     condition concerns sequences at infinity, so no pass/fail verdict is
     possible from finite samples; the heat-list is all this returns.
     """
-    if radii is None:
-        radii = np.geomspace(0.5, 64.0, 32)
-    radii = np.asarray(radii, dtype=float)
-    n_tail = max(2, int(len(radii) * tail_fraction))
-    dirs = _subspace_sphere(spec.dim, tuple(range(spec.dim)), 1.0, n_directions)
+    n_tail = len(_V3_RADII) // 2  # the tail: the outer half of the rays
+    dirs = _subspace_sphere(spec.dim, tuple(range(spec.dim)), 1.0, _V3_DIRECTIONS)
     eye = np.eye(spec.dim)
     suspects = []
     for d in dirs:
-        pts = radii[:, None] * d[None, :]
+        pts = _V3_RADII[:, None] * d[None, :]
         vals = np.asarray(spec.evaluate(pts))
-        grad_sq = np.zeros(len(radii))
+        grad_sq = np.zeros(len(_V3_RADII))
         for i in range(spec.dim):
-            vp = spec.evaluate(pts + fd_step * eye[i])
-            vm = spec.evaluate(pts - fd_step * eye[i])
-            grad_sq += ((vp - vm) / (2 * fd_step)) ** 2
+            vp = spec.evaluate(pts + _FD_STEP * eye[i])
+            vm = spec.evaluate(pts - _FD_STEP * eye[i])
+            grad_sq += ((vp - vm) / (2 * _FD_STEP)) ** 2
         tail_grad = float(np.max(np.sqrt(grad_sq[-n_tail:])))
         tail_var = float(np.max(vals[-n_tail:]) - np.min(vals[-n_tail:]))
-        if tail_grad < grad_tol and tail_var < flat_tol:
+        if tail_grad < _V3_GRAD_TOL and tail_var < _V3_FLAT_TOL:
             suspects.append(
                 {
                     "direction": [float(c) for c in d],

@@ -271,7 +271,7 @@ def test_level_d_requires_nontrivial_y():
 @pytest.mark.parametrize("n", [8, 9, 16, 17])
 def test_q_samples_are_the_origin_plus_x_spheres(n):
     # with one X axis and an odd n these are the points of linspace(-R, R, n),
-    # so the default q_samples (9) and level_sup_x's default (17) keep their bytes
+    # so the default q_samples (9) and the tests' 17 keep their bytes
     for R in (0.25, 0.5, 1.0, 2.0):
         zs = minimax_mod._q_samples(SADDLE, R, n)
         assert np.array_equal(zs[0], np.zeros(2)) and not np.any(zs[:, 1])
@@ -294,7 +294,7 @@ def test_level_sup_x_constant_potential():
     eps = 0.3
     g = path_grid(eps, R=1.0)
     u0 = gausson(g, CONST.c0)
-    report = level_sup_x(u0, CONST, eps, R=1.0)
+    report = level_sup_x(u0, CONST, eps, R=1.0, n_samples=17)
     m = m_closed_form(CONST.c0, 2)
     assert report.value == pytest.approx(m, rel=0.01)
     assert report.value < 2 * m
@@ -304,7 +304,7 @@ def test_level_sup_x_model_cap():
     eps = 0.1
     g = path_grid(eps, R=1.0)
     u0 = gausson(g, SADDLE.c0)
-    report = level_sup_x(u0, SADDLE, eps, R=1.0)
+    report = level_sup_x(u0, SADDLE, eps, R=1.0, n_samples=17)
     assert report.value <= report.cap + 1e-3
     assert report.value < 2 * m_closed_form(SADDLE.c0, 2)
     assert report.cap == pytest.approx(report.cap_closed_form, rel=1e-3)
@@ -315,7 +315,7 @@ def test_choose_r_constant_returns_first_entry():
     g = path_grid(eps)
     u0 = gausson(g, CONST.c0)
     m = m_closed_form(CONST.c0, 2)
-    res = choose_r(u0, CONST, eps, threshold=m + 0.5)
+    res = choose_r(u0, CONST, eps, threshold=m + 0.5, schedule=(0.25, 0.5, 1.0, 2.0))
     assert res.succeeded and res.R == 0.25
 
 
@@ -325,7 +325,7 @@ def test_choose_r_model_finite_radius():
     u0 = gausson(g, SADDLE.c0)
     m = m_closed_form(SADDLE.c0, 2)
     theta_proxy = m_closed_form(SADDLE.c1, 2)  # path value at the origin
-    res = choose_r(u0, SADDLE, eps, threshold=0.5 * (m + theta_proxy))
+    res = choose_r(u0, SADDLE, eps, threshold=0.5 * (m + theta_proxy), schedule=(0.25, 0.5, 1.0, 2.0))
     assert res.succeeded and res.R is not None
     # boundary values decrease toward m(c0) as R grows
     vals = list(res.boundary_max.values())
@@ -336,7 +336,7 @@ def test_choose_r_reports_exhaustion():
     eps = 0.3
     g = path_grid(eps)
     u0 = gausson(g, SADDLE.c0)
-    res = choose_r(u0, SADDLE, eps, threshold=0.0)
+    res = choose_r(u0, SADDLE, eps, threshold=0.0, schedule=(0.25, 0.5, 1.0, 2.0))
     assert not res.succeeded and res.R is None
     assert len(res.boundary_max) == 4
 
@@ -404,7 +404,7 @@ def test_zero_finder_inconclusive_without_sign_change():
     eps = 0.3
     g = path_grid(eps, R=1.0)
     u0 = gausson(g, CONST.c0, center=[3.0, 0.0])
-    res = barycenter_zero_finder(u0, CONST, eps, R=0.25, n_coarse=5)
+    res = barycenter_zero_finder(u0, CONST, eps, R=0.25)
     assert res.inconclusive
 
 
@@ -646,8 +646,8 @@ def test_path_levels_never_read_direction_weights(monkeypatch):
     u0 = gausson(g, SADDLE.c0)
     zs = minimax_mod._q_samples(SADDLE, 2.0, 9)
     t, j = minimax_mod.path_levels(u0, zs, 0.1, SADDLE)
-    choose_r(u0, SADDLE, 0.1, threshold=0.0)
-    level_sup_x(u0, SADDLE, 0.1, R=1.0)
+    choose_r(u0, SADDLE, 0.1, threshold=0.0, schedule=(0.25, 0.5, 1.0, 2.0))
+    level_sup_x(u0, SADDLE, 0.1, R=1.0, n_samples=17)
     assert calls == []
     t_table, j_table, _ = path_table(u0, zs, 0.1, SADDLE)
     assert len(calls) == len(zs)

@@ -126,15 +126,6 @@ def test_gausson_radial_symmetry():
     assert np.array_equal(u, u.T)
 
 
-def test_gausson_original_coordinates():
-    g = build_grid(1, 10.0, 513)
-    eps = 0.5
-    u = gausson(g, 0.0, eps=eps)
-    x = g.axis()
-    expected = math.exp(0.5) * np.exp(-(x**2) / (2 * eps**2))
-    assert np.allclose(u.values, expected, rtol=1e-14)
-
-
 def test_gausson_rejects_center_near_boundary():
     g = build_grid(1, 10.0, 257)
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import lognls.potential as potential_mod
 from lognls.potential import (
     PotentialSpec,
     check_V1,
@@ -67,8 +68,9 @@ def test_cone_membership_equivalence(rng):
 
 
 def test_check_v1_model_passes():
-    report = check_V1(SADDLE, radii=(1, 2, 4, 8, 16))
+    report = check_V1(SADDLE)
     assert report.passed and not report.inconclusive
+    assert report.radii == [1, 2, 4, 8, 16]
     expected_sups = [1 + 0.25 / (1 + r * r) for r in (1, 2, 4, 8, 16)]
     assert np.allclose(report.sup_on_x_spheres, expected_sups, rtol=1e-12)
     assert report.cone_inf >= 1.0 + 0.25 * 0.25 - 1e-12
@@ -103,11 +105,11 @@ def test_check_v2_model_bounded():
 
 
 def test_check_v2_kink_blows_up():
-    kinked = expression_potential("1 + abs(z0)", 2, (0,), 0.5)
-    fine = check_V2(kinked, fd_step=1e-5, n_per_axis=21)
-    coarse = check_V2(kinked, fd_step=1e-3, n_per_axis=21)
-    # second difference at the kink grows like 1/step
-    assert fine.max_second > 50 * coarse.max_second
+    kinked = check_V2(expression_potential("1 + abs(z0)", 2, (0,), 0.5))
+    # the kink's second difference is 2 step / step^2 = 2 / step (2e4 here),
+    # against about 0.5 for the smooth saddle
+    assert kinked.max_second == pytest.approx(2.0 / potential_mod._FD_STEP, rel=1e-6)
+    assert kinked.max_second > 1e4 * check_V2(SADDLE).max_second
 
 
 def test_check_v4_model_configuration():
@@ -160,8 +162,8 @@ def test_v3_diagnostic_coercive_direction_clean():
 
 
 def test_v3_diagnostic_constant_flags_everything():
-    report = v3_diagnostic(constant_potential(2.0, 2, (0,), 0.5), n_directions=8)
-    assert len(report.suspects) == 8
+    report = v3_diagnostic(constant_potential(2.0, 2, (0,), 0.5))
+    assert len(report.suspects) == 16
 
 
 def test_expression_potential_estimates_constants():

@@ -1,19 +1,43 @@
 """Guard: no module-level function of the package takes a parameter it never
-reads, and no dataclass of the package has a field that no line of the
-package reads.  An unread parameter or field is a setting that looks like it
-matters and does not, which is how an unused SplitParams once ran through
-the whole certificate pipeline."""
+reads, no dataclass of the package has a field that no line of the package
+reads, and no defaulted parameter goes unset by every call of the package
+and the benchmark.  An unread parameter or field is a setting that looks
+like it matters and does not, which is how an unused SplitParams once ran
+through the whole certificate pipeline; a default that nothing overrides is
+a constant that looks like a setting."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lognls"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lognls"
+BENCHMARK = ROOT / "perfbench"
 
 # module.function.parameter -> why the unread slot stays
 ALLOWED = {
     "nehari.ground_state.params": (
         "the benchmark script perfbench/child.py calls "
         "ground_state(grid, 1.0, 1.0, params, solver) positionally"
+    ),
+}
+
+# module.function.parameter -> why the default stays although no call sets it
+ALLOWED_UNSET = {
+    "minimax.theta_r_estimate.n_perturb": (
+        "perfbench/tracing.py reads it to count the scan's candidates; the "
+        "ROADMAP plan that reads Theta_r off the D_eps minimizer deletes it"
+    ),
+    "minimax.theta_r_estimate.perturb_magnitudes": (
+        "perfbench/tracing.py reads it to count the scan's candidates; the "
+        "ROADMAP plan that reads Theta_r off the D_eps minimizer deletes it"
+    ),
+    "minimax.theta_r_estimate.extra_candidate": (
+        "the tests pass the level_d minimizer; the ROADMAP plan that reads "
+        "Theta_r off the D_eps minimizer deletes it"
+    ),
+    "nehari.gausson.center": "the tests' oracle for translated Gaussons",
+    "potential.check_V4.v_at_origin": (
+        "acceptance criterion 11 checks the level inequalities at a given V(0)"
     ),
 }
 
@@ -73,11 +97,54 @@ def unread_fields(paths: list[Path]) -> list[str]:
     return found
 
 
+def _defaulted(node: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """(name, position) of each defaulted parameter; keyword-only ones have
+    no position."""
+    a = node.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    out = [(p.arg, i) for i, p in enumerate(positional) if i >= first]
+    return out + [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def unset_defaults(package: list[Path], callers: list[Path]) -> list[str]:
+    """Defaulted parameters of the module-level functions in ``package`` that
+    no call in ``callers`` sets, by keyword or by position.  A call is matched
+    by the called name (``f(...)`` or ``mod.f(...)``)."""
+    keywords, positions = set(), {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            keywords |= {(name, k.arg) for k in node.keywords}
+            positions[name] = max(positions.get(name, 0), len(node.args))
+    found = []
+    for path in package:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for param, pos in _defaulted(node):
+                by_position = pos is not None and positions.get(node.name, 0) > pos
+                if not (by_position or (node.name, param) in keywords):
+                    found.append(f"{path.stem}.{node.name}.{param}")
+    return found
+
+
 def test_every_parameter_is_read():
     unread = [name for path in sorted(PACKAGE.glob("*.py")) for name in unread_parameters(path)]
     assert sorted(set(unread) - set(ALLOWED)) == []
     # an exception whose parameter is gone or now read must leave the list
     assert sorted(set(ALLOWED) - set(unread)) == []
+
+
+def test_every_default_is_set_somewhere():
+    package = sorted(PACKAGE.glob("*.py"))
+    unset = unset_defaults(package, package + sorted(BENCHMARK.glob("*.py")))
+    assert sorted(set(unset) - set(ALLOWED_UNSET)) == []
+    # an exception whose default is gone or now set must leave the list
+    assert sorted(set(ALLOWED_UNSET) - set(unset)) == []
 
 
 def test_every_dataclass_field_is_read():
@@ -123,3 +190,16 @@ def test_guard_sees_an_unread_field(tmp_path):
         encoding="utf-8",
     )
     assert unread_fields([module]) == ["sample.Config.written"]
+
+
+def test_guard_sees_an_unset_default(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    return a + b + c + d + e\n"
+        "\n"
+        "def g(x=0):\n"
+        "    return f(x, 5, e=6) + mod.f(1, d=7)\n",
+        encoding="utf-8",
+    )
+    assert unset_defaults([module], [module]) == ["sample.f.c", "sample.g.x"]
