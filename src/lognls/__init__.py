@@ -17,11 +17,7 @@ from .energy import (
 from .grid import (
     Grid,
     GridField,
-    build_grid,
     dump_field,
-    h1_inner,
-    integrate,
-    laplacian_apply,
     load_field,
 )
 from .minimax import (
@@ -34,9 +30,7 @@ from .minimax import (
     level_d,
     level_sup_x,
     path_levels,
-    path_table,
     phi_path,
-    sign_condition,
     sweep_eps,
     theta_r_estimate,
 )
@@ -47,7 +41,6 @@ from .nehari import (
     ground_state,
     m_closed_form,
     nehari_scale,
-    project_nehari,
 )
 from .potential import (
     PotentialSpec,

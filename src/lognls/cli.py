@@ -362,13 +362,16 @@ def require_axes(cfg: dict, y_axis: bool) -> None:
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = {k: dict(v) if isinstance(v, dict) else v for k, v in DEFAULT_CONFIG.items()}
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ConfigError(
-                    [f"the config {path} is not valid JSON: {err.msg} at line {err.lineno} column {err.colno}"]
-                ) from None
+        except json.JSONDecodeError as err:
+            raise ConfigError(
+                [f"the config {path} is not valid JSON: {err.msg} at line {err.lineno} column {err.colno}"]
+            ) from None
+        except (OSError, UnicodeDecodeError) as err:
+            reason = getattr(err, "strerror", None) or str(err)
+            raise ConfigError([f"the config {path} cannot be read: {reason}"]) from None
         if not isinstance(loaded, dict):
             raise ConfigError(validate_config(loaded))
         cfg = merge_config(cfg, loaded)

@@ -176,14 +176,14 @@ def energy_terms(grid: Grid, values: NDArray, vsamp) -> tuple[NDArray, NDArray, 
     """The one energy kernel: (Lap u, u^2, kin, pot, mass, ent) from one
     Laplacian and one log.
 
-    kin = -h^N sum(Lap u * u) as in ``kinetic_array``, pot = integral(V u^2),
-    mass = integral(u^2) and ent = integral(u^2 log u^2).  Every energy
-    quantity of the package is assembled from these: ||u||_eps^2 = kin +
-    pot + mass, J = (kin + pot + mass)/2 - ent/2 and the fiber derivative
-    J'(u)u = kin + pot - ent (all three in ``_assemble``), and the Nehari
-    scale.  u^2 is returned for callers that weight it otherwise (the
-    barycenter penalty, the path table).  ``vsamp`` may be a scalar (0.0 when
-    no potential term is needed).
+    kin = -h^N sum(Lap u * u) (the Laplacian's own form, so J has it as exact
+    discrete gradient), pot = integral(V u^2), mass = integral(u^2), ent =
+    integral(u^2 log u^2).  Every energy quantity of the package is assembled
+    from these: ||u||_eps^2 = kin + pot + mass, J = (kin + pot + mass)/2 -
+    ent/2 and J'(u)u = kin + pot - ent (all three in ``_assemble``), and the
+    Nehari scale.  u^2 is returned for callers that weight it otherwise (the
+    barycenter penalty, the path levels).  ``vsamp`` may be a scalar (0.0
+    when no potential term is needed).
     """
     lap = laplacian_array(grid, values)
     sq = values * values

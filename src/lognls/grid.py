@@ -6,17 +6,18 @@ a frame center c: its nodes then sit at c + [-L, L]^N.  Only the node
 coordinates see the center; the Laplacian and the quadrature do not, so a
 field moved to another frame keeps its values and every translation-invariant
 quantity.  The module provides the sine-spectral Laplacian and its shifted
-inverse, rectangle-rule quadrature, the H1 pairing in the Laplacian's own
-quadratic form, and a text dump format that round-trips bit exactly.
+inverse and rectangle-rule quadrature, all on raw node arrays (the energy
+forms are built from them in ``energy``), and a text dump format that
+round-trips bit exactly.
 
 The Laplacian is diagonal in the DST-I basis of every axis (the sine modes
 that vanish at the ghost nodes) with the exact eigenvalues (pi k/((n+1) h))^2,
-the one table ``_dirichlet_eigenvalues`` that ``laplacian_array`` (so
-``kinetic_array``) and ``shifted_laplacian_solve`` read.  It resolves fields
-that decay like the Gausson to spectral accuracy, so a coarse grid suffices.
-An apply is two DST-I (rfft of length 2(n+1)) per axis, whose cost depends on
-how n + 1 factors: a large prime factor (n + 1 = 4098 = 2 * 3 * 683) makes
-them several times slower.
+the one table ``_dirichlet_eigenvalues`` that ``laplacian_array`` and
+``shifted_laplacian_solve`` read.  It resolves fields that decay like the
+Gausson to spectral accuracy, so a coarse grid suffices.  An apply is two
+DST-I (rfft of length 2(n+1)) per axis, whose cost depends on how n + 1
+factors: a large prime factor (n + 1 = 4098 = 2 * 3 * 683) makes them
+several times slower.
 
 Every kernel is one code path for any N (one tensor mesh, one loop over the
 axes).  ``SUPPORTED_DIMS`` alone sets the accepted N; every dimension check
@@ -90,11 +91,6 @@ class Grid:
         return 0.5 * (ax - ax[::-1]) + self.center[k]
 
 
-def build_grid(dim: int, half_extent: float, points_per_axis: int) -> Grid:
-    """Validated Grid constructor."""
-    return Grid(dim, float(half_extent), int(points_per_axis))
-
-
 def tensor_points(axes) -> NDArray:
     """The tensor mesh of 1-D coordinate arrays, one per dimension, as a
     (num_points, len(axes)) array in row-major order (last axis fastest)."""
@@ -126,17 +122,9 @@ class GridField:
     def reshaped(self) -> NDArray:
         return self.values.reshape(self.grid.shape)
 
-    def copy(self) -> "GridField":
-        return GridField(self.grid, self.values.copy())
-
-
-def _require_same_grid(u: GridField, v: GridField) -> None:
-    if u.grid != v.grid:
-        raise ValueError("fields live on different grids")
-
 
 # ---------------------------------------------------------------------------
-# array-level kernels (solvers call these directly to skip field validation)
+# array-level kernels
 # ---------------------------------------------------------------------------
 
 # rows per rfft call of the DST-I: bounds the odd-extension buffer and the
@@ -215,49 +203,10 @@ def shifted_laplacian_solve(grid: Grid, values: NDArray, sigma: float) -> NDArra
 
 
 def integrate_array(grid: Grid, values: NDArray) -> float:
+    """Rectangle-rule integral with uniform weight h^N per node."""
     # np.sum uses pairwise summation on a contiguous row-major array, which is
     # a fixed reduction order: results are reproducible bit for bit.
     return float(grid.cell_volume * np.sum(values))
-
-
-def kinetic_array(grid: Grid, u: NDArray, v: NDArray) -> float:
-    """Dirichlet form <-Lap u, v> with the quadrature weight h^N.
-
-    This is the exact quadratic form of ``laplacian_array`` (the operator is
-    symmetric: it is diagonal in the orthogonal DST-I basis), so energies
-    built from it have the sine-spectral Laplacian as their exact discrete
-    gradient.
-    """
-    return -integrate_array(grid, laplacian_array(grid, u) * v)
-
-
-# ---------------------------------------------------------------------------
-# public field operations
-# ---------------------------------------------------------------------------
-
-def laplacian_apply(u: GridField) -> GridField:
-    """Apply the sine-spectral Laplacian (zero ghosts)."""
-    return GridField(u.grid, laplacian_array(u.grid, u.values))
-
-
-def integrate(u: GridField) -> float:
-    """Rectangle-rule integral with uniform weight h^N per node."""
-    return integrate_array(u.grid, u.values)
-
-
-def h1_inner(u: GridField, v: GridField, weight: GridField) -> float:
-    """Weighted H1 pairing  integral(grad u . grad v + weight * u * v).
-
-    The gradient term is the Laplacian's own form ``kinetic_array``, so with
-    the weight V(eps x) + 1 this is the eps-norm pairing whose square the
-    energy and the solvers use.  The weight must be strictly positive
-    everywhere (the potential must stay above -1).
-    """
-    _require_same_grid(u, v)
-    _require_same_grid(u, weight)
-    if not np.all(weight.values > 0):
-        raise ValueError("weight field must be strictly positive")
-    return kinetic_array(u.grid, u.values, v.values) + integrate_array(u.grid, weight.values * u.values * v.values)
 
 
 # ---------------------------------------------------------------------------

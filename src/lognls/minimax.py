@@ -105,18 +105,6 @@ def path_levels(u0: GridField, zs, eps: float, potential) -> tuple[NDArray, NDAr
     return t, j
 
 
-def path_table(u0: GridField, zs, eps: float, potential) -> tuple[NDArray, NDArray, NDArray]:
-    """(t, J, beta) of the path fields: ``path_levels`` plus the barycenter,
-    read off t*u0 with each frame's directions, as
-    ``barycenter(phi_path(...))`` does."""
-    zs = _z_rows(u0.grid, zs)
-    t, j = path_levels(u0, zs, eps, potential)
-    beta = np.empty(zs.shape)
-    for k, z in enumerate(zs):
-        beta[k] = _barycenter_values(_path_frame(u0.grid, z, eps), t[k] * u0.values)
-    return t, j, beta
-
-
 def _z_rows(grid: Grid, zs) -> NDArray:
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     if zs.ndim != 2 or zs.shape[1] != grid.dim:
@@ -158,53 +146,6 @@ def phi_path(u0: GridField, z, eps: float, potential, vsamp: Optional[NDArray] =
         vsamp = potential_samples(potential, frame, eps)
     t = _path_level(_path_terms(u0), frame, vsamp)[0]
     return GridField(frame, t * u0.values)
-
-
-# ---------------------------------------------------------------------------
-# sign condition
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SignConditionReport:
-    eps_values: list
-    min_inner: list
-    threshold_eps: Optional[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "eps_values": self.eps_values,
-            "min_inner": self.min_inner,
-            "threshold_eps": self.threshold_eps,
-        }
-
-
-def sign_condition(
-    u0: GridField,
-    z_samples: NDArray,
-    eps_values,
-    potential,
-) -> SignConditionReport:
-    """Inner products (beta(Phi_eps(z)), z) over samples and eps values.
-
-    Reports the minimum per eps and the largest eps in the list below which
-    every sampled inner product is positive.  No claim is made for large
-    eps; failures there are simply reported.
-    """
-    z_samples = np.atleast_2d(np.asarray(z_samples, dtype=float))
-    mins = []
-    for eps in eps_values:
-        _, _, beta = path_table(u0, z_samples, eps, potential)
-        mins.append(min(float(np.dot(b, z)) for b, z in zip(beta, z_samples)))
-    threshold = None
-    for k in range(len(eps_values)):
-        if all(m > 0 for m in mins[k:]):
-            threshold = float(eps_values[k])
-            break
-    return SignConditionReport(
-        eps_values=[float(e) for e in eps_values],
-        min_inner=mins,
-        threshold_eps=threshold,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +517,11 @@ def barycenter_zero_finder(u0: GridField, potential: PotentialSpec, eps: float, 
     dim = potential.dim
 
     def f_rows(xs) -> NDArray:
-        """P_X beta(Phi_eps(z)) for each row of X coordinates, one table."""
+        """P_X beta(Phi_eps(z)) for each row of X coordinates, read off u0 in
+        the moved frame: beta(t u) = beta(u), so no t, J or V is needed."""
         zs = np.zeros((len(xs), dim))
         zs[:, axes] = xs
-        return path_table(u0, zs, eps, potential)[2][:, axes]
+        return np.array([_barycenter_values(_path_frame(u0.grid, z, eps), u0.values)[axes] for z in zs])
 
     if len(axes) == 1:
         xs = np.linspace(-R, R, _ZERO_COARSE)

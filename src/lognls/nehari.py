@@ -83,7 +83,7 @@ class SolverConfig:
 
 
 # ---------------------------------------------------------------------------
-# scale and projection
+# the Nehari scale
 # ---------------------------------------------------------------------------
 
 def _log_scale(pairing: float, mass: float) -> float:
@@ -113,12 +113,6 @@ def nehari_scale(u: GridField, potential, eps: float) -> float:
     if mass <= 0:
         raise ValueError("Nehari scale is undefined for fields with zero mass")
     return math.exp(_log_scale(kin + pot - ent, mass))
-
-
-def project_nehari(u: GridField, potential, eps: float) -> GridField:
-    """Rescale u onto the Nehari set; idempotent up to round-off."""
-    t = nehari_scale(u, potential, eps)
-    return GridField(u.grid, t * u.values)
 
 
 # ---------------------------------------------------------------------------

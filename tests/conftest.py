@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lognls.grid import Grid, GridField, build_grid
+from lognls.grid import Grid, GridField
 
 
 @pytest.fixture
@@ -11,12 +11,12 @@ def rng():
 
 @pytest.fixture
 def grid_1d():
-    return build_grid(1, 10.0, 257)
+    return Grid(1, 10.0, 257)
 
 
 @pytest.fixture
 def grid_2d():
-    return build_grid(2, 7.0, 65)
+    return Grid(2, 7.0, 65)
 
 
 def smooth_field(grid: Grid, rng, n_bumps: int = 4, positive: bool = False) -> GridField:

@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 
 from lognls.cli import main
 from lognls.energy import SplitParams, energy, f1, f2, grad_L2, log_sobolev_slack, sq_log_sq
-from lognls.grid import Grid, GridField, build_grid, integrate
+from lognls.grid import Grid, GridField, integrate_array
 from lognls.minimax import (
     barycenter,
     barycenter_zero_finder,
@@ -49,7 +49,7 @@ def test_criterion_01_splitting_identity():
 
 
 def test_criterion_02_gausson_oracle_1d():
-    g = build_grid(1, 10.0, 512)
+    g = Grid(1, 10.0, 512)
     sol = ground_state(g, 0.0, 1.0, config=SolverConfig(tol=1e-8, max_iters=20000))
     m = 0.5 * math.e * math.sqrt(math.pi)
     rel = abs(sol.energy - m) / m
@@ -57,7 +57,7 @@ def test_criterion_02_gausson_oracle_1d():
 
 
 def test_criterion_02_gausson_oracle_2d():
-    g = build_grid(2, 7.0, 128)
+    g = Grid(2, 7.0, 128)
     sol = ground_state(g, 0.0, 1.0, config=SolverConfig(tol=1e-8, max_iters=20000))
     m = 0.5 * math.e**2 * math.pi
     rel = abs(sol.energy - m) / m
@@ -69,7 +69,7 @@ def test_criterion_03_residual_convergence():
     # at the rounding floor on every grid, not at an O(h^2) error
     errs = []
     for n in (129, 257, 513):  # h, h/2, h/4
-        g = build_grid(1, 10.0, n)
+        g = Grid(1, 10.0, n)
         res = grad_L2(gausson(g, 0.0), 0.0, 1.0, PARAMS).values
         errs.append(float(np.max(np.abs(res))))
     ok = all(e <= 1e-10 for e in errs)
@@ -77,7 +77,7 @@ def test_criterion_03_residual_convergence():
 
 
 def test_criterion_04_nehari_identities(rng):
-    g = build_grid(1, 10.0, 257)
+    g = Grid(1, 10.0, 257)
     worst = {"scale": 0.0, "identity": 0.0, "compensation": 0.0, "fiber": 0.0}
     for _ in range(100):
         u = smooth_field(g, rng, positive=True)
@@ -112,12 +112,12 @@ def test_criterion_04_nehari_identities(rng):
 
 
 def test_criterion_05_log_sobolev(rng):
-    g = build_grid(1, 10.0, 511)  # n + 1 = 512: a power-of-two transform
+    g = Grid(1, 10.0, 511)  # n + 1 = 512: a power-of-two transform
     a_values = np.geomspace(0.2, 5.0, 19).tolist() + [math.sqrt(math.pi) / 2]  # includes a^2/pi = 1/4
     worst = math.inf
     for _ in range(100):
         u = smooth_field(g, rng, n_bumps=3)
-        mass = integrate(GridField(g, u.values**2))
+        mass = integrate_array(g, u.values**2)
         u = GridField(g, u.values / math.sqrt(mass))
         for a in a_values:
             worst = min(worst, log_sobolev_slack(u, a))
@@ -163,7 +163,12 @@ def test_criterion_07_sign_condition(barycenter_sweep_data):
     _, inners = barycenter_sweep_data
     bound = 2.0 / 2 - 0.05
     worst = min(inners[0.05])
-    report("7", worst >= bound, f"min (beta, z) at eps=0.05: {worst:.4f} >= {bound}")
+    minima = {eps: min(inners[eps]) for eps in EPS_SWEEP}
+    # the first direction is the X axis: for a radial translate the inner
+    # product approaches |z| = 2
+    aligned = inners[0.1][0]
+    ok = worst >= bound and all(m > 0 for m in minima.values()) and abs(aligned - 2.0) <= 2e-3
+    report("7", ok, f"min (beta, z) per eps {minima} (>= {bound} at 0.05); on the X axis at eps=0.1: {aligned:.6f}")
 
 
 def test_criterion_08_level_separation():

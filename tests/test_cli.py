@@ -400,6 +400,25 @@ def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch, config,
     assert not (tmp_path / "lognls-out").exists()
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, monkeypatch, kind):
+    # a config file that cannot be opened or decoded is a config error that
+    # names the file, as one that is not JSON is
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe{")
+    code = main(["check-potential", "--config", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CONFIG
+    assert out["error"] == "config"
+    assert len(out["violations"]) == 1
+    assert out["violations"][0].startswith(f"the config {path} cannot be read: ")
+    assert not (tmp_path / "lognls-out").exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

@@ -18,7 +18,7 @@ from lognls.energy import (
     prox_f1,
     sq_log_sq,
 )
-from lognls.grid import GridField, build_grid, integrate
+from lognls.grid import Grid, GridField, integrate_array
 from lognls.nehari import gausson, m_closed_form
 from lognls.potential import PotentialSpec
 
@@ -112,7 +112,7 @@ def test_energy_zero_field(grid_1d):
 
 def test_energy_gausson_closed_form():
     for A, dim, n, tol in ((0.0, 1, 513, 5e-4), (0.5, 1, 513, 5e-4), (0.0, 2, 129, 5e-3)):
-        g = build_grid(dim, 10.0 if dim == 1 else 7.0, n)
+        g = Grid(dim, 10.0 if dim == 1 else 7.0, n)
         u = gausson(g, A)
         eb = energy(u, A, 0.37, PARAMS)
         assert eb.J == pytest.approx(m_closed_form(A, dim), rel=tol)
@@ -159,7 +159,7 @@ def test_grad_gausson_residual_order():
     # the Gausson is the discrete solution: the gradient is rounding at every n
     A = 0.0
     for n in (129, 257, 513):
-        g = build_grid(1, 10.0, n)
+        g = Grid(1, 10.0, n)
         u = gausson(g, A)
         res = grad_L2(u, A, 1.0, PARAMS).values
         assert np.max(np.abs(res)) <= 1e-10
@@ -167,7 +167,7 @@ def test_grad_gausson_residual_order():
 
 def test_grad_directional_derivative(rng):
     # u bounded away from zero avoids the log singularity in the quotient
-    g = build_grid(1, 10.0, 64)
+    g = Grid(1, 10.0, 64)
     base = 0.5 + 0.3 * np.cos(g.axis() * 0.7)
     u = GridField(g, base)
     grad = grad_L2(u, 0.2, 1.0, PARAMS).values
@@ -224,12 +224,12 @@ def test_prox_rejects_bad_step():
 
 
 def test_log_sobolev_random_fields(rng):
-    g = build_grid(1, 10.0, 511)  # n + 1 = 512: a power-of-two transform
+    g = Grid(1, 10.0, 511)  # n + 1 = 512: a power-of-two transform
     a_values = np.geomspace(0.2, 5.0, 19).tolist() + [math.sqrt(math.pi) / 2]
     worst = math.inf
     for _ in range(30):
         u = smooth_field(g, rng, n_bumps=3)
-        mass = integrate(GridField(g, u.values**2))
+        mass = integrate_array(g, u.values**2)
         u = GridField(g, u.values / math.sqrt(mass))
         for a in a_values:
             worst = min(worst, log_sobolev_slack(u, a))
@@ -239,9 +239,9 @@ def test_log_sobolev_random_fields(rng):
 def test_log_sobolev_gaussian_near_equality():
     # the spectral operator gives the same slack at every resolving n
     # (1.9474485891e-05 at n = 511 and 4097), so no fine grid is needed
-    g = build_grid(1, 10.0, 511)
+    g = Grid(1, 10.0, 511)
     u = GridField(g, np.exp(-g.axis() ** 2 / 2))
-    mass = integrate(GridField(g, u.values**2))
+    mass = integrate_array(g, u.values**2)
     slacks = [log_sobolev_slack(u, a) for a in np.geomspace(1.0, 3.0, 41)]
     best = min(slacks) / mass
     assert -1e-12 <= best <= 1e-4

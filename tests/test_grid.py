@@ -7,23 +7,20 @@ from dataclasses import replace
 
 import lognls.grid as grid_mod
 from lognls.grid import (
+    Grid,
     GridField,
     _dst1,
-    build_grid,
     dump_field,
-    h1_inner,
-    integrate,
     integrate_array,
-    kinetic_array,
-    laplacian_apply,
+    laplacian_array,
     load_field,
     node_coordinates,
     shifted_laplacian_solve,
 )
 
 from lognls.cli import DEFAULT_CONFIG, validate_config
-from lognls.energy import eps_norm_sq, potential_samples
-from lognls.nehari import gausson, m_closed_form
+from lognls.energy import energy_terms, eps_norm_sq
+from lognls.nehari import m_closed_form
 from lognls.potential import model_saddle
 
 from conftest import smooth_field
@@ -31,23 +28,23 @@ from conftest import smooth_field
 
 def test_build_grid_spacing_examples():
     # h = 2L/(n-1); n=16 is the smallest admissible axis count
-    assert build_grid(1, 15, 16).spacing == pytest.approx(2.0)
-    g = build_grid(2, 5, 21)
+    assert Grid(1, 15, 16).spacing == pytest.approx(2.0)
+    g = Grid(2, 5, 21)
     assert g.num_nodes == 441
     assert g.spacing == pytest.approx(0.5)
-    assert build_grid(1, 10, 512).spacing == pytest.approx(20.0 / 511, rel=1e-12)
-    assert build_grid(1, 10, 512).spacing == pytest.approx(0.039139, abs=1e-6)
+    assert Grid(1, 10, 512).spacing == pytest.approx(20.0 / 511, rel=1e-12)
+    assert Grid(1, 10, 512).spacing == pytest.approx(0.039139, abs=1e-6)
 
 
 def test_build_grid_rejects_bad_input():
     with pytest.raises(ValueError):
-        build_grid(3, 10, 64)
+        Grid(3, 10, 64)
     with pytest.raises(ValueError):
-        build_grid(1, math.inf, 64)
+        Grid(1, math.inf, 64)
     with pytest.raises(ValueError):
-        build_grid(1, -1.0, 64)
+        Grid(1, -1.0, 64)
     with pytest.raises(ValueError):
-        build_grid(1, 10, 8)
+        Grid(1, 10, 8)
 
 
 def test_field_validation(grid_1d):
@@ -77,8 +74,7 @@ def test_laplacian_constant_interior(grid_1d):
     # a constant is an odd-mode sine series in the box between the ghost
     # zeros; -Lap multiplies each mode by its exact eigenvalue
     n = grid_1d.points_per_axis
-    u = GridField(grid_1d, np.full(n, 3.0))
-    lap = laplacian_apply(u).values
+    lap = laplacian_array(grid_1d, np.full(n, 3.0))
     j = np.arange(1, n + 1)
     modes = np.sin(math.pi * np.outer(j, j) / (n + 1))
     expected = -3.0 * modes @ (_exact_eigenvalues(grid_1d) * _ones_sine_coefficients(n))
@@ -93,22 +89,22 @@ def test_laplacian_sine_eigenfunction():
     # the highest mode included, at every node, to rounding at the scale of
     # the largest eigenvalue
     for n in (65, 513):
-        g = build_grid(1, 10.0, n)
+        g = Grid(1, 10.0, n)
         x = g.axis()
         lam = _exact_eigenvalues(g)
         for k in (1, 7, n):
             mode = np.sin(k * math.pi * (x + g.half_extent + g.spacing) / ((n + 1) * g.spacing))
-            lap = laplacian_apply(GridField(g, mode)).values
+            lap = laplacian_array(g, mode)
             assert np.max(np.abs(-lap - lam[k - 1] * mode)) <= 1e-12 * lam[-1]
 
 
 def test_laplacian_gausson_residual_order():
     # the residual of -Lap u = (N - |x|^2) u is rounding at every n, not O(h^2)
     for n in (129, 257, 513):
-        g = build_grid(1, 10.0, n)
+        g = Grid(1, 10.0, n)
         x = g.axis()
         u = np.exp(-(x**2) / 2)
-        lap = laplacian_apply(GridField(g, u)).values
+        lap = laplacian_array(g, u)
         assert np.max(np.abs(-lap - (1 - x**2) * u)) <= 1e-10
 
 
@@ -117,32 +113,32 @@ def test_laplacian_matches_scipy_dst(rng, dim, n):
     # the operator is DST-I, minus the eigenvalue sums, inverse DST-I
     from scipy.fft import dstn, idstn
 
-    g = build_grid(dim, 7.0, n)
+    g = Grid(dim, 7.0, n)
     u = rng.standard_normal(g.shape)
     lam = _exact_eigenvalues(g)
     lam_sum = lam if dim == 1 else lam[:, None] + lam[None, :]
     expected = idstn(-lam_sum * dstn(u, type=1), type=1)
-    lap = grid_mod.laplacian_array(g, u.ravel())
+    lap = laplacian_array(g, u.ravel())
     assert np.max(np.abs(lap - expected.ravel())) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_integrate_constant(grid_1d):
-    val = integrate(GridField(grid_1d, np.ones(grid_1d.num_nodes)))
+    val = integrate_array(grid_1d, np.ones(grid_1d.num_nodes))
     # rectangle rule counts full weight at the endpoints
     assert val == pytest.approx(2 * grid_1d.half_extent, rel=1e-2)
 
 
 def test_integrate_gaussian():
-    g = build_grid(1, 10.0, 512)
+    g = Grid(1, 10.0, 512)
     x = g.axis()
-    val = integrate(GridField(g, np.exp(-(x**2))))
+    val = integrate_array(g, np.exp(-(x**2)))
     assert abs(val - math.sqrt(math.pi)) < 1e-6
 
 
 def test_integrate_odd_function():
-    g = build_grid(1, 10.0, 513)
+    g = Grid(1, 10.0, 513)
     x = g.axis()
-    val = integrate(GridField(g, x * np.exp(-(x**2))))
+    val = integrate_array(g, x * np.exp(-(x**2)))
     assert abs(val) < 1e-14
 
 
@@ -151,8 +147,8 @@ def test_integrate_linearity(rng, grid_1d):
         u = smooth_field(grid_1d, rng)
         v = smooth_field(grid_1d, rng)
         a, b = rng.uniform(-3, 3, size=2)
-        lhs = integrate(GridField(grid_1d, a * u.values + b * v.values))
-        rhs = a * integrate(u) + b * integrate(v)
+        lhs = integrate_array(grid_1d, a * u.values + b * v.values)
+        rhs = a * integrate_array(grid_1d, u.values) + b * integrate_array(grid_1d, v.values)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
@@ -160,80 +156,38 @@ def test_laplacian_symmetric(rng, grid_2d):
     # fields vanishing near the boundary: bumps well inside the box
     u = smooth_field(grid_2d, rng)
     v = smooth_field(grid_2d, rng)
-    lhs = integrate(GridField(grid_2d, v.values * laplacian_apply(u).values))
-    rhs = integrate(GridField(grid_2d, u.values * laplacian_apply(v).values))
+    lhs = integrate_array(grid_2d, v.values * laplacian_array(grid_2d, u.values))
+    rhs = integrate_array(grid_2d, u.values * laplacian_array(grid_2d, v.values))
     assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
 
 
-def test_kinetic_form_matches_laplacian_pairing(rng, grid_1d):
-    u = smooth_field(grid_1d, rng)
-    v = smooth_field(grid_1d, rng)
-    k_uv = kinetic_array(grid_1d, u.values, v.values)
-    k_vu = kinetic_array(grid_1d, v.values, u.values)
-    assert k_uv == pytest.approx(k_vu, rel=1e-12)
-
-
-def test_h1_inner_zero_and_bilinear(rng, grid_1d):
-    w = GridField(grid_1d, np.full(grid_1d.num_nodes, 1.5))
-    zero = GridField(grid_1d, np.zeros(grid_1d.num_nodes))
-    assert h1_inner(zero, zero, w) == 0.0
-    u = smooth_field(grid_1d, rng)
-    v = smooth_field(grid_1d, rng)
-    a = 2.75
-    lhs = h1_inner(GridField(grid_1d, a * u.values), v, w)
-    assert lhs == pytest.approx(a * h1_inner(u, v, w), rel=1e-12)
-
-
+# the two test names predate the eps-norm's one form: they check
+# energy.eps_norm_sq, the pairing of a field with itself under the weight V + 1
 def test_h1_inner_gausson_closed_form():
     # integral(|grad u|^2 + (A+1) u^2) = e^{N+A} pi^{N/2} (N/2 + A + 1)
     A, N = 0.5, 1
-    g = build_grid(1, 10.0, 2049)
+    g = Grid(1, 10.0, 2049)
     x = g.axis()
-    u = GridField(g, math.exp((N + A) / 2) * np.exp(-(x**2) / 2))
-    w = GridField(g, np.full(g.num_nodes, A + 1.0))
+    u = math.exp((N + A) / 2) * np.exp(-(x**2) / 2)
     expected = math.exp(N + A) * math.pi ** (N / 2) * (N / 2 + A + 1)
     # independent quadrature oracle on the analytic integrand
-    oracle = integrate(GridField(g, (x**2 + A + 1.0) * u.values**2))
+    oracle = integrate_array(g, (x**2 + A + 1.0) * u**2)
     assert oracle == pytest.approx(expected, rel=1e-10)
-    assert h1_inner(u, u, w) == pytest.approx(expected, rel=1e-12)
+    assert eps_norm_sq(g, u, A) == pytest.approx(expected, rel=1e-12)
 
 
 def test_h1_inner_is_the_spectral_form_on_a_checkerboard():
     # (-1)^i sits on the highest sine modes, which a centered difference of
-    # width 2h does not see; the pairing must take the operator's own form
-    g = build_grid(1, 10.0, 65)
-    n = g.points_per_axis
-    u = GridField(g, (-1.0) ** np.arange(g.num_nodes))
-    w = GridField(g, np.full(g.num_nodes, 1.5))
-    expected = kinetic_array(g, u.values, u.values) + integrate_array(g, w.values * u.values * u.values)
-    assert h1_inner(u, u, w) == expected
+    # width 2h does not see; the kinetic form must be the operator's own:
     # the checkerboard is the constant's sine series with mode k moved to
     # n + 1 - k; each mode has sum_j sin^2 = (n + 1)/2
+    g = Grid(1, 10.0, 65)
+    n = g.points_per_axis
+    u = (-1.0) ** np.arange(g.num_nodes)
     c = _ones_sine_coefficients(n)
     lam = _exact_eigenvalues(g)[::-1]
     closed = g.spacing * 0.5 * (n + 1) * float(np.sum(lam * c * c))
-    assert kinetic_array(g, u.values, u.values) == pytest.approx(closed, rel=1e-12)
-
-
-def test_h1_inner_is_the_eps_norm_of_the_energy():
-    # with the weight V + 1, the pairing of a field with itself is the
-    # eps-norm the energy kernel assembles, on the certificate grid
-    potential, eps = model_saddle(1.0, 1.25, 2, (0,), 0.5), 0.4
-    g = build_grid(2, 10.0, 135)
-    u = gausson(g, potential.c0)
-    vsamp = potential_samples(potential, g, eps)
-    norm_sq = eps_norm_sq(g, u.values, vsamp)
-    assert h1_inner(u, u, GridField(g, vsamp + 1.0)) == pytest.approx(norm_sq, rel=1e-13)
-
-
-def test_h1_inner_rejects_bad_weight(grid_1d, grid_2d, rng):
-    u = smooth_field(grid_1d, rng)
-    with pytest.raises(ValueError):
-        h1_inner(u, u, GridField(grid_1d, np.zeros(grid_1d.num_nodes)))
-    v2 = smooth_field(grid_2d, rng)
-    w2 = GridField(grid_2d, np.ones(grid_2d.num_nodes))
-    with pytest.raises(ValueError):
-        h1_inner(u, v2, w2)
+    assert energy_terms(g, u, 0.0)[2] == pytest.approx(closed, rel=1e-12)
 
 
 def test_dump_load_roundtrip(tmp_path, rng, grid_2d):
@@ -262,8 +216,8 @@ def test_frame_center_moves_coordinates_only(rng, grid_2d):
     assert np.array_equal(node_coordinates(moved), node_coordinates(grid_2d) + [1.5, -0.25])
     u = smooth_field(grid_2d, rng)
     v = GridField(moved, u.values)
-    assert np.array_equal(laplacian_apply(v).values, laplacian_apply(u).values)
-    assert integrate(v) == integrate(u)
+    assert np.array_equal(laplacian_array(moved, v.values), laplacian_array(grid_2d, u.values))
+    assert integrate_array(moved, v.values) == integrate_array(grid_2d, u.values)
     with pytest.raises(ValueError):
         replace(grid_2d, center=(1.0,))
 
@@ -295,11 +249,11 @@ def test_dst1_matches_scipy(rng, rows, n):
 @pytest.mark.parametrize("dim, n", [(1, 64), (1, 65), (2, 64), (2, 65), (2, 2 * grid_mod._DST_BLOCK_ROWS + 5)])
 @pytest.mark.parametrize("sigma", [0.3, 2.0])
 def test_shifted_laplacian_solve_inverts_the_stencil(rng, dim, n, sigma):
-    g = build_grid(dim, 7.0, n)
+    g = Grid(dim, 7.0, n)
     f = rng.standard_normal(g.num_nodes)
     f_before = f.copy()
     w = shifted_laplacian_solve(g, f, sigma)
-    residual = -grid_mod.laplacian_array(g, w) + sigma * w - f
+    residual = -laplacian_array(g, w) + sigma * w - f
     assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(f))
     assert np.array_equal(f, f_before)  # the input is left as it was
 
@@ -326,13 +280,13 @@ def _two_sequence_solve(g, f, sigma):
 @pytest.mark.parametrize("n", [64, 65, 2 * grid_mod._DST_BLOCK_ROWS + 5])
 @pytest.mark.parametrize("sigma", [0.3, 2.0])
 def test_shifted_laplacian_solve_axis_loop_is_bit_identical(rng, dim, n, sigma):
-    g = build_grid(dim, 7.0, n)
+    g = Grid(dim, 7.0, n)
     f = rng.standard_normal(g.num_nodes)
     assert np.array_equal(shifted_laplacian_solve(g, f, sigma), _two_sequence_solve(g, f, sigma))
 
 
 def test_node_coordinates_one_dimension_is_the_axis():
-    g = build_grid(1, 10.0, 65)
+    g = Grid(1, 10.0, 65)
     assert np.array_equal(node_coordinates(g), g.axis()[:, None])
 
 
@@ -341,19 +295,19 @@ def test_supported_dims_has_one_owner(monkeypatch):
     # narrows the grid, the potential, the closed-form level and the config
     monkeypatch.setattr(grid_mod, "SUPPORTED_DIMS", (1,))
     with pytest.raises(ValueError, match="^dim must be 1, got 2$"):
-        build_grid(2, 7.0, 17)
+        Grid(2, 7.0, 17)
     with pytest.raises(ValueError, match="^dim must be 1, got 2$"):
         model_saddle(1.0, 1.25, 2, (0,), 0.5)
     with pytest.raises(ValueError, match="^N must be 1, got 2$"):
         m_closed_form(0.0, 2)
     assert validate_config(DEFAULT_CONFIG) == ["grid.dim must be 1, got 2"]
-    build_grid(1, 7.0, 17)
+    Grid(1, 7.0, 17)
 
 
 def test_kernels_run_in_three_dimensions_once_the_cap_allows(rng, monkeypatch):
     # the cap is the only thing in the grid that stops N = 3
     monkeypatch.setattr(grid_mod, "SUPPORTED_DIMS", (1, 2, 3))
-    g = build_grid(3, 4.0, 17)
+    g = Grid(3, 4.0, 17)
     pts = node_coordinates(g)
     ax = g.axis()
     assert pts.shape == (17**3, 3)
@@ -361,5 +315,5 @@ def test_kernels_run_in_three_dimensions_once_the_cap_allows(rng, monkeypatch):
     assert np.array_equal(pts[17], [ax[0], ax[1], ax[0]])
     f = rng.standard_normal(g.num_nodes)
     w = shifted_laplacian_solve(g, f, 0.7)
-    residual = -grid_mod.laplacian_array(g, w) + 0.7 * w - f
+    residual = -laplacian_array(g, w) + 0.7 * w - f
     assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(f))

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-import lognls
 from lognls.energy import SplitParams, energy, energy_terms, f1, f2, sq_log_sq
-from lognls.grid import GridField, build_grid, integrate, integrate_array, kinetic_array, node_coordinates
+from lognls.grid import Grid, GridField, integrate_array, laplacian_array, node_coordinates
 from lognls.nehari import (
     SolverConfig,
     _reduced_objective,
@@ -16,7 +15,6 @@ from lognls.nehari import (
     m_closed_form,
     minimize_on_nehari,
     nehari_scale,
-    project_nehari,
 )
 from lognls.potential import expression_potential
 
@@ -42,6 +40,16 @@ def bracketed_scale(u, potential, eps, params):
     return brentq(fiber, t0 * math.exp(-2), t0 * math.exp(2), xtol=1e-14, rtol=1e-13)
 
 
+def project_nehari(u, potential, eps):
+    """u rescaled onto the Nehari set by its closed-form scale."""
+    return GridField(u.grid, nehari_scale(u, potential, eps) * u.values)
+
+
+def kinetic(grid, values):
+    """The Laplacian's own quadratic form -h^N sum(Lap u * u)."""
+    return -integrate_array(grid, laplacian_array(grid, values) * values)
+
+
 def test_scale_of_projected_field_is_one(rng, grid_1d):
     u = project_nehari(smooth_field(grid_1d, rng, positive=True), 0.0, 1.0)
     assert nehari_scale(u, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
@@ -65,7 +73,7 @@ def test_scale_compensation_law(rng, grid_1d):
 
 
 def test_scale_gausson_is_one():
-    g = build_grid(1, 10.0, 513)
+    g = Grid(1, 10.0, 513)
     u = gausson(g, 0.5)
     t = nehari_scale(u, 0.5, 1.0)
     assert t == pytest.approx(1.0, abs=1e-12)
@@ -105,13 +113,13 @@ def test_gausson_solves_constant_problem():
 
     # exactly, on the grid: the residual is rounding at every n
     for n in (129, 257, 513):
-        g = build_grid(1, 10.0, n)
+        g = Grid(1, 10.0, n)
         u = gausson(g, 0.25)
         assert np.max(np.abs(grad_L2(u, 0.25, 1.0, PARAMS).values)) <= 1e-10
 
 
 def test_gausson_point_values():
-    g = build_grid(1, 10.0, 257)  # odd count puts a node at the origin
+    g = Grid(1, 10.0, 257)  # odd count puts a node at the origin
     u = gausson(g, 0.0)
     center = g.num_nodes // 2
     assert u.values[center] == pytest.approx(math.exp(0.5), rel=1e-14)
@@ -119,7 +127,7 @@ def test_gausson_point_values():
 
 
 def test_gausson_radial_symmetry():
-    g = build_grid(2, 7.0, 65)
+    g = Grid(2, 7.0, 65)
     u = gausson(g, 0.3).reshaped()
     assert np.array_equal(u, u[::-1, :])
     assert np.array_equal(u, u[:, ::-1])
@@ -127,7 +135,7 @@ def test_gausson_radial_symmetry():
 
 
 def test_gausson_rejects_center_near_boundary():
-    g = build_grid(1, 10.0, 257)
+    g = Grid(1, 10.0, 257)
     with pytest.raises(ValueError):
         gausson(g, 0.0, center=[7.0])
     gausson(g, 0.0, center=[5.5])  # 4 sigma still inside
@@ -145,9 +153,9 @@ def test_m_closed_form_values():
 
 def test_m_closed_form_matches_gausson_quadrature():
     for A, dim in ((0.0, 1), (0.7, 1), (0.0, 2)):
-        g = build_grid(dim, 10.0 if dim == 1 else 7.0, 513 if dim == 1 else 129)
+        g = Grid(dim, 10.0 if dim == 1 else 7.0, 513 if dim == 1 else 129)
         u = gausson(g, A)
-        mass = integrate(GridField(g, u.values**2))
+        mass = integrate_array(g, u.values**2)
         assert 0.5 * mass == pytest.approx(m_closed_form(A, dim), rel=1e-6)
 
 
@@ -157,7 +165,7 @@ def test_m_monotone_in_A():
 
 
 def test_ground_state_constant_1d():
-    g = build_grid(1, 10.0, 512)
+    g = Grid(1, 10.0, 512)
     sol = ground_state(g, 0.0, 1.0, config=SolverConfig(tol=1e-8, max_iters=20000))
     m = m_closed_form(0.0, 1)
     assert abs(sol.energy - m) / m <= 1e-12
@@ -171,19 +179,19 @@ def test_ground_state_constant_1d():
 
 def test_ground_state_matches_gausson_after_alignment():
     A = 0.5
-    g = build_grid(1, 10.0, 257)
+    g = Grid(1, 10.0, 257)
     sol = ground_state(g, A, 1.0, config=SolverConfig(tol=1e-7, max_iters=20000))
     u = sol.field
     pts = node_coordinates(g)[:, 0]
-    mass = integrate(GridField(g, u.values**2))
-    center = integrate(GridField(g, pts * u.values**2)) / mass
+    mass = integrate_array(g, u.values**2)
+    center = integrate_array(g, pts * u.values**2) / mass
     aligned = gausson(g, A, center=[center])
-    dist = math.sqrt(integrate(GridField(g, (u.values - aligned.values) ** 2)))
+    dist = math.sqrt(integrate_array(g, (u.values - aligned.values) ** 2))
     assert dist <= 1e-2
 
 
 def test_ground_state_monotone_energy():
-    g = build_grid(1, 10.0, 128)
+    g = Grid(1, 10.0, 128)
     sol = ground_state(g, WELL, 1.0, config=SolverConfig(tol=1e-7, max_iters=5000))
     jh = np.array(sol.diagnostics["j_history"])
     assert sol.converged and len(jh) > 10
@@ -192,7 +200,7 @@ def test_ground_state_monotone_energy():
 
 
 def test_ground_state_positive():
-    g = build_grid(1, 10.0, 256)
+    g = Grid(1, 10.0, 256)
     sol = ground_state(g, 0.0, 1.0, config=SolverConfig(tol=1e-7, max_iters=10000))
     assert np.all(sol.field.values >= 0)
     interior = np.abs(node_coordinates(g)[:, 0]) < 5.0
@@ -200,7 +208,7 @@ def test_ground_state_positive():
 
 
 def test_ground_state_numerical_ordering_in_A():
-    g = build_grid(1, 10.0, 256)
+    g = Grid(1, 10.0, 256)
     energies = []
     for A in (-0.5, 0.0, 0.5, 1.0):
         sol = ground_state(g, A, 1.0, config=SolverConfig(tol=1e-6, max_iters=4000))
@@ -210,7 +218,7 @@ def test_ground_state_numerical_ordering_in_A():
 
 
 def test_ground_state_reports_nonconvergence():
-    g = build_grid(1, 10.0, 128)
+    g = Grid(1, 10.0, 128)
     sol = ground_state(g, WELL, 1.0, config=SolverConfig(tol=1e-14, max_iters=5))
     assert not sol.converged
     assert sol.iterations == 5
@@ -243,7 +251,7 @@ def test_minimize_one_laplacian_per_trial(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("lognls") and getattr(module, "laplacian_array", None) is original:
             monkeypatch.setattr(module, "laplacian_array", counted)
-    g = build_grid(2, 10.0, 65)
+    g = Grid(2, 10.0, 65)
     # the model saddle at eps = 1: the Gausson start is not its solution
     pts = node_coordinates(g)
     vsamp = 1.0 + 0.25 * (1.0 + pts[:, 1] ** 2) / (1.0 + np.sum(pts**2, axis=1))
@@ -280,9 +288,9 @@ def test_energy_terms_kernel(rng, grid_2d):
     u = smooth_field(grid_2d, rng)
     vsamp = 0.2 + 0.1 * np.sin(node_coordinates(grid_2d)[:, 1])
     lap, sq, kin, pot, mass, ent = energy_terms(grid_2d, u.values, vsamp)
-    assert np.array_equal(lap, lognls.grid.laplacian_array(grid_2d, u.values))
+    assert np.array_equal(lap, laplacian_array(grid_2d, u.values))
     assert np.array_equal(sq, u.values * u.values)
-    assert kin == kinetic_array(grid_2d, u.values, u.values)
+    assert kin == kinetic(grid_2d, u.values)
     assert pot == integrate_array(grid_2d, vsamp * u.values**2)
     assert mass == integrate_array(grid_2d, u.values**2)
     assert ent == pytest.approx(integrate_array(grid_2d, sq_log_sq(u.values)), rel=1e-14)
@@ -294,7 +302,7 @@ def _reference_pairing_and_mass(grid, values, vsamp):
     sq = values * values
     a = np.abs(values)
     log_sq = 2.0 * np.log(np.where(a > 0, a, 1.0))
-    kin = kinetic_array(grid, values, values)
+    kin = kinetic(grid, values)
     pot = integrate_array(grid, vsamp * sq)
     ent = integrate_array(grid, np.where(sq > 0, sq * log_sq, 0.0))
     return kin, pot, integrate_array(grid, sq), ent
@@ -311,7 +319,6 @@ def test_scale_projection_energy_unchanged_by_kernel(rng, grid_1d, grid_2d, dim)
             pairing = kin + pot - ent
             t = math.exp(float(np.clip(pairing / (2.0 * mass), -700.0, 700.0)))
             assert nehari_scale(u, potential, 1.0) == t
-            assert np.array_equal(project_nehari(u, potential, 1.0).values, t * u.values)
             eb = energy(u, potential, 1.0, PARAMS)
             eps_norm_sq = kin + pot + mass
             assert eb.J == 0.5 * eps_norm_sq - 0.5 * ent
@@ -331,7 +338,7 @@ def test_ground_state_iterations_do_not_grow_with_the_mesh(n):
     # the L2 step took 112 / 119 / 547 iterations here and the Sobolev step
     # on the stencil 29 / 27 / 17; on the sine-spectral operator the Gausson
     # seed is the discrete ground state, and its level is the closed form
-    sol = ground_state(build_grid(2, 10.0, n), 1.0, 1.0, config=SolverConfig(tol=1e-6, max_iters=4000))
+    sol = ground_state(Grid(2, 10.0, n), 1.0, 1.0, config=SolverConfig(tol=1e-6, max_iters=4000))
     assert sol.converged
     assert sol.iterations == 1
     m = m_closed_form(1.0, 2)
@@ -344,7 +351,7 @@ def test_below_closed_form_trips_at_one_part_in_a_million(monkeypatch):
     # closed form is flagged on a coarse grid too
     import lognls.nehari as nehari_mod
 
-    g = build_grid(2, 10.0, 51)
+    g = Grid(2, 10.0, 51)
     real = nehari_mod.field_energy
 
     def low(grid, values, vsamp):
@@ -361,7 +368,7 @@ def test_ground_state_from_a_seed_with_zero_nodes():
     # it is the discrete solution all the same, and for a well whose
     # solution is not a Gausson the step must fill the zeros in from 0 and
     # still reach the tight tolerance
-    g = build_grid(1, 40.0, 801)
+    g = Grid(1, 40.0, 801)
     assert np.count_nonzero(gausson(g, 0.0).values == 0.0) == 28
     sol = ground_state(g, 0.0, 1.0, config=SolverConfig(tol=1e-8))
     assert sol.converged and sol.diagnostics["rel_grad"] <= 1e-8

@@ -110,6 +110,24 @@ def test_check_v2_kink_blows_up():
     # against about 0.5 for the smooth saddle
     assert kinked.max_second == pytest.approx(2.0 / potential_mod._FD_STEP, rel=1e-6)
     assert kinked.max_second > 1e4 * check_V2(SADDLE).max_second
+    # which is below the cap: the second difference at a tenth of the step
+    # (2e5), which no C^2 potential shows, flags it
+    assert kinked.max_second <= potential_mod._V2_CAP
+    assert kinked.value_bounded and kinked.gradient_bounded and not kinked.second_bounded
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "1 + 0.2*np.tanh(5*z0)",
+        "1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0.1*z0/(1+z0**2)",
+        # a kink that no sample lies within a step of is not seen: its second
+        # differences are rounding, 1.8e-7 and 1.8e-5 at the two steps
+        "1 + abs(z0-0.3)",
+    ],
+)
+def test_check_v2_two_steps_pass_smooth_potentials(expr):
+    assert check_V2(expression_potential(expr, 2, (0,), 0.5)).second_bounded
 
 
 def test_check_v4_model_configuration():
@@ -174,9 +192,9 @@ def test_expression_potential_estimates_constants():
 
 def test_sample_on_grid():
     from lognls.energy import potential_samples
-    from lognls.grid import build_grid
+    from lognls.grid import Grid
 
-    g = build_grid(2, 7.0, 33)
+    g = Grid(2, 7.0, 33)
     values = potential_samples(SADDLE, g, 0.5)
     assert values.shape == (33 * 33,)
     center = (g.num_nodes - 1) // 2

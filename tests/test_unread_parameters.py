@@ -1,12 +1,15 @@
 """Guard: no module-level function of the package takes a parameter it never
 reads, no dataclass of the package has a field that no line of the package
-reads, and no defaulted parameter goes unset by every call of the package
-and the benchmark.  An unread parameter or field is a setting that looks
-like it matters and does not, which is how an unused SplitParams once ran
-through the whole certificate pipeline; a default that nothing overrides is
-a constant that looks like a setting."""
+reads, no defaulted parameter goes unset by every call of the package
+and the benchmark, and no public function or class goes unreached by the
+package and the benchmark.  An unread parameter or field is a setting that
+looks like it matters and does not, which is how an unused SplitParams once
+ran through the whole certificate pipeline; a default that nothing overrides
+is a constant that looks like a setting; a public name that nothing reaches
+is a second road to a kernel that only the tests walk."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +42,17 @@ ALLOWED_UNSET = {
     "potential.check_V4.v_at_origin": (
         "acceptance criterion 11 checks the level inequalities at a given V(0)"
     ),
+}
+
+# module.name -> why the public function stays although neither the package
+# nor the benchmark reaches it
+ALLOWED_UNREACHED = {
+    "energy.sq_log_sq": "acceptance criterion 01 checks the splitting identity on it",
+    "energy.grad_L2": "acceptance criterion 03 measures the residual of a solve with it",
+    "nehari.nehari_scale": "acceptance criterion 04 checks the Nehari identities with it",
+    "energy.log_sobolev_slack": "acceptance criterion 05 checks the log-Sobolev inequality with it",
+    "minimax.barycenter": "acceptance criteria 06 and 07 read the path's barycenter with it",
+    "grid.load_field": "it reads the field files that dump_field writes",
 }
 
 # module.class.field -> why the field stays although the package never reads it
@@ -132,6 +146,32 @@ def unset_defaults(package: list[Path], callers: list[Path]) -> list[str]:
     return found
 
 
+def _loaded_names(node: ast.AST) -> list[str]:
+    """Every name that ``node`` loads, as ``name`` or as ``obj.name``."""
+    return [
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    ]
+
+
+def unreached_names(package: list[Path], readers: list[Path]) -> list[str]:
+    """Public module-level functions and classes of ``package`` whose name no
+    line of ``readers`` loads outside the definition itself (a recursive
+    call does not count).  Imports are not loads."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in set(package) | set(readers)}
+    loads = Counter(name for path in readers for name in _loaded_names(trees[path]))
+    found = []
+    for path in package:
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = _loaded_names(node).count(node.name) if path in readers else 0
+            if loads[node.name] <= own:
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
 def test_every_parameter_is_read():
     unread = [name for path in sorted(PACKAGE.glob("*.py")) for name in unread_parameters(path)]
     assert sorted(set(unread) - set(ALLOWED)) == []
@@ -151,6 +191,14 @@ def test_every_dataclass_field_is_read():
     unread = unread_fields(sorted(PACKAGE.glob("*.py")))
     assert sorted(set(unread) - set(ALLOWED_FIELDS)) == []
     assert sorted(set(ALLOWED_FIELDS) - set(unread)) == []
+
+
+def test_every_public_name_is_reached():
+    package = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    unreached = unreached_names(package, package + sorted(BENCHMARK.glob("*.py")))
+    assert sorted(set(unreached) - set(ALLOWED_UNREACHED)) == []
+    # an exception that is gone or now reached must leave the list
+    assert sorted(set(ALLOWED_UNREACHED) - set(unreached)) == []
 
 
 def test_guard_sees_an_unread_parameter(tmp_path):
@@ -203,3 +251,33 @@ def test_guard_sees_an_unset_default(tmp_path):
         encoding="utf-8",
     )
     assert unset_defaults([module], [module]) == ["sample.f.c", "sample.g.x"]
+
+
+def test_guard_sees_an_unreached_name(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "def called(x):\n"
+        "    return x\n"
+        "\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "\n"
+        "def imported():\n"
+        "    return 1\n"
+        "\n"
+        "def _private():\n"
+        "    return called(2)\n"
+        "\n"
+        "class Shown:\n"
+        "    pass\n"
+        "\n"
+        "class Hidden:\n"
+        "    pass\n"
+        "\n"
+        "def main():\n"
+        "    return Shown()\n",
+        encoding="utf-8",
+    )
+    other = tmp_path / "other.py"
+    other.write_text("import sample\nfrom sample import imported\n\nsample.main()\n", encoding="utf-8")
+    assert unreached_names([module], [module, other]) == ["sample.recursive", "sample.imported", "sample.Hidden"]
