@@ -24,7 +24,15 @@ from typing import Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import Grid, GridField, integrate_array, laplacian_array, node_coordinates
+from .grid import (
+    Grid,
+    GridField,
+    integrate_array,
+    laplacian_array,
+    node_coordinates,
+    sine_coefficients,
+    sine_kinetic,
+)
 
 # F1''(s) = -(log s^2 + 3) on the inner branch, so convexity needs
 # delta <= e^{-3/2}.
@@ -173,26 +181,29 @@ def potential_samples(potential, grid: Grid, eps: float) -> NDArray:
 # ---------------------------------------------------------------------------
 
 def energy_terms(grid: Grid, values: NDArray, vsamp) -> tuple[NDArray, NDArray, float, float, float, float]:
-    """The one energy kernel: (Lap u, u^2, kin, pot, mass, ent) from one
-    Laplacian and one log.
+    """The one energy kernel: (sine coefficients of u, u^2, kin, pot, mass,
+    ent) from one forward sine transform and one log.
 
-    kin = -h^N sum(Lap u * u) (the Laplacian's own form, so J has it as exact
-    discrete gradient), pot = integral(V u^2), mass = integral(u^2), ent =
+    kin = -h^N sum(Lap u * u), the Laplacian's own form (so J has it as exact
+    discrete gradient), read off the sine coefficients by Parseval
+    (``sine_kinetic``); pot = integral(V u^2), mass = integral(u^2), ent =
     integral(u^2 log u^2).  Every energy quantity of the package is assembled
     from these: ||u||_eps^2 = kin + pot + mass, J = (kin + pot + mass)/2 -
     ent/2 and J'(u)u = kin + pot - ent (all three in ``_assemble``), and the
-    Nehari scale.  u^2 is returned for callers that weight it otherwise (the
-    barycenter penalty, the path levels).  ``vsamp`` may be a scalar (0.0
-    when no potential term is needed).
+    Nehari scale.  The coefficients are returned for a caller that needs
+    Lap u (``laplacian_from_sine``, the inverse half alone), and u^2 for
+    callers that weight it otherwise (the barycenter penalty, the path
+    levels).  ``vsamp`` may be a scalar (0.0 when no potential term is
+    needed).
     """
-    lap = laplacian_array(grid, values)
+    coeffs = sine_coefficients(grid, values)
     sq = values * values
-    kin = -integrate_array(grid, lap * values)
+    kin = sine_kinetic(grid, coeffs)
     pot = integrate_array(grid, vsamp * sq)
     mass = integrate_array(grid, sq)
     # log(1) = 0 at the zero nodes, which gives the convention 0 log 0 = 0
     ent = integrate_array(grid, sq * _safe_log_sq(np.abs(values)))
-    return lap, sq, kin, pot, mass, ent
+    return coeffs, sq, kin, pot, mass, ent
 
 
 def _assemble(kin: float, pot: float, mass: float, ent: float) -> tuple[float, float, float]:
@@ -209,7 +220,8 @@ def field_energy(grid: Grid, values: NDArray, vsamp) -> tuple[float, float]:
 
 def eps_norm_sq(grid: Grid, values: NDArray, vsamp) -> float:
     """||u||_eps^2 = integral(|grad u|^2 + (V(eps x)+1) u^2) in the
-    Laplacian's form, kin + pot + mass of the energy kernel (one Laplacian)."""
+    Laplacian's form, kin + pot + mass of the energy kernel (one forward
+    sine transform)."""
     return _assemble(*energy_terms(grid, values, vsamp)[2:])[0]
 
 

@@ -12,12 +12,17 @@ round-trips bit exactly.
 
 The Laplacian is diagonal in the DST-I basis of every axis (the sine modes
 that vanish at the ghost nodes) with the exact eigenvalues (pi k/((n+1) h))^2,
-the one table ``_dirichlet_eigenvalues`` that ``laplacian_array`` and
-``shifted_laplacian_solve`` read.  It resolves fields that decay like the
-Gausson to spectral accuracy, so a coarse grid suffices.  An apply is two
-DST-I (rfft of length 2(n+1)) per axis, whose cost depends on how n + 1
-factors: a large prime factor (n + 1 = 4098 = 2 * 3 * 683) makes them
-several times slower.
+the one table ``_dirichlet_eigenvalues`` that ``laplacian_array``,
+``shifted_laplacian_solve`` and ``sine_kinetic`` read.  It resolves fields
+that decay like the Gausson to spectral accuracy, so a coarse grid suffices.
+An apply or a solve is two DST-I passes (rfft of length 2(n+1)) per axis, the
+forward half ``sine_coefficients`` and the inverse half; an energy needs the
+forward half alone, one pass per axis, since its kinetic form is read off the
+sine coefficients by Parseval (``sine_kinetic``), and ``laplacian_from_sine``
+runs the inverse half alone for a caller that has the coefficients.  A pass
+batches its rows into blocks sized in values (``_DST_BLOCK_VALUES``), and its
+cost depends on how n + 1 factors: a large prime factor
+(n + 1 = 4098 = 2 * 3 * 683) makes it several times slower.
 
 Every kernel is one code path for any N (one tensor mesh, one loop over the
 axes).  ``SUPPORTED_DIMS`` alone sets the accepted N; every dimension check
@@ -127,9 +132,13 @@ class GridField:
 # array-level kernels
 # ---------------------------------------------------------------------------
 
-# rows per rfft call of the DST-I: bounds the odd-extension buffer and the
-# transform's complex output at a block, not the whole array
-_DST_BLOCK_ROWS = 32
+# values per rfft call of the DST-I: a block holds as many rows as fit their
+# odd extensions (2n + 2 values each) in this budget, at least one.  That is
+# one block up to n = 65, 64 rows at n = 135 and 32 at n = 269; the budget
+# bounds the extension buffer and the transform's complex output, not the
+# whole array.  A row's transform does not depend on its block, so the block
+# size changes no bit of the output.
+_DST_BLOCK_VALUES = 64 * (2 * 135 + 2)
 
 
 def _dst1(a: NDArray) -> NDArray:
@@ -141,10 +150,11 @@ def _dst1(a: NDArray) -> NDArray:
     Rows go through a block at a time.
     """
     rows, n = a.shape
+    block_rows = max(1, _DST_BLOCK_VALUES // (2 * n + 2))
     out = np.empty((rows, n))
-    ext = np.zeros((min(rows, _DST_BLOCK_ROWS), 2 * n + 2))
-    for start in range(0, rows, _DST_BLOCK_ROWS):
-        block = a[start : start + _DST_BLOCK_ROWS]
+    ext = np.zeros((min(rows, block_rows), 2 * n + 2))
+    for start in range(0, rows, block_rows):
+        block = a[start : start + block_rows]
         b = len(block)
         np.negative(block, out=ext[:b, 1 : n + 1])
         ext[:b, n + 2 :] = block[:, ::-1]
@@ -161,45 +171,84 @@ def _dirichlet_eigenvalues(grid: Grid) -> NDArray:
     return (math.pi / ((n + 1) * grid.spacing) * k) ** 2
 
 
-def _dst_diagonal(grid: Grid, values: NDArray, shift: float, invert: bool) -> NDArray:
-    """Apply shift - Lap, or its inverse, on the sine basis of the grid.
+def sine_coefficients(grid: Grid, values: NDArray) -> NDArray:
+    """The forward half of the operator: DST-I of the node values along
+    every axis, as an (n, n^(N-1)) array with the axes in their own order.
 
-    The operator is diagonal in the DST-I basis of every axis, with the
-    eigenvalue shift + sum of ``_dirichlet_eigenvalues`` over the axes, so
-    the apply is one transform per axis, a multiplication (or division) by
-    the eigenvalue sums, and the same transforms again (DST-I is its own
-    inverse up to 2(n+1)).  A pass transforms the last axis and moves it to
-    the front, so dim passes restore the axis order.
+    A pass transforms the last axis and moves it to the front, so N passes
+    restore the axis order.  DST-I is its own inverse up to 2(n+1) per axis,
+    so ``_from_sine`` inverts it.
     """
     n = grid.points_per_axis
-    lam = _dirichlet_eigenvalues(grid)
     w = values
+    for _ in range(grid.dim):
+        w = _dst1(w.reshape(-1, n)).T
+    return w
+
+
+def _eigenvalue_sums(grid: Grid, shift: float) -> NDArray:
+    """shift + the sum over the axes of ``_dirichlet_eigenvalues``, in the
+    layout of ``sine_coefficients``."""
+    n = grid.points_per_axis
+    lam = _dirichlet_eigenvalues(grid)
     eigen = shift
     for k in range(grid.dim):
-        w = _dst1(w.reshape(-1, n)).T
         eigen = eigen + lam.reshape((n,) + (1,) * (grid.dim - 1 - k))
-    if invert:
-        w /= eigen.reshape(n, -1)
-    else:
-        w *= eigen.reshape(n, -1)
+    return eigen.reshape(n, -1)
+
+
+def _from_sine(grid: Grid, coeffs: NDArray) -> NDArray:
+    """The inverse half: node values from sine coefficients (N passes and
+    the division by 2(n+1) per axis)."""
+    n = grid.points_per_axis
+    w = coeffs
     for _ in range(grid.dim):
         w = _dst1(w.reshape(n, -1).T)
     w /= (2.0 * (n + 1)) ** grid.dim
     return w.ravel()
 
 
+def sine_kinetic(grid: Grid, coeffs: NDArray) -> float:
+    """-h^N sum(Lap u * u) read off the sine coefficients of u by Parseval:
+    h^N / (2(n+1))^N sum over the modes of the eigenvalue sum times the
+    coefficient squared.
+
+    The sum runs one axis at a time, each axis's eigenvalues against the
+    squared coefficients summed over the other axes, so no n^N table of
+    eigenvalue sums is built.
+    """
+    n = grid.points_per_axis
+    lam = _dirichlet_eigenvalues(grid)
+    sq = (coeffs * coeffs).reshape(grid.shape)
+    total = 0.0
+    for k in range(grid.dim):
+        others = tuple(a for a in range(grid.dim) if a != k)
+        total += float(np.dot(lam, sq.sum(axis=others)))
+    return grid.cell_volume * total / (2.0 * (n + 1)) ** grid.dim
+
+
+def laplacian_from_sine(grid: Grid, coeffs: NDArray) -> NDArray:
+    """Lap u from the sine coefficients of u, the inverse half alone: minus
+    the eigenvalue sums times the coefficients, transformed back.  The
+    coefficients are multiplied in place."""
+    coeffs *= _eigenvalue_sums(grid, 0.0)
+    out = _from_sine(grid, coeffs)
+    return np.negative(out, out=out)
+
+
 def laplacian_array(grid: Grid, values: NDArray) -> NDArray:
     """Sine-spectral Laplacian with zero ghost values: DST-I, multiplication
     by minus the eigenvalue sums, DST-I back."""
-    out = _dst_diagonal(grid, values, 0.0, invert=False)
-    return np.negative(out, out=out)
+    return laplacian_from_sine(grid, sine_coefficients(grid, values))
 
 
 def shifted_laplacian_solve(grid: Grid, values: NDArray, sigma: float) -> NDArray:
     """The w with (-Lap + sigma) w = values, for sigma > 0 and the operator
     of ``laplacian_array`` (zero ghosts): the same sine basis, divided by the
     shifted eigenvalue sums."""
-    return _dst_diagonal(grid, values, sigma, invert=True)
+    coeffs = sine_coefficients(grid, values)
+    coeffs /= _eigenvalue_sums(grid, sigma)
+    return _from_sine(grid, coeffs)
 
 
 def integrate_array(grid: Grid, values: NDArray) -> float:

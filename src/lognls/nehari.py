@@ -17,9 +17,11 @@ energies against the closed form and raises a diagnostic flag on violation.
 
 Every minimization on the Nehari set (the ground state here, the
 barycenter-constrained level in ``minimax``) runs through one descent,
-``minimize_on_nehari``: a scaled Sobolev step, preconditioned by the exact
-inverse of -Lap + sigma (DST-I, ``grid.shifted_laplacian_solve``), so its
-iteration count does not grow as the mesh is refined.
+``minimize_on_nehari``: a limited-memory quasi-Newton (L-BFGS) step whose
+initial inverse Hessian is the scaled Sobolev metric, the exact inverse of
+-Lap + sigma (DST-I, ``grid.shifted_laplacian_solve``), so its iteration
+count does not grow as the mesh is refined, and the memory of the last
+steps lifts its linear rate.
 """
 
 from __future__ import annotations
@@ -32,7 +34,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .energy import SplitParams, _safe_log_sq, energy_terms, field_energy, potential_samples
-from .grid import Grid, GridField, node_coordinates, require_supported_dim, shifted_laplacian_solve
+from .grid import (
+    Grid,
+    GridField,
+    laplacian_from_sine,
+    node_coordinates,
+    require_supported_dim,
+    shifted_laplacian_solve,
+)
 
 _EXP_CLIP = 700.0  # exp argument beyond this overflows float64
 
@@ -42,6 +51,10 @@ _ARMIJO_INIT = 1.0
 _ARMIJO_SHRINK = 0.5
 _ARMIJO_DECREASE = 1e-4
 _MAX_BACKTRACKS = 40
+
+# (s, y) pairs of the L-BFGS direction: the last accepted steps and the
+# changes of the gradient along them
+_LBFGS_MEMORY = 3
 
 # a trial keeps at least this fraction of every node of the iterate, so the
 # step never clips a positive node to 0
@@ -150,6 +163,22 @@ def m_closed_form(A: float, N: int) -> float:
 # ground-state iteration
 # ---------------------------------------------------------------------------
 
+def _lbfgs_direction(g: NDArray, pairs: list, precondition) -> NDArray:
+    """H g by the L-BFGS two-loop recursion (Liu & Nocedal 1989) over the
+    (s, y, 1/<s, y>) ``pairs``, oldest first, with ``precondition`` as the
+    initial inverse Hessian H0.  With no pairs it is H0 g itself."""
+    q = g
+    coefs = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(np.dot(s, q))
+        q = q - a * y
+        coefs.append(a)
+    r = precondition(q)
+    for (s, y, rho), a in zip(pairs, reversed(coefs)):
+        r += (a - rho * float(np.dot(y, r))) * s
+    return r
+
+
 def minimize_on_nehari(
     grid: Grid,
     vsamp: NDArray,
@@ -159,33 +188,41 @@ def minimize_on_nehari(
 ):
     """Monotone descent of J (+ optional smooth extra term) on the Nehari set.
 
-    Each step: descend along the scaled Sobolev direction, floor the trial
-    at half the iterate, rescale back onto the Nehari set.  Backtracking
-    keeps the recorded objective non-increasing.
+    Each step: descend along the L-BFGS direction, floor the trial at half
+    the iterate, rescale back onto the Nehari set.  Backtracking keeps the
+    recorded objective non-increasing.
     ``extra_term`` has ``value(sq, mass)``, priced from the trial's c^2 and
     integral(c^2) as the energy kernel returns them, and
     ``gradient(values)``; it must not change under positive rescaling, and
     is used by the penalized barycenter-constrained minimization.
 
-    The direction is d = S (-Lap + sigma)^-1 S g for the L2 gradient g,
-    with sigma = 1 + mean V and S = diag sqrt(sigma / max(sigma, V - 1 -
-    log u^2)).  The Hessian of J is -Lap + V - 2 - log u^2 near u; the
-    Sobolev metric (solved exactly by DST-I, ``shifted_laplacian_solve``)
-    takes its Laplacian part, which is what makes the iteration count flat in
-    the mesh, and S damps the nodes whose local term exceeds sigma: the
-    Gaussian tail, where -log u^2 grows like |x|^2.  The trial
-    c = max(u - alpha d, u/2) can at most halve a node, so no positive node
-    reaches 0 and the nonlocal direction is never clipped at the cone; nodes
-    at 0 fill in where d < 0.  Armijo asks for a decrease proportional to
-    <g, u - c>_h.
+    The initial inverse Hessian is the scaled Sobolev metric
+    H0 = S (-Lap + sigma)^-1 S, with sigma = 1 + mean V and S = diag
+    sqrt(sigma / max(sigma, V - 1 - log u^2)).  The Hessian of J is
+    -Lap + V - 2 - log u^2 near u; the Sobolev metric (solved exactly by
+    DST-I, ``shifted_laplacian_solve``) takes its Laplacian part, which is
+    what makes the iteration count flat in the mesh, and S damps the nodes
+    whose local term exceeds sigma: the Gaussian tail, where -log u^2 grows
+    like |x|^2.  The direction d = H g for the L2 gradient g runs the
+    two-loop recursion over the last ``_LBFGS_MEMORY`` pairs s = u_new - u
+    (Nehari-projected iterates) and y = g_new - g (penalty included), each
+    kept only if <s, y> > 0; the memory starts empty in every call, and with
+    an empty memory d = H0 g is the plain scaled Sobolev step.  Should d not
+    be a descent direction (<g, d> <= 0) the memory is cleared and the plain
+    step taken.  The trial c = max(u - alpha d, u/2) can at most halve a
+    node, so no positive node reaches 0 and the nonlocal direction is never
+    clipped at the cone; nodes at 0 fill in where d < 0.  Armijo asks for a
+    decrease proportional to <g, u - c>_h.
 
-    A trial c costs one energy kernel call and no more: with p = J'(c)c,
-    m = integral(c^2) and log t = p / 2m its projection t c has the reduced
-    objective J(t c) = t^2/2 (p + m - 2 m log t), which is t^2 m / 2 unless
-    log t was clipped.  The accepted trial's Laplacian, scaled by t, is the
-    Laplacian of the new iterate (Lap(t c) = t Lap c), so the iteration
-    itself applies none; only the u log u^2 term of the gradient is
-    recomputed.  Only u and Lap u are held between iterations.
+    A trial c costs one energy kernel call, one forward sine transform, and
+    no more: with p = J'(c)c, m = integral(c^2) and log t = p / 2m its
+    projection t c has the reduced objective J(t c) = t^2/2 (p + m - 2 m
+    log t), which is t^2 m / 2 unless log t was clipped.  Only the accepted
+    trial's sine coefficients go through the inverse half to Lap c, and
+    Lap(t c) = t Lap c is the Laplacian of the new iterate, so an iteration
+    costs the trials' forward transforms, one inverse and one solve.  The
+    solver holds u, Lap u (until the gradient takes its buffer), g, d and the
+    pairs.
 
     Returns (values, info dict); ``info["trials"]`` counts the backtracking
     trials of all iterations.
@@ -194,14 +231,15 @@ def minimize_on_nehari(
     sigma = 1.0 + float(np.mean(vsamp))
 
     def projected(cand: NDArray):
-        """(Lap c, t, ||c||_eps^2, objective at t c), or None for c = 0."""
-        lap_c, sq, kin, pot, mass, ent = energy_terms(grid, cand, vsamp)
+        """(sine coefficients of c, t, ||c||_eps^2, objective at t c), or
+        None for c = 0."""
+        coeffs, sq, kin, pot, mass, ent = energy_terms(grid, cand, vsamp)
         if not mass > 0:
             return None
         t, j = _reduced_objective(kin + pot - ent, mass)
         if extra_term is not None:
             j += extra_term.value(sq, mass)
-        return lap_c, t, kin + pot + mass, j
+        return coeffs, t, kin + pot + mass, j
 
     u = np.clip(start, 0.0, None)
     point = projected(u)
@@ -209,8 +247,10 @@ def minimize_on_nehari(
         # the zero field: its gradient vanishes, so the loop stops at once
         lap, eps_norm_sq, j_cur = np.zeros_like(u), 0.0, 0.0
     else:
-        lap, t, norm_c, j_cur = point
-        u, lap, eps_norm_sq = t * u, t * lap, t * t * norm_c
+        coeffs, t, norm_c, j_cur = point
+        u, eps_norm_sq = t * u, t * t * norm_c
+        lap = laplacian_from_sine(grid, coeffs)
+        lap *= t
     j_history = [j_cur]
     alpha = _ARMIJO_INIT
     converged = False
@@ -218,13 +258,28 @@ def minimize_on_nehari(
     rel_grad = math.inf
     iterations = 0
     trials = 0
+    pairs = []
+    step = g_prev = None
 
     for iterations in range(1, config.max_iters + 1):
         # u >= 0, and log(1) = 0 at its zero nodes keeps 0 log 0 = 0
         log_sq = _safe_log_sq(u)
-        g = -lap + vsamp * u - u * log_sq
+        # Lap u is read here only (an accepted step brings the next one), so
+        # the gradient takes its buffer
+        g = np.negative(lap, out=lap)
+        del lap
+        g += vsamp * u
+        g -= u * log_sq
         if extra_term is not None:
-            g = g + extra_term.gradient(u)
+            g += extra_term.gradient(u)
+        if step is not None:
+            y = g - g_prev
+            sy = float(np.dot(step, y))
+            if sy > 0:
+                pairs.append((step, y, 1.0 / sy))
+                if len(pairs) > _LBFGS_MEMORY:
+                    pairs.pop(0)
+            step = g_prev = y = None
 
         # stationarity measure: full gradient with the cone constraint active
         g_proj = np.where((u > 0) | (g < 0), g, 0.0)
@@ -235,13 +290,21 @@ def minimize_on_nehari(
             break
 
         # the direction; every temporary but d is dropped before the line
-        # search, which keeps the peak memory at u, Lap u, g and d
+        # search, which keeps the peak memory at u, g, d and the pairs
         del g_proj
         scale = np.sqrt(sigma / np.maximum(sigma, vsamp - 1.0 - log_sq))
         del log_sq
-        d = shifted_laplacian_solve(grid, scale * g, sigma)
-        d *= scale
-        del scale
+
+        def precondition(v: NDArray) -> NDArray:
+            w = shifted_laplacian_solve(grid, scale * v, sigma)
+            w *= scale
+            return w
+
+        d = _lbfgs_direction(g, pairs, precondition)
+        if pairs and not float(np.dot(g, d)) > 0:
+            pairs.clear()
+            d = precondition(g)
+        del scale, precondition
 
         trial = min(_ARMIJO_INIT, 2.0 * alpha)
         accepted = False
@@ -256,17 +319,22 @@ def minimize_on_nehari(
             cand = np.maximum(u - trial * d, _STEP_FLOOR * u)
             point = projected(cand)
             if point is not None:
-                lap_c, t, norm_c, j_new = point
+                coeffs, t, norm_c, j_new = point
                 decrease = _ARMIJO_DECREASE * h_n * float(np.dot(g, u - cand))
                 certified = j_new <= j_cur - decrease
                 noise_step = trial <= alpha and j_new <= j_cur + noise_guard
                 if certified or noise_step:
-                    u, lap, eps_norm_sq = t * cand, t * lap_c, t * t * norm_c
+                    cand *= t
+                    step, g_prev = cand - u, g
+                    u, eps_norm_sq = cand, t * t * norm_c
+                    lap = laplacian_from_sine(grid, coeffs)
+                    lap *= t
                     j_cur = j_new
                     alpha = trial
                     accepted = True
                     break
             trial *= _ARMIJO_SHRINK
+        del d
         if not accepted:
             stall = True
             break

@@ -33,3 +33,24 @@ def smooth_field(grid: Grid, rng, n_bumps: int = 4, positive: bool = False) -> G
     if positive:
         values = np.abs(values) + 1e-3 * np.exp(-np.sum(pts**2, axis=1) / 2)
     return GridField(grid, values)
+
+
+def count_grid_calls(monkeypatch, name: str) -> list:
+    """Wrap the grid kernel ``name`` in every lognls namespace that bound it
+    at import time (the grid module included, so kernels that call it inside
+    the grid count too) and return the list each call appends its grid to."""
+    import sys
+
+    import lognls.grid as grid_mod
+
+    original = getattr(grid_mod, name)
+    calls = []
+
+    def counted(grid, *args):
+        calls.append(grid)
+        return original(grid, *args)
+
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("lognls") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls

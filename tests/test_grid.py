@@ -26,6 +26,17 @@ from lognls.potential import model_saddle
 from conftest import smooth_field
 
 
+def _block_rows(n):
+    """Rows per rfft block of the DST-I at length n."""
+    return max(1, grid_mod._DST_BLOCK_VALUES // (2 * n + 2))
+
+
+# the smallest n at which one pass over a 2-D grid (n rows of length n)
+# takes more than one block; the other sizes of the transform tests (64, 65,
+# 69) run their 2-D passes in one block
+TWO_BLOCK_N = next(n for n in range(16, 10_000) if _block_rows(n) < n)
+
+
 def test_build_grid_spacing_examples():
     # h = 2L/(n-1); n=16 is the smallest admissible axis count
     assert Grid(1, 15, 16).spacing == pytest.approx(2.0)
@@ -108,7 +119,7 @@ def test_laplacian_gausson_residual_order():
         assert np.max(np.abs(-lap - (1 - x**2) * u)) <= 1e-10
 
 
-@pytest.mark.parametrize("dim, n", [(1, 64), (1, 65), (2, 64), (2, 2 * grid_mod._DST_BLOCK_ROWS + 5)])
+@pytest.mark.parametrize("dim, n", [(1, 64), (1, 65), (2, 64), (2, 69), (2, TWO_BLOCK_N)])
 def test_laplacian_matches_scipy_dst(rng, dim, n):
     # the operator is DST-I, minus the eigenvalue sums, inverse DST-I
     from scipy.fft import dstn, idstn
@@ -232,9 +243,7 @@ def test_dump_field_refuses_moved_frame(tmp_path, grid_2d):
 # the Sobolev metric (-Lap_h + sigma) and its DST-I solve
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("rows", [1, grid_mod._DST_BLOCK_ROWS, 2 * grid_mod._DST_BLOCK_ROWS + 5])
-@pytest.mark.parametrize("n", [16, 17])
-def test_dst1_matches_scipy(rng, rows, n):
+def _check_dst1(rng, rows, n):
     from scipy.fft import dst
 
     a = rng.standard_normal((rows, n))
@@ -244,9 +253,22 @@ def test_dst1_matches_scipy(rng, rows, n):
     assert np.allclose(_dst1(b), dst(b, type=1, axis=-1), rtol=0.0, atol=1e-12 * np.max(np.abs(b)) * n)
 
 
+@pytest.mark.parametrize("rows", [1, 32, 69])
+@pytest.mark.parametrize("n", [16, 17])
+def test_dst1_matches_scipy(rng, rows, n):
+    _check_dst1(rng, rows, n)
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_dst1_matches_scipy_across_blocks(rng, n):
+    # exactly one full block, then two full blocks and a partial third
+    for rows in (_block_rows(n), 2 * _block_rows(n) + 5):
+        _check_dst1(rng, rows, n)
+
+
 # the name predates the sine-spectral operator: the solve inverts
 # -laplacian_array + sigma
-@pytest.mark.parametrize("dim, n", [(1, 64), (1, 65), (2, 64), (2, 65), (2, 2 * grid_mod._DST_BLOCK_ROWS + 5)])
+@pytest.mark.parametrize("dim, n", [(1, 64), (1, 65), (2, 64), (2, 65), (2, 69), (2, TWO_BLOCK_N)])
 @pytest.mark.parametrize("sigma", [0.3, 2.0])
 def test_shifted_laplacian_solve_inverts_the_stencil(rng, dim, n, sigma):
     g = Grid(dim, 7.0, n)
@@ -277,12 +299,27 @@ def _two_sequence_solve(g, f, sigma):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("n", [64, 65, 2 * grid_mod._DST_BLOCK_ROWS + 5])
+@pytest.mark.parametrize("n", [64, 65, 69, TWO_BLOCK_N])
 @pytest.mark.parametrize("sigma", [0.3, 2.0])
 def test_shifted_laplacian_solve_axis_loop_is_bit_identical(rng, dim, n, sigma):
     g = Grid(dim, 7.0, n)
     f = rng.standard_normal(g.num_nodes)
     assert np.array_equal(shifted_laplacian_solve(g, f, sigma), _two_sequence_solve(g, f, sigma))
+
+
+def test_block_budget_is_one_block_to_n65_and_64_rows_at_n135():
+    assert _block_rows(65) >= 65 and _block_rows(135) == 64 and _block_rows(269) == 32
+    assert TWO_BLOCK_N > 65
+
+
+@pytest.mark.parametrize("n", [17, 65, 135])
+def test_dst1_block_size_changes_no_bit(rng, monkeypatch, n):
+    # a row's rfft does not depend on the rows it is batched with
+    a = rng.standard_normal((n, n))
+    full = _dst1(a)
+    for rows in (1, 7, n - 1):
+        monkeypatch.setattr(grid_mod, "_DST_BLOCK_VALUES", rows * (2 * n + 2))
+        assert np.array_equal(_dst1(a), full)
 
 
 def test_node_coordinates_one_dimension_is_the_axis():

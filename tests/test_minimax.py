@@ -1,6 +1,4 @@
-import importlib
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -35,7 +33,7 @@ from lognls.nehari import (
 )
 from lognls.potential import constant_potential, expression_potential, model_saddle
 
-from conftest import smooth_field
+from conftest import count_grid_calls, smooth_field
 
 PARAMS = SplitParams()
 SADDLE = model_saddle(1.0, 1.25, 2, (0,), 0.5)
@@ -160,24 +158,33 @@ def test_path_table_matches_the_path_fields(potential, eps):
     assert np.max(np.abs(np.subtract(res.degree_evidence["boundary_values"], ends))) <= BETA_ROUNDING
 
 
-def test_path_table_applies_one_laplacian(monkeypatch):
-    # import_module: the package attribute lognls.energy is the function energy
-    energy_mod = importlib.import_module("lognls.energy")
-    real = energy_mod.laplacian_array
-    calls = []
-
-    def counted(grid, values):
-        calls.append(grid)
-        return real(grid, values)
-
-    monkeypatch.setattr(energy_mod, "laplacian_array", counted)
+def test_path_table_applies_one_forward_transform(monkeypatch):
+    # the frame-independent terms of u0 come from one energy kernel call,
+    # whose kinetic form reads the forward sine transform alone
+    forward = count_grid_calls(monkeypatch, "sine_coefficients")
+    inverse = count_grid_calls(monkeypatch, "laplacian_from_sine")
     g = Grid(2, 10.0, _odd_points(10.0, 0.3))
     u0 = gausson(g, SADDLE.c0)
     for n in (1, 9, 40):
-        calls.clear()
+        forward.clear()
         zs = minimax_mod._q_samples(SADDLE, 2.0, n)
         path_levels(u0, zs, 0.1, SADDLE)
-        assert len(calls) == 1, f"{len(zs)} rows"
+        assert len(forward) == 1, f"{len(zs)} rows"
+    assert not inverse
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.05, 0.03])
+def test_path_level_at_the_origin_matches_the_small_eps_expansion(eps):
+    # J(Phi_eps(0)) = m(c0) exp(<V(eps x) - c0>) with the average over the
+    # Gausson density u0^2 / |u0|^2, which is the Gaussian of variance 1/2
+    # per axis; expanding V about 0 gives m(V(0)) exp(eps^2 Lap V(0) / 4)
+    # up to O(eps^4), and Lap V(0) = -2 (c1 - c0) on the model saddle.  The
+    # relative residual / eps^4 reads 0.243 / 0.248 / 0.249 here
+    g = CertificateConfig(potential=SADDLE).grid()
+    _, j = path_levels(gausson(g, SADDLE.c0), [[0.0, 0.0]], eps, SADDLE)
+    lap_v0 = -2.0 * (SADDLE.c1 - SADDLE.c0)
+    expected = m_closed_form(SADDLE.c1, 2) * math.exp(eps**2 * lap_v0 / 4.0)
+    assert abs(j[0] - expected) <= 0.3 * eps**4 * expected
 
 
 def test_zero_finder_reads_beta_without_a_solve(monkeypatch):
@@ -230,23 +237,27 @@ def test_level_d_penalty_pulls_an_asymmetric_minimizer_into_y():
 
 @pytest.mark.parametrize("eps", [0.4, 0.2, 0.1, 0.05])
 def test_level_d_first_stage_iterations_on_the_default_grid(eps):
-    # the L2 step took 432 / 122 / 116 / 114 iterations in stage mu = 1; on
-    # the symmetric saddle the first stage is feasible and ends the run
+    # the L2 step took 432 / 122 / 116 / 114 iterations in stage mu = 1 and
+    # the scaled Sobolev step 31 / 24 / 18 / 14 in stage mu = 10; the L-BFGS
+    # step takes 17 / 15 / 12 / 8.  On the symmetric saddle the first stage
+    # is feasible and ends the run
     cfg = CertificateConfig(potential=SADDLE)
     res = level_d(cfg.grid(), SADDLE, eps, solver=cfg.solver)
     assert res.stages[0]["mu"] == minimax_mod._PENALTY_SCHEDULE[0]
     assert len(res.stages) == 1
     assert res.stages[0]["converged"]
-    assert res.stages[0]["iterations"] <= 100
+    assert res.stages[0]["iterations"] <= {0.4: 19, 0.2: 17, 0.1: 14, 0.05: 10}[eps]
     assert res.feasible and res.converged
 
 
 def test_level_d_continuation_holds_an_asymmetric_minimizer_on_the_default_grid():
     # the free minimizer leaves Y on this potential; carried from mu = 10,
-    # the continuation ends in Y with every stage converged
+    # the continuation ends in Y with every stage converged.  The scaled
+    # Sobolev step took 119 + 41 + 141 iterations, the L-BFGS step 24 + 21 + 18
     pot = expression_potential(ASYMMETRIC, 2, [0])
     res = level_d(Grid(2, 10.0, 51), pot, 0.4)
     assert res.feasible and res.converged
+    assert sum(stage["iterations"] for stage in res.stages) <= 70
     assert res.beta_x_norm <= 1e-3
     assert res.value == pytest.approx(39.8779064, abs=1e-6)
 
@@ -534,30 +545,25 @@ def test_level_d_unconverged_stage_is_inconclusive(monkeypatch, unconverged_stag
 
 def test_theta_bump_kinetic_term_once_per_bump(monkeypatch):
     # the kinetic part of a bump's eps-norm sees only spacing and shape, not
-    # the frame; the scan applies one Laplacian for Phi_eps(0), one per bump
-    # (its eps-norm) and one per feasible candidate (its J), and no other
+    # the frame; the scan takes one forward transform for Phi_eps(0), one per
+    # bump (its eps-norm) and one per feasible candidate (its J), and no
+    # other, and never transforms back
     g = Grid(2, 10.0, _odd_points(10.0, 0.5))
     bump = gausson(g, 0.0, center=[1.0, -0.5]).values
     frame = Grid(2, 10.0, g.points_per_axis, center=(3.7, 0.0))
     vsamp = potential_samples(SADDLE, frame, 0.25)
     assert energy_terms(g, bump, 0.0)[2] == energy_terms(frame, bump, vsamp)[2]
 
-    original = grid_mod.laplacian_array
-    calls = []
-
-    def counted(grid, values):
-        calls.append(grid.center)
-        return original(grid, values)
-
-    # patch every namespace that bound the stencil at import time
-    for name, module in list(sys.modules.items()):
-        if name.startswith("lognls") and getattr(module, "laplacian_array", None) is original:
-            monkeypatch.setattr(module, "laplacian_array", counted)
+    forward = count_grid_calls(monkeypatch, "sine_coefficients")
+    passes = []
+    original_dst1 = grid_mod._dst1
+    monkeypatch.setattr(grid_mod, "_dst1", lambda a: passes.append(1) or original_dst1(a))
     u0 = gausson(g, SADDLE.c0)
     rep = theta_r_estimate(u0, SADDLE, 0.25, r=0.5, n_perturb=6, seed=11)
     assert rep.feasible
-    assert len(calls) == 1 + 6 + rep.n_feasible == 38
-    assert set(calls) == {g.center}
+    assert len(forward) == 1 + 6 + rep.n_feasible == 38
+    assert {grid.center for grid in forward} == {g.center}
+    assert len(passes) == g.dim * len(forward)
 
 
 def _nine_center_theta(u0, potential, eps, r, R, n_centers, seed, beta_tol,

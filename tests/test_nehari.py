@@ -1,12 +1,22 @@
 import math
-import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from lognls.energy import SplitParams, energy, energy_terms, f1, f2, sq_log_sq
-from lognls.grid import Grid, GridField, integrate_array, laplacian_array, node_coordinates
+import lognls.grid as grid_mod
+import lognls.nehari as nehari_mod
+from lognls.energy import SplitParams, _safe_log_sq, energy, energy_terms, f1, f2, sq_log_sq
+from lognls.grid import (
+    Grid,
+    GridField,
+    integrate_array,
+    laplacian_array,
+    node_coordinates,
+    shifted_laplacian_solve,
+    sine_coefficients,
+    sine_kinetic,
+)
 from lognls.nehari import (
     SolverConfig,
     _reduced_objective,
@@ -18,7 +28,7 @@ from lognls.nehari import (
 )
 from lognls.potential import expression_potential
 
-from conftest import smooth_field
+from conftest import count_grid_calls, smooth_field
 
 PARAMS = SplitParams()
 
@@ -234,34 +244,128 @@ def test_solution_serialization(grid_1d):
 
 
 # ---------------------------------------------------------------------------
-# one Laplacian per trial: fused kernel and reduced objective
+# one forward transform per trial: fused kernel and reduced objective
 # ---------------------------------------------------------------------------
 
-def test_minimize_one_laplacian_per_trial(monkeypatch):
-    import lognls.grid as grid_mod
-
-    original = grid_mod.laplacian_array
-    calls = []
-
-    def counted(grid, values):
-        calls.append(grid.points_per_axis)
-        return original(grid, values)
-
-    # patch every namespace that bound the stencil at import time
-    for name, module in list(sys.modules.items()):
-        if name.startswith("lognls") and getattr(module, "laplacian_array", None) is original:
-            monkeypatch.setattr(module, "laplacian_array", counted)
-    g = Grid(2, 10.0, 65)
-    # the model saddle at eps = 1: the Gausson start is not its solution
+def _saddle_at_eps_one(g):
+    """The model saddle sampled at eps = 1, where the Gausson start is not
+    the solution."""
     pts = node_coordinates(g)
-    vsamp = 1.0 + 0.25 * (1.0 + pts[:, 1] ** 2) / (1.0 + np.sum(pts**2, axis=1))
+    return 1.0 + 0.25 * (1.0 + pts[:, 1] ** 2) / (1.0 + np.sum(pts**2, axis=1))
+
+
+def test_minimize_one_forward_transform_per_trial(monkeypatch):
+    forward = count_grid_calls(monkeypatch, "sine_coefficients")
+    inverse = count_grid_calls(monkeypatch, "laplacian_from_sine")
+    solves = count_grid_calls(monkeypatch, "shifted_laplacian_solve")
+    applies = count_grid_calls(monkeypatch, "laplacian_array")
+    passes = []
+    original_dst1 = grid_mod._dst1
+    monkeypatch.setattr(grid_mod, "_dst1", lambda a: passes.append(1) or original_dst1(a))
+    g = Grid(2, 10.0, 65)
     start = gausson(g, 1.0).values
     config = SolverConfig(tol=1e-6, max_iters=4000)
-    values, info = minimize_on_nehari(g, vsamp, start, config)
+    values, info = minimize_on_nehari(g, _saddle_at_eps_one(g), start, config)
     assert info["converged"]
-    assert info["trials"] >= info["iterations"] - 1  # every non-final iteration tries once at least
-    assert 0 < len(calls) <= info["trials"] + 1  # one per trial, one for the start
-    assert len(calls) <= 2.2 * info["iterations"]
+    steps = info["iterations"] - 1  # every iteration but the last steps once
+    assert len(info["j_history"]) == steps + 1
+    assert info["trials"] >= steps
+    # one solve per step, and one forward transform per trial, one for the
+    # start and one inside each solve
+    assert len(solves) == steps
+    assert len(forward) == info["trials"] + 1 + steps
+    # the inverse half to Lap u: one per accepted step, one for the start
+    assert len(inverse) == steps + 1
+    assert not applies
+    assert len(passes) == g.dim * (len(forward) + len(inverse) + len(solves))
+    assert info["trials"] <= 1.2 * info["iterations"]
+
+
+def _plain_sobolev_step(g, vsamp, u, lap):
+    """The scaled Sobolev direction S (-Lap + sigma)^-1 S g of the earlier
+    descent, written out as it was: the reference for an empty memory."""
+    sigma = 1.0 + float(np.mean(vsamp))
+    log_sq = _safe_log_sq(u)
+    grad = -lap + vsamp * u - u * log_sq
+    scale = np.sqrt(sigma / np.maximum(sigma, vsamp - 1.0 - log_sq))
+    d = shifted_laplacian_solve(g, scale * grad, sigma)
+    d *= scale
+    return d
+
+
+def test_first_trial_with_an_empty_memory_is_the_scaled_sobolev_step(monkeypatch):
+    g = Grid(2, 10.0, 65)
+    vsamp = _saddle_at_eps_one(g)
+    start = gausson(g, 1.0).values
+    trials = []
+    real = nehari_mod.energy_terms
+
+    def recorded(grid, values, v):
+        trials.append(values.copy())
+        return real(grid, values, v)
+
+    monkeypatch.setattr(nehari_mod, "energy_terms", recorded)
+    minimize_on_nehari(g, vsamp, start, SolverConfig(tol=1e-6, max_iters=1))
+    # the start is projected onto the Nehari set, then the first trial
+    # takes the full step alpha = 1
+    _, _, kin, pot, mass, ent = real(g, start, vsamp)
+    t, _ = _reduced_objective(kin + pot - ent, mass)
+    u = t * start
+    lap = laplacian_array(g, start)
+    lap *= t
+    d = _plain_sobolev_step(g, vsamp, u, lap)
+    assert np.array_equal(trials[0], start)
+    assert np.array_equal(trials[1], np.maximum(u - d, 0.5 * u))
+
+
+def test_a_direction_that_does_not_descend_falls_back_to_the_plain_step(monkeypatch):
+    # a two-loop recursion turned uphill whenever it has pairs: each such
+    # direction fails <g, d> > 0, the memory is cleared, and the run is the
+    # plain scaled Sobolev descent (no memory) bit for bit
+    g = Grid(2, 10.0, 65)
+    vsamp = _saddle_at_eps_one(g)
+    start = gausson(g, 1.0).values
+    config = SolverConfig(tol=1e-6, max_iters=4000)
+    _, quasi_newton = minimize_on_nehari(g, vsamp, start, config)
+
+    monkeypatch.setattr(nehari_mod, "_LBFGS_MEMORY", 0)
+    plain_values, plain = minimize_on_nehari(g, vsamp, start, config)
+    monkeypatch.undo()
+
+    real = nehari_mod._lbfgs_direction
+    uphill = []
+
+    def turned(grad, pairs, precondition):
+        d = real(grad, pairs, precondition)
+        if pairs:
+            uphill.append(len(pairs))
+            return -d
+        return d
+
+    monkeypatch.setattr(nehari_mod, "_lbfgs_direction", turned)
+    values, info = minimize_on_nehari(g, vsamp, start, config)
+    assert uphill and max(uphill) == 1  # cleared every time it was filled
+    assert np.array_equal(values, plain_values)
+    assert info["j_history"] == plain["j_history"] and info["trials"] == plain["trials"]
+    assert plain["converged"] and quasi_newton["converged"]
+    assert quasi_newton["iterations"] < plain["iterations"]
+
+
+def test_lbfgs_direction_meets_the_newest_secant_pair(rng):
+    # the BFGS update maps the newest gradient change y back onto its step s
+    n = 40
+    a = rng.standard_normal((n, n))
+    hess = a @ a.T + n * np.eye(n)
+    pairs = []
+    for _ in range(3):
+        s = rng.standard_normal(n)
+        y = hess @ s
+        pairs.append((s, y, 1.0 / float(np.dot(s, y))))
+    s, y, _ = pairs[-1]
+    d = nehari_mod._lbfgs_direction(y, pairs, lambda v: 0.5 * v)
+    assert np.max(np.abs(d - s)) <= 1e-12 * np.max(np.abs(s))
+    g = rng.standard_normal(n)
+    assert np.array_equal(nehari_mod._lbfgs_direction(g, [], lambda v: 0.5 * v), 0.5 * g)
 
 
 def _direct_j(u, potential):
@@ -285,12 +389,16 @@ def test_reduced_objective_matches_direct_energy(rng, grid_2d, factor):
 
 
 def test_energy_terms_kernel(rng, grid_2d):
+    from scipy.fft import dstn
+
     u = smooth_field(grid_2d, rng)
     vsamp = 0.2 + 0.1 * np.sin(node_coordinates(grid_2d)[:, 1])
-    lap, sq, kin, pot, mass, ent = energy_terms(grid_2d, u.values, vsamp)
-    assert np.array_equal(lap, laplacian_array(grid_2d, u.values))
+    coeffs, sq, kin, pot, mass, ent = energy_terms(grid_2d, u.values, vsamp)
+    expected = dstn(u.reshaped(), type=1)
+    assert np.max(np.abs(coeffs.reshape(grid_2d.shape) - expected)) <= 1e-12 * np.max(np.abs(expected))
     assert np.array_equal(sq, u.values * u.values)
-    assert kin == kinetic(grid_2d, u.values)
+    # Parseval's sum and the nodal sum of the same form round differently
+    assert kin == pytest.approx(kinetic(grid_2d, u.values), rel=1e-14)
     assert pot == integrate_array(grid_2d, vsamp * u.values**2)
     assert mass == integrate_array(grid_2d, u.values**2)
     assert ent == pytest.approx(integrate_array(grid_2d, sq_log_sq(u.values)), rel=1e-14)
@@ -298,11 +406,12 @@ def test_energy_terms_kernel(rng, grid_2d):
 
 def _reference_pairing_and_mass(grid, values, vsamp):
     """The evaluator the solver used before the fused kernel, kept as a
-    reference: kinetic form, potential, entropy and mass summed separately."""
+    reference: kinetic form, potential, entropy and mass summed separately.
+    The kinetic form is taken in the sine basis, as the kernel sums it."""
     sq = values * values
     a = np.abs(values)
     log_sq = 2.0 * np.log(np.where(a > 0, a, 1.0))
-    kin = kinetic(grid, values)
+    kin = sine_kinetic(grid, sine_coefficients(grid, values))
     pot = integrate_array(grid, vsamp * sq)
     ent = integrate_array(grid, np.where(sq > 0, sq * log_sq, 0.0))
     return kin, pot, integrate_array(grid, sq), ent
