@@ -29,10 +29,10 @@ from .minimax import (
     choose_r,
     level_d,
     level_sup_x,
+    level_theta,
     path_levels,
     phi_path,
     sweep_eps,
-    theta_r_estimate,
 )
 from .nehari import (
     NehariSolution,

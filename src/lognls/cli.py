@@ -13,11 +13,14 @@ Subcommands (one per experiment):
 Configuration is a JSON file with blocks grid / potential / split / solver /
 sweep / certificate / output; command-line flags override file values.  All
 floats are written with 17 significant digits and files are written
-atomically (write then rename), so reruns with a fixed seed are byte
-identical.  Exit codes: 0 success, 2 config error, 3 numerical
-non-convergence, 4 certificate inconclusive (for sweep-eps: any row, after
-all rows are written; or a numerical ValueError), 5 internal defect (a
-failed internal consistency assertion).  A config file that is not valid
+atomically (write then rename), so reruns of one config are byte
+identical.  ``sweep.seed`` is validated as an integer and has no effect: no
+certificate number is drawn at random, and the key stays accepted only
+because the benchmark driver (perfbench/child.py) still sets it.  Exit
+codes: 0 success, 2 config error, 3 numerical non-convergence, 4
+certificate inconclusive (for sweep-eps: any row, after all rows are
+written; or a numerical ValueError), 5 internal defect (a failed internal
+consistency assertion).  A config file that is not valid
 JSON, a config or block that is not a JSON object, a setting of the wrong
 type or range, a --eps or --R flag that is not finite and positive, a --V
 that does not parse, a --A not above -1, and a block or key that nothing
@@ -340,7 +343,6 @@ def build_certificate_config(cfg: dict) -> CertificateConfig:
         q_samples=int(c["q_samples"]),
         beta_tol=float(c["beta_tol"]),
         solver=build_solver(cfg),
-        seed=int(cfg["sweep"]["seed"]),
         compute_numerical_m=c["compute_numerical_m"],
     )
 

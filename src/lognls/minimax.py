@@ -10,9 +10,12 @@ of u0 and all four numbers below come from one grid:
 * D_eps  -- inf of J over Nehari fields with barycenter in Y (estimated by
   penalized minimization; an UPPER bound of the true infimum),
 * sup_X J(Phi_eps(x)) over the disc Q in X,
-* Theta_r -- inf of J over an r-neighborhood of the path image with
-  barycenter in Y (sampled around Phi_eps(0), the one path point whose
-  X-symmetric perturbations can lie in Y; again an upper bound),
+* Theta_r -- inf of J over Nehari fields with barycenter in Y in the
+  eps-norm r-ball around Phi_eps(0), a subset of D_eps's set, so D_eps <=
+  Theta_r.  It is estimated by the smaller J of two members of that set:
+  Phi_eps(0) itself and the D_eps minimizer when its distance to Phi_eps(0)
+  is at most r.  Both are fields of the set, so the estimate is an UPPER
+  bound, and at every default eps it is D_eps_estimate itself,
 * R -- a disc radius whose boundary values sit below a threshold.
 
 The minimax value over continuous fillings of Q is never computed; the
@@ -362,116 +365,69 @@ def choose_r(u0: GridField, potential: PotentialSpec, eps: float, threshold: flo
 class ThetaReport:
     value: float
     r: float
-    n_feasible: int
+    minimizer_distance: float
+    used_minimizer: bool
     feasible: bool
-    upper_bound: bool
-    included_minimizer: bool
 
     def to_dict(self) -> dict:
         return {
             "value": self.value,
             "r": self.r,
-            "n_feasible": self.n_feasible,
+            "minimizer_distance": self.minimizer_distance,
+            "used_minimizer": self.used_minimizer,
             "feasible": self.feasible,
-            "upper_bound": self.upper_bound,
-            "included_minimizer": self.included_minimizer,
         }
 
 
-def _symmetrize_x(grid: Grid, values: NDArray, x_axes) -> NDArray:
-    """Average a field with its reflections across every X axis."""
-    out = values.reshape(grid.shape).copy()
-    for ax in x_axes:
-        out = 0.5 * (out + np.flip(out, axis=ax))
-    return out.ravel()
-
-
-def theta_r_estimate(
+def level_theta(
     u0: GridField,
     potential: PotentialSpec,
     eps: float,
     r: float,
-    n_perturb: int = 6,
-    perturb_magnitudes=(0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0),
-    seed: int = 0,
-    beta_tol: float = 1e-3,
-    extra_candidate: Optional[GridField] = None,
+    minimizer: LevelDResult,
+    beta_tol: float,
 ) -> ThetaReport:
-    """Sampled upper-bound estimate of Theta_r.
+    """Upper bound of Theta_r from the two fields the certificate already has.
 
-    Candidates are the path field Phi_eps(0) plus perturbations of norm up
-    to r (in the eps-norm of its frame; that choice of norm matters and is
-    fixed here), filtered to barycenter in Y.  The bumps are drawn once in
-    frame-relative coordinates and X-symmetrized about the frame center.
-    ``perturb_magnitudes`` is an absolute ladder filtered by <= r, so
-    candidate sets nest across r and the estimate is non-increasing in r by
-    construction.  The scan streams: each candidate is built, tested and
-    dropped.  If ``extra_candidate`` (e.g. the level_d minimizer, on the
-    grid of u0) lies within r of Phi_eps(0), it joins the candidate set;
-    that is what links the estimate to D_eps from above.
+    Theta_r is the inf of J over Nehari fields with barycenter in Y that lie
+    in the eps-norm r-ball around Phi_eps(0).  That set is a subset of the
+    one D_eps minimizes over, so D_eps <= Theta_r, and J of any of its
+    members bounds Theta_r from above.  Two members are at hand, both on the
+    Nehari set of u0's grid:
 
-    Only the frame at z = 0 can hold a candidate in Y.  Around Phi_eps(z) a
-    candidate t*u0 + m*d is X-symmetric about the frame center c = z/eps.
-    Pair the nodes (c+s, y) and (c-s, y) along an X axis: their weights
-    x_X/|x| sum to phi_y(c+s) - phi_y(s-c), with phi_y(a) = a/sqrt(a^2+y^2)
-    strictly increasing for y != 0 and nondecreasing for y = 0.  So beta_X
-    of such a field has the sign of c_X, and it is nonzero unless all of the
-    mass lies on {y = 0}: no z != 0 in Q gives a field in Y.  ``beta_tol``
-    allows only for the rounding of beta_X at z = 0.
+    * Phi_eps(0) = t*u0 itself, at distance 0 from the ball's center, when
+      |P_X beta| <= ``beta_tol`` (the Gausson sits on the origin node, so
+      beta_X is rounding);
+    * the ``level_d`` minimizer, when it is feasible and its eps-norm
+      distance to Phi_eps(0), read off one forward transform, is at most r.
+
+    The estimate is the smaller of their J values.  With the minimizer in
+    the ball it is D_eps_estimate itself, since D_eps <= J(Phi_eps(0)); the
+    minimizer sits inside the default r = 0.5 at every default eps
+    (distance 0.200 / 0.065 / 0.018 / 0.005 at eps 0.4 / 0.2 / 0.1 / 0.05).
+    Otherwise J(Phi_eps(0)) is the estimate, still an upper bound, and
+    ``used_minimizer`` says which one it was.  No field off the Nehari set
+    is priced: J off that set can lie below every Nehari level.
     """
     grid = u0.grid
+    if minimizer.field.grid != grid:
+        raise ValueError("the level_d minimizer must live on the grid of u0")
     # Phi_eps(0) is t*u0 in u0's own frame
     vsamp = potential_samples(potential, grid, eps)
-    base = phi_path(u0, np.zeros(grid.dim), eps, potential, vsamp=vsamp)
-
-    rng = np.random.default_rng(seed)
-    rel = node_coordinates(grid) - np.asarray(grid.center)
-    # each bump scaled to unit eps-norm, one Laplacian per bump
-    directions = []
-    for _ in range(n_perturb):
-        c = rng.uniform(-2.0, 2.0, size=grid.dim)
-        widths = rng.uniform(0.7, 2.0)
-        amp = rng.standard_normal()
-        bump = amp * np.exp(-np.sum((rel - c) ** 2, axis=1) / (2 * widths**2))
-        bump = _symmetrize_x(grid, bump, potential.x_axes)
-        norm = math.sqrt(eps_norm_sq(grid, bump, vsamp))
-        if norm > 0:
-            directions.append(bump / norm)
-    magnitudes = [m for m in perturb_magnitudes if m <= r]
-    x_axes = list(potential.x_axes)
-
-    best = math.inf
-    n_feasible = 0
-
-    def consider(cand: NDArray) -> None:
-        nonlocal best, n_feasible
-        beta_x = _x_norm(_barycenter_values(grid, cand)[x_axes])
-        if not beta_x <= beta_tol:  # NaN (zero field) is infeasible too
-            return
-        n_feasible += 1
-        best = min(best, field_energy(grid, cand, vsamp)[0])
-
-    consider(base.values)
-    for d in directions:
-        for mag in magnitudes:
-            consider(base.values + mag * d)
-
-    included = False
-    if extra_candidate is not None:
-        if extra_candidate.grid != grid:
-            raise ValueError("extra_candidate must live on the grid of u0")
-        if math.sqrt(eps_norm_sq(grid, extra_candidate.values - base.values, vsamp)) <= r:
-            consider(extra_candidate.values)
-            included = True
-
+    base = phi_path(u0, np.zeros(grid.dim), eps, potential, vsamp=vsamp).values
+    beta_x = _x_norm(_barycenter_values(grid, base)[list(potential.x_axes)])
+    best = field_energy(grid, base, vsamp)[0] if beta_x <= beta_tol else math.inf
+    dist = math.sqrt(eps_norm_sq(grid, minimizer.field.values - base, vsamp))
+    used = minimizer.feasible and dist <= r and minimizer.value < best
+    if used:
+        best = minimizer.value
     feasible = math.isfinite(best)
     return ThetaReport(
         value=best if feasible else math.nan,
         r=r,
-        n_feasible=n_feasible,
+        minimizer_distance=dist,
+        used_minimizer=used,
         feasible=feasible,
-        upper_bound=True,
-        included_minimizer=included,
     )
 
 
@@ -612,7 +568,6 @@ class CertificateConfig:
     q_samples: int = 9
     beta_tol: float = 1e-3
     solver: SolverConfig = SolverConfig(tol=1e-6, max_iters=4000)
-    seed: int = 1234
     compute_numerical_m: bool = True
     m_c0_numerical: Optional[float] = None
 
@@ -660,9 +615,9 @@ def _odd_points(half_extent: float, h_target: float) -> int:
 def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
     """Assemble the level separations and the minimax bracket at one eps.
 
-    All sampling is seeded, so the certificate is deterministic for a fixed
-    configuration.  Sub-level failures surface as inconclusive flags rather
-    than exceptions.
+    Nothing is drawn at random, so the certificate is deterministic for a
+    fixed configuration.  Sub-level failures surface as inconclusive flags
+    rather than exceptions.
 
     ``D_eps`` below m(c0) by more than 1e-6 + 1e-9 m(c0), an allowance that
     does not read the grid, is an internal defect (AssertionError).  D_eps is
@@ -699,7 +654,7 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
         )
     sigma = max(0.0, d_est - m_c0)
 
-    theta = theta_r_estimate(u0, pot, eps, r=cfg.theta_radius, seed=cfg.seed, beta_tol=cfg.beta_tol)
+    theta = level_theta(u0, pot, eps, cfg.theta_radius, d_res, cfg.beta_tol)
     if not theta.feasible:
         inconclusive["theta_r"] = True
 
@@ -715,7 +670,6 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
 
     sup_x = level_sup_x(u0, pot, eps, R=r_used, n_samples=cfg.q_samples)
 
-    theta_val = theta.value if theta.feasible else math.nan
     flags = {
         # positive gap of the constrained level over the free ground level
         "constrained_gap": bool(sigma > SIGMA_FLOOR),
@@ -723,8 +677,9 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
         "sup_below_two_m": bool(sup_x.value < 2.0 * m_c0 - sigma),
         # some disc radius keeps its boundary under the threshold
         "boundary_radius_found": bool(r_choice.succeeded),
-        # neighborhood level clears the midpoint of the gap
-        "theta_above_half_gap": bool(theta.feasible and theta_val > m_c0 + 0.5 * sigma),
+        # neighborhood level clears the midpoint of the gap; with Theta_r =
+        # D_eps (the minimizer in the ball) this is sigma > 0
+        "theta_above_half_gap": bool(theta.feasible and theta.value > m_c0 + 0.5 * sigma),
     }
     # the minimax bracket (m + sigma/2, 2m - sigma) is nonempty and holds
     flags["sandwich"] = bool(
@@ -740,7 +695,7 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
         m_c0_numerical=m_num,
         D_eps_estimate=d_est,
         sup_X_J=sup_x.value,
-        theta_r_estimate=theta_val,
+        theta_r_estimate=theta.value,
         R_used=r_used if r_choice.succeeded else None,
         sigma_margin=sigma,
         flags=flags,

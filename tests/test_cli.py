@@ -467,6 +467,28 @@ def test_split_cutoff_does_not_change_certificates(tmp_path, capsys, monkeypatch
     assert written[0] == written[1]
 
 
+def test_sweep_seed_changes_no_output(tmp_path, capsys, monkeypatch):
+    # nothing is drawn at random; sweep.seed is validated and read by nothing.
+    # On the default certificate grid the earlier random Theta scan wrote a
+    # theta_r of its own at each seed; the tiny config does not show that
+    monkeypatch.chdir(tmp_path)
+    written = []
+    for seed in (7, 901):
+        outdir = tmp_path / f"out-{seed}"
+        path = tmp_path / f"cfg-{seed}.json"
+        cfg = {
+            "sweep": {"eps": [0.4, 0.2], "seed": seed},
+            "certificate": {"compute_numerical_m": False},
+            "output": {"directory": str(outdir)},
+        }
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep-eps", "--config", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        assert json.loads((outdir / "config_resolved.json").read_text())["sweep"]["seed"] == seed
+        written.append([(outdir / name).read_bytes() for name in ("sweep_eps.json", "sweep_eps.csv")])
+    assert written[0] == written[1]
+
+
 
 @pytest.mark.parametrize(
     "argv", [["saddle-cert", "--eps", "0.3"], ["sweep-eps"], ["barycenter-zero", "--eps", "0.3"]]

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from lognls.grid import Grid, GridField
 import lognls.minimax as minimax_mod
 from lognls.minimax import (
     CertificateConfig,
+    LevelDResult,
     _BarycenterPenalty,
     barycenter,
     barycenter_zero_finder,
@@ -17,10 +23,10 @@ from lognls.minimax import (
     direction_weights,
     level_d,
     level_sup_x,
+    level_theta,
     path_levels,
     phi_path,
     sweep_eps,
-    theta_r_estimate,
     _odd_points,
 )
 from lognls.energy import energy
@@ -146,7 +152,7 @@ def test_path_table_matches_the_path_fields(potential, eps):
         f = phi_path(u0, z, eps, potential)
         assert np.array_equal(f.values, t[k] * u0.values)
         vsamp = potential_samples(potential, f.grid, eps)
-        # samples the caller passes in (the Theta scan's) give the same field
+        # samples the caller passes in (level_theta's) give the same field
         assert np.array_equal(phi_path(u0, z, eps, potential, vsamp=vsamp).values, f.values)
         j_field = field_energy(f.grid, f.values, vsamp)[0]
         assert abs(j[k] - j_field) <= 1e-13 * abs(j_field)
@@ -365,24 +371,37 @@ def test_choose_r_reports_exhaustion():
     assert len(res.boundary_max) == 4
 
 
-def test_theta_monotone_in_r_and_bounds():
-    eps = 0.25
-    g = Grid(2, 10.0, _odd_points(10.0, 0.2))
+def _theta_setup(eps):
+    """u0, the level_d result and Phi_eps(0) on the default certificate grid."""
+    cfg = CertificateConfig(potential=SADDLE)
+    g = cfg.grid()
     u0 = gausson(g, SADDLE.c0)
+    d_res = level_d(g, SADDLE, eps, solver=cfg.solver)
+    return cfg, u0, d_res, phi_path(u0, np.zeros(2), eps, SADDLE)
+
+
+def test_theta_monotone_in_r_and_bounds():
+    # the candidate set grows with r: Phi_eps(0) at every r, the minimizer
+    # once r reaches its distance, so the estimate is non-increasing in r and
+    # never below D_eps; the r -> 0 limit is J(Phi_eps(0))
+    eps = 0.4
+    cfg, u0, d_res, f0 = _theta_setup(eps)
+    vsamp = potential_samples(SADDLE, u0.grid, eps)
+    j0 = field_energy(u0.grid, f0.values, vsamp)[0]
     m = m_closed_form(SADDLE.c0, 2)
     values = []
-    for r in (0.05, 0.5, 2.0):
-        rep = theta_r_estimate(u0, SADDLE, eps, r=r, seed=11)
-        assert rep.feasible and rep.upper_bound
+    for r in (1e-3, 0.1, 0.5, 2.0):
+        rep = level_theta(u0, SADDLE, eps, r, d_res, cfg.beta_tol)
+        assert rep.feasible and rep.r == r
+        assert d_res.value <= rep.value <= j0
         values.append(rep.value)
-    assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-    # r -> 0 limit: the estimate approaches the path value at the origin
-    assert values[0] >= m - m * g.spacing**2
+    assert all(a >= b for a, b in zip(values, values[1:]))
+    assert values[0] == j0 > m
 
 
 def test_theta_links_to_level_d_via_minimizer():
-    # on one shared grid, include the level_d minimizer once r covers the
-    # distance to the sampled path image: theta <= D + tol by set inclusion
+    # once r covers the minimizer's eps-norm distance to Phi_eps(0), the
+    # estimate is D_eps bit for bit, since D_eps <= J(Phi_eps(0))
     eps = 0.25
     g = Grid(2, 10.0, _odd_points(10.0, 0.2))
     u0 = gausson(g, SADDLE.c0)
@@ -390,12 +409,78 @@ def test_theta_links_to_level_d_via_minimizer():
     vsamp = potential_samples(SADDLE, g, eps)
     f0 = phi_path(u0, np.zeros(2), eps, SADDLE)
     dist = math.sqrt(eps_norm_sq(g, d_res.field.values - f0.values, vsamp))
-    rep = theta_r_estimate(
-        u0, SADDLE, eps, r=1.25 * dist + 1e-9, seed=11,
-        extra_candidate=d_res.field,
+    rep = level_theta(u0, SADDLE, eps, 1.25 * dist, d_res, 1e-3)
+    assert rep.used_minimizer and rep.minimizer_distance == dist
+    assert rep.value == d_res.value
+    # just short of the distance the minimizer is out
+    rep = level_theta(u0, SADDLE, eps, 0.99 * dist, d_res, 1e-3)
+    assert not rep.used_minimizer
+    assert rep.value == field_energy(g, f0.values, vsamp)[0] > d_res.value
+
+
+def test_theta_falls_back_to_the_path_origin_outside_the_ball():
+    # r = 1e-3 is below the minimizer's distance 0.200 at eps 0.4: the
+    # estimate is J(Phi_eps(0)), an upper bound still, and above D_eps
+    eps = 0.4
+    cfg, u0, d_res, f0 = _theta_setup(eps)
+    vsamp = potential_samples(SADDLE, u0.grid, eps)
+    j0 = field_energy(u0.grid, f0.values, vsamp)[0]
+    rep = level_theta(u0, SADDLE, eps, 1e-3, d_res, cfg.beta_tol)
+    assert rep.minimizer_distance == pytest.approx(0.200, abs=5e-4)
+    assert not rep.used_minimizer and rep.feasible
+    assert rep.value == j0 >= d_res.value
+    # an infeasible minimizer stays out however large r is
+    infeasible = LevelDResult(d_res.value, d_res.field, False, 1.0, True, d_res.stages)
+    rep = level_theta(u0, SADDLE, eps, 2.0, infeasible, cfg.beta_tol)
+    assert not rep.used_minimizer and rep.value == j0
+    # the certificate reports the fallback and which candidate it took
+    cert = certificate(eps, replace(cfg, theta_radius=1e-3, compute_numerical_m=False))
+    assert cert.theta_r_estimate == j0 >= cert.D_eps_estimate
+    assert cert.details["theta"]["used_minimizer"] is False
+    assert cert.flags["theta_above_half_gap"]
+
+
+def test_theta_needs_a_minimizer_on_the_grid_of_u0():
+    eps = 0.4
+    cfg, u0, d_res, _ = _theta_setup(eps)
+    other = Grid(2, 10.0, 53)
+    moved = LevelDResult(d_res.value, gausson(other, SADDLE.c0), True, 0.0, True, d_res.stages)
+    with pytest.raises(ValueError, match="grid of u0"):
+        level_theta(u0, SADDLE, eps, 0.5, moved, cfg.beta_tol)
+
+
+def test_theta_is_d_eps_in_the_default_sweep():
+    # the minimizer lies in the default r = 0.5 ball at every default eps
+    # (distance 0.200 / 0.065 / 0.018 / 0.005), so Theta_r = D_eps exactly
+    cfg = CertificateConfig(potential=SADDLE, compute_numerical_m=False)
+    certs = sweep_eps((0.4, 0.2, 0.1, 0.05), cfg)
+    distances = []
+    for cert in certs:
+        assert cert.theta_r_estimate >= cert.D_eps_estimate
+        assert cert.theta_r_estimate == cert.D_eps_estimate
+        theta = cert.details["theta"]
+        assert theta["used_minimizer"] and theta["feasible"] and theta["r"] == cfg.theta_radius
+        distances.append(theta["minimizer_distance"])
+        assert all(cert.flags.values())
+    assert distances == pytest.approx([0.200, 0.065, 0.018, 0.005], abs=5e-4)
+
+
+def test_certificate_never_imports_numpy_random():
+    # nothing in a certificate is drawn at random; numpy loads its random
+    # module lazily, and importing it costs about 2 MB of peak RSS
+    code = (
+        "import sys\n"
+        "from lognls.minimax import CertificateConfig, certificate\n"
+        "from lognls.potential import model_saddle\n"
+        "cfg = CertificateConfig(potential=model_saddle(1.0, 1.25, 2, (0,), 0.5), h_target=0.5,\n"
+        "                        solver_half_extent=6.0, q_samples=5, compute_numerical_m=False)\n"
+        "certificate(0.4, cfg)\n"
+        "print('numpy.random' in sys.modules)\n"
     )
-    assert rep.included_minimizer
-    assert rep.value <= d_res.value + 1e-9
+    src = str(Path(minimax_mod.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_zero_finder_1d_x_symmetric():
@@ -543,75 +628,21 @@ def test_level_d_unconverged_stage_is_inconclusive(monkeypatch, unconverged_stag
     assert cert.inconclusive.get("level_d", False) is (not converged)
 
 
-def test_theta_bump_kinetic_term_once_per_bump(monkeypatch):
-    # the kinetic part of a bump's eps-norm sees only spacing and shape, not
-    # the frame; the scan takes one forward transform for Phi_eps(0), one per
-    # bump (its eps-norm) and one per feasible candidate (its J), and no
-    # other, and never transforms back
-    g = Grid(2, 10.0, _odd_points(10.0, 0.5))
-    bump = gausson(g, 0.0, center=[1.0, -0.5]).values
-    frame = Grid(2, 10.0, g.points_per_axis, center=(3.7, 0.0))
-    vsamp = potential_samples(SADDLE, frame, 0.25)
-    assert energy_terms(g, bump, 0.0)[2] == energy_terms(frame, bump, vsamp)[2]
-
+def test_theta_takes_three_forward_transforms(monkeypatch):
+    # Phi_eps(0) (the path terms of u0), its J and the minimizer's distance
+    # each read one forward transform, and none is transformed back
     forward = count_grid_calls(monkeypatch, "sine_coefficients")
+    inverse = count_grid_calls(monkeypatch, "laplacian_from_sine")
     passes = []
     original_dst1 = grid_mod._dst1
     monkeypatch.setattr(grid_mod, "_dst1", lambda a: passes.append(1) or original_dst1(a))
+    g = Grid(2, 10.0, _odd_points(10.0, 0.5))
     u0 = gausson(g, SADDLE.c0)
-    rep = theta_r_estimate(u0, SADDLE, 0.25, r=0.5, n_perturb=6, seed=11)
+    minimizer = LevelDResult(0.0, GridField(g, 1.01 * u0.values), True, 0.0, True, [])
+    rep = level_theta(u0, SADDLE, 0.25, 0.5, minimizer, 1e-3)
     assert rep.feasible
-    assert len(forward) == 1 + 6 + rep.n_feasible == 38
-    assert {grid.center for grid in forward} == {g.center}
+    assert len(forward) == 3 and not inverse
     assert len(passes) == g.dim * len(forward)
-
-
-def _nine_center_theta(u0, potential, eps, r, R, n_centers, seed, beta_tol,
-                       n_perturb=6, perturb_magnitudes=(0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0)):
-    """(value, n_feasible) of the earlier scan: the same seeded bumps, in the
-    same rng order, around Phi_eps(z) at every sample z of Q, not z = 0 only."""
-    grid = u0.grid
-    rng = np.random.default_rng(seed)
-    rel = minimax_mod.node_coordinates(grid) - np.asarray(grid.center)
-    bumps = []
-    for _ in range(n_perturb):
-        c = rng.uniform(-2.0, 2.0, size=grid.dim)
-        widths = rng.uniform(0.7, 2.0)
-        amp = rng.standard_normal()
-        bump = amp * np.exp(-np.sum((rel - c) ** 2, axis=1) / (2 * widths**2))
-        bumps.append(minimax_mod._symmetrize_x(grid, bump, potential.x_axes))
-    magnitudes = [m for m in perturb_magnitudes if m <= r]
-    x_axes = list(potential.x_axes)
-    best, n_feasible = math.inf, 0
-    for z in minimax_mod._q_samples(potential, R, n_centers):
-        vsamp = potential_samples(potential, minimax_mod._path_frame(grid, z, eps), eps)
-        base = phi_path(u0, z, eps, potential, vsamp=vsamp)
-        frame = base.grid
-        cands = [base.values]
-        for bump in bumps:
-            d = bump / math.sqrt(eps_norm_sq(frame, bump, vsamp))
-            cands += [base.values + mag * d for mag in magnitudes]
-        for cand in cands:
-            beta_x = minimax_mod._x_norm(minimax_mod._barycenter_values(frame, cand)[x_axes])
-            if beta_x <= beta_tol:
-                n_feasible += 1
-                best = min(best, field_energy(frame, cand, vsamp)[0])
-    return best, n_feasible
-
-
-@pytest.mark.parametrize("eps", [0.4, 0.03])
-def test_theta_keeps_every_feasible_candidate_of_the_nine_center_scan(eps):
-    # the certificate's call at the default config: only z = 0 can be in Y,
-    # so scanning that frame alone finds the same candidates and the same inf
-    cfg = CertificateConfig(potential=SADDLE)
-    u0 = gausson(cfg.grid(), SADDLE.c0)
-    rep = theta_r_estimate(u0, SADDLE, eps, r=cfg.theta_radius, seed=cfg.seed, beta_tol=cfg.beta_tol)
-    value, n_feasible = _nine_center_theta(
-        u0, SADDLE, eps, r=cfg.theta_radius, R=max(cfg.r_schedule), n_centers=cfg.q_samples,
-        seed=cfg.seed, beta_tol=cfg.beta_tol,
-    )
-    assert rep.value == value
-    assert rep.n_feasible == n_feasible == 31
 
 
 @pytest.mark.parametrize("c_x", [-1.25, -0.3, 0.3, 1.25])
@@ -620,7 +651,8 @@ def test_x_symmetric_field_off_the_origin_has_beta_x_of_the_center_sign(rng, c_x
     # phi_y(c+s) - phi_y(s-c), phi_y(a) = a/sqrt(a^2+y^2), which has the sign of c
     g = Grid(2, 10.0, _odd_points(10.0, 0.3), center=(c_x, 0.0))
     for _ in range(5):
-        values = minimax_mod._symmetrize_x(g, smooth_field(g, rng).values, (0,))
+        values = smooth_field(g, rng).values.reshape(g.shape)
+        values = (0.5 * (values + np.flip(values, axis=0))).ravel()
         beta_x = minimax_mod._barycenter_values(g, values)[0]
         assert np.sign(beta_x) == np.sign(c_x)
         assert beta_x != 0.0
@@ -640,14 +672,16 @@ def test_theta_builds_one_path_field_and_samples_v_once(monkeypatch):
 
     g = Grid(2, 10.0, _odd_points(10.0, 0.3))
     u0 = gausson(g, SADDLE.c0)
-    minimizer = GridField(g, 1.01 * phi_path(u0, np.zeros(2), 0.25, SADDLE).values)
+    near = GridField(g, 1.01 * phi_path(u0, np.zeros(2), 0.25, SADDLE).values)
     for name in counts:
         monkeypatch.setattr(minimax_mod, name, counted(name))
-    for extra in (None, minimizer):
+    for r, used in ((1e-3, False), (0.5, True)):
         for name in counts:
             counts[name] = 0
-        rep = theta_r_estimate(u0, SADDLE, 0.25, r=0.5, seed=11, extra_candidate=extra)
-        assert rep.feasible and rep.included_minimizer is (extra is not None)
+        # a level below J(Phi_eps(0)), so the minimizer wins once in the ball
+        minimizer = LevelDResult(0.0, near, True, 0.0, True, [])
+        rep = level_theta(u0, SADDLE, 0.25, r, minimizer, 1e-3)
+        assert rep.feasible and rep.used_minimizer is used
         assert counts == {"phi_path": 1, "potential_samples": 1}
 
 

@@ -26,18 +26,6 @@ ALLOWED = {
 
 # module.function.parameter -> why the default stays although no call sets it
 ALLOWED_UNSET = {
-    "minimax.theta_r_estimate.n_perturb": (
-        "perfbench/tracing.py reads it to count the scan's candidates; the "
-        "ROADMAP plan that reads Theta_r off the D_eps minimizer deletes it"
-    ),
-    "minimax.theta_r_estimate.perturb_magnitudes": (
-        "perfbench/tracing.py reads it to count the scan's candidates; the "
-        "ROADMAP plan that reads Theta_r off the D_eps minimizer deletes it"
-    ),
-    "minimax.theta_r_estimate.extra_candidate": (
-        "the tests pass the level_d minimizer; the ROADMAP plan that reads "
-        "Theta_r off the D_eps minimizer deletes it"
-    ),
     "nehari.gausson.center": "the tests' oracle for translated Gaussons",
     "potential.check_V4.v_at_origin": (
         "acceptance criterion 11 checks the level inequalities at a given V(0)"
@@ -59,7 +47,9 @@ ALLOWED_UNREACHED = {
 ALLOWED_FIELDS = {
     "minimax.LevelCertificate.details": (
         "the sub-reports behind a certificate, for library callers: "
-        "perfbench/tracing.py reads the grid, the tests read level_d and the grid"
+        "perfbench/tracing.py reads the grid; the tests read the grid, level_d, "
+        "and theta, which says whether Theta_r took the level_d minimizer and "
+        "at what distance"
     ),
 }
 
