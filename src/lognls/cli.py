@@ -32,8 +32,8 @@ The split block (the cutoff delta) enters only the Phi/Psi energy breakdown
 that ground-state reports.  Every certificate number is a value of J itself,
 which does not depend on delta.
 
-Sweep points run one after another in input order; the numerical m(c0),
-which does not depend on eps, is solved once and reused.
+Sweep points run one after another in input order, each on its own: a row
+solves its own numerical m(c0) and is the saddle-cert output at its eps.
 """
 
 from __future__ import annotations
@@ -559,9 +559,7 @@ def cmd_barycenter_zero(args) -> int:
     cfg = load_config(args.config, {})
     require_axes(cfg, y_axis=False)
     cert_cfg = build_certificate_config(cfg)
-    pot = cert_cfg.potential
-    u0 = gausson(cert_cfg.grid(), pot.c0)
-    res = barycenter_zero_finder(u0, pot, args.eps, R=args.R)
+    res = barycenter_zero_finder(cert_cfg.grid(), cert_cfg.potential, args.eps, R=args.R)
     outdir = ensure_outdir(cfg)
     atomic_write(os.path.join(outdir, "barycenter_zero.json"), to_json_text(res.to_dict()) + "\n")
     print(to_json_text(res.to_dict()))

@@ -1,11 +1,13 @@
 """Barycenter-constrained levels and the minimax certificate.
 
-The barycenter beta(u) is the u^2-weighted average of x/|x|.  Translating a
-constant-potential ground state u0 to z/eps and rescaling onto the Nehari
-set gives the path field Phi_eps(z); its barycenter approaches z/|z| as
-eps -> 0.  The translation is carried out by moving the grid's frame center
-to z/eps, not by moving node values, so every path field lives on the grid
-of u0 and all four numbers below come from one grid:
+The barycenter beta(u) is the u^2-weighted average of x/|x|.  Translating
+u0, the Gausson of the constant potential c0 on the origin node, to z/eps
+and rescaling onto the Nehari set gives the path field Phi_eps(z); its
+barycenter approaches z/|z| as eps -> 0.  The translation is carried out by
+moving the grid's frame center to z/eps, not by moving node values, so the
+path is a property of (grid, potential): u0 and its frame-independent terms
+are built once per grid, every path field lives on that grid, and all four
+numbers below come from it:
 
 * D_eps  -- inf of J over Nehari fields with barycenter in Y (estimated by
   penalized minimization; an UPPER bound of the true infimum),
@@ -91,36 +93,48 @@ def barycenter(u: GridField) -> NDArray:
 # the path in a moving frame
 # ---------------------------------------------------------------------------
 
-def path_levels(u0: GridField, zs, eps: float, potential) -> tuple[NDArray, NDArray]:
+@lru_cache(maxsize=8)
+def _path_gausson(grid: Grid, c0: float) -> NDArray:
+    """Node values of u0, the c0-Gausson on the origin node of ``grid``, the
+    one profile of every path; read-only, built once per (grid, c0).
+
+    The path moves the frame center away from the origin, so it starts from
+    a grid centered there, as ``dump_field`` does.
+    """
+    if any(grid.center):
+        raise ValueError("the path needs a grid centered at the origin")
+    u0 = gausson(grid, c0).values
+    u0.flags.writeable = False
+    return u0
+
+
+@lru_cache(maxsize=8)
+def _path_terms(grid: Grid, c0: float) -> tuple[NDArray, float, float, float]:
+    """(u0^2, kin, mass, ent) of ``_path_gausson``, the frame-independent
+    part of the path, from one energy kernel call per (grid, c0).  A cache
+    of its own: the zero finder reads u0 alone and prices nothing."""
+    _, sq, kin, _, mass, ent = energy_terms(grid, _path_gausson(grid, c0), 0.0)
+    sq.flags.writeable = False
+    return sq, kin, mass, ent
+
+
+def path_levels(grid: Grid, potential: PotentialSpec, eps: float, zs) -> tuple[NDArray, NDArray]:
     """(t, J) of the path fields Phi_eps(z), one entry per row z of ``zs``.
 
     Phi_eps(z) is t*u0 with the frame center moved to z/eps.  Kinetic, mass
-    and log terms do not see the frame, so one energy kernel call on u0
-    serves every row; a row samples V once for pot(z) = integral(V u0^2) in
-    its frame and takes (t, J) from the reduced objective.
+    and log terms do not see the frame, so the cached terms of u0 serve every
+    row; a row samples V once for pot(z) = integral(V u0^2) in its frame and
+    takes (t, J) from the reduced objective.
     """
-    zs = _z_rows(u0.grid, zs)
-    terms = _path_terms(u0)
-    t, j = np.empty(len(zs)), np.empty(len(zs))
-    for k, z in enumerate(zs):
-        frame = _path_frame(u0.grid, z, eps)
-        t[k], j[k] = _path_level(terms, frame, potential_samples(potential, frame, eps))
-    return t, j
-
-
-def _z_rows(grid: Grid, zs) -> NDArray:
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     if zs.ndim != 2 or zs.shape[1] != grid.dim:
         raise ValueError(f"z must have {grid.dim} components")
-    return zs
-
-
-def _path_terms(u0: GridField) -> tuple[NDArray, float, float, float]:
-    """(u0^2, kin, mass, ent) of u0, the frame-independent part of the path."""
-    _, sq, kin, _, mass, ent = energy_terms(u0.grid, u0.values, 0.0)
-    if mass <= 0:
-        raise ValueError("the path is undefined for the zero field")
-    return sq, kin, mass, ent
+    terms = _path_terms(grid, potential.c0)
+    t, j = np.empty(len(zs)), np.empty(len(zs))
+    for k, z in enumerate(zs):
+        frame = _path_frame(grid, z, eps)
+        t[k], j[k] = _path_level(terms, frame, potential_samples(potential, frame, eps))
+    return t, j
 
 
 def _path_level(terms: tuple, frame: Grid, vsamp: NDArray) -> tuple[float, float]:
@@ -134,21 +148,21 @@ def _path_frame(grid: Grid, z: NDArray, eps: float) -> Grid:
     return replace(grid, center=np.add(grid.center, z / eps))
 
 
-def phi_path(u0: GridField, z, eps: float, potential, vsamp: Optional[NDArray] = None) -> GridField:
+def phi_path(grid: Grid, potential: PotentialSpec, eps: float, z, vsamp: Optional[NDArray] = None) -> GridField:
     """Path field Phi_eps(z), one row of ``path_levels`` as a field: t*u0 on
-    u0's grid with the center shifted by z/eps, so it never leaves the box.
+    ``grid`` with the center shifted by z/eps, so it never leaves the box.
 
     ``vsamp`` is V(eps x) on that moved frame, for a caller that has sampled
     it already; otherwise it is sampled here.
     """
     z = np.asarray(z, dtype=float).ravel()
-    if z.size != u0.grid.dim:
-        raise ValueError(f"z must have {u0.grid.dim} components")
-    frame = _path_frame(u0.grid, z, eps)
+    if z.size != grid.dim:
+        raise ValueError(f"z must have {grid.dim} components")
+    frame = _path_frame(grid, z, eps)
     if vsamp is None:
         vsamp = potential_samples(potential, frame, eps)
-    t = _path_level(_path_terms(u0), frame, vsamp)[0]
-    return GridField(frame, t * u0.values)
+    t = _path_level(_path_terms(grid, potential.c0), frame, vsamp)[0]
+    return GridField(frame, t * _path_gausson(grid, potential.c0))
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +326,12 @@ class SupXReport:
         }
 
 
-def level_sup_x(u0: GridField, potential: PotentialSpec, eps: float, R: float, n_samples: int) -> SupXReport:
+def level_sup_x(grid: Grid, potential: PotentialSpec, eps: float, R: float, n_samples: int) -> SupXReport:
     """Max of J(Phi_eps(x)) over sampled Q, with the analytic cap
     m(c0) + (3/10) c2 integral(u0^2) for comparison."""
-    _, vals = path_levels(u0, _q_samples(potential, R, n_samples), eps, potential)
-    m_c0 = m_closed_form(potential.c0, u0.grid.dim)
-    mass_u0 = integrate_array(u0.grid, u0.values**2)
-    cap = m_c0 + 0.3 * potential.c2 * mass_u0
+    _, vals = path_levels(grid, potential, eps, _q_samples(potential, R, n_samples))
+    m_c0 = m_closed_form(potential.c0, grid.dim)
+    cap = m_c0 + 0.3 * potential.c2 * _path_terms(grid, potential.c0)[2]
     cap_closed = m_c0 * (1.0 + 0.6 * potential.c2)  # integral(u0^2) = 2 m(c0) for the exact profile
     return SupXReport(
         value=float(np.max(vals)),
@@ -349,13 +362,14 @@ class ChooseRResult:
 _BOUNDARY_SAMPLES = 8
 
 
-def choose_r(u0: GridField, potential: PotentialSpec, eps: float, threshold: float, schedule) -> ChooseRResult:
+def choose_r(grid: Grid, potential: PotentialSpec, eps: float, threshold: float, schedule) -> ChooseRResult:
     """Smallest radius in the schedule whose boundary path values sit below
-    the threshold; exhaustion is reported with the achieved maxima."""
+    the threshold, trying the radii in increasing order whatever the order
+    of the schedule; exhaustion is reported with the achieved maxima."""
     achieved = {}
-    for R in schedule:
+    for R in sorted(schedule):
         zs = _subspace_sphere(potential.dim, potential.x_axes, R, _BOUNDARY_SAMPLES)
-        achieved[float(R)] = float(np.max(path_levels(u0, zs, eps, potential)[1]))
+        achieved[float(R)] = float(np.max(path_levels(grid, potential, eps, zs)[1]))
         if achieved[float(R)] <= threshold:
             return ChooseRResult(float(R), threshold, achieved, True)
     return ChooseRResult(None, threshold, achieved, False)
@@ -380,7 +394,7 @@ class ThetaReport:
 
 
 def level_theta(
-    u0: GridField,
+    grid: Grid,
     potential: PotentialSpec,
     eps: float,
     r: float,
@@ -393,7 +407,7 @@ def level_theta(
     in the eps-norm r-ball around Phi_eps(0).  That set is a subset of the
     one D_eps minimizes over, so D_eps <= Theta_r, and J of any of its
     members bounds Theta_r from above.  Two members are at hand, both on the
-    Nehari set of u0's grid:
+    Nehari set of ``grid``:
 
     * Phi_eps(0) = t*u0 itself, at distance 0 from the ball's center, when
       |P_X beta| <= ``beta_tol`` (the Gausson sits on the origin node, so
@@ -409,12 +423,11 @@ def level_theta(
     ``used_minimizer`` says which one it was.  No field off the Nehari set
     is priced: J off that set can lie below every Nehari level.
     """
-    grid = u0.grid
     if minimizer.field.grid != grid:
-        raise ValueError("the level_d minimizer must live on the grid of u0")
-    # Phi_eps(0) is t*u0 in u0's own frame
+        raise ValueError("the level_d minimizer must live on the path grid")
+    # Phi_eps(0) is t*u0 in the grid's own frame
     vsamp = potential_samples(potential, grid, eps)
-    base = phi_path(u0, np.zeros(grid.dim), eps, potential, vsamp=vsamp).values
+    base = phi_path(grid, potential, eps, np.zeros(grid.dim), vsamp=vsamp).values
     beta_x = _x_norm(_barycenter_values(grid, base)[list(potential.x_axes)])
     best = field_energy(grid, base, vsamp)[0] if beta_x <= beta_tol else math.inf
     dist = math.sqrt(eps_norm_sq(grid, minimizer.field.values - base, vsamp))
@@ -451,98 +464,52 @@ class ZeroFinderResult:
         }
 
 
-# the zero finder: coarse samples of a one-axis X, the residual |P_X beta|
-# that counts as a zero, the cap on bisection and quadrant steps, and the
-# points on each square boundary of a two-axis X
-_ZERO_COARSE = 17
+# the zero finder: the residual |P_X beta| that counts as a zero, and the
+# points on the square boundary of a two-axis X
 _ZERO_TOL = 1e-3
-_ZERO_MAX_STEPS = 48
 _ZERO_BOUNDARY_SAMPLES = 16
 
 
-def barycenter_zero_finder(u0: GridField, potential: PotentialSpec, eps: float, R: float) -> ZeroFinderResult:
-    """Locate x* in Q with P_X beta(Phi_eps(x*)) ~ 0.
+def barycenter_zero_finder(grid: Grid, potential: PotentialSpec, eps: float, R: float) -> ZeroFinderResult:
+    """The zero x* in Q of P_X beta(Phi_eps(x)), with the degree evidence.
 
-    With a one-dimensional X this is sign bracketing plus bisection; with a
-    two-dimensional X a boundary winding number is computed first and a
-    recursive quadrant search descends toward the zero.  Missing sign change
-    or zero winding is reported as inconclusive (no degree evidence), not as
-    failure.
+    u0 is radial and sits on the origin node, so beta(Phi_eps(0)) =
+    beta(u0) = 0 up to rounding for every V: x* is 0, and its residual
+    |P_X beta(Phi_eps(0))| is reported.  A residual above ``_ZERO_TOL``, a
+    path that breaks this symmetry, is reported as inconclusive.  The degree
+    evidence is the sign of P_X beta at -R and R for one X axis and its
+    winding number on the boundary of the square of half side R for two;
+    a missing sign change or zero winding is not degree one, not a failure.
     """
     axes = list(potential.x_axes)
-    dim = potential.dim
+    u0 = _path_gausson(grid, potential.c0)
 
     def f_rows(xs) -> NDArray:
         """P_X beta(Phi_eps(z)) for each row of X coordinates, read off u0 in
         the moved frame: beta(t u) = beta(u), so no t, J or V is needed."""
-        zs = np.zeros((len(xs), dim))
+        zs = np.zeros((len(xs), potential.dim))
         zs[:, axes] = xs
-        return np.array([_barycenter_values(_path_frame(u0.grid, z, eps), u0.values)[axes] for z in zs])
+        return np.array([_barycenter_values(_path_frame(grid, z, eps), u0)[axes] for z in zs])
 
     if len(axes) == 1:
-        xs = np.linspace(-R, R, _ZERO_COARSE)
-        vals = f_rows(xs[:, None])[:, 0]
-        evidence = {
-            "boundary_values": [float(vals[0]), float(vals[-1])],
-            "degree_one": bool(vals[0] < 0 < vals[-1]),
-        }
-        best_idx = int(np.argmin(np.abs(vals)))
-        best_x, best_f = float(xs[best_idx]), float(vals[best_idx])
-        if abs(best_f) > _ZERO_TOL:
-            brackets = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-            if brackets.size == 0:
-                return ZeroFinderResult(None, abs(best_f), True, evidence)
-            lo, hi = xs[brackets[0]], xs[brackets[0] + 1]
-            f_lo = vals[brackets[0]]
-            for _ in range(_ZERO_MAX_STEPS):
-                mid = 0.5 * (lo + hi)
-                f_mid = f_rows([[mid]])[0, 0]
-                if abs(f_mid) < abs(best_f):
-                    best_x, best_f = mid, f_mid
-                if abs(f_mid) <= _ZERO_TOL or (hi - lo) < 0.25 * eps * u0.grid.spacing:
-                    break
-                if f_lo * f_mid <= 0:
-                    hi = mid
-                else:
-                    lo, f_lo = mid, f_mid
-        return ZeroFinderResult([best_x], abs(best_f), False, evidence)
-
-    # two-dimensional X: winding number on the boundary, then quadrant descent;
-    # the boundary of center + half [-1, 1]^2 is walked side by side
-    corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-    steps = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-
-    def winding(center: NDArray, half: float, n: int) -> int:
-        s = 8.0 * np.linspace(0.0, 1.0, n, endpoint=False)
+        lo, hi = f_rows([[-R], [R]])[:, 0]
+        evidence = {"boundary_values": [float(lo), float(hi)], "degree_one": bool(lo < 0 < hi)}
+    else:
+        # the boundary of R [-1, 1]^2, walked side by side from a corner
+        corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+        steps = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        s = 8.0 * np.linspace(0.0, 1.0, _ZERO_BOUNDARY_SAMPLES, endpoint=False)
         side = (s // 2).astype(int)
-        pts = center + half * (corners[side] + (s - 2.0 * side)[:, None] * steps[side])
+        pts = R * (corners[side] + (s - 2.0 * side)[:, None] * steps[side])
         angles = np.array([math.atan2(fv[1], fv[0]) for fv in f_rows(pts)])
         d = np.diff(np.concatenate([angles, angles[:1]]))
         d = (d + math.pi) % (2 * math.pi) - math.pi
-        return int(round(float(np.sum(d)) / (2 * math.pi)))
-
-    center = np.zeros(2)
-    half = float(R)
-    w0 = winding(center, half, _ZERO_BOUNDARY_SAMPLES)
-    evidence = {"winding": w0, "degree_one": bool(abs(w0) >= 1)}
-    if w0 == 0:
-        f_c = f_rows([center])[0]
-        res = float(np.linalg.norm(f_c))
-        if res <= _ZERO_TOL:
-            return ZeroFinderResult([float(c) for c in center], res, False, evidence)
-        return ZeroFinderResult(None, res, True, evidence)
-    for _ in range(_ZERO_MAX_STEPS):
-        f_c = f_rows([center])[0]
-        if float(np.linalg.norm(f_c)) <= _ZERO_TOL or half < 0.25 * eps * u0.grid.spacing:
-            break
-        # the first quadrant, in a fixed order, whose boundary still winds
-        quadrants = (center + half * np.array([sx, sy]) for sx in (-0.5, 0.5) for sy in (-0.5, 0.5))
-        child = next((q for q in quadrants if winding(q, 0.5 * half, _ZERO_BOUNDARY_SAMPLES) != 0), None)
-        if child is None:
-            break
-        center, half = child, 0.5 * half
-    res = float(np.linalg.norm(f_rows([center])[0]))
-    return ZeroFinderResult([float(c) for c in center], res, False, evidence)
+        winding = int(round(float(np.sum(d)) / (2 * math.pi)))
+        evidence = {"winding": winding, "degree_one": bool(abs(winding) >= 1)}
+    residual = float(np.linalg.norm(f_rows([np.zeros(len(axes))])[0]))
+    if residual > _ZERO_TOL:
+        return ZeroFinderResult(None, residual, True, evidence)
+    return ZeroFinderResult([0.0] * len(axes), residual, False, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +536,6 @@ class CertificateConfig:
     beta_tol: float = 1e-3
     solver: SolverConfig = SolverConfig(tol=1e-6, max_iters=4000)
     compute_numerical_m: bool = True
-    m_c0_numerical: Optional[float] = None
 
     def grid(self) -> Grid:
         """The one grid of every certificate quantity: [-L, L]^N at spacing
@@ -633,12 +599,11 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
     # frame, not the field, so no eps-dependent path grid is needed and the
     # orderings between these numbers are not blurred by mixed grids
     grid = cfg.grid()
-    u0 = gausson(grid, pot.c0)
 
     inconclusive = {}
 
-    m_num = cfg.m_c0_numerical
-    if m_num is None and cfg.compute_numerical_m:
+    m_num = None
+    if cfg.compute_numerical_m:
         sol = ground_state(grid, pot.c0, eps, config=cfg.solver)
         m_num = sol.energy
         if not sol.converged:  # a stalled solve is not a converged one
@@ -654,13 +619,13 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
         )
     sigma = max(0.0, d_est - m_c0)
 
-    theta = level_theta(u0, pot, eps, cfg.theta_radius, d_res, cfg.beta_tol)
+    theta = level_theta(grid, pot, eps, cfg.theta_radius, d_res, cfg.beta_tol)
     if not theta.feasible:
         inconclusive["theta_r"] = True
 
     threshold = 0.5 * (m_c0 + theta.value) if theta.feasible else math.nan
     r_choice = (
-        choose_r(u0, pot, eps, threshold, schedule=cfg.r_schedule)
+        choose_r(grid, pot, eps, threshold, schedule=cfg.r_schedule)
         if theta.feasible
         else ChooseRResult(None, math.nan, {}, False)
     )
@@ -668,7 +633,7 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
         inconclusive["choose_r"] = True
     r_used = r_choice.R if r_choice.succeeded else max(cfg.r_schedule)
 
-    sup_x = level_sup_x(u0, pot, eps, R=r_used, n_samples=cfg.q_samples)
+    sup_x = level_sup_x(grid, pot, eps, R=r_used, n_samples=cfg.q_samples)
 
     flags = {
         # positive gap of the constrained level over the free ground level
@@ -712,11 +677,7 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
 
 
 def sweep_eps(eps_values, cfg: CertificateConfig) -> list[LevelCertificate]:
-    """Certificates for a list of eps values, reusing the numerical m(c0)."""
-    certs = []
-    m_num = cfg.m_c0_numerical
-    for eps in eps_values:
-        cert = certificate(float(eps), replace(cfg, m_c0_numerical=m_num))
-        m_num = cert.m_c0_numerical
-        certs.append(cert)
-    return certs
+    """Certificates for a list of eps values, each one on its own: a row
+    solves its own numerical m(c0) and reads nothing from the rows before
+    it, so it is the ``certificate`` at its eps."""
+    return [certificate(float(eps), cfg) for eps in eps_values]

@@ -135,10 +135,9 @@ def barycenter_sweep_data():
     for eps in EPS_SWEEP:
         half = 2.0 / eps + 6.0
         g = Grid(2, half, _odd_points(half, 0.4))
-        u0 = gausson(g, SADDLE.c0)
         ds, ins = [], []
         for z in directions:
-            f = phi_path(u0, z, eps, SADDLE)
+            f = phi_path(g, SADDLE, eps, z)
             b = barycenter(f)
             ds.append(float(np.linalg.norm(b - z / np.linalg.norm(z))))
             ins.append(float(np.dot(b, z)))
@@ -194,8 +193,7 @@ def test_criterion_09_upper_level():
     eps = 0.05
     half = min(60.0, 1.0 / eps + 6.0)
     g = Grid(2, half, _odd_points(half, 0.4))
-    u0 = gausson(g, SADDLE.c0)
-    rep = level_sup_x(u0, SADDLE, eps, R=1.0, n_samples=17)
+    rep = level_sup_x(g, SADDLE, eps, R=1.0, n_samples=17)
     two_m = 2 * m_closed_form(SADDLE.c0, 2)
     ok = rep.value <= rep.cap + 1e-3 and rep.value < two_m
     report("9", ok, f"sup_X J = {rep.value:.4f}, cap = {rep.cap:.4f}, 2m = {two_m:.4f}")
@@ -205,8 +203,7 @@ def test_criterion_10_degree_evidence():
     eps = 0.05
     half = min(60.0, 1.0 / eps + 6.0)
     g = Grid(2, half, _odd_points(half, 0.15))
-    u0 = gausson(g, SADDLE.c0)
-    res = barycenter_zero_finder(u0, SADDLE, eps, R=1.0)
+    res = barycenter_zero_finder(g, SADDLE, eps, R=1.0)
     ok = (
         not res.inconclusive
         and abs(res.x_star[0]) <= 2 * g.spacing

@@ -89,8 +89,7 @@ def test_phi_path_moving_frame_matches_translated_reference():
     eps = 0.3
     g = Grid(2, 10.0, _odd_points(10.0, 0.15))
     z = np.array([eps * 7 * g.spacing, 0.0])
-    u0 = gausson(g, SADDLE.c0)
-    moving = phi_path(u0, z, eps, SADDLE)
+    moving = phi_path(g, SADDLE, eps, z)
     assert moving.grid.center == tuple(z / eps)
     translated = gausson(g, SADDLE.c0, center=z / eps)
     reference = GridField(g, nehari_scale(translated, SADDLE, eps) * translated.values)
@@ -104,7 +103,7 @@ def test_phi_path_moving_frame_matches_translated_reference():
 def test_phi_path_origin_is_nehari_with_unit_scale():
     g = path_grid(0.3)
     u0 = gausson(g, CONST.c0)
-    f = phi_path(u0, np.zeros(2), 0.3, CONST)
+    f = phi_path(g, CONST, 0.3, np.zeros(2))
     t = nehari_scale(f, CONST, 0.3)
     assert t == pytest.approx(1.0, abs=1e-10)
     # for the constant potential the exact profile is already critical
@@ -115,15 +114,14 @@ def test_phi_path_origin_is_nehari_with_unit_scale():
 
 def test_phi_path_continuity_along_lattice():
     g = path_grid(0.3)
-    u0 = gausson(g, SADDLE.c0)
     eps = 0.3
     quantum = eps * g.spacing
     z = np.array([quantum * 10, 0.0])
-    f_z = phi_path(u0, z, eps, SADDLE)
+    f_z = phi_path(g, SADDLE, eps, z)
     diffs = []
     vsamp = potential_samples(SADDLE, g, eps)
     for k in (8, 4, 2, 1):
-        f_k = phi_path(u0, z + np.array([quantum * k, 0.0]), eps, SADDLE)
+        f_k = phi_path(g, SADDLE, eps, z + np.array([quantum * k, 0.0]))
         diffs.append(math.sqrt(eps_norm_sq(g, f_k.values - f_z.values, vsamp)))
     assert all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:]))
 
@@ -146,36 +144,37 @@ def test_path_table_matches_the_path_fields(potential, eps):
     g = Grid(potential.dim, 10.0, _odd_points(10.0, 0.15))
     u0 = gausson(g, potential.c0)
     zs = minimax_mod._q_samples(potential, 2.0, 9)
-    t, j = path_levels(u0, zs, eps, potential)
+    t, j = path_levels(g, potential, eps, zs)
     assert t.shape == j.shape == (len(zs),)
     for k, z in enumerate(zs):
-        f = phi_path(u0, z, eps, potential)
+        f = phi_path(g, potential, eps, z)
         assert np.array_equal(f.values, t[k] * u0.values)
         vsamp = potential_samples(potential, f.grid, eps)
         # samples the caller passes in (level_theta's) give the same field
-        assert np.array_equal(phi_path(u0, z, eps, potential, vsamp=vsamp).values, f.values)
+        assert np.array_equal(phi_path(g, potential, eps, z, vsamp=vsamp).values, f.values)
         j_field = field_energy(f.grid, f.values, vsamp)[0]
         assert abs(j[k] - j_field) <= 1e-13 * abs(j_field)
         beta_u0 = barycenter(GridField(f.grid, u0.values))
         assert np.max(np.abs(beta_u0 - barycenter(f))) <= BETA_ROUNDING
     # the zero finder's boundary values are those barycenters at z = -R, R
-    res = barycenter_zero_finder(u0, potential, eps, R=2.0)
-    ends = [barycenter(phi_path(u0, x * np.eye(potential.dim)[0], eps, potential))[0] for x in (-2.0, 2.0)]
+    res = barycenter_zero_finder(g, potential, eps, R=2.0)
+    ends = [barycenter(phi_path(g, potential, eps, x * np.eye(potential.dim)[0]))[0] for x in (-2.0, 2.0)]
     assert np.max(np.abs(np.subtract(res.degree_evidence["boundary_values"], ends))) <= BETA_ROUNDING
 
 
 def test_path_table_applies_one_forward_transform(monkeypatch):
-    # the frame-independent terms of u0 come from one energy kernel call,
-    # whose kinetic form reads the forward sine transform alone
+    # the frame-independent terms of u0 come from one energy kernel call per
+    # grid, whose kinetic form reads the forward sine transform alone: the
+    # first table on a grid takes one transform, every later table none
+    minimax_mod._path_terms.cache_clear()
     forward = count_grid_calls(monkeypatch, "sine_coefficients")
     inverse = count_grid_calls(monkeypatch, "laplacian_from_sine")
     g = Grid(2, 10.0, _odd_points(10.0, 0.3))
-    u0 = gausson(g, SADDLE.c0)
-    for n in (1, 9, 40):
+    for n, transforms in ((1, 1), (9, 0), (40, 0)):
         forward.clear()
         zs = minimax_mod._q_samples(SADDLE, 2.0, n)
-        path_levels(u0, zs, 0.1, SADDLE)
-        assert len(forward) == 1, f"{len(zs)} rows"
+        path_levels(g, SADDLE, 0.1, zs)
+        assert len(forward) == transforms, f"{len(zs)} rows"
     assert not inverse
 
 
@@ -187,7 +186,7 @@ def test_path_level_at_the_origin_matches_the_small_eps_expansion(eps):
     # up to O(eps^4), and Lap V(0) = -2 (c1 - c0) on the model saddle.  The
     # relative residual / eps^4 reads 0.243 / 0.248 / 0.249 here
     g = CertificateConfig(potential=SADDLE).grid()
-    _, j = path_levels(gausson(g, SADDLE.c0), [[0.0, 0.0]], eps, SADDLE)
+    _, j = path_levels(g, SADDLE, eps, [[0.0, 0.0]])
     lap_v0 = -2.0 * (SADDLE.c1 - SADDLE.c0)
     expected = m_closed_form(SADDLE.c1, 2) * math.exp(eps**2 * lap_v0 / 4.0)
     assert abs(j[0] - expected) <= 0.3 * eps**4 * expected
@@ -202,9 +201,8 @@ def test_zero_finder_reads_beta_without_a_solve(monkeypatch):
     for name in ("energy_terms", "potential_samples", "_reduced_objective", "path_levels"):
         monkeypatch.setattr(minimax_mod, name, refuse)
     g = Grid(2, 10.0, _odd_points(10.0, 0.4))
-    u0 = gausson(g, SADDLE.c0)
     for x_axes in ((0,), (0, 1)):
-        res = barycenter_zero_finder(u0, model_saddle(1.0, 1.25, 2, x_axes, 0.5), 0.2, R=1.0)
+        res = barycenter_zero_finder(g, model_saddle(1.0, 1.25, 2, x_axes, 0.5), 0.2, R=1.0)
         assert res.degree_evidence["degree_one"] and not res.inconclusive
 
 
@@ -314,17 +312,15 @@ def test_level_sup_x_even_q_samples_keep_the_origin():
     # the saddle's path maximum sits at z = 0, which Q holds for every n
     eps = 0.4
     g = CertificateConfig(potential=SADDLE, h_target=0.3).grid()
-    u0 = gausson(g, SADDLE.c0)
-    even, odd = (level_sup_x(u0, SADDLE, eps, R=2.0, n_samples=n) for n in (8, 9))
+    even, odd = (level_sup_x(g, SADDLE, eps, R=2.0, n_samples=n) for n in (8, 9))
     assert even.value == odd.value
-    assert even.value == path_levels(u0, np.zeros((1, 2)), eps, SADDLE)[1][0]
+    assert even.value == path_levels(g, SADDLE, eps, np.zeros((1, 2)))[1][0]
 
 
 def test_level_sup_x_constant_potential():
     eps = 0.3
     g = path_grid(eps, R=1.0)
-    u0 = gausson(g, CONST.c0)
-    report = level_sup_x(u0, CONST, eps, R=1.0, n_samples=17)
+    report = level_sup_x(g, CONST, eps, R=1.0, n_samples=17)
     m = m_closed_form(CONST.c0, 2)
     assert report.value == pytest.approx(m, rel=0.01)
     assert report.value < 2 * m
@@ -333,8 +329,7 @@ def test_level_sup_x_constant_potential():
 def test_level_sup_x_model_cap():
     eps = 0.1
     g = path_grid(eps, R=1.0)
-    u0 = gausson(g, SADDLE.c0)
-    report = level_sup_x(u0, SADDLE, eps, R=1.0, n_samples=17)
+    report = level_sup_x(g, SADDLE, eps, R=1.0, n_samples=17)
     assert report.value <= report.cap + 1e-3
     assert report.value < 2 * m_closed_form(SADDLE.c0, 2)
     assert report.cap == pytest.approx(report.cap_closed_form, rel=1e-3)
@@ -343,19 +338,17 @@ def test_level_sup_x_model_cap():
 def test_choose_r_constant_returns_first_entry():
     eps = 0.3
     g = path_grid(eps)
-    u0 = gausson(g, CONST.c0)
     m = m_closed_form(CONST.c0, 2)
-    res = choose_r(u0, CONST, eps, threshold=m + 0.5, schedule=(0.25, 0.5, 1.0, 2.0))
+    res = choose_r(g, CONST, eps, threshold=m + 0.5, schedule=(0.25, 0.5, 1.0, 2.0))
     assert res.succeeded and res.R == 0.25
 
 
 def test_choose_r_model_finite_radius():
     eps = 0.1
     g = path_grid(eps)
-    u0 = gausson(g, SADDLE.c0)
     m = m_closed_form(SADDLE.c0, 2)
     theta_proxy = m_closed_form(SADDLE.c1, 2)  # path value at the origin
-    res = choose_r(u0, SADDLE, eps, threshold=0.5 * (m + theta_proxy), schedule=(0.25, 0.5, 1.0, 2.0))
+    res = choose_r(g, SADDLE, eps, threshold=0.5 * (m + theta_proxy), schedule=(0.25, 0.5, 1.0, 2.0))
     assert res.succeeded and res.R is not None
     # boundary values decrease toward m(c0) as R grows
     vals = list(res.boundary_max.values())
@@ -365,19 +358,17 @@ def test_choose_r_model_finite_radius():
 def test_choose_r_reports_exhaustion():
     eps = 0.3
     g = path_grid(eps)
-    u0 = gausson(g, SADDLE.c0)
-    res = choose_r(u0, SADDLE, eps, threshold=0.0, schedule=(0.25, 0.5, 1.0, 2.0))
+    res = choose_r(g, SADDLE, eps, threshold=0.0, schedule=(0.25, 0.5, 1.0, 2.0))
     assert not res.succeeded and res.R is None
     assert len(res.boundary_max) == 4
 
 
 def _theta_setup(eps):
-    """u0, the level_d result and Phi_eps(0) on the default certificate grid."""
+    """The default certificate grid, the level_d result and Phi_eps(0) on it."""
     cfg = CertificateConfig(potential=SADDLE)
     g = cfg.grid()
-    u0 = gausson(g, SADDLE.c0)
     d_res = level_d(g, SADDLE, eps, solver=cfg.solver)
-    return cfg, u0, d_res, phi_path(u0, np.zeros(2), eps, SADDLE)
+    return cfg, g, d_res, phi_path(g, SADDLE, eps, np.zeros(2))
 
 
 def test_theta_monotone_in_r_and_bounds():
@@ -385,13 +376,13 @@ def test_theta_monotone_in_r_and_bounds():
     # once r reaches its distance, so the estimate is non-increasing in r and
     # never below D_eps; the r -> 0 limit is J(Phi_eps(0))
     eps = 0.4
-    cfg, u0, d_res, f0 = _theta_setup(eps)
-    vsamp = potential_samples(SADDLE, u0.grid, eps)
-    j0 = field_energy(u0.grid, f0.values, vsamp)[0]
+    cfg, g, d_res, f0 = _theta_setup(eps)
+    vsamp = potential_samples(SADDLE, g, eps)
+    j0 = field_energy(g, f0.values, vsamp)[0]
     m = m_closed_form(SADDLE.c0, 2)
     values = []
     for r in (1e-3, 0.1, 0.5, 2.0):
-        rep = level_theta(u0, SADDLE, eps, r, d_res, cfg.beta_tol)
+        rep = level_theta(g, SADDLE, eps, r, d_res, cfg.beta_tol)
         assert rep.feasible and rep.r == r
         assert d_res.value <= rep.value <= j0
         values.append(rep.value)
@@ -404,16 +395,15 @@ def test_theta_links_to_level_d_via_minimizer():
     # estimate is D_eps bit for bit, since D_eps <= J(Phi_eps(0))
     eps = 0.25
     g = Grid(2, 10.0, _odd_points(10.0, 0.2))
-    u0 = gausson(g, SADDLE.c0)
     d_res = level_d(g, SADDLE, eps, solver=SolverConfig(tol=1e-6, max_iters=3000))
     vsamp = potential_samples(SADDLE, g, eps)
-    f0 = phi_path(u0, np.zeros(2), eps, SADDLE)
+    f0 = phi_path(g, SADDLE, eps, np.zeros(2))
     dist = math.sqrt(eps_norm_sq(g, d_res.field.values - f0.values, vsamp))
-    rep = level_theta(u0, SADDLE, eps, 1.25 * dist, d_res, 1e-3)
+    rep = level_theta(g, SADDLE, eps, 1.25 * dist, d_res, 1e-3)
     assert rep.used_minimizer and rep.minimizer_distance == dist
     assert rep.value == d_res.value
     # just short of the distance the minimizer is out
-    rep = level_theta(u0, SADDLE, eps, 0.99 * dist, d_res, 1e-3)
+    rep = level_theta(g, SADDLE, eps, 0.99 * dist, d_res, 1e-3)
     assert not rep.used_minimizer
     assert rep.value == field_energy(g, f0.values, vsamp)[0] > d_res.value
 
@@ -422,16 +412,16 @@ def test_theta_falls_back_to_the_path_origin_outside_the_ball():
     # r = 1e-3 is below the minimizer's distance 0.200 at eps 0.4: the
     # estimate is J(Phi_eps(0)), an upper bound still, and above D_eps
     eps = 0.4
-    cfg, u0, d_res, f0 = _theta_setup(eps)
-    vsamp = potential_samples(SADDLE, u0.grid, eps)
-    j0 = field_energy(u0.grid, f0.values, vsamp)[0]
-    rep = level_theta(u0, SADDLE, eps, 1e-3, d_res, cfg.beta_tol)
+    cfg, g, d_res, f0 = _theta_setup(eps)
+    vsamp = potential_samples(SADDLE, g, eps)
+    j0 = field_energy(g, f0.values, vsamp)[0]
+    rep = level_theta(g, SADDLE, eps, 1e-3, d_res, cfg.beta_tol)
     assert rep.minimizer_distance == pytest.approx(0.200, abs=5e-4)
     assert not rep.used_minimizer and rep.feasible
     assert rep.value == j0 >= d_res.value
     # an infeasible minimizer stays out however large r is
     infeasible = LevelDResult(d_res.value, d_res.field, False, 1.0, True, d_res.stages)
-    rep = level_theta(u0, SADDLE, eps, 2.0, infeasible, cfg.beta_tol)
+    rep = level_theta(g, SADDLE, eps, 2.0, infeasible, cfg.beta_tol)
     assert not rep.used_minimizer and rep.value == j0
     # the certificate reports the fallback and which candidate it took
     cert = certificate(eps, replace(cfg, theta_radius=1e-3, compute_numerical_m=False))
@@ -442,11 +432,11 @@ def test_theta_falls_back_to_the_path_origin_outside_the_ball():
 
 def test_theta_needs_a_minimizer_on_the_grid_of_u0():
     eps = 0.4
-    cfg, u0, d_res, _ = _theta_setup(eps)
+    cfg, g, d_res, _ = _theta_setup(eps)
     other = Grid(2, 10.0, 53)
     moved = LevelDResult(d_res.value, gausson(other, SADDLE.c0), True, 0.0, True, d_res.stages)
-    with pytest.raises(ValueError, match="grid of u0"):
-        level_theta(u0, SADDLE, eps, 0.5, moved, cfg.beta_tol)
+    with pytest.raises(ValueError, match="path grid"):
+        level_theta(g, SADDLE, eps, 0.5, moved, cfg.beta_tol)
 
 
 def test_theta_is_d_eps_in_the_default_sweep():
@@ -463,6 +453,32 @@ def test_theta_is_d_eps_in_the_default_sweep():
         distances.append(theta["minimizer_distance"])
         assert all(cert.flags.values())
     assert distances == pytest.approx([0.200, 0.065, 0.018, 0.005], abs=5e-4)
+
+
+def test_default_sweep_builds_the_path_once(monkeypatch):
+    # the path terms of u0 depend on the grid and c0, not on eps: one energy
+    # kernel call on the Gausson serves the whole default sweep.  Built per
+    # call of level_theta, choose_r (per radius) and level_sup_x, they took 21
+    minimax_mod._path_terms.cache_clear()
+    calls = []
+    real = minimax_mod.energy_terms
+    monkeypatch.setattr(minimax_mod, "energy_terms", lambda *a: calls.append(a[0]) or real(*a))
+    cfg = CertificateConfig(potential=SADDLE)
+    certs = sweep_eps((0.4, 0.2, 0.1, 0.05), cfg)
+    assert calls == [cfg.grid()]
+    assert all(not c.inconclusive for c in certs)
+
+
+def test_choose_r_walks_the_schedule_in_increasing_order():
+    # R is the smallest passing radius whatever the schedule's order: at eps
+    # 0.05 on the default grid that is 1, and walked in the given order a
+    # descending schedule returned its first entry, 2
+    cfg = CertificateConfig(potential=SADDLE, compute_numerical_m=False)
+    ascending = certificate(0.05, cfg)
+    descending = certificate(0.05, replace(cfg, r_schedule=(2.0, 1.0, 0.5, 0.25)))
+    assert ascending.R_used == descending.R_used == 1.0
+    assert descending.to_dict() == ascending.to_dict()
+    assert list(descending.details["choose_r"]["boundary_max"]) == [0.25, 0.5, 1.0]
 
 
 def test_certificate_never_imports_numpy_random():
@@ -483,38 +499,59 @@ def test_certificate_never_imports_numpy_random():
     assert out.stdout.strip() == "False"
 
 
+# beta(Phi_eps(0)) = beta(u0) of the radial Gausson on the origin node is
+# rounding (1.4e-16 at most on these grids); +-R are mirror frames, whose
+# boundary values differ in the order of the sum only (2.2e-15 at most)
+ZERO_RESIDUAL = 1e-15
+
+
 def test_zero_finder_1d_x_symmetric():
-    eps = 0.1
-    g = path_grid(eps, R=1.0)
-    u0 = gausson(g, SADDLE.c0)
-    res = barycenter_zero_finder(u0, SADDLE, eps, R=1.0)
-    assert not res.inconclusive
-    assert abs(res.x_star[0]) <= 2 * g.spacing
-    assert res.degree_evidence["degree_one"]
-    lo, hi = res.degree_evidence["boundary_values"]
-    assert lo < 0 < hi
+    for eps, R in ((0.1, 1.0), (0.05, 0.3), (0.4, 5.0)):
+        g = path_grid(eps, R=1.0)
+        res = barycenter_zero_finder(g, SADDLE, eps, R=R)
+        assert not res.inconclusive
+        assert res.x_star == [0.0] and res.residual <= ZERO_RESIDUAL
+        assert res.degree_evidence["degree_one"]
+        lo, hi = res.degree_evidence["boundary_values"]
+        assert lo < 0 < hi
+        assert abs(lo + hi) <= BETA_ROUNDING
 
 
 def test_zero_finder_2d_x_winding():
     # X spanning both axes: beta ~ x/|x| has winding one around the origin
     both_x = model_saddle(1.0, 1.25, 2, (0, 1), 0.5)
-    eps = 0.2
-    g = path_grid(eps, R=1.0)
-    u0 = gausson(g, both_x.c0)
-    res = barycenter_zero_finder(u0, both_x, eps, R=1.0)
-    assert not res.inconclusive
-    assert res.degree_evidence["winding"] == 1
-    assert np.linalg.norm(res.x_star) <= 2 * g.spacing
+    for eps, R in ((0.2, 1.0), (0.05, 0.3), (0.4, 5.0)):
+        g = path_grid(eps, R=1.0)
+        res = barycenter_zero_finder(g, both_x, eps, R=R)
+        assert not res.inconclusive
+        assert res.degree_evidence["winding"] == 1 and res.degree_evidence["degree_one"]
+        assert res.x_star == [0.0, 0.0] and res.residual <= ZERO_RESIDUAL
 
 
-def test_zero_finder_inconclusive_without_sign_change():
-    # constant potential with a barycenter forced off Y: use a tiny Q that
-    # stays on one side by translating the probe window
+def test_zero_finder_inconclusive_without_sign_change(monkeypatch):
+    # a path profile off the origin breaks the symmetry the finder reads its
+    # zero off: beta_X stays positive on a small Q around 0, so there is no
+    # sign change and the residual at 0 is far above _ZERO_TOL
     eps = 0.3
     g = path_grid(eps, R=1.0)
-    u0 = gausson(g, CONST.c0, center=[3.0, 0.0])
-    res = barycenter_zero_finder(u0, CONST, eps, R=0.25)
-    assert res.inconclusive
+    off_center = gausson(g, CONST.c0, center=[3.0, 0.0]).values
+    monkeypatch.setattr(minimax_mod, "_path_gausson", lambda grid, c0: off_center)
+    res = barycenter_zero_finder(g, CONST, eps, R=0.25)
+    assert res.inconclusive and res.x_star is None
+    assert res.residual > minimax_mod._ZERO_TOL
+    assert not res.degree_evidence["degree_one"]
+
+
+def test_path_gausson_is_read_only_on_a_centered_grid():
+    g = Grid(2, 10.0, _odd_points(10.0, 0.4))
+    u0 = minimax_mod._path_gausson(g, SADDLE.c0)
+    assert np.array_equal(u0, gausson(g, SADDLE.c0).values)
+    sq = minimax_mod._path_terms(g, SADDLE.c0)[0]
+    for cached in (u0, sq):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 1.0
+    with pytest.raises(ValueError, match="centered at the origin"):
+        minimax_mod._path_gausson(replace(g, center=(0.5, 0.0)), SADDLE.c0)
 
 
 def test_certificate_model_flags_and_determinism():
@@ -584,12 +621,12 @@ def test_sweep_sigma_trend():
 TINY_CERT = dict(h_target=0.5, solver_half_extent=6.0, q_samples=5, r_schedule=(0.25, 0.5))
 
 
-@pytest.mark.parametrize("converged", [True, False])
-def test_certificate_stalled_m_c0_is_inconclusive(monkeypatch, converged):
-    def fake_ground_state(grid, potential, eps, params=None, config=None):
-        u = gausson(grid, SADDLE.c0)
+def _fake_ground_state(converged):
+    """A ground_state stand-in that reports m(c0), converged or stalled."""
+
+    def fake(grid, potential, eps, params=None, config=None):
         return NehariSolution(
-            field=u,
+            field=gausson(grid, SADDLE.c0),
             energy=m_closed_form(SADDLE.c0, 2),
             nehari_residual=0.0,
             iterations=7,
@@ -597,11 +634,29 @@ def test_certificate_stalled_m_c0_is_inconclusive(monkeypatch, converged):
             diagnostics={"stalled": not converged, "rel_grad": 1e-6 if converged else 1e-2},
         )
 
-    monkeypatch.setattr(minimax_mod, "ground_state", fake_ground_state)
+    return fake
+
+
+@pytest.mark.parametrize("converged", [True, False])
+def test_certificate_stalled_m_c0_is_inconclusive(monkeypatch, converged):
+    monkeypatch.setattr(minimax_mod, "ground_state", _fake_ground_state(converged))
     cfg = CertificateConfig(potential=SADDLE, solver=SolverConfig(tol=1e-3, max_iters=60), **TINY_CERT)
     cert = certificate(0.4, cfg)
     assert cert.m_c0_numerical == m_closed_form(SADDLE.c0, 2)
     assert cert.inconclusive.get("m_c0_numerical", False) is (not converged)
+
+
+def test_sweep_marks_every_row_with_a_stalled_m_c0(monkeypatch):
+    # every row solves its own m(c0), so a stalled solve marks each of them;
+    # carried from the first row, it marked that row only
+    solves = []
+    fake = _fake_ground_state(False)
+    monkeypatch.setattr(minimax_mod, "ground_state", lambda *a, **k: solves.append(a[2]) or fake(*a, **k))
+    cfg = CertificateConfig(potential=SADDLE, solver=SolverConfig(tol=1e-3, max_iters=60), **TINY_CERT)
+    certs = sweep_eps((0.4, 0.2, 0.1), cfg)
+    assert solves == [0.4, 0.2, 0.1]
+    assert [c.inconclusive.get("m_c0_numerical", False) for c in certs] == [True, True, True]
+    assert all(c.m_c0_numerical == m_closed_form(SADDLE.c0, 2) for c in certs)
 
 
 @pytest.mark.parametrize("unconverged_stage", [None, 0])
@@ -629,20 +684,25 @@ def test_level_d_unconverged_stage_is_inconclusive(monkeypatch, unconverged_stag
 
 
 def test_theta_takes_three_forward_transforms(monkeypatch):
-    # Phi_eps(0) (the path terms of u0), its J and the minimizer's distance
-    # each read one forward transform, and none is transformed back
+    # on a fresh grid, Phi_eps(0) (the path terms of u0), its J and the
+    # minimizer's distance each read one forward transform, and none is
+    # transformed back; the path terms are built once per grid, so every
+    # later call reads two
+    minimax_mod._path_terms.cache_clear()
     forward = count_grid_calls(monkeypatch, "sine_coefficients")
     inverse = count_grid_calls(monkeypatch, "laplacian_from_sine")
     passes = []
     original_dst1 = grid_mod._dst1
     monkeypatch.setattr(grid_mod, "_dst1", lambda a: passes.append(1) or original_dst1(a))
     g = Grid(2, 10.0, _odd_points(10.0, 0.5))
-    u0 = gausson(g, SADDLE.c0)
-    minimizer = LevelDResult(0.0, GridField(g, 1.01 * u0.values), True, 0.0, True, [])
-    rep = level_theta(u0, SADDLE, 0.25, 0.5, minimizer, 1e-3)
-    assert rep.feasible
-    assert len(forward) == 3 and not inverse
-    assert len(passes) == g.dim * len(forward)
+    minimizer = LevelDResult(0.0, GridField(g, 1.01 * gausson(g, SADDLE.c0).values), True, 0.0, True, [])
+    for eps, transforms in ((0.25, 3), (0.25, 2), (0.1, 2)):
+        forward.clear()
+        passes.clear()
+        rep = level_theta(g, SADDLE, eps, 0.5, minimizer, 1e-3)
+        assert rep.feasible
+        assert len(forward) == transforms and not inverse
+        assert len(passes) == g.dim * transforms
 
 
 @pytest.mark.parametrize("c_x", [-1.25, -0.3, 0.3, 1.25])
@@ -671,8 +731,7 @@ def test_theta_builds_one_path_field_and_samples_v_once(monkeypatch):
         return wrapper
 
     g = Grid(2, 10.0, _odd_points(10.0, 0.3))
-    u0 = gausson(g, SADDLE.c0)
-    near = GridField(g, 1.01 * phi_path(u0, np.zeros(2), 0.25, SADDLE).values)
+    near = GridField(g, 1.01 * phi_path(g, SADDLE, 0.25, np.zeros(2)).values)
     for name in counts:
         monkeypatch.setattr(minimax_mod, name, counted(name))
     for r, used in ((1e-3, False), (0.5, True)):
@@ -680,7 +739,7 @@ def test_theta_builds_one_path_field_and_samples_v_once(monkeypatch):
             counts[name] = 0
         # a level below J(Phi_eps(0)), so the minimizer wins once in the ball
         minimizer = LevelDResult(0.0, near, True, 0.0, True, [])
-        rep = level_theta(u0, SADDLE, 0.25, r, minimizer, 1e-3)
+        rep = level_theta(g, SADDLE, 0.25, r, minimizer, 1e-3)
         assert rep.feasible and rep.used_minimizer is used
         assert counts == {"phi_path": 1, "potential_samples": 1}
 
@@ -696,9 +755,8 @@ def test_path_levels_never_read_direction_weights(monkeypatch):
 
     monkeypatch.setattr(minimax_mod, "direction_weights", counted)
     g = Grid(2, 10.0, _odd_points(10.0, 0.3))
-    u0 = gausson(g, SADDLE.c0)
     zs = minimax_mod._q_samples(SADDLE, 2.0, 9)
-    path_levels(u0, zs, 0.1, SADDLE)
-    choose_r(u0, SADDLE, 0.1, threshold=0.0, schedule=(0.25, 0.5, 1.0, 2.0))
-    level_sup_x(u0, SADDLE, 0.1, R=1.0, n_samples=17)
+    path_levels(g, SADDLE, 0.1, zs)
+    choose_r(g, SADDLE, 0.1, threshold=0.0, schedule=(0.25, 0.5, 1.0, 2.0))
+    level_sup_x(g, SADDLE, 0.1, R=1.0, n_samples=17)
     assert calls == []
