@@ -26,6 +26,7 @@ steps lifts its linear rate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -38,7 +39,6 @@ from .grid import (
     Grid,
     GridField,
     laplacian_from_sine,
-    node_coordinates,
     require_supported_dim,
     shifted_laplacian_solve,
 )
@@ -146,9 +146,13 @@ def gausson(grid: Grid, A: float, center=None) -> GridField:
         raise ValueError(f"center must have {grid.dim} components")
     if np.any(np.abs(c - grid.center) + 4.0 > grid.half_extent):
         raise ValueError("center too close to the boundary: 4-sigma ball exits the box")
-    pts = node_coordinates(grid)
-    r2 = np.sum((pts - c) ** 2, axis=1)
-    return GridField(grid, math.exp(0.5 * (grid.dim + A)) * np.exp(-r2 / 2.0))
+    # |x - c|^2 as the outer sum of the per-axis squared offsets, then
+    # exp(-r2/2) and the scale in place on that one n^N buffer
+    u = functools.reduce(np.add.outer, [(grid.axis(k) - c[k]) ** 2 for k in range(grid.dim)])
+    u /= -2.0
+    np.exp(u, out=u)
+    u *= math.exp(0.5 * (grid.dim + A))
+    return GridField(grid, u)
 
 
 def m_closed_form(A: float, N: int) -> float:

@@ -216,7 +216,11 @@ def expression_potential(expr: str, dim: int, x_axes, lam: float = 0.5) -> Poten
 
 def _subspace_sphere(dim: int, axes: tuple[int, ...], radius: float, n: int) -> NDArray:
     """Points on the sphere of the given radius inside the axis subspace
-    (the sphere of R^dim when ``axes`` names every axis)."""
+    (the sphere of R^dim when ``axes`` names every axis).  Subspaces of at
+    most two axes only: three or more raise ValueError rather than return
+    the circle in the first two."""
+    if len(axes) > 2:
+        raise ValueError(f"no sphere sampler for the {len(axes)} axes {tuple(axes)}; at most two axes")
     if len(axes) == 0:
         return np.zeros((0, dim))
     if len(axes) == 1:

@@ -151,6 +151,48 @@ def test_gausson_rejects_center_near_boundary():
     gausson(g, 0.0, center=[5.5])  # 4 sigma still inside
 
 
+def gausson_from_coordinates(grid, A, center=None):
+    """The Gausson from the (nodes x N) coordinate table, as the oracle."""
+    c = np.zeros(grid.dim) if center is None else np.asarray(center, dtype=float)
+    r2 = np.sum((node_coordinates(grid) - c) ** 2, axis=1)
+    return math.exp(0.5 * (grid.dim + A)) * np.exp(-r2 / 2.0)
+
+
+# the centered grids of both dimensions at a coarse and the finest
+# benchmark size, and a grid on a moved frame
+GAUSSON_GRIDS = [Grid(dim, 10.0, n) for dim in (1, 2) for n in (51, 269)] + [Grid(2, 10.0, 51, center=(3.0, -1.0))]
+
+
+@pytest.mark.parametrize("grid", GAUSSON_GRIDS, ids=lambda g: f"{g.dim}d-n{g.points_per_axis}" + ("-moved" * any(g.center)))
+@pytest.mark.parametrize("off_center", (False, True))
+def test_gausson_matches_coordinate_table_bit_for_bit(grid, off_center):
+    c = np.add(grid.center, (1.5, -2.25)[: grid.dim]) if off_center else None
+    assert np.array_equal(gausson(grid, 0.3, c).values, gausson_from_coordinates(grid, 0.3, c))
+
+
+def test_gausson_builds_no_coordinate_table():
+    g = Grid(2, 9.5, 53)  # a grid no other test builds the table of
+    before = node_coordinates.cache_info()
+    gausson(g, 0.0)
+    after = node_coordinates.cache_info()
+    assert after.currsize == before.currsize
+    assert after.hits + after.misses == before.hits + before.misses
+
+
+def test_gausson_peak_memory_is_at_most_two_fields():
+    import tracemalloc
+
+    g = Grid(2, 10.0, 269)
+    field_bytes = g.num_nodes * 8
+    tracemalloc.start()
+    try:
+        gausson(g, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * field_bytes, peak / field_bytes
+
+
 def test_m_closed_form_values():
     assert m_closed_form(0.0, 1) == pytest.approx(2.409016, abs=2e-6)
     assert m_closed_form(0.0, 2) == pytest.approx(11.60666, abs=1e-4)

@@ -305,3 +305,12 @@ def test_sample_boxes_are_the_linspace_boxes(dim, expr):
     step = 1e-4
     grads = [np.max(np.abs(spec.evaluate(pts + step * e) - spec.evaluate(pts - step * e))) / (2 * step) for e in np.eye(dim)]
     assert report.max_gradient == float(max(grads))
+
+
+def test_subspace_sphere_refuses_three_axes():
+    # the circle sampler would silently drop the third axis
+    with pytest.raises(ValueError, match=r"\(0, 1, 2\)"):
+        potential_mod._subspace_sphere(3, (0, 1, 2), 1.0, 16)
+    circle = potential_mod._subspace_sphere(3, (0, 2), 2.0, 16)
+    assert np.allclose(np.linalg.norm(circle, axis=1), 2.0)
+    assert not np.any(circle[:, 1])
