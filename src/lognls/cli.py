@@ -10,8 +10,8 @@ Subcommands (one per experiment):
     barycenter-zero  degree evidence for the barycenter zero (on the
                      certificate grid; the path moves the frame)
 
-Configuration is a JSON file with blocks grid / potential / split / solver /
-sweep / certificate / output; command-line flags override file values.  All
+Configuration is a JSON file with blocks grid / potential / solver / sweep /
+certificate / output; command-line flags override file values.  All
 floats are written with 17 significant digits and files are written
 atomically (write then rename), so reruns of one config are byte
 identical.  ``sweep.seed`` is validated as an integer and has no effect: no
@@ -23,14 +23,12 @@ written; or a numerical ValueError), 5 internal defect (a failed internal
 consistency assertion).  A config file that is not valid
 JSON, a config or block that is not a JSON object, a setting of the wrong
 type or range, a --eps or --R flag that is not finite and positive, a --V
-that does not parse, a --A not above -1, and a block or key that nothing
-reads are config errors, not silently ignored or left to fail later.  Every
-default lives in DEFAULT_CONFIG; the builders read the merged, validated
-config only.
-
-The split block (the cutoff delta) enters only the Phi/Psi energy breakdown
-that ground-state reports.  Every certificate number is a value of J itself,
-which does not depend on delta.
+that does not parse, a --A not above -1, a box too small for the Gausson's
+ball, and a block or key that nothing reads are config errors, not silently
+ignored or left to fail later.  Every default lives in DEFAULT_CONFIG; the
+builders read the merged, validated config only.  The certificate's fixed
+sampling (the R candidates, the Theta_r radius, the points of Q and the
+barycenter tolerance) is a set of ``minimax`` constants, not settings.
 
 Sweep points run one after another in input order, each on its own: a row
 solves its own numerical m(c0) and is the saddle-cert output at its eps.
@@ -56,7 +54,7 @@ from .minimax import (
     certificate,
     sweep_eps,
 )
-from .nehari import SolverConfig, gausson, ground_state, m_closed_form
+from .nehari import GAUSSON_BALL_RADIUS, SolverConfig, gausson, ground_state, m_closed_form
 from .potential import (
     PotentialSpec,
     check_V1,
@@ -142,19 +140,14 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
 DEFAULT_CONFIG = {
     "grid": {"dim": 2, "half_extent": 7.0, "points_per_axis": 129},
     "potential": {"kind": "model_saddle", "c0": 1.0, "c1": 1.25, "x_axes": [0], "lambda": 0.5},
-    "split": {"delta": 0.1},
     "solver": {"tol": 1e-6, "max_iters": 4000},
     "sweep": {"eps": [0.4, 0.2, 0.1, 0.05], "seed": 1234},
     "certificate": {
         "h_target": 0.4,
         "solver_half_extent": 10.0,
-        "r_schedule": [0.25, 0.5, 1.0, 2.0],
-        "theta_radius": 0.5,
-        "q_samples": 9,
-        "beta_tol": 1e-3,
         "compute_numerical_m": True,
     },
-    "output": {"directory": "lognls-out", "formats": ["json", "csv"]},
+    "output": {"directory": "lognls-out"},
 }
 
 
@@ -188,6 +181,18 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_box(name: str, half_extent, problems: list) -> None:
+    """A half extent is a finite positive number that leaves the Gausson on
+    the origin its ball of ``GAUSSON_BALL_RADIUS``."""
+    if not _is_positive(half_extent):
+        problems.append(f"{name} must be a finite positive number, got {half_extent}")
+    elif half_extent < GAUSSON_BALL_RADIUS:
+        problems.append(
+            f"{name} must be at least {GAUSSON_BALL_RADIUS:g}, the Gausson's "
+            f"{GAUSSON_BALL_RADIUS:g}-sigma ball, got {half_extent}"
+        )
+
+
 def validate_config(cfg: dict) -> list[str]:
     """Collect every violated precondition; never stop at the first.
 
@@ -208,8 +213,7 @@ def validate_config(cfg: dict) -> list[str]:
     except ValueError as err:
         problems.append(str(err))
         dim = None
-    if not _is_positive(g.get("half_extent")):
-        problems.append(f"grid.half_extent must be a finite positive number, got {g.get('half_extent')}")
+    _check_box("grid.half_extent", g.get("half_extent"), problems)
     if not (_is_int(g.get("points_per_axis")) and g["points_per_axis"] >= 16):
         problems.append(f"grid.points_per_axis must be an integer >= 16, got {g.get('points_per_axis')}")
 
@@ -247,10 +251,6 @@ def validate_config(cfg: dict) -> list[str]:
             f"potential.x_axes must be a list of distinct axes of dimension {dim}, got {axes}"
         )
 
-    delta = cfg.get("split", {}).get("delta")
-    if not (_is_number(delta) and 0 < delta <= math.exp(-1.5)):
-        problems.append(f"split.delta must lie in (0, e^-1.5], got {delta}")
-
     so = cfg.get("solver", {})
     if not _is_positive(so.get("tol")):
         problems.append(f"solver.tol must be a finite positive number, got {so.get('tol')}")
@@ -258,17 +258,12 @@ def validate_config(cfg: dict) -> list[str]:
         problems.append(f"solver.max_iters must be a positive integer, got {so.get('max_iters')}")
 
     c = cfg.get("certificate", {})
-    for key in ("h_target", "solver_half_extent", "theta_radius", "beta_tol"):
-        if not _is_positive(c.get(key)):
-            problems.append(f"certificate.{key} must be a finite positive number, got {c.get(key)}")
-    if _is_positive(c.get("h_target")) and c["h_target"] > MAX_H_TARGET:
+    if not _is_positive(c.get("h_target")):
+        problems.append(f"certificate.h_target must be a finite positive number, got {c.get('h_target')}")
+    elif c["h_target"] > MAX_H_TARGET:
         # a coarser grid does not resolve the Gausson
         problems.append(f"certificate.h_target must be at most {MAX_H_TARGET}, got {c['h_target']}")
-    if not (_is_int(c.get("q_samples")) and c["q_samples"] >= 1):
-        problems.append(f"certificate.q_samples must be an integer >= 1, got {c.get('q_samples')}")
-    radii = c.get("r_schedule")
-    if not (isinstance(radii, list) and radii and all(_is_positive(r) for r in radii)):
-        problems.append(f"certificate.r_schedule must be a non-empty list of finite positive numbers, got {radii}")
+    _check_box("certificate.solver_half_extent", c.get("solver_half_extent"), problems)
     if not isinstance(c.get("compute_numerical_m"), bool):
         problems.append(f"certificate.compute_numerical_m must be true or false, got {c.get('compute_numerical_m')}")
 
@@ -283,9 +278,6 @@ def validate_config(cfg: dict) -> list[str]:
     directory = out.get("directory")
     if not (isinstance(directory, str) and directory):
         problems.append(f"output.directory must be a non-empty string, got {json.dumps(directory)}")
-    formats = out.get("formats")
-    if not (isinstance(formats, list) and all(f in ("json", "csv") for f in formats)):
-        problems.append(f"output.formats must be a list drawn from json and csv, got {json.dumps(formats)}")
 
     for name in sorted(set(cfg) - set(BLOCK_KEYS)):
         problems.append(f"{name} is not a config block; the blocks are {', '.join(BLOCK_KEYS)}")
@@ -318,10 +310,6 @@ BLOCK_KEYS["potential"] += ("value", "expr")
 
 # the builders read a config that load_config resolved against
 # DEFAULT_CONFIG and validated, so every key they read is present
-def build_split(cfg: dict) -> SplitParams:
-    return SplitParams(float(cfg["split"]["delta"]))
-
-
 def build_solver(cfg: dict) -> SolverConfig:
     s = cfg["solver"]
     return SolverConfig(tol=float(s["tol"]), max_iters=int(s["max_iters"]))
@@ -338,10 +326,6 @@ def build_certificate_config(cfg: dict) -> CertificateConfig:
         potential=build_potential(cfg),
         h_target=float(c["h_target"]),
         solver_half_extent=float(c["solver_half_extent"]),
-        r_schedule=tuple(c["r_schedule"]),
-        theta_radius=float(c["theta_radius"]),
-        q_samples=int(c["q_samples"]),
-        beta_tol=float(c["beta_tol"]),
         solver=build_solver(cfg),
         compute_numerical_m=c["compute_numerical_m"],
     )
@@ -454,8 +438,8 @@ def cmd_ground_state(args) -> int:
     grid = build_grid_from_config(cfg)
     pot = build_potential(cfg)
     sol = ground_state(grid, pot, args.eps, config=build_solver(cfg))
-    # the cutoff delta enters the Phi/Psi split of the breakdown only
-    breakdown = energy(sol.field, pot, args.eps, build_split(cfg))
+    # the fixed cutoff delta enters the Phi/Psi split of the breakdown only
+    breakdown = energy(sol.field, pot, args.eps, SplitParams())
 
     outdir = ensure_outdir(cfg)
     dump_field(sol.field, os.path.join(outdir, "ground_state_field.txt"))
@@ -541,14 +525,8 @@ def cmd_sweep_eps(args) -> int:
                 cert.flags["sandwich"],
             ]
         )
-    formats = cfg["output"]["formats"]
-    if "csv" in formats:
-        write_csv(os.path.join(outdir, "sweep_eps.csv"), CSV_COLUMNS, rows)
-    if "json" in formats:
-        atomic_write(
-            os.path.join(outdir, "sweep_eps.json"),
-            to_json_text([c.to_dict() for c in certs]) + "\n",
-        )
+    write_csv(os.path.join(outdir, "sweep_eps.csv"), CSV_COLUMNS, rows)
+    atomic_write(os.path.join(outdir, "sweep_eps.json"), to_json_text([c.to_dict() for c in certs]) + "\n")
     print(f"wrote {len(rows)} sweep rows to {outdir}")
     # every row is written first; an inconclusive one still decides the code
     return EXIT_INCONCLUSIVE if any(c.inconclusive for c in certs) else EXIT_OK

@@ -229,13 +229,15 @@ class LevelDResult:
 # one's iterate, and the first feasible stage ends it
 _PENALTY_SCHEDULE = (10.0, 100.0, 1000.0)
 
+# the |P_X beta| at or below which a field's barycenter counts as lying in Y
+BETA_TOL = 1e-3
+
 
 def level_d(
     grid: Grid,
     potential: PotentialSpec,
     eps: float,
     solver: Optional[SolverConfig] = None,
-    beta_tol: float = 1e-3,
 ) -> LevelDResult:
     """Estimate inf J over Nehari fields whose barycenter lies in Y.
 
@@ -244,7 +246,7 @@ def level_d(
     ``_PENALTY_SCHEDULE``: the first stage starts from the Gausson at the
     origin with level V(0), as in ``ground_state``, and each later stage
     from the previous stage's iterate.  The loop stops at the first stage
-    with |P_X beta| <= ``beta_tol``, whose J and field are the result.  That
+    with |P_X beta| <= ``BETA_TOL``, whose J and field are the result.  That
     stage is also the lowest feasible one: for minimizers u_mu of J + mu P,
     J(u_mu) is nondecreasing in mu (add the two minimality inequalities of
     mu < mu'), so a later stage could not lower the value.
@@ -274,12 +276,12 @@ def level_d(
                 "converged": info["converged"],
             }
         )
-        if beta_x <= beta_tol:  # NaN (zero field) is infeasible
+        if beta_x <= BETA_TOL:  # NaN (zero field) is infeasible
             break
     return LevelDResult(
         value=stages[-1]["J"],
         field=GridField(grid, u),
-        feasible=beta_x <= beta_tol,
+        feasible=beta_x <= BETA_TOL,
         beta_x_norm=beta_x,
         upper_bound=True,
         stages=stages,
@@ -399,7 +401,6 @@ def level_theta(
     eps: float,
     r: float,
     minimizer: LevelDResult,
-    beta_tol: float,
 ) -> ThetaReport:
     """Upper bound of Theta_r from the two fields the certificate already has.
 
@@ -410,14 +411,14 @@ def level_theta(
     Nehari set of ``grid``:
 
     * Phi_eps(0) = t*u0 itself, at distance 0 from the ball's center, when
-      |P_X beta| <= ``beta_tol`` (the Gausson sits on the origin node, so
+      |P_X beta| <= ``BETA_TOL`` (the Gausson sits on the origin node, so
       beta_X is rounding);
     * the ``level_d`` minimizer, when it is feasible and its eps-norm
       distance to Phi_eps(0), read off one forward transform, is at most r.
 
     The estimate is the smaller of their J values.  With the minimizer in
     the ball it is D_eps_estimate itself, since D_eps <= J(Phi_eps(0)); the
-    minimizer sits inside the default r = 0.5 at every default eps
+    minimizer sits inside r = ``THETA_RADIUS`` at every default eps
     (distance 0.200 / 0.065 / 0.018 / 0.005 at eps 0.4 / 0.2 / 0.1 / 0.05).
     Otherwise J(Phi_eps(0)) is the estimate, still an upper bound, and
     ``used_minimizer`` says which one it was.  No field off the Nehari set
@@ -429,7 +430,7 @@ def level_theta(
     vsamp = potential_samples(potential, grid, eps)
     base = phi_path(grid, potential, eps, np.zeros(grid.dim), vsamp=vsamp).values
     beta_x = _x_norm(_barycenter_values(grid, base)[list(potential.x_axes)])
-    best = field_energy(grid, base, vsamp)[0] if beta_x <= beta_tol else math.inf
+    best = field_energy(grid, base, vsamp)[0] if beta_x <= BETA_TOL else math.inf
     dist = math.sqrt(eps_norm_sq(grid, minimizer.field.values - base, vsamp))
     used = minimizer.feasible and dist <= r and minimizer.value < best
     if used:
@@ -522,6 +523,12 @@ SIGMA_FLOOR = 1e-6
 # the coarsest h_target whose grid resolves the Gausson (see ``certificate``)
 MAX_H_TARGET = 0.6
 
+# the certificate's fixed sampling: the candidate radii of ``choose_r``, the
+# eps-norm radius r of Theta_r and the number of points of Q in ``level_sup_x``
+R_SCHEDULE = (0.25, 0.5, 1.0, 2.0)
+THETA_RADIUS = 0.5
+Q_SAMPLES = 9
+
 
 @dataclass(frozen=True)
 class CertificateConfig:
@@ -530,10 +537,6 @@ class CertificateConfig:
     potential: PotentialSpec
     h_target: float = 0.4
     solver_half_extent: float = 10.0
-    r_schedule: tuple = (0.25, 0.5, 1.0, 2.0)
-    theta_radius: float = 0.5
-    q_samples: int = 9
-    beta_tol: float = 1e-3
     solver: SolverConfig = SolverConfig(tol=1e-6, max_iters=4000)
     compute_numerical_m: bool = True
 
@@ -609,7 +612,7 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
         if not sol.converged:  # a stalled solve is not a converged one
             inconclusive["m_c0_numerical"] = True
 
-    d_res = level_d(grid, pot, eps, solver=cfg.solver, beta_tol=cfg.beta_tol)
+    d_res = level_d(grid, pot, eps, solver=cfg.solver)
     if not (d_res.feasible and d_res.converged):
         inconclusive["level_d"] = True
     d_est = d_res.value
@@ -619,21 +622,21 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
         )
     sigma = max(0.0, d_est - m_c0)
 
-    theta = level_theta(grid, pot, eps, cfg.theta_radius, d_res, cfg.beta_tol)
+    theta = level_theta(grid, pot, eps, THETA_RADIUS, d_res)
     if not theta.feasible:
         inconclusive["theta_r"] = True
 
     threshold = 0.5 * (m_c0 + theta.value) if theta.feasible else math.nan
     r_choice = (
-        choose_r(grid, pot, eps, threshold, schedule=cfg.r_schedule)
+        choose_r(grid, pot, eps, threshold, schedule=R_SCHEDULE)
         if theta.feasible
         else ChooseRResult(None, math.nan, {}, False)
     )
     if not r_choice.succeeded:
         inconclusive["choose_r"] = True
-    r_used = r_choice.R if r_choice.succeeded else max(cfg.r_schedule)
+    r_used = r_choice.R if r_choice.succeeded else max(R_SCHEDULE)
 
-    sup_x = level_sup_x(grid, pot, eps, R=r_used, n_samples=cfg.q_samples)
+    sup_x = level_sup_x(grid, pot, eps, R=r_used, n_samples=Q_SAMPLES)
 
     flags = {
         # positive gap of the constrained level over the free ground level

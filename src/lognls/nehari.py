@@ -132,20 +132,25 @@ def nehari_scale(u: GridField, potential, eps: float) -> float:
 # Gausson oracle and closed-form level
 # ---------------------------------------------------------------------------
 
+# radius, in standard deviations, of the ball around a Gausson's center that
+# must lie inside the box
+GAUSSON_BALL_RADIUS = 4.0
+
+
 def gausson(grid: Grid, A: float, center=None) -> GridField:
     """Exact constant-potential solution with amplitude level A > -1.
 
     In rescaled coordinates the profile is exp((N+A)/2) exp(-|x-c|^2/2).
-    The 4-standard-deviation ball around the center must stay inside the box
-    (the box around the grid's frame center).
+    The ``GAUSSON_BALL_RADIUS`` ball around the center must stay inside the
+    box (the box around the grid's frame center).
     """
     if A <= -1.0:
         raise ValueError(f"amplitude level must exceed -1, got {A}")
     c = np.zeros(grid.dim) if center is None else np.asarray(center, dtype=float).ravel()
     if c.size != grid.dim:
         raise ValueError(f"center must have {grid.dim} components")
-    if np.any(np.abs(c - grid.center) + 4.0 > grid.half_extent):
-        raise ValueError("center too close to the boundary: 4-sigma ball exits the box")
+    if np.any(np.abs(c - grid.center) + GAUSSON_BALL_RADIUS > grid.half_extent):
+        raise ValueError(f"center too close to the boundary: {GAUSSON_BALL_RADIUS:g}-sigma ball exits the box")
     # |x - c|^2 as the outer sum of the per-axis squared offsets, then
     # exp(-r2/2) and the scale in place on that one n^N buffer
     u = functools.reduce(np.add.outer, [(grid.axis(k) - c[k]) ** 2 for k in range(grid.dim)])

@@ -229,23 +229,22 @@ def test_criterion_12_sweep_determinism(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = {
         "grid": {"dim": 2, "half_extent": 7.0, "points_per_axis": 33},
-        "solver": {"tol": 1e-3, "max_iters": 60},
+        "solver": {"tol": 1e-3, "max_iters": 1},
         "sweep": {"eps": [0.4, 0.2], "seed": 7},
         "certificate": {
             "h_target": 0.5,
             "solver_half_extent": 6.0,
-            "q_samples": 5,
-            "r_schedule": [0.25, 0.5],
             "compute_numerical_m": False,
         },
         "output": {"directory": str(tmp_path / "out")},
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    # r_schedule stops at 0.5, so choose_r finds no radius: every row is
+    # one solver iteration stalls the D_eps descent: every row is
     # inconclusive and the sweep exits with 4 after writing all of them
     assert main(["sweep-eps", "--config", str(path)]) == 4
     first = (tmp_path / "out" / "sweep_eps.csv").read_bytes()
+    assert len(first.splitlines()) == 3
     assert main(["sweep-eps", "--config", str(path)]) == 4
     second = (tmp_path / "out" / "sweep_eps.csv").read_bytes()
     capsys.readouterr()

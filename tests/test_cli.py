@@ -31,19 +31,18 @@ TINY_CONFIG = {
     "certificate": {
         "h_target": 0.5,
         "solver_half_extent": 6.0,
-        "q_samples": 5,
-        "r_schedule": [0.25, 0.5],
         "compute_numerical_m": False,
     },
 }
 
 
-# The tiny r_schedule stops at 0.5, below the radius the boundary threshold
-# needs, so choose_r fails and every tiny sweep row is inconclusive: sweep-eps
-# exits with EXIT_INCONCLUSIVE on it after writing all rows.
-def write_tiny_config(tmp_path, outdir, **certificate):
+# Every row of the tiny sweep certifies.  One solver iteration stalls the
+# D_eps descent, so with ``solver={"max_iters": 1}`` every row is
+# inconclusive (level_d) and sweep-eps exits with EXIT_INCONCLUSIVE after
+# writing all rows.
+def write_tiny_config(tmp_path, outdir, solver=None):
     cfg = dict(TINY_CONFIG)
-    cfg["certificate"] = {**TINY_CONFIG["certificate"], **certificate}
+    cfg["solver"] = {**TINY_CONFIG["solver"], **(solver or {})}
     cfg["output"] = {"directory": str(outdir)}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -70,7 +69,6 @@ def test_validate_config_collects_all_problems():
     bad = {
         "grid": {"dim": 3, "half_extent": -2, "points_per_axis": 4},
         "potential": {"kind": "mystery"},
-        "split": {"delta": 0.5},
         "solver": {"tol": -1, "max_iters": 0, "backend": "quantum"},
         "sweep": {"eps": [-0.1]},
     }
@@ -163,14 +161,16 @@ def test_check_potential_command(tmp_path, capsys, monkeypatch):
 def test_sweep_eps_deterministic(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     outdir = tmp_path / "out"
-    cfg = write_tiny_config(tmp_path, outdir)
-    assert main(["sweep-eps", "--config", cfg]) == EXIT_INCONCLUSIVE  # choose_r, see above
+    cfg = write_tiny_config(tmp_path, outdir, solver={"max_iters": 1})
+    assert main(["sweep-eps", "--config", cfg]) == EXIT_INCONCLUSIVE  # stalled, see above
     capsys.readouterr()
     first = (outdir / "sweep_eps.csv").read_bytes()
     assert main(["sweep-eps", "--config", cfg]) == EXIT_INCONCLUSIVE
     capsys.readouterr()
     second = (outdir / "sweep_eps.csv").read_bytes()
     assert first == second
+    rows = json.loads((outdir / "sweep_eps.json").read_text())
+    assert [r["inconclusive"] for r in rows] == [{"level_d": True}, {"level_d": True}]
     header = first.decode().splitlines()[0]
     assert header.startswith("eps,m_c0,D_eps,sup_X_J,theta_r,R,sigma")
     assert len(first.decode().splitlines()) == 3  # header + one row per eps
@@ -191,8 +191,8 @@ def test_sweep_inconclusive_row_sets_exit_code(tmp_path, capsys, monkeypatch):
         return cert
 
     outdir = tmp_path / "out"
-    # with radii up to 2 choose_r succeeds and both rows are conclusive
-    cfg = write_tiny_config(tmp_path, outdir, r_schedule=[0.5, 1.0, 2.0])
+    # both rows of the tiny sweep are conclusive
+    cfg = write_tiny_config(tmp_path, outdir)
     assert main(["sweep-eps", "--config", cfg]) == EXIT_OK
     rows = json.loads((outdir / "sweep_eps.json").read_text())
     assert [r["inconclusive"] for r in rows] == [{}, {}]
@@ -224,7 +224,7 @@ def test_saddle_cert_command(tmp_path, capsys, monkeypatch):
     cfg = write_tiny_config(tmp_path, tmp_path / "out")
     code = main(["saddle-cert", "--eps", "0.3", "--config", cfg])
     cert = json.loads(capsys.readouterr().out)
-    assert code in (EXIT_OK, 4)
+    assert code == EXIT_OK
     assert set(cert["flags"]) == {
         "constrained_gap",
         "sup_below_two_m",
@@ -268,19 +268,6 @@ def test_ground_state_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     assert result["converged"] is False
 
 
-def test_output_formats_respected(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    cfg_dict = dict(TINY_CONFIG)
-    cfg_dict["sweep"] = {"eps": [0.4], "seed": 7}
-    cfg_dict["output"] = {"directory": str(tmp_path / "out"), "formats": ["csv"]}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg_dict))
-    assert main(["sweep-eps", "--config", str(path)]) == EXIT_INCONCLUSIVE  # choose_r, see above
-    capsys.readouterr()
-    assert (tmp_path / "out" / "sweep_eps.csv").exists()
-    assert not (tmp_path / "out" / "sweep_eps.json").exists()
-
-
 def test_unwritable_output_directory(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     blocker = tmp_path / "blocked"
@@ -313,7 +300,7 @@ def test_internal_defect_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     "block, key, value",
     [
         ("solver", "backend", "forward_backward"),
-        ("split", "growth_exponent", 4.0),
+        ("certificate", "growth_exponent", 4.0),
         ("solver", "tolerance", 1e-6),
         ("grid", "spacing", 0.1),
         ("potential", "c2", 1.0),
@@ -344,16 +331,11 @@ def test_disallowed_expression_is_config_error(tmp_path, capsys, monkeypatch):
 
 
 def test_readme_config_block_matches_defaults():
-    # docs that name a removed or renamed setting fail here
+    # docs that name a removed or renamed setting, or miss a setting, fail here
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
     assert len(blocks) == 1
-    documented = json.loads(blocks[0])
-    for name, block in documented.items():
-        assert name in cli.DEFAULT_CONFIG, f"README names the config block {name!r}"
-        for key, value in block.items():
-            assert key in cli.DEFAULT_CONFIG[name], f"README names the setting {name}.{key}"
-            assert cli.DEFAULT_CONFIG[name][key] == value, f"README default of {name}.{key}"
+    assert json.loads(blocks[0]) == cli.DEFAULT_CONFIG
     assert validate_config(cli.DEFAULT_CONFIG) == []
 
 
@@ -367,6 +349,7 @@ def test_readme_config_block_matches_defaults():
         ({"sweep": {"eps": 0.1}}, "sweep.eps"),
         ({"sweep": {"seed": "abc"}}, "sweep.seed"),
         ('{"grid": ', "the config"),  # not JSON at all: raw text
+        # a removed setting is refused by name whatever its value
         ({"output": {"formats": "csv"}}, "output.formats"),
         ({"output": {"formats": ["csv", "xml"]}}, "output.formats"),
         ({"potential": {"kind": "constant"}}, "potential.value"),
@@ -421,6 +404,8 @@ def test_unreadable_config_is_config_error(tmp_path, capsys, monkeypatch, kind):
 
 @pytest.mark.parametrize(
     "key, value",
+    # theta_radius, beta_tol, q_samples and r_schedule are minimax constants
+    # now: a config that names one is refused by name whatever the value
     [
         ("h_target", "abc"),
         ("h_target", -1),
@@ -452,19 +437,63 @@ def test_certificate_block_is_validated(tmp_path, capsys, monkeypatch, key, valu
     assert not (tmp_path / "lognls-out").exists()
 
 
-def test_split_cutoff_does_not_change_certificates(tmp_path, capsys, monkeypatch):
-    # every certificate number is a value of J, which does not depend on delta
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("split", "delta", 0.1),
+        ("certificate", "r_schedule", [0.25, 0.5, 1.0, 2.0]),
+        ("certificate", "theta_radius", 0.5),
+        ("certificate", "q_samples", 9),
+        ("certificate", "beta_tol", 1e-3),
+        ("output", "formats", ["json", "csv"]),
+    ],
+)
+def test_removed_setting_is_config_error(tmp_path, capsys, monkeypatch, block, key, value):
+    # the settings that only tests set are constants now: a config naming
+    # one, even at its old default, is refused before any output
     monkeypatch.chdir(tmp_path)
-    written = []
-    for delta in (0.1, 0.2):
-        outdir = tmp_path / f"out-{delta}"
-        path = tmp_path / f"cfg-{delta}.json"
-        path.write_text(json.dumps({**TINY_CONFIG, "split": {"delta": delta}, "output": {"directory": str(outdir)}}))
-        assert main(["sweep-eps", "--config", str(path)]) == EXIT_INCONCLUSIVE  # choose_r, see above
-        capsys.readouterr()
-        assert json.loads((outdir / "config_resolved.json").read_text())["split"]["delta"] == delta
-        written.append((outdir / "sweep_eps.csv").read_bytes())
-    assert written[0] == written[1]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({block: {key: value}}))
+    code = main(["saddle-cert", "--eps", "0.3", "--config", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CONFIG
+    assert len(out["violations"]) == 1
+    # the split block held delta alone, so the whole block is gone
+    named = f"{block} is not a config block" if block == "split" else f"{block}.{key} is not a setting"
+    assert out["violations"][0].startswith(named)
+    assert not (tmp_path / "lognls-out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config, name",
+    [
+        (["gausson", "--N", "1", "--L", "3"], {}, "grid.half_extent"),
+        (["ground-state", "--V", "const:0", "--dim", "1", "--L", "3", "--n", "64"], {}, "grid.half_extent"),
+        (["ground-state", "--dim", "1"], {"grid": {"half_extent": 3.999}}, "grid.half_extent"),
+        (["saddle-cert", "--eps", "0.4"], {"certificate": {"solver_half_extent": 3.0}}, "certificate.solver_half_extent"),
+        (["sweep-eps"], {"certificate": {"solver_half_extent": 3.5}}, "certificate.solver_half_extent"),
+    ],
+)
+def test_box_too_small_for_the_gausson_is_config_error(tmp_path, capsys, monkeypatch, argv, config, name):
+    # the Gausson on the origin needs its 4-sigma ball inside the box; a
+    # smaller box used to load and then exit 4 as a runtime error
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = main(argv + ["--config", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CONFIG
+    assert out["error"] == "config"
+    assert len(out["violations"]) == 1
+    assert out["violations"][0].startswith(f"{name} must be at least 4, ")
+    assert not (tmp_path / "lognls-out").exists()
+
+
+def test_box_of_the_gausson_ball_is_accepted(tmp_path, capsys, monkeypatch):
+    # the bound is inclusive: the ball may touch the boundary
+    monkeypatch.chdir(tmp_path)
+    assert main(["gausson", "--N", "1", "--L", "4", "--n", "65"]) == EXIT_OK
+    capsys.readouterr()
 
 
 def test_sweep_seed_changes_no_output(tmp_path, capsys, monkeypatch):

@@ -299,7 +299,7 @@ def test_level_d_requires_nontrivial_y():
 @pytest.mark.parametrize("n", [8, 9, 16, 17])
 def test_q_samples_are_the_origin_plus_x_spheres(n):
     # with one X axis and an odd n these are the points of linspace(-R, R, n),
-    # so the default q_samples (9) and the tests' 17 keep their bytes
+    # so Q_SAMPLES (9) and the tests' 17 keep their bytes
     for R in (0.25, 0.5, 1.0, 2.0):
         zs = minimax_mod._q_samples(SADDLE, R, n)
         assert np.array_equal(zs[0], np.zeros(2)) and not np.any(zs[:, 1])
@@ -382,7 +382,7 @@ def test_theta_monotone_in_r_and_bounds():
     m = m_closed_form(SADDLE.c0, 2)
     values = []
     for r in (1e-3, 0.1, 0.5, 2.0):
-        rep = level_theta(g, SADDLE, eps, r, d_res, cfg.beta_tol)
+        rep = level_theta(g, SADDLE, eps, r, d_res)
         assert rep.feasible and rep.r == r
         assert d_res.value <= rep.value <= j0
         values.append(rep.value)
@@ -399,32 +399,33 @@ def test_theta_links_to_level_d_via_minimizer():
     vsamp = potential_samples(SADDLE, g, eps)
     f0 = phi_path(g, SADDLE, eps, np.zeros(2))
     dist = math.sqrt(eps_norm_sq(g, d_res.field.values - f0.values, vsamp))
-    rep = level_theta(g, SADDLE, eps, 1.25 * dist, d_res, 1e-3)
+    rep = level_theta(g, SADDLE, eps, 1.25 * dist, d_res)
     assert rep.used_minimizer and rep.minimizer_distance == dist
     assert rep.value == d_res.value
     # just short of the distance the minimizer is out
-    rep = level_theta(g, SADDLE, eps, 0.99 * dist, d_res, 1e-3)
+    rep = level_theta(g, SADDLE, eps, 0.99 * dist, d_res)
     assert not rep.used_minimizer
     assert rep.value == field_energy(g, f0.values, vsamp)[0] > d_res.value
 
 
-def test_theta_falls_back_to_the_path_origin_outside_the_ball():
+def test_theta_falls_back_to_the_path_origin_outside_the_ball(monkeypatch):
     # r = 1e-3 is below the minimizer's distance 0.200 at eps 0.4: the
     # estimate is J(Phi_eps(0)), an upper bound still, and above D_eps
     eps = 0.4
     cfg, g, d_res, f0 = _theta_setup(eps)
     vsamp = potential_samples(SADDLE, g, eps)
     j0 = field_energy(g, f0.values, vsamp)[0]
-    rep = level_theta(g, SADDLE, eps, 1e-3, d_res, cfg.beta_tol)
+    rep = level_theta(g, SADDLE, eps, 1e-3, d_res)
     assert rep.minimizer_distance == pytest.approx(0.200, abs=5e-4)
     assert not rep.used_minimizer and rep.feasible
     assert rep.value == j0 >= d_res.value
     # an infeasible minimizer stays out however large r is
     infeasible = LevelDResult(d_res.value, d_res.field, False, 1.0, True, d_res.stages)
-    rep = level_theta(g, SADDLE, eps, 2.0, infeasible, cfg.beta_tol)
+    rep = level_theta(g, SADDLE, eps, 2.0, infeasible)
     assert not rep.used_minimizer and rep.value == j0
     # the certificate reports the fallback and which candidate it took
-    cert = certificate(eps, replace(cfg, theta_radius=1e-3, compute_numerical_m=False))
+    monkeypatch.setattr(minimax_mod, "THETA_RADIUS", 1e-3)
+    cert = certificate(eps, replace(cfg, compute_numerical_m=False))
     assert cert.theta_r_estimate == j0 >= cert.D_eps_estimate
     assert cert.details["theta"]["used_minimizer"] is False
     assert cert.flags["theta_above_half_gap"]
@@ -436,7 +437,7 @@ def test_theta_needs_a_minimizer_on_the_grid_of_u0():
     other = Grid(2, 10.0, 53)
     moved = LevelDResult(d_res.value, gausson(other, SADDLE.c0), True, 0.0, True, d_res.stages)
     with pytest.raises(ValueError, match="path grid"):
-        level_theta(g, SADDLE, eps, 0.5, moved, cfg.beta_tol)
+        level_theta(g, SADDLE, eps, 0.5, moved)
 
 
 def test_theta_is_d_eps_in_the_default_sweep():
@@ -449,7 +450,7 @@ def test_theta_is_d_eps_in_the_default_sweep():
         assert cert.theta_r_estimate >= cert.D_eps_estimate
         assert cert.theta_r_estimate == cert.D_eps_estimate
         theta = cert.details["theta"]
-        assert theta["used_minimizer"] and theta["feasible"] and theta["r"] == cfg.theta_radius
+        assert theta["used_minimizer"] and theta["feasible"] and theta["r"] == minimax_mod.THETA_RADIUS
         distances.append(theta["minimizer_distance"])
         assert all(cert.flags.values())
     assert distances == pytest.approx([0.200, 0.065, 0.018, 0.005], abs=5e-4)
@@ -469,13 +470,14 @@ def test_default_sweep_builds_the_path_once(monkeypatch):
     assert all(not c.inconclusive for c in certs)
 
 
-def test_choose_r_walks_the_schedule_in_increasing_order():
+def test_choose_r_walks_the_schedule_in_increasing_order(monkeypatch):
     # R is the smallest passing radius whatever the schedule's order: at eps
     # 0.05 on the default grid that is 1, and walked in the given order a
     # descending schedule returned its first entry, 2
     cfg = CertificateConfig(potential=SADDLE, compute_numerical_m=False)
     ascending = certificate(0.05, cfg)
-    descending = certificate(0.05, replace(cfg, r_schedule=(2.0, 1.0, 0.5, 0.25)))
+    monkeypatch.setattr(minimax_mod, "R_SCHEDULE", (2.0, 1.0, 0.5, 0.25))
+    descending = certificate(0.05, cfg)
     assert ascending.R_used == descending.R_used == 1.0
     assert descending.to_dict() == ascending.to_dict()
     assert list(descending.details["choose_r"]["boundary_max"]) == [0.25, 0.5, 1.0]
@@ -489,7 +491,7 @@ def test_certificate_never_imports_numpy_random():
         "from lognls.minimax import CertificateConfig, certificate\n"
         "from lognls.potential import model_saddle\n"
         "cfg = CertificateConfig(potential=model_saddle(1.0, 1.25, 2, (0,), 0.5), h_target=0.5,\n"
-        "                        solver_half_extent=6.0, q_samples=5, compute_numerical_m=False)\n"
+        "                        solver_half_extent=6.0, compute_numerical_m=False)\n"
         "certificate(0.4, cfg)\n"
         "print('numpy.random' in sys.modules)\n"
     )
@@ -618,7 +620,7 @@ def test_sweep_sigma_trend():
     assert all(c.D_eps_estimate >= c.m_c0 - 1e-6 for c in certs)
 
 
-TINY_CERT = dict(h_target=0.5, solver_half_extent=6.0, q_samples=5, r_schedule=(0.25, 0.5))
+TINY_CERT = dict(h_target=0.5, solver_half_extent=6.0)
 
 
 def _fake_ground_state(converged):
@@ -699,7 +701,7 @@ def test_theta_takes_three_forward_transforms(monkeypatch):
     for eps, transforms in ((0.25, 3), (0.25, 2), (0.1, 2)):
         forward.clear()
         passes.clear()
-        rep = level_theta(g, SADDLE, eps, 0.5, minimizer, 1e-3)
+        rep = level_theta(g, SADDLE, eps, 0.5, minimizer)
         assert rep.feasible
         assert len(forward) == transforms and not inverse
         assert len(passes) == g.dim * transforms
@@ -739,7 +741,7 @@ def test_theta_builds_one_path_field_and_samples_v_once(monkeypatch):
             counts[name] = 0
         # a level below J(Phi_eps(0)), so the minimizer wins once in the ball
         minimizer = LevelDResult(0.0, near, True, 0.0, True, [])
-        rep = level_theta(g, SADDLE, 0.25, r, minimizer, 1e-3)
+        rep = level_theta(g, SADDLE, 0.25, r, minimizer)
         assert rep.feasible and rep.used_minimizer is used
         assert counts == {"phi_path": 1, "potential_samples": 1}
 
