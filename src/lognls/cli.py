@@ -25,8 +25,9 @@ JSON, a config or block that is not a JSON object, a setting of the wrong
 type or range, a --eps or --R flag that is not finite and positive, a --V
 that does not parse, a --A not above -1, a box too small for the Gausson's
 ball, and a block or key that nothing reads are config errors, not silently
-ignored or left to fail later.  Every default lives in DEFAULT_CONFIG; the
-builders read the merged, validated config only.  The certificate's fixed
+ignored or left to fail later; a bad value from a flag names the flag.
+Every default lives in DEFAULT_CONFIG; the builders read the merged,
+validated config only.  The certificate's fixed
 sampling (the R candidates, the Theta_r radius, the points of Q and the
 barycenter tolerance) is a set of ``minimax`` constants, not settings.
 
@@ -345,7 +346,9 @@ def require_axes(cfg: dict, y_axis: bool) -> None:
         )
 
 
-def load_config(path: str | None, overrides: dict) -> dict:
+def load_config(path: str | None, overrides: dict, flags: dict | None = None) -> dict:
+    """DEFAULT_CONFIG, the file at ``path``, then the flag ``overrides``;
+    ``flags`` maps a "block.key" to the flag that names its violations."""
     cfg = {k: dict(v) if isinstance(v, dict) else v for k, v in DEFAULT_CONFIG.items()}
     if path:
         try:
@@ -363,6 +366,10 @@ def load_config(path: str | None, overrides: dict) -> dict:
         cfg = merge_config(cfg, loaded)
     cfg = merge_config(cfg, overrides)
     problems = validate_config(cfg)
+    for key, flag in (flags or {}).items():
+        block, _, name = key.partition(".")
+        if name in overrides.get(block, {}):
+            problems = [flag + text[len(key):] if text.startswith(key + " ") else text for text in problems]
     if problems:
         raise ConfigError(problems)
     return cfg
@@ -415,7 +422,8 @@ def cmd_gausson(args) -> int:
         raise ConfigError([f"--A must be a finite number above -1, got {args.A}"])
     grid_over = {"half_extent": 10.0, "points_per_axis": 513} if args.N == 1 else {}
     grid_over.update(given_flags(dim=args.N, half_extent=args.L, points_per_axis=args.n))
-    cfg = load_config(args.config, {"grid": grid_over})
+    flags = {"grid.dim": "--N", "grid.half_extent": "--L", "grid.points_per_axis": "--n"}
+    cfg = load_config(args.config, {"grid": grid_over}, flags)
     grid = build_grid_from_config(cfg)
     m = m_closed_form(args.A, grid.dim)
     u = gausson(grid, args.A)
@@ -433,7 +441,9 @@ def cmd_ground_state(args) -> int:
         "grid": given_flags(dim=args.dim, half_extent=args.L, points_per_axis=args.n),
         "solver": given_flags(tol=args.tol, max_iters=args.max_iters),
     }
-    cfg = load_config(args.config, {block: over for block, over in overrides.items() if over})
+    flags = {"grid.dim": "--dim", "grid.half_extent": "--L", "grid.points_per_axis": "--n",
+             "solver.tol": "--tol", "solver.max_iters": "--max-iters"}
+    cfg = load_config(args.config, {block: over for block, over in overrides.items() if over}, flags)
 
     grid = build_grid_from_config(cfg)
     pot = build_potential(cfg)
@@ -501,7 +511,7 @@ def cmd_sweep_eps(args) -> int:
     overrides: dict = {}
     if args.eps:
         overrides["sweep"] = {"eps": [float(e) for e in args.eps]}
-    cfg = load_config(args.config, overrides)
+    cfg = load_config(args.config, overrides, {"sweep.eps": "--eps"})
     require_axes(cfg, y_axis=True)
     cert_cfg = build_certificate_config(cfg)
     outdir = ensure_outdir(cfg)

@@ -81,7 +81,8 @@ class EnergyBreakdown:
 def _safe_log_sq(a: NDArray) -> NDArray:
     """log(a^2) for a >= 0, and exactly 0 at a = 0, so that a log a^2 and
     a^2 log a^2 take their continuous value 0 there without a mask."""
-    return 2.0 * np.log(np.where(a > 0, a, 1.0))
+    out = np.where(a > 0, a, 1.0)
+    return np.multiply(np.log(out, out=out), 2.0, out=out)
 
 
 def sq_log_sq(s: Union[float, NDArray]) -> Union[float, NDArray]:
@@ -163,14 +164,14 @@ def _f1_second(a: NDArray, d: float) -> NDArray:
 def potential_samples(potential, grid: Grid, eps: float) -> NDArray:
     """Sample V(eps x) at the grid nodes as a flat array.
 
-    ``potential`` is a PotentialSpec or a number (a constant potential).
-    Every sample must exceed -1, so that the weight V + 1 of the eps-norm is
-    positive.
+    ``potential`` is a PotentialSpec or a number, a constant potential, whose
+    samples are one read-only zero-stride view.  Every sample must exceed -1,
+    so that the weight V + 1 of the eps-norm is positive.
     """
     if hasattr(potential, "evaluate"):
         vsamp = np.asarray(potential.evaluate(eps * node_coordinates(grid)), dtype=float).ravel()
     else:
-        vsamp = np.full(grid.num_nodes, float(potential))
+        vsamp = np.broadcast_to(float(potential), (grid.num_nodes,))
     if not np.all(vsamp > -1.0):
         raise ValueError("potential samples must stay above -1 (V + 1 must be positive)")
     return vsamp
@@ -194,15 +195,21 @@ def energy_terms(grid: Grid, values: NDArray, vsamp) -> tuple[NDArray, NDArray, 
     Lap u (``laplacian_from_sine``, the inverse half alone), and u^2 for
     callers that weight it otherwise (the barycenter penalty, the path
     levels).  ``vsamp`` may be a scalar (0.0 when no potential term is
-    needed).
+    needed) or a constant's zero-stride view.  pot and ent share one scratch.
     """
     coeffs = sine_coefficients(grid, values)
     sq = values * values
     kin = sine_kinetic(grid, coeffs)
-    pot = integrate_array(grid, vsamp * sq)
+    buf = np.multiply(vsamp, sq)
+    pot = integrate_array(grid, buf)
     mass = integrate_array(grid, sq)
     # log(1) = 0 at the zero nodes, which gives the convention 0 log 0 = 0
-    ent = integrate_array(grid, sq * _safe_log_sq(np.abs(values)))
+    np.abs(values, out=buf)
+    np.copyto(buf, 1.0, where=buf == 0.0)
+    np.log(buf, out=buf)
+    buf *= 2.0
+    buf *= sq
+    ent = integrate_array(grid, buf)
     return coeffs, sq, kin, pot, mass, ent
 
 

@@ -195,9 +195,11 @@ class _BarycenterPenalty:
         if not total > 0:
             return np.zeros_like(values)
         beta = (sq @ self.wx) / total
-        # d beta_k / du = 2 u (w_k - beta_k) / integral(u^2)
+        # d beta_k / du = 2 u (w_k - beta_k) / integral(u^2), in u^2's buffer
         scale = 4.0 * self.mu / (self.cell_volume * total)
-        return scale * values * (self.wx @ beta - float(beta @ beta))
+        weight = self.wx @ beta
+        weight -= float(beta @ beta)
+        return np.multiply(np.multiply(scale, values, out=sq), weight, out=sq)
 
 
 @dataclass

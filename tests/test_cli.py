@@ -467,8 +467,8 @@ def test_removed_setting_is_config_error(tmp_path, capsys, monkeypatch, block, k
 @pytest.mark.parametrize(
     "argv, config, name",
     [
-        (["gausson", "--N", "1", "--L", "3"], {}, "grid.half_extent"),
-        (["ground-state", "--V", "const:0", "--dim", "1", "--L", "3", "--n", "64"], {}, "grid.half_extent"),
+        (["gausson", "--N", "1", "--L", "3"], {}, "--L"),
+        (["ground-state", "--V", "const:0", "--dim", "1", "--L", "3", "--n", "64"], {}, "--L"),
         (["ground-state", "--dim", "1"], {"grid": {"half_extent": 3.999}}, "grid.half_extent"),
         (["saddle-cert", "--eps", "0.4"], {"certificate": {"solver_half_extent": 3.0}}, "certificate.solver_half_extent"),
         (["sweep-eps"], {"certificate": {"solver_half_extent": 3.5}}, "certificate.solver_half_extent"),
@@ -487,6 +487,55 @@ def test_box_too_small_for_the_gausson_is_config_error(tmp_path, capsys, monkeyp
     assert len(out["violations"]) == 1
     assert out["violations"][0].startswith(f"{name} must be at least 4, ")
     assert not (tmp_path / "lognls-out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, start",
+    [
+        (["gausson", "--N", "3"], "--N must be 1 or 2, got 3"),
+        (["gausson", "--N", "1", "--L", "3"], "--L must be at least 4, "),
+        (["gausson", "--n", "8"], "--n must be an integer >= 16, got 8"),
+        (["ground-state", "--dim", "3"], "--dim must be 1 or 2, got 3"),
+        (["ground-state", "--L", "3"], "--L must be at least 4, "),
+        (["ground-state", "--n", "8"], "--n must be an integer >= 16, got 8"),
+        (["ground-state", "--tol", "-1"], "--tol must be a finite positive number, got -1.0"),
+        (["ground-state", "--max-iters", "0"], "--max-iters must be a positive integer, got 0"),
+        (["sweep-eps", "--eps", "inf"], "--eps must be a list of finite positive numbers, got [inf]"),
+    ],
+)
+def test_config_error_from_a_flag_names_the_flag(tmp_path, capsys, monkeypatch, argv, start):
+    # the user typed the flag, not the config key it overrides
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CONFIG
+    assert len(out["violations"]) == 1
+    assert out["violations"][0].startswith(start)
+    assert not (tmp_path / "lognls-out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config, start",
+    [
+        (["gausson"], {"grid": {"dim": 3}}, "grid.dim must be 1 or 2, got 3"),
+        (["gausson", "--N", "2"], {"grid": {"points_per_axis": 8}}, "grid.points_per_axis must be an integer >= 16"),
+        (["ground-state", "--n", "65"], {"grid": {"dim": 3}}, "grid.dim must be 1 or 2, got 3"),
+        (["ground-state", "--dim", "2"], {"grid": {"half_extent": 3}}, "grid.half_extent must be at least 4, "),
+        (["ground-state", "--L", "10"], {"solver": {"max_iters": 0}}, "solver.max_iters must be a positive integer"),
+        (["sweep-eps"], {"sweep": {"eps": [0.4, -1]}}, "sweep.eps must be a list of finite positive numbers"),
+    ],
+)
+def test_config_error_from_the_file_names_the_key(tmp_path, capsys, monkeypatch, argv, config, start):
+    # a bad value read from the config file keeps its key, even when other
+    # settings of its block come from flags
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = main(argv + ["--config", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CONFIG
+    assert len(out["violations"]) == 1
+    assert out["violations"][0].startswith(start)
 
 
 def test_box_of_the_gausson_ball_is_accepted(tmp_path, capsys, monkeypatch):

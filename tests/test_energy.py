@@ -13,12 +13,13 @@ from lognls.energy import (
     f2,
     f2_prime,
     grad_L2,
+    energy_terms,
     log_sobolev_slack,
     potential_samples,
     prox_f1,
     sq_log_sq,
 )
-from lognls.grid import Grid, GridField, integrate_array
+from lognls.grid import Grid, GridField, integrate_array, sine_coefficients, sine_kinetic
 from lognls.nehari import gausson, m_closed_form
 from lognls.potential import PotentialSpec
 
@@ -148,6 +149,48 @@ def test_potential_samples_takes_a_spec_or_a_number(grid_1d):
         potential_samples(lambda p: np.zeros(len(p)), grid_1d, 1.0)
     with pytest.raises(TypeError):
         potential_samples(GridField(grid_1d, np.zeros(grid_1d.num_nodes)), grid_1d, 1.0)
+
+
+def test_a_constant_potential_is_a_read_only_zero_stride_view(grid_2d):
+    vsamp = potential_samples(0.1, grid_2d, 1.0)
+    assert vsamp.shape == (grid_2d.num_nodes,) and vsamp.strides == (0,)
+    assert not vsamp.flags.writeable
+    with pytest.raises(ValueError):
+        vsamp[0] = 1.0
+    with pytest.raises(ValueError):
+        vsamp *= 2.0
+    assert np.array_equal(vsamp, np.full(grid_2d.num_nodes, 0.1))
+
+
+def _direct_terms(grid, values, vsamp):
+    """(u^2, pot, mass, ent) written out as the formula with a fresh
+    temporary per operation: the reference of the in-place kernel."""
+    sq = values * values
+    a = np.abs(values)
+    log_sq = 2.0 * np.log(np.where(a > 0, a, 1.0))
+    return sq, integrate_array(grid, vsamp * sq), integrate_array(grid, sq), integrate_array(grid, sq * log_sq)
+
+
+@pytest.mark.parametrize("sampling", ["array", "constant view", "scalar zero"])
+def test_energy_terms_match_the_direct_formula_bit_for_bit(rng, grid_2d, sampling):
+    values = smooth_field(grid_2d, rng).values
+    values[::7] = 0.0
+    assert np.any(values < 0) and np.any(values == 0)
+    vsamp = {
+        "array": rng.uniform(-0.5, 2.0, grid_2d.num_nodes),
+        "constant view": potential_samples(1.0 / 3.0, grid_2d, 1.0),
+        "scalar zero": 0.0,
+    }[sampling]
+    coeffs, sq, kin, pot, mass, ent = energy_terms(grid_2d, values, vsamp)
+    ref_sq, ref_pot, ref_mass, ref_ent = _direct_terms(grid_2d, values, vsamp)
+    assert np.array_equal(sq, ref_sq)
+    assert (pot, mass, ent) == (ref_pot, ref_mass, ref_ent)
+    assert kin == sine_kinetic(grid_2d, sine_coefficients(grid_2d, values))
+    assert np.array_equal(coeffs, sine_coefficients(grid_2d, values))
+    if sampling == "constant view":
+        # the view prices exactly as the full array of the same constant
+        full = np.full(grid_2d.num_nodes, 1.0 / 3.0)
+        assert energy_terms(grid_2d, values, full)[2:] == (kin, pot, mass, ent)
 
 
 def test_grad_zero_field(grid_1d):

@@ -10,7 +10,7 @@ import pytest
 
 from lognls.energy import SplitParams, energy_terms, eps_norm_sq, field_energy, potential_samples
 import lognls.grid as grid_mod
-from lognls.grid import Grid, GridField
+from lognls.grid import Grid, GridField, node_coordinates
 import lognls.minimax as minimax_mod
 from lognls.minimax import (
     CertificateConfig,
@@ -34,6 +34,7 @@ from lognls.nehari import (
     NehariSolution,
     SolverConfig,
     gausson,
+    ground_state,
     m_closed_form,
     nehari_scale,
 )
@@ -190,6 +191,28 @@ def test_path_level_at_the_origin_matches_the_small_eps_expansion(eps):
     lap_v0 = -2.0 * (SADDLE.c1 - SADDLE.c0)
     expected = m_closed_form(SADDLE.c1, 2) * math.exp(eps**2 * lap_v0 / 4.0)
     assert abs(j[0] - expected) <= 0.3 * eps**4 * expected
+
+
+@pytest.mark.parametrize(
+    "eps, z",
+    [(0.4, (0.0, 0.0)), (0.4, (1.0, 0.0)), (0.2, (-0.5, 0.0)), (0.1, (2.0, 0.0)), (0.05, (0.25, 0.0)), (0.05, (-1.5, 0.0))],
+)
+def test_path_level_is_the_ground_level_of_the_smoothed_potential(eps, z):
+    # J(Phi_eps(z)) = m_h(c0) exp(W_eps(z) - c0), W_eps(z) = integral(V(eps x
+    # + z) u0^2) / integral(u0^2): on the Nehari set J is M/2 exp(a/M) (a =
+    # J'(u)u before scaling, M the mass of u0), and only pot sees the frame,
+    # so the path level is the discrete ground level m_h at the u0^2-average
+    # of V.  The three sides come from three routes: the path field priced by
+    # the full kernel in its frame, the V = c0 ground solve, and a direct
+    # quadrature of V
+    g = CertificateConfig(potential=SADDLE).grid()
+    frame_field = phi_path(g, SADDLE, eps, z)
+    frame = frame_field.grid
+    j_path = field_energy(frame, frame_field.values, potential_samples(SADDLE, frame, eps))[0]
+    m_h = ground_state(g, SADDLE.c0, 1.0, config=SolverConfig(tol=1e-6, max_iters=4000)).energy
+    weight = gausson(g, SADDLE.c0).values ** 2
+    w = float(np.sum(SADDLE.evaluate(eps * node_coordinates(g) + np.asarray(z)) * weight) / np.sum(weight))
+    assert abs(j_path - m_h * math.exp(w - SADDLE.c0)) <= 1e-13 * j_path
 
 
 def test_zero_finder_reads_beta_without_a_solve(monkeypatch):

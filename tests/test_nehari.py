@@ -26,7 +26,7 @@ from lognls.nehari import (
     minimize_on_nehari,
     nehari_scale,
 )
-from lognls.potential import expression_potential
+from lognls.potential import expression_potential, model_saddle
 
 from conftest import count_grid_calls, smooth_field
 
@@ -193,6 +193,82 @@ def test_gausson_peak_memory_is_at_most_two_fields():
     assert peak <= 2 * field_bytes, peak / field_bytes
 
 
+def _peak_fields(grid, solve) -> float:
+    """Peak traced memory of ``solve()`` in fields of n^N floats.  The grid's
+    cached node coordinates and direction weights are built first, so the
+    peak is the solve's own working set, whatever ran before it."""
+    import tracemalloc
+
+    from lognls.minimax import direction_weights
+
+    node_coordinates(grid)
+    direction_weights(grid)
+    tracemalloc.start()
+    try:
+        solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (grid.num_nodes * 8)
+
+
+GUARD_SADDLE = model_saddle(1.0, 1.25, 2, [0], 0.5)
+
+
+def test_ground_state_at_its_seed_peaks_within_five_fields():
+    # V = 1 at 269^2 stops at its Gausson seed after one gradient; the
+    # constant potential is a zero-stride view and the solver owns the seed
+    g = Grid(2, 10.0, 269)
+    config = SolverConfig(tol=1e-6, max_iters=4000)
+    fields = _peak_fields(g, lambda: ground_state(g, 1.0, 1.0, config=config))
+    assert fields <= 5.0, fields
+
+
+def test_saddle_ground_state_peaks_within_fifteen_fields():
+    # a multi-iteration solve with a full L-BFGS memory (three pairs)
+    g = Grid(2, 10.0, 269)
+    config = SolverConfig(tol=1e-6, max_iters=4000)
+    sols = []
+    fields = _peak_fields(g, lambda: sols.append(ground_state(g, GUARD_SADDLE, 0.4, config=config)))
+    assert sols[0].converged and sols[0].iterations > 2 * nehari_mod._LBFGS_MEMORY
+    assert fields <= 15.0, fields
+
+
+def test_level_d_peaks_within_seventeen_and_a_half_fields():
+    # the penalized solve adds the X direction weights, the seed its caller
+    # holds and the penalty gradient
+    from lognls.minimax import level_d
+
+    g = Grid(2, 10.0, 269)
+    results = []
+    fields = _peak_fields(g, lambda: results.append(level_d(g, GUARD_SADDLE, 0.4)))
+    assert results[0].converged and results[0].stages[0]["iterations"] > 2 * nehari_mod._LBFGS_MEMORY
+    assert fields <= 17.5, fields
+
+
+def test_constant_potential_solves_give_the_bytes_of_full_sampling(monkeypatch):
+    # the zero-stride view of a non-dyadic constant against the n^N array
+    # of the same value: the one-iteration ground state, and a solve from a
+    # wider profile, which is no rescaled Gausson
+    g = Grid(2, 10.0, 135)
+    config = SolverConfig(tol=1e-6, max_iters=4000)
+    sol = ground_state(g, 0.1, 1.0, config=config)
+    view = nehari_mod.potential_samples(0.1, g, 1.0)
+    values, info = minimize_on_nehari(g, view, gausson(g, 0.1).values ** 0.8, config)
+
+    def full(potential, grid, eps):
+        return np.full(grid.num_nodes, float(potential))
+
+    monkeypatch.setattr(nehari_mod, "potential_samples", full)
+    ref = ground_state(g, 0.1, 1.0, config=config)
+    assert sol.field.values.tobytes() == ref.field.values.tobytes()
+    assert (sol.energy, sol.nehari_residual) == (ref.energy, ref.nehari_residual)
+    assert sol.diagnostics == ref.diagnostics and sol.iterations == 1
+    ref_values, ref_info = minimize_on_nehari(g, full(0.1, g, 1.0), gausson(g, 0.1).values ** 0.8, config)
+    assert values.tobytes() == ref_values.tobytes()
+    assert info == ref_info and info["iterations"] > 1
+
+
 def test_m_closed_form_values():
     assert m_closed_form(0.0, 1) == pytest.approx(2.409016, abs=2e-6)
     assert m_closed_form(0.0, 2) == pytest.approx(11.60666, abs=1e-4)
@@ -347,7 +423,7 @@ def test_first_trial_with_an_empty_memory_is_the_scaled_sobolev_step(monkeypatch
         return real(grid, values, v)
 
     monkeypatch.setattr(nehari_mod, "energy_terms", recorded)
-    minimize_on_nehari(g, vsamp, start, SolverConfig(tol=1e-6, max_iters=1))
+    minimize_on_nehari(g, vsamp, start.copy(), SolverConfig(tol=1e-6, max_iters=1))
     # the start is projected onto the Nehari set, then the first trial
     # takes the full step alpha = 1
     _, _, kin, pot, mass, ent = real(g, start, vsamp)
@@ -368,10 +444,10 @@ def test_a_direction_that_does_not_descend_falls_back_to_the_plain_step(monkeypa
     vsamp = _saddle_at_eps_one(g)
     start = gausson(g, 1.0).values
     config = SolverConfig(tol=1e-6, max_iters=4000)
-    _, quasi_newton = minimize_on_nehari(g, vsamp, start, config)
+    _, quasi_newton = minimize_on_nehari(g, vsamp, start.copy(), config)
 
     monkeypatch.setattr(nehari_mod, "_LBFGS_MEMORY", 0)
-    plain_values, plain = minimize_on_nehari(g, vsamp, start, config)
+    plain_values, plain = minimize_on_nehari(g, vsamp, start.copy(), config)
     monkeypatch.undo()
 
     real = nehari_mod._lbfgs_direction
@@ -385,7 +461,7 @@ def test_a_direction_that_does_not_descend_falls_back_to_the_plain_step(monkeypa
         return d
 
     monkeypatch.setattr(nehari_mod, "_lbfgs_direction", turned)
-    values, info = minimize_on_nehari(g, vsamp, start, config)
+    values, info = minimize_on_nehari(g, vsamp, start.copy(), config)
     assert uphill and max(uphill) == 1  # cleared every time it was filled
     assert np.array_equal(values, plain_values)
     assert info["j_history"] == plain["j_history"] and info["trials"] == plain["trials"]
