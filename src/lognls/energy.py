@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -78,10 +78,15 @@ class EnergyBreakdown:
         }
 
 
-def _safe_log_sq(a: NDArray) -> NDArray:
-    """log(a^2) for a >= 0, and exactly 0 at a = 0, so that a log a^2 and
-    a^2 log a^2 take their continuous value 0 there without a mask."""
-    out = np.where(a > 0, a, 1.0)
+def _safe_log_sq(values: NDArray, out: Optional[NDArray] = None) -> NDArray:
+    """log(values^2), and exactly 0 where values = 0, so that u log u^2 and
+    u^2 log u^2 take their continuous value 0 there without a mask; written
+    into ``out`` when it is given."""
+    if out is None:
+        out = np.empty(np.shape(values))
+    np.abs(values, out=out)
+    # log(1) = 0 at the zero nodes
+    np.copyto(out, 1.0, where=out == 0.0)
     return np.multiply(np.log(out, out=out), 2.0, out=out)
 
 
@@ -164,10 +169,13 @@ def _f1_second(a: NDArray, d: float) -> NDArray:
 def potential_samples(potential, grid: Grid, eps: float) -> NDArray:
     """Sample V(eps x) at the grid nodes as a flat array.
 
-    ``potential`` is a PotentialSpec or a number, a constant potential, whose
-    samples are one read-only zero-stride view.  Every sample must exceed -1,
-    so that the weight V + 1 of the eps-norm is positive.
+    ``potential`` is a PotentialSpec or a number.  A constant potential, a
+    number or a spec of kind "constant", is sampled as its value: one
+    read-only zero-stride view.  Every sample must exceed -1, so that the
+    weight V + 1 of the eps-norm is positive.
     """
+    if getattr(potential, "kind", None) == "constant":
+        potential = potential.c0
     if hasattr(potential, "evaluate"):
         vsamp = np.asarray(potential.evaluate(eps * node_coordinates(grid)), dtype=float).ravel()
     else:
@@ -203,11 +211,7 @@ def energy_terms(grid: Grid, values: NDArray, vsamp) -> tuple[NDArray, NDArray, 
     buf = np.multiply(vsamp, sq)
     pot = integrate_array(grid, buf)
     mass = integrate_array(grid, sq)
-    # log(1) = 0 at the zero nodes, which gives the convention 0 log 0 = 0
-    np.abs(values, out=buf)
-    np.copyto(buf, 1.0, where=buf == 0.0)
-    np.log(buf, out=buf)
-    buf *= 2.0
+    _safe_log_sq(values, out=buf)
     buf *= sq
     ent = integrate_array(grid, buf)
     return coeffs, sq, kin, pot, mass, ent

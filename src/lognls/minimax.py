@@ -118,23 +118,23 @@ def _path_terms(grid: Grid, c0: float) -> tuple[NDArray, float, float, float]:
     return sq, kin, mass, ent
 
 
-def path_levels(grid: Grid, potential: PotentialSpec, eps: float, zs) -> tuple[NDArray, NDArray]:
-    """(t, J) of the path fields Phi_eps(z), one entry per row z of ``zs``.
+def path_levels(grid: Grid, potential: PotentialSpec, eps: float, zs) -> NDArray:
+    """J of the path fields Phi_eps(z), one entry per row z of ``zs``.
 
     Phi_eps(z) is t*u0 with the frame center moved to z/eps.  Kinetic, mass
     and log terms do not see the frame, so the cached terms of u0 serve every
     row; a row samples V once for pot(z) = integral(V u0^2) in its frame and
-    takes (t, J) from the reduced objective.
+    takes J from the reduced objective.
     """
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     if zs.ndim != 2 or zs.shape[1] != grid.dim:
         raise ValueError(f"z must have {grid.dim} components")
     terms = _path_terms(grid, potential.c0)
-    t, j = np.empty(len(zs)), np.empty(len(zs))
+    j = np.empty(len(zs))
     for k, z in enumerate(zs):
         frame = _path_frame(grid, z, eps)
-        t[k], j[k] = _path_level(terms, frame, potential_samples(potential, frame, eps))
-    return t, j
+        j[k] = _path_level(terms, frame, potential_samples(potential, frame, eps))[1]
+    return j
 
 
 def _path_level(terms: tuple, frame: Grid, vsamp: NDArray) -> tuple[float, float]:
@@ -208,7 +208,6 @@ class LevelDResult:
     field: GridField
     feasible: bool
     beta_x_norm: float
-    upper_bound: bool
     stages: list
 
     @property
@@ -222,7 +221,6 @@ class LevelDResult:
             "value": self.value,
             "feasible": self.feasible,
             "beta_x_norm": self.beta_x_norm,
-            "upper_bound": self.upper_bound,
             "converged": self.converged,
         }
 
@@ -285,7 +283,6 @@ def level_d(
         field=GridField(grid, u),
         feasible=beta_x <= BETA_TOL,
         beta_x_norm=beta_x,
-        upper_bound=True,
         stages=stages,
     )
 
@@ -333,7 +330,7 @@ class SupXReport:
 def level_sup_x(grid: Grid, potential: PotentialSpec, eps: float, R: float, n_samples: int) -> SupXReport:
     """Max of J(Phi_eps(x)) over sampled Q, with the analytic cap
     m(c0) + (3/10) c2 integral(u0^2) for comparison."""
-    _, vals = path_levels(grid, potential, eps, _q_samples(potential, R, n_samples))
+    vals = path_levels(grid, potential, eps, _q_samples(potential, R, n_samples))
     m_c0 = m_closed_form(potential.c0, grid.dim)
     cap = m_c0 + 0.3 * potential.c2 * _path_terms(grid, potential.c0)[2]
     cap_closed = m_c0 * (1.0 + 0.6 * potential.c2)  # integral(u0^2) = 2 m(c0) for the exact profile
@@ -373,7 +370,7 @@ def choose_r(grid: Grid, potential: PotentialSpec, eps: float, threshold: float,
     achieved = {}
     for R in sorted(schedule):
         zs = _subspace_sphere(potential.dim, potential.x_axes, R, _BOUNDARY_SAMPLES)
-        achieved[float(R)] = float(np.max(path_levels(grid, potential, eps, zs)[1]))
+        achieved[float(R)] = float(np.max(path_levels(grid, potential, eps, zs)))
         if achieved[float(R)] <= threshold:
             return ChooseRResult(float(R), threshold, achieved, True)
     return ChooseRResult(None, threshold, achieved, False)
@@ -414,7 +411,9 @@ def level_theta(
 
     * Phi_eps(0) = t*u0 itself, at distance 0 from the ball's center, when
       |P_X beta| <= ``BETA_TOL`` (the Gausson sits on the origin node, so
-      beta_X is rounding);
+      beta_X is rounding), priced as the z = 0 row of ``path_levels``: the
+      bits ``level_sup_x`` reads at the center of Q, so the estimate never
+      exceeds sup_X J;
     * the ``level_d`` minimizer, when it is feasible and its eps-norm
       distance to Phi_eps(0), read off one forward transform, is at most r.
 
@@ -432,7 +431,7 @@ def level_theta(
     vsamp = potential_samples(potential, grid, eps)
     base = phi_path(grid, potential, eps, np.zeros(grid.dim), vsamp=vsamp).values
     beta_x = _x_norm(_barycenter_values(grid, base)[list(potential.x_axes)])
-    best = field_energy(grid, base, vsamp)[0] if beta_x <= BETA_TOL else math.inf
+    best = _path_level(_path_terms(grid, potential.c0), grid, vsamp)[1] if beta_x <= BETA_TOL else math.inf
     dist = math.sqrt(eps_norm_sq(grid, minimizer.field.values - base, vsamp))
     used = minimizer.feasible and dist <= r and minimizer.value < best
     if used:
@@ -467,10 +466,8 @@ class ZeroFinderResult:
         }
 
 
-# the zero finder: the residual |P_X beta| that counts as a zero, and the
-# points on the square boundary of a two-axis X
+# the residual |P_X beta| at which the zero finder counts a zero
 _ZERO_TOL = 1e-3
-_ZERO_BOUNDARY_SAMPLES = 16
 
 
 def barycenter_zero_finder(grid: Grid, potential: PotentialSpec, eps: float, R: float) -> ZeroFinderResult:
@@ -480,36 +477,31 @@ def barycenter_zero_finder(grid: Grid, potential: PotentialSpec, eps: float, R: 
     beta(u0) = 0 up to rounding for every V: x* is 0, and its residual
     |P_X beta(Phi_eps(0))| is reported.  A residual above ``_ZERO_TOL``, a
     path that breaks this symmetry, is reported as inconclusive.  The degree
-    evidence is the sign of P_X beta at -R and R for one X axis and its
-    winding number on the boundary of the square of half side R for two;
-    a missing sign change or zero winding is not degree one, not a failure.
+    evidence is read on the boundary of Q, the sphere of radius R in X that
+    ``choose_r`` samples: the sign of P_X beta at -R and R for one X axis,
+    and its winding number on the counterclockwise circle of
+    ``_BOUNDARY_SAMPLES`` points for two; a missing sign change or zero
+    winding is not degree one, not a failure.
     """
     axes = list(potential.x_axes)
     u0 = _path_gausson(grid, potential.c0)
 
-    def f_rows(xs) -> NDArray:
-        """P_X beta(Phi_eps(z)) for each row of X coordinates, read off u0 in
-        the moved frame: beta(t u) = beta(u), so no t, J or V is needed."""
-        zs = np.zeros((len(xs), potential.dim))
-        zs[:, axes] = xs
+    def f_rows(zs) -> NDArray:
+        """P_X beta(Phi_eps(z)) for each row z, read off u0 in the moved
+        frame: beta(t u) = beta(u), so no t, J or V is needed."""
         return np.array([_barycenter_values(_path_frame(grid, z, eps), u0)[axes] for z in zs])
 
+    boundary = f_rows(_subspace_sphere(potential.dim, potential.x_axes, R, _BOUNDARY_SAMPLES))
     if len(axes) == 1:
-        lo, hi = f_rows([[-R], [R]])[:, 0]
+        hi, lo = boundary[:, 0]  # the sampler returns +R first
         evidence = {"boundary_values": [float(lo), float(hi)], "degree_one": bool(lo < 0 < hi)}
     else:
-        # the boundary of R [-1, 1]^2, walked side by side from a corner
-        corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-        steps = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        s = 8.0 * np.linspace(0.0, 1.0, _ZERO_BOUNDARY_SAMPLES, endpoint=False)
-        side = (s // 2).astype(int)
-        pts = R * (corners[side] + (s - 2.0 * side)[:, None] * steps[side])
-        angles = np.array([math.atan2(fv[1], fv[0]) for fv in f_rows(pts)])
+        angles = np.array([math.atan2(fv[1], fv[0]) for fv in boundary])
         d = np.diff(np.concatenate([angles, angles[:1]]))
         d = (d + math.pi) % (2 * math.pi) - math.pi
         winding = int(round(float(np.sum(d)) / (2 * math.pi)))
         evidence = {"winding": winding, "degree_one": bool(abs(winding) >= 1)}
-    residual = float(np.linalg.norm(f_rows([np.zeros(len(axes))])[0]))
+    residual = float(np.linalg.norm(f_rows(np.zeros((1, potential.dim)))[0]))
     if residual > _ZERO_TOL:
         return ZeroFinderResult(None, residual, True, evidence)
     return ZeroFinderResult([0.0] * len(axes), residual, False, evidence)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import lognls.energy as energy_mod
 from lognls.energy import (
     CONVEXITY_THRESHOLD,
     SplitParams,
@@ -21,7 +22,7 @@ from lognls.energy import (
 )
 from lognls.grid import Grid, GridField, integrate_array, sine_coefficients, sine_kinetic
 from lognls.nehari import gausson, m_closed_form
-from lognls.potential import PotentialSpec
+from lognls.potential import PotentialSpec, constant_potential
 
 from conftest import smooth_field
 
@@ -152,14 +153,16 @@ def test_potential_samples_takes_a_spec_or_a_number(grid_1d):
 
 
 def test_a_constant_potential_is_a_read_only_zero_stride_view(grid_2d):
-    vsamp = potential_samples(0.1, grid_2d, 1.0)
-    assert vsamp.shape == (grid_2d.num_nodes,) and vsamp.strides == (0,)
-    assert not vsamp.flags.writeable
-    with pytest.raises(ValueError):
-        vsamp[0] = 1.0
-    with pytest.raises(ValueError):
-        vsamp *= 2.0
-    assert np.array_equal(vsamp, np.full(grid_2d.num_nodes, 0.1))
+    # a number and a spec of kind "constant" (what --V const:c builds) alike
+    for potential in (0.1, constant_potential(0.1, 2)):
+        vsamp = potential_samples(potential, grid_2d, 1.0)
+        assert vsamp.shape == (grid_2d.num_nodes,) and vsamp.strides == (0,)
+        assert not vsamp.flags.writeable
+        with pytest.raises(ValueError):
+            vsamp[0] = 1.0
+        with pytest.raises(ValueError):
+            vsamp *= 2.0
+        assert np.array_equal(vsamp, np.full(grid_2d.num_nodes, 0.1))
 
 
 def _direct_terms(grid, values, vsamp):
@@ -191,6 +194,24 @@ def test_energy_terms_match_the_direct_formula_bit_for_bit(rng, grid_2d, samplin
         # the view prices exactly as the full array of the same constant
         full = np.full(grid_2d.num_nodes, 1.0 / 3.0)
         assert energy_terms(grid_2d, values, full)[2:] == (kin, pot, mass, ent)
+
+
+def test_the_kernel_takes_log_u_squared_from_the_one_log(monkeypatch, rng, grid_2d):
+    # energy_terms writes log u^2 into its scratch through _safe_log_sq, the
+    # log of the split functions, the gradient and the solver; it takes |u|
+    # itself, gives 0 at u = 0 and accepts the split functions' 0-d input
+    real = energy_mod._safe_log_sq
+    calls = []
+    monkeypatch.setattr(energy_mod, "_safe_log_sq", lambda v, out=None: calls.append(out) or real(v, out=out))
+    values = smooth_field(grid_2d, rng).values
+    values[::7] = 0.0
+    energy_terms(grid_2d, values, 0.0)
+    assert len(calls) == 1 and calls[0] is not None
+    out = np.empty_like(values)
+    assert real(values, out=out) is out
+    assert np.array_equal(out, 2.0 * np.log(np.where(values != 0, np.abs(values), 1.0)))
+    assert real(np.asarray(-0.5)).shape == () and real(-0.5) == real(0.5) == 2.0 * math.log(0.5)
+    assert real(0.0) == 0.0
 
 
 def test_grad_zero_field(grid_1d):

@@ -131,7 +131,7 @@ BETA_ROUNDING = 16 * np.finfo(float).eps
 
 
 # the two test names predate the path's barycenter read: path_levels gives
-# (t, J), and the zero finder reads beta off u0 in the moved frame
+# J, and the zero finder reads beta off u0 in the moved frame
 @pytest.mark.parametrize(
     "potential, eps",
     [(SADDLE, 0.4), (SADDLE, 0.05), (model_saddle(1.0, 1.25, 1, (0,), 0.5), 0.2), (CONST, 0.3)],
@@ -139,17 +139,15 @@ BETA_ROUNDING = 16 * np.finfo(float).eps
 )
 def test_path_table_matches_the_path_fields(potential, eps):
     # the table's J is the reduced objective, J of the field up to rounding;
-    # t is computed from the same bits as the field's, and beta(t u) = beta(u)
-    # up to the rounding of t u: measured 2.7e-15 at most on these rows, so
-    # 16 ulps of 1 (|beta| <= 1) bound it
+    # beta(t u) = beta(u) up to the rounding of t u: measured 2.7e-15 at most
+    # on these rows, so 16 ulps of 1 (|beta| <= 1) bound it
     g = Grid(potential.dim, 10.0, _odd_points(10.0, 0.15))
     u0 = gausson(g, potential.c0)
     zs = minimax_mod._q_samples(potential, 2.0, 9)
-    t, j = path_levels(g, potential, eps, zs)
-    assert t.shape == j.shape == (len(zs),)
+    j = path_levels(g, potential, eps, zs)
+    assert j.shape == (len(zs),)
     for k, z in enumerate(zs):
         f = phi_path(g, potential, eps, z)
-        assert np.array_equal(f.values, t[k] * u0.values)
         vsamp = potential_samples(potential, f.grid, eps)
         # samples the caller passes in (level_theta's) give the same field
         assert np.array_equal(phi_path(g, potential, eps, z, vsamp=vsamp).values, f.values)
@@ -187,10 +185,27 @@ def test_path_level_at_the_origin_matches_the_small_eps_expansion(eps):
     # up to O(eps^4), and Lap V(0) = -2 (c1 - c0) on the model saddle.  The
     # relative residual / eps^4 reads 0.243 / 0.248 / 0.249 here
     g = CertificateConfig(potential=SADDLE).grid()
-    _, j = path_levels(g, SADDLE, eps, [[0.0, 0.0]])
+    j = path_levels(g, SADDLE, eps, [[0.0, 0.0]])
     lap_v0 = -2.0 * (SADDLE.c1 - SADDLE.c0)
     expected = m_closed_form(SADDLE.c1, 2) * math.exp(eps**2 * lap_v0 / 4.0)
     assert abs(j[0] - expected) <= 0.3 * eps**4 * expected
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.05, 0.025])
+def test_path_origin_over_d_eps_follows_the_eps4_law(eps):
+    # log(J(Phi_eps(0)) / D_eps) = eps^4 |Hess V(0)|_F^2 / 16 (1 + O(eps^2))
+    # from second-order perturbation around the Gausson; on the model saddle
+    # Hess V(0) = diag(-2 (c1 - c0), 0), so the leading term is eps^4 (c1 -
+    # c0)^2 / 4.  The ratio to it reads 0.937 / 0.984 / 0.996 here, (1 -
+    # ratio) / eps^2 = 6.29 / 6.57 / 6.69.  The law needs grad V(0) = 0: the
+    # linear term of the asymmetric CI potential couples to translations, so
+    # that potential is left out
+    cfg = CertificateConfig(potential=SADDLE)
+    g = cfg.grid()
+    d_eps = level_d(g, SADDLE, eps, solver=cfg.solver).value
+    j0 = path_levels(g, SADDLE, eps, np.zeros((1, 2)))[0]
+    ratio = math.log(j0 / d_eps) / (eps**4 * (SADDLE.c1 - SADDLE.c0) ** 2 / 4.0)
+    assert abs(1.0 - ratio) <= 8.0 * eps**2, ratio
 
 
 @pytest.mark.parametrize(
@@ -236,7 +251,6 @@ def test_level_d_constant_potential_reaches_m():
     assert res.feasible
     assert res.value == pytest.approx(m, rel=1e-12)
     assert res.beta_x_norm <= 1e-3
-    assert res.upper_bound
 
 
 def test_level_d_model_gap():
@@ -337,7 +351,7 @@ def test_level_sup_x_even_q_samples_keep_the_origin():
     g = CertificateConfig(potential=SADDLE, h_target=0.3).grid()
     even, odd = (level_sup_x(g, SADDLE, eps, R=2.0, n_samples=n) for n in (8, 9))
     assert even.value == odd.value
-    assert even.value == path_levels(g, SADDLE, eps, np.zeros((1, 2)))[1][0]
+    assert even.value == path_levels(g, SADDLE, eps, np.zeros((1, 2)))[0]
 
 
 def test_level_sup_x_constant_potential():
@@ -394,14 +408,22 @@ def _theta_setup(eps):
     return cfg, g, d_res, phi_path(g, SADDLE, eps, np.zeros(2))
 
 
+def _path_origin_level(g, eps, f0):
+    """J(Phi_eps(0)) as the z = 0 row of the path table, checked against the
+    energy kernel on the field Phi_eps(0) to 1e-13 relative."""
+    j0 = path_levels(g, SADDLE, eps, np.zeros((1, 2)))[0]
+    j_field = field_energy(g, f0.values, potential_samples(SADDLE, g, eps))[0]
+    assert abs(j0 - j_field) <= 1e-13 * j_field
+    return j0
+
+
 def test_theta_monotone_in_r_and_bounds():
     # the candidate set grows with r: Phi_eps(0) at every r, the minimizer
     # once r reaches its distance, so the estimate is non-increasing in r and
-    # never below D_eps; the r -> 0 limit is J(Phi_eps(0))
+    # never below D_eps; the r -> 0 limit is J(Phi_eps(0)), the path row
     eps = 0.4
     cfg, g, d_res, f0 = _theta_setup(eps)
-    vsamp = potential_samples(SADDLE, g, eps)
-    j0 = field_energy(g, f0.values, vsamp)[0]
+    j0 = _path_origin_level(g, eps, f0)
     m = m_closed_form(SADDLE.c0, 2)
     values = []
     for r in (1e-3, 0.1, 0.5, 2.0):
@@ -428,7 +450,7 @@ def test_theta_links_to_level_d_via_minimizer():
     # just short of the distance the minimizer is out
     rep = level_theta(g, SADDLE, eps, 0.99 * dist, d_res)
     assert not rep.used_minimizer
-    assert rep.value == field_energy(g, f0.values, vsamp)[0] > d_res.value
+    assert rep.value == _path_origin_level(g, eps, f0) > d_res.value
 
 
 def test_theta_falls_back_to_the_path_origin_outside_the_ball(monkeypatch):
@@ -436,14 +458,13 @@ def test_theta_falls_back_to_the_path_origin_outside_the_ball(monkeypatch):
     # estimate is J(Phi_eps(0)), an upper bound still, and above D_eps
     eps = 0.4
     cfg, g, d_res, f0 = _theta_setup(eps)
-    vsamp = potential_samples(SADDLE, g, eps)
-    j0 = field_energy(g, f0.values, vsamp)[0]
+    j0 = _path_origin_level(g, eps, f0)
     rep = level_theta(g, SADDLE, eps, 1e-3, d_res)
     assert rep.minimizer_distance == pytest.approx(0.200, abs=5e-4)
     assert not rep.used_minimizer and rep.feasible
     assert rep.value == j0 >= d_res.value
     # an infeasible minimizer stays out however large r is
-    infeasible = LevelDResult(d_res.value, d_res.field, False, 1.0, True, d_res.stages)
+    infeasible = LevelDResult(d_res.value, d_res.field, False, 1.0, d_res.stages)
     rep = level_theta(g, SADDLE, eps, 2.0, infeasible)
     assert not rep.used_minimizer and rep.value == j0
     # the certificate reports the fallback and which candidate it took
@@ -454,11 +475,25 @@ def test_theta_falls_back_to_the_path_origin_outside_the_ball(monkeypatch):
     assert cert.flags["theta_above_half_gap"]
 
 
+@pytest.mark.parametrize("eps", [0.4, 0.1])
+def test_theta_fallback_is_the_path_row_that_sup_x_reads(eps):
+    # J(Phi_eps(0)) has one evaluator, the z = 0 path row: the fallback
+    # estimate is that row bit for bit, so it never exceeds sup_X J.  Priced
+    # by the energy kernel on the field it differed in the last bits (at eps
+    # 0.4, 39.88672755746883 against the row's 39.886727557468845); the
+    # kernel stays an independent check at 1e-13
+    cfg, g, d_res, f0 = _theta_setup(eps)
+    rep = level_theta(g, SADDLE, eps, 1e-3, d_res)
+    assert not rep.used_minimizer
+    assert rep.value == _path_origin_level(g, eps, f0)
+    assert rep.value <= level_sup_x(g, SADDLE, eps, R=max(minimax_mod.R_SCHEDULE), n_samples=minimax_mod.Q_SAMPLES).value
+
+
 def test_theta_needs_a_minimizer_on_the_grid_of_u0():
     eps = 0.4
     cfg, g, d_res, _ = _theta_setup(eps)
     other = Grid(2, 10.0, 53)
-    moved = LevelDResult(d_res.value, gausson(other, SADDLE.c0), True, 0.0, True, d_res.stages)
+    moved = LevelDResult(d_res.value, gausson(other, SADDLE.c0), True, 0.0, d_res.stages)
     with pytest.raises(ValueError, match="path grid"):
         level_theta(g, SADDLE, eps, 0.5, moved)
 
@@ -551,6 +586,24 @@ def test_zero_finder_2d_x_winding():
         assert not res.inconclusive
         assert res.degree_evidence["winding"] == 1 and res.degree_evidence["degree_one"]
         assert res.x_star == [0.0, 0.0] and res.residual <= ZERO_RESIDUAL
+
+
+def test_zero_finder_reads_the_degree_on_the_sphere_choose_r_samples(monkeypatch):
+    # the boundary of Q is the sphere of radius R in X: for two X axes the
+    # finder prices beta on choose_r's circle, every point at |z| = R, and at
+    # the origin for the residual (the square's corners sat at R sqrt 2)
+    both_x = model_saddle(1.0, 1.25, 2, (0, 1), 0.5)
+    g = path_grid(0.2, R=1.0)
+    real = minimax_mod._path_frame
+    seen = []
+    monkeypatch.setattr(minimax_mod, "_path_frame", lambda grid, z, eps: seen.append(z) or real(grid, z, eps))
+    R = 1.0
+    res = barycenter_zero_finder(g, both_x, 0.2, R=R)
+    assert res.degree_evidence == {"winding": 1, "degree_one": True}
+    zs = np.array(seen)
+    assert np.array_equal(zs[:-1], minimax_mod._subspace_sphere(2, (0, 1), R, minimax_mod._BOUNDARY_SAMPLES))
+    assert np.allclose(np.linalg.norm(zs[:-1], axis=1), R, rtol=1e-15, atol=0.0)
+    assert not np.any(zs[-1])
 
 
 def test_zero_finder_inconclusive_without_sign_change(monkeypatch):
@@ -708,11 +761,11 @@ def test_level_d_unconverged_stage_is_inconclusive(monkeypatch, unconverged_stag
     assert cert.inconclusive.get("level_d", False) is (not converged)
 
 
-def test_theta_takes_three_forward_transforms(monkeypatch):
-    # on a fresh grid, Phi_eps(0) (the path terms of u0), its J and the
+def test_theta_takes_two_forward_transforms(monkeypatch):
+    # on a fresh grid, Phi_eps(0) and its J (the path terms of u0) and the
     # minimizer's distance each read one forward transform, and none is
     # transformed back; the path terms are built once per grid, so every
-    # later call reads two
+    # later call reads one
     minimax_mod._path_terms.cache_clear()
     forward = count_grid_calls(monkeypatch, "sine_coefficients")
     inverse = count_grid_calls(monkeypatch, "laplacian_from_sine")
@@ -720,8 +773,8 @@ def test_theta_takes_three_forward_transforms(monkeypatch):
     original_dst1 = grid_mod._dst1
     monkeypatch.setattr(grid_mod, "_dst1", lambda a: passes.append(1) or original_dst1(a))
     g = Grid(2, 10.0, _odd_points(10.0, 0.5))
-    minimizer = LevelDResult(0.0, GridField(g, 1.01 * gausson(g, SADDLE.c0).values), True, 0.0, True, [])
-    for eps, transforms in ((0.25, 3), (0.25, 2), (0.1, 2)):
+    minimizer = LevelDResult(0.0, GridField(g, 1.01 * gausson(g, SADDLE.c0).values), True, 0.0, [])
+    for eps, transforms in ((0.25, 2), (0.25, 1), (0.1, 1)):
         forward.clear()
         passes.clear()
         rep = level_theta(g, SADDLE, eps, 0.5, minimizer)
@@ -763,7 +816,7 @@ def test_theta_builds_one_path_field_and_samples_v_once(monkeypatch):
         for name in counts:
             counts[name] = 0
         # a level below J(Phi_eps(0)), so the minimizer wins once in the ball
-        minimizer = LevelDResult(0.0, near, True, 0.0, True, [])
+        minimizer = LevelDResult(0.0, near, True, 0.0, [])
         rep = level_theta(g, SADDLE, 0.25, r, minimizer)
         assert rep.feasible and rep.used_minimizer is used
         assert counts == {"phi_path": 1, "potential_samples": 1}
