@@ -22,7 +22,8 @@ certificate inconclusive (for sweep-eps: any row, after all rows are
 written; or a numerical ValueError), 5 internal defect (a failed internal
 consistency assertion).  A config file that is not valid
 JSON, a config or block that is not a JSON object, a setting of the wrong
-type or range, a --eps or --R flag that is not finite and positive, a --V
+type or range, an empty sweep.eps (or a bare sweep-eps --eps), a --eps or
+--R flag that is not finite and positive, a --V
 that does not parse, a --A not above -1, a box too small for the Gausson's
 ball, and a block or key that nothing reads are config errors, not silently
 ignored or left to fail later; a bad value from a flag names the flag.
@@ -272,6 +273,8 @@ def validate_config(cfg: dict) -> list[str]:
     eps_list = sw.get("eps")
     if not (isinstance(eps_list, list) and all(_is_positive(e) for e in eps_list)):
         problems.append(f"sweep.eps must be a list of finite positive numbers, got {eps_list}")
+    elif not eps_list:  # an empty sweep would certify nothing
+        problems.append("sweep.eps must name at least one eps, got []")
     if not _is_int(sw.get("seed")):
         problems.append(f"sweep.seed must be an integer, got {sw.get('seed')}")
 
@@ -454,7 +457,7 @@ def cmd_ground_state(args) -> int:
     outdir = ensure_outdir(cfg)
     dump_field(sol.field, os.path.join(outdir, "ground_state_field.txt"))
     result = sol.to_dict()
-    result["energy_breakdown"] = breakdown.to_dict()
+    result["energy_breakdown"] = breakdown
     if "m_closed_form" in sol.diagnostics:
         result["m_closed_form"] = sol.diagnostics["m_closed_form"]
         result["below_closed_form"] = sol.diagnostics["below_closed_form"]
@@ -468,10 +471,10 @@ def cmd_check_potential(args) -> int:
     pot = build_potential(cfg)
     report = {
         "potential": pot.describe(),
-        "V1": check_V1(pot).to_dict(),
-        "V2": check_V2(pot).to_dict(),
-        "V4": check_V4(pot).to_dict(),
-        "V3_advisory": v3_diagnostic(pot).to_dict(),
+        "V1": check_V1(pot),
+        "V2": check_V2(pot),
+        "V4": check_V4(pot),
+        "V3_advisory": v3_diagnostic(pot),
     }
     outdir = ensure_outdir(cfg)
     atomic_write(os.path.join(outdir, "potential_checks.json"), to_json_text(report) + "\n")
@@ -509,7 +512,7 @@ CSV_COLUMNS = [
 
 def cmd_sweep_eps(args) -> int:
     overrides: dict = {}
-    if args.eps:
+    if args.eps is not None:  # a bare --eps is an empty list, refused by validate_config
         overrides["sweep"] = {"eps": [float(e) for e in args.eps]}
     cfg = load_config(args.config, overrides, {"sweep.eps": "--eps"})
     require_axes(cfg, y_axis=True)
@@ -549,9 +552,9 @@ def cmd_barycenter_zero(args) -> int:
     cert_cfg = build_certificate_config(cfg)
     res = barycenter_zero_finder(cert_cfg.grid(), cert_cfg.potential, args.eps, R=args.R)
     outdir = ensure_outdir(cfg)
-    atomic_write(os.path.join(outdir, "barycenter_zero.json"), to_json_text(res.to_dict()) + "\n")
-    print(to_json_text(res.to_dict()))
-    return EXIT_INCONCLUSIVE if res.inconclusive else EXIT_OK
+    atomic_write(os.path.join(outdir, "barycenter_zero.json"), to_json_text(res) + "\n")
+    print(to_json_text(res))
+    return EXIT_INCONCLUSIVE if res["inconclusive"] else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -52,32 +52,6 @@ class SplitParams:
             )
 
 
-@dataclass
-class EnergyBreakdown:
-    """All energy pieces of a field.
-
-    Invariants (asserted on construction by :func:`energy`):
-    J = Phi + Psi, Psi >= 0, and J - pairing_JprimeU/2 = half_mass.
-    """
-
-    J: float
-    Phi: float
-    Psi: float
-    pairing_JprimeU: float
-    half_mass: float
-    eps_norm_sq: float
-
-    def to_dict(self) -> dict:
-        return {
-            "J": self.J,
-            "Phi": self.Phi,
-            "Psi": self.Psi,
-            "pairing_JprimeU": self.pairing_JprimeU,
-            "half_mass": self.half_mass,
-            "eps_norm_sq": self.eps_norm_sq,
-        }
-
-
 def _safe_log_sq(values: NDArray, out: Optional[NDArray] = None) -> NDArray:
     """log(values^2), and exactly 0 where values = 0, so that u log u^2 and
     u^2 log u^2 take their continuous value 0 there without a mask; written
@@ -236,12 +210,12 @@ def eps_norm_sq(grid: Grid, values: NDArray, vsamp) -> float:
     return _assemble(*energy_terms(grid, values, vsamp)[2:])[0]
 
 
-def energy(u: GridField, potential, eps: float, params: SplitParams) -> EnergyBreakdown:
-    """Full energy breakdown of a field.
+def energy(u: GridField, potential, eps: float, params: SplitParams) -> dict:
+    """Full energy breakdown of a field, with pairing_JprimeU = J'(u)u.
 
-    J is assembled both directly and as Phi + Psi and the two routes are
-    required to agree; the identity J - pairing/2 = half_mass is asserted
-    as well.
+    Invariants, asserted here: J = Phi + Psi (J is assembled both directly
+    and from the split, and the two routes must agree), Psi >= 0, and
+    J - pairing_JprimeU/2 = half_mass.
     """
     grid = u.grid
     vsamp = potential_samples(potential, grid, eps)
@@ -261,14 +235,14 @@ def energy(u: GridField, potential, eps: float, params: SplitParams) -> EnergyBr
     if psi < -1e-12 * scale:
         raise AssertionError("Psi must be nonnegative")
 
-    return EnergyBreakdown(
-        J=j_direct,
-        Phi=phi,
-        Psi=psi,
-        pairing_JprimeU=pairing,
-        half_mass=half_mass,
-        eps_norm_sq=norm_sq,
-    )
+    return {
+        "J": j_direct,
+        "Phi": phi,
+        "Psi": psi,
+        "pairing_JprimeU": pairing,
+        "half_mass": half_mass,
+        "eps_norm_sq": norm_sq,
+    }
 
 
 def grad_array(grid: Grid, values: NDArray, vsamp: NDArray) -> NDArray:

@@ -309,89 +309,40 @@ def _q_samples(potential: PotentialSpec, R: float, n: int) -> NDArray:
     return np.vstack([np.zeros((1, potential.dim))] + spheres)
 
 
-@dataclass
-class SupXReport:
-    value: float
-    cap: float
-    cap_closed_form: float
-    R: float
-    n_samples: int
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "cap": self.cap,
-            "cap_closed_form": self.cap_closed_form,
-            "R": self.R,
-            "n_samples": self.n_samples,
-        }
-
-
-def level_sup_x(grid: Grid, potential: PotentialSpec, eps: float, R: float, n_samples: int) -> SupXReport:
+def level_sup_x(grid: Grid, potential: PotentialSpec, eps: float, R: float, n_samples: int) -> dict:
     """Max of J(Phi_eps(x)) over sampled Q, with the analytic cap
     m(c0) + (3/10) c2 integral(u0^2) for comparison."""
     vals = path_levels(grid, potential, eps, _q_samples(potential, R, n_samples))
     m_c0 = m_closed_form(potential.c0, grid.dim)
     cap = m_c0 + 0.3 * potential.c2 * _path_terms(grid, potential.c0)[2]
     cap_closed = m_c0 * (1.0 + 0.6 * potential.c2)  # integral(u0^2) = 2 m(c0) for the exact profile
-    return SupXReport(
-        value=float(np.max(vals)),
-        cap=cap,
-        cap_closed_form=cap_closed,
-        R=R,
-        n_samples=len(vals),
-    )
-
-
-@dataclass
-class ChooseRResult:
-    R: Optional[float]
-    threshold: float
-    boundary_max: dict
-    succeeded: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "R": self.R,
-            "threshold": self.threshold,
-            "boundary_max": self.boundary_max,
-            "succeeded": self.succeeded,
-        }
+    return {
+        "value": float(np.max(vals)),
+        "cap": cap,
+        "cap_closed_form": cap_closed,
+        "R": R,
+        "n_samples": len(vals),
+    }
 
 
 # points on each boundary sphere of choose_r (two X axes; one axis gives two)
 _BOUNDARY_SAMPLES = 8
 
 
-def choose_r(grid: Grid, potential: PotentialSpec, eps: float, threshold: float, schedule) -> ChooseRResult:
+def choose_r(grid: Grid, potential: PotentialSpec, eps: float, threshold: float, schedule) -> dict:
     """Smallest radius in the schedule whose boundary path values sit below
     the threshold, trying the radii in increasing order whatever the order
-    of the schedule; exhaustion is reported with the achieved maxima."""
+    of the schedule; exhaustion, or an empty schedule, is reported with R
+    None and the achieved maxima."""
     achieved = {}
+    found = None
     for R in sorted(schedule):
         zs = _subspace_sphere(potential.dim, potential.x_axes, R, _BOUNDARY_SAMPLES)
         achieved[float(R)] = float(np.max(path_levels(grid, potential, eps, zs)))
         if achieved[float(R)] <= threshold:
-            return ChooseRResult(float(R), threshold, achieved, True)
-    return ChooseRResult(None, threshold, achieved, False)
-
-
-@dataclass
-class ThetaReport:
-    value: float
-    r: float
-    minimizer_distance: float
-    used_minimizer: bool
-    feasible: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "r": self.r,
-            "minimizer_distance": self.minimizer_distance,
-            "used_minimizer": self.used_minimizer,
-            "feasible": self.feasible,
-        }
+            found = float(R)
+            break
+    return {"R": found, "threshold": threshold, "boundary_max": achieved, "succeeded": found is not None}
 
 
 def level_theta(
@@ -400,7 +351,7 @@ def level_theta(
     eps: float,
     r: float,
     minimizer: LevelDResult,
-) -> ThetaReport:
+) -> dict:
     """Upper bound of Theta_r from the two fields the certificate already has.
 
     Theta_r is the inf of J over Nehari fields with barycenter in Y that lie
@@ -437,40 +388,24 @@ def level_theta(
     if used:
         best = minimizer.value
     feasible = math.isfinite(best)
-    return ThetaReport(
-        value=best if feasible else math.nan,
-        r=r,
-        minimizer_distance=dist,
-        used_minimizer=used,
-        feasible=feasible,
-    )
+    return {
+        "value": best if feasible else math.nan,
+        "r": r,
+        "minimizer_distance": dist,
+        "used_minimizer": used,
+        "feasible": feasible,
+    }
 
 
 # ---------------------------------------------------------------------------
 # barycenter zero finder (degree evidence)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ZeroFinderResult:
-    x_star: Optional[list]
-    residual: float
-    inconclusive: bool
-    degree_evidence: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "x_star": self.x_star,
-            "residual": self.residual,
-            "inconclusive": self.inconclusive,
-            "degree_evidence": self.degree_evidence,
-        }
-
-
 # the residual |P_X beta| at which the zero finder counts a zero
 _ZERO_TOL = 1e-3
 
 
-def barycenter_zero_finder(grid: Grid, potential: PotentialSpec, eps: float, R: float) -> ZeroFinderResult:
+def barycenter_zero_finder(grid: Grid, potential: PotentialSpec, eps: float, R: float) -> dict:
     """The zero x* in Q of P_X beta(Phi_eps(x)), with the degree evidence.
 
     u0 is radial and sits on the origin node, so beta(Phi_eps(0)) =
@@ -502,9 +437,13 @@ def barycenter_zero_finder(grid: Grid, potential: PotentialSpec, eps: float, R: 
         winding = int(round(float(np.sum(d)) / (2 * math.pi)))
         evidence = {"winding": winding, "degree_one": bool(abs(winding) >= 1)}
     residual = float(np.linalg.norm(f_rows(np.zeros((1, potential.dim)))[0]))
-    if residual > _ZERO_TOL:
-        return ZeroFinderResult(None, residual, True, evidence)
-    return ZeroFinderResult([0.0] * len(axes), residual, False, evidence)
+    inconclusive = residual > _ZERO_TOL
+    return {
+        "x_star": None if inconclusive else [0.0] * len(axes),
+        "residual": residual,
+        "inconclusive": inconclusive,
+        "degree_evidence": evidence,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -617,18 +556,15 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
     sigma = max(0.0, d_est - m_c0)
 
     theta = level_theta(grid, pot, eps, THETA_RADIUS, d_res)
-    if not theta.feasible:
+    if not theta["feasible"]:
         inconclusive["theta_r"] = True
 
-    threshold = 0.5 * (m_c0 + theta.value) if theta.feasible else math.nan
-    r_choice = (
-        choose_r(grid, pot, eps, threshold, schedule=R_SCHEDULE)
-        if theta.feasible
-        else ChooseRResult(None, math.nan, {}, False)
-    )
-    if not r_choice.succeeded:
+    # an infeasible Theta_r (value NaN) leaves no threshold, so no radius is tried
+    threshold = 0.5 * (m_c0 + theta["value"])
+    r_choice = choose_r(grid, pot, eps, threshold, schedule=R_SCHEDULE if theta["feasible"] else ())
+    if not r_choice["succeeded"]:
         inconclusive["choose_r"] = True
-    r_used = r_choice.R if r_choice.succeeded else max(R_SCHEDULE)
+    r_used = r_choice["R"] if r_choice["succeeded"] else max(R_SCHEDULE)
 
     sup_x = level_sup_x(grid, pot, eps, R=r_used, n_samples=Q_SAMPLES)
 
@@ -636,12 +572,12 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
         # positive gap of the constrained level over the free ground level
         "constrained_gap": bool(sigma > SIGMA_FLOOR),
         # path energies over X stay below the doubled ground level
-        "sup_below_two_m": bool(sup_x.value < 2.0 * m_c0 - sigma),
+        "sup_below_two_m": bool(sup_x["value"] < 2.0 * m_c0 - sigma),
         # some disc radius keeps its boundary under the threshold
-        "boundary_radius_found": bool(r_choice.succeeded),
+        "boundary_radius_found": r_choice["succeeded"],
         # neighborhood level clears the midpoint of the gap; with Theta_r =
         # D_eps (the minimizer in the ball) this is sigma > 0
-        "theta_above_half_gap": bool(theta.feasible and theta.value > m_c0 + 0.5 * sigma),
+        "theta_above_half_gap": bool(theta["feasible"] and theta["value"] > m_c0 + 0.5 * sigma),
     }
     # the minimax bracket (m + sigma/2, 2m - sigma) is nonempty and holds
     flags["sandwich"] = bool(
@@ -656,17 +592,17 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
         m_c0=m_c0,
         m_c0_numerical=m_num,
         D_eps_estimate=d_est,
-        sup_X_J=sup_x.value,
-        theta_r_estimate=theta.value,
-        R_used=r_used if r_choice.succeeded else None,
+        sup_X_J=sup_x["value"],
+        theta_r_estimate=theta["value"],
+        R_used=r_choice["R"],
         sigma_margin=sigma,
         flags=flags,
         inconclusive=inconclusive,
         details={
             "level_d": d_res.to_dict(),
-            "theta": theta.to_dict(),
-            "choose_r": r_choice.to_dict(),
-            "sup_x": sup_x.to_dict(),
+            "theta": theta,
+            "choose_r": r_choice,
+            "sup_x": sup_x,
             # the single grid; the key name predates the moving frame
             "path_grid": (grid.dim, grid.half_extent, grid.points_per_axis),
         },

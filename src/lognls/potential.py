@@ -239,26 +239,6 @@ def _subspace_sphere(dim: int, axes: tuple[int, ...], radius: float, n: int) -> 
 # checkers
 # ---------------------------------------------------------------------------
 
-@dataclass
-class V1Report:
-    radii: list
-    sup_on_x_spheres: list
-    cone_inf: Optional[float]
-    margin: float
-    passed: bool
-    inconclusive: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "radii": self.radii,
-            "sup_on_x_spheres": self.sup_on_x_spheres,
-            "cone_inf": self.cone_inf,
-            "margin": self.margin,
-            "passed": self.passed,
-            "inconclusive": self.inconclusive,
-        }
-
-
 # V1 sampling: the X spheres' radii and points per sphere, the cone's
 # directions and geometric radii in (1e-3, box radius), and the margin by
 # which the X tail must undercut the cone infimum
@@ -270,7 +250,7 @@ _V1_BOX_RADIUS = 32.0
 _V1_MARGIN = 1e-9
 
 
-def check_V1(spec: PotentialSpec) -> V1Report:
+def check_V1(spec: PotentialSpec) -> dict:
     """Sampled check of the saddle geometry.
 
     Computes sup V over spheres in X for the radii ``_V1_RADII``, a sampled
@@ -279,12 +259,22 @@ def check_V1(spec: PotentialSpec) -> V1Report:
     cones (no Y axes, or no cone samples in the box) are reported
     inconclusive.
     """
-    radii = list(_V1_RADII)
     sups = []
+
+    def report(cone_inf: Optional[float], passed: bool, inconclusive: bool) -> dict:
+        return {
+            "radii": list(_V1_RADII),
+            "sup_on_x_spheres": sups,
+            "cone_inf": cone_inf,
+            "margin": _V1_MARGIN,
+            "passed": passed,
+            "inconclusive": inconclusive,
+        }
+
     for r in _V1_RADII:
         pts = _subspace_sphere(spec.dim, spec.x_axes, r, _V1_SPHERE_SAMPLES)
-        if pts.shape[0] == 0:
-            return V1Report(radii, [], None, _V1_MARGIN, False, True)
+        if pts.shape[0] == 0:  # no X axis: the first sphere is already empty
+            return report(None, False, True)
         sups.append(float(np.max(spec.evaluate(pts))))
 
     dirs = _subspace_sphere(spec.dim, tuple(range(spec.dim)), 1.0, _V1_CONE_DIRECTIONS)
@@ -292,31 +282,9 @@ def check_V1(spec: PotentialSpec) -> V1Report:
     pts = (dirs[None, :, :] * radii_grid[:, None, None]).reshape(-1, spec.dim)
     mask = spec.in_cone(pts)
     if not np.any(mask):
-        return V1Report(radii, sups, None, _V1_MARGIN, False, True)
+        return report(None, False, True)
     cone_inf = float(np.min(spec.evaluate(pts[mask])))
-
-    passed = min(sups[-2:]) < cone_inf - _V1_MARGIN
-    return V1Report(radii, sups, cone_inf, _V1_MARGIN, bool(passed), False)
-
-
-@dataclass
-class V2Report:
-    max_value: float
-    max_gradient: float
-    max_second: float
-    value_bounded: bool
-    gradient_bounded: bool
-    second_bounded: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "max_value": self.max_value,
-            "max_gradient": self.max_gradient,
-            "max_second": self.max_second,
-            "value_bounded": self.value_bounded,
-            "gradient_bounded": self.gradient_bounded,
-            "second_bounded": self.second_bounded,
-        }
+    return report(cone_inf, bool(min(sups[-2:]) < cone_inf - _V1_MARGIN), False)
 
 
 # the step of every finite difference of V (V2 and the V3 diagnostic)
@@ -348,7 +316,7 @@ def _fd_maxima(spec: PotentialSpec, pts: NDArray, v0: NDArray, step: float) -> t
     return max_grad, max_second
 
 
-def check_V2(spec: PotentialSpec) -> V2Report:
+def check_V2(spec: PotentialSpec) -> dict:
     """Finite-difference boundedness probe for V and its first two derivatives.
 
     Central differences with step ``_FD_STEP`` over a sample box; maxima are
@@ -364,41 +332,17 @@ def check_V2(spec: PotentialSpec) -> V2Report:
     max_grad, max_second = _fd_maxima(spec, pts, v0, _FD_STEP)
     fine = _fd_maxima(spec, pts, v0, _FD_STEP / 10)[1]
     rounding = _V2_ROUNDING * math.ulp(1.0) * max_val / (_FD_STEP / 10) ** 2
-    return V2Report(
-        max_value=max_val,
-        max_gradient=max_grad,
-        max_second=max_second,
-        value_bounded=max_val <= _V2_CAP,
-        gradient_bounded=max_grad <= _V2_CAP,
-        second_bounded=max_second <= _V2_CAP and abs(fine - max_second) <= 0.5 * max_second + rounding,
-    )
+    return {
+        "max_value": max_val,
+        "max_gradient": max_grad,
+        "max_second": max_second,
+        "value_bounded": max_val <= _V2_CAP,
+        "gradient_bounded": max_grad <= _V2_CAP,
+        "second_bounded": max_second <= _V2_CAP and abs(fine - max_second) <= 0.5 * max_second + rounding,
+    }
 
 
-@dataclass
-class V4Report:
-    v_at_origin: float
-    m_v0: float
-    m_c0: float
-    ineq1_m_based: bool
-    ineq1_log2_based: bool
-    ineq2: bool
-    joint_feasible: bool
-    conflict_under_gausson_level: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "v_at_origin": self.v_at_origin,
-            "m_v0": self.m_v0,
-            "m_c0": self.m_c0,
-            "ineq1_m_based": self.ineq1_m_based,
-            "ineq1_log2_based": self.ineq1_log2_based,
-            "ineq2": self.ineq2,
-            "joint_feasible": self.joint_feasible,
-            "conflict_under_gausson_level": self.conflict_under_gausson_level,
-        }
-
-
-def check_V4(spec: PotentialSpec, v_at_origin: Optional[float] = None) -> V4Report:
+def check_V4(spec: PotentialSpec, v_at_origin: Optional[float] = None) -> dict:
     """Evaluate the two level inequalities tying V(0) and c1 to the ground level.
 
     Inequality 1 asks m(V(0)) >= 2 m(c0); with the closed-form level this is
@@ -415,24 +359,16 @@ def check_V4(spec: PotentialSpec, v_at_origin: Optional[float] = None) -> V4Repo
     ineq1_log2 = bool(v0 >= spec.c0 + math.log(2.0))
     ineq2 = bool(spec.c1 <= spec.c0 + 0.3 * spec.c2)
     conflict = bool(v0 <= spec.c1 and 0.3 * spec.c2 < math.log(2.0))
-    return V4Report(
-        v_at_origin=v0,
-        m_v0=m_v0,
-        m_c0=m_c0,
-        ineq1_m_based=ineq1_m,
-        ineq1_log2_based=ineq1_log2,
-        ineq2=ineq2,
-        joint_feasible=ineq1_m and ineq2,
-        conflict_under_gausson_level=conflict,
-    )
-
-
-@dataclass
-class V3Report:
-    suspects: list
-
-    def to_dict(self) -> dict:
-        return {"suspects": self.suspects}
+    return {
+        "v_at_origin": v0,
+        "m_v0": m_v0,
+        "m_c0": m_c0,
+        "ineq1_m_based": ineq1_m,
+        "ineq1_log2_based": ineq1_log2,
+        "ineq2": ineq2,
+        "joint_feasible": ineq1_m and ineq2,
+        "conflict_under_gausson_level": conflict,
+    }
 
 
 # V3 rays: the directions, the radii walked along each, and the bounds
@@ -443,7 +379,7 @@ _V3_GRAD_TOL = 1e-2
 _V3_FLAT_TOL = 1e-2
 
 
-def v3_diagnostic(spec: PotentialSpec) -> V3Report:
+def v3_diagnostic(spec: PotentialSpec) -> dict:
     """ADVISORY probe for Palais-Smale failure directions of V.
 
     Walks rays to the sampling boundary and lists directions where the
@@ -473,4 +409,4 @@ def v3_diagnostic(spec: PotentialSpec) -> V3Report:
                     "tail_variation": tail_var,
                 }
             )
-    return V3Report(suspects=suspects)
+    return {"suspects": suspects}

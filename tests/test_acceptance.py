@@ -85,22 +85,22 @@ def test_criterion_04_nehari_identities(rng):
 
         def fiber(tt, u=u):
             eb = energy(GridField(g, tt * u.values), 0.3, 1.0, PARAMS)
-            return eb.pairing_JprimeU / tt**2
+            return eb["pairing_JprimeU"] / tt**2
 
         t_root = brentq(fiber, t * math.exp(-2), t * math.exp(2), xtol=1e-14, rtol=1e-13)
         worst["scale"] = max(worst["scale"], abs(t - t_root) / t)
 
         proj = GridField(g, t * u.values)
         eb = energy(proj, 0.3, 1.0, PARAMS)
-        worst["identity"] = max(worst["identity"], abs(eb.J - eb.half_mass) / max(abs(eb.J), 1e-30))
+        worst["identity"] = max(worst["identity"], abs(eb["J"] - eb["half_mass"]) / max(abs(eb["J"]), 1e-30))
 
         for c in (0.1, 2.0, 10.0):
             tc = nehari_scale(GridField(g, c * u.values), 0.3, 1.0)
             worst["compensation"] = max(worst["compensation"], abs(tc * c - t) / t)
 
         eb_u = energy(u, 0.3, 1.0, PARAMS)
-        fiber_level = (2 * math.log(t) + 1) / 2 * (2 * eb_u.half_mass)
-        worst["fiber"] = max(worst["fiber"], abs(eb_u.J - fiber_level) / max(abs(eb_u.J), 1e-30))
+        fiber_level = (2 * math.log(t) + 1) / 2 * (2 * eb_u["half_mass"])
+        worst["fiber"] = max(worst["fiber"], abs(eb_u["J"] - fiber_level) / max(abs(eb_u["J"]), 1e-30))
 
     ok = (
         worst["scale"] <= 1e-10
@@ -195,8 +195,8 @@ def test_criterion_09_upper_level():
     g = Grid(2, half, _odd_points(half, 0.4))
     rep = level_sup_x(g, SADDLE, eps, R=1.0, n_samples=17)
     two_m = 2 * m_closed_form(SADDLE.c0, 2)
-    ok = rep.value <= rep.cap + 1e-3 and rep.value < two_m
-    report("9", ok, f"sup_X J = {rep.value:.4f}, cap = {rep.cap:.4f}, 2m = {two_m:.4f}")
+    ok = rep["value"] <= rep["cap"] + 1e-3 and rep["value"] < two_m
+    report("9", ok, f"sup_X J = {rep['value']:.4f}, cap = {rep['cap']:.4f}, 2m = {two_m:.4f}")
 
 
 def test_criterion_10_degree_evidence():
@@ -205,24 +205,24 @@ def test_criterion_10_degree_evidence():
     g = Grid(2, half, _odd_points(half, 0.15))
     res = barycenter_zero_finder(g, SADDLE, eps, R=1.0)
     ok = (
-        not res.inconclusive
-        and abs(res.x_star[0]) <= 2 * g.spacing
-        and res.degree_evidence["degree_one"]
+        not res["inconclusive"]
+        and abs(res["x_star"][0]) <= 2 * g.spacing
+        and res["degree_evidence"]["degree_one"]
     )
-    report("10", ok, f"x* = {res.x_star}, boundary = {res.degree_evidence}")
+    report("10", ok, f"x* = {res['x_star']}, boundary = {res['degree_evidence']}")
 
 
 def test_criterion_11_hypothesis_auditor(rng):
     rep = check_V4(SADDLE)
-    model_ok = rep.ineq2 and not rep.ineq1_m_based and not rep.ineq1_log2_based
+    model_ok = rep["ineq2"] and not rep["ineq1_m_based"] and not rep["ineq1_log2_based"]
     agree = True
     for _ in range(100):
         c0 = rng.uniform(-0.9, 3.0)
         v0 = rng.uniform(-0.9, 4.0)
         spec = constant_potential(c0, 2, (0,), 0.5)
         r = check_V4(spec, v_at_origin=v0)
-        agree = agree and (r.ineq1_m_based == r.ineq1_log2_based)
-    report("11", model_ok and agree, f"model: ineq2={rep.ineq2}, ineq1={rep.ineq1_m_based}; paths agree on 100 pairs: {agree}")
+        agree = agree and (r["ineq1_m_based"] == r["ineq1_log2_based"])
+    report("11", model_ok and agree, f"model: ineq2={rep['ineq2']}, ineq1={rep['ineq1_m_based']}; paths agree on 100 pairs: {agree}")
 
 
 def test_criterion_12_sweep_determinism(tmp_path, capsys, monkeypatch):

@@ -206,17 +206,19 @@ def test_sweep_inconclusive_row_sets_exit_code(tmp_path, capsys, monkeypatch):
     assert [r["inconclusive"] for r in rows] == [{"theta_r": True}, {}]
 
 
-def test_sweep_empty_eps_writes_header_only(tmp_path, capsys, monkeypatch):
+def test_sweep_empty_eps_in_the_config_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # a sweep over no eps certifies nothing: exit 2 before any output, not
+    # an empty JSON list and a header-only CSV with exit 0
     monkeypatch.chdir(tmp_path)
     cfg_dict = dict(TINY_CONFIG)
     cfg_dict["sweep"] = {"eps": [], "seed": 7}
     cfg_dict["output"] = {"directory": str(tmp_path / "out")}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg_dict))
-    assert main(["sweep-eps", "--config", str(path)]) == EXIT_OK
-    capsys.readouterr()
-    lines = (tmp_path / "out" / "sweep_eps.csv").read_text().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("eps,")
+    assert main(["sweep-eps", "--config", str(path)]) == EXIT_CONFIG
+    out = json.loads(capsys.readouterr().out)
+    assert out["violations"] == ["sweep.eps must name at least one eps, got []"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_saddle_cert_command(tmp_path, capsys, monkeypatch):
@@ -501,6 +503,8 @@ def test_box_too_small_for_the_gausson_is_config_error(tmp_path, capsys, monkeyp
         (["ground-state", "--tol", "-1"], "--tol must be a finite positive number, got -1.0"),
         (["ground-state", "--max-iters", "0"], "--max-iters must be a positive integer, got 0"),
         (["sweep-eps", "--eps", "inf"], "--eps must be a list of finite positive numbers, got [inf]"),
+        # a bare --eps is an empty list, not a fallback to the config's eps
+        (["sweep-eps", "--eps"], "--eps must name at least one eps, got []"),
     ],
 )
 def test_config_error_from_a_flag_names_the_flag(tmp_path, capsys, monkeypatch, argv, start):

@@ -108,7 +108,7 @@ def test_f2_prime_growth_bound():
 
 def test_energy_zero_field(grid_1d):
     eb = energy(GridField(grid_1d, np.zeros(grid_1d.num_nodes)), 0.0, 1.0, PARAMS)
-    for val in eb.to_dict().values():
+    for val in eb.values():
         assert val == 0.0
 
 
@@ -117,8 +117,8 @@ def test_energy_gausson_closed_form():
         g = Grid(dim, 10.0 if dim == 1 else 7.0, n)
         u = gausson(g, A)
         eb = energy(u, A, 0.37, PARAMS)
-        assert eb.J == pytest.approx(m_closed_form(A, dim), rel=tol)
-        assert eb.Psi >= 0
+        assert eb["J"] == pytest.approx(m_closed_form(A, dim), rel=tol)
+        assert eb["Psi"] >= 0
 
 
 def test_energy_identity_random_fields(rng, grid_1d):
@@ -127,8 +127,8 @@ def test_energy_identity_random_fields(rng, grid_1d):
         eb = energy(u, 0.25, 1.0, PARAMS)
         # J - J'(u)u/2 = mass/2 and J = Phi + Psi are asserted inside energy();
         # re-check the identity from the returned pieces
-        assert eb.J - 0.5 * eb.pairing_JprimeU == pytest.approx(eb.half_mass, rel=1e-10)
-        assert eb.J == pytest.approx(eb.Phi + eb.Psi, rel=1e-12, abs=1e-12)
+        assert eb["J"] - 0.5 * eb["pairing_JprimeU"] == pytest.approx(eb["half_mass"], rel=1e-10)
+        assert eb["J"] == pytest.approx(eb["Phi"] + eb["Psi"], rel=1e-12, abs=1e-12)
 
 
 def test_energy_rejects_low_potential(grid_1d, rng):
@@ -239,8 +239,8 @@ def test_grad_directional_derivative(rng):
     h_n = g.cell_volume
     for _ in range(10):
         v = smooth_field(g, rng).values
-        j0 = energy(u, 0.2, 1.0, PARAMS).J
-        j1 = energy(GridField(g, base + t * v), 0.2, 1.0, PARAMS).J
+        j0 = energy(u, 0.2, 1.0, PARAMS)["J"]
+        j1 = energy(GridField(g, base + t * v), 0.2, 1.0, PARAMS)["J"]
         quotient = (j1 - j0) / t
         inner = h_n * float(np.dot(grad, v))
         assert quotient == pytest.approx(inner, rel=1e-5)

@@ -44,7 +44,7 @@ def bracketed_scale(u, potential, eps, params):
 
     def fiber(t):
         eb = energy(GridField(u.grid, t * u.values), potential, eps, params)
-        return eb.pairing_JprimeU / t**2
+        return eb["pairing_JprimeU"] / t**2
 
     t0 = nehari_scale(u, potential, eps)
     return brentq(fiber, t0 * math.exp(-2), t0 * math.exp(2), xtol=1e-14, rtol=1e-13)
@@ -105,7 +105,7 @@ def test_projection_energy_identity(rng, grid_1d):
     for _ in range(20):
         u = project_nehari(smooth_field(grid_1d, rng, positive=True), 0.0, 1.0)
         eb = energy(u, 0.0, 1.0, PARAMS)
-        assert eb.J == pytest.approx(eb.half_mass, rel=1e-8)
+        assert eb["J"] == pytest.approx(eb["half_mass"], rel=1e-8)
 
 
 def test_fiber_identity(rng, grid_1d):
@@ -114,8 +114,8 @@ def test_fiber_identity(rng, grid_1d):
         u = smooth_field(grid_1d, rng, positive=True)
         t = nehari_scale(u, 0.0, 1.0)
         eb = energy(u, 0.0, 1.0, PARAMS)
-        mass = 2 * eb.half_mass
-        assert eb.J == pytest.approx((2 * math.log(t) + 1) / 2 * mass, rel=1e-10)
+        mass = 2 * eb["half_mass"]
+        assert eb["J"] == pytest.approx((2 * math.log(t) + 1) / 2 * mass, rel=1e-10)
 
 
 def test_gausson_solves_constant_problem():
@@ -304,8 +304,8 @@ def test_ground_state_constant_1d():
     assert not sol.diagnostics["below_closed_form"]
     # identities hold for the returned Nehari-projected iterate
     eb = energy(sol.field, 0.0, 1.0, PARAMS)
-    assert eb.J == pytest.approx(eb.half_mass, rel=1e-8)
-    assert abs(sol.nehari_residual) <= 1e-8 * eb.eps_norm_sq
+    assert eb["J"] == pytest.approx(eb["half_mass"], rel=1e-8)
+    assert abs(sol.nehari_residual) <= 1e-8 * eb["eps_norm_sq"]
 
 
 def test_ground_state_matches_gausson_after_alignment():
@@ -490,7 +490,7 @@ def test_lbfgs_direction_meets_the_newest_secant_pair(rng):
 
 
 def _direct_j(u, potential):
-    return energy(u, potential, 1.0, PARAMS).J
+    return energy(u, potential, 1.0, PARAMS)["J"]
 
 
 @pytest.mark.parametrize("factor", [1.0, 50.0, 0.02])
@@ -551,12 +551,12 @@ def test_scale_projection_energy_unchanged_by_kernel(rng, grid_1d, grid_2d, dim)
             assert nehari_scale(u, potential, 1.0) == t
             eb = energy(u, potential, 1.0, PARAMS)
             eps_norm_sq = kin + pot + mass
-            assert eb.J == 0.5 * eps_norm_sq - 0.5 * ent
-            assert eb.Phi == 0.5 * eps_norm_sq - integrate_array(grid, f2(u.values, PARAMS))
-            assert eb.Psi == integrate_array(grid, f1(u.values, PARAMS))
-            assert eb.pairing_JprimeU == pairing
-            assert eb.half_mass == 0.5 * mass
-            assert eb.eps_norm_sq == eps_norm_sq
+            assert eb["J"] == 0.5 * eps_norm_sq - 0.5 * ent
+            assert eb["Phi"] == 0.5 * eps_norm_sq - integrate_array(grid, f2(u.values, PARAMS))
+            assert eb["Psi"] == integrate_array(grid, f1(u.values, PARAMS))
+            assert eb["pairing_JprimeU"] == pairing
+            assert eb["half_mass"] == 0.5 * mass
+            assert eb["eps_norm_sq"] == eps_norm_sq
 
 
 # ---------------------------------------------------------------------------

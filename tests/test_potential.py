@@ -69,51 +69,51 @@ def test_cone_membership_equivalence(rng):
 
 def test_check_v1_model_passes():
     report = check_V1(SADDLE)
-    assert report.passed and not report.inconclusive
-    assert report.radii == [1, 2, 4, 8, 16]
+    assert report["passed"] and not report["inconclusive"]
+    assert report["radii"] == [1, 2, 4, 8, 16]
     expected_sups = [1 + 0.25 / (1 + r * r) for r in (1, 2, 4, 8, 16)]
-    assert np.allclose(report.sup_on_x_spheres, expected_sups, rtol=1e-12)
-    assert report.cone_inf >= 1.0 + 0.25 * 0.25 - 1e-12
-    assert all(a > b for a, b in zip(report.sup_on_x_spheres, report.sup_on_x_spheres[1:]))
+    assert np.allclose(report["sup_on_x_spheres"], expected_sups, rtol=1e-12)
+    assert report["cone_inf"] >= 1.0 + 0.25 * 0.25 - 1e-12
+    assert all(a > b for a, b in zip(report["sup_on_x_spheres"], report["sup_on_x_spheres"][1:]))
 
 
 def test_check_v1_constant_fails():
     report = check_V1(constant_potential(1.0, 2, (0,), 0.5))
-    assert not report.passed and not report.inconclusive
+    assert not report["passed"] and not report["inconclusive"]
 
 
 def test_check_v1_cone_inf_monotone_in_lambda():
     infs = []
     for lam in (0.3, 0.5, 0.7, 0.9):
         spec = model_saddle(1.0, 1.25, 2, (0,), lam)
-        infs.append(check_V1(spec).cone_inf)
+        infs.append(check_V1(spec)["cone_inf"])
     assert all(a <= b + 1e-15 for a, b in zip(infs, infs[1:]))
 
 
 def test_check_v1_no_y_axes_inconclusive():
     spec = constant_potential(1.0, 1, (0,), 0.5)  # Y is empty in 1D with X = {0}
     report = check_V1(spec)
-    assert report.inconclusive
+    assert report["inconclusive"]
 
 
 def test_check_v2_model_bounded():
     report = check_V2(SADDLE)
     cap = max(abs(SADDLE.c0), abs(SADDLE.c1)) + abs(SADDLE.c1 - SADDLE.c0)
-    assert report.max_value <= cap
-    assert report.max_gradient <= 2 * abs(SADDLE.c1 - SADDLE.c0) + 1e-6
-    assert report.value_bounded and report.gradient_bounded and report.second_bounded
+    assert report["max_value"] <= cap
+    assert report["max_gradient"] <= 2 * abs(SADDLE.c1 - SADDLE.c0) + 1e-6
+    assert report["value_bounded"] and report["gradient_bounded"] and report["second_bounded"]
 
 
 def test_check_v2_kink_blows_up():
     kinked = check_V2(expression_potential("1 + abs(z0)", 2, (0,), 0.5))
     # the kink's second difference is 2 step / step^2 = 2 / step (2e4 here),
     # against about 0.5 for the smooth saddle
-    assert kinked.max_second == pytest.approx(2.0 / potential_mod._FD_STEP, rel=1e-6)
-    assert kinked.max_second > 1e4 * check_V2(SADDLE).max_second
+    assert kinked["max_second"] == pytest.approx(2.0 / potential_mod._FD_STEP, rel=1e-6)
+    assert kinked["max_second"] > 1e4 * check_V2(SADDLE)["max_second"]
     # which is below the cap: the second difference at a tenth of the step
     # (2e5), which no C^2 potential shows, flags it
-    assert kinked.max_second <= potential_mod._V2_CAP
-    assert kinked.value_bounded and kinked.gradient_bounded and not kinked.second_bounded
+    assert kinked["max_second"] <= potential_mod._V2_CAP
+    assert kinked["value_bounded"] and kinked["gradient_bounded"] and not kinked["second_bounded"]
 
 
 @pytest.mark.parametrize(
@@ -127,32 +127,32 @@ def test_check_v2_kink_blows_up():
     ],
 )
 def test_check_v2_two_steps_pass_smooth_potentials(expr):
-    assert check_V2(expression_potential(expr, 2, (0,), 0.5)).second_bounded
+    assert check_V2(expression_potential(expr, 2, (0,), 0.5))["second_bounded"]
 
 
 def test_check_v4_model_configuration():
     report = check_V4(SADDLE)
-    assert report.ineq2  # 1.25 <= 1 + 0.3 * 1
-    assert not report.ineq1_m_based  # 1.25 < 1 + log 2
-    assert not report.ineq1_log2_based
-    assert not report.joint_feasible
-    assert report.conflict_under_gausson_level
+    assert report["ineq2"]  # 1.25 <= 1 + 0.3 * 1
+    assert not report["ineq1_m_based"]  # 1.25 < 1 + log 2
+    assert not report["ineq1_log2_based"]
+    assert not report["joint_feasible"]
+    assert report["conflict_under_gausson_level"]
 
 
 def test_check_v4_second_inequality_boundary():
     passing = model_saddle(1.0, 1.3, 2, (0,), 0.5)
-    assert check_V4(passing).ineq2
+    assert check_V4(passing)["ineq2"]
     failing = model_saddle(1.0, 1.31, 2, (0,), 0.5)
-    assert not check_V4(failing).ineq2
+    assert not check_V4(failing)["ineq2"]
 
 
 def test_check_v4_first_inequality_at_v0():
     # V(0) = c0 forces m(V(0)) = m(c0) < 2 m(c0)
     report = check_V4(SADDLE, v_at_origin=SADDLE.c0)
-    assert not report.ineq1_m_based
+    assert not report["ineq1_m_based"]
     # and V(0) above c0 + log 2 passes
     report = check_V4(SADDLE, v_at_origin=SADDLE.c0 + math.log(2.0) + 0.01)
-    assert report.ineq1_m_based and report.ineq1_log2_based
+    assert report["ineq1_m_based"] and report["ineq1_log2_based"]
 
 
 def test_check_v4_paths_agree_on_random_pairs(rng):
@@ -161,12 +161,12 @@ def test_check_v4_paths_agree_on_random_pairs(rng):
         v0 = rng.uniform(-0.9, 4.0)
         spec = constant_potential(c0, 2, (0,), 0.5)
         report = check_V4(spec, v_at_origin=v0)
-        assert report.ineq1_m_based == report.ineq1_log2_based
+        assert report["ineq1_m_based"] == report["ineq1_log2_based"]
 
 
 def test_v3_diagnostic_model_flags_x():
     report = v3_diagnostic(SADDLE)
-    dirs = np.array([s["direction"] for s in report.suspects])
+    dirs = np.array([s["direction"] for s in report["suspects"]])
     assert len(dirs) > 0
     # the +x escape ray must be flagged: V -> c0 with vanishing gradient
     along_x = dirs[np.abs(dirs[:, 0]) > 0.99]
@@ -176,12 +176,12 @@ def test_v3_diagnostic_model_flags_x():
 def test_v3_diagnostic_coercive_direction_clean():
     coercive = expression_potential("1 + (z0*z0 + z1*z1)/(1+np.sqrt(z0*z0+z1*z1))", 2, (0,), 0.5)
     report = v3_diagnostic(coercive)
-    assert report.suspects == []
+    assert report["suspects"] == []
 
 
 def test_v3_diagnostic_constant_flags_everything():
     report = v3_diagnostic(constant_potential(2.0, 2, (0,), 0.5))
-    assert len(report.suspects) == 16
+    assert len(report["suspects"]) == 16
 
 
 def test_expression_potential_estimates_constants():
@@ -301,10 +301,10 @@ def test_sample_boxes_are_the_linspace_boxes(dim, expr):
     report = check_V2(spy)
     pts = _linspace_box(dim, 10.0, 41)
     assert np.array_equal(seen[0], pts)
-    assert report.max_value == float(np.max(np.abs(spec.evaluate(pts))))
+    assert report["max_value"] == float(np.max(np.abs(spec.evaluate(pts))))
     step = 1e-4
     grads = [np.max(np.abs(spec.evaluate(pts + step * e) - spec.evaluate(pts - step * e))) / (2 * step) for e in np.eye(dim)]
-    assert report.max_gradient == float(max(grads))
+    assert report["max_gradient"] == float(max(grads))
 
 
 def test_subspace_sphere_refuses_three_axes():
