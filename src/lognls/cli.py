@@ -27,8 +27,9 @@ type or range, an empty sweep.eps (or a bare sweep-eps --eps), a --eps or
 that does not parse, a --A not above -1, a box too small for the Gausson's
 ball, and a block or key that nothing reads are config errors, not silently
 ignored or left to fail later; a bad value from a flag names the flag.
-Every default lives in DEFAULT_CONFIG; the builders read the merged,
-validated config only.  The certificate's fixed
+Every default lives in DEFAULT_CONFIG, whose solver and certificate blocks
+read theirs off SolverConfig and CertificateConfig; the builders read the
+merged, validated config only.  The certificate's fixed
 sampling (the R candidates, the Theta_r radius, the points of Q and the
 barycenter tolerance) is a set of ``minimax`` constants, not settings.
 
@@ -43,7 +44,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -142,12 +143,10 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
 DEFAULT_CONFIG = {
     "grid": {"dim": 2, "half_extent": 7.0, "points_per_axis": 129},
     "potential": {"kind": "model_saddle", "c0": 1.0, "c1": 1.25, "x_axes": [0], "lambda": 0.5},
-    "solver": {"tol": 1e-6, "max_iters": 4000},
+    "solver": asdict(SolverConfig()),
     "sweep": {"eps": [0.4, 0.2, 0.1, 0.05], "seed": 1234},
     "certificate": {
-        "h_target": 0.4,
-        "solver_half_extent": 10.0,
-        "compute_numerical_m": True,
+        key: getattr(CertificateConfig, key) for key in ("h_target", "solver_half_extent", "compute_numerical_m")
     },
     "output": {"directory": "lognls-out"},
 }
@@ -423,8 +422,7 @@ def parse_potential_flag(text: str) -> dict:
 def cmd_gausson(args) -> int:
     if not (_is_number(args.A) and args.A > -1):
         raise ConfigError([f"--A must be a finite number above -1, got {args.A}"])
-    grid_over = {"half_extent": 10.0, "points_per_axis": 513} if args.N == 1 else {}
-    grid_over.update(given_flags(dim=args.N, half_extent=args.L, points_per_axis=args.n))
+    grid_over = given_flags(dim=args.N, half_extent=args.L, points_per_axis=args.n)
     flags = {"grid.dim": "--N", "grid.half_extent": "--L", "grid.points_per_axis": "--n"}
     cfg = load_config(args.config, {"grid": grid_over}, flags)
     grid = build_grid_from_config(cfg)
@@ -494,20 +492,17 @@ def cmd_saddle_cert(args) -> int:
     return EXIT_INCONCLUSIVE if cert.inconclusive else EXIT_OK
 
 
-CSV_COLUMNS = [
-    "eps",
-    "m_c0",
-    "D_eps",
-    "sup_X_J",
-    "theta_r",
-    "R",
-    "sigma",
-    "flag_constrained_gap",
-    "flag_sup_below_two_m",
-    "flag_boundary_radius_found",
-    "flag_theta_above_half_gap",
-    "flag_sandwich",
-]
+# the sweep CSV's columns as (header, key of a certificate's JSON row), then
+# one flag_<name> column per flag in the row's order; a null R_used reads nan
+CSV_KEYS = (
+    ("eps", "eps"),
+    ("m_c0", "m_c0"),
+    ("D_eps", "D_eps_estimate"),
+    ("sup_X_J", "sup_X_J"),
+    ("theta_r", "theta_r_estimate"),
+    ("R", "R_used"),
+    ("sigma", "sigma_margin"),
+)
 
 
 def cmd_sweep_eps(args) -> int:
@@ -520,26 +515,15 @@ def cmd_sweep_eps(args) -> int:
     outdir = ensure_outdir(cfg)
     certs = sweep_eps(cfg["sweep"]["eps"], cert_cfg)
 
-    rows = []
-    for cert in certs:
-        rows.append(
-            [
-                cert.eps,
-                cert.m_c0,
-                cert.D_eps_estimate,
-                cert.sup_X_J,
-                cert.theta_r_estimate,
-                cert.R_used if cert.R_used is not None else math.nan,
-                cert.sigma_margin,
-                cert.flags["constrained_gap"],
-                cert.flags["sup_below_two_m"],
-                cert.flags["boundary_radius_found"],
-                cert.flags["theta_above_half_gap"],
-                cert.flags["sandwich"],
-            ]
-        )
-    write_csv(os.path.join(outdir, "sweep_eps.csv"), CSV_COLUMNS, rows)
-    atomic_write(os.path.join(outdir, "sweep_eps.json"), to_json_text([c.to_dict() for c in certs]) + "\n")
+    rows = [cert.to_dict() for cert in certs]
+    flags = list(rows[0]["flags"])  # sweep.eps names at least one eps
+    header = [name for name, _ in CSV_KEYS] + [f"flag_{flag}" for flag in flags]
+    cells = [
+        [math.nan if row[key] is None else row[key] for _, key in CSV_KEYS] + [row["flags"][f] for f in flags]
+        for row in rows
+    ]
+    write_csv(os.path.join(outdir, "sweep_eps.csv"), header, cells)
+    atomic_write(os.path.join(outdir, "sweep_eps.json"), to_json_text(rows) + "\n")
     print(f"wrote {len(rows)} sweep rows to {outdir}")
     # every row is written first; an inconclusive one still decides the code
     return EXIT_INCONCLUSIVE if any(c.inconclusive for c in certs) else EXIT_OK

@@ -102,7 +102,6 @@ def tensor_points(axes) -> NDArray:
     return np.column_stack([c.ravel() for c in np.meshgrid(*axes, indexing="ij")])
 
 
-@lru_cache(maxsize=16)
 def node_coordinates(grid: Grid) -> NDArray:
     """All node coordinates as a (num_nodes, dim) array in row-major order."""
     return tensor_points([grid.axis(k) for k in range(grid.dim)])

@@ -257,7 +257,7 @@ def level_d(
     """
     if len(potential.y_axes) == 0:
         raise ValueError("level_d needs a nontrivial Y subspace")
-    solver = solver or SolverConfig(tol=1e-6, max_iters=4000)
+    solver = solver or SolverConfig()
     vsamp = potential_samples(potential, grid, eps)
     x_axes = list(potential.x_axes)
     wx = direction_weights(grid)[:, x_axes]
@@ -470,7 +470,7 @@ class CertificateConfig:
     potential: PotentialSpec
     h_target: float = 0.4
     solver_half_extent: float = 10.0
-    solver: SolverConfig = SolverConfig(tol=1e-6, max_iters=4000)
+    solver: SolverConfig = SolverConfig()
     compute_numerical_m: bool = True
 
     def grid(self) -> Grid:

@@ -85,10 +85,11 @@ class NehariSolution:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping rule of the ground-state iteration."""
+    """Stopping rule of the ground-state iteration; its defaults are the rule
+    of every solve that names none, and the CLI's solver block reads them."""
 
-    tol: float = 1e-8
-    max_iters: int = 50_000
+    tol: float = 1e-6
+    max_iters: int = 4000
 
     def __post_init__(self) -> None:
         if self.tol <= 0 or self.max_iters < 1:

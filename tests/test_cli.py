@@ -22,6 +22,8 @@ from lognls.cli import (
     write_csv,
 )
 from lognls.grid import load_field
+from lognls.minimax import CertificateConfig, LevelCertificate
+from lognls.nehari import SolverConfig
 
 
 TINY_CONFIG = {
@@ -105,6 +107,26 @@ def test_gausson_command(tmp_path, capsys, monkeypatch):
     field = load_field(str(tmp_path / "lognls-out" / "gausson_field.txt"))
     assert field.grid.dim == 1
     assert field.values.max() == pytest.approx(math.exp(0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "grid, header",
+    [(None, ["1", "7", "129"]), ({"half_extent": 6.0, "points_per_axis": 257}, ["1", "6", "257"])],
+)
+def test_gausson_reads_the_grid_block(tmp_path, capsys, monkeypatch, grid, header):
+    # gausson --N 1 dumps on the config's grid block, the default one if none
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": grid} if grid else {}))
+    assert main(["gausson", "--A", "0", "--N", "1", "--config", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert (tmp_path / "lognls-out" / "gausson_field.txt").read_text().splitlines()[:3] == header
+
+
+def test_solver_and_certificate_defaults_are_the_classes():
+    assert cli.build_solver(cli.DEFAULT_CONFIG) == SolverConfig()
+    cert = cli.build_certificate_config(cli.DEFAULT_CONFIG)
+    assert cert == CertificateConfig(potential=cert.potential)
 
 
 def test_ground_state_command(tmp_path, capsys, monkeypatch):
@@ -204,6 +226,53 @@ def test_sweep_inconclusive_row_sets_exit_code(tmp_path, capsys, monkeypatch):
     assert len((outdir / "sweep_eps.csv").read_text().splitlines()) == 3
     rows = json.loads((outdir / "sweep_eps.json").read_text())
     assert [r["inconclusive"] for r in rows] == [{"theta_r": True}, {}]
+
+
+def test_sweep_csv_cells_are_the_json_rows(tmp_path, capsys, monkeypatch):
+    # each CSV column reads one key of the JSON row, then one column per
+    # flag in the row's order; a null R_used (no radius found) is written
+    # nan.  The rows stand in for certificates with a distinct value in
+    # every column, so a column that reads the wrong key shows.
+    def distinct_rows(eps_values, cfg):
+        flags = ["sandwich", "constrained_gap", "sup_below_two_m", "boundary_radius_found", "theta_above_half_gap"]
+        return [
+            LevelCertificate(
+                eps=eps, m_c0=31.5 + k, m_c0_numerical=None, D_eps_estimate=39.25 + k, sup_X_J=40.125 + k,
+                theta_r_estimate=39.5625 + k, R_used=None if k else 0.5, sigma_margin=7.75 + k,
+                flags={name: (i + k) % 2 == 0 for i, name in enumerate(flags)}, inconclusive={},
+            )
+            for k, eps in enumerate(eps_values)
+        ]
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "sweep_eps", distinct_rows)
+    outdir = tmp_path / "out"
+    assert main(["sweep-eps", "--config", write_tiny_config(tmp_path, outdir)]) == EXIT_OK
+    capsys.readouterr()
+    rows = json.loads((outdir / "sweep_eps.json").read_text())
+    header, *lines = (outdir / "sweep_eps.csv").read_text().splitlines()
+    columns = {
+        "eps": "eps",
+        "m_c0": "m_c0",
+        "D_eps": "D_eps_estimate",
+        "sup_X_J": "sup_X_J",
+        "theta_r": "theta_r_estimate",
+        "R": "R_used",
+        "sigma": "sigma_margin",
+    }
+    flags = list(rows[0]["flags"])
+    assert header.split(",") == list(columns) + [f"flag_{flag}" for flag in flags]
+    assert [row["R_used"] for row in rows] == [0.5, None]
+
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return "nan" if value is None else format_float(float(value))
+
+    assert len(lines) == len(rows)
+    for row, line in zip(rows, lines):
+        values = [row[key] for key in columns.values()] + [row["flags"][flag] for flag in flags]
+        assert line.split(",") == [cell(v) for v in values]
 
 
 def test_sweep_empty_eps_in_the_config_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -658,7 +727,7 @@ def test_bad_flag_value_is_config_error(tmp_path, capsys, monkeypatch, argv, fla
 
 @pytest.mark.parametrize("argv", [["gausson"], ["ground-state", "--dim", "1"]])
 def test_flags_do_not_hide_a_malformed_block(tmp_path, capsys, monkeypatch, argv):
-    # a grid flag (or gausson's grid defaults) merges into the grid block;
+    # a grid flag merges into the grid block;
     # a grid block that is not an object is reported, not replaced
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -170,13 +171,19 @@ def test_gausson_matches_coordinate_table_bit_for_bit(grid, off_center):
     assert np.array_equal(gausson(grid, 0.3, c).values, gausson_from_coordinates(grid, 0.3, c))
 
 
-def test_gausson_builds_no_coordinate_table():
-    g = Grid(2, 9.5, 53)  # a grid no other test builds the table of
-    before = node_coordinates.cache_info()
-    gausson(g, 0.0)
-    after = node_coordinates.cache_info()
-    assert after.currsize == before.currsize
-    assert after.hits + after.misses == before.hits + before.misses
+def test_gausson_builds_no_coordinate_table(monkeypatch):
+    calls = []
+
+    def counted(grid):
+        calls.append(grid)
+        return node_coordinates(grid)
+
+    # every package module that holds the table builder counts its calls
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lognls") and hasattr(module, "node_coordinates"):
+            monkeypatch.setattr(module, "node_coordinates", counted)
+    gausson(Grid(2, 9.5, 53), 0.0)
+    assert calls == []
 
 
 def test_gausson_peak_memory_is_at_most_two_fields():
@@ -195,13 +202,12 @@ def test_gausson_peak_memory_is_at_most_two_fields():
 
 def _peak_fields(grid, solve) -> float:
     """Peak traced memory of ``solve()`` in fields of n^N floats.  The grid's
-    cached node coordinates and direction weights are built first, so the
-    peak is the solve's own working set, whatever ran before it."""
+    cached direction weights are built first, so the peak is the solve's own
+    working set, whatever ran before it."""
     import tracemalloc
 
     from lognls.minimax import direction_weights
 
-    node_coordinates(grid)
     direction_weights(grid)
     tracemalloc.start()
     try:
