@@ -164,10 +164,11 @@ def _dst1(a: NDArray) -> NDArray:
 @lru_cache(maxsize=16)
 def _dirichlet_eigenvalues(grid: Grid) -> NDArray:
     """Eigenvalues (pi k / ((n+1) h))^2, k = 1..n, of the 1-D -Lap with zero
-    ghosts, whose eigenvectors are the sine modes sin(pi j k/(n+1))."""
+    ghosts, whose eigenvectors are the sine modes sin(pi j k/(n+1)); read-only."""
     n = grid.points_per_axis
-    k = np.arange(1, n + 1)
-    return (math.pi / ((n + 1) * grid.spacing) * k) ** 2
+    lam = (math.pi / ((n + 1) * grid.spacing) * np.arange(1, n + 1)) ** 2
+    lam.flags.writeable = False
+    return lam
 
 
 def sine_coefficients(grid: Grid, values: NDArray) -> NDArray:

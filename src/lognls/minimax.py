@@ -50,30 +50,35 @@ from .nehari import (
 from .potential import PotentialSpec, _subspace_sphere
 
 
-@lru_cache(maxsize=8)
 def direction_weights(grid: Grid) -> NDArray:
-    """x/|x| at every node, with 0 at the origin node (measure-zero point).
+    """x/|x| at every node, frame center included, with 0 at the origin node
+    (measure-zero point); read-only.  Only a grid centered at the origin is
+    cached: a moved frame, one per zero-finder sample, is built per call."""
+    return (_direction_table.__wrapped__ if any(grid.center) else _direction_table)(grid)
 
-    x includes the grid's frame center, so on a moved frame these are the
-    translated directions.  The origin is detected with a spacing-relative
-    tolerance: linspace rounding can leave the center node at ~1e-15 rather
-    than exactly 0, and x/|x| there would be a full-size junk direction.
-    """
+
+@lru_cache(maxsize=8)
+def _direction_table(grid: Grid) -> NDArray:
+    """The origin is detected with a spacing-relative tolerance: linspace
+    rounding can leave the center node at ~1e-15 rather than exactly 0, and
+    x/|x| there would be a full-size junk direction."""
     pts = node_coordinates(grid)
     norm = np.linalg.norm(pts, axis=1)
     off_origin = norm > 1e-9 * grid.spacing
     safe = np.where(off_origin, norm, 1.0)
-    return np.where(off_origin[:, None], pts / safe[:, None], 0.0)
+    w = np.where(off_origin[:, None], pts / safe[:, None], 0.0)
+    w.flags.writeable = False
+    return w
 
 
-def _barycenter_values(grid: Grid, values: NDArray) -> NDArray:
-    """Barycenter of raw node values as one product with the direction
-    weights (the cell volume cancels); NaN for the zero field."""
-    sq = values * values
+def _barycenter_values(sq: NDArray, w: NDArray) -> NDArray:
+    """The one barycenter kernel: (u^2 @ w) / sum(u^2) from the squared node
+    values and a weight table (all directions, or the X columns alone), the
+    cell volume cancelling; NaN for the zero field."""
     mass = float(np.sum(sq))
     if mass <= 0:
-        return np.full(grid.dim, np.nan)
-    return (sq @ direction_weights(grid)) / mass
+        return np.full(w.shape[1], np.nan)
+    return (sq @ w) / mass
 
 
 def _x_norm(beta_x: NDArray) -> float:
@@ -83,7 +88,7 @@ def _x_norm(beta_x: NDArray) -> float:
 
 def barycenter(u: GridField) -> NDArray:
     """Mass-direction average  integral((x/|x|) u^2) / integral(u^2)."""
-    beta = _barycenter_values(u.grid, u.values)
+    beta = _barycenter_values(u.values * u.values, direction_weights(u.grid))
     if np.isnan(beta[0]):
         raise ValueError("barycenter is undefined for the zero field")
     return beta
@@ -183,20 +188,19 @@ class _BarycenterPenalty:
     cell_volume: float
 
     def value(self, sq: NDArray, mass: float) -> float:
-        """The penalty of a trial from the energy kernel's u^2 and
-        integral(u^2), so neither is recomputed."""
+        """The penalty of a trial from the energy kernel's u^2, so it is not
+        recomputed; integral(u^2) only tells the zero field apart."""
         if not mass > 0:
             return 0.0
-        return self.mu * _x_norm((sq @ self.wx) * (self.cell_volume / mass)) ** 2
+        return self.mu * _x_norm(_barycenter_values(sq, self.wx)) ** 2
 
     def gradient(self, values: NDArray) -> NDArray:
         sq = values * values
-        total = float(np.sum(sq))
-        if not total > 0:
+        beta = _barycenter_values(sq, self.wx)
+        if np.isnan(beta[0]):
             return np.zeros_like(values)
-        beta = (sq @ self.wx) / total
         # d beta_k / du = 2 u (w_k - beta_k) / integral(u^2), in u^2's buffer
-        scale = 4.0 * self.mu / (self.cell_volume * total)
+        scale = 4.0 * self.mu / (self.cell_volume * float(np.sum(sq)))
         weight = self.wx @ beta
         weight -= float(beta @ beta)
         return np.multiply(np.multiply(scale, values, out=sq), weight, out=sq)
@@ -259,14 +263,13 @@ def level_d(
         raise ValueError("level_d needs a nontrivial Y subspace")
     solver = solver or SolverConfig()
     vsamp = potential_samples(potential, grid, eps)
-    x_axes = list(potential.x_axes)
-    wx = direction_weights(grid)[:, x_axes]
+    wx = direction_weights(grid)[:, list(potential.x_axes)]
     u = _gausson_seed(grid, potential)
     stages = []
     for mu in _PENALTY_SCHEDULE:
         penalty = _BarycenterPenalty(mu, wx, grid.cell_volume)
         u, info = minimize_on_nehari(grid, vsamp, u, solver, extra_term=penalty)
-        beta_x = _x_norm(_barycenter_values(grid, u)[x_axes])
+        beta_x = _x_norm(_barycenter_values(u * u, wx))
         stages.append(
             {
                 "mu": mu,
@@ -291,19 +294,20 @@ def level_d(
 # sup over X of the path energy, boundary radius, Theta_r
 # ---------------------------------------------------------------------------
 
+# points on each sphere of Q and of its boundary (two X axes; one axis gives two)
+_BOUNDARY_SAMPLES = 8
+
+
 def _q_samples(potential: PotentialSpec, R: float, n: int) -> NDArray:
     """Sample points of Q = closed ball of radius R in the X subspace: the
-    origin, where a symmetric saddle puts the path maximum, plus spheres of
-    X at evenly spaced radii up to R (``_subspace_sphere``, the sampler of
-    ``choose_r`` and V1).  With one X axis a sphere is two points and there
-    are n // 2 radii; with two, n_rad radii of n_ang points each."""
-    if len(potential.x_axes) == 1:
-        n_rad, n_ang = max(1, n // 2), 2
-    else:
-        n_rad = max(2, int(math.sqrt(n)))
-        n_ang = max(4, int(math.ceil(n / n_rad)))
+    origin, where a symmetric saddle puts the path maximum, plus n // 2 (at
+    least one) spheres of X at evenly spaced radii up to R, each the
+    ``_BOUNDARY_SAMPLES`` points of ``_subspace_sphere``, the sampler of
+    ``choose_r`` and V1: two points with one X axis, so the outer sphere is
+    the boundary of Q that ``choose_r`` and the zero finder read."""
+    n_rad = max(1, n // 2)
     spheres = [
-        _subspace_sphere(potential.dim, potential.x_axes, r, n_ang)
+        _subspace_sphere(potential.dim, potential.x_axes, r, _BOUNDARY_SAMPLES)
         for r in np.linspace(R / n_rad, R, n_rad)
     ]
     return np.vstack([np.zeros((1, potential.dim))] + spheres)
@@ -323,10 +327,6 @@ def level_sup_x(grid: Grid, potential: PotentialSpec, eps: float, R: float, n_sa
         "R": R,
         "n_samples": len(vals),
     }
-
-
-# points on each boundary sphere of choose_r (two X axes; one axis gives two)
-_BOUNDARY_SAMPLES = 8
 
 
 def choose_r(grid: Grid, potential: PotentialSpec, eps: float, threshold: float, schedule) -> dict:
@@ -381,7 +381,7 @@ def level_theta(
     # Phi_eps(0) is t*u0 in the grid's own frame
     vsamp = potential_samples(potential, grid, eps)
     base = phi_path(grid, potential, eps, np.zeros(grid.dim), vsamp=vsamp).values
-    beta_x = _x_norm(_barycenter_values(grid, base)[list(potential.x_axes)])
+    beta_x = _x_norm(_barycenter_values(base * base, direction_weights(grid))[list(potential.x_axes)])
     best = _path_level(_path_terms(grid, potential.c0), grid, vsamp)[1] if beta_x <= BETA_TOL else math.inf
     dist = math.sqrt(eps_norm_sq(grid, minimizer.field.values - base, vsamp))
     used = minimizer.feasible and dist <= r and minimizer.value < best
@@ -401,16 +401,12 @@ def level_theta(
 # barycenter zero finder (degree evidence)
 # ---------------------------------------------------------------------------
 
-# the residual |P_X beta| at which the zero finder counts a zero
-_ZERO_TOL = 1e-3
-
-
 def barycenter_zero_finder(grid: Grid, potential: PotentialSpec, eps: float, R: float) -> dict:
     """The zero x* in Q of P_X beta(Phi_eps(x)), with the degree evidence.
 
     u0 is radial and sits on the origin node, so beta(Phi_eps(0)) =
     beta(u0) = 0 up to rounding for every V: x* is 0, and its residual
-    |P_X beta(Phi_eps(0))| is reported.  A residual above ``_ZERO_TOL``, a
+    |P_X beta(Phi_eps(0))| is reported.  A residual above ``BETA_TOL``, a
     path that breaks this symmetry, is reported as inconclusive.  The degree
     evidence is read on the boundary of Q, the sphere of radius R in X that
     ``choose_r`` samples: the sign of P_X beta at -R and R for one X axis,
@@ -420,11 +416,12 @@ def barycenter_zero_finder(grid: Grid, potential: PotentialSpec, eps: float, R: 
     """
     axes = list(potential.x_axes)
     u0 = _path_gausson(grid, potential.c0)
+    sq = u0 * u0
 
     def f_rows(zs) -> NDArray:
         """P_X beta(Phi_eps(z)) for each row z, read off u0 in the moved
         frame: beta(t u) = beta(u), so no t, J or V is needed."""
-        return np.array([_barycenter_values(_path_frame(grid, z, eps), u0)[axes] for z in zs])
+        return np.array([_barycenter_values(sq, direction_weights(_path_frame(grid, z, eps)))[axes] for z in zs])
 
     boundary = f_rows(_subspace_sphere(potential.dim, potential.x_axes, R, _BOUNDARY_SAMPLES))
     if len(axes) == 1:
@@ -437,7 +434,7 @@ def barycenter_zero_finder(grid: Grid, potential: PotentialSpec, eps: float, R: 
         winding = int(round(float(np.sum(d)) / (2 * math.pi)))
         evidence = {"winding": winding, "degree_one": bool(abs(winding) >= 1)}
     residual = float(np.linalg.norm(f_rows(np.zeros((1, potential.dim)))[0]))
-    inconclusive = residual > _ZERO_TOL
+    inconclusive = residual > BETA_TOL
     return {
         "x_star": None if inconclusive else [0.0] * len(axes),
         "residual": residual,

@@ -328,6 +328,9 @@ def test_level_d_penalty_pulls_an_asymmetric_minimizer_into_y():
     assert res.feasible and res.beta_x_norm == betas[-1] <= 1e-3
     assert res.value == res.stages[-1]["J"]
     assert res.converged
+    # the stage test reads the one barycenter kernel on the X weights
+    u, wx = res.field.values, direction_weights(res.field.grid)[:, [0]]
+    assert res.beta_x_norm == minimax_mod._x_norm(minimax_mod._barycenter_values(u * u, wx))
 
 
 @pytest.mark.parametrize("eps", [0.4, 0.2, 0.1, 0.05])
@@ -380,6 +383,21 @@ def test_barycenter_penalty_value_and_gradient(rng):
     assert value(zero) == 0.0 and not np.any(pen.gradient(zero))
 
 
+def test_barycenter_penalty_value_is_mu_times_the_kernels_beta_x_squared(rng):
+    # on seeded fields the penalty is mu |beta_X|^2 bit for bit, beta_X read
+    # off the one barycenter kernel, whatever the mass the solver passes
+    g = Grid(2, 7.0, 65)
+    wx = direction_weights(g)[:, [0]]
+    pen = _BarycenterPenalty(10.0, wx, g.cell_volume)
+    for _ in range(5):
+        u = smooth_field(g, rng, positive=True).values
+        _, sq, _, _, mass, _ = energy_terms(g, u, 0.0)
+        beta_x = minimax_mod._barycenter_values(u * u, wx)
+        assert beta_x.shape == (1,) and beta_x[0] != 0.0
+        assert pen.value(sq, mass) == 10.0 * minimax_mod._x_norm(beta_x) ** 2
+    assert np.isnan(minimax_mod._barycenter_values(np.zeros(g.num_nodes), wx)).all()
+
+
 def test_level_d_requires_nontrivial_y():
     g = Grid(2, 7.0, 33)
     both_x = model_saddle(1.0, 1.25, 2, (0, 1), 0.5)
@@ -397,6 +415,17 @@ def test_q_samples_are_the_origin_plus_x_spheres(n):
         assert np.max(np.abs(zs[:, 0])) == R
         if n % 2:
             assert np.array_equal(np.sort(zs[:, 0]), np.linspace(-R, R, n))
+    # with two X axes Q is the origin plus n // 2 circles of the boundary
+    # sampler's points, and its outer circle is the boundary of Q bit for bit
+    both_x = model_saddle(1.0, 1.25, 2, (0, 1), 0.5)
+    k = minimax_mod._BOUNDARY_SAMPLES
+    for R in (0.25, 0.5, 1.0, 2.0):
+        zs = minimax_mod._q_samples(both_x, R, n)
+        assert zs.shape == (1 + k * (n // 2), 2)
+        assert np.array_equal(zs[0], np.zeros(2))
+        assert np.array_equal(zs[-k:], minimax_mod._subspace_sphere(2, (0, 1), R, k))
+        radii = np.linalg.norm(zs[1:], axis=1).reshape(n // 2, k)
+        assert np.allclose(radii, np.linspace(R / (n // 2), R, n // 2)[:, None], rtol=1e-15, atol=0.0)
 
 
 def test_level_sup_x_even_q_samples_keep_the_origin():
@@ -663,15 +692,40 @@ def test_zero_finder_reads_the_degree_on_the_sphere_choose_r_samples(monkeypatch
 def test_zero_finder_inconclusive_without_sign_change(monkeypatch):
     # a path profile off the origin breaks the symmetry the finder reads its
     # zero off: beta_X stays positive on a small Q around 0, so there is no
-    # sign change and the residual at 0 is far above _ZERO_TOL
+    # sign change and the residual at 0 is far above BETA_TOL
     eps = 0.3
     g = path_grid(eps, R=1.0)
     off_center = gausson(g, CONST.c0, center=[3.0, 0.0]).values
     monkeypatch.setattr(minimax_mod, "_path_gausson", lambda grid, c0: off_center)
     res = barycenter_zero_finder(g, CONST, eps, R=0.25)
     assert res["inconclusive"] and res["x_star"] is None
-    assert res["residual"] > minimax_mod._ZERO_TOL
+    assert res["residual"] > minimax_mod.BETA_TOL
     assert not res["degree_evidence"]["degree_one"]
+
+
+def test_moved_frames_stay_out_of_the_direction_weights_cache():
+    # the two-axis zero finder reads beta on eight moved frames and at the
+    # origin; only the grid itself is cached, and level_d hits it
+    g = CertificateConfig(potential=SADDLE).grid()
+    minimax_mod._direction_table.cache_clear()
+    barycenter_zero_finder(g, model_saddle(1.0, 1.25, 2, (0, 1), 0.5), 0.05, R=2.0)
+    assert tuple(minimax_mod._direction_table.cache_info()) == (0, 1, 8, 1)  # hits, misses, maxsize, size
+    level_d(g, SADDLE, 0.05)
+    assert tuple(minimax_mod._direction_table.cache_info()) == (1, 1, 8, 1)
+
+
+def test_cached_tables_are_read_only():
+    # one lru_cache entry is handed to every caller, so none may write it
+    g = Grid(2, 10.0, _odd_points(10.0, 0.4))
+    for table in (
+        direction_weights(g),
+        direction_weights(replace(g, center=(0.5, 0.0))),
+        grid_mod._dirichlet_eigenvalues(g),
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            table *= 2.0
 
 
 def test_path_gausson_is_read_only_on_a_centered_grid():
@@ -845,7 +899,7 @@ def test_x_symmetric_field_off_the_origin_has_beta_x_of_the_center_sign(rng, c_x
     for _ in range(5):
         values = smooth_field(g, rng).values.reshape(g.shape)
         values = (0.5 * (values + np.flip(values, axis=0))).ravel()
-        beta_x = minimax_mod._barycenter_values(g, values)[0]
+        beta_x = minimax_mod._barycenter_values(values * values, direction_weights(g))[0]
         assert np.sign(beta_x) == np.sign(c_x)
         assert beta_x != 0.0
 
