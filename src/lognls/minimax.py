@@ -10,7 +10,8 @@ are built once per grid, every path field lives on that grid, and all four
 numbers below come from it:
 
 * D_eps  -- inf of J over Nehari fields with barycenter in Y (estimated by
-  penalized minimization; an UPPER bound of the true infimum),
+  one descent held on that set by a tilt; an UPPER bound of the true
+  infimum, since every iterate is a member of the set),
 * sup_X J(Phi_eps(x)) over the disc Q in X,
 * Theta_r -- inf of J over Nehari fields with barycenter in Y in the
   eps-norm r-ball around Phi_eps(0), a subset of D_eps's set, so D_eps <=
@@ -171,39 +172,94 @@ def phi_path(grid: Grid, potential: PotentialSpec, eps: float, z, vsamp: Optiona
 
 
 # ---------------------------------------------------------------------------
-# level D: penalized barycenter-constrained minimization
+# level D: barycenter-constrained minimization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _BarycenterPenalty:
-    """mu |P_X beta(u)|^2 with its L2 gradient; unchanged under u -> t u.
+# the |P_X beta| at or below which a field's barycenter counts as lying in Y
+BETA_TOL = 1e-3
 
-    ``wx`` holds the direction weights of the X axes, one column per axis,
-    so P_X beta is one product.  The solver asks for the value at every
-    trial and for the gradient at accepted points only.
+# |P_X beta| of rounding: the target of a tilt, and no tilt within it
+_BETA_ROUNDING = 32.0 * np.finfo(float).eps
+
+# F evaluations of one tilt, Newton steps and their halvings together
+_TILT_EVALUATIONS = 60
+
+
+def _solve_small(a: NDArray, b: NDArray) -> NDArray:
+    """a^+ b for the tilt's k x k Jacobian, a division for one X axis (every
+    certificate below N = 3): a first LAPACK call, pinv's, adds ~1 MB of RSS."""
+    return b / a[0, 0] if len(b) == 1 else np.linalg.pinv(a) @ b
+
+
+class _BarycenterTilt:
+    """The constraint of D_eps, sum w_X c^2 = 0 (P_X beta(c) = 0), held by
+    the tilt c -> c e^{lam.x_X}, which commutes with the Nehari rescale.
+
+    lam is the root of F(lam) = sum w_X c^2 e^{2 lam.x_X}, the gradient of
+    the convex Psi(lam) = 1/2 sum c^2 |x|^-1 e^{2 lam.x_X}: its Jacobian is
+    symmetric positive semidefinite, and damped Newton from lam = 0 finds
+    the root when there is one.  Each x_a is a per-axis vector shaped to
+    broadcast over a field (no n^N coordinate table); ``wx`` holds the X
+    columns of the direction weights.
     """
 
-    mu: float
-    wx: NDArray
-    cell_volume: float
+    def __init__(self, grid: Grid, axes):
+        self.shape = grid.shape
+        self.coords = [grid.axis(a).reshape((-1,) + (1,) * (grid.dim - 1 - a)) for a in axes]
+        self.others = [tuple(b for b in range(grid.dim) if b != a) for a in axes]
+        self.wx = direction_weights(grid)[:, list(axes)]
 
-    def value(self, sq: NDArray, mass: float) -> float:
-        """The penalty of a trial from the energy kernel's u^2, so it is not
-        recomputed; integral(u^2) only tells the zero field apart."""
-        if not mass > 0:
-            return 0.0
-        return self.mu * _x_norm(_barycenter_values(sq, self.wx)) ** 2
+    def _moments(self, f: NDArray) -> NDArray:
+        """sum x_X f, from the marginal of f on each X axis."""
+        f = f.reshape(self.shape)
+        return np.array([f.sum(axis=o) @ x.ravel() for o, x in zip(self.others, self.coords)])
 
-    def gradient(self, values: NDArray) -> NDArray:
-        sq = values * values
-        beta = _barycenter_values(sq, self.wx)
-        if np.isnan(beta[0]):
-            return np.zeros_like(values)
-        # d beta_k / du = 2 u (w_k - beta_k) / integral(u^2), in u^2's buffer
-        scale = 4.0 * self.mu / (self.cell_volume * float(np.sum(sq)))
-        weight = self.wx @ beta
-        weight -= float(beta @ beta)
-        return np.multiply(np.multiply(scale, values, out=sq), weight, out=sq)
+    def _half_jacobian(self, q: NDArray) -> NDArray:
+        """sum w_X x_X^T q, symmetric: M of ``reduce`` for q = u^2."""
+        r = np.empty_like(q)
+        return np.array([self._moments(np.multiply(q, w, out=r)) for w in self.wx.T])
+
+    def _root_terms(self, c: NDArray, lam: NDArray) -> tuple[NDArray, NDArray, float]:
+        """(F(lam), its Jacobian, sum c^2 e^{2 lam.x_X})."""
+        q = (c * c).reshape(self.shape)
+        for x, lam_a in zip(self.coords, lam):
+            q *= np.exp(2.0 * lam_a * x)
+        q = q.ravel()
+        return q @ self.wx, 2.0 * self._half_jacobian(q), float(np.sum(q))
+
+    def retract(self, c: NDArray, sq: NDArray) -> Optional[bool]:
+        """Tilt c >= 0 in place onto the constraint, ``sq`` = c^2 as the
+        energy kernel returns it: False if c lies on it to rounding (c
+        untouched), True if it was tilted, None if no tilt carries it there."""
+        if _x_norm(_barycenter_values(sq, self.wx)) <= _BETA_ROUNDING:
+            return False
+        lam, step = np.zeros(len(self.coords)), None
+        f, jac, mass = self._root_terms(c, lam)
+        for _ in range(_TILT_EVALUATIONS):
+            if _x_norm(f) <= _BETA_ROUNDING * mass:
+                for x, lam_a in zip(self.coords, lam):
+                    c.reshape(self.shape)[...] *= np.exp(lam_a * x)
+                return True
+            if step is None:
+                step = -_solve_small(jac, f)
+            # a step that overflows gives a NaN F, which is no decrease
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial = self._root_terms(c, lam + step)
+            if _x_norm(trial[0]) < _x_norm(f):
+                lam, (f, jac, mass), step = lam + step, trial, None
+            else:
+                step = step / 2.0
+        return None
+
+    def reduce(self, g: NDArray, u: NDArray) -> NDArray:
+        """The L2 gradient of c -> J(tilt(c)) at a u on the constraint, from
+        the gradient g of J, in place: g - (w_X u) M^-1 <x_X u, g> with M =
+        sum w_X x_X^T u^2, half the Jacobian at lam = 0.  It vanishes at the
+        constrained minimizer, where g is a combination of the w_X u."""
+        b = self._moments(u * g)
+        r = self.wx @ _solve_small(self._half_jacobian(u * u), b)
+        g -= np.multiply(r, u, out=r)
+        return g
 
 
 @dataclass
@@ -216,8 +272,7 @@ class LevelDResult:
 
     @property
     def converged(self) -> bool:
-        """True only if every penalty stage run converged; each one feeds
-        the next, so each feeds the result."""
+        """True only if the solve, whose info dict is ``stages``'s one entry, converged."""
         return all(stage["converged"] for stage in self.stages)
 
     def to_dict(self) -> dict:
@@ -229,65 +284,25 @@ class LevelDResult:
         }
 
 
-# penalty weights of the D_eps continuation; each stage starts from the last
-# one's iterate, and the first feasible stage ends it
-_PENALTY_SCHEDULE = (10.0, 100.0, 1000.0)
-
-# the |P_X beta| at or below which a field's barycenter counts as lying in Y
-BETA_TOL = 1e-3
-
-
-def level_d(
-    grid: Grid,
-    potential: PotentialSpec,
-    eps: float,
-    solver: Optional[SolverConfig] = None,
-) -> LevelDResult:
+def level_d(grid: Grid, potential: PotentialSpec, eps: float, solver: Optional[SolverConfig] = None) -> LevelDResult:
     """Estimate inf J over Nehari fields whose barycenter lies in Y.
 
-    Minimizes J + mu |P_X beta(u)|^2 over the nonnegative cone with Nehari
-    reprojection (the rescale leaves beta unchanged), one continuation over
-    ``_PENALTY_SCHEDULE``: the first stage starts from the Gausson at the
-    origin with level V(0), as in ``ground_state``, and each later stage
-    from the previous stage's iterate.  The loop stops at the first stage
-    with |P_X beta| <= ``BETA_TOL``, whose J and field are the result.  That
-    stage is also the lowest feasible one: for minimizers u_mu of J + mu P,
-    J(u_mu) is nondecreasing in mu (add the two minimality inequalities of
-    mu < mu'), so a later stage could not lower the value.
-
-    The returned value is an UPPER bound of the true infimum.  If no stage
-    is feasible, the last one is reported with ``feasible`` False; a stage
-    that did not converge is reported too (``converged``).
+    One descent of J on the Nehari set within the nonnegative cone, from the
+    Gausson at the origin with level V(0) as in ``ground_state``, whose
+    trials ``_BarycenterTilt`` keeps on P_X beta = 0 and whose gradient is
+    that of J after the tilt.  Every iterate is a member of the constrained
+    set (|P_X beta| at rounding), so the returned J is an UPPER bound of the
+    true infimum.  ``feasible`` reads |P_X beta| <= ``BETA_TOL``; a solve
+    that did not converge is reported (``converged``).
     """
     if len(potential.y_axes) == 0:
         raise ValueError("level_d needs a nontrivial Y subspace")
     solver = solver or SolverConfig()
     vsamp = potential_samples(potential, grid, eps)
-    wx = direction_weights(grid)[:, list(potential.x_axes)]
-    u = _gausson_seed(grid, potential)
-    stages = []
-    for mu in _PENALTY_SCHEDULE:
-        penalty = _BarycenterPenalty(mu, wx, grid.cell_volume)
-        u, info = minimize_on_nehari(grid, vsamp, u, solver, extra_term=penalty)
-        beta_x = _x_norm(_barycenter_values(u * u, wx))
-        stages.append(
-            {
-                "mu": mu,
-                "J": field_energy(grid, u, vsamp)[0],
-                "beta_x_norm": beta_x,
-                "iterations": info["iterations"],
-                "converged": info["converged"],
-            }
-        )
-        if beta_x <= BETA_TOL:  # NaN (zero field) is infeasible
-            break
-    return LevelDResult(
-        value=stages[-1]["J"],
-        field=GridField(grid, u),
-        feasible=beta_x <= BETA_TOL,
-        beta_x_norm=beta_x,
-        stages=stages,
-    )
+    tilt = _BarycenterTilt(grid, potential.x_axes)
+    u, info = minimize_on_nehari(grid, vsamp, _gausson_seed(grid, potential), solver, constraint=tilt)
+    beta_x = _x_norm(_barycenter_values(u * u, tilt.wx))  # NaN, the zero field's, is infeasible
+    return LevelDResult(field_energy(grid, u, vsamp)[0], GridField(grid, u), beta_x <= BETA_TOL, beta_x, [info])
 
 
 # ---------------------------------------------------------------------------

@@ -195,17 +195,17 @@ def minimize_on_nehari(
     vsamp: NDArray,
     start: NDArray,
     config: SolverConfig,
-    extra_term=None,
+    constraint=None,
 ):
-    """Monotone descent of J (+ optional smooth extra term) on the Nehari set.
+    """Monotone descent of J on the Nehari set, on a constraint if given.
 
     Each step: descend along the L-BFGS direction, floor the trial at half
     the iterate, rescale back onto the Nehari set.  Backtracking keeps the
-    recorded objective non-increasing.
-    ``extra_term`` has ``value(sq, mass)``, priced from the trial's c^2 and
-    integral(c^2) as the energy kernel returns them, and
-    ``gradient(values)``; it must not change under positive rescaling, and
-    is used by the penalized barycenter-constrained minimization.
+    recorded J non-increasing.  ``constraint`` (``level_d``'s barycenter
+    tilt; ``ground_state`` sets none) has ``retract(c, sq)``, which moves a
+    trial c onto the constraint in place from the kernel's c^2, None (the
+    trial is rejected) if it cannot, and ``reduce(g, u)``, which makes the
+    gradient g of J at u that of J after the retraction, in place.
 
     The initial inverse Hessian is the scaled Sobolev metric
     H0 = S (-Lap + sigma)^-1 S, with sigma = 1 + mean V and S = diag
@@ -216,7 +216,7 @@ def minimize_on_nehari(
     whose local term exceeds sigma: the Gaussian tail, where -log u^2 grows
     like |x|^2.  The direction d = H g for the L2 gradient g runs the
     two-loop recursion over the last ``_LBFGS_MEMORY`` pairs s = u_new - u
-    (Nehari-projected iterates) and y = g_new - g (penalty included), each
+    (Nehari-projected iterates) and y = g_new - g (after ``reduce``), each
     kept only if <s, y> > 0; the memory starts empty in every call, and with
     an empty memory d = H0 g is the plain scaled Sobolev step.  Should d not
     be a descent direction (<g, d> <= 0) the memory is cleared and the plain
@@ -225,19 +225,20 @@ def minimize_on_nehari(
     clipped at the cone; nodes at 0 fill in where d < 0.  Armijo asks for a
     decrease proportional to <g, u - c>_h.
 
-    A trial c costs one energy kernel call, one forward sine transform, and
-    no more: with p = J'(c)c, m = integral(c^2) and log t = p / 2m its
-    projection t c has the reduced objective J(t c) = t^2/2 (p + m - 2 m
-    log t), which is t^2 m / 2 unless log t was clipped.  Only the accepted
-    trial's sine coefficients go through the inverse half to Lap c, and
-    Lap(t c) = t Lap c is the Laplacian of the new iterate, so an iteration
-    costs the trials' forward transforms, one inverse and one solve.  The
-    solver owns ``start`` (clipped and rescaled in place) and reuses the old
-    iterate's and gradient's buffers for the next pair (s, y).  It holds u,
-    g, d, the pairs and a trial; log u^2 (then S), one scratch field (the
-    gradient's products and mask) and the two-loop's copy of g come and go
-    within an iteration.  Tested peaks at 269^2, in n^N fields: 5 for a
-    V = 1 ``ground_state``, 15 for a saddle one, 17.5 for ``level_d``.
+    A trial c costs one energy kernel call, one forward sine transform (a
+    retracted one two), and no more: with p = J'(c)c, m = integral(c^2) and
+    log t = p / 2m its projection t c has the reduced objective J(t c) =
+    t^2/2 (p + m - 2 m log t), which is t^2 m / 2 unless log t was clipped.
+    Only the accepted trial's sine coefficients go through the inverse half
+    to Lap c, and Lap(t c) = t Lap c is the Laplacian of the new iterate, so
+    an iteration costs the trials' forward transforms, one inverse and one
+    solve.  The solver owns ``start`` (clipped and rescaled in place) and
+    reuses the old iterate's and gradient's buffers for the next pair (s,
+    y).  It holds u, g, d, the pairs and a trial; log u^2 (then S), one
+    scratch field (the gradient's products and mask), the two-loop's copy
+    of g and the constraint's scratch come and go within an iteration.
+    Tested peaks at 269^2, in n^N fields: 5 for a V = 1 ``ground_state``, 15
+    for a saddle one, 17.5 for ``level_d`` (16.0 measured, tilted or not).
 
     Returns (values, info dict); ``info["trials"]`` counts the backtracking
     trials of all iterations.
@@ -247,13 +248,17 @@ def minimize_on_nehari(
 
     def projected(cand: NDArray):
         """(sine coefficients of c, t, ||c||_eps^2, objective at t c), or
-        None for c = 0."""
+        None for c = 0 and for a c the constraint cannot retract."""
         coeffs, sq, kin, pot, mass, ent = energy_terms(grid, cand, vsamp)
         if not mass > 0:
             return None
+        moved = constraint is not None and constraint.retract(cand, sq)
+        if moved is None:
+            return None
+        if moved:  # the kernel's arrays go before the tilted c is priced
+            coeffs = sq = None
+            coeffs, _, kin, pot, mass, ent = energy_terms(grid, cand, vsamp)
         t, j = _reduced_objective(kin + pot - ent, mass)
-        if extra_term is not None:
-            j += extra_term.value(sq, mass)
         return coeffs, t, kin + pot + mass, j
 
     u = np.clip(start, 0.0, None, out=start)
@@ -291,8 +296,8 @@ def minimize_on_nehari(
         buf = np.multiply(vsamp, u)
         g += buf
         g -= np.multiply(u, log_sq, out=buf)
-        if extra_term is not None:
-            g += extra_term.gradient(u)
+        if constraint is not None:
+            constraint.reduce(g, u)
         if step is not None:
             y = np.subtract(g, g_prev, out=g_prev)
             sy = float(np.dot(step, y))

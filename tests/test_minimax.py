@@ -8,14 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lognls.energy import SplitParams, energy_terms, eps_norm_sq, field_energy, potential_samples
+from lognls.energy import SplitParams, eps_norm_sq, field_energy, grad_array, potential_samples
 import lognls.grid as grid_mod
 from lognls.grid import Grid, GridField, node_coordinates
 import lognls.minimax as minimax_mod
 from lognls.minimax import (
     CertificateConfig,
     LevelDResult,
-    _BarycenterPenalty,
+    _BarycenterTilt,
     barycenter,
     barycenter_zero_finder,
     certificate,
@@ -316,86 +316,121 @@ def test_level_d_model_gap():
     assert res.value >= m - 1e-6
 
 
-def test_level_d_penalty_pulls_an_asymmetric_minimizer_into_y():
-    # the odd term in z0 moves the free minimizer off Y, so the penalty has
-    # to do the work: beta_X falls with mu (measured 0.083 -> 0.0073 ->
-    # 0.00072) and only the last stage is feasible
+def test_level_d_tilt_holds_an_asymmetric_minimizer_in_y():
+    # the odd term in z0 moves the free minimizer off Y, so the tilt has to
+    # hold every trial there.  The penalty continuation stopped at mu = 1000
+    # with beta_X 7.5e-4 and J 39.8779063, below the constrained level; the
+    # value is its mu -> infinity limit, Richardson-extrapolated from mu =
+    # 1e7 and 1e8 (39.879034204)
     pot = expression_potential(ASYMMETRIC, 2, [0])
-    res = level_d(Grid(2, 6.0, 31), pot, 0.4, solver=SolverConfig(tol=1e-6, max_iters=500))
-    betas = [s["beta_x_norm"] for s in res.stages]
-    assert all(b > 1e-3 for b in betas[:-1])
-    assert all(b2 <= b1 / 5 for b1, b2 in zip(betas, betas[1:]))
-    assert res.feasible and res.beta_x_norm == betas[-1] <= 1e-3
-    assert res.value == res.stages[-1]["J"]
-    assert res.converged
-    # the stage test reads the one barycenter kernel on the X weights
+    g = Grid(2, 6.0, 31)
+    res = level_d(g, pot, 0.4, solver=SolverConfig(tol=1e-6, max_iters=500))
+    assert res.feasible and res.converged and len(res.stages) == 1
+    assert res.beta_x_norm <= 1e-12
+    assert res.stages[0]["iterations"] <= 25
+    assert res.value == field_energy(g, res.field.values, potential_samples(pot, g, 0.4))[0]
+    assert res.value == pytest.approx(39.879034204, abs=1e-8)
+    # the feasibility test reads the one barycenter kernel on the X weights
     u, wx = res.field.values, direction_weights(res.field.grid)[:, [0]]
     assert res.beta_x_norm == minimax_mod._x_norm(minimax_mod._barycenter_values(u * u, wx))
 
 
 @pytest.mark.parametrize("eps", [0.4, 0.2, 0.1, 0.05])
 def test_level_d_first_stage_iterations_on_the_default_grid(eps):
-    # the L2 step took 432 / 122 / 116 / 114 iterations in stage mu = 1 and
-    # the scaled Sobolev step 31 / 24 / 18 / 14 in stage mu = 10; the L-BFGS
-    # step takes 17 / 15 / 12 / 8.  On the symmetric saddle the first stage
-    # is feasible and ends the run
+    # the L2 step took 432 / 122 / 116 / 114 iterations in a penalty stage
+    # mu = 1 and the scaled Sobolev step 31 / 24 / 18 / 14 in a stage mu =
+    # 10; the L-BFGS step takes 17 / 15 / 12 / 8 in the one tilted solve
     cfg = CertificateConfig(potential=SADDLE)
     res = level_d(cfg.grid(), SADDLE, eps, solver=cfg.solver)
-    assert res.stages[0]["mu"] == minimax_mod._PENALTY_SCHEDULE[0]
     assert len(res.stages) == 1
     assert res.stages[0]["converged"]
     assert res.stages[0]["iterations"] <= {0.4: 19, 0.2: 17, 0.1: 14, 0.05: 10}[eps]
     assert res.feasible and res.converged
 
 
-def test_level_d_continuation_holds_an_asymmetric_minimizer_on_the_default_grid():
-    # the free minimizer leaves Y on this potential; carried from mu = 10,
-    # the continuation ends in Y with every stage converged.  The scaled
-    # Sobolev step took 119 + 41 + 141 iterations, the L-BFGS step 24 + 21 + 18
+def test_level_d_reaches_the_constrained_asymmetric_level_on_the_default_grid():
+    # the free minimizer leaves Y on this potential.  The penalty
+    # continuation (mu = 10, 100, 1000, 63 / 49 iterations) stopped at its
+    # first stage with beta_X <= 1e-3 and wrote 39.877906346 / 40.461510494,
+    # below the constrained infimum; the tilted solve reaches it in 19 / 13
+    # iterations at the mu -> infinity limit of that schedule, extrapolated
+    # from mu = 1e7 and 1e8
     pot = expression_potential(ASYMMETRIC, 2, [0])
-    res = level_d(Grid(2, 10.0, 51), pot, 0.4)
-    assert res.feasible and res.converged
-    assert sum(stage["iterations"] for stage in res.stages) <= 70
-    assert res.beta_x_norm <= 1e-3
-    assert res.value == pytest.approx(39.8779064, abs=1e-6)
+    for eps, level in ((0.4, 39.879034204), (0.1, 40.461613011)):
+        res = level_d(Grid(2, 10.0, 51), pot, eps)
+        assert res.feasible and res.converged
+        assert res.stages[0]["iterations"] <= 25
+        assert res.beta_x_norm <= 1e-12
+        assert res.value == pytest.approx(level, abs=1e-8)
 
 
-def test_barycenter_penalty_value_and_gradient(rng):
-    g = Grid(2, 7.0, 65)
+def _off_centre_field(g, rng, x_axes):
+    tilt = _BarycenterTilt(g, x_axes)
     u = smooth_field(g, rng, positive=True).values
-    pen = _BarycenterPenalty(10.0, direction_weights(g)[:, [0]], g.cell_volume)
+    assert np.all(np.abs(minimax_mod._barycenter_values(u * u, tilt.wx)) > 1e-2)
+    return tilt, u
 
-    def value(v):
-        # priced from the energy kernel's u^2 and mass, as the solver does
-        _, sq, _, _, mass, _ = energy_terms(g, v, 0.0)
-        return pen.value(sq, mass)
 
-    beta = barycenter(GridField(g, u))
-    assert abs(beta[0]) > 1e-2  # the random field is off-center along X
-    assert value(u) == pytest.approx(10.0 * beta[0] ** 2, rel=1e-12)
-    assert value(3.0 * u) == pytest.approx(value(u), rel=1e-12)
+@pytest.mark.parametrize("x_axes", [(0,), (0, 1)], ids=["one-x-axis", "two-x-axes"])
+def test_tilt_retracts_an_off_centre_field_onto_y(rng, x_axes):
+    # a two-axis X needs N = 3 before a certificate reaches it
+    g = Grid(2, 7.0, 65)
+    for _ in range(3):
+        tilt, u = _off_centre_field(g, rng, x_axes)
+        c = u.copy()
+        assert tilt.retract(c, c * c) is True
+        assert minimax_mod._x_norm(minimax_mod._barycenter_values(c * c, tilt.wx)) <= 1e-14
+        # c = u e^{lam.x_X}: log(c / u) is linear in x_X, with no term in Y
+        log_ratio = np.log(c / u)
+        x = node_coordinates(g)[:, list(x_axes)]
+        lam = np.linalg.lstsq(x, log_ratio, rcond=None)[0]
+        assert np.max(np.abs(log_ratio - x @ lam)) <= 1e-12
+
+
+def test_tilt_leaves_a_field_in_y_bit_identical(rng):
+    g = Grid(2, 7.0, 65)
+    u = smooth_field(g, rng, positive=True).values.reshape(g.shape)
+    # the Gausson on the origin node and a field mirrored across Y (both X
+    # axes mirrored for the two-axis X): beta_X is rounding
+    for x_axes, field in (((0,), gausson(g, 0.5).values), ((0,), u + u[::-1]), ((0, 1), u + u[::-1, ::-1])):
+        c = np.ravel(field).copy()
+        tilt = _BarycenterTilt(g, x_axes)
+        assert minimax_mod._x_norm(minimax_mod._barycenter_values(c * c, tilt.wx)) <= 1e-15
+        assert tilt.retract(c, c * c) is False
+        assert c.tobytes() == np.ravel(field).tobytes()
+
+
+def test_tilt_cannot_carry_a_one_sided_field():
+    # with no mass at x0 < 0, F(lam) > 0 for every lam: no tilt reaches Y,
+    # and the field is left as it was for the solver to reject
+    g = Grid(2, 7.0, 65)
+    c = np.where(node_coordinates(g)[:, 0] > 0, gausson(g, 0.5).values, 0.0)
+    before = c.copy()
+    assert _BarycenterTilt(g, (0,)).retract(c, c * c) is None
+    assert np.array_equal(c, before)
+
+
+@pytest.mark.parametrize("x_axes", [(0,), (0, 1)], ids=["one-x-axis", "two-x-axes"])
+def test_tilt_reduce_is_the_gradient_of_j_after_the_tilt(rng, x_axes):
+    g = Grid(2, 7.0, 65)
+    tilt, u = _off_centre_field(g, rng, x_axes)
+    assert tilt.retract(u, u * u) is True
+    vsamp = potential_samples(SADDLE, g, 0.4)
+
+    def j_tilted(c):
+        c = c.copy()
+        assert tilt.retract(c, c * c) is not None
+        return field_energy(g, c, vsamp)[0]
+
+    grad = tilt.reduce(grad_array(g, u, vsamp), u)
     # L2 gradient: h^N <grad, d> is the directional derivative
     d = smooth_field(g, rng).values
     s = 1e-5
-    fd = (value(u + s * d) - value(u - s * d)) / (2 * s)
-    assert g.cell_volume * float(np.dot(pen.gradient(u), d)) == pytest.approx(fd, rel=1e-6)
-    zero = np.zeros(g.num_nodes)
-    assert value(zero) == 0.0 and not np.any(pen.gradient(zero))
-
-
-def test_barycenter_penalty_value_is_mu_times_the_kernels_beta_x_squared(rng):
-    # on seeded fields the penalty is mu |beta_X|^2 bit for bit, beta_X read
-    # off the one barycenter kernel, whatever the mass the solver passes
-    g = Grid(2, 7.0, 65)
-    wx = direction_weights(g)[:, [0]]
-    pen = _BarycenterPenalty(10.0, wx, g.cell_volume)
-    for _ in range(5):
-        u = smooth_field(g, rng, positive=True).values
-        _, sq, _, _, mass, _ = energy_terms(g, u, 0.0)
-        beta_x = minimax_mod._barycenter_values(u * u, wx)
-        assert beta_x.shape == (1,) and beta_x[0] != 0.0
-        assert pen.value(sq, mass) == 10.0 * minimax_mod._x_norm(beta_x) ** 2
-    assert np.isnan(minimax_mod._barycenter_values(np.zeros(g.num_nodes), wx)).all()
+    fd = (j_tilted(u + s * d) - j_tilted(u - s * d)) / (2 * s)
+    assert g.cell_volume * float(np.dot(grad, d)) == pytest.approx(fd, rel=1e-6)
+    # the tilt directions x_X u carry no first-order change of J after the tilt
+    for a in x_axes:
+        assert abs(float(np.dot(grad, node_coordinates(g)[:, a] * u))) <= 1e-10 * float(np.dot(np.abs(grad), u))
 
 
 def test_level_d_requires_nontrivial_y():
@@ -847,24 +882,23 @@ def test_sweep_marks_every_row_with_a_stalled_m_c0(monkeypatch):
 
 @pytest.mark.parametrize("unconverged_stage", [None, 0])
 def test_level_d_unconverged_stage_is_inconclusive(monkeypatch, unconverged_stage):
+    # level_d is one solve, its one stage; index 0 marks it unconverged
     real = minimax_mod.minimize_on_nehari
-    stages = []
+    solves = []
 
-    def one_stage_unconverged(*args, **kwargs):
+    def marked(*args, **kwargs):
         values, info = real(*args, **kwargs)
-        if len(stages) == unconverged_stage:
+        if len(solves) == unconverged_stage:
             info = {**info, "converged": False}
-        stages.append(info["converged"])
+        solves.append(info["converged"])
         return values, info
 
-    monkeypatch.setattr(minimax_mod, "minimize_on_nehari", one_stage_unconverged)
+    monkeypatch.setattr(minimax_mod, "minimize_on_nehari", marked)
     cfg = CertificateConfig(potential=SADDLE, solver=SolverConfig(tol=1e-3, max_iters=60),
                             compute_numerical_m=False, **TINY_CERT)
     cert = certificate(0.4, cfg)
     converged = unconverged_stage is None
-    # the first stage is feasible on the saddle, so it is the one whose field
-    # and J the certificate reports
-    assert len(stages) == 1
+    assert len(solves) == 1
     assert cert.details["level_d"]["converged"] is converged
     assert cert.inconclusive.get("level_d", False) is (not converged)
 
