@@ -24,14 +24,15 @@ consistency assertion).  A config file that is not valid
 JSON, a config or block that is not a JSON object, a setting of the wrong
 type or range, an empty sweep.eps (or a bare sweep-eps --eps), a --eps or
 --R flag that is not finite and positive, a --V
-that does not parse, a --A not above -1, a box too small for the Gausson's
-ball, and a block or key that nothing reads are config errors, not silently
-ignored or left to fail later; a bad value from a flag names the flag.
-Every default lives in DEFAULT_CONFIG, whose solver and certificate blocks
-read theirs off SolverConfig and CertificateConfig; the builders read the
-merged, validated config only.  The certificate's fixed
-sampling (the R candidates, the Theta_r radius, the points of Q and the
-barycenter tolerance) is a set of ``minimax`` constants, not settings.
+that does not parse, a --A not above -1, a potential that PotentialSpec
+refuses (an expression whose sampled c0 is not above -1), a box too small
+for the Gausson's ball, and a block or key that nothing reads are config
+errors, not silently ignored or left to fail later; a bad value from a flag
+names the flag.  Every default lives in DEFAULT_CONFIG, whose solver and
+certificate blocks read theirs off SolverConfig and CertificateConfig; the
+builders read the merged, validated config only.  The certificate's fixed
+sampling (the radii of the spheres of X that bound Q, the Theta_r radius and
+the barycenter tolerance) is a set of ``minimax`` constants, not settings.
 
 Sweep points run one after another in input order, each on its own: a row
 solves its own numerical m(c0) and is the saddle-cert output at its eps.
@@ -291,16 +292,20 @@ def validate_config(cfg: dict) -> list[str]:
 
 
 def build_potential(cfg: dict) -> PotentialSpec:
+    """The configured potential; one that ``PotentialSpec`` refuses (a sampled
+    c0 not above -1, or NaN) is a config error, raised before any output."""
     p = cfg["potential"]
     dim = cfg["grid"]["dim"]
-    kind = p["kind"]
     lam = float(p["lambda"])
     x_axes = tuple(p["x_axes"])
-    if kind == "model_saddle":
-        return model_saddle(float(p["c0"]), float(p["c1"]), dim, x_axes, lam)
-    if kind == "constant":
-        return constant_potential(float(p["value"]), dim, x_axes, lam)
-    return expression_potential(p["expr"], dim, x_axes, lam)
+    try:
+        if p["kind"] == "model_saddle":
+            return model_saddle(float(p["c0"]), float(p["c1"]), dim, x_axes, lam)
+        if p["kind"] == "constant":
+            return constant_potential(float(p["value"]), dim, x_axes, lam)
+        return expression_potential(p["expr"], dim, x_axes, lam)
+    except ValueError as err:
+        raise ConfigError([f"potential: {err}"]) from None
 
 
 # the keys the builders read, block by block: the keys of DEFAULT_CONFIG;

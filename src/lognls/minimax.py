@@ -313,51 +313,34 @@ def level_d(grid: Grid, potential: PotentialSpec, eps: float, solver: Optional[S
 _BOUNDARY_SAMPLES = 8
 
 
-def _q_samples(potential: PotentialSpec, R: float, n: int) -> NDArray:
-    """Sample points of Q = closed ball of radius R in the X subspace: the
-    origin, where a symmetric saddle puts the path maximum, plus n // 2 (at
-    least one) spheres of X at evenly spaced radii up to R, each the
-    ``_BOUNDARY_SAMPLES`` points of ``_subspace_sphere``, the sampler of
-    ``choose_r`` and V1: two points with one X axis, so the outer sphere is
-    the boundary of Q that ``choose_r`` and the zero finder read."""
-    n_rad = max(1, n // 2)
-    spheres = [
-        _subspace_sphere(potential.dim, potential.x_axes, r, _BOUNDARY_SAMPLES)
-        for r in np.linspace(R / n_rad, R, n_rad)
-    ]
-    return np.vstack([np.zeros((1, potential.dim))] + spheres)
+def level_sup_x(grid: Grid, potential: PotentialSpec, eps: float, threshold: float) -> dict:
+    """Max of J(Phi_eps(x)) over sampled Q and the radius R of Q, from one
+    walk over X, with the analytic cap m(c0) + (3/10) c2 integral(u0^2).
 
-
-def level_sup_x(grid: Grid, potential: PotentialSpec, eps: float, R: float, n_samples: int) -> dict:
-    """Max of J(Phi_eps(x)) over sampled Q, with the analytic cap
-    m(c0) + (3/10) c2 integral(u0^2) for comparison."""
-    vals = path_levels(grid, potential, eps, _q_samples(potential, R, n_samples))
-    m_c0 = m_closed_form(potential.c0, grid.dim)
-    cap = m_c0 + 0.3 * potential.c2 * _path_terms(grid, potential.c0)[2]
-    cap_closed = m_c0 * (1.0 + 0.6 * potential.c2)  # integral(u0^2) = 2 m(c0) for the exact profile
-    return {
-        "value": float(np.max(vals)),
-        "cap": cap,
-        "cap_closed_form": cap_closed,
-        "R": R,
-        "n_samples": len(vals),
-    }
-
-
-def choose_r(grid: Grid, potential: PotentialSpec, eps: float, threshold: float, schedule) -> dict:
-    """Smallest radius in the schedule whose boundary path values sit below
-    the threshold, trying the radii in increasing order whatever the order
-    of the schedule; exhaustion, or an empty schedule, is reported with R
-    None and the achieved maxima."""
-    achieved = {}
-    found = None
-    for R in sorted(schedule):
+    The walk prices the z = 0 row, where a symmetric saddle puts the path
+    maximum, then the sphere of X (``_subspace_sphere``) of each
+    ``R_SCHEDULE`` radius in increasing order, and stops at the first whose
+    boundary max is at or below ``threshold``: that radius is R, and every
+    row priced lies in Q(R).  A NaN threshold clears no radius; exhaustion
+    reports R None and the max over Q(max R_SCHEDULE)."""
+    origin = path_levels(grid, potential, eps, np.zeros((1, potential.dim)))[0]
+    boundary, found = {}, None
+    for R in sorted(R_SCHEDULE):
         zs = _subspace_sphere(potential.dim, potential.x_axes, R, _BOUNDARY_SAMPLES)
-        achieved[float(R)] = float(np.max(path_levels(grid, potential, eps, zs)))
-        if achieved[float(R)] <= threshold:
+        boundary[float(R)] = float(np.max(path_levels(grid, potential, eps, zs)))
+        if boundary[float(R)] <= threshold:
             found = float(R)
             break
-    return {"R": found, "threshold": threshold, "boundary_max": achieved, "succeeded": found is not None}
+    m_c0 = m_closed_form(potential.c0, grid.dim)
+    return {
+        "value": float(np.max([origin, *boundary.values()])),
+        "R": found,
+        "threshold": threshold,
+        "boundary_max": boundary,
+        "succeeded": found is not None,
+        "cap": m_c0 + 0.3 * potential.c2 * _path_terms(grid, potential.c0)[2],
+        "cap_closed_form": m_c0 * (1.0 + 0.6 * potential.c2),  # integral(u0^2) = 2 m(c0) for the exact profile
+    }
 
 
 def level_theta(
@@ -424,7 +407,7 @@ def barycenter_zero_finder(grid: Grid, potential: PotentialSpec, eps: float, R: 
     |P_X beta(Phi_eps(0))| is reported.  A residual above ``BETA_TOL``, a
     path that breaks this symmetry, is reported as inconclusive.  The degree
     evidence is read on the boundary of Q, the sphere of radius R in X that
-    ``choose_r`` samples: the sign of P_X beta at -R and R for one X axis,
+    ``level_sup_x`` prices: the sign of P_X beta at -R and R for one X axis,
     and its winding number on the counterclockwise circle of
     ``_BOUNDARY_SAMPLES`` points for two; a missing sign change or zero
     winding is not degree one, not a failure.
@@ -468,11 +451,10 @@ SIGMA_FLOOR = 1e-6
 # the coarsest h_target whose grid resolves the Gausson (see ``certificate``)
 MAX_H_TARGET = 0.6
 
-# the certificate's fixed sampling: the candidate radii of ``choose_r``, the
-# eps-norm radius r of Theta_r and the number of points of Q in ``level_sup_x``
+# the certificate's fixed sampling: the radii of the spheres of X that
+# ``level_sup_x`` walks, and the eps-norm radius r of Theta_r
 R_SCHEDULE = (0.25, 0.5, 1.0, 2.0)
 THETA_RADIUS = 0.5
-Q_SAMPLES = 9
 
 
 @dataclass(frozen=True)
@@ -571,14 +553,10 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
     if not theta["feasible"]:
         inconclusive["theta_r"] = True
 
-    # an infeasible Theta_r (value NaN) leaves no threshold, so no radius is tried
-    threshold = 0.5 * (m_c0 + theta["value"])
-    r_choice = choose_r(grid, pot, eps, threshold, schedule=R_SCHEDULE if theta["feasible"] else ())
-    if not r_choice["succeeded"]:
+    # an infeasible Theta_r (value NaN) leaves a NaN threshold, which no radius clears
+    sup_x = level_sup_x(grid, pot, eps, 0.5 * (m_c0 + theta["value"]))
+    if not sup_x["succeeded"]:
         inconclusive["choose_r"] = True
-    r_used = r_choice["R"] if r_choice["succeeded"] else max(R_SCHEDULE)
-
-    sup_x = level_sup_x(grid, pot, eps, R=r_used, n_samples=Q_SAMPLES)
 
     flags = {
         # positive gap of the constrained level over the free ground level
@@ -586,7 +564,7 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
         # path energies over X stay below the doubled ground level
         "sup_below_two_m": bool(sup_x["value"] < 2.0 * m_c0 - sigma),
         # some disc radius keeps its boundary under the threshold
-        "boundary_radius_found": r_choice["succeeded"],
+        "boundary_radius_found": sup_x["succeeded"],
         # neighborhood level clears the midpoint of the gap; with Theta_r =
         # D_eps (the minimizer in the ball) this is sigma > 0
         "theta_above_half_gap": bool(theta["feasible"] and theta["value"] > m_c0 + 0.5 * sigma),
@@ -606,14 +584,13 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
         D_eps_estimate=d_est,
         sup_X_J=sup_x["value"],
         theta_r_estimate=theta["value"],
-        R_used=r_choice["R"],
+        R_used=sup_x["R"],
         sigma_margin=sigma,
         flags=flags,
         inconclusive=inconclusive,
         details={
             "level_d": d_res.to_dict(),
             "theta": theta,
-            "choose_r": r_choice,
             "sup_x": sup_x,
             # the single grid; the key name predates the moving frame
             "path_grid": (grid.dim, grid.half_extent, grid.points_per_axis),

@@ -56,9 +56,10 @@ class PotentialSpec:
             raise ValueError("x_axes and y_axes must be disjoint and cover all axes")
         if not (0.0 < self.lam < 1.0):
             raise ValueError(f"lambda must lie in (0, 1), got {self.lam}")
-        if self.c0 <= -1.0:
+        # negated comparisons, so a NaN c0 or c1 is refused too
+        if not self.c0 > -1.0:
             raise ValueError(f"c0 must exceed -1, got {self.c0}")
-        if self.c1 < self.c0:
+        if not self.c1 >= self.c0:
             raise ValueError(f"c1 = {self.c1} may not be below c0 = {self.c0}")
         object.__setattr__(self, "c2", min(1.0, self.c0))
 

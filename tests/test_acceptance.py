@@ -193,7 +193,7 @@ def test_criterion_09_upper_level():
     eps = 0.05
     half = min(60.0, 1.0 / eps + 6.0)
     g = Grid(2, half, _odd_points(half, 0.4))
-    rep = level_sup_x(g, SADDLE, eps, R=1.0, n_samples=17)
+    rep = level_sup_x(g, SADDLE, eps, threshold=-math.inf)
     two_m = 2 * m_closed_form(SADDLE.c0, 2)
     ok = rep["value"] <= rep["cap"] + 1e-3 and rep["value"] < two_m
     report("9", ok, f"sup_X J = {rep['value']:.4f}, cap = {rep['cap']:.4f}, 2m = {two_m:.4f}")

@@ -401,6 +401,26 @@ def test_disallowed_expression_is_config_error(tmp_path, capsys, monkeypatch):
     assert out["violations"][0].startswith("potential.expr: ")
 
 
+@pytest.mark.parametrize(
+    "expr, got",
+    [("0*z0 - 2", "-2.0"), ("z0/z0", "nan")],
+    ids=["below-minus-one", "nan"],
+)
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+def test_potential_the_spec_refuses_is_config_error(tmp_path, capsys, monkeypatch, expr, got):
+    # the expression compiles, but its sampled c0 is not above -1: once a
+    # runtime error (exit 4), and a NaN c0 passed and was written as "nan"
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"potential": {"kind": "expression", "expr": expr}}))
+    for argv in (["check-potential"], ["saddle-cert", "--eps", "0.4"]):
+        code = main(argv + ["--config", str(path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == EXIT_CONFIG, argv
+        assert out == {"error": "config", "violations": [f"potential: c0 must exceed -1, got {got}"]}
+        assert not (tmp_path / "lognls-out").exists()
+
+
 def test_readme_config_block_matches_defaults():
     # docs that name a removed or renamed setting, or miss a setting, fail here
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

@@ -19,7 +19,6 @@ from lognls.minimax import (
     barycenter,
     barycenter_zero_finder,
     certificate,
-    choose_r,
     direction_weights,
     level_d,
     level_sup_x,
@@ -143,7 +142,7 @@ def test_path_table_matches_the_path_fields(potential, eps):
     # on these rows, so 16 ulps of 1 (|beta| <= 1) bound it
     g = Grid(potential.dim, 10.0, _odd_points(10.0, 0.15))
     u0 = gausson(g, potential.c0)
-    zs = minimax_mod._q_samples(potential, 2.0, 9)
+    zs = np.outer(np.linspace(-2.0, 2.0, 9), np.eye(potential.dim)[0])
     j = path_levels(g, potential, eps, zs)
     assert j.shape == (len(zs),)
     for k, z in enumerate(zs):
@@ -169,9 +168,9 @@ def test_path_table_applies_one_forward_transform(monkeypatch):
     forward = count_grid_calls(monkeypatch, "sine_coefficients")
     inverse = count_grid_calls(monkeypatch, "laplacian_from_sine")
     g = Grid(2, 10.0, _odd_points(10.0, 0.3))
-    for n, transforms in ((1, 1), (9, 0), (40, 0)):
+    for n, transforms in ((3, 1), (9, 0), (41, 0)):
         forward.clear()
-        zs = minimax_mod._q_samples(SADDLE, 2.0, n)
+        zs = np.outer(np.linspace(-2.0, 2.0, n), [1.0, 0.0])
         path_levels(g, SADDLE, 0.1, zs)
         assert len(forward) == transforms, f"{len(zs)} rows"
     assert not inverse
@@ -364,6 +363,39 @@ def test_level_d_reaches_the_constrained_asymmetric_level_on_the_default_grid():
         assert res.value == pytest.approx(level, abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "eps, sup_x, d_eps, sigma",
+    [
+        (0.4, 40.28181047068373, 39.879034204201915, 8.6310630033757576),
+        (0.1, 40.826669713264529, 40.461613011166421, 9.2136418103402633),
+    ],
+    ids=["0.4", "0.1"],
+)
+def test_asymmetric_sup_x_holds_every_path_row_it_prices(eps, sup_x, d_eps, sigma):
+    # the odd term puts the path maximum off z = 0.  A second walk over Q,
+    # the origin and R/4, R/2, 3R/4, R for R = 2, skipped the radius-0.25
+    # sphere that the R walk had priced and wrote 39.886727557 /
+    # 40.461745973, below a row the certificate held; every other number
+    # keeps its bits
+    pot = expression_potential(ASYMMETRIC, 2, [0])
+    cert = certificate(eps, CertificateConfig(potential=pot, compute_numerical_m=False))
+    assert cert.sup_X_J >= max(cert.details["sup_x"]["boundary_max"].values())
+    assert cert.sup_X_J == pytest.approx(sup_x, abs=1e-8)
+    assert cert.to_dict() == {
+        "eps": eps,
+        "m_c0": 31.247971200826157,
+        "m_c0_numerical": None,
+        "D_eps_estimate": d_eps,
+        "sup_X_J": cert.sup_X_J,
+        "theta_r_estimate": d_eps,
+        "R_used": 2.0,
+        "sigma_margin": sigma,
+        "flags": dict.fromkeys(cert.flags, True),
+        "inconclusive": {},
+    }
+    assert len(cert.flags) == 5
+
+
 def _off_centre_field(g, rng, x_axes):
     tilt = _BarycenterTilt(g, x_axes)
     u = smooth_field(g, rng, positive=True).values
@@ -440,42 +472,34 @@ def test_level_d_requires_nontrivial_y():
         level_d(g, both_x, 0.1)
 
 
-@pytest.mark.parametrize("n", [8, 9, 16, 17])
-def test_q_samples_are_the_origin_plus_x_spheres(n):
-    # with one X axis and an odd n these are the points of linspace(-R, R, n),
-    # so Q_SAMPLES (9) and the tests' 17 keep their bytes
-    for R in (0.25, 0.5, 1.0, 2.0):
-        zs = minimax_mod._q_samples(SADDLE, R, n)
-        assert np.array_equal(zs[0], np.zeros(2)) and not np.any(zs[:, 1])
-        assert np.max(np.abs(zs[:, 0])) == R
-        if n % 2:
-            assert np.array_equal(np.sort(zs[:, 0]), np.linspace(-R, R, n))
-    # with two X axes Q is the origin plus n // 2 circles of the boundary
-    # sampler's points, and its outer circle is the boundary of Q bit for bit
-    both_x = model_saddle(1.0, 1.25, 2, (0, 1), 0.5)
-    k = minimax_mod._BOUNDARY_SAMPLES
-    for R in (0.25, 0.5, 1.0, 2.0):
-        zs = minimax_mod._q_samples(both_x, R, n)
-        assert zs.shape == (1 + k * (n // 2), 2)
-        assert np.array_equal(zs[0], np.zeros(2))
-        assert np.array_equal(zs[-k:], minimax_mod._subspace_sphere(2, (0, 1), R, k))
-        radii = np.linalg.norm(zs[1:], axis=1).reshape(n // 2, k)
-        assert np.allclose(radii, np.linspace(R / (n // 2), R, n // 2)[:, None], rtol=1e-15, atol=0.0)
-
-
 def test_level_sup_x_even_q_samples_keep_the_origin():
-    # the saddle's path maximum sits at z = 0, which Q holds for every n
+    # the name predates the one walk over X, when Q also held the origin for
+    # an even sample count.  The saddle's path maximum sits at z = 0, which
+    # the walk prices however far it goes: one radius or all of them
     eps = 0.4
     g = CertificateConfig(potential=SADDLE, h_target=0.3).grid()
-    even, odd = (level_sup_x(g, SADDLE, eps, R=2.0, n_samples=n) for n in (8, 9))
-    assert even["value"] == odd["value"]
-    assert even["value"] == path_levels(g, SADDLE, eps, np.zeros((1, 2)))[0]
+    origin = path_levels(g, SADDLE, eps, np.zeros((1, 2)))[0]
+    for threshold, walked in ((math.inf, 1), (-math.inf, 4)):
+        report = level_sup_x(g, SADDLE, eps, threshold)
+        assert len(report["boundary_max"]) == walked
+        assert report["value"] == origin
+
+
+def test_level_sup_x_nan_threshold_walks_every_radius():
+    # an infeasible Theta_r leaves a NaN threshold, which no boundary max is
+    # at or below: the walk runs the whole schedule and finds no R
+    eps = 0.3
+    g = path_grid(eps)
+    res = level_sup_x(g, SADDLE, eps, threshold=math.nan)
+    assert not res["succeeded"] and res["R"] is None
+    assert list(res["boundary_max"]) == sorted(minimax_mod.R_SCHEDULE)
+    assert res["value"] == max(path_levels(g, SADDLE, eps, np.zeros((1, 2)))[0], *res["boundary_max"].values())
 
 
 def test_level_sup_x_constant_potential():
     eps = 0.3
     g = path_grid(eps, R=1.0)
-    report = level_sup_x(g, CONST, eps, R=1.0, n_samples=17)
+    report = level_sup_x(g, CONST, eps, threshold=-math.inf)
     m = m_closed_form(CONST.c0, 2)
     assert report["value"] == pytest.approx(m, rel=0.01)
     assert report["value"] < 2 * m
@@ -484,7 +508,7 @@ def test_level_sup_x_constant_potential():
 def test_level_sup_x_model_cap():
     eps = 0.1
     g = path_grid(eps, R=1.0)
-    report = level_sup_x(g, SADDLE, eps, R=1.0, n_samples=17)
+    report = level_sup_x(g, SADDLE, eps, threshold=-math.inf)
     assert report["value"] <= report["cap"] + 1e-3
     assert report["value"] < 2 * m_closed_form(SADDLE.c0, 2)
     assert report["cap"] == pytest.approx(report["cap_closed_form"], rel=1e-3)
@@ -494,7 +518,7 @@ def test_choose_r_constant_returns_first_entry():
     eps = 0.3
     g = path_grid(eps)
     m = m_closed_form(CONST.c0, 2)
-    res = choose_r(g, CONST, eps, threshold=m + 0.5, schedule=(0.25, 0.5, 1.0, 2.0))
+    res = level_sup_x(g, CONST, eps, threshold=m + 0.5)
     assert res["succeeded"] and res["R"] == 0.25
 
 
@@ -503,7 +527,7 @@ def test_choose_r_model_finite_radius():
     g = path_grid(eps)
     m = m_closed_form(SADDLE.c0, 2)
     theta_proxy = m_closed_form(SADDLE.c1, 2)  # path value at the origin
-    res = choose_r(g, SADDLE, eps, threshold=0.5 * (m + theta_proxy), schedule=(0.25, 0.5, 1.0, 2.0))
+    res = level_sup_x(g, SADDLE, eps, threshold=0.5 * (m + theta_proxy))
     assert res["succeeded"] and res["R"] is not None
     # boundary values decrease toward m(c0) as R grows
     vals = list(res["boundary_max"].values())
@@ -513,7 +537,7 @@ def test_choose_r_model_finite_radius():
 def test_choose_r_reports_exhaustion():
     eps = 0.3
     g = path_grid(eps)
-    res = choose_r(g, SADDLE, eps, threshold=0.0, schedule=(0.25, 0.5, 1.0, 2.0))
+    res = level_sup_x(g, SADDLE, eps, threshold=0.0)
     assert not res["succeeded"] and res["R"] is None
     assert len(res["boundary_max"]) == 4
 
@@ -604,7 +628,7 @@ def test_theta_fallback_is_the_path_row_that_sup_x_reads(eps):
     rep = level_theta(g, SADDLE, eps, 1e-3, d_res)
     assert not rep["used_minimizer"]
     assert rep["value"] == _path_origin_level(g, eps, f0)
-    assert rep["value"] <= level_sup_x(g, SADDLE, eps, R=max(minimax_mod.R_SCHEDULE), n_samples=minimax_mod.Q_SAMPLES)["value"]
+    assert rep["value"] <= level_sup_x(g, SADDLE, eps, threshold=-math.inf)["value"]
 
 
 def test_theta_needs_a_minimizer_on_the_grid_of_u0():
@@ -629,6 +653,8 @@ def test_theta_is_d_eps_in_the_default_sweep():
         assert theta["used_minimizer"] and theta["feasible"] and theta["r"] == minimax_mod.THETA_RADIUS
         distances.append(theta["minimizer_distance"])
         assert all(cert.flags.values())
+        # the saddle's path maximum is the z = 0 row, bit for bit
+        assert cert.sup_X_J == path_levels(cfg.grid(), SADDLE, cert.eps, np.zeros((1, 2)))[0]
     assert distances == pytest.approx([0.200, 0.065, 0.018, 0.005], abs=5e-4)
 
 
@@ -656,7 +682,7 @@ def test_choose_r_walks_the_schedule_in_increasing_order(monkeypatch):
     descending = certificate(0.05, cfg)
     assert ascending.R_used == descending.R_used == 1.0
     assert descending.to_dict() == ascending.to_dict()
-    assert list(descending.details["choose_r"]["boundary_max"]) == [0.25, 0.5, 1.0]
+    assert list(descending.details["sup_x"]["boundary_max"]) == [0.25, 0.5, 1.0]
 
 
 def test_certificate_never_imports_numpy_random():
@@ -708,8 +734,9 @@ def test_zero_finder_2d_x_winding():
 
 def test_zero_finder_reads_the_degree_on_the_sphere_choose_r_samples(monkeypatch):
     # the boundary of Q is the sphere of radius R in X: for two X axes the
-    # finder prices beta on choose_r's circle, every point at |z| = R, and at
-    # the origin for the residual (the square's corners sat at R sqrt 2)
+    # finder prices beta on the circle that level_sup_x walks (the name
+    # predates that walk), every point at |z| = R, and at the origin for the
+    # residual (the square's corners sat at R sqrt 2)
     both_x = model_saddle(1.0, 1.25, 2, (0, 1), 0.5)
     g = path_grid(0.2, R=1.0)
     real = minimax_mod._path_frame
@@ -965,7 +992,7 @@ def test_theta_builds_one_path_field_and_samples_v_once(monkeypatch):
 
 
 def test_path_levels_never_read_direction_weights(monkeypatch):
-    # choose_r and level_sup_x read J only; beta is the zero finder's
+    # the walk of level_sup_x reads J only; beta is the zero finder's
     calls = []
     real = minimax_mod.direction_weights
 
@@ -975,8 +1002,6 @@ def test_path_levels_never_read_direction_weights(monkeypatch):
 
     monkeypatch.setattr(minimax_mod, "direction_weights", counted)
     g = Grid(2, 10.0, _odd_points(10.0, 0.3))
-    zs = minimax_mod._q_samples(SADDLE, 2.0, 9)
-    path_levels(g, SADDLE, 0.1, zs)
-    choose_r(g, SADDLE, 0.1, threshold=0.0, schedule=(0.25, 0.5, 1.0, 2.0))
-    level_sup_x(g, SADDLE, 0.1, R=1.0, n_samples=17)
+    path_levels(g, SADDLE, 0.1, np.outer(np.linspace(-2.0, 2.0, 9), [1.0, 0.0]))
+    level_sup_x(g, SADDLE, 0.1, threshold=0.0)
     assert calls == []

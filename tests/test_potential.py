@@ -54,6 +54,10 @@ def test_potential_spec_validation():
         PotentialSpec(2, (0,), (0, 1), 0.5, lambda p: np.zeros(len(p)))
     with pytest.raises(ValueError):
         PotentialSpec(2, (0,), (1,), 1.5, lambda p: np.zeros(len(p)))
+    # a NaN c0 or c1 fails every comparison, so the checks are negated
+    for c0, c1 in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            PotentialSpec(2, (0,), (1,), 0.5, lambda p: np.zeros(len(p)), c0=c0, c1=c1)
 
 
 def test_cone_membership_equivalence(rng):
