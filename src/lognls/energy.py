@@ -29,7 +29,7 @@ from .grid import (
     GridField,
     integrate_array,
     laplacian_array,
-    node_coordinates,
+    node_axes,
     sine_coefficients,
     sine_kinetic,
 )
@@ -141,19 +141,19 @@ def _f1_second(a: NDArray, d: float) -> NDArray:
 # ---------------------------------------------------------------------------
 
 def potential_samples(potential, grid: Grid, eps: float) -> NDArray:
-    """Sample V(eps x) at the grid nodes as a flat array.
+    """Sample V(eps x) at the grid nodes as a flat read-only array.
 
-    ``potential`` is a PotentialSpec or a number.  A constant potential, a
-    number or a spec of kind "constant", is sampled as its value: one
-    read-only zero-stride view.  Every sample must exceed -1, so that the
-    weight V + 1 of the eps-norm is positive.
+    ``potential`` is a PotentialSpec, evaluated on the open mesh eps
+    ``node_axes``, or a number.  A constant potential, a number or a spec of
+    kind "constant", is sampled as its value: one zero-stride view.  Every
+    sample must exceed -1, so that the weight V + 1 of the eps-norm is positive.
     """
-    if getattr(potential, "kind", None) == "constant":
-        potential = potential.c0
     if hasattr(potential, "evaluate"):
-        vsamp = np.asarray(potential.evaluate(eps * node_coordinates(grid)), dtype=float).ravel()
+        v = potential.evaluate([eps * x for x in node_axes(grid)])
     else:
-        vsamp = np.broadcast_to(float(potential), (grid.num_nodes,))
+        v = float(potential)
+    vsamp = np.broadcast_to(v, grid.shape).reshape(-1)
+    vsamp.flags.writeable = False
     if not np.all(vsamp > -1.0):
         raise ValueError("potential samples must stay above -1 (V + 1 must be positive)")
     return vsamp

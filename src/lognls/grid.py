@@ -3,8 +3,9 @@
 Fields live on [-L, L]^N sampled at n points per axis and are treated as
 zero outside the box (homogeneous Dirichlet ghost values).  A grid may carry
 a frame center c: its nodes then sit at c + [-L, L]^N.  Only the node
-coordinates see the center; the Laplacian and the quadrature do not, so a
-field moved to another frame keeps its values and every translation-invariant
+coordinates, the package's one coordinate form ``node_axes`` (no n^N x N
+table), see the center; the Laplacian and the quadrature do not, so a field
+moved to another frame keeps its values and every translation-invariant
 quantity.  The module provides the sine-spectral Laplacian and its shifted
 inverse and rectangle-rule quadrature, all on raw node arrays (the energy
 forms are built from them in ``energy``), and a text dump format that
@@ -96,15 +97,10 @@ class Grid:
         return 0.5 * (ax - ax[::-1]) + self.center[k]
 
 
-def tensor_points(axes) -> NDArray:
-    """The tensor mesh of 1-D coordinate arrays, one per dimension, as a
-    (num_points, len(axes)) array in row-major order (last axis fastest)."""
-    return np.column_stack([c.ravel() for c in np.meshgrid(*axes, indexing="ij")])
-
-
-def node_coordinates(grid: Grid) -> NDArray:
-    """All node coordinates as a (num_nodes, dim) array in row-major order."""
-    return tensor_points([grid.axis(k) for k in range(grid.dim)])
+def node_axes(grid: Grid) -> tuple[NDArray, ...]:
+    """The node coordinates as an open mesh (``np.ix_``): one array per axis,
+    frame center included, that broadcasts against the others to ``grid.shape``."""
+    return np.ix_(*(grid.axis(k) for k in range(grid.dim)))
 
 
 @dataclass
@@ -189,12 +185,8 @@ def sine_coefficients(grid: Grid, values: NDArray) -> NDArray:
 def _eigenvalue_sums(grid: Grid, shift: float) -> NDArray:
     """shift + the sum over the axes of ``_dirichlet_eigenvalues``, in the
     layout of ``sine_coefficients``."""
-    n = grid.points_per_axis
     lam = _dirichlet_eigenvalues(grid)
-    eigen = shift
-    for k in range(grid.dim):
-        eigen = eigen + lam.reshape((n,) + (1,) * (grid.dim - 1 - k))
-    return eigen.reshape(n, -1)
+    return sum(np.ix_(*[lam] * grid.dim), shift).reshape(grid.points_per_axis, -1)
 
 
 def _from_sine(grid: Grid, coeffs: NDArray) -> NDArray:

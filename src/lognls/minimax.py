@@ -38,7 +38,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .energy import energy_terms, eps_norm_sq, field_energy, potential_samples
-from .grid import Grid, GridField, integrate_array, node_coordinates
+from .grid import Grid, GridField, integrate_array, node_axes
 from .nehari import (
     SolverConfig,
     _gausson_seed,
@@ -62,12 +62,13 @@ def direction_weights(grid: Grid) -> NDArray:
 def _direction_table(grid: Grid) -> NDArray:
     """The origin is detected with a spacing-relative tolerance: linspace
     rounding can leave the center node at ~1e-15 rather than exactly 0, and
-    x/|x| there would be a full-size junk direction."""
-    pts = node_coordinates(grid)
-    norm = np.linalg.norm(pts, axis=1)
+    x/|x| there would be a full-size junk direction.  The table is data,
+    computed from the open mesh."""
+    z = node_axes(grid)
+    norm = np.sqrt(sum(x * x for x in z))
     off_origin = norm > 1e-9 * grid.spacing
     safe = np.where(off_origin, norm, 1.0)
-    w = np.where(off_origin[:, None], pts / safe[:, None], 0.0)
+    w = np.stack([np.where(off_origin, x / safe, 0.0) for x in z], axis=-1).reshape(-1, grid.dim)
     w.flags.writeable = False
     return w
 
@@ -198,14 +199,15 @@ class _BarycenterTilt:
     lam is the root of F(lam) = sum w_X c^2 e^{2 lam.x_X}, the gradient of
     the convex Psi(lam) = 1/2 sum c^2 |x|^-1 e^{2 lam.x_X}: its Jacobian is
     symmetric positive semidefinite, and damped Newton from lam = 0 finds
-    the root when there is one.  Each x_a is a per-axis vector shaped to
-    broadcast over a field (no n^N coordinate table); ``wx`` holds the X
-    columns of the direction weights.
+    the root when there is one.  Each x_a is an X axis's array of the open
+    mesh ``node_axes``, broadcast over a field; ``wx`` holds the X columns
+    of the direction weights.
     """
 
     def __init__(self, grid: Grid, axes):
         self.shape = grid.shape
-        self.coords = [grid.axis(a).reshape((-1,) + (1,) * (grid.dim - 1 - a)) for a in axes]
+        z = node_axes(grid)
+        self.coords = [z[a] for a in axes]
         self.others = [tuple(b for b in range(grid.dim) if b != a) for a in axes]
         self.wx = direction_weights(grid)[:, list(axes)]
 

@@ -26,7 +26,6 @@ steps lifts its linear rate.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -39,6 +38,7 @@ from .grid import (
     Grid,
     GridField,
     laplacian_from_sine,
+    node_axes,
     require_supported_dim,
     shifted_laplacian_solve,
 )
@@ -152,9 +152,9 @@ def gausson(grid: Grid, A: float, center=None) -> GridField:
         raise ValueError(f"center must have {grid.dim} components")
     if np.any(np.abs(c - grid.center) + GAUSSON_BALL_RADIUS > grid.half_extent):
         raise ValueError(f"center too close to the boundary: {GAUSSON_BALL_RADIUS:g}-sigma ball exits the box")
-    # |x - c|^2 as the outer sum of the per-axis squared offsets, then
+    # |x - c|^2 as the broadcast sum of the per-axis squared offsets, then
     # exp(-r2/2) and the scale in place on that one n^N buffer
-    u = functools.reduce(np.add.outer, [(grid.axis(k) - c[k]) ** 2 for k in range(grid.dim)])
+    u = sum((x - ck) ** 2 for x, ck in zip(node_axes(grid), c))
     u /= -2.0
     np.exp(u, out=u)
     u *= math.exp(0.5 * (grid.dim + A))
@@ -382,7 +382,7 @@ def _gausson_seed(grid: Grid, potential) -> NDArray:
     exact solution of the frozen-coefficient problem there (V(eps x) at
     x = 0 is V(0) for every eps)."""
     if hasattr(potential, "evaluate"):
-        level = float(np.ravel(potential.evaluate(np.zeros((1, grid.dim))))[0])
+        level = float(potential.evaluate([0.0] * grid.dim))
     else:
         level = float(potential)
     return gausson(grid, max(level, -0.999)).values

@@ -7,7 +7,8 @@ X of R^N, and stays strictly above c0 on the cone
 
 around the complementary subspace Y.  The split is realized as an orthogonal
 coordinate split (disjoint axis index sets), so the definitional form
-"|z.y| > lambda |z||y| for some y in Y" reduces to |P_Y z| > lambda |z|.
+"|z.y| > lambda |z||y| for some y in Y" reduces to |P_Y z| > lambda |z|.  A
+point set is its N broadcasting coordinate arrays (``PotentialSpec``).
 
 Checkers cover the sphere-infimum geometry (V1), boundedness of V and its
 first two derivatives (V2), and the level inequalities (V4).  The
@@ -22,18 +23,23 @@ import ast
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import require_supported_dim, tensor_points
+from .grid import require_supported_dim
 from .nehari import m_closed_form
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
     """A potential with its subspace split, cone parameter, and constants.
+
+    ``evaluate(z)`` takes a point set as its N coordinate arrays (scalars
+    allowed) that broadcast against each other, the ``np.ix_`` open mesh of
+    a grid or a box or ``pts.T`` for scattered points, and returns V on
+    their broadcast shape, possibly as a read-only view.
 
     ``c2 = min(1, c0)`` is derived, never stored independently: replacing a
     spec recomputes it.
@@ -43,7 +49,7 @@ class PotentialSpec:
     x_axes: tuple[int, ...]
     y_axes: tuple[int, ...]
     lam: float
-    evaluate: Callable[[NDArray], NDArray] = field(repr=False)
+    evaluate: Callable[[Sequence[NDArray]], NDArray] = field(repr=False)
     kind: str = "custom"
     c0: float = 0.0
     c1: float = 0.0
@@ -63,17 +69,12 @@ class PotentialSpec:
             raise ValueError(f"c1 = {self.c1} may not be below c0 = {self.c0}")
         object.__setattr__(self, "c2", min(1.0, self.c0))
 
-    def project_y(self, pts: NDArray) -> NDArray:
-        out = np.zeros_like(pts)
-        for ax in self.y_axes:
-            out[:, ax] = pts[:, ax]
-        return out
-
-    def in_cone(self, pts: NDArray) -> NDArray:
-        """Membership of the cone Y_lambda, |P_Y z| > lambda |z| (vectorized)."""
-        norm = np.linalg.norm(pts, axis=1)
-        y_norm = np.linalg.norm(self.project_y(pts), axis=1)
-        return y_norm > self.lam * norm
+    def in_cone(self, z: Sequence[NDArray]) -> NDArray:
+        """Membership of the cone Y_lambda, |P_Y z| > lambda |z|, on the
+        broadcast shape of the coordinate arrays z."""
+        sq = [np.square(z[k]) for k in range(self.dim)]
+        y_norm = np.sqrt(sum(sq[k] for k in self.y_axes))
+        return y_norm > self.lam * np.sqrt(sum(sq))
 
     def describe(self) -> dict:
         return {
@@ -96,18 +97,12 @@ def model_saddle(c0: float, c1: float, dim: int, x_axes, lam: float) -> Potentia
     """
     if not c1 > c0:
         raise ValueError(f"model saddle needs c1 > c0, got c0={c0}, c1={c1}")
-    if c0 <= -1.0:
-        raise ValueError(f"c0 must exceed -1, got {c0}")
     x_axes = tuple(int(a) for a in x_axes)
     y_axes = tuple(a for a in range(dim) if a not in x_axes)
 
-    def _eval(pts: NDArray) -> NDArray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        sq = np.sum(pts * pts, axis=1)
-        y_sq = np.zeros_like(sq)
-        for ax in y_axes:
-            y_sq += pts[:, ax] ** 2
-        return c0 + (c1 - c0) * (1.0 + y_sq) / (1.0 + sq)
+    def _eval(z: Sequence[NDArray]) -> NDArray:
+        sq = [np.square(z[k]) for k in range(dim)]
+        return c0 + (c1 - c0) * (1.0 + sum(sq[k] for k in y_axes)) / (1.0 + sum(sq))
 
     return PotentialSpec(dim, x_axes, y_axes, lam, _eval, kind="model_saddle", c0=c0, c1=c1)
 
@@ -117,9 +112,8 @@ def constant_potential(value: float, dim: int, x_axes=(0,), lam: float = 0.5) ->
     x_axes = tuple(int(a) for a in x_axes)
     y_axes = tuple(a for a in range(dim) if a not in x_axes)
 
-    def _eval(pts: NDArray) -> NDArray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.full(pts.shape[0], float(value))
+    def _eval(z: Sequence[NDArray]) -> NDArray:
+        return np.broadcast_to(float(value), np.broadcast(*z).shape)
 
     return PotentialSpec(dim, x_axes, y_axes, lam, _eval, kind="constant", c0=value, c1=value)
 
@@ -143,7 +137,7 @@ def compile_expression(expr: str, dim: int) -> Callable[[tuple], NDArray]:
     Allowed are numeric literals, the coordinates z0 .. z{dim-1}, + - * / **,
     unary minus and one-argument calls of the functions in ``_FUNCTIONS``;
     anything else raises ValueError, and nothing is passed to eval.  The
-    evaluator maps the coordinate columns through the operator functions
+    evaluator maps the coordinate arrays through the operator functions
     Python arithmetic uses, so it returns the values of the expression
     written as Python code, bit for bit.
     """
@@ -193,21 +187,17 @@ def expression_potential(expr: str, dim: int, x_axes, lam: float = 0.5) -> Poten
     y_axes = tuple(a for a in range(dim) if a not in x_axes)
     formula = compile_expression(expr, dim)
 
-    def _eval(pts: NDArray) -> NDArray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = formula(tuple(pts[:, k] for k in range(dim)))
-        return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],)).copy()
+    def _eval(z: Sequence[NDArray]) -> NDArray:
+        # float arrays: a scalar coordinate then divides and powers as an array does
+        z = [np.asarray(x, dtype=float) for x in z]
+        return np.broadcast_to(np.asarray(formula(z), dtype=float), np.broadcast(*z).shape)
 
     side = round(_EXPR_SAMPLES ** (1.0 / dim))  # the integer dim-th root of _EXPR_SAMPLES
     if side**dim > _EXPR_SAMPLES:
         side -= 1
-    pts = tensor_points([np.linspace(-_EXPR_BOX_RADIUS, _EXPR_BOX_RADIUS, side)] * dim)
-    vals = _eval(pts)
-    c0 = float(np.min(vals))
-    on_x = pts.copy()
-    for ax_i in y_axes:
-        on_x[:, ax_i] = 0.0
-    c1 = float(np.max(_eval(on_x)))
+    box = np.ix_(*[np.linspace(-_EXPR_BOX_RADIUS, _EXPR_BOX_RADIUS, side)] * dim)
+    c0 = float(np.min(_eval(box)))
+    c1 = float(np.max(_eval([0.0 if k in y_axes else x for k, x in enumerate(box)])))
     return PotentialSpec(dim, x_axes, y_axes, lam, _eval, kind="expression", c0=c0, c1=max(c1, c0))
 
 
@@ -276,15 +266,15 @@ def check_V1(spec: PotentialSpec) -> dict:
         pts = _subspace_sphere(spec.dim, spec.x_axes, r, _V1_SPHERE_SAMPLES)
         if pts.shape[0] == 0:  # no X axis: the first sphere is already empty
             return report(None, False, True)
-        sups.append(float(np.max(spec.evaluate(pts))))
+        sups.append(float(np.max(spec.evaluate(pts.T))))
 
     dirs = _subspace_sphere(spec.dim, tuple(range(spec.dim)), 1.0, _V1_CONE_DIRECTIONS)
     radii_grid = np.geomspace(1e-3, _V1_BOX_RADIUS, _V1_CONE_RADII)
     pts = (dirs[None, :, :] * radii_grid[:, None, None]).reshape(-1, spec.dim)
-    mask = spec.in_cone(pts)
+    mask = spec.in_cone(pts.T)
     if not np.any(mask):
         return report(None, False, True)
-    cone_inf = float(np.min(spec.evaluate(pts[mask])))
+    cone_inf = float(np.min(spec.evaluate(pts[mask].T)))
     return report(cone_inf, bool(min(sups[-2:]) < cone_inf - _V1_MARGIN), False)
 
 
@@ -301,17 +291,22 @@ _V2_CAP = 1e6
 _V2_ROUNDING = 16
 
 
-def _fd_maxima(spec: PotentialSpec, pts: NDArray, v0: NDArray, step: float) -> tuple[float, float]:
+def _fd_maxima(spec: PotentialSpec, box: Sequence[NDArray], v0: NDArray, step: float) -> tuple[float, float]:
     """Largest |first| and |second| central difference of V at ``step`` over
-    ``pts`` (``v0`` = V there), mixed second differences included."""
+    the open mesh ``box`` (``v0`` = V there), mixed second differences
+    included; a difference moves the box's axis arrays."""
     max_grad = max_second = 0.0
     shift = step * np.eye(spec.dim)
+
+    def moved(offset: NDArray) -> NDArray:
+        return spec.evaluate([x + d for x, d in zip(box, offset)])
+
     for i in range(spec.dim):
-        vp, vm = spec.evaluate(pts + shift[i]), spec.evaluate(pts - shift[i])
+        vp, vm = moved(shift[i]), moved(-shift[i])
         max_grad = max(max_grad, float(np.max(np.abs(vp - vm))) / (2 * step))
         max_second = max(max_second, float(np.max(np.abs(vp + vm - 2 * v0))) / step**2)
         for j in range(i + 1, spec.dim):
-            vpp, vpm, vmp, vmm = (spec.evaluate(pts + a * shift[i] + b * shift[j]) for a in (1, -1) for b in (1, -1))
+            vpp, vpm, vmp, vmm = (moved(a * shift[i] + b * shift[j]) for a in (1, -1) for b in (1, -1))
             mixed = np.abs(vpp - vpm - vmp + vmm) / (4 * step**2)
             max_second = max(max_second, float(np.max(mixed)))
     return max_grad, max_second
@@ -327,11 +322,11 @@ def check_V2(spec: PotentialSpec) -> dict:
     sample up to ten times more, rounding up to eps_mach max|V| / step^2 more.
     A kink that no sample lies within a step of is not seen.
     """
-    pts = tensor_points([np.linspace(-_V2_BOX_RADIUS, _V2_BOX_RADIUS, _V2_POINTS_PER_AXIS)] * spec.dim)
-    v0 = spec.evaluate(pts)
+    box = np.ix_(*[np.linspace(-_V2_BOX_RADIUS, _V2_BOX_RADIUS, _V2_POINTS_PER_AXIS)] * spec.dim)
+    v0 = spec.evaluate(box)
     max_val = float(np.max(np.abs(v0)))
-    max_grad, max_second = _fd_maxima(spec, pts, v0, _FD_STEP)
-    fine = _fd_maxima(spec, pts, v0, _FD_STEP / 10)[1]
+    max_grad, max_second = _fd_maxima(spec, box, v0, _FD_STEP)
+    fine = _fd_maxima(spec, box, v0, _FD_STEP / 10)[1]
     rounding = _V2_ROUNDING * math.ulp(1.0) * max_val / (_FD_STEP / 10) ** 2
     return {
         "max_value": max_val,
@@ -352,8 +347,7 @@ def check_V4(spec: PotentialSpec, v_at_origin: Optional[float] = None) -> dict:
     level and V(0) <= c1 the two are mutually exclusive (0.3 c2 < log 2);
     that structural conflict is surfaced instead of being resolved silently.
     """
-    v0 = float(v_at_origin if v_at_origin is not None else np.asarray(
-        spec.evaluate(np.zeros((1, spec.dim)))).ravel()[0])
+    v0 = float(v_at_origin if v_at_origin is not None else spec.evaluate([0.0] * spec.dim))
     m_v0 = m_closed_form(v0, spec.dim) if v0 > -1.0 else float("nan")
     m_c0 = m_closed_form(spec.c0, spec.dim)
     ineq1_m = bool(v0 > -1.0 and m_v0 >= 2.0 * m_c0)
@@ -390,15 +384,13 @@ def v3_diagnostic(spec: PotentialSpec) -> dict:
     """
     n_tail = len(_V3_RADII) // 2  # the tail: the outer half of the rays
     dirs = _subspace_sphere(spec.dim, tuple(range(spec.dim)), 1.0, _V3_DIRECTIONS)
-    eye = np.eye(spec.dim)
     suspects = []
     for d in dirs:
-        pts = _V3_RADII[:, None] * d[None, :]
-        vals = np.asarray(spec.evaluate(pts))
+        z = [_V3_RADII * c for c in d]  # the ray's coordinate arrays
+        vals = spec.evaluate(z)
         grad_sq = np.zeros(len(_V3_RADII))
         for i in range(spec.dim):
-            vp = spec.evaluate(pts + _FD_STEP * eye[i])
-            vm = spec.evaluate(pts - _FD_STEP * eye[i])
+            vp, vm = (spec.evaluate(z[:i] + [z[i] + s * _FD_STEP] + z[i + 1 :]) for s in (1, -1))
             grad_sq += ((vp - vm) / (2 * _FD_STEP)) ** 2
         tail_grad = float(np.max(np.sqrt(grad_sq[-n_tail:])))
         tail_var = float(np.max(vals[-n_tail:]) - np.min(vals[-n_tail:]))

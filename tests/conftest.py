@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lognls.grid import Grid, GridField
+from lognls.grid import Grid, GridField, node_axes
 
 
 @pytest.fixture
@@ -19,11 +19,15 @@ def grid_2d():
     return Grid(2, 7.0, 65)
 
 
+def node_table(grid: Grid) -> np.ndarray:
+    """All node coordinates as a (num_nodes, dim) table in row-major order
+    (the last coordinate fastest), spelled out from the open mesh."""
+    return np.column_stack([x.ravel() for x in np.broadcast_arrays(*node_axes(grid))])
+
+
 def smooth_field(grid: Grid, rng, n_bumps: int = 4, positive: bool = False) -> GridField:
     """Random decaying mixture of Gaussian bumps; widths stay off extremal values."""
-    from lognls.grid import node_coordinates
-
-    pts = node_coordinates(grid)
+    pts = node_table(grid)
     values = np.zeros(grid.num_nodes)
     for _ in range(n_bumps):
         center = rng.uniform(-3.0, 3.0, size=grid.dim)

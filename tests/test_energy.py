@@ -22,7 +22,7 @@ from lognls.energy import (
 )
 from lognls.grid import Grid, GridField, integrate_array, sine_coefficients, sine_kinetic
 from lognls.nehari import gausson, m_closed_form
-from lognls.potential import PotentialSpec, constant_potential
+from lognls.potential import PotentialSpec, constant_potential, expression_potential, model_saddle
 
 from conftest import smooth_field
 
@@ -142,7 +142,7 @@ def test_potential_samples_takes_a_spec_or_a_number(grid_1d):
     with pytest.raises(ValueError):
         potential_samples(-1.0, grid_1d, 1.0)
     # a spec whose samples dip to -1 or below is rejected by the sampler itself
-    dip = PotentialSpec(1, (0,), (), 0.5, lambda p: p[:, 0] ** 2 - 2.0)
+    dip = PotentialSpec(1, (0,), (), 0.5, lambda z: z[0] ** 2 - 2.0)
     with pytest.raises(ValueError):
         potential_samples(dip, grid_1d, 1.0)
     # neither a callable nor a field of precomputed samples is a potential
@@ -163,6 +163,32 @@ def test_a_constant_potential_is_a_read_only_zero_stride_view(grid_2d):
         with pytest.raises(ValueError):
             vsamp *= 2.0
         assert np.array_equal(vsamp, np.full(grid_2d.num_nodes, 0.1))
+
+
+@pytest.mark.parametrize(
+    "potential, max_fields",
+    [
+        (model_saddle(1.0, 1.25, 2, (0,), 0.5), 3.5),
+        (expression_potential("1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0.1*z0/(1+z0**2)", 2, (0,), 0.5), 2.5),
+    ],
+    ids=["model saddle", "asymmetric expression"],
+)
+def test_potential_sampling_peak_memory(potential, max_fields):
+    # V is evaluated on the open mesh of the scaled node axes, so the peak is
+    # the returned field and the formula's own temporaries: an (n^N x N)
+    # coordinate table and its eps-scaled copy would be four fields alone
+    import tracemalloc
+
+    g = Grid(2, 10.0, 269)
+    field_bytes = g.num_nodes * 8
+    tracemalloc.start()
+    try:
+        vsamp = potential_samples(potential, g, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vsamp.shape == (g.num_nodes,) and not vsamp.flags.writeable
+    assert peak <= max_fields * field_bytes, peak / field_bytes
 
 
 def _direct_terms(grid, values, vsamp):

@@ -14,7 +14,7 @@ from lognls.grid import (
     integrate_array,
     laplacian_array,
     load_field,
-    node_coordinates,
+    node_axes,
     shifted_laplacian_solve,
 )
 
@@ -23,7 +23,7 @@ from lognls.energy import energy_terms, eps_norm_sq
 from lognls.nehari import m_closed_form
 from lognls.potential import model_saddle
 
-from conftest import smooth_field
+from conftest import node_table, smooth_field
 
 
 def _block_rows(n):
@@ -210,10 +210,15 @@ def test_dump_load_roundtrip(tmp_path, rng, grid_2d):
     assert np.array_equal(back.values, u.values)
 
 
-def test_node_coordinates_row_major(grid_2d):
-    pts = node_coordinates(grid_2d)
+def test_node_axes_row_major(grid_2d):
+    x0, x1 = node_axes(grid_2d)
     ax = grid_2d.axis()
-    # row-major: the second coordinate varies fastest
+    n = grid_2d.points_per_axis
+    # an open mesh: coordinate k varies along array axis k alone
+    assert x0.shape == (n, 1) and x1.shape == (1, n)
+    assert np.array_equal(x0.ravel(), ax) and np.array_equal(x1.ravel(), ax)
+    # broadcast and raveled row-major, the second coordinate varies fastest
+    pts = node_table(grid_2d)
     assert pts[0, 0] == ax[0] and pts[0, 1] == ax[0]
     assert pts[1, 0] == ax[0] and pts[1, 1] == ax[1]
 
@@ -224,7 +229,7 @@ def test_frame_center_moves_coordinates_only(rng, grid_2d):
     assert moved != grid_2d and moved.spacing == grid_2d.spacing
     assert np.array_equal(moved.axis(0), grid_2d.axis(0) + 1.5)
     assert np.array_equal(moved.axis(1), grid_2d.axis(1) - 0.25)
-    assert np.array_equal(node_coordinates(moved), node_coordinates(grid_2d) + [1.5, -0.25])
+    assert np.array_equal(node_table(moved), node_table(grid_2d) + [1.5, -0.25])
     u = smooth_field(grid_2d, rng)
     v = GridField(moved, u.values)
     assert np.array_equal(laplacian_array(moved, v.values), laplacian_array(grid_2d, u.values))
@@ -322,9 +327,17 @@ def test_dst1_block_size_changes_no_bit(rng, monkeypatch, n):
         assert np.array_equal(_dst1(a), full)
 
 
-def test_node_coordinates_one_dimension_is_the_axis():
+def test_node_axes_one_dimension_is_the_axis():
     g = Grid(1, 10.0, 65)
-    assert np.array_equal(node_coordinates(g), g.axis()[:, None])
+    (x,) = node_axes(g)
+    assert np.array_equal(x, g.axis())
+
+
+def test_grid_has_no_coordinate_table_builder():
+    # every point set is an open mesh of per-axis arrays; the V-sampling
+    # peak-memory tests of the energy module bound what a sampling builds
+    assert not hasattr(grid_mod, "node_coordinates")
+    assert not hasattr(grid_mod, "tensor_points")
 
 
 def test_supported_dims_has_one_owner(monkeypatch):
@@ -345,7 +358,7 @@ def test_kernels_run_in_three_dimensions_once_the_cap_allows(rng, monkeypatch):
     # the cap is the only thing in the grid that stops N = 3
     monkeypatch.setattr(grid_mod, "SUPPORTED_DIMS", (1, 2, 3))
     g = Grid(3, 4.0, 17)
-    pts = node_coordinates(g)
+    pts = node_table(g)
     ax = g.axis()
     assert pts.shape == (17**3, 3)
     assert np.array_equal(pts[1], [ax[0], ax[0], ax[1]])  # row-major: the last coordinate fastest

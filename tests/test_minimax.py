@@ -10,7 +10,7 @@ import pytest
 
 from lognls.energy import SplitParams, eps_norm_sq, field_energy, grad_array, potential_samples
 import lognls.grid as grid_mod
-from lognls.grid import Grid, GridField, node_coordinates
+from lognls.grid import Grid, GridField
 import lognls.minimax as minimax_mod
 from lognls.minimax import (
     CertificateConfig,
@@ -39,7 +39,7 @@ from lognls.nehari import (
 )
 from lognls.potential import constant_potential, expression_potential, model_saddle
 
-from conftest import count_grid_calls, smooth_field
+from conftest import count_grid_calls, node_table, smooth_field
 
 PARAMS = SplitParams()
 SADDLE = model_saddle(1.0, 1.25, 2, (0,), 0.5)
@@ -279,7 +279,7 @@ def test_path_level_is_the_ground_level_of_the_smoothed_potential(eps, z):
     j_path = field_energy(frame, frame_field.values, potential_samples(SADDLE, frame, eps))[0]
     m_h = ground_state(g, SADDLE.c0, 1.0, config=SolverConfig(tol=1e-6, max_iters=4000)).energy
     weight = gausson(g, SADDLE.c0).values ** 2
-    w = float(np.sum(SADDLE.evaluate(eps * node_coordinates(g) + np.asarray(z)) * weight) / np.sum(weight))
+    w = float(np.sum(SADDLE.evaluate((eps * node_table(g) + np.asarray(z)).T) * weight) / np.sum(weight))
     assert abs(j_path - m_h * math.exp(w - SADDLE.c0)) <= 1e-13 * j_path
 
 
@@ -414,7 +414,7 @@ def test_tilt_retracts_an_off_centre_field_onto_y(rng, x_axes):
         assert minimax_mod._x_norm(minimax_mod._barycenter_values(c * c, tilt.wx)) <= 1e-14
         # c = u e^{lam.x_X}: log(c / u) is linear in x_X, with no term in Y
         log_ratio = np.log(c / u)
-        x = node_coordinates(g)[:, list(x_axes)]
+        x = node_table(g)[:, list(x_axes)]
         lam = np.linalg.lstsq(x, log_ratio, rcond=None)[0]
         assert np.max(np.abs(log_ratio - x @ lam)) <= 1e-12
 
@@ -436,7 +436,7 @@ def test_tilt_cannot_carry_a_one_sided_field():
     # with no mass at x0 < 0, F(lam) > 0 for every lam: no tilt reaches Y,
     # and the field is left as it was for the solver to reject
     g = Grid(2, 7.0, 65)
-    c = np.where(node_coordinates(g)[:, 0] > 0, gausson(g, 0.5).values, 0.0)
+    c = np.where(node_table(g)[:, 0] > 0, gausson(g, 0.5).values, 0.0)
     before = c.copy()
     assert _BarycenterTilt(g, (0,)).retract(c, c * c) is None
     assert np.array_equal(c, before)
@@ -462,7 +462,7 @@ def test_tilt_reduce_is_the_gradient_of_j_after_the_tilt(rng, x_axes):
     assert g.cell_volume * float(np.dot(grad, d)) == pytest.approx(fd, rel=1e-6)
     # the tilt directions x_X u carry no first-order change of J after the tilt
     for a in x_axes:
-        assert abs(float(np.dot(grad, node_coordinates(g)[:, a] * u))) <= 1e-10 * float(np.dot(np.abs(grad), u))
+        assert abs(float(np.dot(grad, node_table(g)[:, a] * u))) <= 1e-10 * float(np.dot(np.abs(grad), u))
 
 
 def test_level_d_requires_nontrivial_y():

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from lognls.grid import (
     GridField,
     integrate_array,
     laplacian_array,
-    node_coordinates,
     shifted_laplacian_solve,
     sine_coefficients,
     sine_kinetic,
@@ -29,7 +27,7 @@ from lognls.nehari import (
 )
 from lognls.potential import constant_potential, expression_potential, model_saddle
 
-from conftest import count_grid_calls, smooth_field
+from conftest import count_grid_calls, node_table, smooth_field
 
 PARAMS = SplitParams()
 
@@ -155,7 +153,7 @@ def test_gausson_rejects_center_near_boundary():
 def gausson_from_coordinates(grid, A, center=None):
     """The Gausson from the (nodes x N) coordinate table, as the oracle."""
     c = np.zeros(grid.dim) if center is None else np.asarray(center, dtype=float)
-    r2 = np.sum((node_coordinates(grid) - c) ** 2, axis=1)
+    r2 = np.sum((node_table(grid) - c) ** 2, axis=1)
     return math.exp(0.5 * (grid.dim + A)) * np.exp(-r2 / 2.0)
 
 
@@ -169,21 +167,6 @@ GAUSSON_GRIDS = [Grid(dim, 10.0, n) for dim in (1, 2) for n in (51, 269)] + [Gri
 def test_gausson_matches_coordinate_table_bit_for_bit(grid, off_center):
     c = np.add(grid.center, (1.5, -2.25)[: grid.dim]) if off_center else None
     assert np.array_equal(gausson(grid, 0.3, c).values, gausson_from_coordinates(grid, 0.3, c))
-
-
-def test_gausson_builds_no_coordinate_table(monkeypatch):
-    calls = []
-
-    def counted(grid):
-        calls.append(grid)
-        return node_coordinates(grid)
-
-    # every package module that holds the table builder counts its calls
-    for name, module in list(sys.modules.items()):
-        if name.startswith("lognls") and hasattr(module, "node_coordinates"):
-            monkeypatch.setattr(module, "node_coordinates", counted)
-    gausson(Grid(2, 9.5, 53), 0.0)
-    assert calls == []
 
 
 def test_gausson_peak_memory_is_at_most_two_fields():
@@ -319,7 +302,7 @@ def test_ground_state_matches_gausson_after_alignment():
     g = Grid(1, 10.0, 257)
     sol = ground_state(g, A, 1.0, config=SolverConfig(tol=1e-7, max_iters=20000))
     u = sol.field
-    pts = node_coordinates(g)[:, 0]
+    pts = node_table(g)[:, 0]
     mass = integrate_array(g, u.values**2)
     center = integrate_array(g, pts * u.values**2) / mass
     aligned = gausson(g, A, center=[center])
@@ -340,7 +323,7 @@ def test_ground_state_positive():
     g = Grid(1, 10.0, 256)
     sol = ground_state(g, 0.0, 1.0, config=SolverConfig(tol=1e-7, max_iters=10000))
     assert np.all(sol.field.values >= 0)
-    interior = np.abs(node_coordinates(g)[:, 0]) < 5.0
+    interior = np.abs(node_table(g)[:, 0]) < 5.0
     assert np.all(sol.field.values[interior] > 1e-12)
 
 
@@ -377,7 +360,7 @@ def test_solution_serialization(grid_1d):
 def _saddle_at_eps_one(g):
     """The model saddle sampled at eps = 1, where the Gausson start is not
     the solution."""
-    pts = node_coordinates(g)
+    pts = node_table(g)
     return 1.0 + 0.25 * (1.0 + pts[:, 1] ** 2) / (1.0 + np.sum(pts**2, axis=1))
 
 
@@ -503,7 +486,7 @@ def _direct_j(u, potential):
 def test_reduced_objective_matches_direct_energy(rng, grid_2d, factor):
     # near the Nehari set (factor 1) and with t far from 1 both ways
     u = project_nehari(smooth_field(grid_2d, rng, positive=True), 0.3, 1.0)
-    c = factor * u.values * (1.0 + 0.01 * np.cos(node_coordinates(grid_2d)[:, 0]))
+    c = factor * u.values * (1.0 + 0.01 * np.cos(node_table(grid_2d)[:, 0]))
     _, _, kin, pot, mass, ent = energy_terms(grid_2d, c, np.full(grid_2d.num_nodes, 0.3))
     t, j_reduced = _reduced_objective(kin + pot - ent, mass)
     assert t == pytest.approx(nehari_scale(GridField(grid_2d, c), 0.3, 1.0), rel=1e-14)
@@ -519,7 +502,7 @@ def test_energy_terms_kernel(rng, grid_2d):
     from scipy.fft import dstn
 
     u = smooth_field(grid_2d, rng)
-    vsamp = 0.2 + 0.1 * np.sin(node_coordinates(grid_2d)[:, 1])
+    vsamp = 0.2 + 0.1 * np.sin(node_table(grid_2d)[:, 1])
     coeffs, sq, kin, pot, mass, ent = energy_terms(grid_2d, u.values, vsamp)
     expected = dstn(u.reshaped(), type=1)
     assert np.max(np.abs(coeffs.reshape(grid_2d.shape) - expected)) <= 1e-12 * np.max(np.abs(expected))

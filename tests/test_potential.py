@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import lognls.potential as potential_mod
+from lognls.energy import potential_samples
+from lognls.grid import Grid, node_axes
 from lognls.potential import (
     PotentialSpec,
     check_V1,
@@ -16,26 +18,57 @@ from lognls.potential import (
     v3_diagnostic,
 )
 
+from conftest import node_table
+
 SADDLE = model_saddle(1.0, 1.25, 2, (0,), 0.5)
 
 
 def test_model_saddle_values():
-    assert SADDLE.evaluate(np.zeros((1, 2)))[0] == pytest.approx(1.25)
+    assert SADDLE.evaluate([0.0, 0.0]) == pytest.approx(1.25)
     # constant on Y
     ys = np.column_stack([np.zeros(5), np.linspace(-8, 8, 5)])
-    assert np.allclose(SADDLE.evaluate(ys), 1.25)
+    assert np.allclose(SADDLE.evaluate(ys.T), 1.25)
     # strictly decreasing toward c0 along X
     xs = np.column_stack([np.linspace(0, 30, 50), np.zeros(50)])
-    vals = SADDLE.evaluate(xs)
+    vals = SADDLE.evaluate(xs.T)
     assert np.all(np.diff(vals) < 0)
     assert vals[-1] == pytest.approx(1.0, abs=3e-4)
+
+
+# a potential of each kind in each dimension, and expressions that read
+# every axis, one axis, and the transcendental functions
+CONTRACT_SPECS = [
+    model_saddle(1.0, 1.25, 1, (0,), 0.5),
+    SADDLE,
+    constant_potential(0.7, 1),
+    constant_potential(0.7, 2),
+    expression_potential("1 + 0.25*z0**2/(1+z0**2) + 0.1*np.sin(3*z0)", 1, (0,)),
+    expression_potential("1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0.1*z0/(1+z0**2)", 2, (0,)),
+    expression_potential("1 + 0.2*np.tanh(5*z0)", 2, (0,)),
+    expression_potential("2 + np.exp(-abs(z1))*np.cos(z0*z1) + np.sqrt(np.log(1 + z0*z0))", 2, (1,)),
+]
+
+
+@pytest.mark.parametrize("spec", CONTRACT_SPECS, ids=lambda s: f"{s.kind}-{s.dim}d")
+def test_evaluate_takes_coordinate_arrays_and_returns_their_broadcast_shape(spec):
+    # the open mesh of the node axes gives, raveled, the bits of the table's
+    # columns, and so does the eps-scaled sampling
+    g = Grid(spec.dim, 7.0, 33, center=(0.5, -0.25)[: spec.dim])
+    table = node_table(g)
+    on_mesh = spec.evaluate(node_axes(g))
+    assert on_mesh.shape == g.shape
+    assert on_mesh.ravel().tobytes() == spec.evaluate(table.T).tobytes()
+    assert potential_samples(spec, g, 0.3).tobytes() == spec.evaluate((0.3 * table).T).tobytes()
+    # scalars are coordinates too: V(0) from [0.0] * N is a 0-d value
+    v0 = spec.evaluate([0.0] * spec.dim)
+    assert np.shape(v0) == () and float(v0) == spec.evaluate(np.zeros((spec.dim, 1)))[0]
 
 
 def test_model_saddle_cone_lower_bound():
     rng = np.random.default_rng(7)
     pts = rng.uniform(-30, 30, size=(2000, 2))
-    mask = SADDLE.in_cone(pts)
-    vals = SADDLE.evaluate(pts[mask])
+    mask = SADDLE.in_cone(pts.T)
+    vals = SADDLE.evaluate(pts[mask].T)
     assert np.all(vals > 1.0 + 0.25 * 0.25 - 1e-12)  # c0 + (c1-c0) lambda^2
 
 
@@ -63,8 +96,9 @@ def test_potential_spec_validation():
 def test_cone_membership_equivalence(rng):
     # |P_Y z| > lambda |z| must match the definitional form with y = P_Y z
     pts = rng.uniform(-10, 10, size=(1000, 2))
-    direct = SADDLE.in_cone(pts)
-    py = SADDLE.project_y(pts)
+    direct = SADDLE.in_cone(pts.T)
+    py = pts.copy()
+    py[:, list(SADDLE.x_axes)] = 0.0
     inner = np.abs(np.sum(pts * py, axis=1))
     norms = np.linalg.norm(pts, axis=1) * np.linalg.norm(py, axis=1)
     witness = inner > SADDLE.lam * norms
@@ -229,7 +263,7 @@ PYTHON_FORMS = [
 def test_expression_potential_bit_identical_to_python_arithmetic(rng, expr, python_form):
     spec = expression_potential(expr, 2, (0,), 0.5)
     pts = np.vstack([rng.uniform(-20.0, 20.0, (400, 2)), np.zeros((1, 2)), [[0.0, 3.5], [-7.25, 0.0]]])
-    got = spec.evaluate(pts)
+    got = spec.evaluate(pts.T)
     assert got.tobytes() == python_form(pts[:, 0], pts[:, 1]).tobytes()
 
 
@@ -244,7 +278,7 @@ def test_expression_potential_ufuncs_and_unary_minus():
         2 + np.sin(z0) * np.cos(z0) - np.exp(-np.abs(z0)) * np.tanh(np.arctan(z0)) ** 2
         + -np.log(1 + 1 / (1 + z0 * z0)) + np.sqrt(np.abs(z0))
     )
-    assert spec.evaluate(z0[:, None]).tobytes() == want.tobytes()
+    assert spec.evaluate([z0]).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -297,17 +331,17 @@ def test_sample_boxes_are_the_linspace_boxes(dim, expr):
     pts = _linspace_box(dim, 20.0, 20001 if dim == 1 else 141)
     on_x = pts.copy()
     on_x[:, 1:] = 0.0
-    assert spec.c0 == float(np.min(spec.evaluate(pts)))
-    assert spec.c1 == max(float(np.max(spec.evaluate(on_x))), spec.c0)
+    assert spec.c0 == float(np.min(spec.evaluate(pts.T)))
+    assert spec.c1 == max(float(np.max(spec.evaluate(on_x.T))), spec.c0)
     # check_V2 evaluates its box first, then the shifted copies
     seen = []
-    spy = replace(spec, evaluate=lambda p: seen.append(p.copy()) or spec.evaluate(p))
+    spy = replace(spec, evaluate=lambda z: seen.append(np.broadcast_arrays(*z)) or spec.evaluate(z))
     report = check_V2(spy)
     pts = _linspace_box(dim, 10.0, 41)
-    assert np.array_equal(seen[0], pts)
-    assert report["max_value"] == float(np.max(np.abs(spec.evaluate(pts))))
+    assert np.array_equal(np.column_stack([x.ravel() for x in seen[0]]), pts)
+    assert report["max_value"] == float(np.max(np.abs(spec.evaluate(pts.T))))
     step = 1e-4
-    grads = [np.max(np.abs(spec.evaluate(pts + step * e) - spec.evaluate(pts - step * e))) / (2 * step) for e in np.eye(dim)]
+    grads = [np.max(np.abs(spec.evaluate((pts + step * e).T) - spec.evaluate((pts - step * e).T))) / (2 * step) for e in np.eye(dim)]
     assert report["max_gradient"] == float(max(grads))
 
 
