@@ -394,6 +394,13 @@ def check_flags(**flags) -> None:
         raise ConfigError(problems)
 
 
+def write_report(outdir: str, name: str, report) -> None:
+    """Format ``report`` once, write it to outdir/name and print the same text."""
+    text = to_json_text(report)
+    atomic_write(os.path.join(outdir, name), text + "\n")
+    print(text)
+
+
 def ensure_outdir(cfg: dict) -> str:
     outdir = cfg["output"]["directory"]
     os.makedirs(outdir, exist_ok=True)
@@ -464,8 +471,7 @@ def cmd_ground_state(args) -> int:
     if "m_closed_form" in sol.diagnostics:
         result["m_closed_form"] = sol.diagnostics["m_closed_form"]
         result["below_closed_form"] = sol.diagnostics["below_closed_form"]
-    atomic_write(os.path.join(outdir, "ground_state.json"), to_json_text(result) + "\n")
-    print(to_json_text(result))
+    write_report(outdir, "ground_state.json", result)
     return EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
 
 
@@ -480,8 +486,7 @@ def cmd_check_potential(args) -> int:
         "V3_advisory": v3_diagnostic(pot),
     }
     outdir = ensure_outdir(cfg)
-    atomic_write(os.path.join(outdir, "potential_checks.json"), to_json_text(report) + "\n")
-    print(to_json_text(report))
+    write_report(outdir, "potential_checks.json", report)
     return EXIT_OK
 
 
@@ -492,8 +497,7 @@ def cmd_saddle_cert(args) -> int:
     cert_cfg = build_certificate_config(cfg)
     cert = certificate(args.eps, cert_cfg)
     outdir = ensure_outdir(cfg)
-    atomic_write(os.path.join(outdir, f"certificate_eps_{args.eps:g}.json"), to_json_text(cert.to_dict()) + "\n")
-    print(to_json_text(cert.to_dict()))
+    write_report(outdir, f"certificate_eps_{args.eps:g}.json", cert.to_dict())
     return EXIT_INCONCLUSIVE if cert.inconclusive else EXIT_OK
 
 
@@ -541,8 +545,7 @@ def cmd_barycenter_zero(args) -> int:
     cert_cfg = build_certificate_config(cfg)
     res = barycenter_zero_finder(cert_cfg.grid(), cert_cfg.potential, args.eps, R=args.R)
     outdir = ensure_outdir(cfg)
-    atomic_write(os.path.join(outdir, "barycenter_zero.json"), to_json_text(res) + "\n")
-    print(to_json_text(res))
+    write_report(outdir, "barycenter_zero.json", res)
     return EXIT_INCONCLUSIVE if res["inconclusive"] else EXIT_OK
 
 

@@ -11,6 +11,11 @@ lower-semicontinuous part Psi = integral(F1(u)).  This module evaluates the
 pieces, the L2-metric gradient, the pointwise proximal map of F1, and the
 logarithmic Sobolev slack used as a sanity check on quadrature.
 
+Every energy number is read off the four reductions of the one kernel
+``energy_terms``: ||u||_eps^2, J and J'(u)u in ``_assemble``, and the
+Nehari-projected level (t, J(t u)) in ``_projected_level`` (the solver's
+trials, the Nehari scale and the path rows of ``minimax``).
+
 The nodewise convention s^2 log s^2 := 0 at s = 0 is applied throughout;
 grids do hit exact zeros.
 """
@@ -173,10 +178,10 @@ def energy_terms(grid: Grid, values: NDArray, vsamp) -> tuple[NDArray, NDArray, 
     integral(u^2 log u^2).  Every energy quantity of the package is assembled
     from these: ||u||_eps^2 = kin + pot + mass, J = (kin + pot + mass)/2 -
     ent/2 and J'(u)u = kin + pot - ent (all three in ``_assemble``), and the
-    Nehari scale.  The coefficients are returned for a caller that needs
-    Lap u (``laplacian_from_sine``, the inverse half alone), and u^2 for
-    callers that weight it otherwise (the barycenter tilt, the path
-    levels).  ``vsamp`` may be a scalar (0.0 when no potential term is
+    Nehari scale with its projected level (``_projected_level``).  The
+    coefficients are returned for a caller that needs Lap u
+    (``laplacian_from_sine``, the inverse half alone), and u^2 for callers
+    that weight it otherwise (the barycenter tilt, the path levels).  ``vsamp`` may be a scalar (0.0 when no potential term is
     needed) or a constant's zero-stride view.  pot and ent share one scratch.
     """
     coeffs = sine_coefficients(grid, values)
@@ -196,6 +201,20 @@ def _assemble(kin: float, pot: float, mass: float, ent: float) -> tuple[float, f
     they are summed, so every reader of J gets the same bits."""
     norm_sq = kin + pot + mass
     return norm_sq, 0.5 * norm_sq - 0.5 * ent, kin + pot - ent
+
+
+_EXP_CLIP = 700.0  # exp argument beyond this overflows float64
+
+
+def _projected_level(kin: float, pot: float, mass: float, ent: float) -> tuple[float, float, float]:
+    """(t, J(t u), ||u||_eps^2) from the kernel's reductions of u: the Nehari
+    scale t = exp(p / 2m), p = J'(u)u from ``_assemble`` and m = integral(u^2),
+    log t clipped so that t and t^2 stay finite, and the projected level
+    J(t u) = t^2/2 (p + m - 2 m log t), t^2 m / 2 unless log t was clipped."""
+    norm_sq, _, pairing = _assemble(kin, pot, mass, ent)
+    log_t = min(max(pairing / (2.0 * mass), -_EXP_CLIP), _EXP_CLIP)
+    t = math.exp(log_t)
+    return t, 0.5 * t * t * (pairing + mass - 2.0 * mass * log_t), norm_sq
 
 
 def field_energy(grid: Grid, values: NDArray, vsamp) -> tuple[float, float]:

@@ -30,19 +30,18 @@ as max(0, D_eps - m(c0)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .energy import energy_terms, eps_norm_sq, field_energy, potential_samples
+from .energy import _projected_level, energy_terms, eps_norm_sq, field_energy, potential_samples
 from .grid import Grid, GridField, integrate_array, node_axes
 from .nehari import (
     SolverConfig,
     _gausson_seed,
-    _reduced_objective,
     gausson,
     ground_state,
     m_closed_form,
@@ -128,47 +127,37 @@ def _path_terms(grid: Grid, c0: float) -> tuple[NDArray, float, float, float]:
 def path_levels(grid: Grid, potential: PotentialSpec, eps: float, zs) -> NDArray:
     """J of the path fields Phi_eps(z), one entry per row z of ``zs``.
 
-    Phi_eps(z) is t*u0 with the frame center moved to z/eps.  Kinetic, mass
-    and log terms do not see the frame, so the cached terms of u0 serve every
-    row; a row samples V once for pot(z) = integral(V u0^2) in its frame and
-    takes J from the reduced objective.
+    Phi_eps(z) is t*u0 with the frame center moved to z/eps; each entry is
+    the J of its ``_path_row``.
     """
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     if zs.ndim != 2 or zs.shape[1] != grid.dim:
         raise ValueError(f"z must have {grid.dim} components")
-    terms = _path_terms(grid, potential.c0)
-    j = np.empty(len(zs))
-    for k, z in enumerate(zs):
-        frame = _path_frame(grid, z, eps)
-        j[k] = _path_level(terms, frame, potential_samples(potential, frame, eps))[1]
-    return j
+    return np.array([_path_row(grid, potential, eps, z)[3] for z in zs])
 
 
-def _path_level(terms: tuple, frame: Grid, vsamp: NDArray) -> tuple[float, float]:
-    """(t, J(t u0)) in a frame from its potential samples."""
-    sq, kin, mass, ent = terms
-    pot = integrate_array(frame, vsamp * sq)
-    return _reduced_objective(kin + pot - ent, mass)
+def _path_row(grid: Grid, potential: PotentialSpec, eps: float, z: NDArray) -> tuple[Grid, NDArray, float, float]:
+    """(frame, V(eps x) in it, t, J(t u0)): the one pricing of the path row z.
+    Only pot(z) = integral(V u0^2) sees the frame moved to z/eps, so a row
+    samples V once and reuses the cached terms of u0 for the rest."""
+    frame = _path_frame(grid, z, eps)
+    vsamp = potential_samples(potential, frame, eps)
+    sq, kin, mass, ent = _path_terms(grid, potential.c0)
+    t, j, _ = _projected_level(kin, integrate_array(frame, vsamp * sq), mass, ent)
+    return frame, vsamp, t, j
 
 
 def _path_frame(grid: Grid, z: NDArray, eps: float) -> Grid:
     return replace(grid, center=np.add(grid.center, z / eps))
 
 
-def phi_path(grid: Grid, potential: PotentialSpec, eps: float, z, vsamp: Optional[NDArray] = None) -> GridField:
-    """Path field Phi_eps(z), one row of ``path_levels`` as a field: t*u0 on
-    ``grid`` with the center shifted by z/eps, so it never leaves the box.
-
-    ``vsamp`` is V(eps x) on that moved frame, for a caller that has sampled
-    it already; otherwise it is sampled here.
-    """
+def phi_path(grid: Grid, potential: PotentialSpec, eps: float, z) -> GridField:
+    """Path field Phi_eps(z), one ``_path_row`` as a field: t*u0 on ``grid``
+    with the center shifted by z/eps, so it never leaves the box."""
     z = np.asarray(z, dtype=float).ravel()
     if z.size != grid.dim:
         raise ValueError(f"z must have {grid.dim} components")
-    frame = _path_frame(grid, z, eps)
-    if vsamp is None:
-        vsamp = potential_samples(potential, frame, eps)
-    t = _path_level(_path_terms(grid, potential.c0), frame, vsamp)[0]
+    frame, _, t, _ = _path_row(grid, potential, eps, z)
     return GridField(frame, t * _path_gausson(grid, potential.c0))
 
 
@@ -362,8 +351,9 @@ def level_theta(
 
     * Phi_eps(0) = t*u0 itself, at distance 0 from the ball's center, when
       |P_X beta| <= ``BETA_TOL`` (the Gausson sits on the origin node, so
-      beta_X is rounding), priced as the z = 0 row of ``path_levels``: the
-      bits ``level_sup_x`` reads at the center of Q, so the estimate never
+      beta_X is rounding): its field, its J and the V samples of the
+      distance below all come from one ``_path_row`` at z = 0, the bits
+      ``level_sup_x`` reads at the center of Q, so the estimate never
       exceeds sup_X J;
     * the ``level_d`` minimizer, when it is feasible and its eps-norm
       distance to Phi_eps(0), read off one forward transform, is at most r.
@@ -379,10 +369,10 @@ def level_theta(
     if minimizer.field.grid != grid:
         raise ValueError("the level_d minimizer must live on the path grid")
     # Phi_eps(0) is t*u0 in the grid's own frame
-    vsamp = potential_samples(potential, grid, eps)
-    base = phi_path(grid, potential, eps, np.zeros(grid.dim), vsamp=vsamp).values
+    _, vsamp, t, j0 = _path_row(grid, potential, eps, np.zeros(grid.dim))
+    base = t * _path_gausson(grid, potential.c0)
     beta_x = _x_norm(_barycenter_values(base * base, direction_weights(grid))[list(potential.x_axes)])
-    best = _path_level(_path_terms(grid, potential.c0), grid, vsamp)[1] if beta_x <= BETA_TOL else math.inf
+    best = j0 if beta_x <= BETA_TOL else math.inf
     dist = math.sqrt(eps_norm_sq(grid, minimizer.field.values - base, vsamp))
     used = minimizer.feasible and dist <= r and minimizer.value < best
     if used:
@@ -491,18 +481,8 @@ class LevelCertificate:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "m_c0": self.m_c0,
-            "m_c0_numerical": self.m_c0_numerical,
-            "D_eps_estimate": self.D_eps_estimate,
-            "sup_X_J": self.sup_X_J,
-            "theta_r_estimate": self.theta_r_estimate,
-            "R_used": self.R_used,
-            "sigma_margin": self.sigma_margin,
-            "flags": dict(self.flags),
-            "inconclusive": dict(self.inconclusive),
-        }
+        """The written report: every field but ``details``, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "details"}
 
 
 def _odd_points(half_extent: float, h_target: float) -> int:

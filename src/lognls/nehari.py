@@ -3,7 +3,9 @@
 Membership of the Nehari set is the vanishing of the fiber derivative,
 equivalently J(u) = 1/2 integral(u^2).  For the logarithmic nonlinearity the
 projection scale has the closed form t = exp(J'(u)u / (2 integral u^2)),
-which makes the projection a single pairing plus a rescale.
+which makes the projection a single pairing plus a rescale; the scale and
+the projected level J(t u) are read off the energy kernel's reductions by
+``energy._projected_level``.
 
 For a constant potential A > -1 the equation -Delta u + A u = u log u^2 has
 the explicit Gaussian-profile solution ("Gausson")
@@ -33,7 +35,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .energy import SplitParams, _safe_log_sq, energy_terms, field_energy, potential_samples
+from .energy import SplitParams, _projected_level, _safe_log_sq, energy_terms, field_energy, potential_samples
 from .grid import (
     Grid,
     GridField,
@@ -42,8 +44,6 @@ from .grid import (
     require_supported_dim,
     shifted_laplacian_solve,
 )
-
-_EXP_CLIP = 700.0  # exp argument beyond this overflows float64
 
 # backtracking line search of the descent: first trial step, shrink factor
 # per rejected trial, Armijo sufficient-decrease constant, trials per step
@@ -78,8 +78,8 @@ class NehariSolution:
             "nehari_residual": self.nehari_residual,
             "iterations": self.iterations,
             "converged": self.converged,
-            "stalled": bool(self.diagnostics.get("stalled", False)),
-            "rel_grad": self.diagnostics.get("rel_grad", math.nan),
+            "stalled": self.diagnostics["stalled"],
+            "rel_grad": self.diagnostics["rel_grad"],
         }
 
 
@@ -100,33 +100,17 @@ class SolverConfig:
 # the Nehari scale
 # ---------------------------------------------------------------------------
 
-def _log_scale(pairing: float, mass: float) -> float:
-    """log t for the Nehari scale t = exp(J'(u)u / (2 integral u^2)), clipped
-    so that t and t^2 stay finite."""
-    return min(max(pairing / (2.0 * mass), -_EXP_CLIP), _EXP_CLIP)
-
-
-def _reduced_objective(pairing: float, mass: float) -> tuple[float, float]:
-    """(t, J(t c)) from p = J'(c)c and m = integral(c^2) alone.
-
-    With log t = p / 2m (clipped), J(t c) = t^2/2 (p + m - 2 m log t), which
-    is t^2 m / 2 whenever log t was not clipped.
-    """
-    log_t = _log_scale(pairing, mass)
-    t = math.exp(log_t)
-    return t, 0.5 * t * t * (pairing + mass - 2.0 * mass * log_t)
-
-
 def nehari_scale(u: GridField, potential, eps: float) -> float:
     """Unique t > 0 with the fiber derivative of t*u vanishing.
 
-    t = exp(J'(u)u / (2 integral u^2)); rescaling u by c > 0 divides t by c.
+    t = exp(J'(u)u / (2 integral u^2)) (``_projected_level``); rescaling u
+    by c > 0 divides t by c.
     """
     vsamp = potential_samples(potential, u.grid, eps)
     _, _, kin, pot, mass, ent = energy_terms(u.grid, u.values, vsamp)
     if mass <= 0:
         raise ValueError("Nehari scale is undefined for fields with zero mass")
-    return math.exp(_log_scale(kin + pot - ent, mass))
+    return _projected_level(kin, pot, mass, ent)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +210,9 @@ def minimize_on_nehari(
     decrease proportional to <g, u - c>_h.
 
     A trial c costs one energy kernel call, one forward sine transform (a
-    retracted one two), and no more: with p = J'(c)c, m = integral(c^2) and
-    log t = p / 2m its projection t c has the reduced objective J(t c) =
-    t^2/2 (p + m - 2 m log t), which is t^2 m / 2 unless log t was clipped.
+    retracted one two), and no more: its Nehari scale t and the level J(t c)
+    of its projection are read off the kernel's reductions
+    (``_projected_level``).
     Only the accepted trial's sine coefficients go through the inverse half
     to Lap c, and Lap(t c) = t Lap c is the Laplacian of the new iterate, so
     an iteration costs the trials' forward transforms, one inverse and one
@@ -247,8 +231,8 @@ def minimize_on_nehari(
     sigma = 1.0 + float(np.mean(vsamp))
 
     def projected(cand: NDArray):
-        """(sine coefficients of c, t, ||c||_eps^2, objective at t c), or
-        None for c = 0 and for a c the constraint cannot retract."""
+        """(sine coefficients of c, t, J(t c), ||c||_eps^2), or None for
+        c = 0 and for a c the constraint cannot retract."""
         coeffs, sq, kin, pot, mass, ent = energy_terms(grid, cand, vsamp)
         if not mass > 0:
             return None
@@ -258,8 +242,7 @@ def minimize_on_nehari(
         if moved:  # the kernel's arrays go before the tilted c is priced
             coeffs = sq = None
             coeffs, _, kin, pot, mass, ent = energy_terms(grid, cand, vsamp)
-        t, j = _reduced_objective(kin + pot - ent, mass)
-        return coeffs, t, kin + pot + mass, j
+        return (coeffs, *_projected_level(kin, pot, mass, ent))
 
     u = np.clip(start, 0.0, None, out=start)
     del start
@@ -268,7 +251,7 @@ def minimize_on_nehari(
         # the zero field: its gradient vanishes, so the loop stops at once
         lap, eps_norm_sq, j_cur = np.zeros_like(u), 0.0, 0.0
     else:
-        coeffs, t, norm_c, j_cur = point
+        coeffs, t, j_cur, norm_c = point
         u *= t
         eps_norm_sq = t * t * norm_c
     j_history = [j_cur]
@@ -347,7 +330,7 @@ def minimize_on_nehari(
             np.maximum(cand, _STEP_FLOOR * u, out=cand)
             point = projected(cand)
             if point is not None:
-                coeffs, t, norm_c, j_new = point
+                coeffs, t, j_new, norm_c = point
                 decrease = _ARMIJO_DECREASE * h_n * float(np.dot(g, u - cand))
                 certified = j_new <= j_cur - decrease
                 noise_step = trial <= alpha and j_new <= j_cur + noise_guard

@@ -21,7 +21,9 @@ from lognls.energy import (
     sq_log_sq,
 )
 from lognls.grid import Grid, GridField, integrate_array, sine_coefficients, sine_kinetic
-from lognls.nehari import gausson, m_closed_form
+import lognls.nehari as nehari_mod
+from lognls.minimax import _path_frame, path_levels
+from lognls.nehari import SolverConfig, gausson, m_closed_form, minimize_on_nehari, nehari_scale
 from lognls.potential import PotentialSpec, constant_potential, expression_potential, model_saddle
 
 from conftest import smooth_field
@@ -342,3 +344,32 @@ def test_log_sobolev_rejects_zero_field(grid_1d):
         log_sobolev_slack(GridField(grid_1d, np.zeros(grid_1d.num_nodes)), 1.0)
     with pytest.raises(ValueError):
         log_sobolev_slack(GridField(grid_1d, np.ones(grid_1d.num_nodes)), -1.0)
+
+
+def test_projected_level_is_the_one_reader_of_a_nehari_projected_level(monkeypatch, rng):
+    # the solver's accepted J, the Nehari scale and a path row are each
+    # _projected_level of their own kernel reductions, bit for bit
+    saddle = model_saddle(1.0, 1.25, 2, (0,), 0.5)
+    g = Grid(2, 8.0, 41)
+    vsamp = potential_samples(saddle, g, 0.4)
+    priced = []
+    real = nehari_mod.energy_terms
+
+    def recorded(grid, values, v):
+        out = real(grid, values, v)
+        priced.append(energy_mod._projected_level(*out[2:])[1])
+        return out
+
+    monkeypatch.setattr(nehari_mod, "energy_terms", recorded)
+    _, info = minimize_on_nehari(g, vsamp, gausson(g, 1.0).values, SolverConfig(tol=1e-8, max_iters=20))
+    monkeypatch.undo()
+    assert len(info["j_history"]) > 2 and set(info["j_history"]) <= set(priced)
+
+    u = smooth_field(g, rng, positive=True)
+    terms = energy_terms(g, u.values, vsamp)[2:]
+    assert nehari_scale(u, saddle, 0.4) == energy_mod._projected_level(*terms)[0]
+
+    z = np.array([0.5, 0.0])
+    frame = _path_frame(g, z, 0.4)
+    terms = energy_terms(frame, gausson(g, saddle.c0).values, potential_samples(saddle, frame, 0.4))[2:]
+    assert path_levels(g, saddle, 0.4, [z])[0] == energy_mod._projected_level(*terms)[1]

@@ -147,9 +147,10 @@ def test_path_table_matches_the_path_fields(potential, eps):
     assert j.shape == (len(zs),)
     for k, z in enumerate(zs):
         f = phi_path(g, potential, eps, z)
-        vsamp = potential_samples(potential, f.grid, eps)
-        # samples the caller passes in (level_theta's) give the same field
-        assert np.array_equal(phi_path(g, potential, eps, z, vsamp=vsamp).values, f.values)
+        # the field, its frame's samples and the table entry are one row's
+        frame, vsamp, _, j_row = minimax_mod._path_row(g, potential, eps, z)
+        assert frame == f.grid and j_row == j[k]
+        assert np.array_equal(vsamp, potential_samples(potential, f.grid, eps))
         j_field = field_energy(f.grid, f.values, vsamp)[0]
         assert abs(j[k] - j_field) <= 1e-13 * abs(j_field)
         beta_u0 = barycenter(GridField(f.grid, u0.values))
@@ -289,7 +290,7 @@ def test_zero_finder_reads_beta_without_a_solve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the zero finder must not evaluate the energy or V")
 
-    for name in ("energy_terms", "potential_samples", "_reduced_objective", "path_levels"):
+    for name in ("energy_terms", "potential_samples", "_projected_level", "path_levels"):
         monkeypatch.setattr(minimax_mod, name, refuse)
     g = Grid(2, 10.0, _odd_points(10.0, 0.4))
     for x_axes in ((0,), (0, 1)):
@@ -965,8 +966,10 @@ def test_x_symmetric_field_off_the_origin_has_beta_x_of_the_center_sign(rng, c_x
         assert beta_x != 0.0
 
 
-def test_theta_builds_one_path_field_and_samples_v_once(monkeypatch):
-    counts = {"phi_path": 0, "potential_samples": 0}
+def test_theta_prices_one_path_row_and_samples_v_once(monkeypatch):
+    # Phi_eps(0), its J and the samples of the eps-norm distance all come
+    # from one row; pricing the z = 0 row a second time for J was waste
+    counts = {"_path_row": 0, "potential_samples": 0}
 
     def counted(name):
         real = getattr(minimax_mod, name)
@@ -988,7 +991,7 @@ def test_theta_builds_one_path_field_and_samples_v_once(monkeypatch):
         minimizer = LevelDResult(0.0, near, True, 0.0, [])
         rep = level_theta(g, SADDLE, 0.25, r, minimizer)
         assert rep["feasible"] and rep["used_minimizer"] is used
-        assert counts == {"phi_path": 1, "potential_samples": 1}
+        assert counts == {"_path_row": 1, "potential_samples": 1}
 
 
 def test_path_levels_never_read_direction_weights(monkeypatch):

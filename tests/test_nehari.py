@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 import lognls.grid as grid_mod
 import lognls.nehari as nehari_mod
-from lognls.energy import SplitParams, _safe_log_sq, energy, energy_terms, f1, f2, sq_log_sq
+from lognls.energy import SplitParams, _projected_level, _safe_log_sq, energy, energy_terms, f1, f2, sq_log_sq
 from lognls.grid import (
     Grid,
     GridField,
@@ -18,7 +18,6 @@ from lognls.grid import (
 )
 from lognls.nehari import (
     SolverConfig,
-    _reduced_objective,
     gausson,
     ground_state,
     m_closed_form,
@@ -418,8 +417,7 @@ def test_first_trial_with_an_empty_memory_is_the_scaled_sobolev_step(monkeypatch
     minimize_on_nehari(g, vsamp, start.copy(), SolverConfig(tol=1e-6, max_iters=1))
     # the start is projected onto the Nehari set, then the first trial
     # takes the full step alpha = 1
-    _, _, kin, pot, mass, ent = real(g, start, vsamp)
-    t, _ = _reduced_objective(kin + pot - ent, mass)
+    t = _projected_level(*real(g, start, vsamp)[2:])[0]
     u = t * start
     lap = laplacian_array(g, start)
     lap *= t
@@ -488,7 +486,7 @@ def test_reduced_objective_matches_direct_energy(rng, grid_2d, factor):
     u = project_nehari(smooth_field(grid_2d, rng, positive=True), 0.3, 1.0)
     c = factor * u.values * (1.0 + 0.01 * np.cos(node_table(grid_2d)[:, 0]))
     _, _, kin, pot, mass, ent = energy_terms(grid_2d, c, np.full(grid_2d.num_nodes, 0.3))
-    t, j_reduced = _reduced_objective(kin + pot - ent, mass)
+    t, j_reduced, _ = _projected_level(kin, pot, mass, ent)
     assert t == pytest.approx(nehari_scale(GridField(grid_2d, c), 0.3, 1.0), rel=1e-14)
     if factor != 1.0:
         assert abs(math.log(t)) > 3.0

@@ -44,6 +44,10 @@ ALLOWED_UNREACHED = {
     "energy.sq_log_sq": "acceptance criterion 01 checks the splitting identity on it",
     "energy.grad_L2": "acceptance criterion 03 measures the residual of a solve with it",
     "nehari.nehari_scale": "acceptance criterion 04 checks the Nehari identities with it",
+    "minimax.phi_path": (
+        "the field form of a path row: acceptance criteria 06 and 07 read the "
+        "path's fields with it"
+    ),
     "energy.log_sobolev_slack": "acceptance criterion 05 checks the log-Sobolev inequality with it",
     "minimax.barycenter": "acceptance criteria 06 and 07 read the path's barycenter with it",
     "grid.load_field": "it reads the field files that dump_field writes",
@@ -100,9 +104,30 @@ def _is_dataclass(decorator: ast.expr) -> bool:
     return name == "dataclass"
 
 
+def _reflected_fields(cls: ast.ClassDef) -> tuple[bool, set]:
+    """(whether a method of ``cls`` loops over ``fields(self)``, the field
+    names such a loop skips by name: the string constants the class compares
+    with ``!=``).  A loop over ``fields(self)`` reads every other field."""
+    reflects = any(
+        isinstance(n, ast.Call)
+        and getattr(n.func, "id", getattr(n.func, "attr", None)) == "fields"
+        and [getattr(a, "id", None) for a in n.args] == ["self"]
+        for n in ast.walk(cls)
+    )
+    skipped = {
+        c.value
+        for n in ast.walk(cls)
+        if isinstance(n, ast.Compare) and isinstance(n.ops[0], ast.NotEq)
+        for c in n.comparators
+        if isinstance(c, ast.Constant)
+    }
+    return reflects, skipped
+
+
 def unread_fields(paths: list[Path]) -> list[str]:
     """Fields of module-level dataclasses whose name no attribute load in
-    ``paths`` reads (``obj.name`` anywhere counts, ``obj.name = ...`` not)."""
+    ``paths`` reads (``obj.name`` anywhere counts, ``obj.name = ...`` not),
+    and that no loop of their class over ``fields(self)`` reads."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
     read = {
         n.attr
@@ -115,10 +140,12 @@ def unread_fields(paths: list[Path]) -> list[str]:
         for node in tree.body:
             if not (isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))):
                 continue
+            reflects, skipped = _reflected_fields(node)
             for stmt in node.body:
                 if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                    if stmt.target.id not in read:
-                        found.append(f"{path.stem}.{node.name}.{stmt.target.id}")
+                    name = stmt.target.id
+                    if name not in read and not (reflects and name not in skipped):
+                        found.append(f"{path.stem}.{node.name}.{name}")
     return found
 
 
@@ -352,6 +379,30 @@ def test_guard_sees_an_unread_field(tmp_path):
         encoding="utf-8",
     )
     assert unread_fields([module]) == ["sample.Config.written"]
+
+
+def test_guard_reads_the_fields_a_report_loops_over(tmp_path):
+    # a report built off fields(self) reads every field but the ones it
+    # skips by name; a class with no such loop reads none of its own
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from dataclasses import dataclass, fields\n"
+        "\n"
+        "@dataclass\n"
+        "class Report:\n"
+        "    value: float\n"
+        "    flags: dict\n"
+        "    details: dict\n"
+        "\n"
+        "    def to_dict(self):\n"
+        "        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != 'details'}\n"
+        "\n"
+        "@dataclass\n"
+        "class Other:\n"
+        "    hidden: int\n",
+        encoding="utf-8",
+    )
+    assert unread_fields([module]) == ["sample.Report.details", "sample.Other.hidden"]
 
 
 def test_guard_sees_an_unset_default(tmp_path):
