@@ -32,10 +32,15 @@ names the flag.  Every default lives in DEFAULT_CONFIG, whose solver and
 certificate blocks read theirs off SolverConfig and CertificateConfig; the
 builders read the merged, validated config only.  The certificate's fixed
 sampling (the radii of the spheres of X that bound Q, the Theta_r radius and
-the barycenter tolerance) is a set of ``minimax`` constants, not settings.
+the barycenter tolerance) and its box rule (the boundary ratio of the D_eps
+minimizer that doubles the box, and the cap on its growth) are ``minimax``
+constants, not settings: certificate.solver_half_extent is the starting half
+extent, 6 by default (31^2 nodes at h_target 0.4), and a box that the rule
+cannot resolve is inconclusive (exit 4).
 
 Sweep points run one after another in input order, each on its own: a row
-solves its own numerical m(c0) and is the saddle-cert output at its eps.
+is the saddle-cert output at its eps.  Its numerical m(c0), a constant
+potential that no eps changes, is solved once per grid and shared.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ barycenter approaches z/|z| as eps -> 0.  The translation is carried out by
 moving the grid's frame center to z/eps, not by moving node values, so the
 path is a property of (grid, potential): u0 and its frame-independent terms
 are built once per grid, every path field lives on that grid, and all four
-numbers below come from it:
+numbers below come from it (its box starts at the configured half extent and
+doubles while the D_eps minimizer reaches the edge, see ``certificate``):
 
 * D_eps  -- inf of J over Nehari fields with barycenter in Y (estimated by
   one descent held on that set by a tilt; an UPPER bound of the true
@@ -448,6 +449,18 @@ MAX_H_TARGET = 0.6
 R_SCHEDULE = (0.25, 0.5, 1.0, 2.0)
 THETA_RADIUS = 0.5
 
+# the box rule of ``certificate``: the level_d minimizer's boundary ratio
+# (``_boundary_ratio``) above _BOX_TAIL_RATIO doubles the half extent at the
+# same spacing, up to _BOX_GROWTH_CAP times the configured one.  Calibrated
+# at h = 0.4 against the D_eps of L = 16: on 1 + 0.25(1+z1^2)/(1+|z|^2) +
+# 0.1 z1/(1+z1^2) at eps 0.4, ratios 1.4e-3 / 5.9e-5 / 9.4e-6 / 1.3e-6 (L =
+# 6 / 6.8 / 7.2 / 7.6) shift D_eps by 1.65e-5 / 1.8e-8 / 3.8e-10 / 1.8e-11,
+# so at a ratio up to 1e-6 the shift is below the solve's own 1e-10
+# scatter; the model saddle (eps 0.4 - 0.03) and the CI asymmetric
+# potential read 1.6e-8 - 3.2e-8 at L = 6, within 3.3e-10 of the L = 16 D_eps
+_BOX_TAIL_RATIO = 1e-6
+_BOX_GROWTH_CAP = 4
+
 
 @dataclass(frozen=True)
 class CertificateConfig:
@@ -455,13 +468,15 @@ class CertificateConfig:
 
     potential: PotentialSpec
     h_target: float = 0.4
-    solver_half_extent: float = 10.0
+    solver_half_extent: float = 6.0
     solver: SolverConfig = SolverConfig()
     compute_numerical_m: bool = True
 
     def grid(self) -> Grid:
-        """The one grid of every certificate quantity: [-L, L]^N at spacing
-        close to ``h_target`` with an odd node count (a node at the origin)."""
+        """The starting grid of a certificate: [-L, L]^N at spacing close to
+        ``h_target`` with an odd node count (a node at the origin), L =
+        ``solver_half_extent``, which the box rule of ``certificate`` may
+        enlarge."""
         L = self.solver_half_extent
         return Grid(self.potential.dim, L, _odd_points(L, self.h_target))
 
@@ -490,6 +505,22 @@ def _odd_points(half_extent: float, h_target: float) -> int:
     return n if n % 2 == 1 else n + 1
 
 
+def _boundary_ratio(u: GridField) -> float:
+    """max |u| over the outer node layer of its box over max |u|: how much of
+    the field the Dirichlet edge cuts off."""
+    a = np.abs(u.reshaped())
+    edge = max(float(np.max(np.take(a, (0, -1), axis=k))) for k in range(a.ndim))
+    return edge / float(np.max(a))
+
+
+@lru_cache(maxsize=8)
+def _ground_level(grid: Grid, c0: float, solver: SolverConfig) -> tuple[float, bool]:
+    """(J, converged) of the numerical ground state of the constant c0 on
+    ``grid``: V(eps x) = c0 at every eps, so a sweep solves it once."""
+    sol = ground_state(grid, c0, 1.0, config=solver)
+    return sol.energy, sol.converged
+
+
 def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
     """Assemble the level separations and the minimax bracket at one eps.
 
@@ -507,21 +538,34 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
     pot = cfg.potential
     m_c0 = m_closed_form(pot.c0, pot.dim)
 
-    # one grid for m(c0), D_eps, Theta_r, R and sup_X J: the path moves the
-    # frame, not the field, so no eps-dependent path grid is needed and the
-    # orderings between these numbers are not blurred by mixed grids
-    grid = cfg.grid()
-
     inconclusive = {}
 
+    # the box: level_d starts on ``cfg.grid()``, and while its minimizer's
+    # boundary ratio exceeds _BOX_TAIL_RATIO the half extent doubles at the
+    # same spacing (2n - 1 nodes, still odd) and level_d is solved again; a
+    # box that still cuts the field at _BOX_GROWTH_CAP times the start is
+    # inconclusive, so a truncated D_eps is never written unflagged
+    grid = cfg.grid()
+    while True:
+        d_res = level_d(grid, pot, eps, solver=cfg.solver)
+        ratio = _boundary_ratio(d_res.field)
+        if ratio <= _BOX_TAIL_RATIO:
+            break
+        if 2.0 * grid.half_extent > _BOX_GROWTH_CAP * cfg.solver_half_extent:
+            inconclusive["box"] = True
+            break
+        grid = Grid(grid.dim, 2.0 * grid.half_extent, 2 * grid.points_per_axis - 1)
+
+    # one grid, level_d's final one, for m(c0), D_eps, Theta_r, R and sup_X
+    # J: the path moves the frame, not the field, so no eps-dependent path
+    # grid is needed and the orderings between these numbers are not
+    # blurred by mixed grids
     m_num = None
     if cfg.compute_numerical_m:
-        sol = ground_state(grid, pot.c0, eps, config=cfg.solver)
-        m_num = sol.energy
-        if not sol.converged:  # a stalled solve is not a converged one
+        m_num, converged = _ground_level(grid, pot.c0, cfg.solver)
+        if not converged:  # a stalled solve is not a converged one
             inconclusive["m_c0_numerical"] = True
 
-    d_res = level_d(grid, pot, eps, solver=cfg.solver)
     if not (d_res.feasible and d_res.converged):
         inconclusive["level_d"] = True
     d_est = d_res.value
@@ -576,12 +620,14 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
             "sup_x": sup_x,
             # the single grid; the key name predates the moving frame
             "path_grid": (grid.dim, grid.half_extent, grid.points_per_axis),
+            "boundary_ratio": ratio,
         },
     )
 
 
 def sweep_eps(eps_values, cfg: CertificateConfig) -> list[LevelCertificate]:
     """Certificates for a list of eps values, each one on its own: a row
-    solves its own numerical m(c0) and reads nothing from the rows before
-    it, so it is the ``certificate`` at its eps."""
+    reads nothing from the rows before it, so it is the ``certificate`` at
+    its eps (the rows on one grid share the cached numerical m(c0), which no
+    eps changes)."""
     return [certificate(float(eps), cfg) for eps in eps_values]

@@ -228,6 +228,29 @@ def test_sweep_inconclusive_row_sets_exit_code(tmp_path, capsys, monkeypatch):
     assert [r["inconclusive"] for r in rows] == [{"theta_r": True}, {}]
 
 
+def test_sweep_with_a_box_past_the_cap_writes_every_row_and_exits_4(tmp_path, capsys, monkeypatch):
+    # with L capped at 12, the eps 0.1 row of this potential (minimizer
+    # near x1 = -9.95) is inconclusive["box"]; the eps 0.4 row enlarges to
+    # L = 12 and certifies, and both rows are written before the exit code
+    import lognls.minimax as minimax_mod
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(minimax_mod, "_BOX_GROWTH_CAP", 2)
+    outdir = tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "potential": {"kind": "expression", "expr": "1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0.1*z1/(1+z1**2)"},
+        "sweep": {"eps": [0.4, 0.1]},
+        "certificate": {"compute_numerical_m": False},
+        "output": {"directory": str(outdir)},
+    }))
+    assert main(["sweep-eps", "--config", str(path)]) == EXIT_INCONCLUSIVE
+    capsys.readouterr()
+    rows = json.loads((outdir / "sweep_eps.json").read_text())
+    assert [r["inconclusive"] for r in rows] == [{}, {"box": True}]
+    assert len((outdir / "sweep_eps.csv").read_text().splitlines()) == 3
+
+
 def test_sweep_csv_cells_are_the_json_rows(tmp_path, capsys, monkeypatch):
     # each CSV column reads one key of the JSON row, then one column per
     # flag in the row's order; a null R_used (no radius found) is written

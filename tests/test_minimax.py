@@ -46,6 +46,9 @@ SADDLE = model_saddle(1.0, 1.25, 2, (0,), 0.5)
 CONST = constant_potential(1.0, 2, (0,), 0.5)
 # an odd term in z0 moves the free minimizer off Y
 ASYMMETRIC = "1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0.1*z0/(1+z0**2)"
+# an odd term in z1 moves the D_eps minimizer along Y, towards the box's edge
+# as eps falls (centre x1 ~ -2.4 / -4.9 / -9.95 at eps 0.4 / 0.2 / 0.1)
+Y_ASYMMETRIC = "1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0.1*z1/(1+z1**2)"
 
 
 def path_grid(eps, R=2.0, h=0.15):
@@ -339,7 +342,8 @@ def test_level_d_tilt_holds_an_asymmetric_minimizer_in_y():
 def test_level_d_first_stage_iterations_on_the_default_grid(eps):
     # the L2 step took 432 / 122 / 116 / 114 iterations in a penalty stage
     # mu = 1 and the scaled Sobolev step 31 / 24 / 18 / 14 in a stage mu =
-    # 10; the L-BFGS step takes 17 / 15 / 12 / 8 in the one tilted solve
+    # 10; the L-BFGS step takes 17 / 14 / 12 / 8 in the one tilted solve on
+    # the 31^2 default box (17 / 15 / 12 / 8 on 51^2)
     cfg = CertificateConfig(potential=SADDLE)
     res = level_d(cfg.grid(), SADDLE, eps, solver=cfg.solver)
     assert len(res.stages) == 1
@@ -367,8 +371,8 @@ def test_level_d_reaches_the_constrained_asymmetric_level_on_the_default_grid():
 @pytest.mark.parametrize(
     "eps, sup_x, d_eps, sigma",
     [
-        (0.4, 40.28181047068373, 39.879034204201915, 8.6310630033757576),
-        (0.1, 40.826669713264529, 40.461613011166421, 9.2136418103402633),
+        (0.4, 40.28181047068373, 39.879034203957886, 8.631063003131729),
+        (0.1, 40.826669713264529, 40.46161301114411, 9.213641810317952),
     ],
     ids=["0.4", "0.1"],
 )
@@ -376,8 +380,9 @@ def test_asymmetric_sup_x_holds_every_path_row_it_prices(eps, sup_x, d_eps, sigm
     # the odd term puts the path maximum off z = 0.  A second walk over Q,
     # the origin and R/4, R/2, 3R/4, R for R = 2, skipped the radius-0.25
     # sphere that the R walk had priced and wrote 39.886727557 /
-    # 40.461745973, below a row the certificate held; every other number
-    # keeps its bits
+    # 40.461745973, below a row the certificate held.  D_eps, Theta_r and
+    # sigma are those of the 31^2 default box (39.879034204201915 /
+    # 40.461613011166421 on 51^2)
     pot = expression_potential(ASYMMETRIC, 2, [0])
     cert = certificate(eps, CertificateConfig(potential=pot, compute_numerical_m=False))
     assert cert.sup_X_J >= max(cert.details["sup_x"]["boundary_max"].values())
@@ -823,7 +828,7 @@ def test_certificate_d_eps_below_sup_x_on_one_grid():
     # exactly once both come from the same grid
     cfg = CertificateConfig(potential=SADDLE, compute_numerical_m=False)
     cert = certificate(0.05, cfg)
-    assert cert.details["path_grid"] == (2, 10.0, 51)
+    assert cert.details["path_grid"] == (2, 6.0, 31)
     assert cert.D_eps_estimate <= cert.sup_X_J
 
 
@@ -831,7 +836,7 @@ def test_certificate_d_eps_below_sup_x_on_one_grid():
 def test_certificate_d_eps_allowance_does_not_read_the_grid(monkeypatch, below, trips):
     # D_eps >= m_h(c0) = m(c0) to rounding, so the allowance is 1e-6 +
     # 1e-9 m(c0) (1.03e-6 here) at every h; the grid-read allowance
-    # 1e-6 + m(c0) h^2 was 5.05 on this 51^2 default grid
+    # 1e-6 + m(c0) h^2 was 5.05 at this default h = 0.4
     real = minimax_mod.level_d
     m_c0 = m_closed_form(SADDLE.c0, SADDLE.dim)
 
@@ -842,12 +847,56 @@ def test_certificate_d_eps_allowance_does_not_read_the_grid(monkeypatch, below, 
 
     monkeypatch.setattr(minimax_mod, "level_d", low)
     cfg = CertificateConfig(potential=SADDLE, compute_numerical_m=False)
-    assert cfg.grid().points_per_axis == 51
+    assert cfg.grid().points_per_axis == 31
     if trips:
         with pytest.raises(AssertionError, match="rounding allowance"):
             certificate(0.4, cfg)
     else:
         assert certificate(0.4, cfg).D_eps_estimate == m_c0 - below
+
+
+def test_certificate_enlarges_the_box_while_the_minimizer_reaches_its_edge(monkeypatch, cold_ground_level):
+    # on the 31^2 default box the minimizer's boundary ratio is 1.4e-3 and
+    # D_eps 1.65e-5 above that of L = 16 (81^2), 38.260921418178825; one
+    # doubling to L = 12 at h = 0.4 (61^2) clears the ratio, and m(c0),
+    # Theta_r and sup_X J are read on that grid
+    pot = expression_potential(Y_ASYMMETRIC, 2, [0])
+    cfg = CertificateConfig(potential=pot)
+    unchecked = level_d(cfg.grid(), pot, 0.4)
+    assert minimax_mod._boundary_ratio(unchecked.field) == pytest.approx(1.4e-3, rel=0.05)
+    assert unchecked.value == pytest.approx(38.26093796697997, abs=1e-9)
+
+    solves = []
+    real = minimax_mod.ground_state
+    monkeypatch.setattr(minimax_mod, "ground_state", lambda *a, **k: solves.append(a[0]) or real(*a, **k))
+    cert = certificate(0.4, cfg)
+    assert cert.details["path_grid"] == (2, 12.0, 61)
+    assert solves == [Grid(2, 12.0, 61)]
+    assert cert.details["boundary_ratio"] <= minimax_mod._BOX_TAIL_RATIO
+    assert cert.D_eps_estimate == pytest.approx(38.260921418178825, abs=1e-9)
+    assert not cert.inconclusive and all(cert.flags.values())
+
+
+def test_a_box_past_the_growth_cap_is_inconclusive(monkeypatch):
+    # at eps 0.1 the minimizer sits near x1 = -9.95: L = 12 still cuts it
+    # (ratio 1.5e-2, D_eps 0.0099 above L = 24's), so with L capped at 12
+    # the row is inconclusive["box"] rather than a silent truncated D_eps
+    monkeypatch.setattr(minimax_mod, "_BOX_GROWTH_CAP", 2)
+    cert = certificate(0.1, CertificateConfig(potential=expression_potential(Y_ASYMMETRIC, 2, [0]),
+                                              compute_numerical_m=False))
+    assert cert.details["path_grid"] == (2, 12.0, 61)
+    assert cert.details["boundary_ratio"] > minimax_mod._BOX_TAIL_RATIO
+    assert cert.inconclusive == {"box": True}
+
+
+def test_the_default_saddle_never_enlarges_the_box():
+    # its minimizer's boundary ratio on 31^2 is 1.6e-8 - 3.2e-8 from eps
+    # 0.4 to 0.03, and its D_eps within 3e-13 of that of L = 16
+    cfg = CertificateConfig(potential=SADDLE, compute_numerical_m=False)
+    for cert in sweep_eps((0.4, 0.2, 0.1, 0.05, 0.03), cfg):
+        assert cert.details["path_grid"] == (2, 6.0, 31)
+        assert cert.details["boundary_ratio"] <= 3.2e-8
+        assert not cert.inconclusive
 
 
 def test_certificate_constant_potential_fails():
@@ -886,8 +935,17 @@ def _fake_ground_state(converged):
     return fake
 
 
+@pytest.fixture
+def cold_ground_level():
+    """An empty m(c0) cache before and after the test, so a stand-in
+    ground_state is called and its result is not handed to a later test."""
+    minimax_mod._ground_level.cache_clear()
+    yield
+    minimax_mod._ground_level.cache_clear()
+
+
 @pytest.mark.parametrize("converged", [True, False])
-def test_certificate_stalled_m_c0_is_inconclusive(monkeypatch, converged):
+def test_certificate_stalled_m_c0_is_inconclusive(monkeypatch, cold_ground_level, converged):
     monkeypatch.setattr(minimax_mod, "ground_state", _fake_ground_state(converged))
     cfg = CertificateConfig(potential=SADDLE, solver=SolverConfig(tol=1e-3, max_iters=60), **TINY_CERT)
     cert = certificate(0.4, cfg)
@@ -895,17 +953,33 @@ def test_certificate_stalled_m_c0_is_inconclusive(monkeypatch, converged):
     assert cert.inconclusive.get("m_c0_numerical", False) is (not converged)
 
 
-def test_sweep_marks_every_row_with_a_stalled_m_c0(monkeypatch):
-    # every row solves its own m(c0), so a stalled solve marks each of them;
-    # carried from the first row, it marked that row only
+def test_sweep_marks_every_row_with_a_stalled_m_c0(monkeypatch, cold_ground_level):
+    # V(eps x) = c0 at every eps, so the rows share one m(c0) solve per
+    # (grid, c0, solver), and a stalled solve marks each of them; carried
+    # from the first row, it marked that row only
     solves = []
     fake = _fake_ground_state(False)
-    monkeypatch.setattr(minimax_mod, "ground_state", lambda *a, **k: solves.append(a[2]) or fake(*a, **k))
+    monkeypatch.setattr(minimax_mod, "ground_state", lambda *a, **k: solves.append(a[0]) or fake(*a, **k))
     cfg = CertificateConfig(potential=SADDLE, solver=SolverConfig(tol=1e-3, max_iters=60), **TINY_CERT)
     certs = sweep_eps((0.4, 0.2, 0.1), cfg)
-    assert solves == [0.4, 0.2, 0.1]
+    assert solves == [cfg.grid()]
     assert [c.inconclusive.get("m_c0_numerical", False) for c in certs] == [True, True, True]
     assert all(c.m_c0_numerical == m_closed_form(SADDLE.c0, 2) for c in certs)
+
+
+def test_sweep_solves_m_c0_once_and_each_row_is_its_certificate(monkeypatch, cold_ground_level):
+    # the four default rows share one constant-potential problem; a row
+    # read off the cache keeps the bits of the certificate that solves it
+    solves = []
+    real = minimax_mod.ground_state
+    monkeypatch.setattr(minimax_mod, "ground_state", lambda *a, **k: solves.append(a[0]) or real(*a, **k))
+    cfg = CertificateConfig(potential=SADDLE)
+    certs = sweep_eps((0.4, 0.2, 0.1, 0.05), cfg)
+    assert solves == [cfg.grid()]
+    for cert in certs:
+        minimax_mod._ground_level.cache_clear()
+        assert certificate(cert.eps, cfg).to_dict() == cert.to_dict()
+    assert len(solves) == 5
 
 
 @pytest.mark.parametrize("unconverged_stage", [None, 0])
