@@ -32,11 +32,12 @@ names the flag.  Every default lives in DEFAULT_CONFIG, whose solver and
 certificate blocks read theirs off SolverConfig and CertificateConfig; the
 builders read the merged, validated config only.  The certificate's fixed
 sampling (the radii of the spheres of X that bound Q, the Theta_r radius and
-the barycenter tolerance) and its box rule (the boundary ratio of the D_eps
-minimizer that doubles the box, and the cap on its growth) are ``minimax``
-constants, not settings: certificate.solver_half_extent is the starting half
-extent, 6 by default (31^2 nodes at h_target 0.4), and a box that the rule
-cannot resolve is inconclusive (exit 4).
+the barycenter tolerance) and its box check (the boundary ratio of the D_eps
+minimizer above which its box cuts it) are ``minimax`` constants, not
+settings: certificate.solver_half_extent is the half extent of every
+certificate grid, 6 by default (31^2 nodes at h_target 0.4); D_eps is solved
+on that grid's frame moved to y*/eps, and a box that still cuts its
+minimizer is inconclusive (exit 4), never enlarged.
 
 Sweep points run one after another in input order, each on its own: a row
 is the saddle-cert output at its eps.  Its numerical m(c0), a constant

@@ -7,8 +7,8 @@ barycenter approaches z/|z| as eps -> 0.  The translation is carried out by
 moving the grid's frame center to z/eps, not by moving node values, so the
 path is a property of (grid, potential): u0 and its frame-independent terms
 are built once per grid, every path field lives on that grid, and all four
-numbers below come from it (its box starts at the configured half extent and
-doubles while the D_eps minimizer reaches the edge, see ``certificate``):
+numbers below come from it (D_eps from a frame of it moved to the lattice
+node nearest y*/eps, where V on Y is least, see ``certificate``):
 
 * D_eps  -- inf of J over Nehari fields with barycenter in Y (estimated by
   one descent held on that set by a tilt; an UPPER bound of the true
@@ -280,7 +280,7 @@ def level_d(grid: Grid, potential: PotentialSpec, eps: float, solver: Optional[S
     """Estimate inf J over Nehari fields whose barycenter lies in Y.
 
     One descent of J on the Nehari set within the nonnegative cone, from the
-    Gausson at the origin with level V(0) as in ``ground_state``, whose
+    Gausson at the frame center as in ``ground_state``, whose
     trials ``_BarycenterTilt`` keeps on P_X beta = 0 and whose gradient is
     that of J after the tilt.  Every iterate is a member of the constrained
     set (|P_X beta| at rounding), so the returned J is an UPPER bound of the
@@ -292,7 +292,7 @@ def level_d(grid: Grid, potential: PotentialSpec, eps: float, solver: Optional[S
     solver = solver or SolverConfig()
     vsamp = potential_samples(potential, grid, eps)
     tilt = _BarycenterTilt(grid, potential.x_axes)
-    u, info = minimize_on_nehari(grid, vsamp, _gausson_seed(grid, potential), solver, constraint=tilt)
+    u, info = minimize_on_nehari(grid, vsamp, _gausson_seed(grid, potential, eps), solver, constraint=tilt)
     beta_x = _x_norm(_barycenter_values(u * u, tilt.wx))  # NaN, the zero field's, is infeasible
     return LevelDResult(field_energy(grid, u, vsamp)[0], GridField(grid, u), beta_x <= BETA_TOL, beta_x, [info])
 
@@ -305,17 +305,17 @@ def level_d(grid: Grid, potential: PotentialSpec, eps: float, solver: Optional[S
 _BOUNDARY_SAMPLES = 8
 
 
-def level_sup_x(grid: Grid, potential: PotentialSpec, eps: float, threshold: float) -> dict:
+def level_sup_x(grid: Grid, potential: PotentialSpec, eps: float, threshold: float, origin: float) -> dict:
     """Max of J(Phi_eps(x)) over sampled Q and the radius R of Q, from one
     walk over X, with the analytic cap m(c0) + (3/10) c2 integral(u0^2).
 
-    The walk prices the z = 0 row, where a symmetric saddle puts the path
-    maximum, then the sphere of X (``_subspace_sphere``) of each
+    The walk starts at ``origin``, the J of the z = 0 row that
+    ``level_theta`` has priced (where a symmetric saddle puts the path
+    maximum), then prices the sphere of X (``_subspace_sphere``) of each
     ``R_SCHEDULE`` radius in increasing order, and stops at the first whose
     boundary max is at or below ``threshold``: that radius is R, and every
     row priced lies in Q(R).  A NaN threshold clears no radius; exhaustion
     reports R None and the max over Q(max R_SCHEDULE)."""
-    origin = path_levels(grid, potential, eps, np.zeros((1, potential.dim)))[0]
     boundary, found = {}, None
     for R in sorted(R_SCHEDULE):
         zs = _subspace_sphere(potential.dim, potential.x_axes, R, _BOUNDARY_SAMPLES)
@@ -347,17 +347,18 @@ def level_theta(
     Theta_r is the inf of J over Nehari fields with barycenter in Y that lie
     in the eps-norm r-ball around Phi_eps(0).  That set is a subset of the
     one D_eps minimizes over, so D_eps <= Theta_r, and J of any of its
-    members bounds Theta_r from above.  Two members are at hand, both on the
-    Nehari set of ``grid``:
+    members bounds Theta_r from above.  Two members are at hand:
 
     * Phi_eps(0) = t*u0 itself, at distance 0 from the ball's center, when
       |P_X beta| <= ``BETA_TOL`` (the Gausson sits on the origin node, so
       beta_X is rounding): its field, its J and the V samples of the
-      distance below all come from one ``_path_row`` at z = 0, the bits
-      ``level_sup_x`` reads at the center of Q, so the estimate never
-      exceeds sup_X J;
-    * the ``level_d`` minimizer, when it is feasible and its eps-norm
-      distance to Phi_eps(0), read off one forward transform, is at most r.
+      distance below all come from one ``_path_row`` at z = 0, whose J
+      (``origin_J``) ``level_sup_x`` takes at the center of Q, so the
+      estimate never exceeds sup_X J;
+    * the ``level_d`` minimizer, when it is feasible, lies on ``grid`` and
+      its eps-norm distance to Phi_eps(0), read off one forward transform,
+      is at most r.  One on a moved frame, about |y*|/eps away (20.9 at eps
+      0.4 on a Y-asymmetric V), far outside r, is skipped (NaN distance).
 
     The estimate is the smaller of their J values.  With the minimizer in
     the ball it is D_eps_estimate itself, since D_eps <= J(Phi_eps(0)); the
@@ -367,14 +368,15 @@ def level_theta(
     ``used_minimizer`` says which one it was.  No field off the Nehari set
     is priced: J off that set can lie below every Nehari level.
     """
-    if minimizer.field.grid != grid:
-        raise ValueError("the level_d minimizer must live on the path grid")
+    if replace(minimizer.field.grid, center=grid.center) != grid:
+        raise ValueError("the level_d minimizer must live on the path grid or a moved frame of it")
     # Phi_eps(0) is t*u0 in the grid's own frame
     _, vsamp, t, j0 = _path_row(grid, potential, eps, np.zeros(grid.dim))
     base = t * _path_gausson(grid, potential.c0)
     beta_x = _x_norm(_barycenter_values(base * base, direction_weights(grid))[list(potential.x_axes)])
     best = j0 if beta_x <= BETA_TOL else math.inf
-    dist = math.sqrt(eps_norm_sq(grid, minimizer.field.values - base, vsamp))
+    on_grid = minimizer.field.grid == grid
+    dist = math.sqrt(eps_norm_sq(grid, minimizer.field.values - base, vsamp)) if on_grid else math.nan
     used = minimizer.feasible and dist <= r and minimizer.value < best
     if used:
         best = minimizer.value
@@ -385,6 +387,7 @@ def level_theta(
         "minimizer_distance": dist,
         "used_minimizer": used,
         "feasible": feasible,
+        "origin_J": j0,
     }
 
 
@@ -449,17 +452,12 @@ MAX_H_TARGET = 0.6
 R_SCHEDULE = (0.25, 0.5, 1.0, 2.0)
 THETA_RADIUS = 0.5
 
-# the box rule of ``certificate``: the level_d minimizer's boundary ratio
-# (``_boundary_ratio``) above _BOX_TAIL_RATIO doubles the half extent at the
-# same spacing, up to _BOX_GROWTH_CAP times the configured one.  Calibrated
-# at h = 0.4 against the D_eps of L = 16: on 1 + 0.25(1+z1^2)/(1+|z|^2) +
-# 0.1 z1/(1+z1^2) at eps 0.4, ratios 1.4e-3 / 5.9e-5 / 9.4e-6 / 1.3e-6 (L =
-# 6 / 6.8 / 7.2 / 7.6) shift D_eps by 1.65e-5 / 1.8e-8 / 3.8e-10 / 1.8e-11,
-# so at a ratio up to 1e-6 the shift is below the solve's own 1e-10
-# scatter; the model saddle (eps 0.4 - 0.03) and the CI asymmetric
-# potential read 1.6e-8 - 3.2e-8 at L = 6, within 3.3e-10 of the L = 16 D_eps
+# a level_d minimizer whose boundary ratio (``_boundary_ratio``) exceeds this
+# is cut by its box.  At h = 0.4 on 1 + 0.25(1+z1^2)/(1+|z|^2) + 0.1 z1/
+# (1+z1^2), eps 0.4, origin-centred L = 6 / 6.8 / 7.2 / 7.6 read 1.4e-3 /
+# 5.9e-5 / 9.4e-6 / 1.3e-6 and shift D_eps from L = 16 by 1.65e-5 / 1.8e-8 /
+# 3.8e-10 / 1.8e-11: up to 1e-6 the shift is below the solve's 1e-10 scatter
 _BOX_TAIL_RATIO = 1e-6
-_BOX_GROWTH_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -473,10 +471,9 @@ class CertificateConfig:
     compute_numerical_m: bool = True
 
     def grid(self) -> Grid:
-        """The starting grid of a certificate: [-L, L]^N at spacing close to
+        """The grid of a certificate: [-L, L]^N at spacing close to
         ``h_target`` with an odd node count (a node at the origin), L =
-        ``solver_half_extent``, which the box rule of ``certificate`` may
-        enlarge."""
+        ``solver_half_extent``; level_d runs on a moved frame of it."""
         L = self.solver_half_extent
         return Grid(self.potential.dim, L, _odd_points(L, self.h_target))
 
@@ -540,26 +537,18 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
 
     inconclusive = {}
 
-    # the box: level_d starts on ``cfg.grid()``, and while its minimizer's
-    # boundary ratio exceeds _BOX_TAIL_RATIO the half extent doubles at the
-    # same spacing (2n - 1 nodes, still odd) and level_d is solved again; a
-    # box that still cuts the field at _BOX_GROWTH_CAP times the start is
+    # one grid for every number: the path moves the frame, not the field, so
+    # no eps-dependent path grid is needed.  The D_eps minimizer concentrates
+    # at y*/eps, so level_d runs on the frame moved to the lattice node
+    # nearest it, seeded there; a minimizer that its box still cuts is
     # inconclusive, so a truncated D_eps is never written unflagged
     grid = cfg.grid()
-    while True:
-        d_res = level_d(grid, pot, eps, solver=cfg.solver)
-        ratio = _boundary_ratio(d_res.field)
-        if ratio <= _BOX_TAIL_RATIO:
-            break
-        if 2.0 * grid.half_extent > _BOX_GROWTH_CAP * cfg.solver_half_extent:
-            inconclusive["box"] = True
-            break
-        grid = Grid(grid.dim, 2.0 * grid.half_extent, 2 * grid.points_per_axis - 1)
+    h = grid.spacing
+    d_res = level_d(replace(grid, center=[round(y / (eps * h)) * h for y in pot.y_star]), pot, eps, solver=cfg.solver)
+    ratio = _boundary_ratio(d_res.field)
+    if ratio > _BOX_TAIL_RATIO:
+        inconclusive["box"] = True
 
-    # one grid, level_d's final one, for m(c0), D_eps, Theta_r, R and sup_X
-    # J: the path moves the frame, not the field, so no eps-dependent path
-    # grid is needed and the orderings between these numbers are not
-    # blurred by mixed grids
     m_num = None
     if cfg.compute_numerical_m:
         m_num, converged = _ground_level(grid, pot.c0, cfg.solver)
@@ -580,7 +569,7 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
         inconclusive["theta_r"] = True
 
     # an infeasible Theta_r (value NaN) leaves a NaN threshold, which no radius clears
-    sup_x = level_sup_x(grid, pot, eps, 0.5 * (m_c0 + theta["value"]))
+    sup_x = level_sup_x(grid, pot, eps, 0.5 * (m_c0 + theta["value"]), theta["origin_J"])
     if not sup_x["succeeded"]:
         inconclusive["choose_r"] = True
 
@@ -618,7 +607,8 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
             "level_d": d_res.to_dict(),
             "theta": theta,
             "sup_x": sup_x,
-            # the single grid; the key name predates the moving frame
+            # the grid of every number (level_d on a moved frame of it); the
+            # key name predates the moving frame
             "path_grid": (grid.dim, grid.half_extent, grid.points_per_axis),
             "boundary_ratio": ratio,
         },

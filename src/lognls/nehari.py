@@ -360,15 +360,15 @@ def minimize_on_nehari(
     return u, info
 
 
-def _gausson_seed(grid: Grid, potential) -> NDArray:
-    """The solvers' start: the Gausson at the origin whose level is V(0), the
-    exact solution of the frozen-coefficient problem there (V(eps x) at
-    x = 0 is V(0) for every eps)."""
+def _gausson_seed(grid: Grid, potential, eps: float) -> NDArray:
+    """The solvers' start: the Gausson at the frame center c whose level is
+    V(eps c), the exact solution of the frozen-coefficient problem there
+    (on a grid centered at the origin, V(0) for every eps)."""
     if hasattr(potential, "evaluate"):
-        level = float(potential.evaluate([0.0] * grid.dim))
+        level = float(potential.evaluate([eps * c for c in grid.center]))
     else:
         level = float(potential)
-    return gausson(grid, max(level, -0.999)).values
+    return gausson(grid, max(level, -0.999), grid.center).values
 
 
 def ground_state(
@@ -380,7 +380,7 @@ def ground_state(
 ) -> NehariSolution:
     """Minimize J over the Nehari set within the nonnegative cone.
 
-    The seed is the Gausson at the origin with level V(0) (``_gausson_seed``).
+    The seed is the Gausson of level V(eps c) at the frame center c (``_gausson_seed``).
     Non-convergence is reported through ``converged``/diagnostics, never
     silently.
 
@@ -391,7 +391,7 @@ def ground_state(
     """
     config = config or SolverConfig()
     vsamp = potential_samples(potential, grid, eps)
-    values, info = minimize_on_nehari(grid, vsamp, _gausson_seed(grid, potential), config)
+    values, info = minimize_on_nehari(grid, vsamp, _gausson_seed(grid, potential, eps), config)
     energy, pairing = field_energy(grid, values, vsamp)
 
     diagnostics = dict(info)

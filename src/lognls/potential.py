@@ -42,7 +42,8 @@ class PotentialSpec:
     their broadcast shape, possibly as a read-only view.
 
     ``c2 = min(1, c0)`` is derived, never stored independently: replacing a
-    spec recomputes it.
+    spec recomputes it.  ``y_star``, where V on Y is least (the origin unless
+    the factory finds a lower point), is kept out of ``describe()``.
     """
 
     dim: int
@@ -53,6 +54,7 @@ class PotentialSpec:
     kind: str = "custom"
     c0: float = 0.0
     c1: float = 0.0
+    y_star: tuple = ()
     c2: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -68,6 +70,7 @@ class PotentialSpec:
         if not self.c1 >= self.c0:
             raise ValueError(f"c1 = {self.c1} may not be below c0 = {self.c0}")
         object.__setattr__(self, "c2", min(1.0, self.c0))
+        object.__setattr__(self, "y_star", tuple(float(y) for y in self.y_star) or (0.0,) * self.dim)
 
     def in_cone(self, z: Sequence[NDArray]) -> NDArray:
         """Membership of the cone Y_lambda, |P_Y z| > lambda |z|, on the
@@ -169,7 +172,7 @@ def compile_expression(expr: str, dim: int) -> Callable[[tuple], NDArray]:
 
 
 # c0 and c1 of an expression potential: sampled over [-20, 20]^dim with at
-# most 20001 points in all
+# most 20001 points in all; y* on the Y line over [-20, 20], 20001 points
 _EXPR_BOX_RADIUS = 20.0
 _EXPR_SAMPLES = 20001
 
@@ -181,7 +184,8 @@ def expression_potential(expr: str, dim: int, x_axes, lam: float = 0.5) -> Poten
     ValueError on anything outside its whitelist.  c0 and c1 are estimated
     by dense sampling over the box of radius ``_EXPR_BOX_RADIUS`` (the
     integer dim-th root of ``_EXPR_SAMPLES`` points per axis), within the
-    sampling resolution.
+    sampling resolution.  y* is the least of ``_EXPR_SAMPLES`` samples of V
+    on a one-axis Y line, if below V(0) beyond rounding, else the origin.
     """
     x_axes = tuple(int(a) for a in x_axes)
     y_axes = tuple(a for a in range(dim) if a not in x_axes)
@@ -198,7 +202,12 @@ def expression_potential(expr: str, dim: int, x_axes, lam: float = 0.5) -> Poten
     box = np.ix_(*[np.linspace(-_EXPR_BOX_RADIUS, _EXPR_BOX_RADIUS, side)] * dim)
     c0 = float(np.min(_eval(box)))
     c1 = float(np.max(_eval([0.0 if k in y_axes else x for k, x in enumerate(box)])))
-    return PotentialSpec(dim, x_axes, y_axes, lam, _eval, kind="expression", c0=c0, c1=max(c1, c0))
+    line = np.linspace(-_EXPR_BOX_RADIUS, _EXPR_BOX_RADIUS, _EXPR_SAMPLES)
+    v = _eval([line if k in y_axes else 0.0 for k in range(dim)])
+    v0 = float(_eval([0.0] * dim))
+    low = len(y_axes) == 1 and np.min(v) < v0 - 1e-12 * max(1.0, abs(v0))
+    y_star = [line[np.argmin(v)] if k in y_axes else 0.0 for k in range(dim)] if low else ()
+    return PotentialSpec(dim, x_axes, y_axes, lam, _eval, kind="expression", c0=c0, c1=max(c1, c0), y_star=y_star)
 
 
 # ---------------------------------------------------------------------------

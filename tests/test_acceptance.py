@@ -19,6 +19,7 @@ from lognls.minimax import (
     barycenter_zero_finder,
     level_d,
     level_sup_x,
+    path_levels,
     phi_path,
     _odd_points,
 )
@@ -193,7 +194,7 @@ def test_criterion_09_upper_level():
     eps = 0.05
     half = min(60.0, 1.0 / eps + 6.0)
     g = Grid(2, half, _odd_points(half, 0.4))
-    rep = level_sup_x(g, SADDLE, eps, threshold=-math.inf)
+    rep = level_sup_x(g, SADDLE, eps, -math.inf, path_levels(g, SADDLE, eps, np.zeros((1, 2)))[0])
     two_m = 2 * m_closed_form(SADDLE.c0, 2)
     ok = rep["value"] <= rep["cap"] + 1e-3 and rep["value"] < two_m
     report("9", ok, f"sup_X J = {rep['value']:.4f}, cap = {rep['cap']:.4f}, 2m = {two_m:.4f}")

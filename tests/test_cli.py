@@ -192,7 +192,9 @@ def test_sweep_eps_deterministic(tmp_path, capsys, monkeypatch):
     second = (outdir / "sweep_eps.csv").read_bytes()
     assert first == second
     rows = json.loads((outdir / "sweep_eps.json").read_text())
-    assert [r["inconclusive"] for r in rows] == [{"level_d": True}, {"level_d": True}]
+    # the stalled eps 0.4 field reaches the edge of its 25^2 box (boundary
+    # ratio 1.55e-6), which is flagged, not solved again on a larger box
+    assert [r["inconclusive"] for r in rows] == [{"box": True, "level_d": True}, {"level_d": True}]
     header = first.decode().splitlines()[0]
     assert header.startswith("eps,m_c0,D_eps,sup_X_J,theta_r,R,sigma")
     assert len(first.decode().splitlines()) == 3  # header + one row per eps
@@ -228,26 +230,23 @@ def test_sweep_inconclusive_row_sets_exit_code(tmp_path, capsys, monkeypatch):
     assert [r["inconclusive"] for r in rows] == [{"theta_r": True}, {}]
 
 
-def test_sweep_with_a_box_past_the_cap_writes_every_row_and_exits_4(tmp_path, capsys, monkeypatch):
-    # with L capped at 12, the eps 0.1 row of this potential (minimizer
-    # near x1 = -9.95) is inconclusive["box"]; the eps 0.4 row enlarges to
-    # L = 12 and certifies, and both rows are written before the exit code
-    import lognls.minimax as minimax_mod
-
+def test_sweep_with_a_box_too_small_writes_every_row_and_exits_4(tmp_path, capsys, monkeypatch):
+    # L = 4 (21^2 at h = 0.4) cuts the D_eps minimizer of this potential on
+    # its followed frame at both eps, so both rows are inconclusive["box"],
+    # and both are written before the exit code
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(minimax_mod, "_BOX_GROWTH_CAP", 2)
     outdir = tmp_path / "out"
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
         "potential": {"kind": "expression", "expr": "1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0.1*z1/(1+z1**2)"},
         "sweep": {"eps": [0.4, 0.1]},
-        "certificate": {"compute_numerical_m": False},
+        "certificate": {"solver_half_extent": 4.0, "compute_numerical_m": False},
         "output": {"directory": str(outdir)},
     }))
     assert main(["sweep-eps", "--config", str(path)]) == EXIT_INCONCLUSIVE
     capsys.readouterr()
     rows = json.loads((outdir / "sweep_eps.json").read_text())
-    assert [r["inconclusive"] for r in rows] == [{}, {"box": True}]
+    assert [r["inconclusive"] for r in rows] == [{"box": True}, {"box": True}]
     assert len((outdir / "sweep_eps.csv").read_text().splitlines()) == 3
 
 

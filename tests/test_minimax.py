@@ -46,14 +46,21 @@ SADDLE = model_saddle(1.0, 1.25, 2, (0,), 0.5)
 CONST = constant_potential(1.0, 2, (0,), 0.5)
 # an odd term in z0 moves the free minimizer off Y
 ASYMMETRIC = "1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0.1*z0/(1+z0**2)"
-# an odd term in z1 moves the D_eps minimizer along Y, towards the box's edge
-# as eps falls (centre x1 ~ -2.4 / -4.9 / -9.95 at eps 0.4 / 0.2 / 0.1)
+# an odd term in z1 moves the D_eps minimizer along Y, to y*/eps with y* =
+# (0, -1), where V on Y is least (centre x1 ~ -2.4 / -4.9 / -9.95 at eps
+# 0.4 / 0.2 / 0.1)
 Y_ASYMMETRIC = "1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0.1*z1/(1+z1**2)"
 
 
 def path_grid(eps, R=2.0, h=0.15):
     half = max(10.0, R / eps + 6.0)
     return Grid(2, half, _odd_points(half, h))
+
+
+def sup_x(g, potential, eps, threshold):
+    """level_sup_x from the J of the z = 0 row, priced here as level_theta
+    prices it for a certificate."""
+    return level_sup_x(g, potential, eps, threshold, path_levels(g, potential, eps, np.zeros((1, 2)))[0])
 
 
 def test_barycenter_radial_is_zero():
@@ -486,7 +493,7 @@ def test_level_sup_x_even_q_samples_keep_the_origin():
     g = CertificateConfig(potential=SADDLE, h_target=0.3).grid()
     origin = path_levels(g, SADDLE, eps, np.zeros((1, 2)))[0]
     for threshold, walked in ((math.inf, 1), (-math.inf, 4)):
-        report = level_sup_x(g, SADDLE, eps, threshold)
+        report = sup_x(g, SADDLE, eps, threshold)
         assert len(report["boundary_max"]) == walked
         assert report["value"] == origin
 
@@ -496,7 +503,7 @@ def test_level_sup_x_nan_threshold_walks_every_radius():
     # at or below: the walk runs the whole schedule and finds no R
     eps = 0.3
     g = path_grid(eps)
-    res = level_sup_x(g, SADDLE, eps, threshold=math.nan)
+    res = sup_x(g, SADDLE, eps, math.nan)
     assert not res["succeeded"] and res["R"] is None
     assert list(res["boundary_max"]) == sorted(minimax_mod.R_SCHEDULE)
     assert res["value"] == max(path_levels(g, SADDLE, eps, np.zeros((1, 2)))[0], *res["boundary_max"].values())
@@ -505,7 +512,7 @@ def test_level_sup_x_nan_threshold_walks_every_radius():
 def test_level_sup_x_constant_potential():
     eps = 0.3
     g = path_grid(eps, R=1.0)
-    report = level_sup_x(g, CONST, eps, threshold=-math.inf)
+    report = sup_x(g, CONST, eps, -math.inf)
     m = m_closed_form(CONST.c0, 2)
     assert report["value"] == pytest.approx(m, rel=0.01)
     assert report["value"] < 2 * m
@@ -514,7 +521,7 @@ def test_level_sup_x_constant_potential():
 def test_level_sup_x_model_cap():
     eps = 0.1
     g = path_grid(eps, R=1.0)
-    report = level_sup_x(g, SADDLE, eps, threshold=-math.inf)
+    report = sup_x(g, SADDLE, eps, -math.inf)
     assert report["value"] <= report["cap"] + 1e-3
     assert report["value"] < 2 * m_closed_form(SADDLE.c0, 2)
     assert report["cap"] == pytest.approx(report["cap_closed_form"], rel=1e-3)
@@ -524,7 +531,7 @@ def test_choose_r_constant_returns_first_entry():
     eps = 0.3
     g = path_grid(eps)
     m = m_closed_form(CONST.c0, 2)
-    res = level_sup_x(g, CONST, eps, threshold=m + 0.5)
+    res = sup_x(g, CONST, eps, m + 0.5)
     assert res["succeeded"] and res["R"] == 0.25
 
 
@@ -533,7 +540,7 @@ def test_choose_r_model_finite_radius():
     g = path_grid(eps)
     m = m_closed_form(SADDLE.c0, 2)
     theta_proxy = m_closed_form(SADDLE.c1, 2)  # path value at the origin
-    res = level_sup_x(g, SADDLE, eps, threshold=0.5 * (m + theta_proxy))
+    res = sup_x(g, SADDLE, eps, 0.5 * (m + theta_proxy))
     assert res["succeeded"] and res["R"] is not None
     # boundary values decrease toward m(c0) as R grows
     vals = list(res["boundary_max"].values())
@@ -543,7 +550,7 @@ def test_choose_r_model_finite_radius():
 def test_choose_r_reports_exhaustion():
     eps = 0.3
     g = path_grid(eps)
-    res = level_sup_x(g, SADDLE, eps, threshold=0.0)
+    res = sup_x(g, SADDLE, eps, 0.0)
     assert not res["succeeded"] and res["R"] is None
     assert len(res["boundary_max"]) == 4
 
@@ -634,7 +641,7 @@ def test_theta_fallback_is_the_path_row_that_sup_x_reads(eps):
     rep = level_theta(g, SADDLE, eps, 1e-3, d_res)
     assert not rep["used_minimizer"]
     assert rep["value"] == _path_origin_level(g, eps, f0)
-    assert rep["value"] <= level_sup_x(g, SADDLE, eps, threshold=-math.inf)["value"]
+    assert rep["value"] <= sup_x(g, SADDLE, eps, -math.inf)["value"]
 
 
 def test_theta_needs_a_minimizer_on_the_grid_of_u0():
@@ -644,6 +651,19 @@ def test_theta_needs_a_minimizer_on_the_grid_of_u0():
     moved = LevelDResult(d_res.value, gausson(other, SADDLE.c0), True, 0.0, d_res.stages)
     with pytest.raises(ValueError, match="path grid"):
         level_theta(g, SADDLE, eps, 0.5, moved)
+
+
+def test_theta_skips_a_minimizer_on_a_moved_frame():
+    # a moved frame of the path grid is no field of that grid: its minimizer
+    # is skipped however low its J (NaN distance), and J(Phi_eps(0)), a
+    # member of the ball, stays the upper bound
+    eps = 0.4
+    cfg, g, d_res, f0 = _theta_setup(eps)
+    frame = replace(g, center=(0.0, -2.4))
+    moved = LevelDResult(d_res.value - 1.0, GridField(frame, d_res.field.values), True, 0.0, d_res.stages)
+    rep = level_theta(g, SADDLE, eps, 100.0, moved)
+    assert not rep["used_minimizer"] and math.isnan(rep["minimizer_distance"])
+    assert rep["feasible"] and rep["value"] == rep["origin_J"] == _path_origin_level(g, eps, f0)
 
 
 def test_theta_is_d_eps_in_the_default_sweep():
@@ -855,38 +875,76 @@ def test_certificate_d_eps_allowance_does_not_read_the_grid(monkeypatch, below, 
         assert certificate(0.4, cfg).D_eps_estimate == m_c0 - below
 
 
-def test_certificate_enlarges_the_box_while_the_minimizer_reaches_its_edge(monkeypatch, cold_ground_level):
-    # on the 31^2 default box the minimizer's boundary ratio is 1.4e-3 and
-    # D_eps 1.65e-5 above that of L = 16 (81^2), 38.260921418178825; one
-    # doubling to L = 12 at h = 0.4 (61^2) clears the ratio, and m(c0),
-    # Theta_r and sup_X J are read on that grid
+# D_eps of the Y-asymmetric potential at eps 0.4 / 0.2 / 0.1 on the boxes the
+# retired doubling rule enlarged to (61^2 / 61^2 / 121^2 around the origin);
+# 38.260921418178825 at eps 0.4 on L = 16
+Y_ASYMMETRIC_D_EPS = {0.4: 38.26092141836975, 0.2: 38.460566659275315, 0.1: 38.51646367869894}
+
+
+@pytest.mark.parametrize("eps", [0.4, 0.2, 0.1, 0.05, 0.025])
+def test_certificate_solves_d_eps_once_on_the_frame_at_y_star(monkeypatch, eps):
+    # V on Y is least at y* = (0, -1) and the D_eps minimizer sits near
+    # y*/eps: one level_d solve on the 31^2 frame moved to the lattice node
+    # nearest it holds the field (the origin-centred box cut it: ratio
+    # 1.4e-3 on 31^2 at eps 0.4, and no box up to L = 24 held it at eps 0.05)
     pot = expression_potential(Y_ASYMMETRIC, 2, [0])
-    cfg = CertificateConfig(potential=pot)
-    unchecked = level_d(cfg.grid(), pot, 0.4)
-    assert minimax_mod._boundary_ratio(unchecked.field) == pytest.approx(1.4e-3, rel=0.05)
-    assert unchecked.value == pytest.approx(38.26093796697997, abs=1e-9)
-
-    solves = []
-    real = minimax_mod.ground_state
-    monkeypatch.setattr(minimax_mod, "ground_state", lambda *a, **k: solves.append(a[0]) or real(*a, **k))
-    cert = certificate(0.4, cfg)
-    assert cert.details["path_grid"] == (2, 12.0, 61)
-    assert solves == [Grid(2, 12.0, 61)]
+    assert pot.y_star == (0.0, -1.0)
+    cfg = CertificateConfig(potential=pot, compute_numerical_m=False)
+    grid, h = cfg.grid(), cfg.grid().spacing
+    frames = []
+    real = minimax_mod.level_d
+    monkeypatch.setattr(minimax_mod, "level_d", lambda g, *a, **k: frames.append(g) or real(g, *a, **k))
+    cert = certificate(eps, cfg)
+    assert frames == [replace(grid, center=(0.0, round(-1.0 / (eps * h)) * h))]
+    assert cert.details["path_grid"] == (2, 6.0, 31)
     assert cert.details["boundary_ratio"] <= minimax_mod._BOX_TAIL_RATIO
-    assert cert.D_eps_estimate == pytest.approx(38.260921418178825, abs=1e-9)
-    assert not cert.inconclusive and all(cert.flags.values())
+    assert not cert.inconclusive and len(cert.flags) == 5 and all(cert.flags.values())
+    if eps in Y_ASYMMETRIC_D_EPS:
+        assert cert.D_eps_estimate == pytest.approx(Y_ASYMMETRIC_D_EPS[eps], abs=1e-9)
+    # the minimizer on the moved frame is no candidate of Theta_r
+    assert not cert.details["theta"]["used_minimizer"]
+    assert math.isnan(cert.details["theta"]["minimizer_distance"])
+    assert cert.theta_r_estimate == cert.details["theta"]["origin_J"]
 
 
-def test_a_box_past_the_growth_cap_is_inconclusive(monkeypatch):
-    # at eps 0.1 the minimizer sits near x1 = -9.95: L = 12 still cuts it
-    # (ratio 1.5e-2, D_eps 0.0099 above L = 24's), so with L capped at 12
-    # the row is inconclusive["box"] rather than a silent truncated D_eps
-    monkeypatch.setattr(minimax_mod, "_BOX_GROWTH_CAP", 2)
-    cert = certificate(0.1, CertificateConfig(potential=expression_potential(Y_ASYMMETRIC, 2, [0]),
-                                              compute_numerical_m=False))
-    assert cert.details["path_grid"] == (2, 12.0, 61)
-    assert cert.details["boundary_ratio"] > minimax_mod._BOX_TAIL_RATIO
+def test_d_eps_follows_the_small_eps_expansion_at_y_star():
+    # the constrained minimizer concentrates where V on Y is least, so D_eps
+    # = m(V(y*)) exp(eps^2 Delta V(y*) / 4) (1 + O(eps^4)), the expansion of
+    # the path level at z = 0 taken at y* = (0, -1): V(y*) = 1.2, Delta V(y*)
+    # = -0.25 + 0.05 = -0.2, m(1.2) = 38.5356083206
+    pot = expression_potential(Y_ASYMMETRIC, 2, [0])
+    assert m_closed_form(1.2, 2) == pytest.approx(38.5356083206, abs=1e-10)
+    cfg = CertificateConfig(potential=pot, compute_numerical_m=False)
+    for eps in (0.4, 0.2, 0.1, 0.05):
+        predicted = m_closed_form(1.2, 2) * math.exp(-0.2 * eps**2 / 4)
+        assert abs(certificate(eps, cfg).D_eps_estimate / predicted - 1.0) <= 0.05 * eps**4
+
+
+def test_a_box_too_small_for_the_minimizer_is_inconclusive():
+    # L = 4 at h = 0.4 (21^2) cuts the field on its followed frame (boundary
+    # ratio 3.6e-4 at eps 0.4): the row is inconclusive["box"] rather than a
+    # silent truncated D_eps, and no larger box is tried
+    pot = expression_potential(Y_ASYMMETRIC, 2, [0])
+    cert = certificate(0.4, CertificateConfig(potential=pot, solver_half_extent=4.0, compute_numerical_m=False))
+    assert cert.details["path_grid"] == (2, 4.0, 21)
+    assert cert.details["boundary_ratio"] == pytest.approx(3.6e-4, rel=0.05)
     assert cert.inconclusive == {"box": True}
+
+
+def test_certificate_prices_no_path_row_twice(monkeypatch):
+    # level_sup_x takes the J of the z = 0 row that level_theta priced: a
+    # default sweep prices 30 rows, none twice within a certificate
+    rows = []
+    real = minimax_mod._path_row
+
+    def counted(grid, potential, eps, z):
+        rows.append((eps, tuple(np.asarray(z, dtype=float))))
+        return real(grid, potential, eps, z)
+
+    monkeypatch.setattr(minimax_mod, "_path_row", counted)
+    sweep_eps((0.4, 0.2, 0.1, 0.05), CertificateConfig(potential=SADDLE))
+    assert len(rows) == 30
+    assert len(set(rows)) == len(rows)
 
 
 def test_the_default_saddle_never_enlarges_the_box():
@@ -1080,5 +1138,5 @@ def test_path_levels_never_read_direction_weights(monkeypatch):
     monkeypatch.setattr(minimax_mod, "direction_weights", counted)
     g = Grid(2, 10.0, _odd_points(10.0, 0.3))
     path_levels(g, SADDLE, 0.1, np.outer(np.linspace(-2.0, 2.0, 9), [1.0, 0.0]))
-    level_sup_x(g, SADDLE, 0.1, threshold=0.0)
+    sup_x(g, SADDLE, 0.1, 0.0)
     assert calls == []

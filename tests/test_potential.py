@@ -228,6 +228,32 @@ def test_expression_potential_estimates_constants():
     assert spec.c1 == pytest.approx(3.0, abs=1e-2)
 
 
+@pytest.mark.parametrize(
+    "expr, y_star",
+    [
+        # V on Y is 1.25 + 0.1 z1/(1+z1^2), least at z1 = -1 (a sample of the line)
+        ("1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0.1*z1/(1+z1**2)", (0.0, -1.0)),
+        # exactly 1.25 on Y: no sample undercuts V(0), so y* is the origin
+        ("1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0.1*z0/(1+z0**2)", (0.0, 0.0)),
+        ("1 + 0.25*(1+z1**2)/(1+z0**2+z1**2)", (0.0, 0.0)),
+        # the least sample of 20001 on [-20, 20], spacing 0.002, near z1 = 0.7
+        ("1.25 + 0.1*(z1 - 0.7)**2 + 0.1*z0**2", (0.0, 0.7)),
+    ],
+)
+def test_y_star_is_the_least_sample_of_v_on_y(expr, y_star):
+    spec = expression_potential(expr, 2, (0,), 0.5)
+    assert spec.y_star == pytest.approx(y_star, abs=1e-3)
+    assert "y_star" not in spec.describe()
+
+
+def test_y_star_is_the_origin_without_a_sampled_y_line():
+    assert SADDLE.y_star == (0.0, 0.0)
+    assert constant_potential(1.0, 1).y_star == (0.0,)
+    # a one-dimensional X leaves Y empty; a two-axis X likewise
+    assert expression_potential("1 + 0.1*np.sin(z0)", 1, (0,), 0.5).y_star == (0.0,)
+    assert expression_potential("1 + 0.1*np.sin(z1)", 2, (0, 1), 0.5).y_star == (0.0, 0.0)
+
+
 def test_sample_on_grid():
     from lognls.energy import potential_samples
     from lognls.grid import Grid
