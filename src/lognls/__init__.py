@@ -4,7 +4,8 @@ potentials.
 
 Importing the package loads none of its modules; import what you need from
 the submodules (``lognls.grid``, ``lognls.energy``, ``lognls.nehari``,
-``lognls.potential``, ``lognls.minimax``, ``lognls.cli``).
+``lognls.potential``, ``lognls.hypotheses``, ``lognls.expression``,
+``lognls.minimax``, ``lognls.cli``).
 """
 
 __version__ = "0.1.0"

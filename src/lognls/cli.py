@@ -51,7 +51,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -65,17 +65,7 @@ from .minimax import (
     sweep_eps,
 )
 from .nehari import GAUSSON_BALL_RADIUS, SolverConfig, gausson, ground_state, m_closed_form
-from .potential import (
-    PotentialSpec,
-    check_V1,
-    check_V2,
-    check_V4,
-    constant_potential,
-    compile_expression,
-    expression_potential,
-    model_saddle,
-    v3_diagnostic,
-)
+from .potential import PotentialSpec, constant_potential, model_saddle
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -159,9 +149,12 @@ DEFAULT_CONFIG = {
 }
 
 
-@dataclass
 class ConfigError(Exception):
-    violations: list[str] = field(default_factory=list)
+    """A config that breaks a precondition; ``violations`` lists every one."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__(violations)
+        self.violations = violations
 
 
 def merge_config(base: dict, override: dict) -> dict:
@@ -242,6 +235,8 @@ def validate_config(cfg: dict) -> list[str]:
         if not isinstance(p.get("expr"), str):
             problems.append("potential.expr must be a string for kind=expression")
         elif dim is not None:
+            from .expression import compile_expression
+
             try:
                 compile_expression(p["expr"], dim)
             except ValueError as err:
@@ -309,6 +304,8 @@ def build_potential(cfg: dict) -> PotentialSpec:
             return model_saddle(float(p["c0"]), float(p["c1"]), dim, x_axes, lam)
         if p["kind"] == "constant":
             return constant_potential(float(p["value"]), dim, x_axes, lam)
+        from .expression import expression_potential
+
         return expression_potential(p["expr"], dim, x_axes, lam)
     except ValueError as err:
         raise ConfigError([f"potential: {err}"]) from None
@@ -482,6 +479,8 @@ def cmd_ground_state(args) -> int:
 
 
 def cmd_check_potential(args) -> int:
+    from .hypotheses import check_V1, check_V2, check_V4, v3_diagnostic
+
     cfg = load_config(args.config, {})
     pot = build_potential(cfg)
     report = {

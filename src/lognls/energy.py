@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .grid import (
     Grid,
@@ -38,6 +37,9 @@ from .grid import (
     sine_coefficients,
     sine_kinetic,
 )
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 # F1''(s) = -(log s^2 + 3) on the inner branch, so convexity needs
 # delta <= e^{-3/2}.

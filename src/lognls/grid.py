@@ -37,9 +37,12 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 SUPPORTED_DIMS = (1, 2)  # the dimensions N accepted anywhere in the package
 

@@ -33,10 +33,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .energy import _projected_level, energy_terms, eps_norm_sq, field_energy, potential_samples
 from .grid import Grid, GridField, integrate_array, node_axes
@@ -49,6 +48,9 @@ from .nehari import (
     minimize_on_nehari,
 )
 from .potential import PotentialSpec, _subspace_sphere
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 
 def direction_weights(grid: Grid) -> NDArray:

@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .energy import SplitParams, _projected_level, _safe_log_sq, energy_terms, field_energy, potential_samples
 from .grid import (
@@ -44,6 +43,9 @@ from .grid import (
     require_supported_dim,
     shifted_laplacian_solve,
 )
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 # backtracking line search of the descent: first trial step, shrink factor
 # per rejected trial, Armijo sufficient-decrease constant, trials per step

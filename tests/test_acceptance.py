@@ -24,7 +24,8 @@ from lognls.minimax import (
     _odd_points,
 )
 from lognls.nehari import SolverConfig, gausson, ground_state, m_closed_form, nehari_scale
-from lognls.potential import check_V4, constant_potential, model_saddle
+from lognls.hypotheses import check_V4
+from lognls.potential import constant_potential, model_saddle
 
 from conftest import smooth_field
 

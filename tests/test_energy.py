@@ -24,7 +24,8 @@ from lognls.grid import Grid, GridField, integrate_array, sine_coefficients, sin
 import lognls.nehari as nehari_mod
 from lognls.minimax import _path_frame, path_levels
 from lognls.nehari import SolverConfig, gausson, m_closed_form, minimize_on_nehari, nehari_scale
-from lognls.potential import PotentialSpec, constant_potential, expression_potential, model_saddle
+from lognls.expression import expression_potential
+from lognls.potential import PotentialSpec, constant_potential, model_saddle
 
 from conftest import smooth_field
 

@@ -37,7 +37,8 @@ from lognls.nehari import (
     m_closed_form,
     nehari_scale,
 )
-from lognls.potential import constant_potential, expression_potential, model_saddle
+from lognls.expression import expression_potential
+from lognls.potential import constant_potential, model_saddle
 
 from conftest import count_grid_calls, node_table, smooth_field
 

@@ -4,19 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import lognls.hypotheses as hypotheses_mod
 import lognls.potential as potential_mod
 from lognls.energy import potential_samples
+from lognls.expression import expression_potential
 from lognls.grid import Grid, node_axes
-from lognls.potential import (
-    PotentialSpec,
-    check_V1,
-    check_V2,
-    check_V4,
-    constant_potential,
-    expression_potential,
-    model_saddle,
-    v3_diagnostic,
-)
+from lognls.hypotheses import check_V1, check_V2, check_V4, v3_diagnostic
+from lognls.potential import PotentialSpec, constant_potential, model_saddle
 
 from conftest import node_table
 
@@ -146,11 +140,11 @@ def test_check_v2_kink_blows_up():
     kinked = check_V2(expression_potential("1 + abs(z0)", 2, (0,), 0.5))
     # the kink's second difference is 2 step / step^2 = 2 / step (2e4 here),
     # against about 0.5 for the smooth saddle
-    assert kinked["max_second"] == pytest.approx(2.0 / potential_mod._FD_STEP, rel=1e-6)
+    assert kinked["max_second"] == pytest.approx(2.0 / hypotheses_mod._FD_STEP, rel=1e-6)
     assert kinked["max_second"] > 1e4 * check_V2(SADDLE)["max_second"]
     # which is below the cap: the second difference at a tenth of the step
     # (2e5), which no C^2 potential shows, flags it
-    assert kinked["max_second"] <= potential_mod._V2_CAP
+    assert kinked["max_second"] <= hypotheses_mod._V2_CAP
     assert kinked["value_bounded"] and kinked["gradient_bounded"] and not kinked["second_bounded"]
 
 

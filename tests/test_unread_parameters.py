@@ -32,7 +32,7 @@ ALLOWED = {
 
 # module.function.parameter -> why the default stays although no call sets it
 ALLOWED_UNSET = {
-    "potential.check_V4.v_at_origin": (
+    "hypotheses.check_V4.v_at_origin": (
         "acceptance criterion 11 checks the level inequalities at a given V(0)"
     ),
 }
