@@ -5,7 +5,7 @@ potentials.
 Importing the package loads none of its modules; import what you need from
 the submodules (``lognls.grid``, ``lognls.energy``, ``lognls.nehari``,
 ``lognls.potential``, ``lognls.hypotheses``, ``lognls.expression``,
-``lognls.minimax``, ``lognls.cli``).
+``lognls.minimax``, ``lognls.oracles``, ``lognls.cli``).
 """
 
 __version__ = "0.1.0"

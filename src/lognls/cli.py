@@ -57,13 +57,7 @@ import numpy as np
 
 from .energy import SplitParams, energy
 from .grid import Grid, dump_field, require_supported_dim
-from .minimax import (
-    MAX_H_TARGET,
-    CertificateConfig,
-    barycenter_zero_finder,
-    certificate,
-    sweep_eps,
-)
+from .minimax import MAX_H_TARGET, CertificateConfig, certificate, sweep_eps
 from .nehari import GAUSSON_BALL_RADIUS, SolverConfig, gausson, ground_state, m_closed_form
 from .potential import PotentialSpec, constant_potential, model_saddle
 
@@ -544,6 +538,8 @@ def cmd_sweep_eps(args) -> int:
 
 
 def cmd_barycenter_zero(args) -> int:
+    from .oracles import barycenter_zero_finder
+
     check_flags(eps=args.eps, R=args.R)
     cfg = load_config(args.config, {})
     require_axes(cfg, y_axis=False)

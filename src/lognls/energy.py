@@ -8,13 +8,14 @@ is not smooth on the whole space; the integrand -1/2 s^2 log s^2 is split as
 F1(s) - F2(s) with F1 convex, even and nonnegative (for delta small enough)
 and F2 of power growth.  J then decomposes into a C^1 part Phi and a convex
 lower-semicontinuous part Psi = integral(F1(u)).  This module evaluates the
-pieces, the L2-metric gradient, the pointwise proximal map of F1, and the
-logarithmic Sobolev slack used as a sanity check on quadrature.
+pieces and the pointwise proximal map of F1; s^2 log s^2, the L2-metric
+gradient and the logarithmic Sobolev slack, which only check these, live in
+``oracles``.
 
 Every energy number is read off the four reductions of the one kernel
 ``energy_terms``: ||u||_eps^2, J and J'(u)u in ``_assemble``, and the
 Nehari-projected level (t, J(t u)) in ``_projected_level`` (the solver's
-trials, the Nehari scale and the path rows of ``minimax``).
+trials, the path rows of ``minimax`` and the Nehari scale of ``oracles``).
 
 The nodewise convention s^2 log s^2 := 0 at s = 0 is applied throughout;
 grids do hit exact zeros.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .grid import (
     Grid,
     GridField,
     integrate_array,
-    laplacian_array,
     node_axes,
     sine_coefficients,
     sine_kinetic,
@@ -69,14 +69,6 @@ def _safe_log_sq(values: NDArray, out: Optional[NDArray] = None) -> NDArray:
     # log(1) = 0 at the zero nodes
     np.copyto(out, 1.0, where=out == 0.0)
     return np.multiply(np.log(out, out=out), 2.0, out=out)
-
-
-def sq_log_sq(s: Union[float, NDArray]) -> Union[float, NDArray]:
-    """s^2 log s^2 with the continuous extension 0 at s = 0."""
-    arr = np.asarray(s, dtype=float)
-    a = np.abs(arr)
-    out = np.where(a > 0, arr * arr * _safe_log_sq(a), 0.0)
-    return float(out) if np.isscalar(s) or arr.ndim == 0 else out
 
 
 def _as_array(s) -> tuple[NDArray, bool]:
@@ -167,7 +159,7 @@ def potential_samples(potential, grid: Grid, eps: float) -> NDArray:
 
 
 # ---------------------------------------------------------------------------
-# energy and gradient
+# energy
 # ---------------------------------------------------------------------------
 
 def energy_terms(grid: Grid, values: NDArray, vsamp) -> tuple[NDArray, NDArray, float, float, float, float]:
@@ -266,34 +258,6 @@ def energy(u: GridField, potential, eps: float, params: SplitParams) -> dict:
     }
 
 
-def grad_array(grid: Grid, values: NDArray, vsamp: NDArray) -> NDArray:
-    """L2-metric gradient -Lap u + V u - u log u^2 as a raw array."""
-    a = np.abs(values)
-    nl = np.where(a > 0, values * _safe_log_sq(a), 0.0)
-    return -laplacian_array(grid, values) + vsamp * values - nl
-
-
-def grad_L2(u: GridField, potential, eps: float, params: SplitParams) -> GridField:
-    """L2 gradient field of J.
-
-    The gradient is also reassembled from the split
-    (-Lap u + (V+1)u - F2'(u)) + F1'(u), and both routes must agree to 1e-10.
-    """
-    grid = u.grid
-    vsamp = potential_samples(potential, grid, eps)
-    direct = grad_array(grid, u.values, vsamp)
-    split = (
-        -laplacian_array(grid, u.values)
-        + (vsamp + 1.0) * u.values
-        - f2_prime(u.values, params)
-        + f1_prime(u.values, params)
-    )
-    scale = 1.0 + float(np.max(np.abs(direct)))
-    if float(np.max(np.abs(direct - split))) > 1e-10 * scale:
-        raise AssertionError("gradient assemblies (direct vs split) disagree")
-    return GridField(grid, direct)
-
-
 # ---------------------------------------------------------------------------
 # proximal map of F1
 # ---------------------------------------------------------------------------
@@ -331,22 +295,3 @@ def prox_f1(v, step: float, params: SplitParams):
 
     out = np.sign(arr) * s.reshape(arr.shape)
     return float(out) if scalar else out
-
-
-# ---------------------------------------------------------------------------
-# logarithmic Sobolev slack
-# ---------------------------------------------------------------------------
-
-def log_sobolev_slack(u: GridField, a: float) -> float:
-    """Slack of the logarithmic Sobolev inequality at parameter a > 0.
-
-    Returns (a^2/pi) |grad u|_2^2 + (log |u|_2^2 - N (1 + log a)) |u|_2^2
-    - integral(u^2 log u^2), which is nonnegative up to quadrature error.
-    """
-    if a <= 0:
-        raise ValueError(f"a must be positive, got {a}")
-    grid = u.grid
-    _, _, kin, _, mass, ent = energy_terms(grid, u.values, 0.0)
-    if mass <= 0:
-        raise ValueError("log-Sobolev slack is undefined for the zero field")
-    return (a * a / math.pi) * kin + (math.log(mass) - grid.dim * (1.0 + math.log(a))) * mass - ent

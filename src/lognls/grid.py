@@ -106,7 +106,7 @@ def node_axes(grid: Grid) -> tuple[NDArray, ...]:
     return np.ix_(*(grid.axis(k) for k in range(grid.dim)))
 
 
-@dataclass
+@dataclass(eq=False)
 class GridField:
     """Real-valued function sampled on a grid, stored row-major and flat."""
 

@@ -25,7 +25,9 @@ node nearest y*/eps, where V on Y is least, see ``certificate``):
 The minimax value over continuous fillings of Q is never computed; the
 certificate brackets it between Theta_r and sup_Q J(Phi_eps) and records
 pass/fail for each separation inequality.  sigma is defined operationally
-as max(0, D_eps - m(c0)).
+as max(0, D_eps - m(c0)).  The barycenter of a field, the path row as a
+field and the barycenter-zero evidence read the kernels here from
+``oracles``, which no certificate loads.
 """
 
 from __future__ import annotations
@@ -90,14 +92,6 @@ def _x_norm(beta_x: NDArray) -> float:
     return math.sqrt(float(beta_x @ beta_x))
 
 
-def barycenter(u: GridField) -> NDArray:
-    """Mass-direction average  integral((x/|x|) u^2) / integral(u^2)."""
-    beta = _barycenter_values(u.values * u.values, direction_weights(u.grid))
-    if np.isnan(beta[0]):
-        raise ValueError("barycenter is undefined for the zero field")
-    return beta
-
-
 # ---------------------------------------------------------------------------
 # the path in a moving frame
 # ---------------------------------------------------------------------------
@@ -121,7 +115,8 @@ def _path_gausson(grid: Grid, c0: float) -> NDArray:
 def _path_terms(grid: Grid, c0: float) -> tuple[NDArray, float, float, float]:
     """(u0^2, kin, mass, ent) of ``_path_gausson``, the frame-independent
     part of the path, from one energy kernel call per (grid, c0).  A cache
-    of its own: the zero finder reads u0 alone and prices nothing."""
+    of its own: the zero finder of ``oracles`` reads u0 alone and prices
+    nothing."""
     _, sq, kin, _, mass, ent = energy_terms(grid, _path_gausson(grid, c0), 0.0)
     sq.flags.writeable = False
     return sq, kin, mass, ent
@@ -152,16 +147,6 @@ def _path_row(grid: Grid, potential: PotentialSpec, eps: float, z: NDArray) -> t
 
 def _path_frame(grid: Grid, z: NDArray, eps: float) -> Grid:
     return replace(grid, center=np.add(grid.center, z / eps))
-
-
-def phi_path(grid: Grid, potential: PotentialSpec, eps: float, z) -> GridField:
-    """Path field Phi_eps(z), one ``_path_row`` as a field: t*u0 on ``grid``
-    with the center shifted by z/eps, so it never leaves the box."""
-    z = np.asarray(z, dtype=float).ravel()
-    if z.size != grid.dim:
-        raise ValueError(f"z must have {grid.dim} components")
-    frame, _, t, _ = _path_row(grid, potential, eps, z)
-    return GridField(frame, t * _path_gausson(grid, potential.c0))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +241,12 @@ class _BarycenterTilt:
         return g
 
 
-@dataclass
+@dataclass(eq=False)
 class LevelDResult:
+    """The D_eps estimate of ``level_d``: J of the solve's last iterate,
+    that field, whether its |P_X beta| (``beta_x_norm``) is at most
+    ``BETA_TOL``, and the solve's info dict as the one entry of ``stages``."""
+
     value: float
     field: GridField
     feasible: bool
@@ -394,52 +383,6 @@ def level_theta(
 
 
 # ---------------------------------------------------------------------------
-# barycenter zero finder (degree evidence)
-# ---------------------------------------------------------------------------
-
-def barycenter_zero_finder(grid: Grid, potential: PotentialSpec, eps: float, R: float) -> dict:
-    """The zero x* in Q of P_X beta(Phi_eps(x)), with the degree evidence.
-
-    u0 is radial and sits on the origin node, so beta(Phi_eps(0)) =
-    beta(u0) = 0 up to rounding for every V: x* is 0, and its residual
-    |P_X beta(Phi_eps(0))| is reported.  A residual above ``BETA_TOL``, a
-    path that breaks this symmetry, is reported as inconclusive.  The degree
-    evidence is read on the boundary of Q, the sphere of radius R in X that
-    ``level_sup_x`` prices: the sign of P_X beta at -R and R for one X axis,
-    and its winding number on the counterclockwise circle of
-    ``_BOUNDARY_SAMPLES`` points for two; a missing sign change or zero
-    winding is not degree one, not a failure.
-    """
-    axes = list(potential.x_axes)
-    u0 = _path_gausson(grid, potential.c0)
-    sq = u0 * u0
-
-    def f_rows(zs) -> NDArray:
-        """P_X beta(Phi_eps(z)) for each row z, read off u0 in the moved
-        frame: beta(t u) = beta(u), so no t, J or V is needed."""
-        return np.array([_barycenter_values(sq, direction_weights(_path_frame(grid, z, eps)))[axes] for z in zs])
-
-    boundary = f_rows(_subspace_sphere(potential.dim, potential.x_axes, R, _BOUNDARY_SAMPLES))
-    if len(axes) == 1:
-        hi, lo = boundary[:, 0]  # the sampler returns +R first
-        evidence = {"boundary_values": [float(lo), float(hi)], "degree_one": bool(lo < 0 < hi)}
-    else:
-        angles = np.array([math.atan2(fv[1], fv[0]) for fv in boundary])
-        d = np.diff(np.concatenate([angles, angles[:1]]))
-        d = (d + math.pi) % (2 * math.pi) - math.pi
-        winding = int(round(float(np.sum(d)) / (2 * math.pi)))
-        evidence = {"winding": winding, "degree_one": bool(abs(winding) >= 1)}
-    residual = float(np.linalg.norm(f_rows(np.zeros((1, potential.dim)))[0]))
-    inconclusive = residual > BETA_TOL
-    return {
-        "x_star": None if inconclusive else [0.0] * len(axes),
-        "residual": residual,
-        "inconclusive": inconclusive,
-        "degree_evidence": evidence,
-    }
-
-
-# ---------------------------------------------------------------------------
 # certificate
 # ---------------------------------------------------------------------------
 
@@ -482,6 +425,10 @@ class CertificateConfig:
 
 @dataclass
 class LevelCertificate:
+    """The certificate at one eps: the levels and the bracket, R, sigma, the
+    five flags and what was inconclusive, with the sub-reports behind them
+    in ``details``, which the written report leaves out."""
+
     eps: float
     m_c0: float
     m_c0_numerical: Optional[float]

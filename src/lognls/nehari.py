@@ -63,7 +63,7 @@ _LBFGS_MEMORY = 3
 _STEP_FLOOR = 0.5
 
 
-@dataclass
+@dataclass(eq=False)
 class NehariSolution:
     """Converged (or best-effort) field on the Nehari set with diagnostics."""
 
@@ -96,23 +96,6 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.tol <= 0 or self.max_iters < 1:
             raise ValueError("tol must be positive and max_iters at least 1")
-
-
-# ---------------------------------------------------------------------------
-# the Nehari scale
-# ---------------------------------------------------------------------------
-
-def nehari_scale(u: GridField, potential, eps: float) -> float:
-    """Unique t > 0 with the fiber derivative of t*u vanishing.
-
-    t = exp(J'(u)u / (2 integral u^2)) (``_projected_level``); rescaling u
-    by c > 0 divides t by c.
-    """
-    vsamp = potential_samples(potential, u.grid, eps)
-    _, _, kin, pot, mass, ent = energy_terms(u.grid, u.values, vsamp)
-    if mass <= 0:
-        raise ValueError("Nehari scale is undefined for fields with zero mass")
-    return _projected_level(kin, pot, mass, ent)[0]
 
 
 # ---------------------------------------------------------------------------

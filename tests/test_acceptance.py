@@ -12,19 +12,25 @@ import pytest
 from scipy.optimize import brentq
 
 from lognls.cli import main
-from lognls.energy import SplitParams, energy, f1, f2, grad_L2, log_sobolev_slack, sq_log_sq
+from lognls.energy import SplitParams, energy, f1, f2
 from lognls.grid import Grid, GridField, integrate_array
 from lognls.minimax import (
-    barycenter,
-    barycenter_zero_finder,
     level_d,
     level_sup_x,
     path_levels,
-    phi_path,
     _odd_points,
 )
-from lognls.nehari import SolverConfig, gausson, ground_state, m_closed_form, nehari_scale
+from lognls.nehari import SolverConfig, gausson, ground_state, m_closed_form
 from lognls.hypotheses import check_V4
+from lognls.oracles import (
+    barycenter,
+    barycenter_zero_finder,
+    grad_L2,
+    log_sobolev_slack,
+    nehari_scale,
+    phi_path,
+    sq_log_sq,
+)
 from lognls.potential import constant_potential, model_saddle
 
 from conftest import smooth_field

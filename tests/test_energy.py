@@ -13,18 +13,16 @@ from lognls.energy import (
     f1_prime,
     f2,
     f2_prime,
-    grad_L2,
     energy_terms,
-    log_sobolev_slack,
     potential_samples,
     prox_f1,
-    sq_log_sq,
 )
 from lognls.grid import Grid, GridField, integrate_array, sine_coefficients, sine_kinetic
 import lognls.nehari as nehari_mod
 from lognls.minimax import _path_frame, path_levels
-from lognls.nehari import SolverConfig, gausson, m_closed_form, minimize_on_nehari, nehari_scale
+from lognls.nehari import SolverConfig, gausson, m_closed_form, minimize_on_nehari
 from lognls.expression import expression_potential
+from lognls.oracles import grad_L2, log_sobolev_slack, nehari_scale, sq_log_sq
 from lognls.potential import PotentialSpec, constant_potential, model_saddle
 
 from conftest import smooth_field

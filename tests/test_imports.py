@@ -43,6 +43,7 @@ def test_package_import_loads_no_module():
         ("energy", {"lognls.grid", "lognls.energy"}),
         ("nehari", {"lognls.grid", "lognls.energy", "lognls.nehari"}),
         ("potential", {"lognls.grid", "lognls.potential"}),
+        ("oracles", CLI_MODULES - {"lognls.cli"} | {"lognls.oracles"}),
     ),
 )
 def test_layer_import_loads_only_its_dependencies(module, loaded):
@@ -82,14 +83,15 @@ def test_cli_and_certificate_commands_load_only_the_pipeline(tmp_path, statement
 EXPRESSION = {"potential": {"kind": "expression", "expr": "1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0.1*z0/(1+z0**2)"}}
 
 
-# the checkers load with the command that runs them, the expression grammar
-# with a config that names an expression
+# the checkers and the barycenter-zero evidence load with the command that
+# runs them, the expression grammar with a config that names an expression
 @pytest.mark.parametrize(
     "argv, config, extra",
     (
         (["check-potential"], {}, {"lognls.hypotheses"}),
         (["check-potential"], EXPRESSION, {"lognls.hypotheses", "lognls.expression"}),
         (["ground-state", "--n", "32"], EXPRESSION, {"lognls.expression"}),
+        (["barycenter-zero", "--eps", "0.05"], {}, {"lognls.oracles"}),
     ),
 )
 def test_checkers_and_expressions_load_with_their_command(tmp_path, argv, config, extra):

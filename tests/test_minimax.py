@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lognls.energy import SplitParams, eps_norm_sq, field_energy, grad_array, potential_samples
+from lognls.energy import SplitParams, eps_norm_sq, field_energy, potential_samples
 import lognls.grid as grid_mod
 from lognls.grid import Grid, GridField
 import lognls.minimax as minimax_mod
@@ -16,15 +16,12 @@ from lognls.minimax import (
     CertificateConfig,
     LevelDResult,
     _BarycenterTilt,
-    barycenter,
-    barycenter_zero_finder,
     certificate,
     direction_weights,
     level_d,
     level_sup_x,
     level_theta,
     path_levels,
-    phi_path,
     sweep_eps,
     _odd_points,
 )
@@ -35,9 +32,9 @@ from lognls.nehari import (
     gausson,
     ground_state,
     m_closed_form,
-    nehari_scale,
 )
 from lognls.expression import expression_potential
+from lognls.oracles import barycenter, barycenter_zero_finder, grad_array, nehari_scale, phi_path
 from lognls.potential import constant_potential, model_saddle
 
 from conftest import count_grid_calls, node_table, smooth_field
@@ -1141,3 +1138,18 @@ def test_path_levels_never_read_direction_weights(monkeypatch):
     path_levels(g, SADDLE, 0.1, np.outer(np.linspace(-2.0, 2.0, 9), [1.0, 0.0]))
     sup_x(g, SADDLE, 0.1, 0.0)
     assert calls == []
+
+
+@pytest.mark.parametrize("record", ("GridField", "NehariSolution", "LevelDResult"))
+def test_field_records_compare_by_identity(record):
+    # a generated __eq__ would compare the node arrays inside a tuple and
+    # raise on the truth value of an array; the records compare by identity
+    g = Grid(2, 7.0, 33)
+    fields = gausson(g, 0.0), gausson(g, 0.0)
+    build = {
+        "GridField": lambda u: u,
+        "NehariSolution": lambda u: NehariSolution(u, 1.0, 0.0, 0, True),
+        "LevelDResult": lambda u: LevelDResult(1.0, u, True, 0.0, []),
+    }[record]
+    a, b = (build(u) for u in fields)
+    assert a == a and a != b

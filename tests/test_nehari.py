@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 import lognls.grid as grid_mod
 import lognls.nehari as nehari_mod
-from lognls.energy import SplitParams, _projected_level, _safe_log_sq, energy, energy_terms, f1, f2, sq_log_sq
+from lognls.energy import SplitParams, _projected_level, _safe_log_sq, energy, energy_terms, f1, f2
 from lognls.grid import (
     Grid,
     GridField,
@@ -22,9 +22,9 @@ from lognls.nehari import (
     ground_state,
     m_closed_form,
     minimize_on_nehari,
-    nehari_scale,
 )
 from lognls.expression import expression_potential
+from lognls.oracles import nehari_scale, sq_log_sq
 from lognls.potential import constant_potential, model_saddle
 
 from conftest import count_grid_calls, node_table, smooth_field
@@ -118,7 +118,7 @@ def test_fiber_identity(rng, grid_1d):
 
 
 def test_gausson_solves_constant_problem():
-    from lognls.energy import grad_L2
+    from lognls.oracles import grad_L2
 
     # exactly, on the grid: the residual is rounding at every n
     for n in (129, 257, 513):

@@ -40,15 +40,15 @@ ALLOWED_UNSET = {
 # module.name -> why the public function stays although neither the package
 # nor the benchmark reaches it
 ALLOWED_UNREACHED = {
-    "energy.sq_log_sq": "acceptance criterion 01 checks the splitting identity on it",
-    "energy.grad_L2": "acceptance criterion 03 measures the residual of a solve with it",
-    "nehari.nehari_scale": "acceptance criterion 04 checks the Nehari identities with it",
-    "minimax.phi_path": (
+    "oracles.sq_log_sq": "acceptance criterion 01 checks the splitting identity on it",
+    "oracles.grad_L2": "acceptance criterion 03 measures the residual of a solve with it",
+    "oracles.nehari_scale": "acceptance criterion 04 checks the Nehari identities with it",
+    "oracles.phi_path": (
         "the field form of a path row: acceptance criteria 06 and 07 read the "
         "path's fields with it"
     ),
-    "energy.log_sobolev_slack": "acceptance criterion 05 checks the log-Sobolev inequality with it",
-    "minimax.barycenter": "acceptance criteria 06 and 07 read the path's barycenter with it",
+    "oracles.log_sobolev_slack": "acceptance criterion 05 checks the log-Sobolev inequality with it",
+    "oracles.barycenter": "acceptance criteria 06 and 07 read the path's barycenter with it",
     "grid.load_field": "it reads the field files that dump_field writes",
 }
 
