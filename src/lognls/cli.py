@@ -11,8 +11,10 @@ Subcommands (one per experiment):
                      certificate grid; the path moves the frame)
 
 Configuration is a JSON file with blocks grid / potential / solver / sweep /
-certificate / output; command-line flags override file values.  All
-floats are written with 17 significant digits and files are written
+certificate / output; command-line flags override file values, and
+SETTING_FLAGS is the one list of the flags that set a setting (its
+"block.key" is the flag's --help metavar).  All floats are written with 17
+significant digits and every file, field dumps included, is written
 atomically (write then rename), so reruns of one config are byte
 identical.  ``sweep.seed`` is validated as an integer and has no effect: no
 certificate number is drawn at random, and the key stays accepted only
@@ -56,7 +58,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .energy import SplitParams, energy
-from .grid import Grid, dump_field, require_supported_dim
+from .grid import Grid, field_text, require_supported_dim
 from .minimax import MAX_H_TARGET, CertificateConfig, certificate, sweep_eps
 from .nehari import GAUSSON_BALL_RADIUS, SolverConfig, gausson, ground_state, m_closed_form
 from .potential import PotentialSpec, constant_potential, model_saddle
@@ -350,9 +352,22 @@ def require_axes(cfg: dict, y_axis: bool) -> None:
         )
 
 
-def load_config(path: str | None, overrides: dict, flags: dict | None = None) -> dict:
-    """DEFAULT_CONFIG, the file at ``path``, then the flag ``overrides``;
-    ``flags`` maps a "block.key" to the flag that names its violations."""
+# each command's setting flags and the "block.key" that each sets: the one
+# place a setting flag is named.  build_parser adds them, typed by the
+# setting's default, and load_config reads the given ones over the file
+SETTING_FLAGS = {
+    "gausson": {"--N": "grid.dim", "--L": "grid.half_extent", "--n": "grid.points_per_axis"},
+    "ground-state": {"--dim": "grid.dim", "--L": "grid.half_extent", "--n": "grid.points_per_axis",
+                     "--tol": "solver.tol", "--max-iters": "solver.max_iters"},
+    "sweep-eps": {"--eps": "sweep.eps"},
+}
+
+
+def load_config(args, potential: dict | None = None) -> dict:
+    """DEFAULT_CONFIG, the file ``args.config``, then the ``potential`` block
+    of a --V and each setting whose flag was given; a violation of such a
+    setting names its flag."""
+    path = args.config
     cfg = {k: dict(v) if isinstance(v, dict) else v for k, v in DEFAULT_CONFIG.items()}
     if path:
         try:
@@ -368,12 +383,15 @@ def load_config(path: str | None, overrides: dict, flags: dict | None = None) ->
         if not isinstance(loaded, dict):
             raise ConfigError(validate_config(loaded))
         cfg = merge_config(cfg, loaded)
+    given = {flag: key for flag, key in SETTING_FLAGS.get(args.command, {}).items() if getattr(args, key) is not None}
+    overrides = {"potential": potential or {}}
+    for key in given.values():
+        block, _, name = key.partition(".")
+        overrides.setdefault(block, {})[name] = getattr(args, key)
     cfg = merge_config(cfg, overrides)
     problems = validate_config(cfg)
-    for key, flag in (flags or {}).items():
-        block, _, name = key.partition(".")
-        if name in overrides.get(block, {}):
-            problems = [flag + text[len(key):] if text.startswith(key + " ") else text for text in problems]
+    for flag, key in given.items():
+        problems = [flag + text[len(key):] if text.startswith(key + " ") else text for text in problems]
     if problems:
         raise ConfigError(problems)
     return cfg
@@ -405,11 +423,6 @@ def ensure_outdir(cfg: dict) -> str:
     return outdir
 
 
-def given_flags(**settings) -> dict:
-    """The settings whose flag was given (not None), to override the config."""
-    return {key: value for key, value in settings.items() if value is not None}
-
-
 def parse_potential_flag(text: str) -> dict:
     """--V const:0  or  --V saddle:1,1.25  shorthand (ranges: validate_config)."""
     kind, _, rest = text.partition(":")
@@ -431,14 +444,12 @@ def parse_potential_flag(text: str) -> dict:
 def cmd_gausson(args) -> int:
     if not (_is_number(args.A) and args.A > -1):
         raise ConfigError([f"--A must be a finite number above -1, got {args.A}"])
-    grid_over = given_flags(dim=args.N, half_extent=args.L, points_per_axis=args.n)
-    flags = {"grid.dim": "--N", "grid.half_extent": "--L", "grid.points_per_axis": "--n"}
-    cfg = load_config(args.config, {"grid": grid_over}, flags)
+    cfg = load_config(args)
     grid = build_grid_from_config(cfg)
     m = m_closed_form(args.A, grid.dim)
     u = gausson(grid, args.A)
     outdir = ensure_outdir(cfg)
-    dump_field(u, os.path.join(outdir, "gausson_field.txt"))
+    atomic_write(os.path.join(outdir, "gausson_field.txt"), field_text(u))
     print(f"m_closed_form = {m:.6f}")
     print(to_json_text({"A": args.A, "N": grid.dim, "m_closed_form": m}))
     return EXIT_OK
@@ -446,14 +457,7 @@ def cmd_gausson(args) -> int:
 
 def cmd_ground_state(args) -> int:
     check_flags(eps=args.eps)
-    overrides = {
-        "potential": parse_potential_flag(args.V) if args.V is not None else {},
-        "grid": given_flags(dim=args.dim, half_extent=args.L, points_per_axis=args.n),
-        "solver": given_flags(tol=args.tol, max_iters=args.max_iters),
-    }
-    flags = {"grid.dim": "--dim", "grid.half_extent": "--L", "grid.points_per_axis": "--n",
-             "solver.tol": "--tol", "solver.max_iters": "--max-iters"}
-    cfg = load_config(args.config, {block: over for block, over in overrides.items() if over}, flags)
+    cfg = load_config(args, parse_potential_flag(args.V) if args.V is not None else None)
 
     grid = build_grid_from_config(cfg)
     pot = build_potential(cfg)
@@ -462,7 +466,7 @@ def cmd_ground_state(args) -> int:
     breakdown = energy(sol.field, pot, args.eps, SplitParams())
 
     outdir = ensure_outdir(cfg)
-    dump_field(sol.field, os.path.join(outdir, "ground_state_field.txt"))
+    atomic_write(os.path.join(outdir, "ground_state_field.txt"), field_text(sol.field))
     result = sol.to_dict()
     result["energy_breakdown"] = breakdown
     if "m_closed_form" in sol.diagnostics:
@@ -475,7 +479,7 @@ def cmd_ground_state(args) -> int:
 def cmd_check_potential(args) -> int:
     from .hypotheses import check_V1, check_V2, check_V4, v3_diagnostic
 
-    cfg = load_config(args.config, {})
+    cfg = load_config(args)
     pot = build_potential(cfg)
     report = {
         "potential": pot.describe(),
@@ -491,7 +495,7 @@ def cmd_check_potential(args) -> int:
 
 def cmd_saddle_cert(args) -> int:
     check_flags(eps=args.eps)
-    cfg = load_config(args.config, {})
+    cfg = load_config(args)
     require_axes(cfg, y_axis=True)
     cert_cfg = build_certificate_config(cfg)
     cert = certificate(args.eps, cert_cfg)
@@ -514,10 +518,7 @@ CSV_KEYS = (
 
 
 def cmd_sweep_eps(args) -> int:
-    overrides: dict = {}
-    if args.eps is not None:  # a bare --eps is an empty list, refused by validate_config
-        overrides["sweep"] = {"eps": [float(e) for e in args.eps]}
-    cfg = load_config(args.config, overrides, {"sweep.eps": "--eps"})
+    cfg = load_config(args)  # a bare --eps is an empty list, refused by validate_config
     require_axes(cfg, y_axis=True)
     cert_cfg = build_certificate_config(cfg)
     outdir = ensure_outdir(cfg)
@@ -541,7 +542,7 @@ def cmd_barycenter_zero(args) -> int:
     from .oracles import barycenter_zero_finder
 
     check_flags(eps=args.eps, R=args.R)
-    cfg = load_config(args.config, {})
+    cfg = load_config(args)
     require_axes(cfg, y_axis=False)
     cert_cfg = build_certificate_config(cfg)
     res = barycenter_zero_finder(cert_cfg.grid(), cert_cfg.potential, args.eps, R=args.R)
@@ -554,6 +555,23 @@ def cmd_barycenter_zero(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _add_command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """The subcommand ``name`` with --config and its SETTING_FLAGS, each kept
+    under its "block.key" and typed by that setting's default (a list is
+    nargs="*" floats)."""
+    p = sub.add_parser(name, help=help)
+    for flag, key in SETTING_FLAGS.get(name, {}).items():
+        block, _, setting = key.partition(".")
+        default = DEFAULT_CONFIG[block][setting]
+        if isinstance(default, list):
+            p.add_argument(flag, dest=key, type=float, nargs="*")
+        else:
+            p.add_argument(flag, dest=key, type=type(default))
+    p.add_argument("--config")
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lognls",
@@ -561,44 +579,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gausson", help="exact constant-potential solution and level")
+    p = _add_command(sub, "gausson", cmd_gausson, "exact constant-potential solution and level")
     p.add_argument("--A", type=float, default=0.0)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_gausson)
 
-    p = sub.add_parser("ground-state", help="Nehari ground state")
+    p = _add_command(sub, "ground-state", cmd_ground_state, "Nehari ground state")
     p.add_argument("--V", default=None, help="potential shorthand, e.g. const:0 or saddle:1,1.25")
     p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iters", type=int, default=None, dest="max_iters")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_ground_state)
 
-    p = sub.add_parser("check-potential", help="V1/V2/V4 checkers plus advisory V3")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_check_potential)
+    _add_command(sub, "check-potential", cmd_check_potential, "V1/V2/V4 checkers plus advisory V3")
 
-    p = sub.add_parser("saddle-cert", help="level certificate at one eps")
+    p = _add_command(sub, "saddle-cert", cmd_saddle_cert, "level certificate at one eps")
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_saddle_cert)
 
-    p = sub.add_parser("sweep-eps", help="certificates over an eps list")
-    p.add_argument("--eps", type=float, nargs="*", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_sweep_eps)
+    _add_command(sub, "sweep-eps", cmd_sweep_eps, "certificates over an eps list")
 
-    p = sub.add_parser("barycenter-zero", help="degree evidence for the barycenter zero")
+    p = _add_command(sub, "barycenter-zero", cmd_barycenter_zero, "degree evidence for the barycenter zero")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_barycenter_zero)
 
     return parser
 

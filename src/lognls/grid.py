@@ -257,25 +257,24 @@ def integrate_array(grid: Grid, values: NDArray) -> float:
 # text dump format: header lines dim, L, n then one value per line
 # ---------------------------------------------------------------------------
 
-def dump_field(u: GridField, path: str) -> None:
-    """Write a field as text: dim, half_extent, n header then row-major values.
+def field_text(u: GridField) -> str:
+    """A field as text: dim, half_extent, n header then row-major values.
 
     The header has no frame center, so a field on a moved frame is refused.
     """
     if any(u.grid.center):
-        raise ValueError("dump_field needs a grid centered at the origin")
+        raise ValueError("field_text needs a grid centered at the origin")
     lines = [
         f"{u.grid.dim:d}",
         f"{u.grid.half_extent:.17g}",
         f"{u.grid.points_per_axis:d}",
     ]
     lines.extend(f"{x:.17g}" for x in u.values)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def load_field(path: str) -> GridField:
-    """Read a field written by :func:`dump_field`; round-trips bit exactly."""
+    """Read a field in the :func:`field_text` format; round-trips bit exactly."""
     with open(path, "r", encoding="ascii") as fh:
         dim = int(fh.readline())
         half_extent = float(fh.readline())

@@ -129,7 +129,7 @@ def check_V2(spec: PotentialSpec) -> dict:
     }
 
 
-def check_V4(spec: PotentialSpec, v_at_origin: Optional[float] = None) -> dict:
+def check_V4(spec: PotentialSpec) -> dict:
     """Evaluate the two level inequalities tying V(0) and c1 to the ground level.
 
     Inequality 1 asks m(V(0)) >= 2 m(c0); with the closed-form level this is
@@ -138,7 +138,7 @@ def check_V4(spec: PotentialSpec, v_at_origin: Optional[float] = None) -> dict:
     level and V(0) <= c1 the two are mutually exclusive (0.3 c2 < log 2);
     that structural conflict is surfaced instead of being resolved silently.
     """
-    v0 = float(v_at_origin if v_at_origin is not None else spec.evaluate([0.0] * spec.dim))
+    v0 = float(spec.evaluate([0.0] * spec.dim))
     m_v0 = m_closed_form(v0, spec.dim) if v0 > -1.0 else float("nan")
     m_c0 = m_closed_form(spec.c0, spec.dim)
     ineq1_m = bool(v0 > -1.0 and m_v0 >= 2.0 * m_c0)

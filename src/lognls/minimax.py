@@ -102,7 +102,7 @@ def _path_gausson(grid: Grid, c0: float) -> NDArray:
     one profile of every path; read-only, built once per (grid, c0).
 
     The path moves the frame center away from the origin, so it starts from
-    a grid centered there, as ``dump_field`` does.
+    a grid centered there, as ``field_text`` does.
     """
     if any(grid.center):
         raise ValueError("the path needs a grid centered at the origin")

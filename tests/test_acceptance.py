@@ -6,6 +6,7 @@ criterion; tolerances are fixed here, not tuned elsewhere.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -228,7 +229,7 @@ def test_criterion_11_hypothesis_auditor(rng):
         c0 = rng.uniform(-0.9, 3.0)
         v0 = rng.uniform(-0.9, 4.0)
         spec = constant_potential(c0, 2, (0,), 0.5)
-        r = check_V4(spec, v_at_origin=v0)
+        r = check_V4(replace(spec, evaluate=lambda z: v0))
         agree = agree and (r["ineq1_m_based"] == r["ineq1_log2_based"])
     report("11", model_ok and agree, f"model: ineq2={rep['ineq2']}, ineq1={rep['ineq1_m_based']}; paths agree on 100 pairs: {agree}")
 

@@ -12,6 +12,7 @@ from lognls.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     ConfigError,
+    build_parser,
     format_float,
     load_config,
     main,
@@ -88,14 +89,38 @@ def test_parse_potential_flag():
 
 def test_load_config_raises_config_error(tmp_path):
     path = tmp_path / "bad.json"
+    args = build_parser().parse_args(["check-potential", "--config", str(path)])
     path.write_text(json.dumps({"grid": {"dim": 5}}))
     with pytest.raises(ConfigError):
-        load_config(str(path), {})
+        load_config(args)
     # a file that is not JSON at all names itself and the position
     path.write_text('{"grid": ')
     with pytest.raises(ConfigError) as err:
-        load_config(str(path), {})
+        load_config(args)
     assert err.value.violations == [f"the config {path} is not valid JSON: Expecting value at line 1 column 10"]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["gausson", "--N", "1"], "gausson_field.txt"),
+        (["ground-state", "--V", "const:0", "--dim", "1", "--L", "10", "--n", "65"], "ground_state_field.txt"),
+    ],
+)
+def test_field_dump_is_written_atomically(tmp_path, capsys, monkeypatch, argv, name):
+    # a killed run leaves the old dump or the new one, never a truncated file
+    monkeypatch.chdir(tmp_path)
+    written = []
+    real = cli.atomic_write
+
+    def recorded(path, text):
+        written.append(path)
+        real(path, text)
+
+    monkeypatch.setattr(cli, "atomic_write", recorded)
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert str(Path("lognls-out") / name) in written
 
 
 def test_gausson_command(tmp_path, capsys, monkeypatch):

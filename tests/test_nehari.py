@@ -460,6 +460,35 @@ def test_a_direction_that_does_not_descend_falls_back_to_the_plain_step(monkeypa
     assert quasi_newton["iterations"] < plain["iterations"]
 
 
+class _RejectAfterStart:
+    """A constraint that takes the start as it is and then cannot retract
+    any trial."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def retract(self, c, sq):
+        self.calls += 1
+        return False if self.calls == 1 else None
+
+    def reduce(self, g, u):
+        pass
+
+
+def test_a_step_whose_every_trial_is_rejected_stalls():
+    # every backtracking trial of the first step is refused, so the descent
+    # stops there: stalled, not converged, and J recorded at the start only
+    g = Grid(2, 6.0, 31)
+    vsamp = nehari_mod.potential_samples(GUARD_SADDLE, g, 0.4)
+    constraint = _RejectAfterStart()
+    config = SolverConfig(tol=1e-6, max_iters=4000)
+    _, info = minimize_on_nehari(g, vsamp, gausson(g, 1.0).values, config, constraint)
+    assert info["stalled"] and not info["converged"]
+    assert info["iterations"] == 1
+    assert info["trials"] == nehari_mod._MAX_BACKTRACKS == constraint.calls - 1
+    assert len(info["j_history"]) == 1
+
+
 def test_lbfgs_direction_meets_the_newest_secant_pair(rng):
     # the BFGS update maps the newest gradient change y back onto its step s
     n = 40

@@ -180,10 +180,10 @@ def test_check_v4_second_inequality_boundary():
 
 def test_check_v4_first_inequality_at_v0():
     # V(0) = c0 forces m(V(0)) = m(c0) < 2 m(c0)
-    report = check_V4(SADDLE, v_at_origin=SADDLE.c0)
+    report = check_V4(replace(SADDLE, evaluate=lambda z: SADDLE.c0))
     assert not report["ineq1_m_based"]
     # and V(0) above c0 + log 2 passes
-    report = check_V4(SADDLE, v_at_origin=SADDLE.c0 + math.log(2.0) + 0.01)
+    report = check_V4(replace(SADDLE, evaluate=lambda z: SADDLE.c0 + math.log(2.0) + 0.01))
     assert report["ineq1_m_based"] and report["ineq1_log2_based"]
 
 
@@ -192,7 +192,7 @@ def test_check_v4_paths_agree_on_random_pairs(rng):
         c0 = rng.uniform(-0.9, 3.0)
         v0 = rng.uniform(-0.9, 4.0)
         spec = constant_potential(c0, 2, (0,), 0.5)
-        report = check_V4(spec, v_at_origin=v0)
+        report = check_V4(replace(spec, evaluate=lambda z: v0))
         assert report["ineq1_m_based"] == report["ineq1_log2_based"]
 
 

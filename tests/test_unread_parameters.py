@@ -31,11 +31,7 @@ ALLOWED = {
 }
 
 # module.function.parameter -> why the default stays although no call sets it
-ALLOWED_UNSET = {
-    "hypotheses.check_V4.v_at_origin": (
-        "acceptance criterion 11 checks the level inequalities at a given V(0)"
-    ),
-}
+ALLOWED_UNSET: dict[str, str] = {}
 
 # module.name -> why the public function stays although neither the package
 # nor the benchmark reaches it
@@ -49,7 +45,7 @@ ALLOWED_UNREACHED = {
     ),
     "oracles.log_sobolev_slack": "acceptance criterion 05 checks the log-Sobolev inequality with it",
     "oracles.barycenter": "acceptance criteria 06 and 07 read the path's barycenter with it",
-    "grid.load_field": "it reads the field files that dump_field writes",
+    "grid.load_field": "it reads the field files that field_text formats",
 }
 
 # block.key -> why the config setting stays although only the tests set it
@@ -213,60 +209,6 @@ def _string_keys(node: ast.Dict) -> set[str]:
     return {k.value for k in node.keys if isinstance(k, ast.Constant) and isinstance(k.value, str)}
 
 
-def _override_keys(node: ast.AST, scope: ast.AST, funcs: dict, seen: frozenset = frozenset()) -> set[str]:
-    """Setting names that an override expression can hold: the string keys of
-    its dict literals and the keywords of its ``given_flags`` calls.  A name
-    is followed to what ``scope`` assigns to it or ``.update``s it with, and
-    a call of a function in ``funcs`` to what that function returns."""
-    keys = set()
-    for n in ast.walk(node):
-        called = n.func.id if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) else None
-        if isinstance(n, ast.Dict):
-            keys |= _string_keys(n)
-        elif called == "given_flags":
-            keys |= {k.arg for k in n.keywords}
-        elif called in funcs and called not in seen:
-            returns = [r.value for r in ast.walk(funcs[called]) if isinstance(r, ast.Return) and r.value]
-            for value in returns:
-                keys |= _override_keys(value, funcs[called], funcs, seen | {called})
-        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id not in seen:
-            for m in ast.walk(scope):
-                if isinstance(m, ast.Assign) and any(getattr(t, "id", None) == n.id for t in m.targets):
-                    keys |= _override_keys(m.value, scope, funcs, seen | {n.id})
-                elif (
-                    isinstance(m, ast.Call)
-                    and isinstance(m.func, ast.Attribute)
-                    and m.func.attr == "update"
-                    and getattr(m.func.value, "id", None) == n.id
-                ):
-                    for arg in m.args:
-                        keys |= _override_keys(arg, scope, funcs, seen | {n.id})
-    return keys
-
-
-def flag_settings(path: Path, blocks) -> set[str]:
-    """``block.key`` of every setting that a subcommand (a ``cmd_*`` function
-    of ``path``) puts into its overrides: the value of a dict entry keyed by
-    a block name, or of an item assignment ``overrides["block"] = ...``."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    found = set()
-    for name, fn in funcs.items():
-        if not name.startswith("cmd_"):
-            continue
-        for n in ast.walk(fn):
-            if isinstance(n, ast.Dict):
-                entries = zip(n.keys, n.values)
-            elif isinstance(n, ast.Assign):
-                entries = [(t.slice, n.value) for t in n.targets if isinstance(t, ast.Subscript)]
-            else:
-                continue
-            for key, value in entries:
-                if isinstance(key, ast.Constant) and key.value in blocks:
-                    found |= {f"{key.value}.{k}" for k in _override_keys(value, fn, funcs)}
-    return found
-
-
 def literal_settings(paths: list[Path], blocks) -> set[str]:
     """``block.key`` of every dict literal in ``paths`` that is the value of a
     dict entry keyed by a block name, as a benchmark config is written."""
@@ -297,11 +239,11 @@ def json_settings(path: Path, blocks) -> set[str]:
     return found
 
 
-def unset_settings(block_keys: dict, cli_path: Path, bench: list[Path], workflow: Path) -> list[str]:
-    """``block.key`` of every setting of ``block_keys`` that no subcommand
-    override, benchmark config literal or CI config sets."""
+def unset_settings(block_keys: dict, flagged: set[str], bench: list[Path], workflow: Path) -> list[str]:
+    """``block.key`` of every setting of ``block_keys`` that no flag (the
+    ``flagged`` settings), benchmark config literal or CI config sets."""
     blocks = set(block_keys)
-    found = flag_settings(cli_path, blocks) | literal_settings(bench, blocks) | json_settings(workflow, blocks)
+    found = flagged | literal_settings(bench, blocks) | json_settings(workflow, blocks)
     return [f"{b}.{k}" for b, keys in block_keys.items() for k in keys if f"{b}.{k}" not in found]
 
 
@@ -327,7 +269,10 @@ def test_every_dataclass_field_is_read():
 
 
 def test_every_setting_is_set_outside_the_tests():
-    unset = unset_settings(cli.BLOCK_KEYS, PACKAGE / "cli.py", sorted(BENCHMARK.glob("*.py")), WORKFLOW)
+    # a flag sets a setting of SETTING_FLAGS or a potential key of a --V form
+    flagged = {key for flags in cli.SETTING_FLAGS.values() for key in flags.values()}
+    flagged |= {f"potential.{k}" for text in ("const:0", "saddle:1,2") for k in cli.parse_potential_flag(text)}
+    unset = unset_settings(cli.BLOCK_KEYS, flagged, sorted(BENCHMARK.glob("*.py")), WORKFLOW)
     assert sorted(set(unset) - set(ALLOWED_SETTINGS)) == []
     # an exception whose setting is gone or now set must leave the list
     assert sorted(set(ALLOWED_SETTINGS) - set(unset)) == []
@@ -448,30 +393,7 @@ def test_guard_sees_an_unreached_name(tmp_path):
 
 
 def test_guard_sees_an_unset_setting(tmp_path):
-    front = tmp_path / "front.py"
-    front.write_text(
-        "def given_flags(**settings):\n"
-        "    return {k: v for k, v in settings.items() if v is not None}\n"
-        "\n"
-        "def parse_shape(text):\n"
-        "    if text == 'a':\n"
-        "        return {'kind': 'a', 'value': 1.0}\n"
-        "    return {'kind': 'b'}\n"
-        "\n"
-        "def cmd_one(args):\n"
-        "    over = {'size': 9} if args.big else {}\n"
-        "    over.update(given_flags(dim=args.dim))\n"
-        "    return load_config(args.config, {'grid': over, 'shape': parse_shape(args.shape)})\n"
-        "\n"
-        "def cmd_two(args):\n"
-        "    overrides = {}\n"
-        "    overrides['sweep'] = {'eps': args.eps}\n"
-        "    return load_config(args.config, overrides)\n"
-        "\n"
-        "def report(x):\n"
-        "    return {'grid': {'spacing': x}}  # not a subcommand: an output\n",
-        encoding="utf-8",
-    )
+    flagged = {"grid.size", "grid.dim", "shape.kind", "shape.value", "sweep.eps"}
     bench = tmp_path / "bench.py"
     bench.write_text("CONFIG = {'output': {'directory': 'out'}, 'name': {'spacing': 1}}\n", encoding="utf-8")
     workflow = tmp_path / "ci.yml"
@@ -492,4 +414,4 @@ def test_guard_sees_an_unset_setting(tmp_path):
         "sweep": ("eps", "seed"),
         "output": ("directory", "formats"),
     }
-    assert unset_settings(block_keys, front, [bench], workflow) == ["grid.spacing", "shape.lambda"]
+    assert unset_settings(block_keys, flagged, [bench], workflow) == ["grid.spacing", "shape.lambda"]
