@@ -31,8 +31,9 @@ refuses (an expression whose sampled c0 is not above -1), a box too small
 for the Gausson's ball, and a block or key that nothing reads are config
 errors, not silently ignored or left to fail later; a bad value from a flag
 names the flag.  Every default lives in DEFAULT_CONFIG, whose solver and
-certificate blocks read theirs off SolverConfig and CertificateConfig; the
-builders read the merged, validated config only.  The certificate's fixed
+certificate blocks read theirs off SolverConfig and CertificateConfig; a
+merged, validated grid, solver or certificate block is the keyword arguments
+of Grid, SolverConfig or CertificateConfig.  The certificate's fixed
 sampling (the radii of the spheres of X that bound Q, the Theta_r radius and
 the barycenter tolerance) and its box check (the boundary ratio of the D_eps
 minimizer above which its box cuts it) are ``minimax`` constants, not
@@ -307,7 +308,7 @@ def build_potential(cfg: dict) -> PotentialSpec:
         raise ConfigError([f"potential: {err}"]) from None
 
 
-# the keys the builders read, block by block: the keys of DEFAULT_CONFIG;
+# the keys the commands read, block by block: the keys of DEFAULT_CONFIG;
 # validate_config rejects others.  A potential block is merged over the
 # default model saddle, so it takes the union of what the three kinds read:
 # the saddle's keys plus the constant's value and the expression's expr.
@@ -315,27 +316,11 @@ BLOCK_KEYS = {block: tuple(keys) for block, keys in DEFAULT_CONFIG.items()}
 BLOCK_KEYS["potential"] += ("value", "expr")
 
 
-# the builders read a config that load_config resolved against
-# DEFAULT_CONFIG and validated, so every key they read is present
-def build_solver(cfg: dict) -> SolverConfig:
-    s = cfg["solver"]
-    return SolverConfig(tol=float(s["tol"]), max_iters=int(s["max_iters"]))
-
-
-def build_grid_from_config(cfg: dict) -> Grid:
-    g = cfg["grid"]
-    return Grid(g["dim"], float(g["half_extent"]), int(g["points_per_axis"]))
-
-
 def build_certificate_config(cfg: dict) -> CertificateConfig:
-    c = cfg["certificate"]
-    return CertificateConfig(
-        potential=build_potential(cfg),
-        h_target=float(c["h_target"]),
-        solver_half_extent=float(c["solver_half_extent"]),
-        solver=build_solver(cfg),
-        compute_numerical_m=c["compute_numerical_m"],
-    )
+    """The certificate of a config that load_config resolved against
+    DEFAULT_CONFIG and validated: its solver and certificate blocks hold
+    exactly the keywords of SolverConfig and CertificateConfig."""
+    return CertificateConfig(build_potential(cfg), solver=SolverConfig(**cfg["solver"]), **cfg["certificate"])
 
 
 def require_axes(cfg: dict, y_axis: bool) -> None:
@@ -445,7 +430,7 @@ def cmd_gausson(args) -> int:
     if not (_is_number(args.A) and args.A > -1):
         raise ConfigError([f"--A must be a finite number above -1, got {args.A}"])
     cfg = load_config(args)
-    grid = build_grid_from_config(cfg)
+    grid = Grid(**cfg["grid"])
     m = m_closed_form(args.A, grid.dim)
     u = gausson(grid, args.A)
     outdir = ensure_outdir(cfg)
@@ -459,9 +444,9 @@ def cmd_ground_state(args) -> int:
     check_flags(eps=args.eps)
     cfg = load_config(args, parse_potential_flag(args.V) if args.V is not None else None)
 
-    grid = build_grid_from_config(cfg)
+    grid = Grid(**cfg["grid"])
     pot = build_potential(cfg)
-    sol = ground_state(grid, pot, args.eps, config=build_solver(cfg))
+    sol = ground_state(grid, pot, args.eps, config=SolverConfig(**cfg["solver"]))
     # the fixed cutoff delta enters the Phi/Psi split of the breakdown only
     breakdown = energy(sol.field, pot, args.eps, SplitParams())
 

@@ -174,8 +174,8 @@ def energy_terms(grid: Grid, values: NDArray, vsamp) -> tuple[NDArray, NDArray, 
     ent/2 and J'(u)u = kin + pot - ent (all three in ``_assemble``), and the
     Nehari scale with its projected level (``_projected_level``).  The
     coefficients are returned for a caller that needs Lap u
-    (``laplacian_from_sine``, the inverse half alone), and u^2 for callers
-    that weight it otherwise (the barycenter tilt, the path levels).  ``vsamp`` may be a scalar (0.0 when no potential term is
+    (``laplacian_from_sine``, the inverse half alone), and u^2 for a caller
+    that weights it otherwise (the path terms).  ``vsamp`` may be a scalar (0.0 when no potential term is
     needed) or a constant's zero-stride view.  pot and ent share one scratch.
     """
     coeffs = sine_coefficients(grid, values)

@@ -206,12 +206,12 @@ class _BarycenterTilt:
         q = q.ravel()
         return q @ self.wx, 2.0 * self._half_jacobian(q), float(np.sum(q))
 
-    def retract(self, c: NDArray, sq: NDArray) -> Optional[bool]:
-        """Tilt c >= 0 in place onto the constraint, ``sq`` = c^2 as the
-        energy kernel returns it: False if c lies on it to rounding (c
-        untouched), True if it was tilted, None if no tilt carries it there."""
-        if _x_norm(_barycenter_values(sq, self.wx)) <= _BETA_ROUNDING:
-            return False
+    def retract(self, c: NDArray) -> bool:
+        """Tilt c >= 0 in place onto the constraint: True once c lies on it
+        (a c on it to rounding is left untouched, with no Jacobian formed),
+        False if no tilt carries it there."""
+        if _x_norm(_barycenter_values(c * c, self.wx)) <= _BETA_ROUNDING:
+            return True
         lam, step = np.zeros(len(self.coords)), None
         f, jac, mass = self._root_terms(c, lam)
         for _ in range(_TILT_EVALUATIONS):
@@ -228,7 +228,7 @@ class _BarycenterTilt:
                 lam, (f, jac, mass), step = lam + step, trial, None
             else:
                 step = step / 2.0
-        return None
+        return False
 
     def reduce(self, g: NDArray, u: NDArray) -> NDArray:
         """The L2 gradient of c -> J(tilt(c)) at a u on the constraint, from

@@ -171,10 +171,10 @@ def minimize_on_nehari(
     Each step: descend along the L-BFGS direction, floor the trial at half
     the iterate, rescale back onto the Nehari set.  Backtracking keeps the
     recorded J non-increasing.  ``constraint`` (``level_d``'s barycenter
-    tilt; ``ground_state`` sets none) has ``retract(c, sq)``, which moves a
-    trial c onto the constraint in place from the kernel's c^2, None (the
-    trial is rejected) if it cannot, and ``reduce(g, u)``, which makes the
-    gradient g of J at u that of J after the retraction, in place.
+    tilt; ``ground_state`` sets none) has ``retract(c)``, which moves a
+    trial c onto the constraint in place and returns True once c lies on it,
+    False (the trial is rejected) if it cannot, and ``reduce(g, u)``, which
+    makes the gradient g of J at u that of J after the retraction, in place.
 
     The initial inverse Hessian is the scaled Sobolev metric
     H0 = S (-Lap + sigma)^-1 S, with sigma = 1 + mean V and S = diag
@@ -194,9 +194,9 @@ def minimize_on_nehari(
     clipped at the cone; nodes at 0 fill in where d < 0.  Armijo asks for a
     decrease proportional to <g, u - c>_h.
 
-    A trial c costs one energy kernel call, one forward sine transform (a
-    retracted one two), and no more: its Nehari scale t and the level J(t c)
-    of its projection are read off the kernel's reductions
+    A trial c is retracted first and priced once: one kernel call, one
+    forward transform per trial, tilted or not.  Its Nehari scale t and the
+    level J(t c) of its projection are read off the kernel's reductions
     (``_projected_level``).
     Only the accepted trial's sine coefficients go through the inverse half
     to Lap c, and Lap(t c) = t Lap c is the Laplacian of the new iterate, so
@@ -216,18 +216,12 @@ def minimize_on_nehari(
     sigma = 1.0 + float(np.mean(vsamp))
 
     def projected(cand: NDArray):
-        """(sine coefficients of c, t, J(t c), ||c||_eps^2), or None for
-        c = 0 and for a c the constraint cannot retract."""
-        coeffs, sq, kin, pot, mass, ent = energy_terms(grid, cand, vsamp)
-        if not mass > 0:
+        """(sine coefficients of c, t, J(t c), ||c||_eps^2) of c retracted
+        in place, or None for a c the constraint cannot retract and for 0."""
+        if constraint is not None and not constraint.retract(cand):
             return None
-        moved = constraint is not None and constraint.retract(cand, sq)
-        if moved is None:
-            return None
-        if moved:  # the kernel's arrays go before the tilted c is priced
-            coeffs = sq = None
-            coeffs, _, kin, pot, mass, ent = energy_terms(grid, cand, vsamp)
-        return (coeffs, *_projected_level(kin, pot, mass, ent))
+        coeffs, _, kin, pot, mass, ent = energy_terms(grid, cand, vsamp)
+        return (coeffs, *_projected_level(kin, pot, mass, ent)) if mass > 0 else None
 
     u = np.clip(start, 0.0, None, out=start)
     del start

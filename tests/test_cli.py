@@ -22,7 +22,7 @@ from lognls.cli import (
     validate_config,
     write_csv,
 )
-from lognls.grid import load_field
+from lognls.grid import Grid, load_field
 from lognls.minimax import CertificateConfig, LevelCertificate
 from lognls.nehari import SolverConfig
 
@@ -149,9 +149,12 @@ def test_gausson_reads_the_grid_block(tmp_path, capsys, monkeypatch, grid, heade
 
 
 def test_solver_and_certificate_defaults_are_the_classes():
-    assert cli.build_solver(cli.DEFAULT_CONFIG) == SolverConfig()
+    # a validated block is its class's keywords, so the default blocks build
+    # the classes' defaults
+    assert SolverConfig(**cli.DEFAULT_CONFIG["solver"]) == SolverConfig()
     cert = cli.build_certificate_config(cli.DEFAULT_CONFIG)
     assert cert == CertificateConfig(potential=cert.potential)
+    assert Grid(**cli.DEFAULT_CONFIG["grid"]) == Grid(2, 7.0, 129)
 
 
 def test_ground_state_command(tmp_path, capsys, monkeypatch):
@@ -466,6 +469,20 @@ def test_potential_the_spec_refuses_is_config_error(tmp_path, capsys, monkeypatc
         assert code == EXIT_CONFIG, argv
         assert out == {"error": "config", "violations": [f"potential: c0 must exceed -1, got {got}"]}
         assert not (tmp_path / "lognls-out").exists()
+
+
+def test_a_node_sample_below_minus_one_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    # the sampled c0 is 1 on [-20, 20], so the spec is accepted; at eps 5 the
+    # default grid puts a node at z0 = 30.08, where V is about -2, and the
+    # solve refuses its samples: a runtime error (exit 4) before any output
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"potential": {"kind": "expression", "expr": "1 - 3*np.exp(-(z0-30)**2/4)"}}))
+    code = main(["ground-state", "--eps", "5", "--config", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_INCONCLUSIVE
+    assert out == {"error": "runtime", "message": "potential samples must stay above -1 (V + 1 must be positive)"}
+    assert not (tmp_path / "lognls-out").exists()
 
 
 def test_readme_config_block_matches_defaults():

@@ -227,8 +227,8 @@ def test_saddle_ground_state_peaks_within_fifteen_fields():
 
 
 def test_level_d_peaks_within_seventeen_and_a_half_fields():
-    # the penalized solve adds the X direction weights, the seed its caller
-    # holds and the penalty gradient
+    # the tilted solve adds the X direction weights, the seed its caller
+    # holds and the tilt's scratch
     from lognls.minimax import level_d
 
     g = Grid(2, 10.0, 269)
@@ -467,9 +467,9 @@ class _RejectAfterStart:
     def __init__(self):
         self.calls = 0
 
-    def retract(self, c, sq):
+    def retract(self, c):
         self.calls += 1
-        return False if self.calls == 1 else None
+        return self.calls == 1
 
     def reduce(self, g, u):
         pass
