@@ -22,25 +22,21 @@ because the benchmark driver (perfbench/child.py) still sets it.  Exit
 codes: 0 success, 2 config error, 3 numerical non-convergence, 4
 certificate inconclusive (for sweep-eps: any row, after all rows are
 written; or a numerical ValueError), 5 internal defect (a failed internal
-consistency assertion).  A config file that is not valid
-JSON, a config or block that is not a JSON object, a setting of the wrong
-type or range, an empty sweep.eps (or a bare sweep-eps --eps), a --eps or
---R flag that is not finite and positive, a --V
-that does not parse, a --A not above -1, a potential that PotentialSpec
-refuses (an expression whose sampled c0 is not above -1), a box too small
-for the Gausson's ball, and a block or key that nothing reads are config
-errors, not silently ignored or left to fail later; a bad value from a flag
-names the flag.  Every default lives in DEFAULT_CONFIG, whose solver and
-certificate blocks read theirs off SolverConfig and CertificateConfig; a
-merged, validated grid, solver or certificate block is the keyword arguments
-of Grid, SolverConfig or CertificateConfig.  The certificate's fixed
-sampling (the radii of the spheres of X that bound Q, the Theta_r radius and
-the barycenter tolerance) and its box check (the boundary ratio of the D_eps
-minimizer above which its box cuts it) are ``minimax`` constants, not
-settings: certificate.solver_half_extent is the half extent of every
-certificate grid, 6 by default (31^2 nodes at h_target 0.4); D_eps is solved
-on that grid's frame moved to y*/eps, and a box that still cuts its
-minimizer is inconclusive (exit 4), never enlarged.
+consistency assertion).
+
+Every config error is reported before any output.  The range rules of the
+grid, solver, certificate and potential blocks belong to the constructors
+(Grid, SolverConfig, CertificateConfig, PotentialSpec and the potential
+factories), each of which lists every violation in one ValueError;
+validate_config builds the blocks and names each violation "block.key".
+This module owns the rest: the JSON shape, blocks and keys that nothing
+reads, the potential kind dispatch (build_potential), the sweep and output
+blocks, the flags that set no setting (--eps, --R, --V, --A) and naming a
+violation by the flag that set it.  Every default lives in DEFAULT_CONFIG,
+whose solver and certificate blocks read theirs off SolverConfig and
+CertificateConfig.  certificate.solver_half_extent is the half extent of
+every certificate grid; the certificate's sampling and box check are
+``minimax`` constants, not settings.
 
 Sweep points run one after another in input order, each on its own: a row
 is the saddle-cert output at its eps.  Its numerical m(c0), a constant
@@ -59,9 +55,9 @@ from dataclasses import asdict
 import numpy as np
 
 from .energy import SplitParams, energy
-from .grid import Grid, field_text, require_supported_dim
-from .minimax import MAX_H_TARGET, CertificateConfig, certificate, sweep_eps
-from .nehari import GAUSSON_BALL_RADIUS, SolverConfig, gausson, ground_state, m_closed_form
+from .grid import Grid, field_text, is_int, is_real
+from .minimax import CertificateConfig, certificate, sweep_eps
+from .nehari import SolverConfig, gausson, ground_state, m_closed_form
 from .potential import PotentialSpec, constant_potential, model_saddle
 
 EXIT_OK = 0
@@ -165,37 +161,22 @@ def merge_config(base: dict, override: dict) -> dict:
     return out
 
 
-def _is_number(x) -> bool:
-    """A finite int or float; JSON's Infinity and NaN and the bools are not
-    numbers here."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _is_positive(x) -> bool:
-    return _is_number(x) and x > 0
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _check_box(name: str, half_extent, problems: list) -> None:
-    """A half extent is a finite positive number that leaves the Gausson on
-    the origin its ball of ``GAUSSON_BALL_RADIUS``."""
-    if not _is_positive(half_extent):
-        problems.append(f"{name} must be a finite positive number, got {half_extent}")
-    elif half_extent < GAUSSON_BALL_RADIUS:
-        problems.append(
-            f"{name} must be at least {GAUSSON_BALL_RADIUS:g}, the Gausson's "
-            f"{GAUSSON_BALL_RADIUS:g}-sigma ball, got {half_extent}"
-        )
+def _refused(cfg: dict, block: str, build, *args) -> list[str]:
+    """What ``build`` refuses of the block's settings (a missing one is None), each under ``block.``."""
+    settings = cfg.get(block, {})
+    try:
+        build(*args, **{key: settings.get(key) for key in BLOCK_KEYS[block]})
+    except ValueError as err:
+        return [f"{block}.{text}" for text in err.args]
+    return []
 
 
 def validate_config(cfg: dict) -> list[str]:
     """Collect every violated precondition; never stop at the first.
 
     The shape comes first: every other check reads inside the blocks, so a
-    config or block that is not a JSON object is reported on its own.
+    config or block that is not a JSON object is reported on its own.  A
+    block is checked by building it; the potential needs a grid.dim that holds.
     """
     if not isinstance(cfg, dict):
         return [f"the config must be a JSON object, got {json.dumps(cfg)}"]
@@ -203,77 +184,23 @@ def validate_config(cfg: dict) -> list[str]:
     if malformed:
         return [f"{name} must be a JSON object, got {json.dumps(cfg[name])}" for name in malformed]
 
-    problems = []
-    g = cfg.get("grid", {})
-    dim = g.get("dim")
-    try:
-        require_supported_dim(dim, "grid.dim")
-    except ValueError as err:
-        problems.append(str(err))
-        dim = None
-    _check_box("grid.half_extent", g.get("half_extent"), problems)
-    if not (_is_int(g.get("points_per_axis")) and g["points_per_axis"] >= 16):
-        problems.append(f"grid.points_per_axis must be an integer >= 16, got {g.get('points_per_axis')}")
-
-    p = cfg.get("potential", {})
-    kind = p.get("kind")
-    if kind not in ("model_saddle", "constant", "expression"):
-        problems.append(f"potential.kind must be model_saddle, constant or expression, got {kind}")
-    if kind == "model_saddle":
-        c0, c1 = p.get("c0"), p.get("c1")
-        if not (_is_number(c0) and c0 > -1):
-            problems.append(f"potential.c0 must be a finite number above -1, got {c0}")
-        # a c0 that is not a number is reported once, above
-        if not (_is_number(c1) and (not _is_number(c0) or c1 > c0)):
-            problems.append(f"potential.c1 must be a finite number above c0, got c0={c0}, c1={c1}")
-    if kind == "constant" and not (_is_number(p.get("value")) and p["value"] > -1):
-        problems.append(f"potential.value must be a finite number above -1 for kind=constant, got {p.get('value')}")
-    if kind == "expression":
-        if not isinstance(p.get("expr"), str):
-            problems.append("potential.expr must be a string for kind=expression")
-        elif dim is not None:
-            from .expression import compile_expression
-
-            try:
-                compile_expression(p["expr"], dim)
-            except ValueError as err:
-                problems.append(f"potential.expr: {err}")
-    lam = p.get("lambda")
-    if not (_is_number(lam) and 0 < lam < 1):
-        problems.append(f"potential.lambda must lie in (0,1), got {lam}")
-    axes = p.get("x_axes")
-    if dim is not None and not (
-        isinstance(axes, list)
-        and all(_is_int(a) and 0 <= a < dim for a in axes)
-        and len(set(axes)) == len(axes)
-    ):
-        problems.append(
-            f"potential.x_axes must be a list of distinct axes of dimension {dim}, got {axes}"
-        )
-
-    so = cfg.get("solver", {})
-    if not _is_positive(so.get("tol")):
-        problems.append(f"solver.tol must be a finite positive number, got {so.get('tol')}")
-    if not (_is_int(so.get("max_iters")) and so["max_iters"] >= 1):
-        problems.append(f"solver.max_iters must be a positive integer, got {so.get('max_iters')}")
-
-    c = cfg.get("certificate", {})
-    if not _is_positive(c.get("h_target")):
-        problems.append(f"certificate.h_target must be a finite positive number, got {c.get('h_target')}")
-    elif c["h_target"] > MAX_H_TARGET:
-        # a coarser grid does not resolve the Gausson
-        problems.append(f"certificate.h_target must be at most {MAX_H_TARGET}, got {c['h_target']}")
-    _check_box("certificate.solver_half_extent", c.get("solver_half_extent"), problems)
-    if not isinstance(c.get("compute_numerical_m"), bool):
-        problems.append(f"certificate.compute_numerical_m must be true or false, got {c.get('compute_numerical_m')}")
+    problems = _refused(cfg, "grid", Grid)
+    if not any(text.startswith("grid.dim ") for text in problems):
+        try:
+            build_potential(cfg)
+        except ConfigError as err:
+            problems += err.violations
+    problems += _refused(cfg, "solver", SolverConfig)
+    # the certificate block's own settings: no potential is read
+    problems += _refused(cfg, "certificate", CertificateConfig, None)
 
     sw = cfg.get("sweep", {})
     eps_list = sw.get("eps")
-    if not (isinstance(eps_list, list) and all(_is_positive(e) for e in eps_list)):
+    if not (isinstance(eps_list, list) and all(is_real(e) and e > 0 for e in eps_list)):
         problems.append(f"sweep.eps must be a list of finite positive numbers, got {eps_list}")
     elif not eps_list:  # an empty sweep would certify nothing
         problems.append("sweep.eps must name at least one eps, got []")
-    if not _is_int(sw.get("seed")):
+    if not is_int(sw.get("seed")):
         problems.append(f"sweep.seed must be an integer, got {sw.get('seed')}")
 
     out = cfg.get("output", {})
@@ -290,22 +217,23 @@ def validate_config(cfg: dict) -> list[str]:
 
 
 def build_potential(cfg: dict) -> PotentialSpec:
-    """The configured potential; one that ``PotentialSpec`` refuses (a sampled
-    c0 not above -1, or NaN) is a config error, raised before any output."""
-    p = cfg["potential"]
-    dim = cfg["grid"]["dim"]
-    lam = float(p["lambda"])
-    x_axes = tuple(p["x_axes"])
+    """The configured potential, by its kind's factory; a potential that the
+    factory or ``PotentialSpec`` refuses (an expression whose sampled c0 is
+    not above -1, say) is a config error, raised before any output."""
+    p = cfg.get("potential", {})
+    dim, kind, x_axes, lam = cfg["grid"]["dim"], p.get("kind"), p.get("x_axes"), p.get("lambda")
     try:
-        if p["kind"] == "model_saddle":
-            return model_saddle(float(p["c0"]), float(p["c1"]), dim, x_axes, lam)
-        if p["kind"] == "constant":
-            return constant_potential(float(p["value"]), dim, x_axes, lam)
-        from .expression import expression_potential
+        if kind == "model_saddle":
+            return model_saddle(p.get("c0"), p.get("c1"), dim, x_axes, lam)
+        if kind == "constant":
+            return constant_potential(p.get("value"), dim, x_axes, lam)
+        if kind == "expression":
+            from .expression import expression_potential
 
-        return expression_potential(p["expr"], dim, x_axes, lam)
+            return expression_potential(p.get("expr"), dim, x_axes, lam)
+        raise ValueError(f"kind must be model_saddle, constant or expression, got {kind}")
     except ValueError as err:
-        raise ConfigError([f"potential: {err}"]) from None
+        raise ConfigError([f"potential.{text}" for text in err.args]) from None
 
 
 # the keys the commands read, block by block: the keys of DEFAULT_CONFIG;
@@ -388,7 +316,7 @@ def check_flags(**flags) -> None:
     problems = [
         f"--{name} must be a finite positive number, got {value}"
         for name, value in flags.items()
-        if not _is_positive(value)
+        if not (is_real(value) and value > 0)
     ]
     if problems:
         raise ConfigError(problems)
@@ -409,7 +337,7 @@ def ensure_outdir(cfg: dict) -> str:
 
 
 def parse_potential_flag(text: str) -> dict:
-    """--V const:0  or  --V saddle:1,1.25  shorthand (ranges: validate_config)."""
+    """--V const:0  or  --V saddle:1,1.25  shorthand (ranges: the potential factories)."""
     kind, _, rest = text.partition(":")
     try:
         if kind in ("const", "constant"):
@@ -427,7 +355,7 @@ def parse_potential_flag(text: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_gausson(args) -> int:
-    if not (_is_number(args.A) and args.A > -1):
+    if not (is_real(args.A) and args.A > -1):
         raise ConfigError([f"--A must be a finite number above -1, got {args.A}"])
     cfg = load_config(args)
     grid = Grid(**cfg["grid"])

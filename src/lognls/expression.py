@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .potential import PotentialSpec
+from .potential import PotentialSpec, split_axes
 
 if TYPE_CHECKING:
     from numpy.typing import NDArray
@@ -79,16 +79,19 @@ _EXPR_SAMPLES = 20001
 def expression_potential(expr: str, dim: int, x_axes, lam: float = 0.5) -> PotentialSpec:
     """Potential from an expression in z0, z1 (e.g. "1 + z0**2/(1+abs(z0))").
 
-    The expression is parsed by :func:`compile_expression`, which raises
-    ValueError on anything outside its whitelist.  c0 and c1 are estimated
-    by dense sampling over the box of radius ``_EXPR_BOX_RADIUS`` (the
-    integer dim-th root of ``_EXPR_SAMPLES`` points per axis), within the
-    sampling resolution.  y* is the least of ``_EXPR_SAMPLES`` samples of V
+    ``expr`` must be a string that :func:`compile_expression` accepts (a
+    ValueError otherwise).  c0 and c1 are estimated by dense sampling over
+    the box of radius ``_EXPR_BOX_RADIUS`` (the integer dim-th root of
+    ``_EXPR_SAMPLES`` points per axis), within the sampling resolution.  y* is the least of ``_EXPR_SAMPLES`` samples of V
     on a one-axis Y line, if below V(0) beyond rounding, else the origin.
     """
-    x_axes = tuple(int(a) for a in x_axes)
-    y_axes = tuple(a for a in range(dim) if a not in x_axes)
-    formula = compile_expression(expr, dim)
+    if not isinstance(expr, str):
+        raise ValueError("expr must be a string for kind=expression")
+    x_axes, y_axes = split_axes(dim, x_axes)
+    try:
+        formula = compile_expression(expr, dim)
+    except ValueError as err:
+        raise ValueError(f"expr: {err}") from None
 
     def _eval(z: Sequence[NDArray]) -> NDArray:
         # float arrays: a scalar coordinate then divides and powers as an array does

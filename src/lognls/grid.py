@@ -46,11 +46,41 @@ if TYPE_CHECKING:
 
 SUPPORTED_DIMS = (1, 2)  # the dimensions N accepted anywhere in the package
 
+# radius, in standard deviations, of the ball around a Gausson's center that
+# must lie inside the box
+GAUSSON_BALL_RADIUS = 4.0
 
-def require_supported_dim(dim: int, name: str = "dim") -> None:
-    """Raise ValueError unless ``dim`` is an integer, not a bool, in SUPPORTED_DIMS."""
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim not in SUPPORTED_DIMS:
-        raise ValueError(f"{name} must be {' or '.join(map(str, SUPPORTED_DIMS))}, got {dim}")
+
+def is_real(x) -> bool:
+    """A finite real number that is not a bool (JSON's Infinity, NaN and true are not)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def is_int(x) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def refuse(problems: list[str]) -> None:
+    """Raise one ValueError whose args are ``problems``, if there are any."""
+    if problems:
+        raise ValueError(*problems)
+
+
+def dim_problems(dim, name: str = "dim") -> list[str]:
+    """The violation of ``dim`` being an integer, not a bool, in SUPPORTED_DIMS, if any."""
+    if is_int(dim) and dim in SUPPORTED_DIMS:
+        return []
+    return [f"{name} must be {' or '.join(map(str, SUPPORTED_DIMS))}, got {dim}"]
+
+
+def box_problems(name: str, half_extent) -> list[str]:
+    """The box rule: a half extent is finite and leaves the Gausson on the
+    origin its ball of ``GAUSSON_BALL_RADIUS``."""
+    if is_real(half_extent) and half_extent >= GAUSSON_BALL_RADIUS:
+        return []
+    r = f"{GAUSSON_BALL_RADIUS:g}"
+    return [f"{name} must be at least {r}, the Gausson's {r}-sigma ball, and finite, got {half_extent}"]
 
 
 @dataclass(frozen=True)
@@ -58,6 +88,8 @@ class Grid:
     """Uniform grid on center + [-L, L]^dim with spacing h = 2L/(n-1).
 
     ``center`` defaults to the origin and is stored as a tuple of floats.
+    The constructor owns the grid block's rules and raises one ValueError
+    whose args are every violation; a bad center is refused after them.
     """
 
     dim: int
@@ -66,11 +98,10 @@ class Grid:
     center: tuple = ()
 
     def __post_init__(self) -> None:
-        require_supported_dim(self.dim)
-        if not math.isfinite(self.half_extent) or self.half_extent <= 0:
-            raise ValueError(f"half_extent must be finite and positive, got {self.half_extent}")
-        if self.points_per_axis < 16:
-            raise ValueError(f"points_per_axis must be >= 16, got {self.points_per_axis}")
+        problems = dim_problems(self.dim) + box_problems("half_extent", self.half_extent)
+        if not (is_int(self.points_per_axis) and self.points_per_axis >= 16):
+            problems.append(f"points_per_axis must be an integer >= 16, got {self.points_per_axis}")
+        refuse(problems)
         center = tuple(float(c) for c in np.ravel(self.center)) or (0.0,) * self.dim
         if len(center) != self.dim or not all(math.isfinite(c) for c in center):
             raise ValueError(f"center must have {self.dim} finite components, got {self.center}")

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .energy import _projected_level, energy_terms, eps_norm_sq, field_energy, potential_samples
-from .grid import Grid, GridField, integrate_array, node_axes
+from .grid import Grid, GridField, box_problems, integrate_array, is_real, node_axes, refuse
 from .nehari import (
     SolverConfig,
     _gausson_seed,
@@ -407,13 +407,24 @@ _BOX_TAIL_RATIO = 1e-6
 
 @dataclass(frozen=True)
 class CertificateConfig:
-    """Everything a certificate run needs besides eps."""
+    """Everything a certificate run needs besides eps.  The constructor owns
+    the certificate block's rules: one ValueError lists every violation."""
 
     potential: PotentialSpec
     h_target: float = 0.4
     solver_half_extent: float = 6.0
     solver: SolverConfig = SolverConfig()
     compute_numerical_m: bool = True
+
+    def __post_init__(self) -> None:
+        problems = []
+        # a grid coarser than MAX_H_TARGET does not resolve the Gausson
+        if not (is_real(self.h_target) and 0 < self.h_target <= MAX_H_TARGET):
+            problems.append(f"h_target must be a finite number in (0, {MAX_H_TARGET}], got {self.h_target}")
+        problems += box_problems("solver_half_extent", self.solver_half_extent)
+        if not isinstance(self.compute_numerical_m, bool):
+            problems.append(f"compute_numerical_m must be true or false, got {self.compute_numerical_m}")
+        refuse(problems)
 
     def grid(self) -> Grid:
         """The grid of a certificate: [-L, L]^N at spacing close to
@@ -479,7 +490,8 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
     J of a field u on the discrete Nehari set of V >= c0, so J_V(u) =
     max_t J_V(t u) >= max_t J_c0(t u) >= m_h(c0), the discrete ground level
     of c0, which the sampled Gausson attains: m_h(c0) = m(c0) to 4.5e-16 at
-    h = 0.4 and 8.5e-12 at ``MAX_H_TARGET`` (8.7e-7 low at h = 0.8).
+    h = 0.4 and 8.5e-12 at ``MAX_H_TARGET`` (8.7e-7 low at h = 0.8).  V
+    sampled below c0 on the D_eps grid breaks the premise: a ValueError.
     """
     pot = cfg.potential
     m_c0 = m_closed_form(pot.c0, pot.dim)
@@ -508,6 +520,9 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
         inconclusive["level_d"] = True
     d_est = d_res.value
     if d_est < m_c0 - (1e-6 + 1e-9 * m_c0):
+        low = float(np.min(potential_samples(pot, d_res.field.grid, eps)))
+        if low < pot.c0:
+            raise ValueError(f"V samples down to {low} on the D_eps grid, below c0 = {pot.c0}: V >= c0 fails")
         raise AssertionError(
             f"D estimate {d_est} fell below m(c0) = {m_c0} beyond the rounding allowance"
         )

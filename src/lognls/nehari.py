@@ -36,11 +36,15 @@ import numpy as np
 
 from .energy import SplitParams, _projected_level, _safe_log_sq, energy_terms, field_energy, potential_samples
 from .grid import (
+    GAUSSON_BALL_RADIUS,
     Grid,
     GridField,
+    dim_problems,
+    is_int,
+    is_real,
     laplacian_from_sine,
     node_axes,
-    require_supported_dim,
+    refuse,
     shifted_laplacian_solve,
 )
 
@@ -88,24 +92,24 @@ class NehariSolution:
 @dataclass(frozen=True)
 class SolverConfig:
     """Stopping rule of the ground-state iteration; its defaults are the rule
-    of every solve that names none, and the CLI's solver block reads them."""
+    of every solve that names none, and the CLI's solver block reads them.
+    The constructor owns the block's rules: one ValueError lists every violation."""
 
     tol: float = 1e-6
     max_iters: int = 4000
 
     def __post_init__(self) -> None:
-        if self.tol <= 0 or self.max_iters < 1:
-            raise ValueError("tol must be positive and max_iters at least 1")
+        problems = []
+        if not (is_real(self.tol) and self.tol > 0):
+            problems.append(f"tol must be a finite positive number, got {self.tol}")
+        if not (is_int(self.max_iters) and self.max_iters >= 1):
+            problems.append(f"max_iters must be a positive integer, got {self.max_iters}")
+        refuse(problems)
 
 
 # ---------------------------------------------------------------------------
 # Gausson oracle and closed-form level
 # ---------------------------------------------------------------------------
-
-# radius, in standard deviations, of the ball around a Gausson's center that
-# must lie inside the box
-GAUSSON_BALL_RADIUS = 4.0
-
 
 def gausson(grid: Grid, A: float, center=None) -> GridField:
     """Exact constant-potential solution with amplitude level A > -1.
@@ -134,7 +138,7 @@ def m_closed_form(A: float, N: int) -> float:
     """Ground-state level 1/2 e^{N+A} pi^{N/2} for constant potential A."""
     if A <= -1.0:
         raise ValueError(f"A must exceed -1, got {A}")
-    require_supported_dim(N, "N")
+    refuse(dim_problems(N, "N"))
     return 0.5 * math.exp(N + A) * math.pi ** (N / 2.0)
 
 

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .grid import require_supported_dim
+from .grid import dim_problems, is_int, is_real, refuse
 
 if TYPE_CHECKING:
     from numpy.typing import NDArray
@@ -37,6 +37,9 @@ class PotentialSpec:
     allowed) that broadcast against each other, the ``np.ix_`` open mesh of
     a grid or a box or ``pts.T`` for scattered points, and returns V on
     their broadcast shape, possibly as a read-only view.
+
+    The constructor owns the potential block's common rules and raises one
+    ValueError listing every violation; a factory adds its kind's own rule.
 
     ``c2 = min(1, c0)`` is derived, never stored independently: replacing a
     spec recomputes it.  ``y_star``, where V on Y is least (the origin unless
@@ -55,17 +58,20 @@ class PotentialSpec:
     c2: float = field(init=False)
 
     def __post_init__(self) -> None:
-        require_supported_dim(self.dim)
-        axes = tuple(sorted(self.x_axes)) + tuple(sorted(self.y_axes))
-        if sorted(axes) != list(range(self.dim)) or set(self.x_axes) & set(self.y_axes):
-            raise ValueError("x_axes and y_axes must be disjoint and cover all axes")
-        if not (0.0 < self.lam < 1.0):
-            raise ValueError(f"lambda must lie in (0, 1), got {self.lam}")
-        # negated comparisons, so a NaN c0 or c1 is refused too
-        if not self.c0 > -1.0:
-            raise ValueError(f"c0 must exceed -1, got {self.c0}")
-        if not self.c1 >= self.c0:
-            raise ValueError(f"c1 = {self.c1} may not be below c0 = {self.c0}")
+        problems = []
+        try:
+            if tuple(sorted(self.y_axes)) != split_axes(self.dim, self.x_axes)[1]:
+                problems.append("x_axes and y_axes must be disjoint and cover all axes")
+        except ValueError as err:
+            problems += err.args
+        if not (is_real(self.lam) and 0.0 < self.lam < 1.0):
+            problems.append(f"lambda must lie in (0, 1), got {self.lam}")
+        if not (is_real(self.c0) and self.c0 > -1.0):
+            problems.append(f"c0 must be a finite number above -1, got {self.c0}")
+        # c1 is measured against a c0 that holds, so a bad c0 is reported once
+        elif not (is_real(self.c1) and self.c1 >= self.c0):
+            problems.append(f"c1 must be a finite number at least c0, got c0={self.c0}, c1={self.c1}")
+        refuse(problems)
         object.__setattr__(self, "c2", min(1.0, self.c0))
         object.__setattr__(self, "y_star", tuple(float(y) for y in self.y_star) or (0.0,) * self.dim)
 
@@ -89,16 +95,27 @@ class PotentialSpec:
         }
 
 
+def split_axes(dim: int, x_axes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(X, Y): ``x_axes`` as a tuple and the other axes below ``dim``.  X must
+    be a list or tuple of distinct integer axes of a supported dimension."""
+    refuse(dim_problems(dim))
+    axes_ok = isinstance(x_axes, (list, tuple)) and all(is_int(a) and 0 <= a < dim for a in x_axes)
+    if not (axes_ok and len(set(x_axes)) == len(x_axes)):
+        raise ValueError(f"x_axes must be a list of distinct axes of dimension {dim}, got {x_axes}")
+    return tuple(x_axes), tuple(a for a in range(dim) if a not in x_axes)
+
+
 def model_saddle(c0: float, c1: float, dim: int, x_axes, lam: float) -> PotentialSpec:
     """The reference saddle: V(z) = c0 + (c1-c0)(1 + |P_Y z|^2)/(1 + |z|^2).
 
     Equal to c1 at the origin and on all of Y, decreasing to c0 along X, and
-    bounded below by c0 + (c1-c0) lambda^2 on the cone Y_lambda.
+    bounded below by c0 + (c1-c0) lambda^2 on the cone Y_lambda.  Its own
+    rule is c1 > c0; the spec checks the rest.
     """
-    if not c1 > c0:
-        raise ValueError(f"model saddle needs c1 > c0, got c0={c0}, c1={c1}")
-    x_axes = tuple(int(a) for a in x_axes)
-    y_axes = tuple(a for a in range(dim) if a not in x_axes)
+    x_axes, y_axes = split_axes(dim, x_axes)
+    # a c0 that is not a number is the spec's to report
+    if is_real(c0) and not (is_real(c1) and c1 > c0):
+        raise ValueError(f"c1 must be a finite number above c0, got c0={c0}, c1={c1}")
 
     def _eval(z: Sequence[NDArray]) -> NDArray:
         sq = [np.square(z[k]) for k in range(dim)]
@@ -108,9 +125,10 @@ def model_saddle(c0: float, c1: float, dim: int, x_axes, lam: float) -> Potentia
 
 
 def constant_potential(value: float, dim: int, x_axes=(0,), lam: float = 0.5) -> PotentialSpec:
-    """V identically equal to ``value`` (no saddle geometry)."""
-    x_axes = tuple(int(a) for a in x_axes)
-    y_axes = tuple(a for a in range(dim) if a not in x_axes)
+    """V identically equal to ``value`` (no saddle geometry), a finite number above -1."""
+    x_axes, y_axes = split_axes(dim, x_axes)
+    if not (is_real(value) and value > -1):
+        raise ValueError(f"value must be a finite number above -1 for kind=constant, got {value}")
 
     def _eval(z: Sequence[NDArray]) -> NDArray:
         return np.broadcast_to(float(value), np.broadcast(*z).shape)

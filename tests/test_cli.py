@@ -79,6 +79,30 @@ def test_validate_config_collects_all_problems():
     assert len(problems) >= 8
 
 
+def test_every_block_is_reported(tmp_path, capsys, monkeypatch):
+    # each block is built on its own, so one violation in each of four
+    # blocks gives four violations, each under its own block.key
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    config = {
+        "grid": {"points_per_axis": 8},
+        "potential": {"lambda": 1.5},
+        "solver": {"tol": -1},
+        "certificate": {"h_target": 0.9},
+    }
+    path.write_text(json.dumps(config))
+    code = main(["saddle-cert", "--eps", "0.4", "--config", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CONFIG
+    assert out["violations"] == [
+        "grid.points_per_axis must be an integer >= 16, got 8",
+        "potential.lambda must lie in (0, 1), got 1.5",
+        "solver.tol must be a finite positive number, got -1",
+        "certificate.h_target must be a finite number in (0, 0.6], got 0.9",
+    ]
+    assert not (tmp_path / "lognls-out").exists()
+
+
 def test_parse_potential_flag():
     assert parse_potential_flag("const:0") == {"kind": "constant", "value": 0.0}
     assert parse_potential_flag("saddle:1,1.25") == {"kind": "model_saddle", "c0": 1.0, "c1": 1.25}
@@ -467,7 +491,7 @@ def test_potential_the_spec_refuses_is_config_error(tmp_path, capsys, monkeypatc
         code = main(argv + ["--config", str(path)])
         out = json.loads(capsys.readouterr().out)
         assert code == EXIT_CONFIG, argv
-        assert out == {"error": "config", "violations": [f"potential: c0 must exceed -1, got {got}"]}
+        assert out == {"error": "config", "violations": [f"potential.c0 must be a finite number above -1, got {got}"]}
         assert not (tmp_path / "lognls-out").exists()
 
 
@@ -482,6 +506,22 @@ def test_a_node_sample_below_minus_one_is_a_runtime_error(tmp_path, capsys, monk
     out = json.loads(capsys.readouterr().out)
     assert code == EXIT_INCONCLUSIVE
     assert out == {"error": "runtime", "message": "potential samples must stay above -1 (V + 1 must be positive)"}
+    assert not (tmp_path / "lognls-out").exists()
+
+
+def test_a_potential_below_its_sampled_c0_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    # the sampled c0 is 1 on [-20, 20], but at eps 10 the D_eps grid samples
+    # V down to -0.104 near z0 = 30, so D_eps falls below m(c0): the input
+    # breaks V >= c0, a runtime error (exit 4), not an internal defect (exit 5)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    potential = {"kind": "expression", "expr": "1 - 3*np.exp(-(z0-30)**2/4)"}
+    path.write_text(json.dumps({"potential": potential, "certificate": {"compute_numerical_m": False}}))
+    code = main(["saddle-cert", "--eps", "10", "--config", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_INCONCLUSIVE
+    assert out["error"] == "runtime"
+    assert out["message"].startswith("V samples down to -0.1036")
     assert not (tmp_path / "lognls-out").exists()
 
 

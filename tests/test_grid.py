@@ -20,8 +20,9 @@ from lognls.grid import (
 
 from lognls.cli import DEFAULT_CONFIG, validate_config
 from lognls.energy import energy_terms, eps_norm_sq
-from lognls.nehari import m_closed_form
-from lognls.potential import model_saddle
+from lognls.minimax import CertificateConfig
+from lognls.nehari import SolverConfig, m_closed_form
+from lognls.potential import constant_potential, model_saddle
 
 from conftest import node_table, smooth_field
 
@@ -47,15 +48,53 @@ def test_build_grid_spacing_examples():
     assert Grid(1, 10, 512).spacing == pytest.approx(0.039139, abs=1e-6)
 
 
-def test_build_grid_rejects_bad_input():
-    with pytest.raises(ValueError):
-        Grid(3, 10, 64)
-    with pytest.raises(ValueError):
-        Grid(1, math.inf, 64)
-    with pytest.raises(ValueError):
-        Grid(1, -1.0, 64)
-    with pytest.raises(ValueError):
-        Grid(1, 10, 8)
+BALL = "must be at least 4, the Gausson's 4-sigma ball, and finite, got"
+
+
+@pytest.mark.parametrize(
+    "build, messages",
+    [
+        (lambda: Grid(3, 10, 64), ("dim must be 1 or 2, got 3",)),
+        (lambda: Grid(1, math.inf, 64), (f"half_extent {BALL} inf",)),
+        (lambda: Grid(1, -1.0, 64), (f"half_extent {BALL} -1.0",)),
+        (lambda: Grid(1, 10, 8), ("points_per_axis must be an integer >= 16, got 8",)),
+        # the rules the CLI held alone: each used to build
+        (lambda: SolverConfig(tol=math.nan), ("tol must be a finite positive number, got nan",)),
+        (lambda: SolverConfig(max_iters=2.5), ("max_iters must be a positive integer, got 2.5",)),
+        (lambda: Grid(2, 3.0, 31), (f"half_extent {BALL} 3.0",)),
+        (lambda: Grid(2, 6.0, 31.0), ("points_per_axis must be an integer >= 16, got 31.0",)),
+        (
+            lambda: CertificateConfig(model_saddle(1.0, 1.25, 2, (0,), 0.5), h_target=0.9),
+            ("h_target must be a finite number in (0, 0.6], got 0.9",),
+        ),
+        (
+            lambda: CertificateConfig(model_saddle(1.0, 1.25, 2, (0,), 0.5), solver_half_extent=3.0),
+            (f"solver_half_extent {BALL} 3.0",),
+        ),
+        (lambda: model_saddle(1, math.inf, 2, (0,), 0.5), ("c1 must be a finite number above c0, got c0=1, c1=inf",)),
+        (lambda: constant_potential(math.inf, 2), ("value must be a finite number above -1 for kind=constant, got inf",)),
+        (
+            lambda: model_saddle(1.0, 1.25, 2, [0.5], 0.5),
+            ("x_axes must be a list of distinct axes of dimension 2, got [0.5]",),
+        ),
+        # every violation of a block, in one error
+        (
+            lambda: Grid(3, -1.0, 8),
+            ("dim must be 1 or 2, got 3", f"half_extent {BALL} -1.0", "points_per_axis must be an integer >= 16, got 8"),
+        ),
+    ],
+    ids=[
+        "grid-dim-3", "grid-L-inf", "grid-L-negative", "grid-n-8", "solver-tol-nan", "solver-max-iters-2.5",
+        "grid-L-3", "grid-n-float", "cert-h-0.9", "cert-L-3", "saddle-c1-inf", "constant-inf", "saddle-axis-0.5",
+        "grid-all-three",
+    ],
+)
+def test_the_library_refuses_what_the_cli_refuses(build, messages):
+    # a constructor owns its block's rules, so what the CLI refuses cannot
+    # be built directly either; its one error lists every violation
+    with pytest.raises(ValueError) as err:
+        build()
+    assert err.value.args == messages
 
 
 def test_field_validation(grid_1d):
