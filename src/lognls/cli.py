@@ -28,7 +28,8 @@ Every config error is reported before any output.  The range rules of the
 grid, solver, certificate and potential blocks belong to the constructors
 (Grid, SolverConfig, CertificateConfig, PotentialSpec and the potential
 factories), each of which lists every violation in one ValueError;
-validate_config builds the blocks and names each violation "block.key".
+validate_config builds each block once, names each violation "block.key"
+and hands load_config the built objects, which the command then runs on.
 This module owns the rest: the JSON shape, blocks and keys that nothing
 reads, the potential kind dispatch (build_potential), the sweep and output
 blocks, the flags that set no setting (--eps, --R, --V, --A) and naming a
@@ -51,6 +52,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
@@ -161,38 +163,41 @@ def merge_config(base: dict, override: dict) -> dict:
     return out
 
 
-def _refused(cfg: dict, block: str, build, *args) -> list[str]:
-    """What ``build`` refuses of the block's settings (a missing one is None), each under ``block.``."""
+def _build(cfg: dict, block: str, build) -> tuple:
+    """(``build`` of the block's settings, a missing one None, []) or (None,
+    what ``build`` refuses of them, each under ``block.``)."""
     settings = cfg.get(block, {})
     try:
-        build(*args, **{key: settings.get(key) for key in BLOCK_KEYS[block]})
+        return build(**{key: settings.get(key) for key in BLOCK_KEYS[block]}), []
     except ValueError as err:
-        return [f"{block}.{text}" for text in err.args]
-    return []
+        return None, [f"{block}.{text}" for text in err.args]
 
 
-def validate_config(cfg: dict) -> list[str]:
-    """Collect every violated precondition; never stop at the first.
+def validate_config(cfg: dict) -> tuple[dict, list[str]]:
+    """The built grid, potential, solver and certificate, by block name, and
+    every violated precondition; never stop at the first.
 
     The shape comes first: every other check reads inside the blocks, so a
     config or block that is not a JSON object is reported on its own.  A
-    block is checked by building it; the potential needs a grid.dim that holds.
+    block is checked by building it, once; the potential needs a grid.dim
+    that holds, and the certificate is built from the built potential and
+    solver, or a stand-in for a refused one (whose config is refused anyway).
     """
     if not isinstance(cfg, dict):
-        return [f"the config must be a JSON object, got {json.dumps(cfg)}"]
+        return {}, [f"the config must be a JSON object, got {json.dumps(cfg)}"]
     malformed = [name for name in DEFAULT_CONFIG if not isinstance(cfg.get(name, {}), dict)]
     if malformed:
-        return [f"{name} must be a JSON object, got {json.dumps(cfg[name])}" for name in malformed]
+        return {}, [f"{name} must be a JSON object, got {json.dumps(cfg[name])}" for name in malformed]
 
-    problems = _refused(cfg, "grid", Grid)
+    grid, problems = _build(cfg, "grid", Grid)
+    potential, potential_refused = None, []
     if not any(text.startswith("grid.dim ") for text in problems):
-        try:
-            build_potential(cfg)
-        except ConfigError as err:
-            problems += err.violations
-    problems += _refused(cfg, "solver", SolverConfig)
-    # the certificate block's own settings: no potential is read
-    problems += _refused(cfg, "certificate", CertificateConfig, None)
+        potential, potential_refused = _build(cfg, "potential", partial(build_potential, cfg["grid"]["dim"]))
+    solver, solver_refused = _build(cfg, "solver", SolverConfig)
+    make_cert = partial(CertificateConfig, potential, solver=solver or SolverConfig())
+    cert, cert_refused = _build(cfg, "certificate", make_cert)
+    built = {"grid": grid, "potential": potential, "solver": solver, "certificate": cert}
+    problems += potential_refused + solver_refused + cert_refused
 
     sw = cfg.get("sweep", {})
     eps_list = sw.get("eps")
@@ -213,27 +218,23 @@ def validate_config(cfg: dict) -> list[str]:
     for block, known in BLOCK_KEYS.items():
         for key in sorted(set(cfg.get(block, {})) - set(known)):
             problems.append(f"{block}.{key} is not a setting; {block} takes {', '.join(known)}")
-    return problems
+    return built, problems
 
 
-def build_potential(cfg: dict) -> PotentialSpec:
-    """The configured potential, by its kind's factory; a potential that the
-    factory or ``PotentialSpec`` refuses (an expression whose sampled c0 is
-    not above -1, say) is a config error, raised before any output."""
-    p = cfg.get("potential", {})
-    dim, kind, x_axes, lam = cfg["grid"]["dim"], p.get("kind"), p.get("x_axes"), p.get("lambda")
-    try:
-        if kind == "model_saddle":
-            return model_saddle(p.get("c0"), p.get("c1"), dim, x_axes, lam)
-        if kind == "constant":
-            return constant_potential(p.get("value"), dim, x_axes, lam)
-        if kind == "expression":
-            from .expression import expression_potential
+def build_potential(dim: int, **p) -> PotentialSpec:
+    """The potential block ``p`` in dimension ``dim``, by its kind's factory;
+    the factory or ``PotentialSpec`` raises ValueError for a potential it
+    refuses (an expression whose sampled c0 is not above -1, say)."""
+    kind, x_axes, lam = p["kind"], p["x_axes"], p["lambda"]
+    if kind == "model_saddle":
+        return model_saddle(p["c0"], p["c1"], dim, x_axes, lam)
+    if kind == "constant":
+        return constant_potential(p["value"], dim, x_axes, lam)
+    if kind == "expression":
+        from .expression import expression_potential
 
-            return expression_potential(p.get("expr"), dim, x_axes, lam)
-        raise ValueError(f"kind must be model_saddle, constant or expression, got {kind}")
-    except ValueError as err:
-        raise ConfigError([f"potential.{text}" for text in err.args]) from None
+        return expression_potential(p["expr"], dim, x_axes, lam)
+    raise ValueError(f"kind must be model_saddle, constant or expression, got {kind}")
 
 
 # the keys the commands read, block by block: the keys of DEFAULT_CONFIG;
@@ -244,24 +245,17 @@ BLOCK_KEYS = {block: tuple(keys) for block, keys in DEFAULT_CONFIG.items()}
 BLOCK_KEYS["potential"] += ("value", "expr")
 
 
-def build_certificate_config(cfg: dict) -> CertificateConfig:
-    """The certificate of a config that load_config resolved against
-    DEFAULT_CONFIG and validated: its solver and certificate blocks hold
-    exactly the keywords of SolverConfig and CertificateConfig."""
-    return CertificateConfig(build_potential(cfg), solver=SolverConfig(**cfg["solver"]), **cfg["certificate"])
-
-
-def require_axes(cfg: dict, y_axis: bool) -> None:
+def require_axes(pot: PotentialSpec, y_axis: bool) -> None:
     """The path, Q and the boundary radius live in X, so a command that walks
     the path needs ``potential.x_axes`` nonempty; a certificate's D_eps also
     constrains the barycenter to Y (``y_axis``), so X must leave Y an axis.
     ``check-potential`` takes any X."""
-    x_axes, dim = cfg["potential"]["x_axes"], cfg["grid"]["dim"]
-    if len(x_axes) == 0:
+    if not pot.x_axes:
         raise ConfigError(["potential.x_axes must name an axis: the path moves in X, got []"])
-    if y_axis and len(x_axes) == dim:
+    if y_axis and not pot.y_axes:
+        x_axes = list(pot.x_axes)
         raise ConfigError(
-            [f"potential.x_axes must leave an axis to Y for a certificate, got {x_axes} in dimension {dim}"]
+            [f"potential.x_axes must leave an axis to Y for a certificate, got {x_axes} in dimension {pot.dim}"]
         )
 
 
@@ -276,10 +270,10 @@ SETTING_FLAGS = {
 }
 
 
-def load_config(args, potential: dict | None = None) -> dict:
-    """DEFAULT_CONFIG, the file ``args.config``, then the ``potential`` block
-    of a --V and each setting whose flag was given; a violation of such a
-    setting names its flag."""
+def load_config(args, potential: dict | None = None) -> tuple[dict, dict]:
+    """(config, its built blocks): DEFAULT_CONFIG, the file ``args.config``,
+    then the ``potential`` block of a --V and each setting whose flag was
+    given, built by validate_config; a violation of such a setting names its flag."""
     path = args.config
     cfg = {k: dict(v) if isinstance(v, dict) else v for k, v in DEFAULT_CONFIG.items()}
     if path:
@@ -294,7 +288,7 @@ def load_config(args, potential: dict | None = None) -> dict:
             reason = getattr(err, "strerror", None) or str(err)
             raise ConfigError([f"the config {path} cannot be read: {reason}"]) from None
         if not isinstance(loaded, dict):
-            raise ConfigError(validate_config(loaded))
+            raise ConfigError(validate_config(loaded)[1])
         cfg = merge_config(cfg, loaded)
     given = {flag: key for flag, key in SETTING_FLAGS.get(args.command, {}).items() if getattr(args, key) is not None}
     overrides = {"potential": potential or {}}
@@ -302,12 +296,12 @@ def load_config(args, potential: dict | None = None) -> dict:
         block, _, name = key.partition(".")
         overrides.setdefault(block, {})[name] = getattr(args, key)
     cfg = merge_config(cfg, overrides)
-    problems = validate_config(cfg)
+    built, problems = validate_config(cfg)
     for flag, key in given.items():
         problems = [flag + text[len(key):] if text.startswith(key + " ") else text for text in problems]
     if problems:
         raise ConfigError(problems)
-    return cfg
+    return cfg, built
 
 
 def check_flags(**flags) -> None:
@@ -357,8 +351,8 @@ def parse_potential_flag(text: str) -> dict:
 def cmd_gausson(args) -> int:
     if not (is_real(args.A) and args.A > -1):
         raise ConfigError([f"--A must be a finite number above -1, got {args.A}"])
-    cfg = load_config(args)
-    grid = Grid(**cfg["grid"])
+    cfg, built = load_config(args)
+    grid = built["grid"]
     m = m_closed_form(args.A, grid.dim)
     u = gausson(grid, args.A)
     outdir = ensure_outdir(cfg)
@@ -370,11 +364,10 @@ def cmd_gausson(args) -> int:
 
 def cmd_ground_state(args) -> int:
     check_flags(eps=args.eps)
-    cfg = load_config(args, parse_potential_flag(args.V) if args.V is not None else None)
+    cfg, built = load_config(args, parse_potential_flag(args.V) if args.V is not None else None)
 
-    grid = Grid(**cfg["grid"])
-    pot = build_potential(cfg)
-    sol = ground_state(grid, pot, args.eps, config=SolverConfig(**cfg["solver"]))
+    pot = built["potential"]
+    sol = ground_state(built["grid"], pot, args.eps, config=built["solver"])
     # the fixed cutoff delta enters the Phi/Psi split of the breakdown only
     breakdown = energy(sol.field, pot, args.eps, SplitParams())
 
@@ -392,8 +385,8 @@ def cmd_ground_state(args) -> int:
 def cmd_check_potential(args) -> int:
     from .hypotheses import check_V1, check_V2, check_V4, v3_diagnostic
 
-    cfg = load_config(args)
-    pot = build_potential(cfg)
+    cfg, built = load_config(args)
+    pot = built["potential"]
     report = {
         "potential": pot.describe(),
         "V1": check_V1(pot),
@@ -408,10 +401,9 @@ def cmd_check_potential(args) -> int:
 
 def cmd_saddle_cert(args) -> int:
     check_flags(eps=args.eps)
-    cfg = load_config(args)
-    require_axes(cfg, y_axis=True)
-    cert_cfg = build_certificate_config(cfg)
-    cert = certificate(args.eps, cert_cfg)
+    cfg, built = load_config(args)
+    require_axes(built["potential"], y_axis=True)
+    cert = certificate(args.eps, built["certificate"])
     outdir = ensure_outdir(cfg)
     write_report(outdir, f"certificate_eps_{args.eps:g}.json", cert.to_dict())
     return EXIT_INCONCLUSIVE if cert.inconclusive else EXIT_OK
@@ -431,11 +423,10 @@ CSV_KEYS = (
 
 
 def cmd_sweep_eps(args) -> int:
-    cfg = load_config(args)  # a bare --eps is an empty list, refused by validate_config
-    require_axes(cfg, y_axis=True)
-    cert_cfg = build_certificate_config(cfg)
+    cfg, built = load_config(args)  # a bare --eps is an empty list, refused by validate_config
+    require_axes(built["potential"], y_axis=True)
     outdir = ensure_outdir(cfg)
-    certs = sweep_eps(cfg["sweep"]["eps"], cert_cfg)
+    certs = sweep_eps(cfg["sweep"]["eps"], built["certificate"])
 
     rows = [cert.to_dict() for cert in certs]
     flags = list(rows[0]["flags"])  # sweep.eps names at least one eps
@@ -455,9 +446,9 @@ def cmd_barycenter_zero(args) -> int:
     from .oracles import barycenter_zero_finder
 
     check_flags(eps=args.eps, R=args.R)
-    cfg = load_config(args)
-    require_axes(cfg, y_axis=False)
-    cert_cfg = build_certificate_config(cfg)
+    cfg, built = load_config(args)
+    require_axes(built["potential"], y_axis=False)
+    cert_cfg = built["certificate"]
     res = barycenter_zero_finder(cert_cfg.grid(), cert_cfg.potential, args.eps, R=args.R)
     outdir = ensure_outdir(cfg)
     write_report(outdir, "barycenter_zero.json", res)

@@ -145,7 +145,8 @@ def potential_samples(potential, grid: Grid, eps: float) -> NDArray:
     ``potential`` is a PotentialSpec, evaluated on the open mesh eps
     ``node_axes``, or a number.  A constant potential, a number or a spec of
     kind "constant", is sampled as its value: one zero-stride view.  Every
-    sample must exceed -1, so that the weight V + 1 of the eps-norm is positive.
+    sample must be finite and exceed -1, so that the weight V + 1 of the
+    eps-norm is positive; each rule has its own ValueError.
     """
     if hasattr(potential, "evaluate"):
         v = potential.evaluate([eps * x for x in node_axes(grid)])
@@ -153,6 +154,9 @@ def potential_samples(potential, grid: Grid, eps: float) -> NDArray:
         v = float(potential)
     vsamp = np.broadcast_to(v, grid.shape).reshape(-1)
     vsamp.flags.writeable = False
+    finite = np.isfinite(vsamp)
+    if not finite.all():
+        raise ValueError(f"{vsamp.size - np.count_nonzero(finite)} of the {vsamp.size} potential samples are not finite")
     if not np.all(vsamp > -1.0):
         raise ValueError("potential samples must stay above -1 (V + 1 must be positive)")
     return vsamp

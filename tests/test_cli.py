@@ -1,11 +1,13 @@
 import json
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import lognls.cli as cli
+import lognls.expression as expression
 from lognls.cli import (
     EXIT_CONFIG,
     EXIT_INCONCLUSIVE,
@@ -75,7 +77,7 @@ def test_validate_config_collects_all_problems():
         "solver": {"tol": -1, "max_iters": 0, "backend": "quantum"},
         "sweep": {"eps": [-0.1]},
     }
-    problems = validate_config(bad)
+    _, problems = validate_config(bad)
     assert len(problems) >= 8
 
 
@@ -101,6 +103,41 @@ def test_every_block_is_reported(tmp_path, capsys, monkeypatch):
         "certificate.h_target must be a finite number in (0, 0.6], got 0.9",
     ]
     assert not (tmp_path / "lognls-out").exists()
+
+
+Y_ASYMMETRIC = {"kind": "expression", "expr": "1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0.1*z1/(1+z1**2)"}
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["check-potential"], {"potential": Y_ASYMMETRIC}),
+        (["saddle-cert", "--eps", "0.4"], {"potential": Y_ASYMMETRIC, "certificate": {"compute_numerical_m": False}}),
+        (["sweep-eps"], {}),
+    ],
+    ids=["check-potential", "saddle-cert", "sweep-eps"],
+)
+def test_each_block_is_built_once_per_command(tmp_path, capsys, monkeypatch, argv, config):
+    # validate_config builds the potential and the certificate, and the
+    # command runs on those objects: one factory call and one certificate
+    monkeypatch.chdir(tmp_path)
+    builds = Counter()
+
+    def counted(name, build):
+        def wrapper(*args, **kwargs):
+            builds[name] += 1
+            return build(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "model_saddle", counted("potential", cli.model_saddle))
+    monkeypatch.setattr(expression, "expression_potential", counted("potential", expression.expression_potential))
+    monkeypatch.setattr(CertificateConfig, "__post_init__", counted("certificate", CertificateConfig.__post_init__))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(argv + ["--config", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert builds == {"potential": 1, "certificate": 1}
 
 
 def test_parse_potential_flag():
@@ -175,10 +212,11 @@ def test_gausson_reads_the_grid_block(tmp_path, capsys, monkeypatch, grid, heade
 def test_solver_and_certificate_defaults_are_the_classes():
     # a validated block is its class's keywords, so the default blocks build
     # the classes' defaults
-    assert SolverConfig(**cli.DEFAULT_CONFIG["solver"]) == SolverConfig()
-    cert = cli.build_certificate_config(cli.DEFAULT_CONFIG)
+    built, _ = validate_config(cli.DEFAULT_CONFIG)
+    assert built["solver"] == SolverConfig()
+    cert = built["certificate"]
     assert cert == CertificateConfig(potential=cert.potential)
-    assert Grid(**cli.DEFAULT_CONFIG["grid"]) == Grid(2, 7.0, 129)
+    assert built["grid"] == Grid(2, 7.0, 129)
 
 
 def test_ground_state_command(tmp_path, capsys, monkeypatch):
@@ -509,6 +547,22 @@ def test_a_node_sample_below_minus_one_is_a_runtime_error(tmp_path, capsys, monk
     assert not (tmp_path / "lognls-out").exists()
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in log:RuntimeWarning")
+def test_a_non_finite_node_sample_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    # the sampled c0 is 1.0006 on [-20, 20], so the spec is accepted; at eps
+    # 10 the log is NaN at the 9546 nodes beyond |z0| = 30, which the solve
+    # names as not finite rather than as below -1: exit 4 before any output
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    expr = "1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0*np.log(30 - abs(z0))"
+    path.write_text(json.dumps({"potential": {"kind": "expression", "expr": expr}}))
+    code = main(["ground-state", "--eps", "10", "--config", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_INCONCLUSIVE
+    assert out == {"error": "runtime", "message": "9546 of the 16641 potential samples are not finite"}
+    assert not (tmp_path / "lognls-out").exists()
+
+
 def test_a_potential_below_its_sampled_c0_is_a_runtime_error(tmp_path, capsys, monkeypatch):
     # the sampled c0 is 1 on [-20, 20], but at eps 10 the D_eps grid samples
     # V down to -0.104 near z0 = 30, so D_eps falls below m(c0): the input
@@ -531,7 +585,7 @@ def test_readme_config_block_matches_defaults():
     blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
     assert len(blocks) == 1
     assert json.loads(blocks[0]) == cli.DEFAULT_CONFIG
-    assert validate_config(cli.DEFAULT_CONFIG) == []
+    assert validate_config(cli.DEFAULT_CONFIG)[1] == []
 
 
 @pytest.mark.parametrize(

@@ -389,7 +389,7 @@ def test_supported_dims_has_one_owner(monkeypatch):
         model_saddle(1.0, 1.25, 2, (0,), 0.5)
     with pytest.raises(ValueError, match="^N must be 1, got 2$"):
         m_closed_form(0.0, 2)
-    assert validate_config(DEFAULT_CONFIG) == ["grid.dim must be 1, got 2"]
+    assert validate_config(DEFAULT_CONFIG)[1] == ["grid.dim must be 1, got 2"]
     Grid(1, 7.0, 17)
 
 
