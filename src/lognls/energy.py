@@ -149,7 +149,8 @@ def potential_samples(potential, grid: Grid, eps: float) -> NDArray:
     eps-norm is positive; each rule has its own ValueError.
     """
     if hasattr(potential, "evaluate"):
-        v = potential.evaluate([eps * x for x in node_axes(grid)])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # counted and refused below
+            v = potential.evaluate([eps * x for x in node_axes(grid)])
     else:
         v = float(potential)
     vsamp = np.broadcast_to(v, grid.shape).reshape(-1)

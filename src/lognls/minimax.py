@@ -122,18 +122,6 @@ def _path_terms(grid: Grid, c0: float) -> tuple[NDArray, float, float, float]:
     return sq, kin, mass, ent
 
 
-def path_levels(grid: Grid, potential: PotentialSpec, eps: float, zs) -> NDArray:
-    """J of the path fields Phi_eps(z), one entry per row z of ``zs``.
-
-    Phi_eps(z) is t*u0 with the frame center moved to z/eps; each entry is
-    the J of its ``_path_row``.
-    """
-    zs = np.atleast_2d(np.asarray(zs, dtype=float))
-    if zs.ndim != 2 or zs.shape[1] != grid.dim:
-        raise ValueError(f"z must have {grid.dim} components")
-    return np.array([_path_row(grid, potential, eps, z)[3] for z in zs])
-
-
 def _path_row(grid: Grid, potential: PotentialSpec, eps: float, z: NDArray) -> tuple[Grid, NDArray, float, float]:
     """(frame, V(eps x) in it, t, J(t u0)): the one pricing of the path row z.
     Only pot(z) = integral(V u0^2) sees the frame moved to z/eps, so a row
@@ -310,7 +298,7 @@ def level_sup_x(grid: Grid, potential: PotentialSpec, eps: float, threshold: flo
     boundary, found = {}, None
     for R in sorted(R_SCHEDULE):
         zs = _subspace_sphere(potential.dim, potential.x_axes, R, _BOUNDARY_SAMPLES)
-        boundary[float(R)] = float(np.max(path_levels(grid, potential, eps, zs)))
+        boundary[float(R)] = float(np.max([_path_row(grid, potential, eps, z)[3] for z in zs]))
         if boundary[float(R)] <= threshold:
             found = float(R)
             break

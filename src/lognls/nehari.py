@@ -36,7 +36,6 @@ import numpy as np
 
 from .energy import SplitParams, _projected_level, _safe_log_sq, energy_terms, field_energy, potential_samples
 from .grid import (
-    GAUSSON_BALL_RADIUS,
     Grid,
     GridField,
     dim_problems,
@@ -111,23 +110,18 @@ class SolverConfig:
 # Gausson oracle and closed-form level
 # ---------------------------------------------------------------------------
 
-def gausson(grid: Grid, A: float, center=None) -> GridField:
-    """Exact constant-potential solution with amplitude level A > -1.
+def gausson(grid: Grid, A: float) -> GridField:
+    """Exact constant-potential solution with amplitude level A > -1 at the
+    grid's frame center c (the origin unless the frame was moved).
 
-    In rescaled coordinates the profile is exp((N+A)/2) exp(-|x-c|^2/2).
-    The ``GAUSSON_BALL_RADIUS`` ball around the center must stay inside the
-    box (the box around the grid's frame center).
+    In rescaled coordinates the profile is exp((N+A)/2) exp(-|x-c|^2/2); the
+    box rule of ``Grid`` keeps its 4-sigma ball inside the box.
     """
     if A <= -1.0:
         raise ValueError(f"amplitude level must exceed -1, got {A}")
-    c = np.zeros(grid.dim) if center is None else np.asarray(center, dtype=float).ravel()
-    if c.size != grid.dim:
-        raise ValueError(f"center must have {grid.dim} components")
-    if np.any(np.abs(c - grid.center) + GAUSSON_BALL_RADIUS > grid.half_extent):
-        raise ValueError(f"center too close to the boundary: {GAUSSON_BALL_RADIUS:g}-sigma ball exits the box")
     # |x - c|^2 as the broadcast sum of the per-axis squared offsets, then
     # exp(-r2/2) and the scale in place on that one n^N buffer
-    u = sum((x - ck) ** 2 for x, ck in zip(node_axes(grid), c))
+    u = sum((x - ck) ** 2 for x, ck in zip(node_axes(grid), grid.center))
     u /= -2.0
     np.exp(u, out=u)
     u *= math.exp(0.5 * (grid.dim + A))
@@ -139,7 +133,10 @@ def m_closed_form(A: float, N: int) -> float:
     if A <= -1.0:
         raise ValueError(f"A must exceed -1, got {A}")
     refuse(dim_problems(N, "N"))
-    return 0.5 * math.exp(N + A) * math.pi ** (N / 2.0)
+    try:
+        return 0.5 * math.exp(N + A) * math.pi ** (N / 2.0)
+    except OverflowError:
+        raise ValueError(f"m(A) = 1/2 e^(N+A) pi^(N/2) overflows a float at N = {N}, A = {A}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +341,14 @@ def minimize_on_nehari(
 
 
 def _gausson_seed(grid: Grid, potential, eps: float) -> NDArray:
-    """The solvers' start: the Gausson at the frame center c whose level is
-    V(eps c), the exact solution of the frozen-coefficient problem there
-    (on a grid centered at the origin, V(0) for every eps)."""
+    """The solvers' start: ``gausson`` on the grid, at its frame center c,
+    with level V(eps c), the exact solution of the frozen-coefficient problem
+    there (on a grid centered at the origin, V(0) for every eps)."""
     if hasattr(potential, "evaluate"):
         level = float(potential.evaluate([eps * c for c in grid.center]))
     else:
         level = float(potential)
-    return gausson(grid, max(level, -0.999), grid.center).values
+    return gausson(grid, max(level, -0.999)).values
 
 
 def ground_state(

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from lognls.grid import Grid, GridField, node_axes
+from lognls.minimax import _path_row
 
 
 @pytest.fixture
@@ -23,6 +26,21 @@ def node_table(grid: Grid) -> np.ndarray:
     """All node coordinates as a (num_nodes, dim) table in row-major order
     (the last coordinate fastest), spelled out from the open mesh."""
     return np.column_stack([x.ravel() for x in np.broadcast_arrays(*node_axes(grid))])
+
+
+def gausson_from_coordinates(grid: Grid, A: float, center) -> np.ndarray:
+    """Node values of the Gausson of level A at ``center``, anywhere in the
+    box, from the (nodes x N) coordinate table: the oracle of ``gausson``,
+    which builds it at the frame center alone."""
+    r2 = np.sum((node_table(grid) - np.asarray(center, dtype=float)) ** 2, axis=1)
+    return math.exp(0.5 * (grid.dim + A)) * np.exp(-r2 / 2.0)
+
+
+def path_j(grid: Grid, potential, eps: float, z=None) -> float:
+    """J(Phi_eps(z)) from the one pricing of the path row z (the origin by
+    default), as ``level_sup_x`` reads each row."""
+    z = np.zeros(grid.dim) if z is None else np.asarray(z, dtype=float)
+    return _path_row(grid, potential, eps, z)[3]
 
 
 def smooth_field(grid: Grid, rng, n_bumps: int = 4, positive: bool = False) -> GridField:

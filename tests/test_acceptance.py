@@ -18,7 +18,6 @@ from lognls.grid import Grid, GridField, integrate_array
 from lognls.minimax import (
     level_d,
     level_sup_x,
-    path_levels,
     _odd_points,
 )
 from lognls.nehari import SolverConfig, gausson, ground_state, m_closed_form
@@ -34,7 +33,7 @@ from lognls.oracles import (
 )
 from lognls.potential import constant_potential, model_saddle
 
-from conftest import smooth_field
+from conftest import path_j, smooth_field
 
 PARAMS = SplitParams()
 SADDLE = model_saddle(1.0, 1.25, 2, (0,), 0.5)
@@ -202,7 +201,7 @@ def test_criterion_09_upper_level():
     eps = 0.05
     half = min(60.0, 1.0 / eps + 6.0)
     g = Grid(2, half, _odd_points(half, 0.4))
-    rep = level_sup_x(g, SADDLE, eps, -math.inf, path_levels(g, SADDLE, eps, np.zeros((1, 2)))[0])
+    rep = level_sup_x(g, SADDLE, eps, -math.inf, path_j(g, SADDLE, eps))
     two_m = 2 * m_closed_form(SADDLE.c0, 2)
     ok = rep["value"] <= rep["cap"] + 1e-3 and rep["value"] < two_m
     report("9", ok, f"sup_X J = {rep['value']:.4f}, cap = {rep['cap']:.4f}, 2m = {two_m:.4f}")

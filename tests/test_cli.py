@@ -547,11 +547,12 @@ def test_a_node_sample_below_minus_one_is_a_runtime_error(tmp_path, capsys, monk
     assert not (tmp_path / "lognls-out").exists()
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in log:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_non_finite_node_sample_is_a_runtime_error(tmp_path, capsys, monkeypatch):
     # the sampled c0 is 1.0006 on [-20, 20], so the spec is accepted; at eps
     # 10 the log is NaN at the 9546 nodes beyond |z0| = 30, which the solve
-    # names as not finite rather than as below -1: exit 4 before any output
+    # names as not finite rather than as below -1: exit 4 before any output,
+    # with no NumPy warning from the sampling on stderr
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "cfg.json"
     expr = "1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0*np.log(30 - abs(z0))"
@@ -560,6 +561,29 @@ def test_a_non_finite_node_sample_is_a_runtime_error(tmp_path, capsys, monkeypat
     out = json.loads(capsys.readouterr().out)
     assert code == EXIT_INCONCLUSIVE
     assert out == {"error": "runtime", "message": "9546 of the 16641 potential samples are not finite"}
+    assert not (tmp_path / "lognls-out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["gausson", "--A", "1000"], {}),
+        (["ground-state", "--V", "const:800"], {}),
+        (["saddle-cert", "--eps", "0.4"], {"potential": {"c0": 800, "c1": 801}}),
+        (["check-potential"], {"potential": {"c0": 800, "c1": 801}}),
+    ],
+    ids=["gausson", "ground-state", "saddle-cert", "check-potential"],
+)
+def test_an_overflowing_closed_form_level_is_a_runtime_error(tmp_path, capsys, monkeypatch, argv, config):
+    # m(A) = 1/2 e^(N+A) pi^(N/2) exceeds the largest float once N + A is
+    # above about 709.78: a typed runtime error (exit 4), not a traceback
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = main(argv + ["--config", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_INCONCLUSIVE
+    assert out["error"] == "runtime" and "overflows" in out["message"]
     assert not (tmp_path / "lognls-out").exists()
 
 

@@ -19,13 +19,13 @@ from lognls.energy import (
 )
 from lognls.grid import Grid, GridField, integrate_array, sine_coefficients, sine_kinetic
 import lognls.nehari as nehari_mod
-from lognls.minimax import _path_frame, path_levels
+from lognls.minimax import _path_frame
 from lognls.nehari import SolverConfig, gausson, m_closed_form, minimize_on_nehari
 from lognls.expression import expression_potential
 from lognls.oracles import grad_L2, log_sobolev_slack, nehari_scale, sq_log_sq
 from lognls.potential import PotentialSpec, constant_potential, model_saddle
 
-from conftest import smooth_field
+from conftest import path_j, smooth_field
 
 PARAMS = SplitParams()
 
@@ -371,4 +371,4 @@ def test_projected_level_is_the_one_reader_of_a_nehari_projected_level(monkeypat
     z = np.array([0.5, 0.0])
     frame = _path_frame(g, z, 0.4)
     terms = energy_terms(frame, gausson(g, saddle.c0).values, potential_samples(saddle, frame, 0.4))[2:]
-    assert path_levels(g, saddle, 0.4, [z])[0] == energy_mod._projected_level(*terms)[1]
+    assert path_j(g, saddle, 0.4, z) == energy_mod._projected_level(*terms)[1]

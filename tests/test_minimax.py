@@ -22,7 +22,6 @@ from lognls.minimax import (
     level_d,
     level_sup_x,
     level_theta,
-    path_levels,
     sweep_eps,
     _odd_points,
 )
@@ -38,7 +37,7 @@ from lognls.expression import expression_potential
 from lognls.oracles import barycenter, barycenter_zero_finder, grad_array, nehari_scale, phi_path
 from lognls.potential import constant_potential, model_saddle
 
-from conftest import count_grid_calls, node_table, smooth_field
+from conftest import count_grid_calls, gausson_from_coordinates, node_table, path_j, smooth_field
 
 PARAMS = SplitParams()
 SADDLE = model_saddle(1.0, 1.25, 2, (0,), 0.5)
@@ -59,7 +58,7 @@ def path_grid(eps, R=2.0, h=0.15):
 def sup_x(g, potential, eps, threshold):
     """level_sup_x from the J of the z = 0 row, priced here as level_theta
     prices it for a certificate."""
-    return level_sup_x(g, potential, eps, threshold, path_levels(g, potential, eps, np.zeros((1, 2)))[0])
+    return level_sup_x(g, potential, eps, threshold, path_j(g, potential, eps))
 
 
 def test_barycenter_radial_is_zero():
@@ -100,7 +99,7 @@ def test_phi_path_moving_frame_matches_translated_reference():
     z = np.array([eps * 7 * g.spacing, 0.0])
     moving = phi_path(g, SADDLE, eps, z)
     assert moving.grid.center == tuple(z / eps)
-    translated = gausson(g, SADDLE.c0, center=z / eps)
+    translated = GridField(g, gausson_from_coordinates(g, SADDLE.c0, z / eps))
     reference = GridField(g, nehari_scale(translated, SADDLE, eps) * translated.values)
     j_moving = energy(moving, SADDLE, eps, PARAMS)["J"]
     j_reference = energy(reference, SADDLE, eps, PARAMS)["J"]
@@ -138,30 +137,29 @@ def test_phi_path_continuity_along_lattice():
 BETA_ROUNDING = 16 * np.finfo(float).eps
 
 
-# the two test names predate the path's barycenter read: path_levels gives
-# J, and the zero finder reads beta off u0 in the moved frame
+# the two test names predate the path's barycenter read and the end of the
+# path table: each row gives J, and the zero finder reads beta off u0 in the
+# moved frame
 @pytest.mark.parametrize(
     "potential, eps",
     [(SADDLE, 0.4), (SADDLE, 0.05), (model_saddle(1.0, 1.25, 1, (0,), 0.5), 0.2), (CONST, 0.3)],
     ids=["saddle-0.4", "saddle-0.05", "saddle-1d", "constant"],
 )
 def test_path_table_matches_the_path_fields(potential, eps):
-    # the table's J is the reduced objective, J of the field up to rounding;
+    # a row's J is the reduced objective, J of the field up to rounding;
     # beta(t u) = beta(u) up to the rounding of t u: measured 2.7e-15 at most
     # on these rows, so 16 ulps of 1 (|beta| <= 1) bound it
     g = Grid(potential.dim, 10.0, _odd_points(10.0, 0.15))
     u0 = gausson(g, potential.c0)
     zs = np.outer(np.linspace(-2.0, 2.0, 9), np.eye(potential.dim)[0])
-    j = path_levels(g, potential, eps, zs)
-    assert j.shape == (len(zs),)
-    for k, z in enumerate(zs):
+    for z in zs:
         f = phi_path(g, potential, eps, z)
-        # the field, its frame's samples and the table entry are one row's
-        frame, vsamp, _, j_row = minimax_mod._path_row(g, potential, eps, z)
-        assert frame == f.grid and j_row == j[k]
+        # the field, its frame's samples and the row's J are one row's
+        frame, vsamp, _, j = minimax_mod._path_row(g, potential, eps, z)
+        assert frame == f.grid
         assert np.array_equal(vsamp, potential_samples(potential, f.grid, eps))
         j_field = field_energy(f.grid, f.values, vsamp)[0]
-        assert abs(j[k] - j_field) <= 1e-13 * abs(j_field)
+        assert abs(j - j_field) <= 1e-13 * abs(j_field)
         beta_u0 = barycenter(GridField(f.grid, u0.values))
         assert np.max(np.abs(beta_u0 - barycenter(f))) <= BETA_ROUNDING
     # the zero finder's boundary values are those barycenters at z = -R, R
@@ -181,7 +179,8 @@ def test_path_table_applies_one_forward_transform(monkeypatch):
     for n, transforms in ((3, 1), (9, 0), (41, 0)):
         forward.clear()
         zs = np.outer(np.linspace(-2.0, 2.0, n), [1.0, 0.0])
-        path_levels(g, SADDLE, 0.1, zs)
+        for z in zs:
+            path_j(g, SADDLE, 0.1, z)
         assert len(forward) == transforms, f"{len(zs)} rows"
     assert not inverse
 
@@ -194,10 +193,10 @@ def test_path_level_at_the_origin_matches_the_small_eps_expansion(eps):
     # up to O(eps^4), and Lap V(0) = -2 (c1 - c0) on the model saddle.  The
     # relative residual / eps^4 reads 0.243 / 0.248 / 0.249 here
     g = CertificateConfig(potential=SADDLE).grid()
-    j = path_levels(g, SADDLE, eps, [[0.0, 0.0]])
+    j = path_j(g, SADDLE, eps)
     lap_v0 = -2.0 * (SADDLE.c1 - SADDLE.c0)
     expected = m_closed_form(SADDLE.c1, 2) * math.exp(eps**2 * lap_v0 / 4.0)
-    assert abs(j[0] - expected) <= 0.3 * eps**4 * expected
+    assert abs(j - expected) <= 0.3 * eps**4 * expected
 
 
 # V = 1 + a (1 + z1^2) / (1 + |z|^2) + b z0 z1 / (1 + |z|^2) with a = 0.25,
@@ -232,7 +231,7 @@ def test_path_origin_over_d_eps_follows_the_eps4_law(potential, hessian_frobeniu
     cfg = CertificateConfig(potential=potential)
     g = cfg.grid()
     d_eps = level_d(g, potential, eps, solver=cfg.solver).value
-    j0 = path_levels(g, potential, eps, np.zeros((1, 2)))[0]
+    j0 = path_j(g, potential, eps)
     ratio = math.log(j0 / d_eps) / (eps**4 * hessian_frobenius_sq / 16.0)
     assert abs(1.0 - ratio) <= 8.0 * eps**2, ratio
 
@@ -299,7 +298,7 @@ def test_zero_finder_reads_beta_without_a_solve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the zero finder must not evaluate the energy or V")
 
-    for name in ("energy_terms", "potential_samples", "_projected_level", "path_levels"):
+    for name in ("energy_terms", "potential_samples", "_projected_level", "_path_row"):
         monkeypatch.setattr(minimax_mod, name, refuse)
     g = Grid(2, 10.0, _odd_points(10.0, 0.4))
     for x_axes in ((0,), (0, 1)):
@@ -511,7 +510,7 @@ def test_level_sup_x_even_q_samples_keep_the_origin():
     # the walk prices however far it goes: one radius or all of them
     eps = 0.4
     g = CertificateConfig(potential=SADDLE, h_target=0.3).grid()
-    origin = path_levels(g, SADDLE, eps, np.zeros((1, 2)))[0]
+    origin = path_j(g, SADDLE, eps)
     for threshold, walked in ((math.inf, 1), (-math.inf, 4)):
         report = sup_x(g, SADDLE, eps, threshold)
         assert len(report["boundary_max"]) == walked
@@ -526,7 +525,7 @@ def test_level_sup_x_nan_threshold_walks_every_radius():
     res = sup_x(g, SADDLE, eps, math.nan)
     assert not res["succeeded"] and res["R"] is None
     assert list(res["boundary_max"]) == sorted(minimax_mod.R_SCHEDULE)
-    assert res["value"] == max(path_levels(g, SADDLE, eps, np.zeros((1, 2)))[0], *res["boundary_max"].values())
+    assert res["value"] == max(path_j(g, SADDLE, eps), *res["boundary_max"].values())
 
 
 def test_level_sup_x_constant_potential():
@@ -584,9 +583,9 @@ def _theta_setup(eps):
 
 
 def _path_origin_level(g, eps, f0):
-    """J(Phi_eps(0)) as the z = 0 row of the path table, checked against the
+    """J(Phi_eps(0)) as the J of the z = 0 path row, checked against the
     energy kernel on the field Phi_eps(0) to 1e-13 relative."""
-    j0 = path_levels(g, SADDLE, eps, np.zeros((1, 2)))[0]
+    j0 = path_j(g, SADDLE, eps)
     j_field = field_energy(g, f0.values, potential_samples(SADDLE, g, eps))[0]
     assert abs(j0 - j_field) <= 1e-13 * j_field
     return j0
@@ -700,7 +699,7 @@ def test_theta_is_d_eps_in_the_default_sweep():
         distances.append(theta["minimizer_distance"])
         assert all(cert.flags.values())
         # the saddle's path maximum is the z = 0 row, bit for bit
-        assert cert.sup_X_J == path_levels(cfg.grid(), SADDLE, cert.eps, np.zeros((1, 2)))[0]
+        assert cert.sup_X_J == path_j(cfg.grid(), SADDLE, cert.eps)
     assert distances == pytest.approx([0.200, 0.065, 0.018, 0.005], abs=5e-4)
 
 
@@ -803,7 +802,7 @@ def test_zero_finder_inconclusive_without_sign_change(monkeypatch):
     # sign change and the residual at 0 is far above BETA_TOL
     eps = 0.3
     g = path_grid(eps, R=1.0)
-    off_center = gausson(g, CONST.c0, center=[3.0, 0.0]).values
+    off_center = gausson_from_coordinates(g, CONST.c0, [3.0, 0.0])
     monkeypatch.setattr(minimax_mod, "_path_gausson", lambda grid, c0: off_center)
     res = barycenter_zero_finder(g, CONST, eps, R=0.25)
     assert res["inconclusive"] and res["x_star"] is None
@@ -1146,7 +1145,7 @@ def test_theta_prices_one_path_row_and_samples_v_once(monkeypatch):
         assert counts == {"_path_row": 1, "potential_samples": 1}
 
 
-def test_path_levels_never_read_direction_weights(monkeypatch):
+def test_path_rows_never_read_direction_weights(monkeypatch):
     # the walk of level_sup_x reads J only; beta is the zero finder's
     calls = []
     real = minimax_mod.direction_weights
@@ -1157,7 +1156,8 @@ def test_path_levels_never_read_direction_weights(monkeypatch):
 
     monkeypatch.setattr(minimax_mod, "direction_weights", counted)
     g = Grid(2, 10.0, _odd_points(10.0, 0.3))
-    path_levels(g, SADDLE, 0.1, np.outer(np.linspace(-2.0, 2.0, 9), [1.0, 0.0]))
+    for z in np.outer(np.linspace(-2.0, 2.0, 9), [1.0, 0.0]):
+        path_j(g, SADDLE, 0.1, z)
     sup_x(g, SADDLE, 0.1, 0.0)
     assert calls == []
 

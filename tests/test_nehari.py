@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from lognls.expression import expression_potential
 from lognls.oracles import nehari_scale, sq_log_sq
 from lognls.potential import constant_potential, model_saddle
 
-from conftest import count_grid_calls, node_table, smooth_field
+from conftest import count_grid_calls, gausson_from_coordinates, node_table, smooth_field
 
 PARAMS = SplitParams()
 
@@ -143,20 +144,6 @@ def test_gausson_radial_symmetry():
     assert np.array_equal(u, u.T)
 
 
-def test_gausson_rejects_center_near_boundary():
-    g = Grid(1, 10.0, 257)
-    with pytest.raises(ValueError):
-        gausson(g, 0.0, center=[7.0])
-    gausson(g, 0.0, center=[5.5])  # 4 sigma still inside
-
-
-def gausson_from_coordinates(grid, A, center=None):
-    """The Gausson from the (nodes x N) coordinate table, as the oracle."""
-    c = np.zeros(grid.dim) if center is None else np.asarray(center, dtype=float)
-    r2 = np.sum((node_table(grid) - c) ** 2, axis=1)
-    return math.exp(0.5 * (grid.dim + A)) * np.exp(-r2 / 2.0)
-
-
 # the centered grids of both dimensions at a coarse and the finest
 # benchmark size, and a grid on a moved frame
 GAUSSON_GRIDS = [Grid(dim, 10.0, n) for dim in (1, 2) for n in (51, 269)] + [Grid(2, 10.0, 51, center=(3.0, -1.0))]
@@ -165,8 +152,11 @@ GAUSSON_GRIDS = [Grid(dim, 10.0, n) for dim in (1, 2) for n in (51, 269)] + [Gri
 @pytest.mark.parametrize("grid", GAUSSON_GRIDS, ids=lambda g: f"{g.dim}d-n{g.points_per_axis}" + ("-moved" * any(g.center)))
 @pytest.mark.parametrize("off_center", (False, True))
 def test_gausson_matches_coordinate_table_bit_for_bit(grid, off_center):
-    c = np.add(grid.center, (1.5, -2.25)[: grid.dim]) if off_center else None
-    assert np.array_equal(gausson(grid, 0.3, c).values, gausson_from_coordinates(grid, 0.3, c))
+    # the Gausson sits at the frame center; off the origin of a grid means
+    # on that grid's frame moved by the offset
+    if off_center:
+        grid = replace(grid, center=np.add(grid.center, (1.5, -2.25)[: grid.dim]))
+    assert np.array_equal(gausson(grid, 0.3).values, gausson_from_coordinates(grid, 0.3, grid.center))
 
 
 def test_gausson_peak_memory_is_at_most_two_fields():
@@ -305,8 +295,8 @@ def test_ground_state_matches_gausson_after_alignment():
     pts = node_table(g)[:, 0]
     mass = integrate_array(g, u.values**2)
     center = integrate_array(g, pts * u.values**2) / mass
-    aligned = gausson(g, A, center=[center])
-    dist = math.sqrt(integrate_array(g, (u.values - aligned.values) ** 2))
+    aligned = gausson_from_coordinates(g, A, [center])
+    dist = math.sqrt(integrate_array(g, (u.values - aligned) ** 2))
     assert dist <= 1e-2
 
 
