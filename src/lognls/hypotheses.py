@@ -130,14 +130,13 @@ def check_V2(spec: PotentialSpec) -> dict:
 
 
 def check_V4(spec: PotentialSpec) -> dict:
-    """Evaluate the two level inequalities tying V(0) and c1 to the ground level.
-
-    Inequality 1 asks m(V(0)) >= 2 m(c0); with the closed-form level this is
-    equivalent to V(0) >= c0 + log 2, and both routes are evaluated and
-    reported.  Inequality 2 is c1 <= c0 + (3/10) c2.  Under the closed-form
-    level and V(0) <= c1 the two are mutually exclusive (0.3 c2 < log 2);
-    that structural conflict is surfaced instead of being resolved silently.
-    """
+    """The two level inequalities tying V(0) and c1 to the ground level.
+    Inequality 1 is m(V(0)) >= 2 m(c0), V(0) >= c0 + log 2 under the closed
+    form (both routes reported); inequality 2 is c1 <= c0 + (3/10) c2.  Every
+    potential the CLI accepts has c1 >= V(0) (c1 is a max over X, whose
+    samples hold the origin) and c2 = min(1, c0) <= 1, so 0.3 c2 < log 2 and
+    the two exclude each other: ``conflict_under_gausson_level`` is always
+    true and ``joint_feasible`` always false, a reading no potential meets."""
     v0 = float(spec.evaluate([0.0] * spec.dim))
     m_v0 = m_closed_form(v0, spec.dim) if v0 > -1.0 else float("nan")
     m_c0 = m_closed_form(spec.c0, spec.dim)
@@ -171,18 +170,23 @@ def v3_diagnostic(spec: PotentialSpec) -> dict:
     Walks rays to the sampling boundary and lists directions where the
     gradient stays small while V stays nearly constant along the tail.  The
     condition concerns sequences at infinity, so no pass/fail verdict is
-    possible from finite samples; the heat-list is all this returns.
+    possible from finite samples; the heat-list is all this returns.  Rays
+    with a non-finite value or difference are listed as ``non_finite_rays``.
     """
     n_tail = len(_V3_RADII) // 2  # the tail: the outer half of the rays
     dirs = _subspace_sphere(spec.dim, tuple(range(spec.dim)), 1.0, _V3_DIRECTIONS)
-    suspects = []
+    suspects, non_finite = [], []
     for d in dirs:
         z = [_V3_RADII * c for c in d]  # the ray's coordinate arrays
-        vals = spec.evaluate(z)
-        grad_sq = np.zeros(len(_V3_RADII))
-        for i in range(spec.dim):
-            vp, vm = (spec.evaluate(z[:i] + [z[i] + s * _FD_STEP] + z[i + 1 :]) for s in (1, -1))
-            grad_sq += ((vp - vm) / (2 * _FD_STEP)) ** 2
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vals = spec.evaluate(z)
+            grad_sq = np.zeros(len(_V3_RADII))
+            for i in range(spec.dim):
+                vp, vm = (spec.evaluate(z[:i] + [z[i] + s * _FD_STEP] + z[i + 1 :]) for s in (1, -1))
+                grad_sq += ((vp - vm) / (2 * _FD_STEP)) ** 2
+        if not (np.isfinite(vals).all() and np.isfinite(grad_sq).all()):
+            non_finite.append([float(c) for c in d])
+            continue
         tail_grad = float(np.max(np.sqrt(grad_sq[-n_tail:])))
         tail_var = float(np.max(vals[-n_tail:]) - np.min(vals[-n_tail:]))
         if tail_grad < _V3_GRAD_TOL and tail_var < _V3_FLAT_TOL:
@@ -193,4 +197,4 @@ def v3_diagnostic(spec: PotentialSpec) -> dict:
                     "tail_variation": tail_var,
                 }
             )
-    return {"suspects": suspects}
+    return {"suspects": suspects, "non_finite_rays": non_finite}

@@ -111,14 +111,12 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 
 def gausson(grid: Grid, A: float) -> GridField:
-    """Exact constant-potential solution with amplitude level A > -1 at the
-    grid's frame center c (the origin unless the frame was moved).
-
-    In rescaled coordinates the profile is exp((N+A)/2) exp(-|x-c|^2/2); the
-    box rule of ``Grid`` keeps its 4-sigma ball inside the box.
-    """
-    if A <= -1.0:
-        raise ValueError(f"amplitude level must exceed -1, got {A}")
+    """Exact constant-potential solution of level A at the grid's frame
+    center c (the origin unless the frame was moved): exp((N+A)/2)
+    exp(-|x-c|^2/2) in rescaled coordinates.  ``m_closed_form`` refuses an A
+    it cannot price (A <= -1, or m(A) past the float range) before any
+    arithmetic; the box rule of ``Grid`` keeps the 4-sigma ball inside the box."""
+    m_closed_form(A, grid.dim)
     # |x - c|^2 as the broadcast sum of the per-axis squared offsets, then
     # exp(-r2/2) and the scale in place on that one n^N buffer
     u = sum((x - ck) ** 2 for x, ck in zip(node_axes(grid), grid.center))
@@ -210,15 +208,16 @@ def minimize_on_nehari(
     Tested peaks at 269^2, in n^N fields: 5 for a V = 1 ``ground_state``, 15
     for a saddle one, 17.5 for ``level_d`` (16.0 measured, tilted or not).
 
-    Returns (values, info dict); ``info["trials"]`` counts the backtracking
-    trials of all iterations.
+    A start with no mass, that the constraint cannot retract, or whose J or
+    ||u||_eps^2 is not finite raises ValueError.  Returns (values, info
+    dict); ``info["trials"]`` counts the backtracking trials of all iterations.
     """
     h_n = grid.cell_volume
     sigma = 1.0 + float(np.mean(vsamp))
 
     def projected(cand: NDArray):
         """(sine coefficients of c, t, J(t c), ||c||_eps^2) of c retracted
-        in place, or None for a c the constraint cannot retract and for 0."""
+        in place, or None for a c the constraint cannot retract or with no mass."""
         if constraint is not None and not constraint.retract(cand):
             return None
         coeffs, _, kin, pot, mass, ent = energy_terms(grid, cand, vsamp)
@@ -226,29 +225,26 @@ def minimize_on_nehari(
 
     u = np.clip(start, 0.0, None, out=start)
     del start
-    point = projected(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        point = projected(u)
     if point is None:
-        # the zero field: its gradient vanishes, so the loop stops at once
-        lap, eps_norm_sq, j_cur = np.zeros_like(u), 0.0, 0.0
-    else:
-        coeffs, t, j_cur, norm_c = point
-        u *= t
-        eps_norm_sq = t * t * norm_c
+        raise ValueError("the solver refuses its start: it has no mass, or the constraint cannot carry it")
+    coeffs, t, j_cur, norm_c = point
+    eps_norm_sq = t * t * norm_c
+    if not (math.isfinite(j_cur) and math.isfinite(eps_norm_sq)):
+        raise ValueError(f"the solver refuses its start: J = {j_cur} and ||u||_eps^2 = {eps_norm_sq} must be finite")
+    u *= t
     j_history = [j_cur]
     alpha = _ARMIJO_INIT
-    converged = False
-    stall = False
-    rel_grad = math.inf
-    iterations = 0
+    converged = stall = False
     trials = 0
     pairs = []
     step = g_prev = None
 
     for iterations in range(1, config.max_iters + 1):
-        if point is not None:
-            lap = laplacian_from_sine(grid, coeffs)
-            lap *= t
-            point = coeffs = None
+        lap = laplacian_from_sine(grid, coeffs)
+        lap *= t
+        point = coeffs = None
         # u >= 0, and log(1) = 0 at its zero nodes keeps 0 log 0 = 0
         log_sq = _safe_log_sq(u)
         # Lap u is read here only (an accepted point brings the next one, past

@@ -564,27 +564,86 @@ def test_a_non_finite_node_sample_is_a_runtime_error(tmp_path, capsys, monkeypat
     assert not (tmp_path / "lognls-out").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv, config",
     [
         (["gausson", "--A", "1000"], {}),
         (["ground-state", "--V", "const:800"], {}),
+        (["ground-state", "--V", "const:1500"], {}),
+        (["ground-state", "--V", "saddle:1500,1501"], {}),
         (["saddle-cert", "--eps", "0.4"], {"potential": {"c0": 800, "c1": 801}}),
         (["check-potential"], {"potential": {"c0": 800, "c1": 801}}),
     ],
-    ids=["gausson", "ground-state", "saddle-cert", "check-potential"],
+    ids=["gausson", "ground-state", "ground-state-const-1500", "ground-state-saddle-1500", "saddle-cert", "check-potential"],
 )
 def test_an_overflowing_closed_form_level_is_a_runtime_error(tmp_path, capsys, monkeypatch, argv, config):
     # m(A) = 1/2 e^(N+A) pi^(N/2) exceeds the largest float once N + A is
-    # above about 709.78: a typed runtime error (exit 4), not a traceback
+    # above about 709.78: a typed runtime error (exit 4), not a traceback;
+    # the Gausson seed asks m_closed_form first, so no solve starts and no
+    # NumPy warning is printed, and past A = 1418 - N, where the seed's
+    # amplitude e^((N+A)/2) itself overflows, the refusal is the same
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     code = main(argv + ["--config", str(path)])
-    out = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
     assert code == EXIT_INCONCLUSIVE
     assert out["error"] == "runtime" and "overflows" in out["message"]
+    assert captured.err == ""
     assert not (tmp_path / "lognls-out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("V", ["const:700", "const:705", "saddle:700,701"])
+def test_a_start_the_solver_cannot_price_is_a_runtime_error(tmp_path, capsys, monkeypatch, V):
+    # m(A) is a float here, but the seed's u^2 log u^2 summed over the nodes
+    # is not: the solver refuses its start by name (exit 4), with no NumPy
+    # overflow warning and nothing written
+    monkeypatch.chdir(tmp_path)
+    code = main(["ground-state", "--V", V])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert code == EXIT_INCONCLUSIVE
+    assert out["error"] == "runtime" and out["message"].startswith("the solver refuses its start: J = nan")
+    assert captured.err == ""
+    assert not (tmp_path / "lognls-out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_start_whose_sums_stay_floats_still_solves(tmp_path, capsys, monkeypatch):
+    # the refusal above is not eager: at V = 650 every sum is a float
+    monkeypatch.chdir(tmp_path)
+    assert main(["ground-state", "--V", "const:650"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["converged"] is True and captured.err == ""
+
+
+def test_an_unknown_potential_kind_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"potential": {"kind": "quadratic"}}))
+    code = main(["check-potential", "--config", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CONFIG
+    assert out == {
+        "error": "config",
+        "violations": ["potential.kind must be model_saddle, constant or expression, got quadratic"],
+    }
+    assert not (tmp_path / "lognls-out").exists()
+
+
+def test_check_potential_with_no_x_axis_reports_v1_inconclusive(tmp_path, capsys, monkeypatch):
+    # V1 samples spheres in X: with no X axis there is no sphere, so the
+    # check is inconclusive, not passed, and names no cone infimum
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"potential": {"x_axes": []}}))
+    assert main(["check-potential", "--config", str(path)]) == EXIT_OK
+    v1 = json.loads(capsys.readouterr().out)["V1"]
+    assert v1["inconclusive"] is True and v1["passed"] is False
+    assert v1["cone_inf"] is None and v1["sup_on_x_spheres"] == []
 
 
 def test_a_potential_below_its_sampled_c0_is_a_runtime_error(tmp_path, capsys, monkeypatch):

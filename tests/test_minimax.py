@@ -474,6 +474,17 @@ def test_tilt_cannot_carry_a_one_sided_field():
     assert np.array_equal(c, before)
 
 
+def test_a_start_the_tilt_cannot_carry_is_refused_unpriced(monkeypatch):
+    # the one-sided field above as the solver's start: the tilt cannot carry
+    # it, so it is refused before any energy kernel call
+    monkeypatch.setattr(nehari_mod, "energy_terms", lambda *args: pytest.fail("priced a start"))
+    g = Grid(2, 7.0, 65)
+    c = np.where(node_table(g)[:, 0] > 0, gausson(g, 0.5).values, 0.0)
+    vsamp = potential_samples(SADDLE, g, 0.4)
+    with pytest.raises(ValueError, match="the solver refuses its start: .* the constraint cannot carry it"):
+        nehari_mod.minimize_on_nehari(g, vsamp, c, SolverConfig(), _BarycenterTilt(g, (0,)))
+
+
 @pytest.mark.parametrize("x_axes", [(0,), (0, 1)], ids=["one-x-axis", "two-x-axes"])
 def test_tilt_reduce_is_the_gradient_of_j_after_the_tilt(rng, x_axes):
     g = Grid(2, 7.0, 65)

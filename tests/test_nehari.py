@@ -269,6 +269,36 @@ def test_m_closed_form_matches_gausson_quadrature():
         assert 0.5 * mass == pytest.approx(m_closed_form(A, dim), rel=1e-6)
 
 
+def test_gausson_refuses_a_level_m_closed_form_refuses_before_any_arithmetic(monkeypatch):
+    # m_closed_form owns both rules: A > -1 and a level that is a finite float
+    monkeypatch.setattr(nehari_mod, "node_axes", lambda *args: pytest.fail("built the Gausson"))
+    g = Grid(2, 7.0, 33)
+    with pytest.raises(ValueError, match="A must exceed -1"):
+        gausson(g, -1.0)
+    with pytest.raises(ValueError, match="overflows a float at N = 2, A = 1500"):
+        gausson(g, 1500.0)
+
+
+def test_a_zero_start_is_refused():
+    # the Nehari set excludes 0: a start with no mass has no Nehari scale
+    g = Grid(1, 10.0, 129)
+    with pytest.raises(ValueError, match="the solver refuses its start: it has no mass"):
+        minimize_on_nehari(g, np.zeros(g.num_nodes), np.zeros(g.num_nodes), SolverConfig())
+    # a start clipped to 0 everywhere is the zero start
+    with pytest.raises(ValueError, match="it has no mass"):
+        minimize_on_nehari(g, np.zeros(g.num_nodes), -gausson(g, 0.0).values, SolverConfig())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_start_whose_price_overflows_is_refused():
+    # e^(N+A) is a float at A = 700, but u^2 log u^2 summed over the nodes is
+    # not: the start is refused by name, with no NumPy overflow warning
+    g = Grid(2, 7.0, 33)
+    start = gausson(g, 700.0).values
+    with pytest.raises(ValueError, match=r"the solver refuses its start: J = nan and \|\|u\|\|_eps\^2 = nan"):
+        minimize_on_nehari(g, np.full(g.num_nodes, 700.0), start, SolverConfig())
+
+
 def test_m_monotone_in_A():
     levels = [m_closed_form(a, 1) for a in (-0.5, 0.0, 0.5, 1.0)]
     assert all(l1 < l2 for l1, l2 in zip(levels, levels[1:]))

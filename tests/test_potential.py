@@ -216,6 +216,22 @@ def test_v3_diagnostic_constant_flags_everything():
     assert len(report["suspects"]) == 16
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_v3_diagnostic_lists_the_rays_it_cannot_judge():
+    # the log is NaN beyond |z0| = 30, which the rays out to radius 64 reach
+    # within 62 degrees of +-z0 (|cos| > 30/64): those 10 of the 16 rays are
+    # listed as non-finite, not judged flat or dropped, with no NumPy
+    # warning; the rays along +-z1 stay suspects
+    expr = "1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0*np.log(30 - abs(z0))"
+    report = v3_diagnostic(expression_potential(expr, 2, (0,), 0.5))
+    rays = np.array(report["non_finite_rays"])
+    assert len(rays) == 10
+    assert np.all(np.abs(rays[:, 0]) > 30 / 64)
+    suspects = np.array([s["direction"] for s in report["suspects"]])
+    assert np.allclose(np.abs(suspects), [[0.0, 1.0], [0.0, 1.0]])
+    assert v3_diagnostic(SADDLE)["non_finite_rays"] == []
+
+
 def test_expression_potential_estimates_constants():
     spec = expression_potential("2 + 1/(1+z0*z0+z1*z1)", 2, (0,), 0.5)
     assert spec.c0 == pytest.approx(2.0, abs=1e-2)
