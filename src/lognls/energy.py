@@ -8,14 +8,14 @@ is not smooth on the whole space; the integrand -1/2 s^2 log s^2 is split as
 F1(s) - F2(s) with F1 convex, even and nonnegative (for delta small enough)
 and F2 of power growth.  J then decomposes into a C^1 part Phi and a convex
 lower-semicontinuous part Psi = integral(F1(u)).  This module evaluates the
-pieces and the pointwise proximal map of F1; s^2 log s^2, the L2-metric
-gradient and the logarithmic Sobolev slack, which only check these, live in
-``oracles``.
+pieces and the pointwise proximal map of F1: F1 and F2 for the breakdown
+of ``energy``, F1' for ``prox_f1``; their checks (s^2 log s^2, F2', the L2
+gradient, the log-Sobolev slack) are test oracles in ``tests/conftest.py``.
 
 Every energy number is read off the four reductions of the one kernel
 ``energy_terms``: ||u||_eps^2, J and J'(u)u in ``_assemble``, and the
 Nehari-projected level (t, J(t u)) in ``_projected_level`` (the solver's
-trials, the path rows of ``minimax`` and the Nehari scale of ``oracles``).
+trials and the path rows of ``minimax``).
 
 The nodewise convention s^2 log s^2 := 0 at s = 0 is applied throughout;
 grids do hit exact zeros.
@@ -115,17 +115,6 @@ def f1_prime(s, params: SplitParams):
     inner = np.where(a > 0, -arr * (_safe_log_sq(a) + 1.0), 0.0)
     outer = -arr * (math.log(d * d) + 3.0) + 2.0 * d * np.sign(arr)
     out = np.where(a < d, inner, outer)
-    return float(out) if scalar else out
-
-
-def f2_prime(s, params: SplitParams):
-    """Derivative of f2; vanishes inside |s| < delta and at the splice."""
-    arr, scalar = _as_array(s)
-    d = params.delta
-    a = np.abs(arr)
-    a_safe = np.where(a > 0, a, 1.0)
-    outer = arr * (2.0 * np.log(a_safe / d)) + 2.0 * d * np.sign(arr) - 2.0 * arr
-    out = np.where(a < d, 0.0, outer)
     return float(out) if scalar else out
 
 

@@ -89,7 +89,9 @@ class Grid:
 
     ``center`` defaults to the origin and is stored as a tuple of floats.
     The constructor owns the grid block's rules and raises one ValueError
-    whose args are every violation; a bad center is refused after them.
+    whose args are every violation; a bad center is refused after them: it
+    must have ``dim`` finite components, and every node's squared distance
+    from the origin (as ``minimax``'s direction weights sum it) must be finite.
     """
 
     dim: int
@@ -105,6 +107,10 @@ class Grid:
         center = tuple(float(c) for c in np.ravel(self.center)) or (0.0,) * self.dim
         if len(center) != self.dim or not all(math.isfinite(c) for c in center):
             raise ValueError(f"center must have {self.dim} finite components, got {self.center}")
+        # the farthest node of each axis sits at c - L or c + L
+        far = [max(abs(c - self.half_extent), abs(c + self.half_extent)) for c in center]
+        if not math.isfinite(sum(x * x for x in far)):
+            raise ValueError(f"half_extent {self.half_extent} about center {center} has nodes too far out to square")
         object.__setattr__(self, "center", center)
 
     @property

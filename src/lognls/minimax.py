@@ -25,9 +25,8 @@ node nearest y*/eps, where V on Y is least, see ``certificate``):
 The minimax value over continuous fillings of Q is never computed; the
 certificate brackets it between Theta_r and sup_Q J(Phi_eps) and records
 pass/fail for each separation inequality.  sigma is defined operationally
-as max(0, D_eps - m(c0)).  The barycenter of a field, the path row as a
-field and the barycenter-zero evidence read the kernels here from
-``oracles``, which no certificate loads.
+as max(0, D_eps - m(c0)).  The barycenter-zero evidence reads the kernels
+here from ``oracles``, which no certificate loads.
 """
 
 from __future__ import annotations
@@ -134,7 +133,8 @@ def _path_row(grid: Grid, potential: PotentialSpec, eps: float, z: NDArray) -> t
 
 
 def _path_frame(grid: Grid, z: NDArray, eps: float) -> Grid:
-    return replace(grid, center=np.add(grid.center, z / eps))
+    with np.errstate(over="ignore"):  # an infinite center is refused by Grid
+        return replace(grid, center=np.add(grid.center, z / eps))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +493,9 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
     # inconclusive, so a truncated D_eps is never written unflagged
     grid = cfg.grid()
     h = grid.spacing
-    d_res = level_d(replace(grid, center=[round(y / (eps * h)) * h for y in pot.y_star]), pot, eps, solver=cfg.solver)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a center past the floats is refused by Grid
+        center = np.round(np.divide(pot.y_star, eps * h)) * h
+    d_res = level_d(replace(grid, center=center), pot, eps, solver=cfg.solver)
     ratio = _boundary_ratio(d_res.field)
     if ratio > _BOX_TAIL_RATIO:
         inconclusive["box"] = True

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lognls.grid import Grid, GridField, node_axes
+from lognls import energy, minimax
+from lognls.grid import Grid, GridField, laplacian_array, node_axes
 from lognls.minimax import _path_row
 
 
@@ -41,6 +42,107 @@ def path_j(grid: Grid, potential, eps: float, z=None) -> float:
     default), as ``level_sup_x`` reads each row."""
     z = np.zeros(grid.dim) if z is None else np.asarray(z, dtype=float)
     return _path_row(grid, potential, eps, z)[3]
+
+
+# ---------------------------------------------------------------------------
+# oracles of the splitting, the gradient, the logarithmic Sobolev
+# inequality, the Nehari scale, the barycenter and the path.  No command
+# runs them; they read the package's kernels through their module objects
+# (``energy._projected_level``, ``minimax._path_row``, ...), so a test that
+# replaces a kernel in its module reaches them too.
+# ---------------------------------------------------------------------------
+
+def f2_prime(s, params: energy.SplitParams):
+    """Derivative of f2; vanishes inside |s| < delta and at the splice."""
+    arr, scalar = energy._as_array(s)
+    d = params.delta
+    a = np.abs(arr)
+    a_safe = np.where(a > 0, a, 1.0)
+    outer = arr * (2.0 * np.log(a_safe / d)) + 2.0 * d * np.sign(arr) - 2.0 * arr
+    out = np.where(a < d, 0.0, outer)
+    return float(out) if scalar else out
+
+
+def sq_log_sq(s):
+    """s^2 log s^2 with the continuous extension 0 at s = 0."""
+    arr = np.asarray(s, dtype=float)
+    a = np.abs(arr)
+    out = np.where(a > 0, arr * arr * energy._safe_log_sq(a), 0.0)
+    return float(out) if np.isscalar(s) or arr.ndim == 0 else out
+
+
+def grad_array(grid: Grid, values: np.ndarray, vsamp: np.ndarray) -> np.ndarray:
+    """L2-metric gradient -Lap u + V u - u log u^2 as a raw array."""
+    a = np.abs(values)
+    nl = np.where(a > 0, values * energy._safe_log_sq(a), 0.0)
+    return -laplacian_array(grid, values) + vsamp * values - nl
+
+
+def grad_L2(u: GridField, potential, eps: float, params: energy.SplitParams) -> GridField:
+    """L2 gradient field of J.
+
+    The gradient is also reassembled from the split
+    (-Lap u + (V+1)u - F2'(u)) + F1'(u), and both routes must agree to 1e-10.
+    """
+    grid = u.grid
+    vsamp = energy.potential_samples(potential, grid, eps)
+    direct = grad_array(grid, u.values, vsamp)
+    split = (
+        -laplacian_array(grid, u.values)
+        + (vsamp + 1.0) * u.values
+        - f2_prime(u.values, params)
+        + energy.f1_prime(u.values, params)
+    )
+    scale = 1.0 + float(np.max(np.abs(direct)))
+    if float(np.max(np.abs(direct - split))) > 1e-10 * scale:
+        raise AssertionError("gradient assemblies (direct vs split) disagree")
+    return GridField(grid, direct)
+
+
+def log_sobolev_slack(u: GridField, a: float) -> float:
+    """Slack of the logarithmic Sobolev inequality at parameter a > 0.
+
+    Returns (a^2/pi) |grad u|_2^2 + (log |u|_2^2 - N (1 + log a)) |u|_2^2
+    - integral(u^2 log u^2), which is nonnegative up to quadrature error.
+    """
+    if a <= 0:
+        raise ValueError(f"a must be positive, got {a}")
+    grid = u.grid
+    _, _, kin, _, mass, ent = energy.energy_terms(grid, u.values, 0.0)
+    if mass <= 0:
+        raise ValueError("log-Sobolev slack is undefined for the zero field")
+    return (a * a / math.pi) * kin + (math.log(mass) - grid.dim * (1.0 + math.log(a))) * mass - ent
+
+
+def nehari_scale(u: GridField, potential, eps: float) -> float:
+    """Unique t > 0 with the fiber derivative of t*u vanishing.
+
+    t = exp(J'(u)u / (2 integral u^2)) (``energy._projected_level``);
+    rescaling u by c > 0 divides t by c.
+    """
+    vsamp = energy.potential_samples(potential, u.grid, eps)
+    _, _, kin, pot, mass, ent = energy.energy_terms(u.grid, u.values, vsamp)
+    if mass <= 0:
+        raise ValueError("Nehari scale is undefined for fields with zero mass")
+    return energy._projected_level(kin, pot, mass, ent)[0]
+
+
+def barycenter(u: GridField) -> np.ndarray:
+    """Mass-direction average  integral((x/|x|) u^2) / integral(u^2)."""
+    beta = minimax._barycenter_values(u.values * u.values, minimax.direction_weights(u.grid))
+    if np.isnan(beta[0]):
+        raise ValueError("barycenter is undefined for the zero field")
+    return beta
+
+
+def phi_path(grid: Grid, potential, eps: float, z) -> GridField:
+    """Path field Phi_eps(z), one ``minimax._path_row`` as a field: t*u0 on
+    ``grid`` with the center shifted by z/eps, so it never leaves the box."""
+    z = np.asarray(z, dtype=float).ravel()
+    if z.size != grid.dim:
+        raise ValueError(f"z must have {grid.dim} components")
+    frame, _, t, _ = minimax._path_row(grid, potential, eps, z)
+    return GridField(frame, t * minimax._path_gausson(grid, potential.c0))
 
 
 def smooth_field(grid: Grid, rng, n_bumps: int = 4, positive: bool = False) -> GridField:

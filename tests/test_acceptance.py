@@ -22,18 +22,19 @@ from lognls.minimax import (
 )
 from lognls.nehari import SolverConfig, gausson, ground_state, m_closed_form
 from lognls.hypotheses import check_V4
-from lognls.oracles import (
+from lognls.oracles import barycenter_zero_finder
+from lognls.potential import constant_potential, model_saddle
+
+from conftest import (
     barycenter,
-    barycenter_zero_finder,
     grad_L2,
     log_sobolev_slack,
     nehari_scale,
+    path_j,
     phi_path,
+    smooth_field,
     sq_log_sq,
 )
-from lognls.potential import constant_potential, model_saddle
-
-from conftest import path_j, smooth_field
 
 PARAMS = SplitParams()
 SADDLE = model_saddle(1.0, 1.25, 2, (0,), 0.5)

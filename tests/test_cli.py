@@ -662,6 +662,53 @@ def test_a_potential_below_its_sampled_c0_is_a_runtime_error(tmp_path, capsys, m
     assert not (tmp_path / "lognls-out").exists()
 
 
+# YA: V on Y is least off the origin, so the D_eps frame moves to y*/eps
+YA = {"kind": "expression", "expr": "1 + 0.25*(1+z1**2)/(1+z0**2+z1**2) + 0.1*z1/(1+z1**2)"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["saddle-cert", "--eps", "1e-310"], {"potential": YA}),
+        (["saddle-cert", "--eps", "1e-160"], {"potential": YA}),
+        (["barycenter-zero", "--eps", "1e-160"], {}),
+        (["barycenter-zero", "--eps", "1e-310"], {}),
+    ],
+    ids=["saddle-cert-1e-310", "saddle-cert-1e-160", "barycenter-zero-1e-160", "barycenter-zero-1e-310"],
+)
+def test_a_frame_too_far_to_square_is_a_runtime_error(tmp_path, capsys, monkeypatch, argv, config):
+    # y*/eps or z/eps past about 1e154 puts nodes whose squared distance from
+    # the origin overflows (past 1e308 the center itself is infinite): the
+    # grid refuses the frame, a runtime error (exit 4) with nothing written
+    # and no NumPy warning, not a traceback, a D_eps off overflowed direction
+    # weights, or degree evidence read off weights that all became 0
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = main(argv + ["--config", str(path)])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert code == EXIT_INCONCLUSIVE
+    assert out["error"] == "runtime" and "center" in out["message"]
+    assert captured.err == ""
+    assert not (tmp_path / "lognls-out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_frame_at_1e150_still_gives_the_small_eps_limit(tmp_path, capsys, monkeypatch):
+    # collapsed nodes are not refused: at eps 1e-150 the D_eps frame sits at
+    # y*/eps, about 1e150, whose nodes still square to finite floats
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"potential": YA, "certificate": {"compute_numerical_m": False}}))
+    code = main(["saddle-cert", "--eps", "1e-150", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert json.loads(captured.out)["D_eps_estimate"] == 38.535608320605533
+    assert captured.err == ""
+
+
 def test_readme_config_block_matches_defaults():
     # docs that name a removed or renamed setting, or miss a setting, fail here
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -835,6 +882,8 @@ def test_box_too_small_for_the_gausson_is_config_error(tmp_path, capsys, monkeyp
         (["sweep-eps", "--eps", "inf"], "--eps must be a list of finite positive numbers, got [inf]"),
         # a bare --eps is an empty list, not a fallback to the config's eps
         (["sweep-eps", "--eps"], "--eps must name at least one eps, got []"),
+        # a box whose corner nodes square past the floats
+        (["gausson", "--L", "1e200"], "--L 1e+200 about center (0.0, 0.0) has nodes too far out to square"),
     ],
 )
 def test_config_error_from_a_flag_names_the_flag(tmp_path, capsys, monkeypatch, argv, start):

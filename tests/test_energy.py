@@ -12,7 +12,6 @@ from lognls.energy import (
     f1,
     f1_prime,
     f2,
-    f2_prime,
     energy_terms,
     potential_samples,
     prox_f1,
@@ -22,10 +21,9 @@ import lognls.nehari as nehari_mod
 from lognls.minimax import _path_frame
 from lognls.nehari import SolverConfig, gausson, m_closed_form, minimize_on_nehari
 from lognls.expression import expression_potential
-from lognls.oracles import grad_L2, log_sobolev_slack, nehari_scale, sq_log_sq
 from lognls.potential import PotentialSpec, constant_potential, model_saddle
 
-from conftest import path_j, smooth_field
+from conftest import f2_prime, grad_L2, log_sobolev_slack, nehari_scale, path_j, smooth_field, sq_log_sq
 
 PARAMS = SplitParams()
 

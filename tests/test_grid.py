@@ -277,6 +277,15 @@ def test_frame_center_moves_coordinates_only(rng, grid_2d):
         replace(grid_2d, center=(1.0,))
 
 
+def test_a_center_too_far_to_square_is_refused(grid_2d):
+    # every node's squared distance from the origin must be a finite float
+    for center in ((1e160, 0.0), (0.0, -1e155), (1e154, 1e154)):
+        with pytest.raises(ValueError, match="too far out to square"):
+            replace(grid_2d, center=center)
+    far = replace(grid_2d, center=(1e150, -1e150))
+    assert np.all(np.isfinite(sum(x * x for x in node_axes(far))))
+
+
 def test_dump_field_refuses_moved_frame(grid_2d):
     moved = replace(grid_2d, center=(0.5, 0.0))
     with pytest.raises(ValueError):

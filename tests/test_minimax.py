@@ -34,10 +34,20 @@ from lognls.nehari import (
     m_closed_form,
 )
 from lognls.expression import expression_potential
-from lognls.oracles import barycenter, barycenter_zero_finder, grad_array, nehari_scale, phi_path
+from lognls.oracles import barycenter_zero_finder
 from lognls.potential import constant_potential, model_saddle
 
-from conftest import count_grid_calls, gausson_from_coordinates, node_table, path_j, smooth_field
+from conftest import (
+    barycenter,
+    count_grid_calls,
+    gausson_from_coordinates,
+    grad_array,
+    nehari_scale,
+    node_table,
+    path_j,
+    phi_path,
+    smooth_field,
+)
 
 PARAMS = SplitParams()
 SADDLE = model_saddle(1.0, 1.25, 2, (0,), 0.5)

@@ -25,10 +25,9 @@ from lognls.nehari import (
     minimize_on_nehari,
 )
 from lognls.expression import expression_potential
-from lognls.oracles import nehari_scale, sq_log_sq
 from lognls.potential import constant_potential, model_saddle
 
-from conftest import count_grid_calls, gausson_from_coordinates, node_table, smooth_field
+from conftest import count_grid_calls, gausson_from_coordinates, grad_L2, nehari_scale, node_table, smooth_field, sq_log_sq
 
 PARAMS = SplitParams()
 
@@ -119,8 +118,6 @@ def test_fiber_identity(rng, grid_1d):
 
 
 def test_gausson_solves_constant_problem():
-    from lognls.oracles import grad_L2
-
     # exactly, on the grid: the residual is rounding at every n
     for n in (129, 257, 513):
         g = Grid(1, 10.0, n)
