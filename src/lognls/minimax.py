@@ -56,24 +56,15 @@ if TYPE_CHECKING:
 
 def direction_weights(grid: Grid) -> NDArray:
     """x/|x| at every node, frame center included, with 0 at the origin node
-    (measure-zero point); read-only.  Only a grid centered at the origin is
-    cached: a moved frame, one per zero-finder sample, is built per call."""
-    return (_direction_table.__wrapped__ if any(grid.center) else _direction_table)(grid)
-
-
-@lru_cache(maxsize=8)
-def _direction_table(grid: Grid) -> NDArray:
-    """The origin is detected with a spacing-relative tolerance: linspace
-    rounding can leave the center node at ~1e-15 rather than exactly 0, and
-    x/|x| there would be a full-size junk direction.  The table is data,
-    computed from the open mesh."""
+    (measure-zero point), built per call.  The origin is detected with a
+    spacing-relative tolerance: linspace rounding can leave the center node
+    at ~1e-15 rather than exactly 0, and x/|x| there would be a full-size
+    junk direction.  The table is data, computed from the open mesh."""
     z = node_axes(grid)
     norm = np.sqrt(sum(x * x for x in z))
     off_origin = norm > 1e-9 * grid.spacing
     safe = np.where(off_origin, norm, 1.0)
-    w = np.stack([np.where(off_origin, x / safe, 0.0) for x in z], axis=-1).reshape(-1, grid.dim)
-    w.flags.writeable = False
-    return w
+    return np.stack([np.where(off_origin, x / safe, 0.0) for x in z], axis=-1).reshape(-1, grid.dim)
 
 
 def _barycenter_values(sq: NDArray, w: NDArray) -> NDArray:
@@ -158,23 +149,24 @@ def _solve_small(a: NDArray, b: NDArray) -> NDArray:
 
 
 class _BarycenterTilt:
-    """The constraint of D_eps, sum w_X c^2 = 0 (P_X beta(c) = 0), held by
-    the tilt c -> c e^{lam.x_X}, which commutes with the Nehari rescale.
+    """The constraint sum w c^2 = 0 for the table w it is given, one column
+    per X axis (D_eps's: the X columns of the direction weights, P_X beta =
+    0), held by the tilt c -> c e^{lam.x_X}, which commutes with the Nehari
+    rescale.
 
-    lam is the root of F(lam) = sum w_X c^2 e^{2 lam.x_X}, the gradient of
-    the convex Psi(lam) = 1/2 sum c^2 |x|^-1 e^{2 lam.x_X}: its Jacobian is
-    symmetric positive semidefinite, and damped Newton from lam = 0 finds
-    the root when there is one.  Each x_a is an X axis's array of the open
-    mesh ``node_axes``, broadcast over a field; ``wx`` holds the X columns
-    of the direction weights.
+    lam is the root of F(lam) = sum w c^2 e^{2 lam.x_X}.  For D_eps's table
+    F is the gradient of the convex Psi(lam) = 1/2 sum c^2 |x|^-1 e^{2
+    lam.x_X}: its Jacobian is symmetric positive semidefinite, and damped
+    Newton from lam = 0 finds the root when there is one.  Each x_a is an X
+    axis's array of the open mesh ``node_axes``, broadcast over a field.
     """
 
-    def __init__(self, grid: Grid, axes):
+    def __init__(self, grid: Grid, axes, wx: NDArray):
         self.shape = grid.shape
         z = node_axes(grid)
         self.coords = [z[a] for a in axes]
         self.others = [tuple(b for b in range(grid.dim) if b != a) for a in axes]
-        self.wx = direction_weights(grid)[:, list(axes)]
+        self.wx = wx
 
     def _moments(self, f: NDArray) -> NDArray:
         """sum x_X f, from the marginal of f on each X axis."""
@@ -182,7 +174,7 @@ class _BarycenterTilt:
         return np.array([f.sum(axis=o) @ x.ravel() for o, x in zip(self.others, self.coords)])
 
     def _half_jacobian(self, q: NDArray) -> NDArray:
-        """sum w_X x_X^T q, symmetric: M of ``reduce`` for q = u^2."""
+        """sum w x_X^T q, symmetric: M of ``reduce`` for q = u^2."""
         r = np.empty_like(q)
         return np.array([self._moments(np.multiply(q, w, out=r)) for w in self.wx.T])
 
@@ -220,9 +212,9 @@ class _BarycenterTilt:
 
     def reduce(self, g: NDArray, u: NDArray) -> NDArray:
         """The L2 gradient of c -> J(tilt(c)) at a u on the constraint, from
-        the gradient g of J, in place: g - (w_X u) M^-1 <x_X u, g> with M =
-        sum w_X x_X^T u^2, half the Jacobian at lam = 0.  It vanishes at the
-        constrained minimizer, where g is a combination of the w_X u."""
+        the gradient g of J, in place: g - (w u) M^-1 <x_X u, g> with M =
+        sum w x_X^T u^2, half the Jacobian at lam = 0.  It vanishes at the
+        constrained minimizer, where g is a combination of the w u."""
         b = self._moments(u * g)
         r = self.wx @ _solve_small(self._half_jacobian(u * u), b)
         g -= np.multiply(r, u, out=r)
@@ -270,9 +262,10 @@ def level_d(grid: Grid, potential: PotentialSpec, eps: float, solver: Optional[S
         raise ValueError("level_d needs a nontrivial Y subspace")
     solver = solver or SolverConfig()
     vsamp = potential_samples(potential, grid, eps)
-    tilt = _BarycenterTilt(grid, potential.x_axes)
+    wx = direction_weights(grid)[:, list(potential.x_axes)]
+    tilt = _BarycenterTilt(grid, potential.x_axes, wx)
     u, info = minimize_on_nehari(grid, vsamp, _gausson_seed(grid, potential, eps), solver, constraint=tilt)
-    beta_x = _x_norm(_barycenter_values(u * u, tilt.wx))  # NaN, the zero field's, is infeasible
+    beta_x = _x_norm(_barycenter_values(u * u, wx))  # NaN, the zero field's, is infeasible
     return LevelDResult(field_energy(grid, u, vsamp)[0], GridField(grid, u), beta_x <= BETA_TOL, beta_x, [info])
 
 
@@ -328,12 +321,12 @@ def level_theta(
     one D_eps minimizes over, so D_eps <= Theta_r, and J of any of its
     members bounds Theta_r from above.  Two members are at hand:
 
-    * Phi_eps(0) = t*u0 itself, at distance 0 from the ball's center, when
-      |P_X beta| <= ``BETA_TOL`` (the Gausson sits on the origin node, so
-      beta_X is rounding): its field, its J and the V samples of the
-      distance below all come from one ``_path_row`` at z = 0, whose J
-      (``origin_J``) ``level_sup_x`` takes at the center of Q, so the
-      estimate never exceeds sup_X J;
+    * Phi_eps(0) = t*u0 itself, at distance 0 from the ball's center, with
+      beta_X at rounding for every V (u0 is even and x/|x| odd on the
+      mirrored nodes of the origin-centred grid): its field, its J and the
+      V samples of the distance below come from one ``_path_row`` at z = 0,
+      whose J (``origin_J``) ``level_sup_x`` takes at the center of Q, so
+      the estimate never exceeds sup_X J;
     * the ``level_d`` minimizer, when it is feasible, lies on ``grid`` and
       its eps-norm distance to Phi_eps(0), read off one forward transform,
       is at most r.  One on a moved frame, about |y*|/eps away (20.9 at eps
@@ -352,14 +345,11 @@ def level_theta(
     # Phi_eps(0) is t*u0 in the grid's own frame
     _, vsamp, t, j0 = _path_row(grid, potential, eps, np.zeros(grid.dim))
     base = t * _path_gausson(grid, potential.c0)
-    beta_x = _x_norm(_barycenter_values(base * base, direction_weights(grid))[list(potential.x_axes)])
-    best = j0 if beta_x <= BETA_TOL else math.inf
     on_grid = minimizer.field.grid == grid
     dist = math.sqrt(eps_norm_sq(grid, minimizer.field.values - base, vsamp)) if on_grid else math.nan
-    used = minimizer.feasible and dist <= r and minimizer.value < best
-    if used:
-        best = minimizer.value
-    feasible = math.isfinite(best)
+    used = minimizer.feasible and dist <= r and minimizer.value < j0
+    best = minimizer.value if used else j0
+    feasible = math.isfinite(best)  # J(Phi_eps(0)) overflows past the clip of log t
     return {
         "value": best if feasible else math.nan,
         "r": r,

@@ -171,14 +171,9 @@ def test_gausson_peak_memory_is_at_most_two_fields():
 
 
 def _peak_fields(grid, solve) -> float:
-    """Peak traced memory of ``solve()`` in fields of n^N floats.  The grid's
-    cached direction weights are built first, so the peak is the solve's own
-    working set, whatever ran before it."""
+    """Peak traced memory of ``solve()`` in fields of n^N floats."""
     import tracemalloc
 
-    from lognls.minimax import direction_weights
-
-    direction_weights(grid)
     tracemalloc.start()
     try:
         solve()
