@@ -149,24 +149,23 @@ def _solve_small(a: NDArray, b: NDArray) -> NDArray:
 
 
 class _BarycenterTilt:
-    """The constraint sum w c^2 = 0 for the table w it is given, one column
-    per X axis (D_eps's: the X columns of the direction weights, P_X beta =
-    0), held by the tilt c -> c e^{lam.x_X}, which commutes with the Nehari
-    rescale.
+    """The constraint of D_eps, sum w_X c^2 = 0 (P_X beta(c) = 0), held by
+    the tilt c -> c e^{lam.x_X}, which commutes with the Nehari rescale.
 
-    lam is the root of F(lam) = sum w c^2 e^{2 lam.x_X}.  For D_eps's table
-    F is the gradient of the convex Psi(lam) = 1/2 sum c^2 |x|^-1 e^{2
-    lam.x_X}: its Jacobian is symmetric positive semidefinite, and damped
-    Newton from lam = 0 finds the root when there is one.  Each x_a is an X
-    axis's array of the open mesh ``node_axes``, broadcast over a field.
+    lam is the root of F(lam) = sum w_X c^2 e^{2 lam.x_X}, the gradient of
+    the convex Psi(lam) = 1/2 sum c^2 |x|^-1 e^{2 lam.x_X}: its Jacobian is
+    symmetric positive semidefinite, and damped Newton from lam = 0 finds
+    the root when there is one.  Each x_a is an X axis's array of the open
+    mesh ``node_axes``, broadcast over a field; ``wx`` holds the X columns
+    of the direction weights, built once per tilt.
     """
 
-    def __init__(self, grid: Grid, axes, wx: NDArray):
+    def __init__(self, grid: Grid, axes):
         self.shape = grid.shape
         z = node_axes(grid)
         self.coords = [z[a] for a in axes]
         self.others = [tuple(b for b in range(grid.dim) if b != a) for a in axes]
-        self.wx = wx
+        self.wx = direction_weights(grid)[:, list(axes)]
 
     def _moments(self, f: NDArray) -> NDArray:
         """sum x_X f, from the marginal of f on each X axis."""
@@ -174,7 +173,7 @@ class _BarycenterTilt:
         return np.array([f.sum(axis=o) @ x.ravel() for o, x in zip(self.others, self.coords)])
 
     def _half_jacobian(self, q: NDArray) -> NDArray:
-        """sum w x_X^T q, symmetric: M of ``reduce`` for q = u^2."""
+        """sum w_X x_X^T q, symmetric: M of ``reduce`` for q = u^2."""
         r = np.empty_like(q)
         return np.array([self._moments(np.multiply(q, w, out=r)) for w in self.wx.T])
 
@@ -212,9 +211,9 @@ class _BarycenterTilt:
 
     def reduce(self, g: NDArray, u: NDArray) -> NDArray:
         """The L2 gradient of c -> J(tilt(c)) at a u on the constraint, from
-        the gradient g of J, in place: g - (w u) M^-1 <x_X u, g> with M =
-        sum w x_X^T u^2, half the Jacobian at lam = 0.  It vanishes at the
-        constrained minimizer, where g is a combination of the w u."""
+        the gradient g of J, in place: g - (w_X u) M^-1 <x_X u, g> with M =
+        sum w_X x_X^T u^2, half the Jacobian at lam = 0.  It vanishes at the
+        constrained minimizer, where g is a combination of the w_X u."""
         b = self._moments(u * g)
         r = self.wx @ _solve_small(self._half_jacobian(u * u), b)
         g -= np.multiply(r, u, out=r)
@@ -262,10 +261,9 @@ def level_d(grid: Grid, potential: PotentialSpec, eps: float, solver: Optional[S
         raise ValueError("level_d needs a nontrivial Y subspace")
     solver = solver or SolverConfig()
     vsamp = potential_samples(potential, grid, eps)
-    wx = direction_weights(grid)[:, list(potential.x_axes)]
-    tilt = _BarycenterTilt(grid, potential.x_axes, wx)
+    tilt = _BarycenterTilt(grid, potential.x_axes)
     u, info = minimize_on_nehari(grid, vsamp, _gausson_seed(grid, potential, eps), solver, constraint=tilt)
-    beta_x = _x_norm(_barycenter_values(u * u, wx))  # NaN, the zero field's, is infeasible
+    beta_x = _x_norm(_barycenter_values(u * u, tilt.wx))  # NaN, the zero field's, is infeasible
     return LevelDResult(field_energy(grid, u, vsamp)[0], GridField(grid, u), beta_x <= BETA_TOL, beta_x, [info])
 
 
