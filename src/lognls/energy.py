@@ -12,10 +12,10 @@ pieces and the pointwise proximal map of F1: F1 and F2 for the breakdown
 of ``energy``, F1' for ``prox_f1``; their checks (s^2 log s^2, F2', the L2
 gradient, the log-Sobolev slack) are test oracles in ``tests/conftest.py``.
 
-Every energy number is read off the four reductions of the one kernel
-``energy_terms``: ||u||_eps^2, J and J'(u)u in ``_assemble``, and the
-Nehari-projected level (t, J(t u)) in ``_projected_level`` (the solver's
-trials and the path rows of ``minimax``).
+Every energy number is read off four reductions (kin, pot, mass, ent), a
+field's from the one kernel ``energy_terms``: ||u||_eps^2, J and J'(u)u in
+``_assemble``, and the Nehari-projected level (t, J(t u)) in
+``_projected_level`` (the solver's trials; a path row passes u0's exact ones).
 
 The nodewise convention s^2 log s^2 := 0 at s = 0 is applied throughout;
 grids do hit exact zeros.
@@ -156,9 +156,9 @@ def potential_samples(potential, grid: Grid, eps: float) -> NDArray:
 # energy
 # ---------------------------------------------------------------------------
 
-def energy_terms(grid: Grid, values: NDArray, vsamp) -> tuple[NDArray, NDArray, float, float, float, float]:
-    """The one energy kernel: (sine coefficients of u, u^2, kin, pot, mass,
-    ent) from one forward sine transform and one log.
+def energy_terms(grid: Grid, values: NDArray, vsamp) -> tuple[NDArray, float, float, float, float]:
+    """The one energy kernel: (sine coefficients of u, kin, pot, mass, ent)
+    from one forward sine transform and one log.
 
     kin = -h^N sum(Lap u * u), the Laplacian's own form (so J has it as exact
     discrete gradient), read off the sine coefficients by Parseval
@@ -168,9 +168,9 @@ def energy_terms(grid: Grid, values: NDArray, vsamp) -> tuple[NDArray, NDArray, 
     ent/2 and J'(u)u = kin + pot - ent (all three in ``_assemble``), and the
     Nehari scale with its projected level (``_projected_level``).  The
     coefficients are returned for a caller that needs Lap u
-    (``laplacian_from_sine``, the inverse half alone), and u^2 for a caller
-    that weights it otherwise (the path terms).  ``vsamp`` may be a scalar (0.0 when no potential term is
-    needed) or a constant's zero-stride view.  pot and ent share one scratch.
+    (``laplacian_from_sine``, the inverse half alone).  ``vsamp`` is the
+    node array of ``potential_samples`` (a constant's is a zero-stride view),
+    never a scalar in the package, though one broadcasts.  pot and ent share one scratch.
     """
     coeffs = sine_coefficients(grid, values)
     sq = values * values
@@ -181,7 +181,7 @@ def energy_terms(grid: Grid, values: NDArray, vsamp) -> tuple[NDArray, NDArray, 
     _safe_log_sq(values, out=buf)
     buf *= sq
     ent = integrate_array(grid, buf)
-    return coeffs, sq, kin, pot, mass, ent
+    return coeffs, kin, pot, mass, ent
 
 
 def _assemble(kin: float, pot: float, mass: float, ent: float) -> tuple[float, float, float]:
@@ -207,14 +207,14 @@ def _projected_level(kin: float, pot: float, mass: float, ent: float) -> tuple[f
 
 def field_energy(grid: Grid, values: NDArray, vsamp) -> tuple[float, float]:
     """(J(u), J'(u)u) of raw node values from one energy kernel call."""
-    return _assemble(*energy_terms(grid, values, vsamp)[2:])[1:]
+    return _assemble(*energy_terms(grid, values, vsamp)[1:])[1:]
 
 
 def eps_norm_sq(grid: Grid, values: NDArray, vsamp) -> float:
     """||u||_eps^2 = integral(|grad u|^2 + (V(eps x)+1) u^2) in the
     Laplacian's form, kin + pot + mass of the energy kernel (one forward
     sine transform)."""
-    return _assemble(*energy_terms(grid, values, vsamp)[2:])[0]
+    return _assemble(*energy_terms(grid, values, vsamp)[1:])[0]
 
 
 def energy(u: GridField, potential, eps: float, params: SplitParams) -> dict:
@@ -227,7 +227,7 @@ def energy(u: GridField, potential, eps: float, params: SplitParams) -> dict:
     grid = u.grid
     vsamp = potential_samples(potential, grid, eps)
     vals = u.values
-    _, _, kin, pot, mass, ent = energy_terms(grid, vals, vsamp)
+    _, kin, pot, mass, ent = energy_terms(grid, vals, vsamp)
 
     norm_sq, j_direct, pairing = _assemble(kin, pot, mass, ent)
     phi = 0.5 * norm_sq - integrate_array(grid, f2(vals, params))

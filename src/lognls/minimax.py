@@ -5,10 +5,10 @@ u0, the Gausson of the constant potential c0 on the origin node, to z/eps
 and rescaling onto the Nehari set gives the path field Phi_eps(z); its
 barycenter approaches z/|z| as eps -> 0.  The translation is carried out by
 moving the grid's frame center to z/eps, not by moving node values, so the
-path is a property of (grid, potential): u0 and its frame-independent terms
-are built once per grid, every path field lives on that grid, and all four
-numbers below come from it (D_eps from a frame of it moved to the lattice
-node nearest y*/eps, where V on Y is least, see ``certificate``):
+path is a property of (grid, potential): u0 is built once per grid, a row is
+priced from the u0^2-average of V in its frame, every path field lives on
+that grid, and all four numbers below come from it (D_eps from a frame of it
+moved to the lattice node nearest y*/eps, where V on Y is least):
 
 * D_eps  -- inf of J over Nehari fields with barycenter in Y (estimated by
   one descent held on that set by a tilt; an UPPER bound of the true
@@ -38,8 +38,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .energy import _projected_level, energy_terms, eps_norm_sq, field_energy, potential_samples
-from .grid import Grid, GridField, box_problems, integrate_array, is_real, node_axes, refuse
+from .energy import _projected_level, eps_norm_sq, field_energy, potential_samples
+from .grid import Grid, GridField, box_problems, is_real, node_axes, refuse
 from .nehari import (
     SolverConfig,
     _gausson_seed,
@@ -101,25 +101,18 @@ def _path_gausson(grid: Grid, c0: float) -> NDArray:
     return u0
 
 
-@lru_cache(maxsize=8)
-def _path_terms(grid: Grid, c0: float) -> tuple[NDArray, float, float, float]:
-    """(u0^2, kin, mass, ent) of ``_path_gausson``, the frame-independent
-    part of the path, from one energy kernel call per (grid, c0).  A cache
-    of its own: the zero finder of ``oracles`` reads u0 alone and prices
-    nothing."""
-    _, sq, kin, _, mass, ent = energy_terms(grid, _path_gausson(grid, c0), 0.0)
-    sq.flags.writeable = False
-    return sq, kin, mass, ent
-
-
 def _path_row(grid: Grid, potential: PotentialSpec, eps: float, z: NDArray) -> tuple[Grid, NDArray, float, float]:
     """(frame, V(eps x) in it, t, J(t u0)): the one pricing of the path row z.
-    Only pot(z) = integral(V u0^2) sees the frame moved to z/eps, so a row
-    samples V once and reuses the cached terms of u0 for the rest."""
+    Only W = W_eps(z), the u0^2-average of V(eps x) in the frame moved to
+    z/eps, sees z: kin, mass and ent are the exact Gausson's N m, 2 m and m
+    (N + 2 c0), m = m(c0), so t = e^{(W-c0)/2} and J = m e^{W-c0} (log t
+    clipped in ``_projected_level``) with no sine transform."""
     frame = _path_frame(grid, z, eps)
     vsamp = potential_samples(potential, frame, eps)
-    sq, kin, mass, ent = _path_terms(grid, potential.c0)
-    t, j, _ = _projected_level(kin, integrate_array(frame, vsamp * sq), mass, ent)
+    sq = np.square(_path_gausson(grid, potential.c0))
+    w = float(np.sum(vsamp * sq) / np.sum(sq))
+    m, n = m_closed_form(potential.c0, grid.dim), grid.dim
+    t, j, _ = _projected_level(n * m, 2.0 * m * w, 2.0 * m, m * (n + 2.0 * potential.c0))
     return frame, vsamp, t, j
 
 
@@ -277,7 +270,7 @@ _BOUNDARY_SAMPLES = 8
 
 def level_sup_x(grid: Grid, potential: PotentialSpec, eps: float, threshold: float, origin: float) -> dict:
     """Max of J(Phi_eps(x)) over sampled Q and the radius R of Q, from one
-    walk over X, with the analytic cap m(c0) + (3/10) c2 integral(u0^2).
+    walk over X, with the analytic cap m(c0) + 0.3 c2 integral(u0^2) = m(c0) (1 + 0.6 c2).
 
     The walk starts at ``origin``, the J of the z = 0 row that
     ``level_theta`` has priced (where a symmetric saddle puts the path
@@ -300,8 +293,7 @@ def level_sup_x(grid: Grid, potential: PotentialSpec, eps: float, threshold: flo
         "threshold": threshold,
         "boundary_max": boundary,
         "succeeded": found is not None,
-        "cap": m_c0 + 0.3 * potential.c2 * _path_terms(grid, potential.c0)[2],
-        "cap_closed_form": m_c0 * (1.0 + 0.6 * potential.c2),  # integral(u0^2) = 2 m(c0) for the exact profile
+        "cap": m_c0 * (1.0 + 0.6 * potential.c2),
     }
 
 
@@ -466,7 +458,7 @@ def certificate(eps: float, cfg: CertificateConfig) -> LevelCertificate:
     J of a field u on the discrete Nehari set of V >= c0, so J_V(u) =
     max_t J_V(t u) >= max_t J_c0(t u) >= m_h(c0), the discrete ground level
     of c0, which the sampled Gausson attains: m_h(c0) = m(c0) to 4.5e-16 at
-    h = 0.4 and 8.5e-12 at ``MAX_H_TARGET`` (8.7e-7 low at h = 0.8).  V
+    h = 0.4, 2.5e-11 low at ``MAX_H_TARGET`` (21^2 at L = 6), 3.8e-7 on 17^2.  V
     sampled below c0 on the D_eps grid breaks the premise: a ValueError.
     """
     pot = cfg.potential

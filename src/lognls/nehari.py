@@ -220,7 +220,7 @@ def minimize_on_nehari(
         in place, or None for a c the constraint cannot retract or with no mass."""
         if constraint is not None and not constraint.retract(cand):
             return None
-        coeffs, _, kin, pot, mass, ent = energy_terms(grid, cand, vsamp)
+        coeffs, kin, pot, mass, ent = energy_terms(grid, cand, vsamp)
         return (coeffs, *_projected_level(kin, pot, mass, ent)) if mass > 0 else None
 
     u = np.clip(start, 0.0, None, out=start)

@@ -108,7 +108,7 @@ def log_sobolev_slack(u: GridField, a: float) -> float:
     if a <= 0:
         raise ValueError(f"a must be positive, got {a}")
     grid = u.grid
-    _, _, kin, _, mass, ent = energy.energy_terms(grid, u.values, 0.0)
+    _, kin, _, mass, ent = energy.energy_terms(grid, u.values, 0.0)
     if mass <= 0:
         raise ValueError("log-Sobolev slack is undefined for the zero field")
     return (a * a / math.pi) * kin + (math.log(mass) - grid.dim * (1.0 + math.log(a))) * mass - ent
@@ -121,7 +121,7 @@ def nehari_scale(u: GridField, potential, eps: float) -> float:
     rescaling u by c > 0 divides t by c.
     """
     vsamp = energy.potential_samples(potential, u.grid, eps)
-    _, _, kin, pot, mass, ent = energy.energy_terms(u.grid, u.values, vsamp)
+    _, kin, pot, mass, ent = energy.energy_terms(u.grid, u.values, vsamp)
     if mass <= 0:
         raise ValueError("Nehari scale is undefined for fields with zero mass")
     return energy._projected_level(kin, pot, mass, ent)[0]

@@ -18,12 +18,12 @@ from lognls.energy import (
 )
 from lognls.grid import Grid, GridField, integrate_array, sine_coefficients, sine_kinetic
 import lognls.nehari as nehari_mod
-from lognls.minimax import _path_frame
+from lognls.minimax import _path_frame, _path_row
 from lognls.nehari import SolverConfig, gausson, m_closed_form, minimize_on_nehari
 from lognls.expression import expression_potential
 from lognls.potential import PotentialSpec, constant_potential, model_saddle
 
-from conftest import f2_prime, grad_L2, log_sobolev_slack, nehari_scale, path_j, smooth_field, sq_log_sq
+from conftest import f2_prime, grad_L2, log_sobolev_slack, nehari_scale, smooth_field, sq_log_sq
 
 PARAMS = SplitParams()
 
@@ -191,12 +191,12 @@ def test_potential_sampling_peak_memory(potential, max_fields):
 
 
 def _direct_terms(grid, values, vsamp):
-    """(u^2, pot, mass, ent) written out as the formula with a fresh
-    temporary per operation: the reference of the in-place kernel."""
+    """(pot, mass, ent) written out as the formula with a fresh temporary
+    per operation: the reference of the in-place kernel."""
     sq = values * values
     a = np.abs(values)
     log_sq = 2.0 * np.log(np.where(a > 0, a, 1.0))
-    return sq, integrate_array(grid, vsamp * sq), integrate_array(grid, sq), integrate_array(grid, sq * log_sq)
+    return integrate_array(grid, vsamp * sq), integrate_array(grid, sq), integrate_array(grid, sq * log_sq)
 
 
 @pytest.mark.parametrize("sampling", ["array", "constant view", "scalar zero"])
@@ -209,16 +209,14 @@ def test_energy_terms_match_the_direct_formula_bit_for_bit(rng, grid_2d, samplin
         "constant view": potential_samples(1.0 / 3.0, grid_2d, 1.0),
         "scalar zero": 0.0,
     }[sampling]
-    coeffs, sq, kin, pot, mass, ent = energy_terms(grid_2d, values, vsamp)
-    ref_sq, ref_pot, ref_mass, ref_ent = _direct_terms(grid_2d, values, vsamp)
-    assert np.array_equal(sq, ref_sq)
-    assert (pot, mass, ent) == (ref_pot, ref_mass, ref_ent)
+    coeffs, kin, pot, mass, ent = energy_terms(grid_2d, values, vsamp)
+    assert (pot, mass, ent) == _direct_terms(grid_2d, values, vsamp)
     assert kin == sine_kinetic(grid_2d, sine_coefficients(grid_2d, values))
     assert np.array_equal(coeffs, sine_coefficients(grid_2d, values))
     if sampling == "constant view":
         # the view prices exactly as the full array of the same constant
         full = np.full(grid_2d.num_nodes, 1.0 / 3.0)
-        assert energy_terms(grid_2d, values, full)[2:] == (kin, pot, mass, ent)
+        assert energy_terms(grid_2d, values, full)[1:] == (kin, pot, mass, ent)
 
 
 def test_the_kernel_takes_log_u_squared_from_the_one_log(monkeypatch, rng, grid_2d):
@@ -344,8 +342,10 @@ def test_log_sobolev_rejects_zero_field(grid_1d):
 
 
 def test_projected_level_is_the_one_reader_of_a_nehari_projected_level(monkeypatch, rng):
-    # the solver's accepted J, the Nehari scale and a path row are each
-    # _projected_level of their own kernel reductions, bit for bit
+    # the solver's accepted J and the Nehari scale are each _projected_level
+    # of their own kernel reductions, and a path row of the exact Gausson's
+    # terms (kin N m, pot 2 m W, mass 2 m, ent m (N + 2 c0) with m = m(c0)
+    # and W the u0^2-average of V in the row's frame), bit for bit
     saddle = model_saddle(1.0, 1.25, 2, (0,), 0.5)
     g = Grid(2, 8.0, 41)
     vsamp = potential_samples(saddle, g, 0.4)
@@ -354,7 +354,7 @@ def test_projected_level_is_the_one_reader_of_a_nehari_projected_level(monkeypat
 
     def recorded(grid, values, v):
         out = real(grid, values, v)
-        priced.append(energy_mod._projected_level(*out[2:])[1])
+        priced.append(energy_mod._projected_level(*out[1:])[1])
         return out
 
     monkeypatch.setattr(nehari_mod, "energy_terms", recorded)
@@ -363,10 +363,13 @@ def test_projected_level_is_the_one_reader_of_a_nehari_projected_level(monkeypat
     assert len(info["j_history"]) > 2 and set(info["j_history"]) <= set(priced)
 
     u = smooth_field(g, rng, positive=True)
-    terms = energy_terms(g, u.values, vsamp)[2:]
+    terms = energy_terms(g, u.values, vsamp)[1:]
     assert nehari_scale(u, saddle, 0.4) == energy_mod._projected_level(*terms)[0]
 
     z = np.array([0.5, 0.0])
     frame = _path_frame(g, z, 0.4)
-    terms = energy_terms(frame, gausson(g, saddle.c0).values, potential_samples(saddle, frame, 0.4))[2:]
-    assert path_j(g, saddle, 0.4, z) == energy_mod._projected_level(*terms)[1]
+    sq = gausson(g, saddle.c0).values ** 2
+    w = np.sum(potential_samples(saddle, frame, 0.4) * sq) / np.sum(sq)
+    m = m_closed_form(saddle.c0, 2)
+    t, j, _ = energy_mod._projected_level(2 * m, 2 * m * w, 2 * m, m * (2 + 2 * saddle.c0))
+    assert _path_row(g, saddle, 0.4, z)[2:] == (t, j)

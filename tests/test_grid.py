@@ -237,7 +237,7 @@ def test_h1_inner_is_the_spectral_form_on_a_checkerboard():
     c = _ones_sine_coefficients(n)
     lam = _exact_eigenvalues(g)[::-1]
     closed = g.spacing * 0.5 * (n + 1) * float(np.sum(lam * c * c))
-    assert energy_terms(g, u, 0.0)[2] == pytest.approx(closed, rel=1e-12)
+    assert energy_terms(g, u, 0.0)[1] == pytest.approx(closed, rel=1e-12)
 
 
 def test_dump_load_roundtrip(tmp_path, rng, grid_2d):

@@ -430,7 +430,7 @@ def test_first_trial_with_an_empty_memory_is_the_scaled_sobolev_step(monkeypatch
     minimize_on_nehari(g, vsamp, start.copy(), SolverConfig(tol=1e-6, max_iters=1))
     # the start is projected onto the Nehari set, then the first trial
     # takes the full step alpha = 1
-    t = _projected_level(*real(g, start, vsamp)[2:])[0]
+    t = _projected_level(*real(g, start, vsamp)[1:])[0]
     u = t * start
     lap = laplacian_array(g, start)
     lap *= t
@@ -527,7 +527,7 @@ def test_reduced_objective_matches_direct_energy(rng, grid_2d, factor):
     # near the Nehari set (factor 1) and with t far from 1 both ways
     u = project_nehari(smooth_field(grid_2d, rng, positive=True), 0.3, 1.0)
     c = factor * u.values * (1.0 + 0.01 * np.cos(node_table(grid_2d)[:, 0]))
-    _, _, kin, pot, mass, ent = energy_terms(grid_2d, c, np.full(grid_2d.num_nodes, 0.3))
+    _, kin, pot, mass, ent = energy_terms(grid_2d, c, np.full(grid_2d.num_nodes, 0.3))
     t, j_reduced, _ = _projected_level(kin, pot, mass, ent)
     assert t == pytest.approx(nehari_scale(GridField(grid_2d, c), 0.3, 1.0), rel=1e-14)
     if factor != 1.0:
@@ -543,10 +543,9 @@ def test_energy_terms_kernel(rng, grid_2d):
 
     u = smooth_field(grid_2d, rng)
     vsamp = 0.2 + 0.1 * np.sin(node_table(grid_2d)[:, 1])
-    coeffs, sq, kin, pot, mass, ent = energy_terms(grid_2d, u.values, vsamp)
+    coeffs, kin, pot, mass, ent = energy_terms(grid_2d, u.values, vsamp)
     expected = dstn(u.reshaped(), type=1)
     assert np.max(np.abs(coeffs.reshape(grid_2d.shape) - expected)) <= 1e-12 * np.max(np.abs(expected))
-    assert np.array_equal(sq, u.values * u.values)
     # Parseval's sum and the nodal sum of the same form round differently
     assert kin == pytest.approx(kinetic(grid_2d, u.values), rel=1e-14)
     assert pot == integrate_array(grid_2d, vsamp * u.values**2)
